@@ -8,7 +8,6 @@ from .spectral import (
     SpectralVectorField,
     apply_bilinear,
     bilinear_symbol,
-    build_grid,
     fractional_power,
     leray_project,
     semigroup_multiply,
@@ -23,7 +22,6 @@ __all__ = [
     "SpectralVectorField",
     "apply_bilinear",
     "bilinear_symbol",
-    "build_grid",
     "fractional_power",
     "leray_project",
     "semigroup_multiply",

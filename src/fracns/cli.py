@@ -58,7 +58,7 @@ class RunConfig:
     def validate(self):
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
-        grid = spectral.build_grid(self.n, self.box_length)
+        grid = spectral.Grid(self.n, self.box_length)
         params = spectral.FracParams(self.alpha, self.dealias)
         cfg = solver.SolverConfig(
             params,
@@ -465,7 +465,7 @@ def main(argv=None) -> int:
     try:
         config = RunConfig.from_dict(base)
         config.validate()
-    except (FracnsError, ValueError, TypeError) as e:
+    except (FracnsError, ValueError, TypeError, MemoryError) as e:
         print(f"validation error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
 
@@ -479,7 +479,7 @@ def main(argv=None) -> int:
         _emit_error_report(config, "NotConverged", str(e))
         print(f"not converged: {e}", file=sys.stderr)
         return EXIT_NOT_CONVERGED
-    except FracnsError as e:
+    except (FracnsError, MemoryError) as e:
         _emit_error_report(config, type(e).__name__, str(e))
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -31,7 +31,6 @@ class Trajectory:
     times: list = field(default_factory=list)
     states: list = field(default_factory=list)  # SpectralVectorField snapshots
     drift_history: list = field(default_factory=list)  # rel. L2 distance to v(0)
-    linf_history: list = field(default_factory=list)
 
 
 def stable_dt(v0: SpectralVectorField, safety: float = 0.5) -> float:
@@ -105,7 +104,6 @@ def evolve_mild(
     traj.times.append(0.0)
     traj.states.append(v0.copy())
     traj.drift_history.append(0.0)
-    traj.linf_history.append(float(np.max(to_real(v0).magnitude())))
 
     v0_l2 = l2_norm(v0)
     f_l2 = l2_norm(SpectralVectorField(g, pf))
@@ -129,12 +127,9 @@ def evolve_mild(
             l2_norm(SpectralVectorField(g, v - v0.data)) / v0_l2 if v0_l2 > 0 else norm
         )
         traj.drift_history.append(drift)
-        traj.linf_history.append(float(np.max(to_real(state).magnitude())))
+        traj.times.append(t)
         if step % store_every == 0 or step == n_steps:
-            traj.times.append(t)
             traj.states.append(state.copy())
-        else:
-            traj.times.append(t)
     return traj
 
 

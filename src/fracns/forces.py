@@ -11,7 +11,7 @@ the 24 cube rotations forces it to be scalar exactly.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -170,6 +170,16 @@ def _center_phase(grid: Grid) -> np.ndarray:
     return np.exp(-1j * (grid.xi[0] * xc[0] + grid.xi[1] * xc[1] + grid.xi[2] * xc[2]))
 
 
+def _modulated(spec: ForceSpec, grid: Grid, seed: int, window: np.ndarray) -> SpectralVectorField:
+    """A radial window times the seeded odd polynomial, centered in the box."""
+    rng = np.random.default_rng(seed)
+    poly = _odd_polynomial(grid, rng, spec.anisotropy, spec.r1)
+    phase = _center_phase(grid)
+    data = np.stack([1j * window * poly[j] * phase for j in range(3)])
+    data[:, 0, 0, 0] = 0.0
+    return SpectralVectorField(grid, data)
+
+
 def _raw_annulus(spec: ForceSpec, grid: Grid, seed: int, alpha: float) -> SpectralVectorField:
     # The |xi|^alpha weight cancels the lift's |xi|^(-alpha), so the lifted
     # field carries the clean compactly supported bump: that is what makes
@@ -181,26 +191,14 @@ def _raw_annulus(spec: ForceSpec, grid: Grid, seed: int, alpha: float) -> Spectr
             f"no lattice modes inside the annulus ({spec.r0}, {spec.r1}) "
             f"at resolution {grid.n}, box {grid.box_length}"
         )
-    rng = np.random.default_rng(seed)
-    poly = _odd_polynomial(grid, rng, spec.anisotropy, spec.r1)
-    phase = _center_phase(grid)
-    data = np.stack([1j * window * poly[j] * phase for j in range(3)])
-    data[:, 0, 0, 0] = 0.0
-    return SpectralVectorField(grid, data)
+    return _modulated(spec, grid, seed, window)
 
 
 def _raw_gaussian_bump(spec: ForceSpec, grid: Grid, seed: int, alpha: float) -> SpectralVectorField:
-    r = grid.kmag
     rc = 0.5 * (spec.r0 + spec.r1)
     s = (spec.r1 - spec.r0) / 6.0
-    window = np.exp(-((r - rc) ** 2) / (2.0 * s * s))
-    window[0, 0, 0] = 0.0
-    rng = np.random.default_rng(seed)
-    poly = _odd_polynomial(grid, rng, spec.anisotropy, spec.r1)
-    phase = _center_phase(grid)
-    data = np.stack([1j * window * poly[j] * phase for j in range(3)])
-    data[:, 0, 0, 0] = 0.0
-    return SpectralVectorField(grid, data)
+    window = np.exp(-((grid.kmag - rc) ** 2) / (2.0 * s * s))
+    return _modulated(spec, grid, seed, window)
 
 
 def _raw_plane_wave_pair(spec: ForceSpec, grid: Grid, seed: int, alpha: float) -> SpectralVectorField:
@@ -311,9 +309,3 @@ def make_force(spec: ForceSpec, grid: Grid, alpha: float) -> SpectralVectorField
         "could not realize a usably non-scalar lifted moment matrix "
         f"from seed {spec.seed} in {attempts} attempts"
     )
-
-
-def make_annulus_force(spec: ForceSpec, grid: Grid, alpha: float) -> SpectralVectorField:
-    if spec.kind != "annulus_ring":
-        spec = replace(spec, kind="annulus_ring")
-    return make_force(spec, grid, alpha)

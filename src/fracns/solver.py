@@ -22,6 +22,7 @@ from .spectral import (
     FracParams,
     Grid,
     SpectralVectorField,
+    _quadratic_products,
     apply_bilinear,
     fractional_power,
     l2_norm,
@@ -52,7 +53,6 @@ class SolverDiagnostics:
     iterations: int
     residual_history: list = field(default_factory=list)  # successive-change norms
     difference_ratios: list = field(default_factory=list)
-    lorentz_history: list = field(default_factory=list)
     lifted_force_lorentz_norm: float = 0.0
     empirical_bilinear_constant: float = 0.0
     contraction_product: float = 0.0
@@ -63,7 +63,6 @@ class SolverDiagnostics:
 @dataclass
 class SteadySolution:
     velocity: SpectralVectorField
-    pressure: np.ndarray  # scalar spectral field, mean-free
     diagnostics: SolverDiagnostics
 
 
@@ -95,9 +94,8 @@ def solve_steady(f: SpectralVectorField, config: SolverConfig) -> SteadySolution
     diag.lifted_force_lorentz_norm = weak_lorentz_norm(u0, alpha)
 
     if u0_l2 == 0.0:
-        pressure = recover_pressure(u0, f, params)
         diag.residual_history.append(0.0)
-        return SteadySolution(u0, pressure, diag)
+        return SteadySolution(u0, diag)
 
     u = u0.copy()
     prev_diff = None
@@ -108,7 +106,6 @@ def solve_steady(f: SpectralVectorField, config: SolverConfig) -> SteadySolution
         diff = l2_norm(SpectralVectorField(u.grid, new.data - u.data))
         diag.iterations = it
         diag.residual_history.append(diff)
-        diag.lorentz_history.append(weak_lorentz_norm(new, alpha))
         if new_l2 > config.divergence_factor * u0_l2:
             raise Diverged(
                 f"iterate norm {new_l2:.3e} exceeded {config.divergence_factor:.1e} x "
@@ -136,16 +133,19 @@ def solve_steady(f: SpectralVectorField, config: SolverConfig) -> SteadySolution
         4.0 * diag.lifted_force_lorentz_norm * diag.empirical_bilinear_constant
     )
     diag.two_ball_ok = u_lorentz <= 2.0 * diag.lifted_force_lorentz_norm * (1.0 + 1e-6)
+    return SteadySolution(u, diag)
 
-    pressure = recover_pressure(u, f, params)
-    return SteadySolution(u, pressure, diag)
+
+def _residual_terms(u, f, params):
+    diss = fractional_power(u, params.alpha)
+    adv = projected_advection(u, dealias=params.dealias)
+    pf = leray_project(f)
+    return diss, adv, pf
 
 
 def residual(u: SpectralVectorField, f: SpectralVectorField, params: FracParams) -> float:
     """Discrete L^2 norm of (-Lap)^{alpha/2} u + P div(u (x) u) - P f."""
-    diss = fractional_power(u, params.alpha)
-    adv = projected_advection(u, dealias=params.dealias)
-    pf = leray_project(f)
+    diss, adv, pf = _residual_terms(u, f, params)
     r = diss.data + adv.data - pf.data
     r[:, 0, 0, 0] = 0.0
     return l2_norm(SpectralVectorField(u.grid, r))
@@ -156,19 +156,14 @@ def recover_pressure(u: SpectralVectorField, f: SpectralVectorField, params: Fra
 
     Taking the divergence of the momentum balance and inverting the
     Laplacian gives P = -(xi xi^T : W + i xi . f) / |xi|^2, with W the
-    transform of the (dealiased) product u (x) u.
+    transform of the (dealiased) product u (x) u.  W is symmetric, so each
+    off-diagonal product enters twice.
     """
-    import scipy.fft as sfft
-
     g = u.grid
-    vin = u.data * g.dealias_mask if params.dealias else u.data
-    phys = sfft.ifftn(vin, axes=(1, 2, 3)).real
-
     quad = np.zeros((g.n, g.n, g.n), dtype=np.complex128)
-    for j in range(3):
-        for k in range(3):
-            w_hat = sfft.fftn(phys[j] * phys[k])
-            quad += g.xi[j] * g.xi[k] * w_hat
+    for j, k, w_hat in _quadratic_products(u, params.dealias):
+        weight = 1.0 if j == k else 2.0
+        quad += weight * g.xi[j] * g.xi[k] * w_hat
     div_f = 1j * (g.xi[0] * f.data[0] + g.xi[1] * f.data[1] + g.xi[2] * f.data[2])
     num = -(quad + div_f)
     num *= g.nyquist_free
@@ -192,13 +187,6 @@ def rescale_pair(u: SpectralVectorField, f: SpectralVectorField, alpha: float, l
     u2 = SpectralVectorField(g2, lam ** (alpha - 1.0) * u.data)
     f2 = SpectralVectorField(g2, lam ** (2.0 * alpha - 1.0) * f.data)
     return u2, f2
-
-
-def _residual_terms(u, f, params):
-    diss = fractional_power(u, params.alpha)
-    adv = projected_advection(u, dealias=params.dealias)
-    pf = leray_project(f)
-    return diss, adv, pf
 
 
 def scaling_check(

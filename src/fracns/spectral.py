@@ -101,10 +101,6 @@ class Grid:
         return self.n == other.n and self.box_length == other.box_length
 
 
-def build_grid(n: int, box_length: float) -> Grid:
-    return Grid(n, box_length)
-
-
 @dataclass
 class RealVectorField:
     """Three scalar arrays of N^3 real samples on a common grid."""
@@ -250,8 +246,24 @@ def bilinear_symbol(xi, alpha: float, i: int, j: int, k: int) -> complex:
     return complex(-proj * 1j * xi[k] / r2 ** (alpha / 2.0))
 
 
-def _dealias(data: np.ndarray, grid: Grid) -> np.ndarray:
-    return data * grid.dealias_mask
+def _quadratic_products(v: SpectralVectorField, dealias: bool):
+    """Yield ``(j, k, w_hat)`` for j <= k, with w_hat the transform of the
+    physical-space product v_j v_k, formed after a 2/3-rule spherical
+    truncation of the inputs (when ``dealias``).
+
+    Products are formed and transformed one at a time, so at most one of
+    them is held in memory.
+    """
+    vin = v.data * v.grid.dealias_mask if dealias else v.data
+    phys = sfft.ifftn(vin, axes=(1, 2, 3), workers=_WORKERS).real
+    if not np.all(np.isfinite(phys)):
+        raise NumericalBlowup("non-finite samples entering the quadratic term")
+    for j in range(3):
+        for k in range(j, 3):
+            prod = phys[j] * phys[k]
+            if not np.all(np.isfinite(prod)):
+                raise NumericalBlowup("overflow while forming the quadratic term")
+            yield j, k, sfft.fftn(prod, workers=_WORKERS)
 
 
 def projected_advection(v: SpectralVectorField, dealias: bool = True) -> SpectralVectorField:
@@ -263,24 +275,14 @@ def projected_advection(v: SpectralVectorField, dealias: bool = True) -> Spectra
     divergence multiplier are zeroed.
     """
     g = v.grid
-    vin = _dealias(v.data, g) if dealias else v.data
-    phys = sfft.ifftn(vin, axes=(1, 2, 3), workers=_WORKERS).real
-    if not np.all(np.isfinite(phys)):
-        raise NumericalBlowup("non-finite samples entering the quadratic term")
-
     div = np.zeros((3, g.n, g.n, g.n), dtype=np.complex128)
-    for j in range(3):
-        for k in range(j, 3):
-            prod = phys[j] * phys[k]
-            if not np.all(np.isfinite(prod)):
-                raise NumericalBlowup("overflow while forming the quadratic term")
-            w_hat = sfft.fftn(prod, workers=_WORKERS)
-            div[j] += 1j * g.xi[k] * w_hat
-            if k != j:
-                div[k] += 1j * g.xi[j] * w_hat
+    for j, k, w_hat in _quadratic_products(v, dealias):
+        div[j] += 1j * g.xi[k] * w_hat
+        if k != j:
+            div[k] += 1j * g.xi[j] * w_hat
     div *= g.nyquist_free
     if dealias:
-        div = _dealias(div, g)
+        div *= g.dealias_mask
     out = leray_project(SpectralVectorField(g, div))
     out.data[:, 0, 0, 0] = 0.0
     return out
@@ -324,11 +326,6 @@ def l2_norm(field) -> float:
     if isinstance(field, RealVectorField):
         return float(np.sqrt(field.grid.cell_volume * np.sum(field.data**2)))
     raise TypeError("expected a vector field")
-
-
-def scalar_l2_norm(coeffs: np.ndarray, grid: Grid) -> float:
-    s = np.sum(np.abs(coeffs) ** 2) / grid.n**3
-    return float(np.sqrt(grid.cell_volume * s))
 
 
 def l2_inner(a: SpectralVectorField, b: SpectralVectorField) -> float:

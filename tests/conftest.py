@@ -3,17 +3,17 @@ import pytest
 
 from fracns.forces import ForceSpec, make_force
 from fracns.solver import SolverConfig, solve_steady
-from fracns.spectral import FracParams, RealVectorField, build_grid, to_spectral
+from fracns.spectral import FracParams, Grid, RealVectorField, to_spectral
 
 
 @pytest.fixture(scope="session")
 def grid32():
-    return build_grid(32, 16.0)
+    return Grid(32, 16.0)
 
 
 @pytest.fixture(scope="session")
 def grid16():
-    return build_grid(16, 4.0)
+    return Grid(16, 4.0)
 
 
 def random_real_field(grid, seed=0, smooth=False):

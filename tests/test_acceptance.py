@@ -33,7 +33,7 @@ def _report(num, ok, text):
 def decay_runs():
     """Converged solves plus kernels for the four pinned alpha values."""
     runs = {}
-    grid = spectral.build_grid(DECAY_GRID_N, DECAY_BOX)
+    grid = spectral.Grid(DECAY_GRID_N, DECAY_BOX)
     for alpha in ALPHAS:
         t0 = time.perf_counter()
         spec = forces.ForceSpec(
@@ -101,7 +101,7 @@ def test_criterion_2_asymptotic_profile(decay_runs):
 
 def test_criterion_3_nonexistence_mechanism():
     alpha = 1.5
-    grid = spectral.build_grid(64, 32.0)
+    grid = spectral.Grid(64, 32.0)
     cfg = solver.SolverConfig(spectral.FracParams(alpha))
     kernel = asymptotics.build_kernel(alpha, refinement_grid_n=96)
 
@@ -145,7 +145,7 @@ def test_criterion_3_nonexistence_mechanism():
 
 def test_criterion_4_picard_contraction():
     alpha = 2.0
-    grid = spectral.build_grid(32, 16.0)
+    grid = spectral.Grid(32, 16.0)
     spec = forces.ForceSpec(kind="annulus_ring", amplitude=0.05, r0=0.8, r1=3.5, seed=3)
     f = forces.make_force(spec, grid, alpha)
     cfg = solver.SolverConfig(spectral.FracParams(alpha))
@@ -254,7 +254,7 @@ def test_criterion_7_moment_matrix_equivalence():
 
 def test_criterion_8_stationarity_and_kernel_masses():
     alpha = 2.0
-    grid = spectral.build_grid(32, 16.0)
+    grid = spectral.Grid(32, 16.0)
     spec = forces.ForceSpec(kind="annulus_ring", amplitude=0.05, r0=0.8, r1=3.5, seed=3)
     f = forces.make_force(spec, grid, alpha)
     cfg = solver.SolverConfig(spectral.FracParams(alpha))
@@ -281,7 +281,7 @@ def test_criterion_8_stationarity_and_kernel_masses():
 
 
 def test_criterion_9_norm_machinery():
-    grid = spectral.build_grid(32, 16.0)
+    grid = spectral.Grid(32, 16.0)
     h3 = grid.cell_volume
     rng = np.random.default_rng(9)
 
@@ -294,7 +294,7 @@ def test_criterion_9_norm_machinery():
         worst = max(worst, abs(lq - lp) / lp)
     lorentz_ok = worst < 1e-10
 
-    gind = spectral.build_grid(16, 4.0)
+    gind = spectral.Grid(16, 4.0)
     field = np.zeros(16**3)
     field[:128] = 3.0  # volume exactly 2 at h^3 = 1/64
     field = field.reshape(16, 16, 16)

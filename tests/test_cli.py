@@ -3,6 +3,7 @@ import os
 
 import numpy as np
 
+from fracns import cli
 from fracns.asymptotics import RadialProfile, fit_decay_exponent
 from fracns.cli import (
     EXIT_DIVERGED,
@@ -172,3 +173,20 @@ class TestMainEntry:
         path.write_text(json.dumps(cfg))
         assert main(["solve", "--config", str(path)]) == 0
         assert (tmp_path / "report.json").exists()
+
+    def test_out_of_memory_in_run_reports_error(self, tmp_path, monkeypatch):
+        def exhausted(config, outdir):
+            raise MemoryError("cannot allocate the velocity field")
+
+        monkeypatch.setitem(cli._RUNNERS, "solve", exhausted)
+        code = main(["solve", "--output-dir", str(tmp_path)])
+        assert code == EXIT_VALIDATION
+        payload = json.loads((tmp_path / "report.json").read_text())
+        assert payload["error"] == "MemoryError: cannot allocate the velocity field"
+
+    def test_out_of_memory_in_validation_exit(self, tmp_path, monkeypatch):
+        def exhausted(self):
+            raise MemoryError("cannot allocate the grid")
+
+        monkeypatch.setattr(RunConfig, "validate", exhausted)
+        assert main(["solve", "--output-dir", str(tmp_path)]) == EXIT_VALIDATION

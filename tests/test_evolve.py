@@ -144,11 +144,11 @@ class TestStationarity:
 
 class TestSmoothing:
     def test_refinement_stability(self):
-        from fracns.spectral import build_grid
+        from fracns.spectral import Grid
 
         vals = []
         for n in (32, 64):
-            g = build_grid(n, 16.0)
+            g = Grid(n, 16.0)
             r = g.radius_from(g.center)
             f = np.exp(-(r**2) / (2 * 1.5**2))
             out = smoothing_check(f, 3.0, 2.0, times=np.linspace(0.05, 2.0, 8), grid=g)

@@ -5,7 +5,7 @@ from conftest import random_real_field
 from fracns.errors import InvalidAnnulus
 from fracns.forces import (
     ForceSpec,
-    make_annulus_force,
+    make_force,
     moment_matrix,
     octahedral_rotations,
     rotate_spectral_field,
@@ -65,20 +65,20 @@ class TestAnnulusForce:
     def test_normalization(self, grid32):
         alpha = 1.5
         spec = ForceSpec(amplitude=0.23, r0=0.8, r1=3.5, seed=1)
-        f = make_annulus_force(spec, grid32, alpha)
+        f = make_force(spec, grid32, alpha)
         u0 = lift_force(f, FracParams(alpha))
         assert weak_lorentz_norm(u0, alpha) == pytest.approx(0.23, rel=1e-10)
 
     def test_support_on_annulus(self, grid32):
         g = grid32
         spec = ForceSpec(amplitude=0.1, r0=1.0, r1=3.0, seed=2)
-        f = make_annulus_force(spec, g, 2.0)
+        f = make_force(spec, g, 2.0)
         outside = (g.kmag < spec.r0) | (g.kmag > spec.r1)
         assert np.max(np.abs(f.data[:, outside])) == 0.0
 
     def test_real_mean_free_divergence_free(self, grid32):
         g = grid32
-        f = make_annulus_force(ForceSpec(amplitude=0.1, r1=3.0, seed=4), g, 1.5)
+        f = make_force(ForceSpec(amplitude=0.1, r1=3.0, seed=4), g, 1.5)
         assert hermitian_defect(f) < 1e-13
         assert np.all(f.data[:, 0, 0, 0] == 0.0)
         div = sum(g.xi[i] * f.data[i] for i in range(3))
@@ -87,7 +87,7 @@ class TestAnnulusForce:
     def test_odd_symmetry_about_center(self, grid32):
         # f(center + z) = -f(center - z) kills the dipole of u (x) u
         g = grid32
-        f = to_real(make_annulus_force(ForceSpec(amplitude=0.1, r1=3.0, seed=5), g, 1.5))
+        f = to_real(make_force(ForceSpec(amplitude=0.1, r1=3.0, seed=5), g, 1.5))
         arr = f.data
         flipped = arr[:, ::-1, ::-1, ::-1]
         flipped = np.roll(flipped, shift=1, axis=1)
@@ -99,17 +99,17 @@ class TestAnnulusForce:
     def test_annulus_outside_dealias_rejected(self, grid32):
         spec = ForceSpec(amplitude=0.1, r0=1.0, r1=8.0, seed=1)
         with pytest.raises(InvalidAnnulus):
-            make_annulus_force(spec, grid32, 2.0)
+            make_force(spec, grid32, 2.0)
 
     def test_empty_annulus_rejected(self, grid16):
         # grid16 has dk = 2 pi / 4 ~ 1.57; a sliver below it holds no modes
         spec = ForceSpec(amplitude=0.1, r0=0.05, r1=0.12, seed=1)
         with pytest.raises(InvalidAnnulus):
-            make_annulus_force(spec, grid16, 2.0)
+            make_force(spec, grid16, 2.0)
 
     def test_anisotropic_moment_ratio(self, grid32):
         spec = ForceSpec(amplitude=0.1, r1=3.5, seed=6, anisotropy=(2.0, 1.0, 1.0))
-        f = make_annulus_force(spec, grid32, 1.5)
+        f = make_force(spec, grid32, 1.5)
         u0 = to_real(lift_force(f, FracParams(1.5)))
         M = moment_matrix(u0)
         assert M[0, 0] / M[1, 1] > 1.2
@@ -117,7 +117,7 @@ class TestAnnulusForce:
 
     def test_isotropic_symmetrized_moment_scalar(self, grid32):
         spec = ForceSpec(amplitude=0.1, r1=3.5, seed=7, symmetrize=True)
-        f = make_annulus_force(spec, grid32, 1.5)
+        f = make_force(spec, grid32, 1.5)
         u0 = to_real(lift_force(f, FracParams(1.5)))
         M = moment_matrix(u0)
         off = np.max(np.abs(M - np.diag(np.diag(M))))
@@ -163,7 +163,7 @@ class TestPerturbationOrdering:
         for divisor in (1, 2, 4):
             eta = 0.08 / divisor
             spec = ForceSpec(amplitude=eta, r1=3.5, seed=10)
-            f = make_annulus_force(spec, grid32, alpha)
+            f = make_force(spec, grid32, alpha)
             sol = solve_steady(f, cfg)
             u0 = lift_force(f, cfg.params)
             diff = sol.velocity.copy()

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+import scipy.fft as sfft
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_divfree_spectral
+from fracns import solver
 from fracns.errors import Diverged, InvalidGrid, NotConverged, ZeroModeUndefined
 from fracns.forces import ForceSpec, make_force
 from fracns.solver import (
@@ -15,6 +19,7 @@ from fracns.solver import (
 )
 from fracns.spectral import (
     FracParams,
+    Grid,
     RealVectorField,
     SpectralVectorField,
     fractional_power,
@@ -27,6 +32,22 @@ from fracns.spectral import (
     to_spectral,
     zero_spectral,
 )
+
+
+def unprojected_advection(u, dealias=True):
+    """div(u (x) u) from all nine products, masked like projected_advection."""
+    g = u.grid
+    vin = u.data * g.dealias_mask if dealias else u.data
+    phys = sfft.ifftn(vin, axes=(1, 2, 3)).real
+    div = np.zeros((3, g.n, g.n, g.n), complex)
+    for j in range(3):
+        for k in range(3):
+            w = sfft.fftn(phys[j] * phys[k])
+            div[j] += 1j * g.xi[k] * w
+    div *= g.nyquist_free
+    if dealias:
+        div *= g.dealias_mask
+    return div
 
 
 class TestLiftForce:
@@ -100,6 +121,25 @@ class TestSolveSteady:
         div = sum(g.xi[i] * u.data[i] for i in range(3))
         assert np.max(np.abs(div)) < 1e-12
         assert np.all(u.data[:, 0, 0, 0] == 0.0)
+
+    def test_lorentz_norm_not_evaluated_per_iteration(self, grid16, monkeypatch):
+        # three weak-Lorentz evaluations (lifted force, solution, B(u, u))
+        # however many iterations the solve takes
+        calls = []
+
+        def counted(u, alpha, _norm=solver.weak_lorentz_norm):
+            calls.append(alpha)
+            return _norm(u, alpha)
+
+        f = make_force(ForceSpec(amplitude=0.05, r0=0.8, r1=3.5, seed=3), grid16, alpha=2.0)
+        monkeypatch.setattr(solver, "weak_lorentz_norm", counted)
+        iterations = set()
+        for tol_rel in (1e-3, 1e-12):
+            calls.clear()
+            sol = solve_steady(f, SolverConfig(FracParams(2.0), tol_rel=tol_rel))
+            iterations.add(sol.diagnostics.iterations)
+            assert len(calls) == 3
+        assert len(iterations) == 2
 
     def test_lp_persistence(self, small_solution):
         # finite-lift forces give solutions with ||u||_p <= 2 ||u0||_p
@@ -192,26 +232,36 @@ class TestPressure:
         f = small_solution["force"]
         params = small_solution["config"].params
 
-        import scipy.fft as sfft
-
         u = sol.velocity
-        vin = u.data * g.dealias_mask
-        phys = sfft.ifftn(vin, axes=(1, 2, 3)).real
-        div = np.zeros((3, g.n, g.n, g.n), complex)
-        for j in range(3):
-            for k in range(3):
-                w = sfft.fftn(phys[j] * phys[k])
-                div[j] += 1j * g.xi[k] * w
-        div *= g.nyquist_free * g.dealias_mask
-        gradp = spectral_gradient(sol.pressure, g)
+        div = unprojected_advection(u)
+        gradp = spectral_gradient(recover_pressure(u, f, params), g)
         raw = fractional_power(u, params.alpha).data + div + gradp - f.data
         raw[:, 0, 0, 0] = 0.0
         unprojected = l2_norm(SpectralVectorField(g, raw))
         projected = residual(u, f, params)
         assert abs(unprojected - projected) < 1e-10
 
+    @settings(max_examples=20, deadline=None)
+    @given(
+        n=st.sampled_from([8, 12, 16]),
+        box=st.floats(1.0, 40.0),
+        seed=st.integers(0, 2**32 - 1),
+        dealias=st.booleans(),
+    )
+    def test_gradient_completes_projected_advection(self, n, box, seed, dealias):
+        # P div(u (x) u) = div(u (x) u) + grad p, with p the force-free pressure
+        g = Grid(n, box)
+        u = random_divfree_spectral(g, seed=seed)
+        div = unprojected_advection(u, dealias)
+        p = recover_pressure(u, zero_spectral(g), FracParams(2.0, dealias))
+        got = projected_advection(u, dealias=dealias).data
+        err = np.max(np.abs(got - (div + spectral_gradient(p, g))))
+        assert err <= 1e-12 * np.max(np.abs(div))
+
     def test_pressure_mean_free(self, small_solution):
-        assert small_solution["solution"].pressure[0, 0, 0] == 0.0
+        sol, f = small_solution["solution"], small_solution["force"]
+        p = recover_pressure(sol.velocity, f, small_solution["config"].params)
+        assert p[0, 0, 0] == 0.0
 
 
 class TestScalingCheck:

@@ -13,13 +13,13 @@ from fracns.spaces import (
     weighted_sup_norm,
     young_check,
 )
-from fracns.spectral import build_grid
+from fracns.spectral import Grid
 
 
 @pytest.fixture(scope="module")
 def indicator_setup():
     """3 * indicator of a region of exactly unit-cell-aligned volume 2."""
-    g = build_grid(16, 4.0)  # h^3 = 1/64, so volume 2 is 128 cells
+    g = Grid(16, 4.0)  # h^3 = 1/64, so volume 2 is 128 cells
     field = np.zeros((16, 16, 16))
     flat = field.ravel()
     flat[:128] = 3.0

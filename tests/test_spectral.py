@@ -5,11 +5,11 @@ from conftest import random_divfree_spectral, random_real_field
 from fracns.errors import InvalidGrid, ZeroModeUndefined
 from fracns.spectral import (
     FracParams,
+    Grid,
     RealVectorField,
     SpectralVectorField,
     apply_bilinear,
     bilinear_symbol,
-    build_grid,
     fractional_power,
     hermitian_defect,
     l2_inner,
@@ -24,26 +24,26 @@ from fracns.spectral import (
 
 class TestGrid:
     def test_spacing(self):
-        g = build_grid(8, 2 * np.pi)
+        g = Grid(8, 2 * np.pi)
         assert g.spacing == pytest.approx(np.pi / 4)
         assert g.spacing * g.n == pytest.approx(g.box_length)
 
     def test_axis_frequencies(self):
-        g = build_grid(8, 2 * np.pi)
+        g = Grid(8, 2 * np.pi)
         assert sorted(g.k_int.tolist()) == list(range(-4, 4))
         # standard DFT ordering: 0..3 then -4..-1
         assert g.k_int.tolist() == [0, 1, 2, 3, -4, -3, -2, -1]
 
     def test_odd_n_rejected(self):
         with pytest.raises(InvalidGrid):
-            build_grid(7, 1.0)
+            Grid(7, 1.0)
 
     def test_small_n_rejected(self):
         with pytest.raises(InvalidGrid):
-            build_grid(6, 1.0)
+            Grid(6, 1.0)
 
     def test_negation_closure(self):
-        g = build_grid(8, 2 * np.pi)
+        g = Grid(8, 2 * np.pi)
         ks = set(g.k_int.tolist())
         for k in ks:
             if k != -4:  # Nyquist row is self-conjugate
