@@ -15,13 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft as sfft
 import scipy.optimize
 
 from .errors import EmptyShell, InvalidAlpha, InvalidRadius
 from .forces import moment_matrix, scalar_deviation
 from .solver import SteadySolution
-from .spectral import Grid, RealVectorField, scalar_to_real, scalar_to_spectral
+from .spectral import Grid, RealVectorField, kernel_tensor, scalar_to_real, scalar_to_spectral
 
 _CUBIC_MONOMIALS = [
     (a, b, c) for a in range(3) for b in range(a, 3) for c in range(b, 3)
@@ -76,12 +75,8 @@ class HomogeneousKernel:
         vals = self.evaluate_directions(pts / r[:, None])
         return vals * (r ** (self.alpha - 4.0))[:, None, None, None]
 
-    def contract(self, points: np.ndarray, M: np.ndarray) -> np.ndarray:
-        """Profile vector m(x) : M at each point; shape (n, 3)."""
-        vals = self.evaluate(points)
-        return np.einsum("nijk,jk->ni", vals, np.asarray(M, dtype=np.float64))
-
     def contract_directions(self, dirs: np.ndarray, M: np.ndarray) -> np.ndarray:
+        """Profile vector m(x) : M at unit vectors; shape (n, 3)."""
         vals = self.evaluate_directions(dirs)
         return np.einsum("nijk,jk->ni", vals, np.asarray(M, dtype=np.float64))
 
@@ -190,10 +185,10 @@ def build_kernel(
     grid = Grid(n, L)
     h = grid.spacing
     sigma = 1.4 * h
-    damp = np.exp(-0.5 * sigma * sigma * grid.k2)
-    kmag = np.where(grid.kmag == 0.0, 1.0, grid.kmag)
-    inv_pow = kmag ** (-alpha)
-    inv_k2 = 1.0 / np.where(grid.k2 == 0.0, 1.0, grid.k2)
+    damped_inv_pow = (
+        np.where(grid.kmag == 0.0, 1.0, grid.kmag) ** (-alpha)
+        * np.exp(-0.5 * sigma * sigma * grid.k2)
+    )
 
     # lattice sites in the read-off shell
     r = grid.radius_from(np.zeros(3))
@@ -215,17 +210,8 @@ def build_kernel(
     )
 
     samples = np.empty((len(radii), 3, 3, 3))
-    flat_sel = sel.ravel()
-    for i in range(3):
-        for j in range(i, 3):
-            proj = (1.0 if i == j else 0.0) - grid.xi[i] * grid.xi[j] * inv_k2
-            for k in range(3):
-                symbol = -proj * (1j * grid.xi[k]) * inv_pow * damp
-                symbol[0, 0, 0] = 0.0
-                vals = (sfft.ifftn(symbol).real / grid.cell_volume).ravel()[flat_sel]
-                samples[:, i, j, k] = vals
-                if j != i:
-                    samples[:, j, i, k] = vals
+    for i, j, k, K in kernel_tensor(grid, damped_inv_pow):
+        samples[:, i, j, k] = samples[:, j, i, k] = K[sel]
 
     rhs = samples.reshape(len(radii), 27)
     sol, *_ = np.linalg.lstsq(design, rhs, rcond=None)
@@ -368,8 +354,6 @@ def profile_term_on_grid(
     smoothing defect of the homogeneous kernel.  In the continuum limit
     the two pieces sum to m(x) : M exactly.
     """
-    import scipy.fft as sfft
-
     from .spectral import SpectralVectorField, leray_project
 
     origin = grid.center if origin is None else np.asarray(origin, dtype=np.float64)
@@ -390,7 +374,7 @@ def profile_term_on_grid(
         -1j * (grid.xi[0] * origin[0] + grid.xi[1] * origin[1] + grid.xi[2] * origin[2])
     )
     low = np.stack(
-        [sfft.ifftn(sym[i] * damp * phase).real for i in range(3)]
+        [scalar_to_real(sym[i] * damp * phase) for i in range(3)]
     ) / grid.cell_volume
 
     L = grid.box_length

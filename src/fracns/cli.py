@@ -189,7 +189,7 @@ def _solve_pipeline(config: RunConfig):
 def _solution_metrics(sol, f, params, metrics):
     d = sol.diagnostics
     metrics["iterations"] = d.iterations
-    metrics["residual"] = solver.residual(sol.velocity, f, params)
+    metrics["residual"] = d.residual
     metrics["lifted_force_lorentz_norm"] = d.lifted_force_lorentz_norm
     metrics["empirical_bilinear_constant"] = d.empirical_bilinear_constant
     metrics["contraction_product"] = d.contraction_product

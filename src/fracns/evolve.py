@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.fft as sfft
 
 from .errors import InvalidTimeStep, NumericalBlowup
 from .solver import SteadySolution
@@ -19,9 +18,12 @@ from .spectral import (
     FracParams,
     Grid,
     SpectralVectorField,
+    kernel_tensor,
     l2_norm,
     leray_project,
     projected_advection,
+    scalar_to_real,
+    scalar_to_spectral,
     to_real,
 )
 
@@ -155,13 +157,13 @@ def smoothing_check(f, p: float, alpha: float, times, grid: Grid) -> dict:
         comps = arr[None]
     else:
         comps = arr
-    hats = np.stack([sfft.fftn(c) for c in comps])
+    hats = np.stack([scalar_to_spectral(c) for c in comps])
     sup = 0.0
     for t in times:
         if not (0.0 < t <= 10.0):
             raise ValueError("sample times must lie in (0, 10]")
         mult = np.exp(-t * grid.kmag**alpha)
-        smoothed = np.stack([sfft.ifftn(h * mult).real for h in hats])
+        smoothed = np.stack([scalar_to_real(h * mult) for h in hats])
         mag = np.sqrt(np.sum(smoothed**2, axis=0))
         sup = max(sup, t ** (3.0 / (alpha * p)) * float(np.max(mag)))
     fnorm = lp_norm(np.sqrt(np.sum(comps**2, axis=0)), p, grid.cell_volume)
@@ -177,29 +179,22 @@ def kernel_l1_check(alpha: float, times, n: int = 128, box: float = 8.0) -> dict
     """
     grid = Grid(n, box)
     h3 = grid.cell_volume
-    inv_k2 = 1.0 / np.where(grid.k2 == 0.0, 1.0, grid.k2)
     rows = {"t": [], "p_mass": [], "grad_p_mass_scaled": [], "K_mass_scaled": []}
     for t in times:
         mult = np.exp(-t * grid.kmag**alpha)
-        p_ker = sfft.ifftn(mult).real / h3
+        p_ker = scalar_to_real(mult) / h3
         rows["t"].append(t)
         rows["p_mass"].append(h3 * float(np.sum(np.abs(p_ker))))
 
         grads = np.stack(
-            [sfft.ifftn(1j * grid.xi[a] * grid.nyquist_free * mult).real / h3 for a in range(3)]
+            [scalar_to_real(1j * grid.xi[a] * grid.nyquist_free * mult) / h3 for a in range(3)]
         )
         gmag = np.sqrt(np.sum(grads**2, axis=0))
         rows["grad_p_mass_scaled"].append(t ** (1.0 / alpha) * h3 * float(np.sum(gmag)))
 
         acc = np.zeros((grid.n, grid.n, grid.n))
-        for i in range(3):
-            for j in range(i, 3):
-                proj = (1.0 if i == j else 0.0) - grid.xi[i] * grid.xi[j] * inv_k2
-                for k in range(3):
-                    sym = proj * (1j * grid.xi[k]) * grid.nyquist_free * mult
-                    sym[0, 0, 0] = 0.0
-                    val = sfft.ifftn(sym).real / h3
-                    acc += val**2 if i == j else 2.0 * val**2
+        for i, j, k, K in kernel_tensor(grid, mult * grid.nyquist_free):
+            acc += K**2 if i == j else 2.0 * K**2
         kmag_field = np.sqrt(acc)
         rows["K_mass_scaled"].append(t ** (1.0 / alpha) * h3 * float(np.sum(kmag_field)))
     return {k: np.asarray(v) for k, v in rows.items()}

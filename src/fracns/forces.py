@@ -134,18 +134,6 @@ def _odd_polynomial(grid: Grid, rng, anisotropy, scale):
     return out
 
 
-def _smooth_step(t: np.ndarray, sharpness: float = 1.0) -> np.ndarray:
-    """C-infinity partition step: 0 at t<=0, 1 at t>=1."""
-    t = np.clip(t, 0.0, 1.0)
-    up = np.zeros_like(t)
-    dn = np.zeros_like(t)
-    pos = t > 0
-    neg = t < 1
-    up[pos] = np.exp(-sharpness / t[pos])
-    dn[neg] = np.exp(-sharpness / (1.0 - t[neg]))
-    return up / (up + dn)
-
-
 def _bump_window(
     r: np.ndarray, r0: float, r1: float, sharpness: float = 8.0
 ) -> np.ndarray:

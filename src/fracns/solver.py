@@ -58,6 +58,7 @@ class SolverDiagnostics:
     contraction_product: float = 0.0
     two_ball_ok: bool = True
     solution_lorentz_norm: float = 0.0
+    residual: float = 0.0  # of the returned velocity
 
 
 @dataclass
@@ -122,10 +123,11 @@ def solve_steady(f: SpectralVectorField, config: SolverConfig) -> SteadySolution
             f"no convergence to tol_rel={config.tol_rel} in {config.max_iter} iterations"
         )
 
-    # measured contraction data
+    # measured contraction data; B(u, u) = -(-Lap)^(-alpha/2) adv, whose sign the norm ignores
     u_lorentz = weak_lorentz_norm(u, alpha)
-    bu = apply_bilinear(u, params)
-    b_lorentz = weak_lorentz_norm(bu, alpha)
+    adv = projected_advection(u, dealias=params.dealias)
+    b_lorentz = weak_lorentz_norm(fractional_power(adv, -alpha), alpha)
+    diag.residual = residual(u, f, params, adv=adv)
     diag.solution_lorentz_norm = u_lorentz
     if u_lorentz > 0:
         diag.empirical_bilinear_constant = b_lorentz / u_lorentz**2
@@ -143,10 +145,12 @@ def _residual_terms(u, f, params):
     return diss, adv, pf
 
 
-def residual(u: SpectralVectorField, f: SpectralVectorField, params: FracParams) -> float:
-    """Discrete L^2 norm of (-Lap)^{alpha/2} u + P div(u (x) u) - P f."""
-    diss, adv, pf = _residual_terms(u, f, params)
-    r = diss.data + adv.data - pf.data
+def residual(u: SpectralVectorField, f: SpectralVectorField, params: FracParams, adv=None) -> float:
+    """Discrete L^2 norm of (-Lap)^{alpha/2} u + P div(u (x) u) - P f; ``adv``,
+    the projected advection of ``u``, is formed here unless the caller has it."""
+    if adv is None:
+        adv = projected_advection(u, dealias=params.dealias)
+    r = fractional_power(u, params.alpha).data + adv.data - leray_project(f).data
     r[:, 0, 0, 0] = 0.0
     return l2_norm(SpectralVectorField(u.grid, r))
 

@@ -11,6 +11,7 @@ matters.
 
 from __future__ import annotations
 
+import itertools
 import os
 from dataclasses import dataclass, field
 
@@ -244,6 +245,33 @@ def bilinear_symbol(xi, alpha: float, i: int, j: int, k: int) -> complex:
         return 0.0 + 0.0j
     proj = (1.0 if i == j else 0.0) - xi[i] * xi[j] / r2
     return complex(-proj * 1j * xi[k] / r2 ** (alpha / 2.0))
+
+
+def kernel_tensor(grid: Grid, m: np.ndarray):
+    """Yield ``(i, j, k, K)`` for i <= j, K the real-space samples
+    ifftn(-(delta_ij - xi_i xi_j/|xi|^2) 1j xi_k m).real / cell_volume of the
+    lifted-advection tensor for the multiplier array ``m`` (zero mode 0).
+
+    The symbol is delta_ij A_k + C_ijk with A_k = -1j xi_k m and the fully
+    symmetric C_ijk = 1j xi_i xi_j xi_k m/|xi|^2: 3 + 10 inverse transforms.
+    Entries sharing one C come together, so one C is held at a time; they
+    may share an array, which callers must not modify.
+    """
+
+    def real_space(sym):  # sym is a temporary, so it is transformed in place
+        sym[0, 0, 0] = 0.0
+        return sfft.ifftn(sym, overwrite_x=True, workers=_WORKERS).real / grid.cell_volume
+
+    xi = grid.xi
+    A = [real_space(-1j * xi[k] * m) for k in range(3)]
+    m_k2 = m / np.where(grid.k2 == 0.0, 1.0, grid.k2)
+    for a, b, c in itertools.combinations_with_replacement(range(3), 3):
+        C = real_space(1j * xi[a] * xi[b] * (xi[c] * m_k2))
+        for i, j, k in sorted(set(itertools.permutations((a, b, c)))):
+            if i < j:
+                yield i, j, k, C
+            elif i == j:
+                yield i, j, k, A[k] + C
 
 
 def _quadratic_products(v: SpectralVectorField, dealias: bool):

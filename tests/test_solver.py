@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_divfree_spectral
-from fracns import solver
+from fracns import solver, spectral
 from fracns.errors import Diverged, InvalidGrid, NotConverged, ZeroModeUndefined
 from fracns.forces import ForceSpec, make_force
 from fracns.solver import (
@@ -140,6 +140,23 @@ class TestSolveSteady:
             iterations.add(sol.diagnostics.iterations)
             assert len(calls) == 3
         assert len(iterations) == 2
+
+    def test_residual_reuses_converged_advection(self, grid16, monkeypatch):
+        # one projected advection per iteration, plus one for the contraction
+        # data that also gives the stored residual
+        calls = []
+
+        def counted(v, dealias=True, _adv=spectral.projected_advection):
+            calls.append(dealias)
+            return _adv(v, dealias)
+
+        f = make_force(ForceSpec(amplitude=0.05, r0=0.8, r1=3.5, seed=3), grid16, alpha=2.0)
+        params = FracParams(2.0)
+        for namespace in (spectral, solver):
+            monkeypatch.setattr(namespace, "projected_advection", counted)
+        sol = solve_steady(f, SolverConfig(params))
+        assert len(calls) == sol.diagnostics.iterations + 1
+        assert sol.diagnostics.residual == residual(sol.velocity, f, params)
 
     def test_lp_persistence(self, small_solution):
         # finite-lift forces give solutions with ||u||_p <= 2 ||u0||_p

@@ -1,5 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
+import scipy.fft as sfft
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_divfree_spectral, random_real_field
 from fracns.errors import InvalidGrid, ZeroModeUndefined
@@ -12,6 +17,7 @@ from fracns.spectral import (
     bilinear_symbol,
     fractional_power,
     hermitian_defect,
+    kernel_tensor,
     l2_inner,
     l2_norm,
     leray_project,
@@ -159,6 +165,47 @@ class TestBilinearSymbol:
 
     def test_zero_frequency_convention(self):
         assert bilinear_symbol((0, 0, 0), 1.5, 0, 1, 2) == 0
+
+
+def inverse_power(g, alpha):
+    return np.where(g.kmag == 0.0, 1.0, g.kmag) ** (-alpha)
+
+
+class TestKernelTensor:
+    @settings(max_examples=15, deadline=None)
+    @given(
+        n=st.sampled_from([8, 12]),
+        box=st.floats(1.0, 40.0),
+        alpha=st.floats(1.0, 4.0, exclude_min=True, exclude_max=True),
+    )
+    def test_matches_reference_symbol(self, n, box, alpha):
+        # every entry, the mirrored j > i ones included, is the inverse
+        # transform of bilinear_symbol sampled on the lattice
+        g = Grid(n, box)
+        got = {}
+        for i, j, k, K in kernel_tensor(g, inverse_power(g, alpha)):
+            got[i, j, k] = got[j, i, k] = K
+        assert len(got) == 27
+        xis = np.stack(np.meshgrid(*(g.xi_axis,) * 3, indexing="ij"), axis=-1).reshape(-1, 3)
+        for i, j, k in itertools.product(range(3), repeat=3):
+            sym = np.array([bilinear_symbol(xi, alpha, i, j, k) for xi in xis])
+            want = sfft.ifftn(sym.reshape(n, n, n)).real / g.cell_volume
+            assert np.max(np.abs(got[i, j, k] - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_thirteen_inverse_transforms(self, monkeypatch):
+        calls = []
+
+        def counted(x, *args, _ifftn=sfft.ifftn, **kwargs):
+            calls.append(np.shape(x))
+            return _ifftn(x, *args, **kwargs)
+
+        g = Grid(8, 3.0)
+        monkeypatch.setattr(sfft, "ifftn", counted)
+        entries = list(kernel_tensor(g, inverse_power(g, 1.5)))
+        assert sorted((i, j, k) for i, j, k, _ in entries) == [
+            (i, j, k) for i in range(3) for j in range(i, 3) for k in range(3)
+        ]
+        assert len(calls) == 13
 
 
 class TestApplyBilinear:
