@@ -185,10 +185,8 @@ def build_kernel(
     grid = Grid(n, L)
     h = grid.spacing
     sigma = 1.4 * h
-    damped_inv_pow = (
-        np.where(grid.kmag == 0.0, 1.0, grid.kmag) ** (-alpha)
-        * np.exp(-0.5 * sigma * sigma * grid.k2)
-    )
+    damped_inv_pow = grid.power(-alpha)
+    damped_inv_pow *= np.exp(-0.5 * sigma * sigma * grid.k2)
 
     # lattice sites in the read-off shell
     r = grid.radius_from(np.zeros(3))
@@ -360,19 +358,15 @@ def profile_term_on_grid(
     alpha = kernel.alpha
     M = np.asarray(M, dtype=np.float64)
 
-    kmag = np.where(grid.kmag == 0.0, 1.0, grid.kmag)
     dvec = np.stack(
         [1j * (grid.xi[0] * M[i, 0] + grid.xi[1] * M[i, 1] + grid.xi[2] * M[i, 2])
          for i in range(3)]
     ).astype(np.complex128)
     dvec *= grid.nyquist_free
     proj = leray_project(SpectralVectorField(grid, dvec))
-    sym = -proj.data * kmag ** (-alpha)
-    sym[:, 0, 0, 0] = 0.0
+    sym = -proj.data * grid.power(-alpha)
     damp = np.exp(-0.5 * split_width * split_width * grid.k2)
-    phase = np.exp(
-        -1j * (grid.xi[0] * origin[0] + grid.xi[1] * origin[1] + grid.xi[2] * origin[2])
-    )
+    phase = grid.shift_phase(origin)
     low = np.stack(
         [scalar_to_real(sym[i] * damp * phase) for i in range(3)]
     ) / grid.cell_volume
@@ -547,7 +541,7 @@ def caccioppoli_energy(
     phi = _cutoff(r, R)
     h3 = grid.cell_volume
 
-    half = grid.kmag ** (alpha / 2.0)
+    half = grid.power(alpha / 2.0)
     lam_u = np.stack(
         [scalar_to_real(half * scalar_to_spectral(u.data[c])) for c in range(3)]
     )

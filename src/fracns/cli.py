@@ -78,6 +78,12 @@ class RunConfig:
             )
         if self.window is not None and self.window[1] > self.box_length / 4:
             raise ValueError("fit window must stay within box_length/4")
+        if self.experiment == "nonexist" and not self.force.amplitude > 0:
+            raise ValueError("nonexist fits deviations over amplitudes: need amplitude > 0")
+        if self.experiment == "kernel" and not (
+            self.kernel_times and all(np.isfinite(t) and t > 0 for t in self.kernel_times)
+        ):
+            raise ValueError(f"kernel times must be finite and positive, got {self.kernel_times}")
         return grid, params, cfg
 
     def to_dict(self):

@@ -90,7 +90,7 @@ def evolve_mild(
     if store_every is None:
         store_every = max(1, n_steps // 16)
 
-    z = -dt * g.kmag**params.alpha
+    z = -dt * g.power(params.alpha)
     E = np.exp(z)
     p1 = dt * _phi1(z)
     p2 = dt * _phi2(z)
@@ -162,7 +162,7 @@ def smoothing_check(f, p: float, alpha: float, times, grid: Grid) -> dict:
     for t in times:
         if not (0.0 < t <= 10.0):
             raise ValueError("sample times must lie in (0, 10]")
-        mult = np.exp(-t * grid.kmag**alpha)
+        mult = np.exp(-t * grid.power(alpha))
         smoothed = np.stack([scalar_to_real(h * mult) for h in hats])
         mag = np.sqrt(np.sum(smoothed**2, axis=0))
         sup = max(sup, t ** (3.0 / (alpha * p)) * float(np.max(mag)))
@@ -181,7 +181,7 @@ def kernel_l1_check(alpha: float, times, n: int = 128, box: float = 8.0) -> dict
     h3 = grid.cell_volume
     rows = {"t": [], "p_mass": [], "grad_p_mass_scaled": [], "K_mass_scaled": []}
     for t in times:
-        mult = np.exp(-t * grid.kmag**alpha)
+        mult = np.exp(-t * grid.power(alpha))
         p_ker = scalar_to_real(mult) / h3
         rows["t"].append(t)
         rows["p_mass"].append(h3 * float(np.sum(np.abs(p_ker))))

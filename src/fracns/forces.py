@@ -153,16 +153,11 @@ def _bump_window(
     return w
 
 
-def _center_phase(grid: Grid) -> np.ndarray:
-    xc = grid.center
-    return np.exp(-1j * (grid.xi[0] * xc[0] + grid.xi[1] * xc[1] + grid.xi[2] * xc[2]))
-
-
 def _modulated(spec: ForceSpec, grid: Grid, seed: int, window: np.ndarray) -> SpectralVectorField:
     """A radial window times the seeded odd polynomial, centered in the box."""
     rng = np.random.default_rng(seed)
     poly = _odd_polynomial(grid, rng, spec.anisotropy, spec.r1)
-    phase = _center_phase(grid)
+    phase = grid.shift_phase(grid.center)
     data = np.stack([1j * window * poly[j] * phase for j in range(3)])
     data[:, 0, 0, 0] = 0.0
     return SpectralVectorField(grid, data)
@@ -172,8 +167,7 @@ def _raw_annulus(spec: ForceSpec, grid: Grid, seed: int, alpha: float) -> Spectr
     # The |xi|^alpha weight cancels the lift's |xi|^(-alpha), so the lifted
     # field carries the clean compactly supported bump: that is what makes
     # its physical-space tail drop below the far-field profile term.
-    r = grid.kmag
-    window = _bump_window(r, spec.r0, spec.r1) * r**alpha
+    window = _bump_window(grid.kmag, spec.r0, spec.r1) * grid.power(alpha)
     if not np.any(window > 0):
         raise InvalidAnnulus(
             f"no lattice modes inside the annulus ({spec.r0}, {spec.r1}) "

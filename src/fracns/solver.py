@@ -169,13 +169,11 @@ def recover_pressure(u: SpectralVectorField, f: SpectralVectorField, params: Fra
         weight = 1.0 if j == k else 2.0
         quad += weight * g.xi[j] * g.xi[k] * w_hat
     div_f = 1j * (g.xi[0] * f.data[0] + g.xi[1] * f.data[1] + g.xi[2] * f.data[2])
-    num = -(quad + div_f)
-    num *= g.nyquist_free
-    k2 = np.where(g.k2 == 0.0, 1.0, g.k2)
-    p_hat = num / k2
+    p_hat = -(quad + div_f)
+    p_hat *= g.nyquist_free
+    p_hat *= g.power(-2.0)
     if params.dealias:
         p_hat *= g.dealias_mask
-    p_hat[0, 0, 0] = 0.0
     return p_hat
 
 

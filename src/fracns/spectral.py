@@ -3,10 +3,10 @@
 Everything downstream (steady solver, time integrator, force constructors)
 is built from the primitives here: the Leray projector, fractional
 Laplacian powers, the lifted-advection symbol and the dissipation
-semigroup.  All multipliers follow one convention: symbols that are
-singular or undefined at the zero mode return 0 there, and admissible
-forces are mean-free, so the convention is exact for every pipeline that
-matters.
+semigroup.  All multipliers follow one convention, kept in one place
+(``Grid.power``): symbols that are singular or undefined at the zero mode
+return 0 there, and admissible forces are mean-free, so the convention is
+exact for every pipeline that matters.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .errors import InvalidAlpha, InvalidGrid, NumericalBlowup, ZeroModeUndefine
 _WORKERS = os.cpu_count() or 1
 
 ALPHA_SOLVE_RANGE = (1.0, 2.5)
-ALPHA_KERNEL_RANGE = (1.0, 4.0)
 
 
 @dataclass(frozen=True)
@@ -81,6 +80,22 @@ class Grid:
         # True where no axis sits on the Nyquist row.
         nyq = [np.abs(k_int.reshape(s)) != n // 2 for s in shape]
         object.__setattr__(self, "nyquist_free", nyq[0] & nyq[1] & nyq[2])
+
+    def power(self, beta: float) -> np.ndarray:
+        """The symbol |xi|^beta, 0 at the zero mode for every beta.
+
+        This is the package's single zero-mode rule: the lift |xi|^-alpha and
+        the Leray factor 1/|xi|^2 = power(-2.0) are singular there.
+        """
+        out = np.where(self.kmag == 0.0, 1.0, self.kmag)
+        np.power(out, beta, out=out)  # in place: one n^3 array per call
+        out[0, 0, 0] = 0.0
+        return out
+
+    def shift_phase(self, origin) -> np.ndarray:
+        """The translation phase exp(-i xi . origin)."""
+        xi = self.xi
+        return np.exp(-1j * (xi[0] * origin[0] + xi[1] * origin[1] + xi[2] * origin[2]))
 
     def radius_from(self, origin):
         """Minimum-image distance of every grid point from ``origin``."""
@@ -196,17 +211,14 @@ class FracParams:
 def leray_project(v: SpectralVectorField) -> SpectralVectorField:
     """Project onto divergence-free fields: (I - xi xi^T/|xi|^2) v(xi).
 
-    The zero mode is passed through unchanged.
+    The zero mode is passed through unchanged (xi = 0 there).
     """
     g = v.grid
-    k2 = np.where(g.k2 == 0.0, 1.0, g.k2)
     dot = g.xi[0] * v.data[0] + g.xi[1] * v.data[1] + g.xi[2] * v.data[2]
-    dot /= k2
+    dot *= g.power(-2.0)
     out = np.empty_like(v.data)
     for i in range(3):
         out[i] = v.data[i] - g.xi[i] * dot
-    # restore the untouched zero mode
-    out[:, 0, 0, 0] = v.data[:, 0, 0, 0]
     return SpectralVectorField(g, out)
 
 
@@ -226,10 +238,7 @@ def fractional_power(v: SpectralVectorField, beta: float) -> SpectralVectorField
             )
     if beta == 0.0:
         return v.copy()
-    kmag = np.where(g.kmag == 0.0, 1.0, g.kmag)
-    mult = kmag**beta
-    mult[0, 0, 0] = 0.0
-    return SpectralVectorField(g, v.data * mult)
+    return SpectralVectorField(g, v.data * g.power(beta))
 
 
 def bilinear_symbol(xi, alpha: float, i: int, j: int, k: int) -> complex:
@@ -264,7 +273,7 @@ def kernel_tensor(grid: Grid, m: np.ndarray):
 
     xi = grid.xi
     A = [real_space(-1j * xi[k] * m) for k in range(3)]
-    m_k2 = m / np.where(grid.k2 == 0.0, 1.0, grid.k2)
+    m_k2 = m * grid.power(-2.0)
     for a, b, c in itertools.combinations_with_replacement(range(3), 3):
         C = real_space(1j * xi[a] * xi[b] * (xi[c] * m_k2))
         for i, j, k in sorted(set(itertools.permutations((a, b, c)))):
@@ -311,9 +320,7 @@ def projected_advection(v: SpectralVectorField, dealias: bool = True) -> Spectra
     div *= g.nyquist_free
     if dealias:
         div *= g.dealias_mask
-    out = leray_project(SpectralVectorField(g, div))
-    out.data[:, 0, 0, 0] = 0.0
-    return out
+    return leray_project(SpectralVectorField(g, div))
 
 
 def apply_bilinear(v: SpectralVectorField, params: FracParams) -> SpectralVectorField:
@@ -329,7 +336,7 @@ def semigroup_multiply(v: SpectralVectorField, t: float, alpha: float) -> Spectr
     if t < 0:
         raise ValueError(f"semigroup time must be nonnegative, got {t}")
     g = v.grid
-    return SpectralVectorField(g, v.data * np.exp(-t * g.kmag**alpha))
+    return SpectralVectorField(g, v.data * np.exp(-t * g.power(alpha)))
 
 
 def spectral_gradient(coeffs: np.ndarray, grid: Grid) -> np.ndarray:

@@ -2,6 +2,7 @@ import json
 import os
 
 import numpy as np
+import pytest
 
 from fracns import cli
 from fracns.asymptotics import RadialProfile, fit_decay_exponent
@@ -190,3 +191,23 @@ class TestMainEntry:
 
         monkeypatch.setattr(RunConfig, "validate", exhausted)
         assert main(["solve", "--output-dir", str(tmp_path)]) == EXIT_VALIDATION
+
+    def _rejected_before_run(self, tmp_path, monkeypatch, experiment, cfg):
+        def unreachable(config, outdir):
+            raise AssertionError("an invalid config reached the runner")
+
+        monkeypatch.setitem(cli._RUNNERS, experiment, unreachable)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code = main([experiment, "--config", str(path), "--output-dir", str(tmp_path)])
+        assert code == EXIT_VALIDATION
+        assert not (tmp_path / "report.json").exists()
+
+    def test_nonexist_zero_amplitude_rejected(self, tmp_path, monkeypatch):
+        cfg = {"n": 16, "box_length": 8.0, "force": {"r1": 3.0, "amplitude": 0.0}}
+        self._rejected_before_run(tmp_path, monkeypatch, "nonexist", cfg)
+
+    @pytest.mark.parametrize("t", [-1.0, 0.0])
+    def test_nonpositive_kernel_time_rejected(self, tmp_path, monkeypatch, t):
+        cfg = {"kernel_n": 16, "kernel_box": [16, 4.0], "kernel_times": [0.1, t]}
+        self._rejected_before_run(tmp_path, monkeypatch, "kernel", cfg)

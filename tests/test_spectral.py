@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -56,6 +57,38 @@ class TestGrid:
                 assert -k in ks
 
 
+GRID_SIZES = st.sampled_from([8, 12, 16])
+BOXES = st.floats(1.0, 40.0)
+EXPONENTS = st.floats(-4.0, 4.0)
+
+
+class TestPower:
+    @settings(max_examples=20, deadline=None)
+    @given(n=GRID_SIZES, box=BOXES, beta=EXPONENTS)
+    def test_zero_at_zero_mode(self, n, box, beta):
+        g = Grid(n, box)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no division by zero on the way
+            p = g.power(beta)
+        assert p[0, 0, 0] == 0.0
+        assert np.all(np.isfinite(p))
+
+    @settings(max_examples=20, deadline=None)
+    @given(n=GRID_SIZES, box=BOXES, a=EXPONENTS, b=EXPONENTS)
+    def test_product_adds_exponents(self, n, box, a, b):
+        g = Grid(n, box)
+        off = g.k2 > 0
+        prod, want = (g.power(a) * g.power(b))[off], g.power(a + b)[off]
+        assert np.max(np.abs(prod - want) / want) <= 1e-12
+
+    @settings(max_examples=20, deadline=None)
+    @given(n=GRID_SIZES, box=BOXES)
+    def test_minus_two_inverts_k2(self, n, box):
+        g = Grid(n, box)
+        off = g.k2 > 0
+        assert np.max(np.abs((g.power(-2.0) * g.k2)[off] - 1.0)) <= 1e-12
+
+
 class TestTransforms:
     def test_round_trip(self, grid32):
         u = random_real_field(grid32, seed=1)
@@ -103,6 +136,22 @@ class TestLeray:
         rhs = l2_inner(u_full, leray_project(v))
         scale = l2_norm(u_full) * l2_norm(v)
         assert abs(lhs - rhs) < 1e-10 * scale
+
+    @settings(max_examples=20, deadline=None)
+    @given(n=GRID_SIZES, box=BOXES, seed=st.integers(0, 2**16))
+    def test_projector_properties(self, n, box, seed):
+        g = Grid(n, box)
+        v = to_spectral(random_real_field(g, seed=seed))
+        v.data[:, 0, 0, 0] = (3.0, -1.5, 0.25)
+        scale = np.max(np.abs(v.data))
+        p = leray_project(v)
+        assert np.array_equal(p.data[:, 0, 0, 0], v.data[:, 0, 0, 0])
+        assert np.max(np.abs(leray_project(p).data - p.data)) <= 1e-12 * scale
+        div = g.xi[0] * p.data[0] + g.xi[1] * p.data[1] + g.xi[2] * p.data[2]
+        assert np.max(np.abs(div)) <= 1e-12 * np.max(g.kmag) * scale
+        grad = np.stack([1j * g.xi[i] * v.data[0] for i in range(3)])
+        out = leray_project(SpectralVectorField(g, grad))
+        assert np.max(np.abs(out.data)) <= 1e-12 * np.max(np.abs(grad))
 
 
 class TestFractionalPower:
