@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import numbers
 import os
 import sys
 import tempfile
@@ -58,6 +59,9 @@ class RunConfig:
     def validate(self):
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
+        for seed in (self.seed, self.force.seed):
+            if not (isinstance(seed, numbers.Integral) and seed >= 0):
+                raise ValueError(f"seeds must be nonnegative integers, got {seed!r}")
         grid = spectral.Grid(self.n, self.box_length)
         params = spectral.FracParams(self.alpha, self.dealias)
         cfg = solver.SolverConfig(
@@ -76,8 +80,10 @@ class RunConfig:
                 f"force annulus r1={self.force.r1} outside the dealias sphere "
                 f"(radius {grid.dealias_radius:.4g})"
             )
-        if self.window is not None and self.window[1] > self.box_length / 4:
-            raise ValueError("fit window must stay within box_length/4")
+        w = self.window
+        if w is not None and not (len(w) == 2 and all(isinstance(x, numbers.Real) for x in w)
+                                  and w[1] <= self.box_length / 4):
+            raise ValueError(f"fit window must be two numbers within box_length/4, got {w}")
         if self.experiment == "nonexist" and not self.force.amplitude > 0:
             raise ValueError("nonexist fits deviations over amplitudes: need amplitude > 0")
         if self.experiment == "kernel" and not (
@@ -192,7 +198,7 @@ def _solve_pipeline(config: RunConfig):
     return grid, params, cfg, f, sol
 
 
-def _solution_metrics(sol, f, params, metrics):
+def _solution_metrics(sol, metrics):
     d = sol.diagnostics
     metrics["iterations"] = d.iterations
     metrics["residual"] = d.residual
@@ -207,7 +213,7 @@ def _solution_metrics(sol, f, params, metrics):
 def _run_solve(config: RunConfig, outdir: str):
     metrics, artifacts = {}, []
     grid, params, cfg, f, sol = _solve_pipeline(config)
-    _solution_metrics(sol, f, params, metrics)
+    _solution_metrics(sol, metrics)
     metrics["velocity_l2"] = spectral.l2_norm(sol.velocity)
     return metrics, artifacts
 
@@ -215,7 +221,7 @@ def _run_solve(config: RunConfig, outdir: str):
 def _run_decay(config: RunConfig, outdir: str):
     metrics, artifacts = {}, []
     grid, params, cfg, f, sol = _solve_pipeline(config)
-    _solution_metrics(sol, f, params, metrics)
+    _solution_metrics(sol, metrics)
     u = spectral.to_real(sol.velocity)
     prof = asymptotics.radial_profile(
         u.magnitude(), grid, window=config.window, nbins=config.nbins
@@ -234,7 +240,7 @@ def _run_decay(config: RunConfig, outdir: str):
 def _run_profile(config: RunConfig, outdir: str):
     metrics, artifacts = {}, []
     grid, params, cfg, f, sol = _solve_pipeline(config)
-    _solution_metrics(sol, f, params, metrics)
+    _solution_metrics(sol, metrics)
     u = spectral.to_real(sol.velocity)
     u0 = spectral.to_real(solver.lift_force(f, params))
     M = forces.moment_matrix(u)
@@ -308,7 +314,7 @@ def _run_nonexist(config: RunConfig, outdir: str):
 def _run_evolve(config: RunConfig, outdir: str):
     metrics, artifacts = {}, []
     grid, params, cfg, f, sol = _solve_pipeline(config)
-    _solution_metrics(sol, f, params, metrics)
+    _solution_metrics(sol, metrics)
     traj = evolve.evolve_mild(
         sol.velocity, f, params, config.evolve_T, config.evolve_dt, store_every=10**9
     )
@@ -453,7 +459,9 @@ def main(argv=None) -> int:
         try:
             with open(args.config) as fh:
                 base = json.load(fh)
-        except (OSError, json.JSONDecodeError) as e:
+            if not isinstance(base, dict):
+                raise ValueError("the config must be a JSON object")
+        except (OSError, ValueError) as e:  # JSONDecodeError is a ValueError
             print(f"error: cannot read config: {e}", file=sys.stderr)
             return EXIT_VALIDATION
     base["experiment"] = args.experiment

@@ -22,7 +22,7 @@ from .spectral import (
     FracParams,
     Grid,
     SpectralVectorField,
-    _quadratic_products,
+    _advection_divergence,
     apply_bilinear,
     fractional_power,
     l2_norm,
@@ -101,8 +101,8 @@ def solve_steady(f: SpectralVectorField, config: SolverConfig) -> SteadySolution
     u = u0.copy()
     prev_diff = None
     for it in range(1, config.max_iter + 1):
-        bu = apply_bilinear(u, params)
-        new = SpectralVectorField(u.grid, u0.data + bu.data)
+        new = apply_bilinear(u, params)
+        new.data += u0.data
         new_l2 = l2_norm(new)
         diff = l2_norm(SpectralVectorField(u.grid, new.data - u.data))
         diag.iterations = it
@@ -138,9 +138,10 @@ def solve_steady(f: SpectralVectorField, config: SolverConfig) -> SteadySolution
     return SteadySolution(u, diag)
 
 
-def _residual_terms(u, f, params):
+def _residual_terms(u, f, params, adv=None):
     diss = fractional_power(u, params.alpha)
-    adv = projected_advection(u, dealias=params.dealias)
+    if adv is None:
+        adv = projected_advection(u, dealias=params.dealias)
     pf = leray_project(f)
     return diss, adv, pf
 
@@ -148,28 +149,23 @@ def _residual_terms(u, f, params):
 def residual(u: SpectralVectorField, f: SpectralVectorField, params: FracParams, adv=None) -> float:
     """Discrete L^2 norm of (-Lap)^{alpha/2} u + P div(u (x) u) - P f; ``adv``,
     the projected advection of ``u``, is formed here unless the caller has it."""
-    if adv is None:
-        adv = projected_advection(u, dealias=params.dealias)
-    r = fractional_power(u, params.alpha).data + adv.data - leray_project(f).data
+    diss, adv, pf = _residual_terms(u, f, params, adv)
+    r = diss.data  # a fresh array: summed in place, in the order diss + adv - pf
+    r += adv.data
+    r -= pf.data
     r[:, 0, 0, 0] = 0.0
     return l2_norm(SpectralVectorField(u.grid, r))
 
 
 def recover_pressure(u: SpectralVectorField, f: SpectralVectorField, params: FracParams) -> np.ndarray:
-    """Pressure from velocity and force, as a mean-free scalar spectral field.
-
-    Taking the divergence of the momentum balance and inverting the
-    Laplacian gives P = -(xi xi^T : W + i xi . f) / |xi|^2, with W the
-    transform of the (dealiased) product u (x) u.  W is symmetric, so each
-    off-diagonal product enters twice.
-    """
+    """Pressure from velocity and force, as a mean-free scalar spectral field:
+    p = 1j xi . (D - f) / |xi|^2, the longitudinal part of the momentum balance,
+    D the divergence of the (dealiased) u (x) u.  xi . f is taken apart from
+    xi . D: for a divergence-free f, D - f would add rounding of size |xi| |f|."""
     g = u.grid
-    quad = np.zeros((g.n, g.n, g.n), dtype=np.complex128)
-    for j, k, w_hat in _quadratic_products(u, params.dealias):
-        weight = 1.0 if j == k else 2.0
-        quad += weight * g.xi[j] * g.xi[k] * w_hat
-    div_f = 1j * (g.xi[0] * f.data[0] + g.xi[1] * f.data[1] + g.xi[2] * f.data[2])
-    p_hat = -(quad + div_f)
+    xi, d = g.xi, _advection_divergence(u, params.dealias)
+    p_hat = 1j * (xi[0] * d[0] + xi[1] * d[1] + xi[2] * d[2]
+                  - (xi[0] * f.data[0] + xi[1] * f.data[1] + xi[2] * f.data[2]))
     p_hat *= g.nyquist_free
     p_hat *= g.power(-2.0)
     if params.dealias:

@@ -283,51 +283,43 @@ def kernel_tensor(grid: Grid, m: np.ndarray):
                 yield i, j, k, A[k] + C
 
 
-def _quadratic_products(v: SpectralVectorField, dealias: bool):
-    """Yield ``(j, k, w_hat)`` for j <= k, with w_hat the transform of the
-    physical-space product v_j v_k, formed after a 2/3-rule spherical
-    truncation of the inputs (when ``dealias``).
-
-    Products are formed and transformed one at a time, so at most one of
-    them is held in memory.
-    """
-    vin = v.data * v.grid.dealias_mask if dealias else v.data
+def _advection_divergence(v: SpectralVectorField, dealias: bool) -> np.ndarray:
+    """D_j = sum_k 1j xi_k W_jk = div(v (x) v), W_jk the transform of v_j v_k formed
+    in physical space after a 2/3-rule truncation of the inputs (when ``dealias``);
+    D is truncated likewise and its Nyquist rows are zeroed.  W is symmetric: each
+    of its six products is transformed once, one at a time, into both rows."""
+    g = v.grid
+    vin = v.data * g.dealias_mask if dealias else v.data
     phys = sfft.ifftn(vin, axes=(1, 2, 3), workers=_WORKERS).real
+    del vin  # the truncated copy is not read past the transform
     if not np.all(np.isfinite(phys)):
         raise NumericalBlowup("non-finite samples entering the quadratic term")
+    div = np.zeros((3, g.n, g.n, g.n), dtype=np.complex128)
     for j in range(3):
         for k in range(j, 3):
             prod = phys[j] * phys[k]
             if not np.all(np.isfinite(prod)):
                 raise NumericalBlowup("overflow while forming the quadratic term")
-            yield j, k, sfft.fftn(prod, workers=_WORKERS)
-
-
-def projected_advection(v: SpectralVectorField, dealias: bool = True) -> SpectralVectorField:
-    """Leray-projected divergence of v (x) v, computed pseudo-spectrally.
-
-    The quadratic product is formed in physical space after a 2/3-rule
-    spherical truncation of the inputs (when ``dealias``); the result is
-    truncated to the same sphere and the Nyquist rows of the odd
-    divergence multiplier are zeroed.
-    """
-    g = v.grid
-    div = np.zeros((3, g.n, g.n, g.n), dtype=np.complex128)
-    for j, k, w_hat in _quadratic_products(v, dealias):
-        div[j] += 1j * g.xi[k] * w_hat
-        if k != j:
-            div[k] += 1j * g.xi[j] * w_hat
+            w_hat = sfft.fftn(prod, workers=_WORKERS)
+            div[j] += 1j * g.xi[k] * w_hat
+            if k != j:
+                div[k] += 1j * g.xi[j] * w_hat
     div *= g.nyquist_free
     if dealias:
         div *= g.dealias_mask
-    return leray_project(SpectralVectorField(g, div))
+    return div
+
+
+def projected_advection(v: SpectralVectorField, dealias: bool = True) -> SpectralVectorField:
+    """Leray-projected divergence of v (x) v: P D, D from ``_advection_divergence``."""
+    return leray_project(SpectralVectorField(v.grid, _advection_divergence(v, dealias)))
 
 
 def apply_bilinear(v: SpectralVectorField, params: FracParams) -> SpectralVectorField:
-    """-(-Lap)^(-alpha/2) P div(v (x) v): one application of the quadratic map."""
-    adv = projected_advection(v, dealias=params.dealias)
-    out = fractional_power(adv, -params.alpha)
-    out.data *= -1.0
+    """-(-Lap)^(-alpha/2) P div(v (x) v): one application of the quadratic map.
+    P D has a zero mode of exactly 0, so the lift is applied in place, unchecked."""
+    out = projected_advection(v, dealias=params.dealias)
+    out.data *= -v.grid.power(-params.alpha)
     return out
 
 

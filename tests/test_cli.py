@@ -192,14 +192,15 @@ class TestMainEntry:
         monkeypatch.setattr(RunConfig, "validate", exhausted)
         assert main(["solve", "--output-dir", str(tmp_path)]) == EXIT_VALIDATION
 
-    def _rejected_before_run(self, tmp_path, monkeypatch, experiment, cfg):
+    def _rejected_before_run(self, tmp_path, monkeypatch, experiment, cfg, flags=()):
         def unreachable(config, outdir):
             raise AssertionError("an invalid config reached the runner")
 
         monkeypatch.setitem(cli._RUNNERS, experiment, unreachable)
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
-        code = main([experiment, "--config", str(path), "--output-dir", str(tmp_path)])
+        code = main([experiment, "--config", str(path), "--output-dir", str(tmp_path),
+                     *flags])
         assert code == EXIT_VALIDATION
         assert not (tmp_path / "report.json").exists()
 
@@ -211,3 +212,21 @@ class TestMainEntry:
     def test_nonpositive_kernel_time_rejected(self, tmp_path, monkeypatch, t):
         cfg = {"kernel_n": 16, "kernel_box": [16, 4.0], "kernel_times": [0.1, t]}
         self._rejected_before_run(tmp_path, monkeypatch, "kernel", cfg)
+
+    def test_config_not_an_object_rejected(self, tmp_path, monkeypatch):
+        self._rejected_before_run(tmp_path, monkeypatch, "solve", [1, 2])
+
+    def test_window_not_two_numbers_rejected(self, tmp_path, monkeypatch):
+        cfg = {"n": 16, "box_length": 8.0, "force": {"r1": 3.0}, "window": [1.0]}
+        self._rejected_before_run(tmp_path, monkeypatch, "decay", cfg)
+
+    @pytest.mark.parametrize(
+        "experiment, cfg, flags",
+        [
+            ("norms", {"n": 16}, ["--seed", "-1"]),
+            ("solve", {"n": 16, "box_length": 8.0, "force": {"r1": 3.0, "seed": -1}}, []),
+        ],
+        ids=["seed", "force_seed"],
+    )
+    def test_negative_seed_rejected(self, tmp_path, monkeypatch, experiment, cfg, flags):
+        self._rejected_before_run(tmp_path, monkeypatch, experiment, cfg, flags)

@@ -1,8 +1,11 @@
-"""The Fourier symbols with a zero-mode rule are formed in one place.
+"""The Fourier symbols with a zero-mode rule, and the quadratic product,
+are formed in one place.
 
 |xi|^beta with its zero-mode value lives in ``Grid.power`` and the
 translation phase exp(-i xi . x0) in ``Grid.shift_phase``; every other
-module calls them instead of writing the symbol out again.
+module calls them instead of writing the symbol out again.  The product
+v_j v_k of the advection term is formed only in
+``spectral._advection_divergence``.
 """
 
 import ast
@@ -53,3 +56,10 @@ def test_symbol_formed_once_inside_grid(pattern, home):
 )
 def test_no_hand_built_power(pattern):
     assert _hits(pattern) == []
+
+
+def test_quadratic_product_formed_once():
+    # div(v (x) v) is assembled in spectral._advection_divergence alone
+    hits = _hits(r"phys\[j\]\s*\*\s*phys\[k\]")
+    assert [name for name, _ in hits] == ["spectral.py"], hits
+    assert _hits(r"_quadratic_products") == []

@@ -50,6 +50,22 @@ def unprojected_advection(u, dealias=True):
     return div
 
 
+class TestAdvectionDivergence:
+    @settings(max_examples=20, deadline=None)
+    @given(
+        n=st.sampled_from([8, 12, 16]),
+        box=st.floats(1.0, 40.0),
+        seed=st.integers(0, 2**32 - 1),
+        dealias=st.booleans(),
+    )
+    def test_matches_nine_product_reference(self, n, box, seed, dealias):
+        g = Grid(n, box)
+        u = random_divfree_spectral(g, seed=seed)
+        want = unprojected_advection(u, dealias)
+        got = spectral._advection_divergence(u, dealias)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 class TestLiftForce:
     def test_zero_force(self, grid32):
         out = lift_force(zero_spectral(grid32), FracParams(1.5))

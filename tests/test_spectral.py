@@ -273,6 +273,18 @@ class TestApplyBilinear:
         )
         assert np.all(out.data[:, 0, 0, 0] == 0.0)
 
+    @pytest.mark.parametrize("mean_free", [True, False])
+    def test_lift_of_projected_advection(self, grid32, mean_free):
+        # the lift is applied without a mean check: P div(v (x) v) has a zero
+        # mode of exactly 0 even when v has a mean
+        v = random_divfree_spectral(grid32, seed=17, mean_free=mean_free)
+        assert mean_free or np.any(v.data[:, 0, 0, 0] != 0)
+        params = FracParams(1.5)
+        out = apply_bilinear(v, params)
+        want = fractional_power(projected_advection(v), -params.alpha).data
+        assert np.array_equal(out.data, -want)
+        assert np.all(out.data[:, 0, 0, 0] == 0.0)
+
     def test_scaling_covariance(self, grid32):
         # u_lam(x) = lam^(alpha-1) u(lam x) realized with the same mode count
         # on the box L/lam: coefficients must match lam^(alpha-1) B(u,u).
