@@ -180,9 +180,8 @@ def build_kernel(
     """
     if not (1.0 < alpha < 4.0):
         raise InvalidAlpha(f"kernel synthesis requires alpha in (1, 4), got {alpha}")
-    n = int(refinement_grid_n)
     L = 1.0
-    grid = Grid(n, L)
+    grid = Grid(refinement_grid_n, L)
     h = grid.spacing
     sigma = 1.4 * h
     damped_inv_pow = grid.power(-alpha)

@@ -86,10 +86,16 @@ class RunConfig:
             raise ValueError(f"fit window must be two numbers within box_length/4, got {w}")
         if self.experiment == "nonexist" and not self.force.amplitude > 0:
             raise ValueError("nonexist fits deviations over amplitudes: need amplitude > 0")
-        if self.experiment == "kernel" and not (
-            self.kernel_times and all(np.isfinite(t) and t > 0 for t in self.kernel_times)
-        ):
-            raise ValueError(f"kernel times must be finite and positive, got {self.kernel_times}")
+        if self.experiment in ("profile", "nonexist", "kernel"):
+            spectral.check_grid(self.kernel_n, 1.0)
+        if self.experiment == "kernel":
+            if len(self.kernel_box) != 2:
+                raise ValueError(f"kernel_box must be [n, box], got {list(self.kernel_box)}")
+            spectral.check_grid(*self.kernel_box)
+            if not (self.kernel_times
+                    and all(np.isfinite(t) and t > 0 for t in self.kernel_times)):
+                raise ValueError(
+                    f"kernel times must be finite and positive, got {self.kernel_times}")
         return grid, params, cfg
 
     def to_dict(self):
@@ -377,7 +383,7 @@ def _run_kernel(config: RunConfig, outdir: str):
     metrics["bound_constant"] = kernel.bound_constant
     metrics["degree"] = kernel.degree
     kn, kbox = config.kernel_box
-    tab = evolve.kernel_l1_check(config.alpha, config.kernel_times, n=int(kn), box=kbox)
+    tab = evolve.kernel_l1_check(config.alpha, config.kernel_times, n=kn, box=kbox)
     for i, t in enumerate(tab["t"]):
         metrics[f"p_mass_t{i}"] = float(tab["p_mass"][i])
         metrics[f"grad_p_scaled_t{i}"] = float(tab["grad_p_mass_scaled"][i])

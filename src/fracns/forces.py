@@ -24,6 +24,8 @@ from .spectral import (
     SpectralVectorField,
     leray_project,
     to_real,
+    to_spectral,
+    zero_spectral,
 )
 
 
@@ -85,14 +87,14 @@ def octahedral_rotations():
     return mats
 
 
-def rotate_spectral_field(data: np.ndarray, grid: Grid, R: np.ndarray) -> np.ndarray:
-    """Coefficients of the rotated vector field x -> R v(R^{-1} x).
+def rotate_real_field(data: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """Samples of the rotated vector field x -> R v(R^{-1} x), rotated about
+    the lattice origin.
 
-    R must be a signed permutation matrix; the frequency lattice is then
-    mapped onto itself and the rotation is exact.
+    R must be a signed permutation matrix; the lattice is then mapped onto
+    itself and the rotation is exact.
     """
-    n = grid.n
-    k_int = grid.k_int
+    n = data.shape[-1]
     rotated = np.empty_like(data)
     # source index along array axis j is a signed-permutation image of the
     # target index along axis i_j, where R[i_j, j] = s_j
@@ -100,7 +102,7 @@ def rotate_spectral_field(data: np.ndarray, grid: Grid, R: np.ndarray) -> np.nda
     for j in range(3):
         i_j = int(np.nonzero(R[:, j])[0][0])
         s_j = int(R[i_j, j])
-        m = (s_j * k_int) % n
+        m = (s_j * np.arange(n)) % n
         shape = [1, 1, 1]
         shape[i_j] = n
         idx.append(m.reshape(shape))
@@ -158,6 +160,7 @@ def _modulated(spec: ForceSpec, grid: Grid, seed: int, window: np.ndarray) -> Sp
     rng = np.random.default_rng(seed)
     poly = _odd_polynomial(grid, rng, spec.anisotropy, spec.r1)
     phase = grid.shift_phase(grid.center)
+    window = window * grid.nyquist_free  # an odd polynomial is not Hermitian there
     data = np.stack([1j * window * poly[j] * phase for j in range(3)])
     data[:, 0, 0, 0] = 0.0
     return SpectralVectorField(grid, data)
@@ -204,13 +207,11 @@ def _raw_plane_wave_pair(spec: ForceSpec, grid: Grid, seed: int, alpha: float) -
     a = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     a -= k * (np.dot(k, a) / np.dot(k, k))  # divergence-free amplitude
     a *= np.asarray(spec.anisotropy)
-    data = np.zeros((3, n, n, n), dtype=np.complex128)
-    pos = tuple(np.array(best) % n)
-    neg = tuple((-np.array(best)) % n)
-    for c in range(3):
-        data[(c,) + pos] = a[c]
-        data[(c,) + neg] = np.conj(a[c])
-    return SpectralVectorField(grid, data)
+    f = zero_spectral(grid)
+    for mode, amp in ((np.array(best), a), (-np.array(best), np.conj(a))):
+        if mode[2] >= 0:  # the half lattice holds k_z >= 0 only
+            f.data[(slice(None),) + tuple(mode % n)] = amp
+    return f
 
 
 _RAW_BUILDERS = {
@@ -259,9 +260,7 @@ def make_force(spec: ForceSpec, grid: Grid, alpha: float) -> SpectralVectorField
                 f"sphere of radius {limit:.4g}"
             )
     if spec.amplitude == 0.0:
-        return SpectralVectorField(
-            grid, np.zeros((3, grid.n, grid.n, grid.n), dtype=np.complex128)
-        )
+        return zero_spectral(grid)
     params = FracParams(alpha=alpha, dealias=True)
     builder = _RAW_BUILDERS[spec.kind]
     anisotropic = not np.allclose(spec.anisotropy, (1.0, 1.0, 1.0))
@@ -270,10 +269,11 @@ def make_force(spec: ForceSpec, grid: Grid, alpha: float) -> SpectralVectorField
     for attempt in range(attempts):
         raw = builder(spec, grid, spec.seed + attempt, alpha)
         if spec.symmetrize:
-            acc = np.zeros_like(raw.data)
+            samples = to_real(raw).data
+            acc = np.zeros_like(samples)
             for R in octahedral_rotations():
-                acc += rotate_spectral_field(raw.data, grid, R)
-            raw = SpectralVectorField(grid, acc / 24.0)
+                acc += rotate_real_field(samples, R)
+            raw = to_spectral(RealVectorField(grid, acc / 24.0))
         f = leray_project(raw)
         f.data[:, 0, 0, 0] = 0.0
         u0 = lift_force(f, params)

@@ -6,12 +6,15 @@ Laplacian powers, the lifted-advection symbol and the dissipation
 semigroup.  All multipliers follow one convention, kept in one place
 (``Grid.power``): symbols that are singular or undefined at the zero mode
 return 0 there, and admissible forces are mean-free, so the convention is
-exact for every pipeline that matters.
+exact for every pipeline that matters.  Spectral fields hold the rfftn half
+spectrum of real fields (``Grid.spectral_shape``), so every transform is
+rfftn/irfftn and the L^2 norms weigh interior k_z planes twice.
 """
 
 from __future__ import annotations
 
 import itertools
+import numbers
 import os
 from dataclasses import dataclass, field
 
@@ -23,6 +26,17 @@ from .errors import InvalidAlpha, InvalidGrid, NumericalBlowup, ZeroModeUndefine
 _WORKERS = os.cpu_count() or 1
 
 ALPHA_SOLVE_RANGE = (1.0, 2.5)
+
+
+def check_grid(n, box_length):
+    """Raise InvalidGrid unless ``n`` is an even integer >= 8 and the box
+    length is positive; allocates nothing, so configs are checked cheaply."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise InvalidGrid(f"need an integer number of points, got {n!r}")
+    if n < 8 or n % 2 != 0:
+        raise InvalidGrid(f"need an even number of points >= 8, got {n}")
+    if not (box_length > 0.0):
+        raise InvalidGrid(f"box length must be positive, got {box_length}")
 
 
 @dataclass(frozen=True)
@@ -38,24 +52,24 @@ class Grid:
         Physical side length L.
 
     The frequency lattice per axis is {2*pi*k/L : k in [-n/2, n/2)} in
-    standard DFT ordering.  The Nyquist row is treated as self-conjugate
-    and is zeroed inside every odd (differentiation-like) multiplier so
-    that real fields stay real.
+    standard DFT ordering.  Real fields are stored on the half lattice
+    (n, n, n/2+1) of ``rfftn``: the last axis keeps k = 0..n/2-1 and the
+    Nyquist plane k = -n/2, so every symbol here is the full-lattice symbol
+    sliced to its first n/2+1 planes.  The Nyquist row is treated as
+    self-conjugate and is zeroed inside every odd (differentiation-like)
+    multiplier so that real fields stay real.
     """
 
     n: int
     box_length: float
 
     def __post_init__(self):
-        if self.n < 8 or self.n % 2 != 0:
-            raise InvalidGrid(f"need an even number of points >= 8, got {self.n}")
-        if not (self.box_length > 0.0):
-            raise InvalidGrid(f"box length must be positive, got {self.box_length}")
-
+        check_grid(self.n, self.box_length)
         n, L = self.n, float(self.box_length)
         object.__setattr__(self, "box_length", L)
         object.__setattr__(self, "spacing", L / n)
         object.__setattr__(self, "cell_volume", (L / n) ** 3)
+        object.__setattr__(self, "spectral_shape", (n, n, n // 2 + 1))
 
         k_int = np.fft.fftfreq(n, d=1.0 / n).astype(np.int64)  # 0,1,..,n/2-1,-n/2,..,-1
         xi_axis = (2.0 * np.pi / L) * k_int
@@ -63,8 +77,9 @@ class Grid:
         object.__setattr__(self, "xi_axis", xi_axis)
         object.__setattr__(self, "x_axis", (L / n) * np.arange(n))
 
-        shape = [(n, 1, 1), (1, n, 1), (1, 1, n)]
-        xi = [xi_axis.reshape(s) for s in shape]
+        half = n // 2 + 1  # the last axis ends on the Nyquist plane, kept at -n/2
+        rows = [k_int.reshape(n, 1, 1), k_int.reshape(1, n, 1), k_int[:half].reshape(1, 1, half)]
+        xi = [(2.0 * np.pi / L) * k for k in rows]
         k2 = xi[0] ** 2 + xi[1] ** 2 + xi[2] ** 2
         object.__setattr__(self, "xi", xi)
         object.__setattr__(self, "k2", k2)
@@ -77,9 +92,10 @@ class Grid:
             self, "dealias_mask", self.kmag <= self.dealias_radius * (1.0 + 1e-12)
         )
 
-        # True where no axis sits on the Nyquist row.
-        nyq = [np.abs(k_int.reshape(s)) != n // 2 for s in shape]
-        object.__setattr__(self, "nyquist_free", nyq[0] & nyq[1] & nyq[2])
+        # on_nyquist[c] is True on axis c's Nyquist row; nyquist_free where no axis is.
+        nyq = [k == -(n // 2) for k in rows]
+        object.__setattr__(self, "on_nyquist", nyq)
+        object.__setattr__(self, "nyquist_free", ~nyq[0] & ~nyq[1] & ~nyq[2])
 
     def power(self, beta: float) -> np.ndarray:
         """The symbol |xi|^beta, 0 at the zero mode for every beta.
@@ -135,14 +151,15 @@ class RealVectorField:
 
 @dataclass
 class SpectralVectorField:
-    """Three scalar arrays of N^3 complex Fourier coefficients (DFT layout)."""
+    """Three arrays of Fourier coefficients of a real field on the half
+    lattice ``grid.spectral_shape`` (the ``rfftn`` layout)."""
 
     grid: Grid
-    data: np.ndarray  # (3, n, n, n), complex128
+    data: np.ndarray  # (3, n, n, n/2+1), complex128
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=np.complex128)
-        if self.data.shape != (3, self.grid.n, self.grid.n, self.grid.n):
+        if self.data.shape != (3,) + self.grid.spectral_shape:
             raise ValueError(f"bad field shape {self.data.shape}")
 
     def copy(self) -> "SpectralVectorField":
@@ -150,43 +167,31 @@ class SpectralVectorField:
 
 
 def zero_spectral(grid: Grid) -> SpectralVectorField:
-    return SpectralVectorField(grid, np.zeros((3, grid.n, grid.n, grid.n), dtype=np.complex128))
+    return SpectralVectorField(grid, np.zeros((3,) + grid.spectral_shape, dtype=np.complex128))
+
+
+def _irfftn(coeffs: np.ndarray, axes=(-3, -2, -1), **kwargs) -> np.ndarray:
+    """Real samples of half-lattice coefficients over the three cube ``axes``."""
+    n = coeffs.shape[axes[0]]
+    return sfft.irfftn(coeffs, s=(n, n, n), axes=axes, workers=_WORKERS, **kwargs)
 
 
 def to_spectral(field: RealVectorField) -> SpectralVectorField:
     return SpectralVectorField(
-        field.grid, sfft.fftn(field.data, axes=(1, 2, 3), workers=_WORKERS)
+        field.grid, sfft.rfftn(field.data, axes=(1, 2, 3), workers=_WORKERS)
     )
 
 
 def to_real(field: SpectralVectorField) -> RealVectorField:
-    phys = sfft.ifftn(field.data, axes=(1, 2, 3), workers=_WORKERS)
-    return RealVectorField(field.grid, phys.real)
+    return RealVectorField(field.grid, _irfftn(field.data, axes=(1, 2, 3)))
 
 
 def scalar_to_real(coeffs: np.ndarray) -> np.ndarray:
-    return sfft.ifftn(coeffs, workers=_WORKERS).real
+    return _irfftn(coeffs)
 
 
 def scalar_to_spectral(samples: np.ndarray) -> np.ndarray:
-    return sfft.fftn(samples, workers=_WORKERS)
-
-
-def reflect_coeffs(arr: np.ndarray) -> np.ndarray:
-    """Coefficient array evaluated at -xi (DFT index negation)."""
-    out = arr[..., ::-1, ::-1, ::-1]
-    return np.roll(out, shift=(1, 1, 1), axis=(-3, -2, -1))
-
-
-def hermitian_symmetrize(arr: np.ndarray) -> np.ndarray:
-    return 0.5 * (arr + np.conj(reflect_coeffs(arr)))
-
-
-def hermitian_defect(field: SpectralVectorField) -> float:
-    """Max |v(-xi) - conj(v(xi))| relative to the largest coefficient."""
-    d = np.max(np.abs(field.data - np.conj(reflect_coeffs(field.data))))
-    scale = np.max(np.abs(field.data))
-    return float(d / scale) if scale > 0 else 0.0
+    return sfft.rfftn(samples, workers=_WORKERS)
 
 
 @dataclass(frozen=True)
@@ -259,23 +264,33 @@ def bilinear_symbol(xi, alpha: float, i: int, j: int, k: int) -> complex:
 def kernel_tensor(grid: Grid, m: np.ndarray):
     """Yield ``(i, j, k, K)`` for i <= j, K the real-space samples
     ifftn(-(delta_ij - xi_i xi_j/|xi|^2) 1j xi_k m).real / cell_volume of the
-    lifted-advection tensor for the multiplier array ``m`` (zero mode 0).
+    lifted-advection tensor for the real half-lattice multiplier ``m`` (zero
+    mode 0), which must be a function of |xi|.
 
     The symbol is delta_ij A_k + C_ijk with A_k = -1j xi_k m and the fully
     symmetric C_ijk = 1j xi_i xi_j xi_k m/|xi|^2: 3 + 10 inverse transforms.
-    Entries sharing one C come together, so one C is held at a time; they
-    may share an array, which callers must not modify.
+    Each goes through irfftn, so each is taken of its Hermitian part, which
+    is what the ``.real`` above keeps: a monomial of degree d_c in xi_c times
+    (1 + prod_c sigma_c^d_c)/2, sigma_c = -1 on axis c's Nyquist row (where
+    -xi_c is xi_c) and +1 elsewhere.  Entries sharing one C come together,
+    so one C is held at a time; they may share an array, which callers must
+    not modify.
     """
 
-    def real_space(sym):  # sym is a temporary, so it is transformed in place
+    def real_space(sym, monomial):  # sym is a temporary, so it is transformed in place
+        flip = np.zeros((1, 1, 1), dtype=bool)  # where prod_c sigma_c^d_c = -1
+        for c in range(3):
+            if monomial.count(c) % 2:
+                flip = flip ^ grid.on_nyquist[c]
+        sym *= ~flip
         sym[0, 0, 0] = 0.0
-        return sfft.ifftn(sym, overwrite_x=True, workers=_WORKERS).real / grid.cell_volume
+        return _irfftn(sym, overwrite_x=True) / grid.cell_volume
 
     xi = grid.xi
-    A = [real_space(-1j * xi[k] * m) for k in range(3)]
+    A = [real_space(-1j * xi[k] * m, (k,)) for k in range(3)]
     m_k2 = m * grid.power(-2.0)
     for a, b, c in itertools.combinations_with_replacement(range(3), 3):
-        C = real_space(1j * xi[a] * xi[b] * (xi[c] * m_k2))
+        C = real_space(1j * xi[a] * xi[b] * (xi[c] * m_k2), (a, b, c))
         for i, j, k in sorted(set(itertools.permutations((a, b, c)))):
             if i < j:
                 yield i, j, k, C
@@ -287,23 +302,25 @@ def _advection_divergence(v: SpectralVectorField, dealias: bool) -> np.ndarray:
     """D_j = sum_k 1j xi_k W_jk = div(v (x) v), W_jk the transform of v_j v_k formed
     in physical space after a 2/3-rule truncation of the inputs (when ``dealias``);
     D is truncated likewise and its Nyquist rows are zeroed.  W is symmetric: each
-    of its six products is transformed once, one at a time, into both rows."""
+    of its six products is transformed once, one at a time, into both rows.
+
+    Finiteness is checked on the samples and on D: a product of finite samples
+    can only overflow to +-inf, which its transform carries into D."""
     g = v.grid
     vin = v.data * g.dealias_mask if dealias else v.data
-    phys = sfft.ifftn(vin, axes=(1, 2, 3), workers=_WORKERS).real
+    phys = _irfftn(vin, axes=(1, 2, 3))
     del vin  # the truncated copy is not read past the transform
     if not np.all(np.isfinite(phys)):
         raise NumericalBlowup("non-finite samples entering the quadratic term")
-    div = np.zeros((3, g.n, g.n, g.n), dtype=np.complex128)
+    div = np.zeros((3,) + g.spectral_shape, dtype=np.complex128)
     for j in range(3):
         for k in range(j, 3):
-            prod = phys[j] * phys[k]
-            if not np.all(np.isfinite(prod)):
-                raise NumericalBlowup("overflow while forming the quadratic term")
-            w_hat = sfft.fftn(prod, workers=_WORKERS)
+            w_hat = sfft.rfftn(phys[j] * phys[k], workers=_WORKERS)
             div[j] += 1j * g.xi[k] * w_hat
             if k != j:
                 div[k] += 1j * g.xi[j] * w_hat
+    if not np.all(np.isfinite(div)):
+        raise NumericalBlowup("overflow while forming the quadratic term")
     div *= g.nyquist_free
     if dealias:
         div *= g.dealias_mask
@@ -344,11 +361,21 @@ def spectral_gradient(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
 # quadrature norms (physical-space integrals via Parseval)
 
 
+def _full_lattice_sum(a: np.ndarray, b: np.ndarray) -> float:
+    """Re sum over the full lattice of conj(a) b for half-lattice a, b: each
+    interior k_z plane also stands for its conjugate mirror, so it counts twice."""
+
+    def dot(x, y):
+        return np.vdot(x, y).real
+
+    return 2.0 * dot(a, b) - dot(a[..., 0], b[..., 0]) - dot(a[..., -1], b[..., -1])
+
+
 def l2_norm(field) -> float:
     """Discrete L^2 norm sqrt(h^3 * sum |field|^2), spectral or physical."""
     if isinstance(field, SpectralVectorField):
         g = field.grid
-        s = np.sum(np.abs(field.data) ** 2) / g.n**3
+        s = _full_lattice_sum(field.data, field.data) / g.n**3
         return float(np.sqrt(g.cell_volume * s))
     if isinstance(field, RealVectorField):
         return float(np.sqrt(field.grid.cell_volume * np.sum(field.data**2)))
@@ -357,5 +384,4 @@ def l2_norm(field) -> float:
 
 def l2_inner(a: SpectralVectorField, b: SpectralVectorField) -> float:
     g = a.grid
-    s = np.real(np.sum(np.conj(a.data) * b.data)) / g.n**3
-    return float(g.cell_volume * s)
+    return float(g.cell_volume * _full_lattice_sum(a.data, b.data) / g.n**3)

@@ -22,10 +22,21 @@ def random_real_field(grid, seed=0, smooth=False):
     if smooth:
         import scipy.fft as sfft
 
-        hat = sfft.fftn(data, axes=(1, 2, 3))
+        hat = sfft.rfftn(data, axes=(1, 2, 3))
         hat *= np.exp(-grid.k2 / (2.0 * (4.0 * 2 * np.pi / grid.box_length) ** 2))
-        data = sfft.ifftn(hat, axes=(1, 2, 3)).real
+        data = sfft.irfftn(hat, s=data.shape[1:], axes=(1, 2, 3))
     return RealVectorField(grid, data)
+
+
+def realness_defect(field):
+    """Max |rfftn(irfftn(v)) - v| relative to the largest coefficient: 0 when
+    the half-lattice coefficients are those of a real field."""
+    import scipy.fft as sfft
+
+    n = field.grid.n
+    back = sfft.rfftn(sfft.irfftn(field.data, s=(n, n, n), axes=(1, 2, 3)), axes=(1, 2, 3))
+    scale = np.max(np.abs(field.data))
+    return float(np.max(np.abs(back - field.data)) / scale) if scale > 0 else 0.0
 
 
 def random_divfree_spectral(grid, seed=0, smooth=True, mean_free=True):

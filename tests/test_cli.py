@@ -230,3 +230,20 @@ class TestMainEntry:
     )
     def test_negative_seed_rejected(self, tmp_path, monkeypatch, experiment, cfg, flags):
         self._rejected_before_run(tmp_path, monkeypatch, experiment, cfg, flags)
+
+    @pytest.mark.parametrize(
+        "experiment, cfg",
+        [
+            ("kernel", {"kernel_n": 16, "kernel_box": [256]}),
+            ("kernel", {"kernel_n": 130.5, "kernel_box": [16, 4.0]}),
+            ("kernel", {"kernel_n": 16, "kernel_box": [64.5, 8.0]}),
+            ("kernel", {"kernel_n": 16, "kernel_box": [17, 8.0]}),
+            ("kernel", {"kernel_n": 16, "kernel_box": [16, 0.0]}),
+            ("profile", {"n": 16, "box_length": 8.0, "force": {"r1": 3.0}, "kernel_n": 130.5}),
+            ("nonexist", {"n": 16, "box_length": 8.0, "force": {"r1": 3.0}, "kernel_n": 6}),
+        ],
+        ids=["box_one_entry", "n_fractional", "box_n_fractional", "box_n_odd",
+             "box_nonpositive", "profile_n_fractional", "nonexist_n_small"],
+    )
+    def test_bad_kernel_grid_rejected(self, tmp_path, monkeypatch, experiment, cfg):
+        self._rejected_before_run(tmp_path, monkeypatch, experiment, cfg)

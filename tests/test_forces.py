@@ -1,21 +1,20 @@
 import numpy as np
 import pytest
 
-from conftest import random_real_field
+from conftest import random_real_field, realness_defect
 from fracns.errors import InvalidAnnulus
 from fracns.forces import (
     ForceSpec,
     make_force,
     moment_matrix,
     octahedral_rotations,
-    rotate_spectral_field,
+    rotate_real_field,
     scalar_deviation,
 )
 from fracns.solver import SolverConfig, lift_force, solve_steady, weak_lorentz_norm
 from fracns.spectral import (
     FracParams,
     RealVectorField,
-    hermitian_defect,
     l2_norm,
     to_real,
 )
@@ -79,7 +78,27 @@ class TestAnnulusForce:
     def test_real_mean_free_divergence_free(self, grid32):
         g = grid32
         f = make_force(ForceSpec(amplitude=0.1, r1=3.0, seed=4), g, 1.5)
-        assert hermitian_defect(f) < 1e-13
+        assert realness_defect(f) < 1e-13
+        assert np.all(f.data[:, 0, 0, 0] == 0.0)
+        div = sum(g.xi[i] * f.data[i] for i in range(3))
+        assert np.max(np.abs(div)) < 1e-12 * np.max(np.abs(f.data)) * np.max(g.kmag)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            # the bump's window reaches the Nyquist rows of this lattice
+            ForceSpec(kind="gaussian_bump", amplitude=0.1, r0=2.0, r1=9.0, seed=4),
+            ForceSpec(kind="plane_wave_pair", amplitude=0.1, r0=0.3, r1=0.45, seed=4),
+            # mode (-1, -1, -1): only its mirror (1, 1, 1) is on the half lattice
+            ForceSpec(kind="plane_wave_pair", amplitude=0.1, r0=0.65, r1=0.7, seed=4),
+            ForceSpec(amplitude=0.1, r1=3.5, seed=7, symmetrize=True),
+        ],
+        ids=["gaussian", "plane_wave_kz0", "plane_wave", "symmetrized"],
+    )
+    def test_other_kinds_real_mean_free_divergence_free(self, grid32, spec):
+        g = grid32
+        f = make_force(spec, g, 1.5)
+        assert realness_defect(f) < 1e-13
         assert np.all(f.data[:, 0, 0, 0] == 0.0)
         div = sum(g.xi[i] * f.data[i] for i in range(3))
         assert np.max(np.abs(div)) < 1e-12 * np.max(np.abs(f.data)) * np.max(g.kmag)
@@ -135,22 +154,18 @@ class TestRotations:
 
     def test_rotation_is_exact_on_lattice(self, grid16):
         g = grid16
-        from fracns.spectral import to_spectral
-
-        v = to_spectral(random_real_field(g, seed=8))
+        v = random_real_field(g, seed=8)
         R = octahedral_rotations()[7]
-        rot = rotate_spectral_field(v.data, g, R)
+        rot = rotate_real_field(v.data, R)
         # rotating back with the inverse recovers the field exactly
-        back = rotate_spectral_field(rot, g, R.T)
+        back = rotate_real_field(rot, R.T)
         assert np.array_equal(back, v.data)
 
     def test_rotation_preserves_l2(self, grid16):
         g = grid16
-        from fracns.spectral import SpectralVectorField, to_spectral
-
-        v = to_spectral(random_real_field(g, seed=9))
+        v = random_real_field(g, seed=9)
         for R in octahedral_rotations()[:6]:
-            rot = SpectralVectorField(g, rotate_spectral_field(v.data, g, R))
+            rot = RealVectorField(g, rotate_real_field(v.data, R))
             assert l2_norm(rot) == pytest.approx(l2_norm(v), rel=1e-12)
 
 

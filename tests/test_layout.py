@@ -5,7 +5,8 @@ are formed in one place.
 translation phase exp(-i xi . x0) in ``Grid.shift_phase``; every other
 module calls them instead of writing the symbol out again.  The product
 v_j v_k of the advection term is formed only in
-``spectral._advection_divergence``.
+``spectral._advection_divergence``.  Transforms are taken in ``spectral``
+alone, and only between real samples and the half lattice (rfftn/irfftn).
 """
 
 import ast
@@ -63,3 +64,13 @@ def test_quadratic_product_formed_once():
     hits = _hits(r"phys\[j\]\s*\*\s*phys\[k\]")
     assert [name for name, _ in hits] == ["spectral.py"], hits
     assert _hits(r"_quadratic_products") == []
+
+
+def test_transforms_taken_in_spectral_only():
+    hits = _hits(r"\b(sfft|scipy\.fft|np\.fft|numpy\.fft)\b")
+    assert hits and {name for name, _ in hits} == {"spectral.py"}, hits
+
+
+def test_no_full_complex_transform():
+    # fftn/ifftn (and fft, fft2, ...) would carry both halves of a Hermitian spectrum
+    assert _hits(r"\.i?fft[n2]?\(") == []

@@ -38,11 +38,11 @@ def unprojected_advection(u, dealias=True):
     """div(u (x) u) from all nine products, masked like projected_advection."""
     g = u.grid
     vin = u.data * g.dealias_mask if dealias else u.data
-    phys = sfft.ifftn(vin, axes=(1, 2, 3)).real
-    div = np.zeros((3, g.n, g.n, g.n), complex)
+    phys = sfft.irfftn(vin, s=(g.n,) * 3, axes=(1, 2, 3))
+    div = np.zeros((3,) + g.spectral_shape, complex)
     for j in range(3):
         for k in range(3):
-            w = sfft.fftn(phys[j] * phys[k])
+            w = sfft.rfftn(phys[j] * phys[k])
             div[j] += 1j * g.xi[k] * w
     div *= g.nyquist_free
     if dealias:
@@ -214,8 +214,8 @@ class TestPressure:
         a = np.array([2.0 - 1j, 1.0 + 0.5j, 0.0])
         k = kidx * dk
         a -= k * np.dot(k, a) / np.dot(k, k)
-        data = np.zeros((3, g.n, g.n, g.n), complex)
-        pos, neg = tuple(kidx % g.n), tuple((-kidx) % g.n)
+        data = np.zeros((3,) + g.spectral_shape, complex)
+        pos, neg = tuple(kidx % g.n), tuple((-kidx) % g.n)  # both in the k_z = 0 plane
         for c in range(3):
             data[(c,) + pos] = a[c]
             data[(c,) + neg] = np.conj(a[c])

@@ -7,8 +7,8 @@ import scipy.fft as sfft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_divfree_spectral, random_real_field
-from fracns.errors import InvalidGrid, ZeroModeUndefined
+from conftest import random_divfree_spectral, random_real_field, realness_defect
+from fracns.errors import InvalidGrid, NumericalBlowup, ZeroModeUndefined
 from fracns.spectral import (
     FracParams,
     Grid,
@@ -17,7 +17,6 @@ from fracns.spectral import (
     apply_bilinear,
     bilinear_symbol,
     fractional_power,
-    hermitian_defect,
     kernel_tensor,
     l2_inner,
     l2_norm,
@@ -89,6 +88,42 @@ class TestPower:
         assert np.max(np.abs((g.power(-2.0) * g.k2)[off] - 1.0)) <= 1e-12
 
 
+HALF_SIZES = st.integers(4, 12).map(lambda m: 2 * m)  # even n in [8, 24]
+
+
+class TestHalfLattice:
+    """Symbols and norms on the (n, n, n/2+1) rfftn lattice."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(n=HALF_SIZES, box=BOXES, beta=EXPONENTS)
+    def test_symbols_are_full_symbols_sliced(self, n, box, beta):
+        g = Grid(n, box)
+        half = (Ellipsis, slice(0, n // 2 + 1))
+        full = np.meshgrid(*(g.xi_axis,) * 3, indexing="ij")
+        kmag = np.sqrt(full[0] ** 2 + full[1] ** 2 + full[2] ** 2)
+        for c in range(3):
+            assert np.array_equal(np.broadcast_to(g.xi[c], g.spectral_shape), full[c][half])
+        power = np.where(kmag == 0.0, 1.0, kmag) ** beta
+        power[0, 0, 0] = 0.0
+        assert np.array_equal(g.power(beta), power[half])
+        dealias = kmag <= (2.0 / 3.0) * (np.pi * n / g.box_length) * (1.0 + 1e-12)
+        assert np.array_equal(g.dealias_mask, dealias[half])
+        k_int = np.stack(np.meshgrid(*(g.k_int,) * 3, indexing="ij"))
+        nyquist = np.any(k_int == -n // 2, axis=0)
+        assert np.array_equal(np.broadcast_to(g.nyquist_free, g.spectral_shape), ~nyquist[half])
+
+    @settings(max_examples=20, deadline=None)
+    @given(n=HALF_SIZES, box=BOXES, seed=st.integers(0, 2**16))
+    def test_parseval_on_half_lattice(self, n, box, seed):
+        # interior k_z planes weigh 2, the k_z = 0 and Nyquist planes 1
+        g = Grid(n, box)
+        u, w = random_real_field(g, seed=seed), random_real_field(g, seed=seed + 1)
+        assert abs(l2_norm(to_spectral(u)) - l2_norm(u)) <= 1e-13 * l2_norm(u)
+        inner = g.cell_volume * np.sum(u.data * w.data)
+        got = l2_inner(to_spectral(u), to_spectral(w))
+        assert abs(got - inner) <= 1e-13 * l2_norm(u) * l2_norm(w)
+
+
 class TestTransforms:
     def test_round_trip(self, grid32):
         u = random_real_field(grid32, seed=1)
@@ -97,7 +132,7 @@ class TestTransforms:
 
     def test_real_field_is_hermitian(self, grid32):
         v = to_spectral(random_real_field(grid32, seed=2))
-        assert hermitian_defect(v) < 1e-13
+        assert realness_defect(v) < 1e-13
 
 
 class TestLeray:
@@ -242,24 +277,29 @@ class TestKernelTensor:
             assert np.max(np.abs(got[i, j, k] - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_thirteen_inverse_transforms(self, monkeypatch):
-        calls = []
+        calls = {"irfftn": [], "ifftn": []}
 
-        def counted(x, *args, _ifftn=sfft.ifftn, **kwargs):
-            calls.append(np.shape(x))
-            return _ifftn(x, *args, **kwargs)
+        def counting(name):
+            def counted(x, *args, _f=getattr(sfft, name), **kwargs):
+                calls[name].append(np.shape(x))
+                return _f(x, *args, **kwargs)
+
+            return counted
 
         g = Grid(8, 3.0)
-        monkeypatch.setattr(sfft, "ifftn", counted)
+        for name in calls:
+            monkeypatch.setattr(sfft, name, counting(name))
         entries = list(kernel_tensor(g, inverse_power(g, 1.5)))
         assert sorted((i, j, k) for i, j, k, _ in entries) == [
             (i, j, k) for i in range(3) for j in range(i, 3) for k in range(3)
         ]
-        assert len(calls) == 13
+        assert len(calls["irfftn"]) == 13
+        assert calls["ifftn"] == []
 
 
 class TestApplyBilinear:
     def test_zero_in_zero_out(self, grid32):
-        v = SpectralVectorField(grid32, np.zeros((3, 32, 32, 32), complex))
+        v = SpectralVectorField(grid32, np.zeros((3, 32, 32, 17), complex))
         out = apply_bilinear(v, FracParams(1.5))
         assert np.all(out.data == 0)
 
@@ -311,6 +351,23 @@ class TestApplyBilinear:
         adv = projected_advection(u, dealias=True)
         s = l2_inner(adv, u)
         assert abs(s) < 1e-8 * l2_norm(u) ** 3
+
+
+class TestFiniteness:
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    def test_overflowing_products_raise(self, grid16):
+        # finite samples whose squares exceed the float64 range
+        v = random_divfree_spectral(grid16, seed=20)
+        v.data *= 1e160 / np.max(np.abs(to_real(v).data))
+        assert np.all(np.isfinite(to_real(v).data))
+        with pytest.raises(NumericalBlowup):
+            projected_advection(v)
+
+    def test_nonfinite_velocity_raises(self, grid16):
+        v = random_divfree_spectral(grid16, seed=21)
+        v.data[0, 1, 0, 0] = np.nan
+        with pytest.raises(NumericalBlowup):
+            projected_advection(v)
 
 
 class TestSemigroup:
