@@ -193,8 +193,12 @@ def kernel_l1_check(alpha: float, times, n: int = 128, box: float = 8.0) -> dict
         rows["grad_p_mass_scaled"].append(t ** (1.0 / alpha) * h3 * float(np.sum(gmag)))
 
         acc = np.zeros((grid.n, grid.n, grid.n))
+        tmp = np.empty_like(acc)
         for i, j, k, K in kernel_tensor(grid, mult * grid.nyquist_free):
-            acc += K**2 if i == j else 2.0 * K**2
+            np.square(K, out=tmp)
+            if i != j:
+                tmp *= 2.0
+            acc += tmp
         kmag_field = np.sqrt(acc)
         rows["K_mass_scaled"].append(t ** (1.0 / alpha) * h3 * float(np.sum(kmag_field)))
     return {k: np.asarray(v) for k, v in rows.items()}

@@ -15,13 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidAnnulus, ScalarMomentMatrix
+from .errors import DegenerateInput, InvalidAnnulus, ScalarMomentMatrix
 from .solver import lift_force, weak_lorentz_norm
 from .spectral import (
     FracParams,
     Grid,
     RealVectorField,
     SpectralVectorField,
+    l2_norm,
     leray_project,
     to_real,
     to_spectral,
@@ -268,18 +269,23 @@ def make_force(spec: ForceSpec, grid: Grid, alpha: float) -> SpectralVectorField
     attempts = 5 if anisotropic else 1
     for attempt in range(attempts):
         raw = builder(spec, grid, spec.seed + attempt, alpha)
+        f = raw
         if spec.symmetrize:
             samples = to_real(raw).data
             acc = np.zeros_like(samples)
             for R in octahedral_rotations():
                 acc += rotate_real_field(samples, R)
-            raw = to_spectral(RealVectorField(grid, acc / 24.0))
-        f = leray_project(raw)
+            f = to_spectral(RealVectorField(grid, acc / 24.0))
+        f = leray_project(f)
         f.data[:, 0, 0, 0] = 0.0
+        if l2_norm(f) <= 1e-12 * l2_norm(raw):
+            # only round-off is left, which scaling to the amplitude would turn into noise
+            raise DegenerateInput(
+                f"the {spec.kind} force from seed {spec.seed + attempt} has no "
+                "divergence-free part (its projection is round-off)"
+            )
         u0 = lift_force(f, params)
         norm = weak_lorentz_norm(u0, alpha)
-        if norm == 0.0:
-            continue
         f = SpectralVectorField(grid, f.data * (spec.amplitude / norm))
         if anisotropic:
             u0 = lift_force(f, params)

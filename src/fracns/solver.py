@@ -104,7 +104,8 @@ def solve_steady(f: SpectralVectorField, config: SolverConfig) -> SteadySolution
         new = apply_bilinear(u, params)
         new.data += u0.data
         new_l2 = l2_norm(new)
-        diff = l2_norm(SpectralVectorField(u.grid, new.data - u.data))
+        np.subtract(new.data, u.data, out=u.data)  # u is retired: it holds the step
+        diff = l2_norm(u)
         diag.iterations = it
         diag.residual_history.append(diff)
         if new_l2 > config.divergence_factor * u0_l2:
@@ -161,16 +162,18 @@ def recover_pressure(u: SpectralVectorField, f: SpectralVectorField, params: Fra
     """Pressure from velocity and force, as a mean-free scalar spectral field:
     p = 1j xi . (D - f) / |xi|^2, the longitudinal part of the momentum balance,
     D the divergence of the (dealiased) u (x) u.  xi . f is taken apart from
-    xi . D: for a divergence-free f, D - f would add rounding of size |xi| |f|."""
-    g = u.grid
-    xi, d = g.xi, _advection_divergence(u, params.dealias)
+    xi . D: for a divergence-free f, D - f would add rounding of size |xi| |f|.
+    p is formed on D's cube, outside which the dealias mask zeroes it."""
+    div = _advection_divergence(u, params.dealias)
+    cube, d = div.grid, div.data
+    xi, fc = cube.xi, cube.gather(f.data)
     p_hat = 1j * (xi[0] * d[0] + xi[1] * d[1] + xi[2] * d[2]
-                  - (xi[0] * f.data[0] + xi[1] * f.data[1] + xi[2] * f.data[2]))
-    p_hat *= g.nyquist_free
-    p_hat *= g.power(-2.0)
+                  - (xi[0] * fc[0] + xi[1] * fc[1] + xi[2] * fc[2]))
+    p_hat *= cube.nyquist_free
+    p_hat *= cube.power(-2.0)
     if params.dealias:
-        p_hat *= g.dealias_mask
-    return p_hat
+        p_hat *= cube.dealias_mask
+    return cube.scatter(p_hat)
 
 
 def rescale_pair(u: SpectralVectorField, f: SpectralVectorField, alpha: float, lam: int):

@@ -8,7 +8,9 @@ semigroup.  All multipliers follow one convention, kept in one place
 return 0 there, and admissible forces are mean-free, so the convention is
 exact for every pipeline that matters.  Spectral fields hold the rfftn half
 spectrum of real fields (``Grid.spectral_shape``), so every transform is
-rfftn/irfftn and the L^2 norms weigh interior k_z planes twice.
+real and the L^2 norms weigh interior k_z planes twice.  The quadratic map
+is formed on the box of modes the 2/3 rule keeps (``_Cube``), through a
+pruned transform pair that touches that box alone.
 """
 
 from __future__ import annotations
@@ -194,6 +196,80 @@ def scalar_to_spectral(samples: np.ndarray) -> np.ndarray:
     return sfft.rfftn(samples, workers=_WORKERS)
 
 
+class _Cube:
+    """The box of half-lattice modes the quadratic map keeps: the rows and
+    planes of ``grid`` that hold a mode of the 2/3-rule mask (with ``dealias``
+    off, every mode, so the box is the whole half lattice).  On the
+    dealiased sphere that is |k_x|, |k_y| <= m and 0 <= k_z <= m, m the
+    largest kept |k| on an axis.  The cube stands in for its Grid where an
+    operator reads symbols (``leray_project``, the lift): each symbol is the
+    Grid's own, gathered, so ``Grid.power`` keeps the one zero-mode rule."""
+
+    def __init__(self, grid: Grid, dealias: bool):
+        keep = grid.dealias_mask if dealias else np.ones(grid.spectral_shape, dtype=bool)
+        n, k = grid.n, grid.k_int[keep.any(axis=(1, 2))]  # the mask is symmetric in x, y
+        lo, hi = int(np.sum(k >= 0)), int(np.sum(k < 0))
+        self.grid = grid
+        # the kept rows are two runs, k = 0, 1, .. and .., -1: (cube, grid) slices
+        self.runs = ((slice(0, lo), slice(0, lo)), (slice(lo, lo + hi), slice(n - hi, n)))
+        self.planes = int(np.flatnonzero(keep.any(axis=(0, 1)))[-1]) + 1
+        self.spectral_shape = (lo + hi, lo + hi, self.planes)
+        rows, xi = np.r_[0:lo, n - hi : n], grid.xi
+        self.xi = [xi[0][rows], xi[1][:, rows], xi[2][..., : self.planes]]
+        self.nyquist_free = self.gather(grid.nyquist_free)
+        self.dealias_mask = self.gather(grid.dealias_mask)
+
+    def _blocks(self):
+        """(cube, grid) indices of the four blocks the two runs of rows make."""
+        for (cx, gx), (cy, gy) in itertools.product(self.runs, repeat=2):
+            yield (..., cx, cy, slice(None)), (..., gx, gy, slice(0, self.planes))
+
+    def gather(self, a: np.ndarray) -> np.ndarray:
+        """The cube's part of a half-lattice array (n, n, n/2+1) or (..., n, n, n/2+1)."""
+        out = np.empty(a.shape[:-3] + self.spectral_shape, dtype=a.dtype)
+        for c, g in self._blocks():
+            out[c] = a[g]
+        return out
+
+    def scatter(self, a: np.ndarray) -> np.ndarray:
+        """``a`` on the cube, zero-filled to the Grid's half lattice."""
+        out = np.zeros(a.shape[:-3] + self.grid.spectral_shape, dtype=a.dtype)
+        for c, g in self._blocks():
+            out[g] = a[c]
+        return out
+
+    def power(self, beta: float) -> np.ndarray:
+        return self.gather(self.grid.power(beta))
+
+
+def _cube_to_real(coeffs: np.ndarray, cube: _Cube) -> np.ndarray:
+    """Real samples (..., n, n, n) of coefficients held on ``cube`` (every other
+    mode 0): ifft along y on the cube's k_x rows, ifft along x on its planes,
+    then irfft along z, which zero-pads the missing planes itself."""
+    n, p = cube.grid.n, cube.planes
+    lead = coeffs.shape[:-3]
+    a = np.zeros(lead + (cube.spectral_shape[0], n, p), dtype=np.complex128)
+    for c, g in cube.runs:
+        a[..., g, :] = coeffs[..., c, :]
+    a = sfft.ifft(a, axis=-2, overwrite_x=True, workers=_WORKERS)
+    b = np.zeros(lead + (n, n, p), dtype=np.complex128)
+    for c, g in cube.runs:
+        b[..., g, :, :] = a[..., c, :, :]
+    del a  # freed before irfft copies b into n/2+1 planes
+    b = sfft.ifft(b, axis=-3, overwrite_x=True, workers=_WORKERS)
+    return sfft.irfft(b, n=n, axis=-1, workers=_WORKERS)
+
+
+def _real_to_cube(samples: np.ndarray, cube: _Cube) -> np.ndarray:
+    """The coefficients on ``cube`` of real samples (..., n, n, n): rfft along z
+    keeping the cube's planes, fft along x keeping its rows, then along y."""
+    a = sfft.rfft(samples, axis=-1, workers=_WORKERS)[..., : cube.planes]
+    a = sfft.fft(a, axis=-3, workers=_WORKERS)
+    a = np.concatenate([a[..., g, :, :] for _, g in cube.runs], axis=-3)
+    a = sfft.fft(a, axis=-2, overwrite_x=True, workers=_WORKERS)
+    return np.concatenate([a[..., g, :] for _, g in cube.runs], axis=-2)
+
+
 @dataclass(frozen=True)
 class FracParams:
     """Dissipation exponent and dealiasing switch for the solve pipelines."""
@@ -284,7 +360,9 @@ def kernel_tensor(grid: Grid, m: np.ndarray):
                 flip = flip ^ grid.on_nyquist[c]
         sym *= ~flip
         sym[0, 0, 0] = 0.0
-        return _irfftn(sym, overwrite_x=True) / grid.cell_volume
+        out = _irfftn(sym, overwrite_x=True)
+        out /= grid.cell_volume
+        return out
 
     xi = grid.xi
     A = [real_space(-1j * xi[k] * m, (k,)) for k in range(3)]
@@ -298,46 +376,54 @@ def kernel_tensor(grid: Grid, m: np.ndarray):
                 yield i, j, k, A[k] + C
 
 
-def _advection_divergence(v: SpectralVectorField, dealias: bool) -> np.ndarray:
-    """D_j = sum_k 1j xi_k W_jk = div(v (x) v), W_jk the transform of v_j v_k formed
-    in physical space after a 2/3-rule truncation of the inputs (when ``dealias``);
-    D is truncated likewise and its Nyquist rows are zeroed.  W is symmetric: each
-    of its six products is transformed once, one at a time, into both rows.
+def _advection_divergence(v: SpectralVectorField, dealias: bool) -> SpectralVectorField:
+    """D_j = sum_k 1j xi_k W_jk = div(v (x) v) on the dealias cube (``_Cube``), W_jk
+    the transform of v_j v_k formed in physical space after a 2/3-rule truncation
+    of the inputs (when ``dealias``); D is truncated likewise and its Nyquist rows
+    are zeroed.  Every mode outside the cube is 0 in D.  W is symmetric: each of
+    its six products is transformed once, one at a time, into both rows.
 
     Finiteness is checked on the samples and on D: a product of finite samples
     can only overflow to +-inf, which its transform carries into D."""
-    g = v.grid
-    vin = v.data * g.dealias_mask if dealias else v.data
-    phys = _irfftn(vin, axes=(1, 2, 3))
+    cube = _Cube(v.grid, dealias)
+    vin = cube.gather(v.data)
+    if dealias:
+        vin *= cube.dealias_mask
+    phys = _cube_to_real(vin, cube)
     del vin  # the truncated copy is not read past the transform
     if not np.all(np.isfinite(phys)):
         raise NumericalBlowup("non-finite samples entering the quadratic term")
-    div = np.zeros((3,) + g.spectral_shape, dtype=np.complex128)
+    ixi = [1j * x for x in cube.xi]
+    div = np.zeros((3,) + cube.spectral_shape, dtype=np.complex128)
+    tmp = np.empty(cube.spectral_shape, dtype=np.complex128)
     for j in range(3):
         for k in range(j, 3):
-            w_hat = sfft.rfftn(phys[j] * phys[k], workers=_WORKERS)
-            div[j] += 1j * g.xi[k] * w_hat
+            w_hat = _real_to_cube(phys[j] * phys[k], cube)
+            div[j] += np.multiply(ixi[k], w_hat, out=tmp)
             if k != j:
-                div[k] += 1j * g.xi[j] * w_hat
+                div[k] += np.multiply(ixi[j], w_hat, out=tmp)
     if not np.all(np.isfinite(div)):
         raise NumericalBlowup("overflow while forming the quadratic term")
-    div *= g.nyquist_free
+    div *= cube.nyquist_free
     if dealias:
-        div *= g.dealias_mask
-    return div
+        div *= cube.dealias_mask
+    return SpectralVectorField(cube, div)
 
 
 def projected_advection(v: SpectralVectorField, dealias: bool = True) -> SpectralVectorField:
-    """Leray-projected divergence of v (x) v: P D, D from ``_advection_divergence``."""
-    return leray_project(SpectralVectorField(v.grid, _advection_divergence(v, dealias)))
+    """Leray-projected divergence of v (x) v: P D, D from ``_advection_divergence``,
+    projected on the cube and zero-filled to the half lattice."""
+    pd = leray_project(_advection_divergence(v, dealias))
+    return SpectralVectorField(v.grid, pd.grid.scatter(pd.data))
 
 
 def apply_bilinear(v: SpectralVectorField, params: FracParams) -> SpectralVectorField:
-    """-(-Lap)^(-alpha/2) P div(v (x) v): one application of the quadratic map.
+    """-(-Lap)^(-alpha/2) P div(v (x) v): one application of the quadratic map,
+    projected and lifted on the cube, then zero-filled to the half lattice once.
     P D has a zero mode of exactly 0, so the lift is applied in place, unchecked."""
-    out = projected_advection(v, dealias=params.dealias)
-    out.data *= -v.grid.power(-params.alpha)
-    return out
+    pd = leray_project(_advection_divergence(v, params.dealias))
+    pd.data *= -pd.grid.power(-params.alpha)
+    return SpectralVectorField(v.grid, pd.grid.scatter(pd.data))
 
 
 def semigroup_multiply(v: SpectralVectorField, t: float, alpha: float) -> SpectralVectorField:

@@ -185,6 +185,15 @@ class TestMainEntry:
         payload = json.loads((tmp_path / "report.json").read_text())
         assert payload["error"] == "MemoryError: cannot allocate the velocity field"
 
+    def test_degenerate_force_error_report(self, tmp_path):
+        force = {"amplitude": 0.1, "r1": 3.0, "seed": 4, "symmetrize": True}
+        cfg = {"n": 16, "box_length": 4.0, "force": force, "output_dir": str(tmp_path)}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["solve", "--config", str(path)]) == EXIT_VALIDATION
+        payload = json.loads((tmp_path / "report.json").read_text())
+        assert payload["error"].startswith("DegenerateInput")
+
     def test_out_of_memory_in_validation_exit(self, tmp_path, monkeypatch):
         def exhausted(self):
             raise MemoryError("cannot allocate the grid")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_real_field, realness_defect
-from fracns.errors import InvalidAnnulus
+from fracns.errors import DegenerateInput, InvalidAnnulus
 from fracns.forces import (
     ForceSpec,
     make_force,
@@ -14,6 +14,7 @@ from fracns.forces import (
 from fracns.solver import SolverConfig, lift_force, solve_steady, weak_lorentz_norm
 from fracns.spectral import (
     FracParams,
+    Grid,
     RealVectorField,
     l2_norm,
     to_real,
@@ -133,6 +134,13 @@ class TestAnnulusForce:
         M = moment_matrix(u0)
         assert M[0, 0] / M[1, 1] > 1.2
         assert scalar_deviation(M) >= 0.05
+
+    def test_force_projecting_to_round_off_rejected(self):
+        # the rotation average of this draw is a gradient field, which the
+        # projection reduces to ~1e-19; scaling that to the amplitude gave noise
+        spec = ForceSpec(amplitude=0.1, r1=3.0, seed=4, symmetrize=True)
+        with pytest.raises(DegenerateInput):
+            make_force(spec, Grid(16, 4.0), 1.5)
 
     def test_isotropic_symmetrized_moment_scalar(self, grid32):
         spec = ForceSpec(amplitude=0.1, r1=3.5, seed=7, symmetrize=True)

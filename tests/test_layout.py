@@ -6,7 +6,9 @@ translation phase exp(-i xi . x0) in ``Grid.shift_phase``; every other
 module calls them instead of writing the symbol out again.  The product
 v_j v_k of the advection term is formed only in
 ``spectral._advection_divergence``.  Transforms are taken in ``spectral``
-alone, and only between real samples and the half lattice (rfftn/irfftn).
+alone and are real: rfftn/irfftn between samples and the half lattice, and
+the pruned pair between samples and the dealias cube, whose one-axis complex
+stages (fft/ifft) appear in its two helpers and nowhere else.
 """
 
 import ast
@@ -30,11 +32,14 @@ def _hits(pattern):
     ]
 
 
-def _grid_method_lines(name):
-    tree = ast.parse((SRC / "spectral.py").read_text())
-    grid = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Grid")
-    method = next(n for n in grid.body if isinstance(n, ast.FunctionDef) and n.name == name)
-    return range(method.lineno, method.end_lineno + 1)
+def _spectral_def_lines(*path):
+    """Lines of the definition reached through ``path`` (class, then method) in spectral.py."""
+    body = ast.parse((SRC / "spectral.py").read_text()).body
+    for name in path:
+        defs = (n for n in body if isinstance(n, (ast.ClassDef, ast.FunctionDef)))
+        node = next(n for n in defs if n.name == name)
+        body = node.body
+    return range(node.lineno, node.end_lineno + 1)
 
 
 @pytest.mark.parametrize(
@@ -49,7 +54,7 @@ def test_symbol_formed_once_inside_grid(pattern, home):
     hits = _hits(pattern)
     assert len(hits) == 1, hits
     name, lineno = hits[0]
-    assert name == "spectral.py" and lineno in _grid_method_lines(home), hits
+    assert name == "spectral.py" and lineno in _spectral_def_lines("Grid", home), hits
 
 
 @pytest.mark.parametrize(
@@ -72,5 +77,11 @@ def test_transforms_taken_in_spectral_only():
 
 
 def test_no_full_complex_transform():
-    # fftn/ifftn (and fft, fft2, ...) would carry both halves of a Hermitian spectrum
-    assert _hits(r"\.i?fft[n2]?\(") == []
+    # fftn/ifftn/fft2/ifft2 would carry both halves of a Hermitian spectrum; the
+    # one-axis fft/ifft stages belong to the pruned pair's two helpers alone
+    assert _hits(r"\.i?fft[n2]\(") == []
+    helpers = [_spectral_def_lines(name) for name in ("_cube_to_real", "_real_to_cube")]
+    hits = _hits(r"\.i?fft\(")
+    assert {name for name, _ in hits} == {"spectral.py"}, hits
+    assert all(any(line in lines for lines in helpers) for _, line in hits), hits
+    assert all(any(line in lines for _, line in hits) for lines in helpers), hits

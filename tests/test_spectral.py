@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_divfree_spectral, random_real_field, realness_defect
+from fracns import spectral
 from fracns.errors import InvalidGrid, NumericalBlowup, ZeroModeUndefined
 from fracns.spectral import (
     FracParams,
@@ -122,6 +123,23 @@ class TestHalfLattice:
         inner = g.cell_volume * np.sum(u.data * w.data)
         got = l2_inner(to_spectral(u), to_spectral(w))
         assert abs(got - inner) <= 1e-13 * l2_norm(u) * l2_norm(w)
+
+    @settings(max_examples=20, deadline=None)
+    @given(n=HALF_SIZES, box=BOXES)
+    def test_dealias_cube_is_the_box_of_kept_modes(self, n, box):
+        # every mode the 2/3 rule keeps lies in the cube, and each of its faces
+        # (k_x, k_y = +-m, k_z = 0 and m) holds a kept mode
+        g = Grid(n, box)
+        cube = spectral._Cube(g, dealias=True)
+        inside = cube.scatter(np.ones(cube.spectral_shape, dtype=bool))
+        assert not np.any(g.dealias_mask & ~inside)
+        kept = cube.gather(g.dealias_mask)
+        k_rows = cube.gather(np.broadcast_to(g.k_int[:, None, None], g.spectral_shape))[:, 0, 0]
+        ks = [k_rows, k_rows, g.k_int[: cube.planes]]
+        for axis, k in enumerate(ks):
+            for face in (np.argmin(k), np.argmax(k)):
+                assert np.any(np.take(kept, face, axis=axis)), (axis, k[face])
+        assert spectral._Cube(g, dealias=False).spectral_shape == g.spectral_shape
 
 
 class TestTransforms:
@@ -324,6 +342,22 @@ class TestApplyBilinear:
         want = fractional_power(projected_advection(v), -params.alpha).data
         assert np.array_equal(out.data, -want)
         assert np.all(out.data[:, 0, 0, 0] == 0.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.sampled_from([10, 14, 18, 24]),
+        box=BOXES,
+        seed=st.integers(0, 2**16),
+        dealias=st.booleans(),
+    )
+    def test_lift_of_projected_advection_where_cube_rounds(self, n, box, seed, dealias):
+        # sizes where n/3 has fractional part 1/3, 2/3 or none: the cube path
+        # of apply_bilinear and the zero-filled projected_advection agree exactly
+        v = random_divfree_spectral(Grid(n, box), seed=seed)
+        params = FracParams(1.5, dealias)
+        out = apply_bilinear(v, params)
+        want = fractional_power(projected_advection(v, dealias), -params.alpha).data
+        assert np.array_equal(out.data, -want)
 
     def test_scaling_covariance(self, grid32):
         # u_lam(x) = lam^(alpha-1) u(lam x) realized with the same mode count
