@@ -32,21 +32,22 @@ EXIT_DIVERGED = 4
 EXIT_NOT_CONVERGED = 5
 
 
+def _finite_positive(x) -> bool:
+    return isinstance(x, numbers.Real) and bool(np.isfinite(x)) and x > 0
+
+
 @dataclass
 class RunConfig:
     experiment: str = "solve"
     n: int = 128
     box_length: float = 32.0
     alpha: float = 1.5
-    dealias: bool = True
     force: forces.ForceSpec = field(default_factory=forces.ForceSpec)
     tol_rel: float = 1e-12
     max_iter: int = 200
     divergence_factor: float = 1e3
     seed: int = 0
     output_dir: str = "."
-    emit_csv: bool = True
-    emit_json: bool = True
     # experiment-specific knobs
     window: tuple | None = None
     nbins: int = 12
@@ -63,7 +64,7 @@ class RunConfig:
             if not (isinstance(seed, numbers.Integral) and seed >= 0):
                 raise ValueError(f"seeds must be nonnegative integers, got {seed!r}")
         grid = spectral.Grid(self.n, self.box_length)
-        params = spectral.FracParams(self.alpha, self.dealias)
+        params = spectral.FracParams(self.alpha)
         cfg = solver.SolverConfig(
             params,
             tol_rel=self.tol_rel,
@@ -86,14 +87,20 @@ class RunConfig:
             raise ValueError(f"fit window must be two numbers within box_length/4, got {w}")
         if self.experiment == "nonexist" and not self.force.amplitude > 0:
             raise ValueError("nonexist fits deviations over amplitudes: need amplitude > 0")
+        if self.experiment in ("decay", "profile") and not (
+                isinstance(self.nbins, numbers.Integral) and self.nbins >= 8):
+            raise ValueError(f"the decay fit needs an integer nbins >= 8, got {self.nbins!r}")
+        if self.experiment == "evolve" and not (
+                _finite_positive(self.evolve_T) and _finite_positive(self.evolve_dt)):
+            raise ValueError("evolve_T and evolve_dt must be finite and positive, got "
+                             f"{self.evolve_T!r} and {self.evolve_dt!r}")
         if self.experiment in ("profile", "nonexist", "kernel"):
             spectral.check_grid(self.kernel_n, 1.0)
         if self.experiment == "kernel":
             if len(self.kernel_box) != 2:
                 raise ValueError(f"kernel_box must be [n, box], got {list(self.kernel_box)}")
             spectral.check_grid(*self.kernel_box)
-            if not (self.kernel_times
-                    and all(np.isfinite(t) and t > 0 for t in self.kernel_times)):
+            if not (self.kernel_times and all(map(_finite_positive, self.kernel_times))):
                 raise ValueError(
                     f"kernel times must be finite and positive, got {self.kernel_times}")
         return grid, params, cfg
@@ -236,10 +243,8 @@ def _run_decay(config: RunConfig, outdir: str):
     metrics["fitted_exponent"] = prof.fitted_exponent
     metrics["fit_stderr"] = prof.fit_stderr
     metrics["expected_exponent"] = 4.0 - config.alpha
-    if config.emit_csv:
-        path = os.path.join(outdir, "decay_profile.csv")
-        emit_radial_csv(prof, path)
-        artifacts.append("decay_profile.csv")
+    emit_radial_csv(prof, os.path.join(outdir, "decay_profile.csv"))
+    artifacts.append("decay_profile.csv")
     return metrics, artifacts
 
 
@@ -265,10 +270,9 @@ def _run_profile(config: RunConfig, outdir: str):
     metrics["remainder_stderr"] = rem.fit_stderr
     metrics["kernel_bound_constant"] = kernel.bound_constant
     metrics["moment_deviation"] = forces.scalar_deviation(M)
-    if config.emit_csv:
-        emit_radial_csv(prof_u, os.path.join(outdir, "decay_profile.csv"))
-        emit_radial_csv(rem, os.path.join(outdir, "remainder_profile.csv"))
-        artifacts += ["decay_profile.csv", "remainder_profile.csv"]
+    emit_radial_csv(prof_u, os.path.join(outdir, "decay_profile.csv"))
+    emit_radial_csv(rem, os.path.join(outdir, "remainder_profile.csv"))
+    artifacts += ["decay_profile.csv", "remainder_profile.csv"]
     return metrics, artifacts
 
 
@@ -304,16 +308,15 @@ def _run_nonexist(config: RunConfig, outdir: str):
     metrics["deviation_isotropic"] = cert_iso["deviation"]
     metrics["affirmative_isotropic"] = float(cert_iso["affirmative"])
 
-    if config.emit_csv:
-        lines = ["eta,deviation,raw_deviation,lower_bound,affirmative"]
-        for eta, cert in rows:
-            lines.append(
-                f"{_fmt(eta)},{_fmt(cert['deviation'])},{_fmt(cert['raw_deviation'])},"
-                f"{_fmt(cert['leading_lower_bound'])},{int(cert['affirmative'])}"
-            )
-        path = os.path.join(outdir, "nonexistence.csv")
-        _atomic_write(path, "\n".join(lines) + "\n")
-        artifacts.append("nonexistence.csv")
+    lines = ["eta,deviation,raw_deviation,lower_bound,affirmative"]
+    for eta, cert in rows:
+        lines.append(
+            f"{_fmt(eta)},{_fmt(cert['deviation'])},{_fmt(cert['raw_deviation'])},"
+            f"{_fmt(cert['leading_lower_bound'])},{int(cert['affirmative'])}"
+        )
+    path = os.path.join(outdir, "nonexistence.csv")
+    _atomic_write(path, "\n".join(lines) + "\n")
+    artifacts.append("nonexistence.csv")
     return metrics, artifacts
 
 
@@ -327,13 +330,12 @@ def _run_evolve(config: RunConfig, outdir: str):
     drift = np.asarray(traj.drift_history)
     metrics["max_drift"] = float(np.max(drift))
     metrics["final_drift"] = float(drift[-1])
-    if config.emit_csv:
-        lines = ["t,drift"]
-        for i, d in enumerate(drift):
-            lines.append(f"{_fmt(i * config.evolve_dt)},{_fmt(d)}")
-        path = os.path.join(outdir, "drift_history.csv")
-        _atomic_write(path, "\n".join(lines) + "\n")
-        artifacts.append("drift_history.csv")
+    lines = ["t,drift"]
+    for i, d in enumerate(drift):
+        lines.append(f"{_fmt(i * config.evolve_dt)},{_fmt(d)}")
+    path = os.path.join(outdir, "drift_history.csv")
+    _atomic_write(path, "\n".join(lines) + "\n")
+    artifacts.append("drift_history.csv")
     return metrics, artifacts
 
 
@@ -390,16 +392,15 @@ def _run_kernel(config: RunConfig, outdir: str):
         metrics[f"K_scaled_t{i}"] = float(tab["K_mass_scaled"][i])
     km = tab["K_mass_scaled"]
     metrics["K_scaled_variation"] = float(km.max() / km.min() - 1.0)
-    if config.emit_csv:
-        lines = ["t,p_mass,grad_p_mass_scaled,K_mass_scaled"]
-        for i in range(len(tab["t"])):
-            lines.append(
-                f"{_fmt(tab['t'][i])},{_fmt(tab['p_mass'][i])},"
-                f"{_fmt(tab['grad_p_mass_scaled'][i])},{_fmt(tab['K_mass_scaled'][i])}"
-            )
-        path = os.path.join(outdir, "kernel_masses.csv")
-        _atomic_write(path, "\n".join(lines) + "\n")
-        artifacts.append("kernel_masses.csv")
+    lines = ["t,p_mass,grad_p_mass_scaled,K_mass_scaled"]
+    for i in range(len(tab["t"])):
+        lines.append(
+            f"{_fmt(tab['t'][i])},{_fmt(tab['p_mass'][i])},"
+            f"{_fmt(tab['grad_p_mass_scaled'][i])},{_fmt(tab['K_mass_scaled'][i])}"
+        )
+    path = os.path.join(outdir, "kernel_masses.csv")
+    _atomic_write(path, "\n".join(lines) + "\n")
+    artifacts.append("kernel_masses.csv")
     return metrics, artifacts
 
 
@@ -431,8 +432,7 @@ def run(config: RunConfig) -> RunReport:
                       for k, v in metrics.items()}
     report.artifacts = artifacts
     report.wall_time = time.perf_counter() - t0
-    if config.emit_json:
-        _atomic_write(os.path.join(outdir, "report.json"), report.to_json())
+    _atomic_write(os.path.join(outdir, "report.json"), report.to_json())
     return report
 
 
@@ -519,9 +519,7 @@ def _emit_error_report(config: RunConfig, name: str, message: str):
         artifacts=[],
         error=f"{name}: {message}",
     )
-    if config.emit_json:
-        _atomic_write(os.path.join(config.output_dir or ".", "report.json"),
-                      report.to_json())
+    _atomic_write(os.path.join(config.output_dir or ".", "report.json"), report.to_json())
 
 
 if __name__ == "__main__":

@@ -99,7 +99,7 @@ def evolve_mild(
     pf[:, 0, 0, 0] = 0.0
 
     def nonlinear(vdata):
-        adv = projected_advection(SpectralVectorField(g, vdata), dealias=params.dealias)
+        adv = projected_advection(SpectralVectorField(g, vdata))
         return pf - adv.data
 
     traj = Trajectory()
@@ -193,12 +193,8 @@ def kernel_l1_check(alpha: float, times, n: int = 128, box: float = 8.0) -> dict
         rows["grad_p_mass_scaled"].append(t ** (1.0 / alpha) * h3 * float(np.sum(gmag)))
 
         acc = np.zeros((grid.n, grid.n, grid.n))
-        tmp = np.empty_like(acc)
         for i, j, k, K in kernel_tensor(grid, mult * grid.nyquist_free):
-            np.square(K, out=tmp)
-            if i != j:
-                tmp *= 2.0
-            acc += tmp
+            acc += np.square(K) if i == j else 2.0 * np.square(K)
         kmag_field = np.sqrt(acc)
         rows["K_mass_scaled"].append(t ** (1.0 / alpha) * h3 * float(np.sum(kmag_field)))
     return {k: np.asarray(v) for k, v in rows.items()}

@@ -11,6 +11,7 @@ the 24 cube rotations forces it to be scalar exactly.
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +55,9 @@ class ForceSpec:
             raise ValueError("amplitude must be nonnegative (0 means no forcing)")
         if not (0 < self.r0 < self.r1):
             raise InvalidAnnulus(f"need 0 < r0 < r1, got ({self.r0}, {self.r1})")
+        a = self.anisotropy
+        if not (len(a) == 3 and all(isinstance(x, numbers.Real) and np.isfinite(x) for x in a)):
+            raise ValueError(f"anisotropy must be three finite numbers, got {list(a)}")
 
     def to_dict(self):
         return {
@@ -262,7 +266,7 @@ def make_force(spec: ForceSpec, grid: Grid, alpha: float) -> SpectralVectorField
             )
     if spec.amplitude == 0.0:
         return zero_spectral(grid)
-    params = FracParams(alpha=alpha, dealias=True)
+    params = FracParams(alpha=alpha)
     builder = _RAW_BUILDERS[spec.kind]
     anisotropic = not np.allclose(spec.anisotropy, (1.0, 1.0, 1.0))
 

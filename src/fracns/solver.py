@@ -12,6 +12,7 @@ bilinear constant) and reported alongside the run.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,8 +43,8 @@ class SolverConfig:
     def __post_init__(self):
         if not (0.0 < self.tol_rel < 1.0):
             raise ValueError("tol_rel must lie in (0, 1)")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+        if not (isinstance(self.max_iter, numbers.Integral) and self.max_iter >= 1):
+            raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
         if self.divergence_factor <= 1.0:
             raise ValueError("divergence_factor must exceed 1")
 
@@ -126,7 +127,7 @@ def solve_steady(f: SpectralVectorField, config: SolverConfig) -> SteadySolution
 
     # measured contraction data; B(u, u) = -(-Lap)^(-alpha/2) adv, whose sign the norm ignores
     u_lorentz = weak_lorentz_norm(u, alpha)
-    adv = projected_advection(u, dealias=params.dealias)
+    adv = projected_advection(u)
     b_lorentz = weak_lorentz_norm(fractional_power(adv, -alpha), alpha)
     diag.residual = residual(u, f, params, adv=adv)
     diag.solution_lorentz_norm = u_lorentz
@@ -142,7 +143,7 @@ def solve_steady(f: SpectralVectorField, config: SolverConfig) -> SteadySolution
 def _residual_terms(u, f, params, adv=None):
     diss = fractional_power(u, params.alpha)
     if adv is None:
-        adv = projected_advection(u, dealias=params.dealias)
+        adv = projected_advection(u)
     pf = leray_project(f)
     return diss, adv, pf
 
@@ -158,21 +159,19 @@ def residual(u: SpectralVectorField, f: SpectralVectorField, params: FracParams,
     return l2_norm(SpectralVectorField(u.grid, r))
 
 
-def recover_pressure(u: SpectralVectorField, f: SpectralVectorField, params: FracParams) -> np.ndarray:
+def recover_pressure(u: SpectralVectorField, f: SpectralVectorField) -> np.ndarray:
     """Pressure from velocity and force, as a mean-free scalar spectral field:
     p = 1j xi . (D - f) / |xi|^2, the longitudinal part of the momentum balance,
-    D the divergence of the (dealiased) u (x) u.  xi . f is taken apart from
+    D the divergence of the dealiased u (x) u.  xi . f is taken apart from
     xi . D: for a divergence-free f, D - f would add rounding of size |xi| |f|.
     p is formed on D's cube, outside which the dealias mask zeroes it."""
-    div = _advection_divergence(u, params.dealias)
+    div = _advection_divergence(u)
     cube, d = div.grid, div.data
     xi, fc = cube.xi, cube.gather(f.data)
     p_hat = 1j * (xi[0] * d[0] + xi[1] * d[1] + xi[2] * d[2]
                   - (xi[0] * fc[0] + xi[1] * fc[1] + xi[2] * fc[2]))
-    p_hat *= cube.nyquist_free
     p_hat *= cube.power(-2.0)
-    if params.dealias:
-        p_hat *= cube.dealias_mask
+    p_hat *= cube.dealias_mask
     return cube.scatter(p_hat)
 
 

@@ -198,15 +198,15 @@ def scalar_to_spectral(samples: np.ndarray) -> np.ndarray:
 
 class _Cube:
     """The box of half-lattice modes the quadratic map keeps: the rows and
-    planes of ``grid`` that hold a mode of the 2/3-rule mask (with ``dealias``
-    off, every mode, so the box is the whole half lattice).  On the
-    dealiased sphere that is |k_x|, |k_y| <= m and 0 <= k_z <= m, m the
-    largest kept |k| on an axis.  The cube stands in for its Grid where an
-    operator reads symbols (``leray_project``, the lift): each symbol is the
-    Grid's own, gathered, so ``Grid.power`` keeps the one zero-mode rule."""
+    planes of ``grid`` that hold a mode of the 2/3-rule mask, |k_x|, |k_y| <= m
+    and 0 <= k_z <= m, m the largest kept |k| on an axis.  As m <= n/3 < n/2,
+    the box holds no Nyquist row or plane.  The cube stands in for its Grid
+    where an operator reads symbols (``leray_project``, the lift): ``xi`` and
+    ``kmag`` are the Grid's own, gathered, and ``power`` is ``Grid.power``
+    itself, so the one zero-mode rule applies (the cube's first mode is k = 0)."""
 
-    def __init__(self, grid: Grid, dealias: bool):
-        keep = grid.dealias_mask if dealias else np.ones(grid.spectral_shape, dtype=bool)
+    def __init__(self, grid: Grid):
+        keep = grid.dealias_mask
         n, k = grid.n, grid.k_int[keep.any(axis=(1, 2))]  # the mask is symmetric in x, y
         lo, hi = int(np.sum(k >= 0)), int(np.sum(k < 0))
         self.grid = grid
@@ -216,8 +216,10 @@ class _Cube:
         self.spectral_shape = (lo + hi, lo + hi, self.planes)
         rows, xi = np.r_[0:lo, n - hi : n], grid.xi
         self.xi = [xi[0][rows], xi[1][:, rows], xi[2][..., : self.planes]]
-        self.nyquist_free = self.gather(grid.nyquist_free)
-        self.dealias_mask = self.gather(grid.dealias_mask)
+        self.kmag = self.gather(grid.kmag)
+        self.dealias_mask = self.gather(keep)
+
+    power = Grid.power
 
     def _blocks(self):
         """(cube, grid) indices of the four blocks the two runs of rows make."""
@@ -237,9 +239,6 @@ class _Cube:
         for c, g in self._blocks():
             out[g] = a[c]
         return out
-
-    def power(self, beta: float) -> np.ndarray:
-        return self.gather(self.grid.power(beta))
 
 
 def _cube_to_real(coeffs: np.ndarray, cube: _Cube) -> np.ndarray:
@@ -272,10 +271,9 @@ def _real_to_cube(samples: np.ndarray, cube: _Cube) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FracParams:
-    """Dissipation exponent and dealiasing switch for the solve pipelines."""
+    """Dissipation exponent for the solve pipelines."""
 
     alpha: float
-    dealias: bool = True
 
     def __post_init__(self):
         lo, hi = ALPHA_SOLVE_RANGE
@@ -376,19 +374,18 @@ def kernel_tensor(grid: Grid, m: np.ndarray):
                 yield i, j, k, A[k] + C
 
 
-def _advection_divergence(v: SpectralVectorField, dealias: bool) -> SpectralVectorField:
+def _advection_divergence(v: SpectralVectorField) -> SpectralVectorField:
     """D_j = sum_k 1j xi_k W_jk = div(v (x) v) on the dealias cube (``_Cube``), W_jk
     the transform of v_j v_k formed in physical space after a 2/3-rule truncation
-    of the inputs (when ``dealias``); D is truncated likewise and its Nyquist rows
-    are zeroed.  Every mode outside the cube is 0 in D.  W is symmetric: each of
-    its six products is transformed once, one at a time, into both rows.
+    of the inputs; D is truncated likewise.  Every mode outside the cube, the
+    Nyquist rows among them, is 0 in D.  W is symmetric: each of its six products
+    is transformed once, one at a time, into both rows.
 
     Finiteness is checked on the samples and on D: a product of finite samples
     can only overflow to +-inf, which its transform carries into D."""
-    cube = _Cube(v.grid, dealias)
+    cube = _Cube(v.grid)
     vin = cube.gather(v.data)
-    if dealias:
-        vin *= cube.dealias_mask
+    vin *= cube.dealias_mask
     phys = _cube_to_real(vin, cube)
     del vin  # the truncated copy is not read past the transform
     if not np.all(np.isfinite(phys)):
@@ -404,16 +401,14 @@ def _advection_divergence(v: SpectralVectorField, dealias: bool) -> SpectralVect
                 div[k] += np.multiply(ixi[j], w_hat, out=tmp)
     if not np.all(np.isfinite(div)):
         raise NumericalBlowup("overflow while forming the quadratic term")
-    div *= cube.nyquist_free
-    if dealias:
-        div *= cube.dealias_mask
+    div *= cube.dealias_mask
     return SpectralVectorField(cube, div)
 
 
-def projected_advection(v: SpectralVectorField, dealias: bool = True) -> SpectralVectorField:
+def projected_advection(v: SpectralVectorField) -> SpectralVectorField:
     """Leray-projected divergence of v (x) v: P D, D from ``_advection_divergence``,
     projected on the cube and zero-filled to the half lattice."""
-    pd = leray_project(_advection_divergence(v, dealias))
+    pd = leray_project(_advection_divergence(v))
     return SpectralVectorField(v.grid, pd.grid.scatter(pd.data))
 
 
@@ -421,7 +416,7 @@ def apply_bilinear(v: SpectralVectorField, params: FracParams) -> SpectralVector
     """-(-Lap)^(-alpha/2) P div(v (x) v): one application of the quadratic map,
     projected and lifted on the cube, then zero-filled to the half lattice once.
     P D has a zero mode of exactly 0, so the lift is applied in place, unchecked."""
-    pd = leray_project(_advection_divergence(v, params.dealias))
+    pd = leray_project(_advection_divergence(v))
     pd.data *= -pd.grid.power(-params.alpha)
     return SpectralVectorField(v.grid, pd.grid.scatter(pd.data))
 

@@ -233,7 +233,7 @@ class TestCaccioppoli:
         alpha = small_solution["config"].params.alpha
         u = to_real(sol.velocity)
         R = g.box_length / 4
-        p = recover_pressure(sol.velocity, f, small_solution["config"].params)
+        p = recover_pressure(sol.velocity, f)
         out = caccioppoli_energy(u, p, R, alpha)
 
         from fracns.asymptotics import _cutoff

@@ -225,6 +225,33 @@ class TestMainEntry:
     def test_config_not_an_object_rejected(self, tmp_path, monkeypatch):
         self._rejected_before_run(tmp_path, monkeypatch, "solve", [1, 2])
 
+    @pytest.mark.parametrize(
+        "experiment, cfg",
+        [
+            ("decay", {"nbins": 2.5}),
+            ("decay", {"nbins": 3}),
+            ("profile", {"nbins": 7}),
+            ("solve", {"force": {"r1": 3.0, "anisotropy": [2, 1]}}),
+            ("solve", {"force": {"r1": 3.0, "anisotropy": [2, 1, "x"]}}),
+            ("evolve", {"evolve_dt": "x"}),
+            ("evolve", {"evolve_T": 0.0}),
+            ("solve", {"max_iter": 2.5}),
+            ("solve", {"max_iter": 0}),
+        ],
+        ids=["nbins_fractional", "nbins_small", "profile_nbins_small", "anisotropy_two",
+             "anisotropy_not_number", "evolve_dt_string", "evolve_T_zero",
+             "max_iter_fractional", "max_iter_zero"],
+    )
+    def test_bad_knob_rejected(self, tmp_path, monkeypatch, experiment, cfg):
+        cfg = {"n": 16, "box_length": 8.0, "force": {"r1": 3.0}, **cfg}
+        self._rejected_before_run(tmp_path, monkeypatch, experiment, cfg)
+
+    @pytest.mark.parametrize("key", ["dealias", "emit_csv", "emit_json"])
+    def test_retired_switch_rejected(self, tmp_path, monkeypatch, key):
+        # the 2/3 rule, the CSVs and the report are not optional
+        cfg = {"n": 16, "box_length": 8.0, "force": {"r1": 3.0}, key: False}
+        self._rejected_before_run(tmp_path, monkeypatch, "solve", cfg)
+
     def test_window_not_two_numbers_rejected(self, tmp_path, monkeypatch):
         cfg = {"n": 16, "box_length": 8.0, "force": {"r1": 3.0}, "window": [1.0]}
         self._rejected_before_run(tmp_path, monkeypatch, "decay", cfg)

@@ -8,7 +8,9 @@ v_j v_k of the advection term is formed only in
 ``spectral._advection_divergence``.  Transforms are taken in ``spectral``
 alone and are real: rfftn/irfftn between samples and the half lattice, and
 the pruned pair between samples and the dealias cube, whose one-axis complex
-stages (fft/ifft) appear in its two helpers and nowhere else.
+stages (fft/ifft) appear in its two helpers and nowhere else.  The 2/3
+rule, the CSVs and the report are not options: no parameter or field turns
+them off.
 """
 
 import ast
@@ -69,6 +71,19 @@ def test_quadratic_product_formed_once():
     hits = _hits(r"phys\[j\]\s*\*\s*phys\[k\]")
     assert [name for name, _ in hits] == ["spectral.py"], hits
     assert _hits(r"_quadratic_products") == []
+
+
+def test_no_switch_for_the_method():
+    names = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.arg):
+                names.append((path.name, node.lineno, node.arg))
+            elif isinstance(node, ast.ClassDef):
+                names += [(path.name, s.lineno, s.target.id) for s in node.body
+                          if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)]
+    switches = [x for x in names if x[2] in ("dealias", "emit_csv", "emit_json")]
+    assert names and switches == [], switches
 
 
 def test_transforms_taken_in_spectral_only():

@@ -34,19 +34,17 @@ from fracns.spectral import (
 )
 
 
-def unprojected_advection(u, dealias=True):
+def unprojected_advection(u):
     """div(u (x) u) from all nine products, masked like projected_advection."""
     g = u.grid
-    vin = u.data * g.dealias_mask if dealias else u.data
-    phys = sfft.irfftn(vin, s=(g.n,) * 3, axes=(1, 2, 3))
+    phys = sfft.irfftn(u.data * g.dealias_mask, s=(g.n,) * 3, axes=(1, 2, 3))
     div = np.zeros((3,) + g.spectral_shape, complex)
     for j in range(3):
         for k in range(3):
             w = sfft.rfftn(phys[j] * phys[k])
             div[j] += 1j * g.xi[k] * w
     div *= g.nyquist_free
-    if dealias:
-        div *= g.dealias_mask
+    div *= g.dealias_mask
     return div
 
 
@@ -56,13 +54,12 @@ class TestAdvectionDivergence:
         n=st.sampled_from([8, 10, 12, 14, 16, 18, 24]),
         box=st.floats(1.0, 40.0),
         seed=st.integers(0, 2**32 - 1),
-        dealias=st.booleans(),
     )
-    def test_matches_nine_product_reference(self, n, box, seed, dealias):
+    def test_matches_nine_product_reference(self, n, box, seed):
         g = Grid(n, box)
         u = random_divfree_spectral(g, seed=seed)
-        want = unprojected_advection(u, dealias)
-        d = spectral._advection_divergence(u, dealias)
+        want = unprojected_advection(u)
+        d = spectral._advection_divergence(u)
         got = d.grid.scatter(d.data)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -163,9 +160,9 @@ class TestSolveSteady:
         # data that also gives the stored residual
         calls = []
 
-        def counted(v, dealias, _adv=spectral._advection_divergence):
-            calls.append(dealias)
-            return _adv(v, dealias)
+        def counted(v, _adv=spectral._advection_divergence):
+            calls.append(v)
+            return _adv(v)
 
         f = make_force(ForceSpec(amplitude=0.05, r0=0.8, r1=3.5, seed=3), grid16, alpha=2.0)
         params = FracParams(2.0)
@@ -198,13 +195,13 @@ class TestResidual:
         f = make_force(ForceSpec(amplitude=0.2, r1=3.0, seed=5), grid32, alpha=1.8)
         u0 = lift_force(f, params)
         res = residual(u0, f, params)
-        adv = l2_norm(projected_advection(u0, dealias=params.dealias))
+        adv = l2_norm(projected_advection(u0))
         assert res == pytest.approx(adv, rel=1e-10)
 
 
 class TestPressure:
     def test_zero_fields(self, grid32):
-        p = recover_pressure(zero_spectral(grid32), zero_spectral(grid32), FracParams(2.0))
+        p = recover_pressure(zero_spectral(grid32), zero_spectral(grid32))
         assert np.all(p == 0)
 
     def test_single_pair_pressure_vanishes(self, grid32):
@@ -221,7 +218,7 @@ class TestPressure:
             data[(c,) + pos] = a[c]
             data[(c,) + neg] = np.conj(a[c])
         u = SpectralVectorField(g, data)
-        p = recover_pressure(u, zero_spectral(g), FracParams(2.0))
+        p = recover_pressure(u, zero_spectral(g))
         assert np.max(np.abs(p)) < 1e-12 * np.max(np.abs(u.data))
 
     def test_two_wave_closed_form(self, grid32):
@@ -255,7 +252,7 @@ class TestPressure:
         phd = ph1 * np.conj(ph2)
         expect = 2 * np.real(p_plus * phs) + 2 * np.real(p_minus * phd)
 
-        got = scalar_to_real(recover_pressure(u, zero_spectral(g), FracParams(2.0)))
+        got = scalar_to_real(recover_pressure(u, zero_spectral(g)))
         assert np.max(np.abs(got - expect)) < 1e-10 * np.max(np.abs(expect))
 
     def test_momentum_budget_closure(self, small_solution):
@@ -268,7 +265,7 @@ class TestPressure:
 
         u = sol.velocity
         div = unprojected_advection(u)
-        gradp = spectral_gradient(recover_pressure(u, f, params), g)
+        gradp = spectral_gradient(recover_pressure(u, f), g)
         raw = fractional_power(u, params.alpha).data + div + gradp - f.data
         raw[:, 0, 0, 0] = 0.0
         unprojected = l2_norm(SpectralVectorField(g, raw))
@@ -280,21 +277,20 @@ class TestPressure:
         n=st.sampled_from([8, 12, 16]),
         box=st.floats(1.0, 40.0),
         seed=st.integers(0, 2**32 - 1),
-        dealias=st.booleans(),
     )
-    def test_gradient_completes_projected_advection(self, n, box, seed, dealias):
+    def test_gradient_completes_projected_advection(self, n, box, seed):
         # P div(u (x) u) = div(u (x) u) + grad p, with p the force-free pressure
         g = Grid(n, box)
         u = random_divfree_spectral(g, seed=seed)
-        div = unprojected_advection(u, dealias)
-        p = recover_pressure(u, zero_spectral(g), FracParams(2.0, dealias))
-        got = projected_advection(u, dealias=dealias).data
+        div = unprojected_advection(u)
+        p = recover_pressure(u, zero_spectral(g))
+        got = projected_advection(u).data
         err = np.max(np.abs(got - (div + spectral_gradient(p, g))))
         assert err <= 1e-12 * np.max(np.abs(div))
 
     def test_pressure_mean_free(self, small_solution):
         sol, f = small_solution["solution"], small_solution["force"]
-        p = recover_pressure(sol.velocity, f, small_solution["config"].params)
+        p = recover_pressure(sol.velocity, f)
         assert p[0, 0, 0] == 0.0
 
 

@@ -130,7 +130,7 @@ class TestHalfLattice:
         # every mode the 2/3 rule keeps lies in the cube, and each of its faces
         # (k_x, k_y = +-m, k_z = 0 and m) holds a kept mode
         g = Grid(n, box)
-        cube = spectral._Cube(g, dealias=True)
+        cube = spectral._Cube(g)
         inside = cube.scatter(np.ones(cube.spectral_shape, dtype=bool))
         assert not np.any(g.dealias_mask & ~inside)
         kept = cube.gather(g.dealias_mask)
@@ -139,7 +139,21 @@ class TestHalfLattice:
         for axis, k in enumerate(ks):
             for face in (np.argmin(k), np.argmax(k)):
                 assert np.any(np.take(kept, face, axis=axis)), (axis, k[face])
-        assert spectral._Cube(g, dealias=False).spectral_shape == g.spectral_shape
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(4, 128).map(lambda m: 2 * m), box=st.sampled_from([1.0, 4.0, 32.0]))
+    def test_dealias_cube_holds_no_nyquist_mode(self, n, box):
+        # the kept |k| stay below n/3 < n/2, so the quadratic map on the cube
+        # needs no Nyquist zeroing
+        g = Grid(n, box)
+        assert spectral._Cube(g).gather(g.nyquist_free).all()
+
+    @settings(max_examples=20, deadline=None)
+    @given(n=st.one_of(HALF_SIZES, st.just(128)), box=BOXES, beta=EXPONENTS)
+    def test_cube_power_is_the_grid_power_gathered(self, n, box, beta):
+        g = Grid(n, box)
+        cube = spectral._Cube(g)
+        assert np.array_equal(cube.power(beta), cube.gather(g.power(beta)))
 
 
 class TestTransforms:
@@ -348,15 +362,14 @@ class TestApplyBilinear:
         n=st.sampled_from([10, 14, 18, 24]),
         box=BOXES,
         seed=st.integers(0, 2**16),
-        dealias=st.booleans(),
     )
-    def test_lift_of_projected_advection_where_cube_rounds(self, n, box, seed, dealias):
+    def test_lift_of_projected_advection_where_cube_rounds(self, n, box, seed):
         # sizes where n/3 has fractional part 1/3, 2/3 or none: the cube path
         # of apply_bilinear and the zero-filled projected_advection agree exactly
         v = random_divfree_spectral(Grid(n, box), seed=seed)
-        params = FracParams(1.5, dealias)
+        params = FracParams(1.5)
         out = apply_bilinear(v, params)
-        want = fractional_power(projected_advection(v, dealias), -params.alpha).data
+        want = fractional_power(projected_advection(v), -params.alpha).data
         assert np.array_equal(out.data, -want)
 
     def test_scaling_covariance(self, grid32):
@@ -382,7 +395,7 @@ class TestApplyBilinear:
         # discrete analogue of the divergence-free cancellation
         u = random_divfree_spectral(grid32, seed=16)
         u.data *= grid32.dealias_mask
-        adv = projected_advection(u, dealias=True)
+        adv = projected_advection(u)
         s = l2_inner(adv, u)
         assert abs(s) < 1e-8 * l2_norm(u) ** 3
 
