@@ -33,6 +33,11 @@ def _monomial_matrix(points: np.ndarray) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
+def _angular_values(coeffs: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    """Values of the angular polynomial ``coeffs`` at unit vectors; shape (n, 3, 3, 3)."""
+    return np.einsum("nm,ijkm->nijk", _monomial_matrix(np.atleast_2d(dirs)), coeffs)
+
+
 def fibonacci_sphere(n: int) -> np.ndarray:
     """Quasi-uniform deterministic point set on the unit sphere."""
     i = np.arange(n, dtype=np.float64) + 0.5
@@ -64,8 +69,7 @@ class HomogeneousKernel:
 
     def evaluate_directions(self, dirs: np.ndarray) -> np.ndarray:
         """Tensor values at unit vectors; shape (n, 3, 3, 3)."""
-        phi = _monomial_matrix(np.atleast_2d(dirs))
-        return np.einsum("nm,ijkm->nijk", phi, self.coeffs)
+        return _angular_values(self.coeffs, dirs)
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
@@ -105,7 +109,7 @@ class HomogeneousKernel:
         return C, lin / 10.0
 
     def contract_smoothing_defect(
-        self, points: np.ndarray, M: np.ndarray, sigma: float, terms: int = 3
+        self, points: np.ndarray, M: np.ndarray, sigma: float
     ) -> np.ndarray:
         """(1 - G_sigma*) applied to the profile field m(x) : M.
 
@@ -113,7 +117,7 @@ class HomogeneousKernel:
         the homogeneous harmonic blocks as the exact series
         sum_k (sigma^2/2)^k / k! Delta^k, with
         Delta(r^g h_l) = g (g + 2l + 1) r^(g-2) h_l.  Valid for
-        sigma << |x|; ``terms`` powers of (sigma/|x|)^2 are kept.
+        sigma << |x|; three powers of (sigma/|x|)^2 are kept.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
         r = np.linalg.norm(pts, axis=1)
@@ -127,7 +131,7 @@ class HomogeneousKernel:
         g3, g1 = alpha - 7.0, alpha - 5.0  # solid exponents: r^g3 h3, r^g1 h1
         out = np.zeros_like(q)
         fac3 = fac1 = coef = 1.0
-        for k in range(1, terms + 1):
+        for k in range(1, 4):
             fac3 *= (g3 - 2 * (k - 1)) * (g3 - 2 * (k - 1) + 7.0)
             fac1 *= (g1 - 2 * (k - 1)) * (g1 - 2 * (k - 1) + 3.0)
             coef *= (sigma * sigma / 2.0) / k
@@ -140,9 +144,7 @@ def _sphere_max(coeffs: np.ndarray) -> tuple[float, np.ndarray]:
     """Global maximum of the Frobenius norm over the unit sphere."""
 
     def frob(dirs):
-        phi = _monomial_matrix(np.atleast_2d(dirs))
-        vals = np.einsum("nm,ijkm->nijk", phi, coeffs)
-        return np.sqrt(np.sum(vals**2, axis=(1, 2, 3)))
+        return np.sqrt(np.sum(_angular_values(coeffs, dirs) ** 2, axis=(1, 2, 3)))
 
     cand = fibonacci_sphere(20000)
     fc = frob(cand)
@@ -162,17 +164,13 @@ def _sphere_max(coeffs: np.ndarray) -> tuple[float, np.ndarray]:
     return best_val, best_dir
 
 
-def build_kernel(
-    alpha: float,
-    refinement_grid_n: int = 128,
-    sphere_points: int = 2000,
-    shell: tuple = (0.085, 0.16),
-) -> HomogeneousKernel:
+def build_kernel(alpha: float, refinement_grid_n: int = 128) -> HomogeneousKernel:
     """Synthesize the real-space kernel from its symbol on a refined grid.
 
     The symbol is damped by a narrow Gaussian high-frequency splitting
     (width ~ 1.4 cells, so truncation ringing is negligible), inverse
-    transformed, and sampled on all lattice sites in a mid-radius shell.
+    transformed, and sampled on all lattice sites in the mid-radius shell
+    0.085 <= |x| <= 0.16 of the unit box.
     The samples are fitted against the exact angular basis plus two
     nuisance blocks: a degree alpha-6 correction absorbing the smoothing
     bias and a linear-in-x background absorbing the residual lattice
@@ -189,7 +187,7 @@ def build_kernel(
 
     # lattice sites in the read-off shell
     r = grid.radius_from(np.zeros(3))
-    lo, hi = shell[0] * L, shell[1] * L
+    lo, hi = 0.085 * L, 0.16 * L
     sel = (r >= lo) & (r <= hi)
     pts_idx = np.argwhere(sel)
     coords = grid.x_axis[pts_idx]  # (m, 3) positions in [0, L)
@@ -220,20 +218,9 @@ def build_kernel(
     for j in range(3):
         coeffs[:, j, j, :] -= trace / 3.0
 
-    kernel = HomogeneousKernel(
-        alpha=alpha,
-        coeffs=coeffs,
-        sphere_points=np.zeros((0, 3)),
-        sphere_values=np.zeros((0, 3, 3, 3)),
-        bound_constant=0.0,
-    )
-    pts = fibonacci_sphere(sphere_points)
     cmax, argmax_dir = _sphere_max(coeffs)
-    pts = np.vstack([pts, argmax_dir])
-    kernel.sphere_points = pts
-    kernel.sphere_values = kernel.evaluate_directions(pts)
-    kernel.bound_constant = cmax
-    return kernel
+    pts = np.vstack([fibonacci_sphere(2000), argmax_dir])
+    return HomogeneousKernel(alpha, coeffs, pts, _angular_values(coeffs, pts), cmax)
 
 
 # ---------------------------------------------------------------------------
@@ -257,26 +244,23 @@ class RadialProfile:
 def radial_profile(
     values: np.ndarray,
     grid: Grid,
-    origin=None,
     window: tuple | None = None,
     nbins: int = 12,
     statistic: str = "mean",
 ) -> RadialProfile:
-    """Shell statistics of |values| around ``origin`` (periodic distance).
+    """Shell statistics of |values| around the box center (periodic distance).
 
-    statistic: 'mean' for upper-bound style claims, 'max' for lower-bound
-    style claims, 'gmean' for exact log-linearity of sampled power laws.
-    Bin centers are geometric means of member radii.  Empty bins are
-    dropped.
+    statistic: 'mean' for upper-bound style claims, 'gmean' for exact
+    log-linearity of sampled power laws.  Bin centers are geometric means
+    of member radii.  Empty bins are dropped.
     """
-    origin = grid.center if origin is None else np.asarray(origin, dtype=np.float64)
     L = grid.box_length
     if window is None:
         window = (0.1 * L, 0.22 * L)
     lo, hi = window
     if hi > L / 4 * (1 + 1e-12):
         raise InvalidRadius(f"window must stay within box_length/4, got {hi}")
-    r = grid.radius_from(origin).ravel()
+    r = grid.radius_from(grid.center).ravel()
     v = np.abs(np.asarray(values)).ravel()
     edges = np.linspace(lo, hi, nbins + 1)
     centers, stats = [], []
@@ -288,8 +272,6 @@ def radial_profile(
         centers.append(np.exp(np.mean(np.log(rv))))
         if statistic == "mean":
             stats.append(np.mean(vv))
-        elif statistic == "max":
-            stats.append(np.max(vv))
         elif statistic == "gmean":
             if np.any(vv <= 0):
                 raise EmptyShell("nonpositive shell values in geometric mean")
@@ -299,11 +281,12 @@ def radial_profile(
     return RadialProfile(np.asarray(centers), np.asarray(stats), window)
 
 
-def fit_decay_exponent(profile, window: tuple | None = None) -> RadialProfile:
-    """Least-squares slope of log(value) against log(r) over the window.
+def fit_decay_exponent(profile) -> RadialProfile:
+    """Least-squares slope of log(value) against log(r) over the profile's window.
 
-    Accepts a RadialProfile or a (radii, values) pair.  Returns the profile
-    with ``fitted_exponent`` (the negated slope) and its standard error.
+    Accepts a RadialProfile or a (radii, values) pair, whose window is the
+    whole radius range.  Returns the profile with ``fitted_exponent`` (the
+    negated slope) and its standard error.
     """
     if isinstance(profile, RadialProfile):
         prof = profile
@@ -311,10 +294,7 @@ def fit_decay_exponent(profile, window: tuple | None = None) -> RadialProfile:
         radii, values = profile
         radii = np.asarray(radii, dtype=np.float64)
         values = np.asarray(values, dtype=np.float64)
-        win = window or (float(radii.min()), float(radii.max()))
-        prof = RadialProfile(radii, values, win)
-    if window is not None:
-        prof = RadialProfile(prof.bin_centers, prof.bin_values, window)
+        prof = RadialProfile(radii, values, (float(radii.min()), float(radii.max())))
     rr, vv = prof.in_window()
     if len(rr) < 8:
         raise EmptyShell(f"need at least 8 bins in the fit window, have {len(rr)}")
@@ -334,18 +314,13 @@ def fit_decay_exponent(profile, window: tuple | None = None) -> RadialProfile:
     return prof
 
 
-def profile_term_on_grid(
-    M: np.ndarray,
-    kernel: HomogeneousKernel,
-    grid: Grid,
-    origin=None,
-    split_width: float = 0.45,
-) -> np.ndarray:
-    """The profile field m(x) : M as the experiment's torus realizes it.
+def profile_term_on_grid(M: np.ndarray, kernel: HomogeneousKernel, grid: Grid) -> np.ndarray:
+    """The profile field m(x) : M, centered in the box, as the experiment's
+    torus realizes it.
 
     Ewald-style split: the low-frequency band is synthesized on the
     experiment's own lattice from the exact symbol (Gaussian-damped at
-    width ``split_width``), which reproduces the renormalized
+    width 0.45), which reproduces the renormalized
     periodization the solution itself contains; the complementary
     high-frequency content is restored analytically as the Gaussian
     smoothing defect of the homogeneous kernel.  In the continuum limit
@@ -353,7 +328,7 @@ def profile_term_on_grid(
     """
     from .spectral import SpectralVectorField, leray_project
 
-    origin = grid.center if origin is None else np.asarray(origin, dtype=np.float64)
+    origin, width = grid.center, 0.45
     alpha = kernel.alpha
     M = np.asarray(M, dtype=np.float64)
 
@@ -364,7 +339,7 @@ def profile_term_on_grid(
     dvec *= grid.nyquist_free
     proj = leray_project(SpectralVectorField(grid, dvec))
     sym = -proj.data * grid.power(-alpha)
-    damp = np.exp(-0.5 * split_width * split_width * grid.k2)
+    damp = np.exp(-0.5 * width * width * grid.k2)
     phase = grid.shift_phase(origin)
     low = np.stack(
         [scalar_to_real(sym[i] * damp * phase) for i in range(3)]
@@ -372,11 +347,11 @@ def profile_term_on_grid(
 
     L = grid.box_length
     r = grid.radius_from(origin)
-    far = r >= 4.0 * split_width  # series valid once sigma << |x|
+    far = r >= 4.0 * width  # series valid once sigma << |x|
     idx = np.argwhere(far)
     pos = grid.x_axis[idx] - origin[None, :]
     pos = (pos + L / 2) % L - L / 2
-    defect = kernel.contract_smoothing_defect(pos, M, split_width)
+    defect = kernel.contract_smoothing_defect(pos, M, width)
     out = low
     for c in range(3):
         out[c][far] += defect[:, c]
@@ -388,12 +363,11 @@ def profile_decomposition(
     u0: RealVectorField,
     M: np.ndarray,
     kernel: HomogeneousKernel,
-    origin=None,
     window: tuple | None = None,
     nbins: int = 12,
-    statistic: str = "mean",
 ) -> RadialProfile:
-    """Shell profile of |u - u0 - m(x) : M| (the far-field remainder).
+    """Shell mean profile of |u - u0 - m(x) : M| (the far-field remainder)
+    around the box center.
 
     The profile term is evaluated torus-consistently (see
     ``profile_term_on_grid``), so the remainder measures the genuine
@@ -403,7 +377,6 @@ def profile_decomposition(
     grid = u.grid
     if not grid.same_as(u0.grid):
         raise ValueError("u and u0 must live on the same grid")
-    origin = grid.center if origin is None else np.asarray(origin, dtype=np.float64)
     L = grid.box_length
     if window is None:
         # remainder is informative between the source support and the radius
@@ -411,13 +384,12 @@ def profile_decomposition(
         window = (0.075 * L, 0.166 * L)
 
     if np.any(M != 0.0):
-        prof = profile_term_on_grid(M, kernel, grid, origin=origin)
+        prof = profile_term_on_grid(M, kernel, grid)
     else:
         prof = np.zeros_like(u.data)
     rem = u.data - u0.data - prof
     mag = np.sqrt(np.sum(rem**2, axis=0))
-    return radial_profile(mag, grid, origin=origin, window=window, nbins=nbins,
-                          statistic=statistic)
+    return radial_profile(mag, grid, window=window, nbins=nbins)
 
 
 # ---------------------------------------------------------------------------
@@ -441,14 +413,14 @@ def bv_polynomial(A: np.ndarray, xi, i: int) -> float:
     )
 
 
-def _bv_sample_directions(per_axis: int = 20) -> np.ndarray:
-    t = np.linspace(-1.0, 1.0, per_axis)
+def _bv_sample_directions() -> np.ndarray:
+    t = np.linspace(-1.0, 1.0, 20)
     g = np.stack(np.meshgrid(t, t, t, indexing="ij"), axis=-1).reshape(-1, 3)
     g = g[np.linalg.norm(g, axis=1) > 1e-9]
     return g
 
 
-def bv_scalar_test(A: np.ndarray, tol: float = 1e-9) -> bool:
+def bv_scalar_test(A: np.ndarray) -> bool:
     """True iff the cubic forms vanish on a deterministic frequency sample,
     equivalently iff A is proportional to the identity."""
     A = np.asarray(A, dtype=np.float64)
@@ -457,7 +429,7 @@ def bv_scalar_test(A: np.ndarray, tol: float = 1e-9) -> bool:
     normA = np.linalg.norm(A)
     if normA == 0.0:
         return True
-    xis = _bv_sample_directions(20)
+    xis = _bv_sample_directions()
     r2 = np.sum(xis**2, axis=1)
     trA = np.trace(A)
     Axi = xis @ A.T
@@ -466,15 +438,10 @@ def bv_scalar_test(A: np.ndarray, tol: float = 1e-9) -> bool:
     for i in range(3):
         q = r2 * (trA * xis[:, i] + 2.0 * Axi[:, i]) - 5.0 * xis[:, i] * quad
         worst = max(worst, float(np.max(np.abs(q) / (r2**1.5 * normA))))
-    return worst < tol
+    return worst < 1e-9
 
 
-def nonexistence_certificate(
-    solution: SteadySolution,
-    kernel: HomogeneousKernel,
-    deviation_floor: float = 0.01,
-    bound_floor: float = 1e-4,
-) -> dict:
+def nonexistence_certificate(solution: SteadySolution, kernel: HomogeneousKernel) -> dict:
     """Finite-volume evidence that the leading far-field term cannot vanish.
 
     deviation: normalized scalar deviation of the velocity moment matrix.
@@ -482,8 +449,8 @@ def nonexistence_certificate(
     square of the force amplitude).
     leading_lower_bound: min over sphere directions of |m(x/|x|) : M|,
     the directional coefficient of the |x|^{alpha-4} lower bound.
-    The certificate is affirmative when the deviation clears its floor and
-    the bound clears ``bound_floor`` relative to its sphere maximum.
+    The certificate is affirmative when the deviation is at least 0.01 and
+    the bound at least 1e-4 times its sphere maximum.
     """
     from .spectral import to_real
 
@@ -495,9 +462,7 @@ def nonexistence_certificate(
     mags = np.linalg.norm(prof, axis=1)
     lower = float(np.min(mags))
     upper = float(np.max(mags))
-    affirmative = bool(
-        dev >= deviation_floor and upper > 0 and lower >= bound_floor * upper
-    )
+    affirmative = bool(dev >= 0.01 and upper > 0 and lower >= 1e-4 * upper)
     return {
         "deviation": float(dev),
         "raw_deviation": float(raw),
@@ -518,13 +483,9 @@ def _cutoff(r: np.ndarray, R: float) -> np.ndarray:
 
 
 def caccioppoli_energy(
-    u: RealVectorField,
-    pressure_hat: np.ndarray,
-    R: float,
-    alpha: float,
-    origin=None,
+    u: RealVectorField, pressure_hat: np.ndarray, R: float, alpha: float
 ) -> dict:
-    """Localized energy balance terms for the cutoff phi_R.
+    """Localized energy balance terms for the cutoff phi_R about the box center.
 
     local_energy: integral over the ball B_{R/2} of |(-Lap)^{alpha/4} u|^2.
     flux_term: integral of grad(phi_R) . (|u|^2/2 + P) u.
@@ -535,8 +496,7 @@ def caccioppoli_energy(
     grid = u.grid
     if R > grid.box_length / 4 * (1 + 1e-12):
         raise InvalidRadius(f"cutoff radius {R} exceeds box_length/4")
-    origin = grid.center if origin is None else np.asarray(origin, dtype=np.float64)
-    r = grid.radius_from(origin)
+    r = grid.radius_from(grid.center)
     phi = _cutoff(r, R)
     h3 = grid.cell_volume
 

@@ -45,7 +45,6 @@ class RunConfig:
     force: forces.ForceSpec = field(default_factory=forces.ForceSpec)
     tol_rel: float = 1e-12
     max_iter: int = 200
-    divergence_factor: float = 1e3
     seed: int = 0
     output_dir: str = "."
     # experiment-specific knobs
@@ -65,12 +64,7 @@ class RunConfig:
                 raise ValueError(f"seeds must be nonnegative integers, got {seed!r}")
         grid = spectral.Grid(self.n, self.box_length)
         params = spectral.FracParams(self.alpha)
-        cfg = solver.SolverConfig(
-            params,
-            tol_rel=self.tol_rel,
-            max_iter=self.max_iter,
-            divergence_factor=self.divergence_factor,
-        )
+        cfg = solver.SolverConfig(params, tol_rel=self.tol_rel, max_iter=self.max_iter)
         uses_force = self.experiment in ("solve", "decay", "profile", "nonexist", "evolve")
         if (
             uses_force
@@ -81,10 +75,13 @@ class RunConfig:
                 f"force annulus r1={self.force.r1} outside the dealias sphere "
                 f"(radius {grid.dealias_radius:.4g})"
             )
+        if not isinstance(self.output_dir, str):
+            raise ValueError(f"output_dir must be a string, got {self.output_dir!r}")
         w = self.window
         if w is not None and not (len(w) == 2 and all(isinstance(x, numbers.Real) for x in w)
-                                  and w[1] <= self.box_length / 4):
-            raise ValueError(f"fit window must be two numbers within box_length/4, got {w}")
+                                  and 0 <= w[0] < w[1] <= self.box_length / 4):
+            raise ValueError("fit window must be two numbers 0 <= lo < hi <= box_length/4, "
+                             f"got {w}")
         if self.experiment == "nonexist" and not self.force.amplitude > 0:
             raise ValueError("nonexist fits deviations over amplitudes: need amplitude > 0")
         if self.experiment in ("decay", "profile") and not (

@@ -35,12 +35,12 @@ class Trajectory:
     drift_history: list = field(default_factory=list)  # rel. L2 distance to v(0)
 
 
-def stable_dt(v0: SpectralVectorField, safety: float = 0.5) -> float:
+def stable_dt(v0: SpectralVectorField) -> float:
     """Advective step bound 0.5 h / max|v| (the linear part is exact)."""
     vmax = float(np.max(to_real(v0).magnitude()))
     if vmax == 0.0:
         return np.inf
-    return safety * v0.grid.spacing / vmax
+    return 0.5 * v0.grid.spacing / vmax
 
 
 def _phi1(z: np.ndarray) -> np.ndarray:

@@ -141,12 +141,10 @@ def _odd_polynomial(grid: Grid, rng, anisotropy, scale):
     return out
 
 
-def _bump_window(
-    r: np.ndarray, r0: float, r1: float, sharpness: float = 8.0
-) -> np.ndarray:
+def _bump_window(r: np.ndarray, r0: float, r1: float) -> np.ndarray:
     """Smooth compactly supported radial window on the annulus [r0, r1].
 
-    ``sharpness`` is the bump exponent b in exp(-b/(1-t^2)); larger b
+    The bump exponent b = 8 in exp(-b/(1-t^2)) sets its sharpness: larger b
     steepens the transform tail (~exp(-sqrt(2 b a r))), which keeps the
     lifted field's physical tail below the far-field profile term.
     """
@@ -156,7 +154,7 @@ def _bump_window(
     inside = np.abs(t) < 1.0
     w = np.zeros_like(r)
     ts = t[inside]
-    w[inside] = np.exp(sharpness * (1.0 - 1.0 / (1.0 - ts * ts)))
+    w[inside] = np.exp(8.0 * (1.0 - 1.0 / (1.0 - ts * ts)))
     return w
 
 

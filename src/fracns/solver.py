@@ -33,20 +33,21 @@ from .spectral import (
 )
 
 
+# an iterate larger than this multiple of the lifted force has left the small-data regime
+DIVERGENCE_FACTOR = 1e3
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     params: FracParams
     tol_rel: float = 1e-12
     max_iter: int = 200
-    divergence_factor: float = 1e3
 
     def __post_init__(self):
         if not (0.0 < self.tol_rel < 1.0):
             raise ValueError("tol_rel must lie in (0, 1)")
         if not (isinstance(self.max_iter, numbers.Integral) and self.max_iter >= 1):
             raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
-        if self.divergence_factor <= 1.0:
-            raise ValueError("divergence_factor must exceed 1")
 
 
 @dataclass
@@ -84,7 +85,7 @@ def solve_steady(f: SpectralVectorField, config: SolverConfig) -> SteadySolution
     """Iterate the quadratic fixed-point map until the relative L^2 change
     drops below ``tol_rel``.
 
-    Raises ``Diverged`` when an iterate exceeds ``divergence_factor`` times
+    Raises ``Diverged`` when an iterate exceeds ``DIVERGENCE_FACTOR`` times
     the size of the lifted force (smallness violated), and ``NotConverged``
     when the iteration budget runs out.
     """
@@ -109,9 +110,9 @@ def solve_steady(f: SpectralVectorField, config: SolverConfig) -> SteadySolution
         diff = l2_norm(u)
         diag.iterations = it
         diag.residual_history.append(diff)
-        if new_l2 > config.divergence_factor * u0_l2:
+        if new_l2 > DIVERGENCE_FACTOR * u0_l2:
             raise Diverged(
-                f"iterate norm {new_l2:.3e} exceeded {config.divergence_factor:.1e} x "
+                f"iterate norm {new_l2:.3e} exceeded {DIVERGENCE_FACTOR:.1e} x "
                 f"||u0|| after {it} iterations"
             )
         if prev_diff is not None and prev_diff > 1e-13 * new_l2 and prev_diff > 0:
@@ -141,6 +142,7 @@ def solve_steady(f: SpectralVectorField, config: SolverConfig) -> SteadySolution
 
 
 def _residual_terms(u, f, params, adv=None):
+    """The terms (-Lap)^{alpha/2} u, P div(u (x) u) and P f of the residual."""
     diss = fractional_power(u, params.alpha)
     if adv is None:
         adv = projected_advection(u)
@@ -148,13 +150,18 @@ def _residual_terms(u, f, params, adv=None):
     return diss, adv, pf
 
 
+def _residual_field(diss, adv, pf) -> np.ndarray:
+    """diss + adv - pf, summed in place in diss's (fresh) array."""
+    r = diss.data
+    r += adv.data
+    r -= pf.data
+    return r
+
+
 def residual(u: SpectralVectorField, f: SpectralVectorField, params: FracParams, adv=None) -> float:
     """Discrete L^2 norm of (-Lap)^{alpha/2} u + P div(u (x) u) - P f; ``adv``,
     the projected advection of ``u``, is formed here unless the caller has it."""
-    diss, adv, pf = _residual_terms(u, f, params, adv)
-    r = diss.data  # a fresh array: summed in place, in the order diss + adv - pf
-    r += adv.data
-    r -= pf.data
+    r = _residual_field(*_residual_terms(u, f, params, adv))
     r[:, 0, 0, 0] = 0.0
     return l2_norm(SpectralVectorField(u.grid, r))
 
@@ -190,11 +197,7 @@ def rescale_pair(u: SpectralVectorField, f: SpectralVectorField, alpha: float, l
 
 
 def scaling_check(
-    u: SpectralVectorField,
-    f: SpectralVectorField,
-    params: FracParams,
-    lam: int,
-    include_bilinear: bool = True,
+    u: SpectralVectorField, f: SpectralVectorField, params: FracParams, lam: int
 ) -> float:
     """Max relative discrepancy between the residual field of the rescaled
     pair and lam^{2alpha-1} times the original residual field.
@@ -207,18 +210,11 @@ def scaling_check(
         raise InvalidGrid(f"lambda must be an integer >= 2 dividing n, got {lam}")
     alpha = params.alpha
 
-    diss, adv, pf = _residual_terms(u, f, params)
-    r1 = diss.data - pf.data + (adv.data if include_bilinear else 0.0)
-
+    r1 = _residual_field(*_residual_terms(u, f, params))
     u2, f2 = rescale_pair(u, f, alpha, lam)
-    diss2, adv2, pf2 = _residual_terms(u2, f2, params)
-    r2 = diss2.data - pf2.data + (adv2.data if include_bilinear else 0.0)
-
-    scale = max(
-        np.max(np.abs(diss2.data)),
-        np.max(np.abs(adv2.data)) if include_bilinear else 0.0,
-        np.max(np.abs(pf2.data)),
-    )
+    terms = _residual_terms(u2, f2, params)
+    scale = max(np.max(np.abs(t.data)) for t in terms)
+    r2 = _residual_field(*terms)
     if scale == 0.0:
         return 0.0
     return float(np.max(np.abs(r2 - lam ** (2.0 * alpha - 1.0) * r1)) / scale)

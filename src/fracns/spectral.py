@@ -210,34 +210,27 @@ class _Cube:
         n, k = grid.n, grid.k_int[keep.any(axis=(1, 2))]  # the mask is symmetric in x, y
         lo, hi = int(np.sum(k >= 0)), int(np.sum(k < 0))
         self.grid = grid
-        # the kept rows are two runs, k = 0, 1, .. and .., -1: (cube, grid) slices
-        self.runs = ((slice(0, lo), slice(0, lo)), (slice(lo, lo + hi), slice(n - hi, n)))
+        # the grid rows of the kept k = 0, 1, .. and .., -1, in the cube's order
+        self.rows = rows = np.r_[0:lo, n - hi : n]
         self.planes = int(np.flatnonzero(keep.any(axis=(0, 1)))[-1]) + 1
         self.spectral_shape = (lo + hi, lo + hi, self.planes)
-        rows, xi = np.r_[0:lo, n - hi : n], grid.xi
+        # the cube's modes in a half-lattice array (..., n, n, n/2+1)
+        self._modes = (..., rows[:, None], rows, slice(0, self.planes))
+        xi = grid.xi
         self.xi = [xi[0][rows], xi[1][:, rows], xi[2][..., : self.planes]]
         self.kmag = self.gather(grid.kmag)
         self.dealias_mask = self.gather(keep)
 
     power = Grid.power
 
-    def _blocks(self):
-        """(cube, grid) indices of the four blocks the two runs of rows make."""
-        for (cx, gx), (cy, gy) in itertools.product(self.runs, repeat=2):
-            yield (..., cx, cy, slice(None)), (..., gx, gy, slice(0, self.planes))
-
     def gather(self, a: np.ndarray) -> np.ndarray:
         """The cube's part of a half-lattice array (n, n, n/2+1) or (..., n, n, n/2+1)."""
-        out = np.empty(a.shape[:-3] + self.spectral_shape, dtype=a.dtype)
-        for c, g in self._blocks():
-            out[c] = a[g]
-        return out
+        return a[self._modes]
 
     def scatter(self, a: np.ndarray) -> np.ndarray:
         """``a`` on the cube, zero-filled to the Grid's half lattice."""
         out = np.zeros(a.shape[:-3] + self.grid.spectral_shape, dtype=a.dtype)
-        for c, g in self._blocks():
-            out[g] = a[c]
+        out[self._modes] = a
         return out
 
 
@@ -248,12 +241,10 @@ def _cube_to_real(coeffs: np.ndarray, cube: _Cube) -> np.ndarray:
     n, p = cube.grid.n, cube.planes
     lead = coeffs.shape[:-3]
     a = np.zeros(lead + (cube.spectral_shape[0], n, p), dtype=np.complex128)
-    for c, g in cube.runs:
-        a[..., g, :] = coeffs[..., c, :]
+    a[..., cube.rows, :] = coeffs
     a = sfft.ifft(a, axis=-2, overwrite_x=True, workers=_WORKERS)
     b = np.zeros(lead + (n, n, p), dtype=np.complex128)
-    for c, g in cube.runs:
-        b[..., g, :, :] = a[..., c, :, :]
+    b[..., cube.rows, :, :] = a
     del a  # freed before irfft copies b into n/2+1 planes
     b = sfft.ifft(b, axis=-3, overwrite_x=True, workers=_WORKERS)
     return sfft.irfft(b, n=n, axis=-1, workers=_WORKERS)
@@ -264,9 +255,9 @@ def _real_to_cube(samples: np.ndarray, cube: _Cube) -> np.ndarray:
     keeping the cube's planes, fft along x keeping its rows, then along y."""
     a = sfft.rfft(samples, axis=-1, workers=_WORKERS)[..., : cube.planes]
     a = sfft.fft(a, axis=-3, workers=_WORKERS)
-    a = np.concatenate([a[..., g, :, :] for _, g in cube.runs], axis=-3)
+    a = np.take(a, cube.rows, axis=-3)
     a = sfft.fft(a, axis=-2, overwrite_x=True, workers=_WORKERS)
-    return np.concatenate([a[..., g, :] for _, g in cube.runs], axis=-2)
+    return np.take(a, cube.rows, axis=-2)
 
 
 @dataclass(frozen=True)

@@ -206,10 +206,12 @@ class TestMainEntry:
             raise AssertionError("an invalid config reached the runner")
 
         monkeypatch.setitem(cli._RUNNERS, experiment, unreachable)
+        # run from tmp_path, so that a config naming no output_dir would report there
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("FRACNS_OUTPUT_DIR", raising=False)
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
-        code = main([experiment, "--config", str(path), "--output-dir", str(tmp_path),
-                     *flags])
+        code = main([experiment, "--config", str(path), *flags])
         assert code == EXIT_VALIDATION
         assert not (tmp_path / "report.json").exists()
 
@@ -237,18 +239,22 @@ class TestMainEntry:
             ("evolve", {"evolve_T": 0.0}),
             ("solve", {"max_iter": 2.5}),
             ("solve", {"max_iter": 0}),
+            ("solve", {"output_dir": 5}),
+            ("decay", {"window": [1.5, 1.0]}),
+            ("decay", {"window": [-0.5, 1.0]}),
         ],
         ids=["nbins_fractional", "nbins_small", "profile_nbins_small", "anisotropy_two",
              "anisotropy_not_number", "evolve_dt_string", "evolve_T_zero",
-             "max_iter_fractional", "max_iter_zero"],
+             "max_iter_fractional", "max_iter_zero", "output_dir_not_string",
+             "window_reversed", "window_negative_lo"],
     )
     def test_bad_knob_rejected(self, tmp_path, monkeypatch, experiment, cfg):
         cfg = {"n": 16, "box_length": 8.0, "force": {"r1": 3.0}, **cfg}
         self._rejected_before_run(tmp_path, monkeypatch, experiment, cfg)
 
-    @pytest.mark.parametrize("key", ["dealias", "emit_csv", "emit_json"])
+    @pytest.mark.parametrize("key", ["dealias", "emit_csv", "emit_json", "divergence_factor"])
     def test_retired_switch_rejected(self, tmp_path, monkeypatch, key):
-        # the 2/3 rule, the CSVs and the report are not optional
+        # the 2/3 rule, the CSVs and the report are not optional, the blow-up factor is fixed
         cfg = {"n": 16, "box_length": 8.0, "force": {"r1": 3.0}, key: False}
         self._rejected_before_run(tmp_path, monkeypatch, "solve", cfg)
 

@@ -10,7 +10,9 @@ alone and are real: rfftn/irfftn between samples and the half lattice, and
 the pruned pair between samples and the dealias cube, whose one-axis complex
 stages (fft/ifft) appear in its two helpers and nowhere else.  The 2/3
 rule, the CSVs and the report are not options: no parameter or field turns
-them off.
+them off.  Nor are the constants every run uses (the kernel's read-off
+shell, the certificate floors, the blow-up factor, the box-center origin):
+the parameters and fields that once held them are gone.
 """
 
 import ast
@@ -73,17 +75,41 @@ def test_quadratic_product_formed_once():
     assert _hits(r"_quadratic_products") == []
 
 
+# parameters and fields, by the function or class that had them, which no run set
+RETIRED = {
+    "build_kernel": ("sphere_points", "shell"),
+    "contract_smoothing_defect": ("terms",),
+    "radial_profile": ("origin",),
+    "profile_term_on_grid": ("origin", "split_width"),
+    "profile_decomposition": ("origin", "statistic"),
+    "caccioppoli_energy": ("origin",),
+    "fit_decay_exponent": ("window",),
+    "_bv_sample_directions": ("per_axis",),
+    "bv_scalar_test": ("tol",),
+    "nonexistence_certificate": ("deviation_floor", "bound_floor"),
+    "holder_modulus_check": ("n_pairs", "seed"),
+    "stable_dt": ("safety",),
+    "_bump_window": ("sharpness",),
+    "scaling_check": ("include_bilinear",),
+    "SolverConfig": ("divergence_factor",),
+    "RunConfig": ("divergence_factor",),
+}
+
+
 def test_no_switch_for_the_method():
-    names = []
+    names = []  # (file, line, owning function or class, parameter or field name)
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.arg):
-                names.append((path.name, node.lineno, node.arg))
+            if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                owner = getattr(node, "name", "<lambda>")
+                names += [(path.name, a.lineno, owner, a.arg) for a in ast.walk(node.args)
+                          if isinstance(a, ast.arg)]
             elif isinstance(node, ast.ClassDef):
-                names += [(path.name, s.lineno, s.target.id) for s in node.body
+                names += [(path.name, s.lineno, node.name, s.target.id) for s in node.body
                           if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)]
-    switches = [x for x in names if x[2] in ("dealias", "emit_csv", "emit_json")]
-    assert names and switches == [], switches
+    switches = [x for x in names if x[3] in ("dealias", "emit_csv", "emit_json")]
+    retired = [x for x in names if x[3] in RETIRED.get(x[2], ())]
+    assert names and switches == [] and retired == [], switches + retired
 
 
 def test_transforms_taken_in_spectral_only():

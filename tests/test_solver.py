@@ -304,7 +304,7 @@ class TestScalingCheck:
         u.data *= grid32.dealias_mask
         f = random_divfree_spectral(grid32, seed=32)
         f.data *= grid32.dealias_mask
-        d = scaling_check(u, f, FracParams(1.7), 2, include_bilinear=False)
+        d = scaling_check(u, f, FracParams(1.7), 2)  # the bilinear term included
         assert d < 1e-12
 
     def test_converged_solution_covariance(self, small_solution):
