@@ -2,7 +2,6 @@
 fractional-dissipation Navier-Stokes flow on a large periodic box."""
 
 from .spectral import (
-    FracParams,
     Grid,
     RealVectorField,
     SpectralVectorField,
@@ -16,7 +15,6 @@ from .spectral import (
 )
 
 __all__ = [
-    "FracParams",
     "Grid",
     "RealVectorField",
     "SpectralVectorField",

@@ -20,7 +20,16 @@ import scipy.optimize
 from .errors import EmptyShell, InvalidAlpha, InvalidRadius
 from .forces import moment_matrix, scalar_deviation
 from .solver import SteadySolution
-from .spectral import Grid, RealVectorField, kernel_tensor, scalar_to_real, scalar_to_spectral
+from .spectral import (
+    Grid,
+    RealVectorField,
+    SpectralVectorField,
+    kernel_tensor,
+    leray_project,
+    scalar_to_real,
+    scalar_to_spectral,
+    to_real,
+)
 
 _CUBIC_MONOMIALS = [
     (a, b, c) for a in range(3) for b in range(a, 3) for c in range(b, 3)
@@ -60,7 +69,6 @@ class HomogeneousKernel:
     alpha: float
     coeffs: np.ndarray  # (3, 3, 3, 10)
     sphere_points: np.ndarray  # (m, 3)
-    sphere_values: np.ndarray  # (m, 3, 3, 3)
     bound_constant: float
 
     @property
@@ -220,7 +228,7 @@ def build_kernel(alpha: float, refinement_grid_n: int = 128) -> HomogeneousKerne
 
     cmax, argmax_dir = _sphere_max(coeffs)
     pts = np.vstack([fibonacci_sphere(2000), argmax_dir])
-    return HomogeneousKernel(alpha, coeffs, pts, _angular_values(coeffs, pts), cmax)
+    return HomogeneousKernel(alpha, coeffs, pts, cmax)
 
 
 # ---------------------------------------------------------------------------
@@ -326,8 +334,6 @@ def profile_term_on_grid(M: np.ndarray, kernel: HomogeneousKernel, grid: Grid) -
     smoothing defect of the homogeneous kernel.  In the continuum limit
     the two pieces sum to m(x) : M exactly.
     """
-    from .spectral import SpectralVectorField, leray_project
-
     origin, width = grid.center, 0.45
     alpha = kernel.alpha
     M = np.asarray(M, dtype=np.float64)
@@ -452,8 +458,6 @@ def nonexistence_certificate(solution: SteadySolution, kernel: HomogeneousKernel
     The certificate is affirmative when the deviation is at least 0.01 and
     the bound at least 1e-4 times its sphere maximum.
     """
-    from .spectral import to_real
-
     u = to_real(solution.velocity)
     M = moment_matrix(u)
     dev = scalar_deviation(M)

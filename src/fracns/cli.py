@@ -60,11 +60,10 @@ class RunConfig:
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         for seed in (self.seed, self.force.seed):
-            if not (isinstance(seed, numbers.Integral) and seed >= 0):
+            if not (spectral.is_integer(seed) and seed >= 0):
                 raise ValueError(f"seeds must be nonnegative integers, got {seed!r}")
         grid = spectral.Grid(self.n, self.box_length)
-        params = spectral.FracParams(self.alpha)
-        cfg = solver.SolverConfig(params, tol_rel=self.tol_rel, max_iter=self.max_iter)
+        cfg = solver.SolverConfig(self.alpha, tol_rel=self.tol_rel, max_iter=self.max_iter)
         uses_force = self.experiment in ("solve", "decay", "profile", "nonexist", "evolve")
         if (
             uses_force
@@ -85,7 +84,7 @@ class RunConfig:
         if self.experiment == "nonexist" and not self.force.amplitude > 0:
             raise ValueError("nonexist fits deviations over amplitudes: need amplitude > 0")
         if self.experiment in ("decay", "profile") and not (
-                isinstance(self.nbins, numbers.Integral) and self.nbins >= 8):
+                spectral.is_integer(self.nbins) and self.nbins >= 8):
             raise ValueError(f"the decay fit needs an integer nbins >= 8, got {self.nbins!r}")
         if self.experiment == "evolve" and not (
                 _finite_positive(self.evolve_T) and _finite_positive(self.evolve_dt)):
@@ -100,7 +99,7 @@ class RunConfig:
             if not (self.kernel_times and all(map(_finite_positive, self.kernel_times))):
                 raise ValueError(
                     f"kernel times must be finite and positive, got {self.kernel_times}")
-        return grid, params, cfg
+        return grid, cfg
 
     def to_dict(self):
         d = asdict(self)
@@ -164,26 +163,27 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def emit_radial_csv(profile: asymptotics.RadialProfile, path: str):
+def _write_csv(path: str, header: str, rows) -> str:
+    """Write ``header`` and one line per row, each cell through ``_fmt`` (None
+    left empty), with LF line endings; returns the file's name."""
+    lines = [header] + [",".join("" if x is None else _fmt(x) for x in row) for row in rows]
+    _atomic_write(path, "\n".join(lines) + "\n")
+    return os.path.basename(path)
+
+
+def emit_radial_csv(profile: asymptotics.RadialProfile, path: str) -> str:
     """Write a radial profile: header r,value,fit_lo,fit_hi; 17 significant
-    digits; LF line endings; empty profiles produce a header-only file."""
-    lines = ["r,value,fit_lo,fit_hi"]
+    digits; the fit columns are empty without a fit; empty profiles produce
+    a header-only file.  Returns the file's name."""
     rr, vv = profile.bin_centers, profile.bin_values
-    have_fit = np.isfinite(profile.fitted_exponent) and len(rr) > 0
-    if have_fit:
+    lo_curve = hi_curve = [None] * len(rr)
+    if np.isfinite(profile.fitted_exponent) and len(rr) > 0:
         e, s = profile.fitted_exponent, profile.fit_stderr
         r_anchor = float(np.exp(np.mean(np.log(rr))))
         v_anchor = float(np.exp(np.mean(np.log(np.maximum(vv, 1e-300)))))
         lo_curve = v_anchor * (rr / r_anchor) ** (-(e + s))
         hi_curve = v_anchor * (rr / r_anchor) ** (-(e - s))
-    for i in range(len(rr)):
-        if have_fit:
-            lines.append(
-                f"{_fmt(rr[i])},{_fmt(vv[i])},{_fmt(lo_curve[i])},{_fmt(hi_curve[i])}"
-            )
-        else:
-            lines.append(f"{_fmt(rr[i])},{_fmt(vv[i])},,")
-    _atomic_write(path, "\n".join(lines) + "\n")
+    return _write_csv(path, "r,value,fit_lo,fit_hi", zip(rr, vv, lo_curve, hi_curve))
 
 
 def parse_radial_csv(path: str):
@@ -202,10 +202,10 @@ def parse_radial_csv(path: str):
 
 
 def _solve_pipeline(config: RunConfig):
-    grid, params, cfg = config.validate()
+    grid, cfg = config.validate()
     f = forces.make_force(config.force, grid, config.alpha)
     sol = solver.solve_steady(f, cfg)
-    return grid, params, cfg, f, sol
+    return grid, cfg, f, sol
 
 
 def _solution_metrics(sol, metrics):
@@ -222,7 +222,7 @@ def _solution_metrics(sol, metrics):
 
 def _run_solve(config: RunConfig, outdir: str):
     metrics, artifacts = {}, []
-    grid, params, cfg, f, sol = _solve_pipeline(config)
+    grid, cfg, f, sol = _solve_pipeline(config)
     _solution_metrics(sol, metrics)
     metrics["velocity_l2"] = spectral.l2_norm(sol.velocity)
     return metrics, artifacts
@@ -230,7 +230,7 @@ def _run_solve(config: RunConfig, outdir: str):
 
 def _run_decay(config: RunConfig, outdir: str):
     metrics, artifacts = {}, []
-    grid, params, cfg, f, sol = _solve_pipeline(config)
+    grid, cfg, f, sol = _solve_pipeline(config)
     _solution_metrics(sol, metrics)
     u = spectral.to_real(sol.velocity)
     prof = asymptotics.radial_profile(
@@ -240,17 +240,16 @@ def _run_decay(config: RunConfig, outdir: str):
     metrics["fitted_exponent"] = prof.fitted_exponent
     metrics["fit_stderr"] = prof.fit_stderr
     metrics["expected_exponent"] = 4.0 - config.alpha
-    emit_radial_csv(prof, os.path.join(outdir, "decay_profile.csv"))
-    artifacts.append("decay_profile.csv")
+    artifacts.append(emit_radial_csv(prof, os.path.join(outdir, "decay_profile.csv")))
     return metrics, artifacts
 
 
 def _run_profile(config: RunConfig, outdir: str):
     metrics, artifacts = {}, []
-    grid, params, cfg, f, sol = _solve_pipeline(config)
+    grid, cfg, f, sol = _solve_pipeline(config)
     _solution_metrics(sol, metrics)
     u = spectral.to_real(sol.velocity)
-    u0 = spectral.to_real(solver.lift_force(f, params))
+    u0 = spectral.to_real(solver.lift_force(f, config.alpha))
     M = forces.moment_matrix(u)
     kernel = asymptotics.build_kernel(config.alpha, refinement_grid_n=config.kernel_n)
 
@@ -267,15 +266,14 @@ def _run_profile(config: RunConfig, outdir: str):
     metrics["remainder_stderr"] = rem.fit_stderr
     metrics["kernel_bound_constant"] = kernel.bound_constant
     metrics["moment_deviation"] = forces.scalar_deviation(M)
-    emit_radial_csv(prof_u, os.path.join(outdir, "decay_profile.csv"))
-    emit_radial_csv(rem, os.path.join(outdir, "remainder_profile.csv"))
-    artifacts += ["decay_profile.csv", "remainder_profile.csv"]
+    artifacts.append(emit_radial_csv(prof_u, os.path.join(outdir, "decay_profile.csv")))
+    artifacts.append(emit_radial_csv(rem, os.path.join(outdir, "remainder_profile.csv")))
     return metrics, artifacts
 
 
 def _run_nonexist(config: RunConfig, outdir: str):
     metrics, artifacts = {}, []
-    grid, params, cfg = config.validate()
+    grid, cfg = config.validate()
     kernel = asymptotics.build_kernel(config.alpha, refinement_grid_n=config.kernel_n)
 
     aniso_spec = config.force
@@ -305,40 +303,35 @@ def _run_nonexist(config: RunConfig, outdir: str):
     metrics["deviation_isotropic"] = cert_iso["deviation"]
     metrics["affirmative_isotropic"] = float(cert_iso["affirmative"])
 
-    lines = ["eta,deviation,raw_deviation,lower_bound,affirmative"]
-    for eta, cert in rows:
-        lines.append(
-            f"{_fmt(eta)},{_fmt(cert['deviation'])},{_fmt(cert['raw_deviation'])},"
-            f"{_fmt(cert['leading_lower_bound'])},{int(cert['affirmative'])}"
-        )
-    path = os.path.join(outdir, "nonexistence.csv")
-    _atomic_write(path, "\n".join(lines) + "\n")
-    artifacts.append("nonexistence.csv")
+    artifacts.append(_write_csv(
+        os.path.join(outdir, "nonexistence.csv"),
+        "eta,deviation,raw_deviation,lower_bound,affirmative",
+        ((eta, c["deviation"], c["raw_deviation"], c["leading_lower_bound"], c["affirmative"])
+         for eta, c in rows),
+    ))
     return metrics, artifacts
 
 
 def _run_evolve(config: RunConfig, outdir: str):
     metrics, artifacts = {}, []
-    grid, params, cfg, f, sol = _solve_pipeline(config)
+    grid, cfg, f, sol = _solve_pipeline(config)
     _solution_metrics(sol, metrics)
     traj = evolve.evolve_mild(
-        sol.velocity, f, params, config.evolve_T, config.evolve_dt, store_every=10**9
+        sol.velocity, f, config.alpha, config.evolve_T, config.evolve_dt, store_every=10**9
     )
     drift = np.asarray(traj.drift_history)
     metrics["max_drift"] = float(np.max(drift))
     metrics["final_drift"] = float(drift[-1])
-    lines = ["t,drift"]
-    for i, d in enumerate(drift):
-        lines.append(f"{_fmt(i * config.evolve_dt)},{_fmt(d)}")
-    path = os.path.join(outdir, "drift_history.csv")
-    _atomic_write(path, "\n".join(lines) + "\n")
-    artifacts.append("drift_history.csv")
+    artifacts.append(_write_csv(
+        os.path.join(outdir, "drift_history.csv"), "t,drift",
+        ((i * config.evolve_dt, d) for i, d in enumerate(drift)),
+    ))
     return metrics, artifacts
 
 
 def _run_norms(config: RunConfig, outdir: str):
     metrics, artifacts = {}, []
-    grid, params, cfg = config.validate()
+    grid, cfg = config.validate()
     rng = np.random.default_rng(config.seed)
     h3 = grid.cell_volume
     n = grid.n
@@ -389,15 +382,11 @@ def _run_kernel(config: RunConfig, outdir: str):
         metrics[f"K_scaled_t{i}"] = float(tab["K_mass_scaled"][i])
     km = tab["K_mass_scaled"]
     metrics["K_scaled_variation"] = float(km.max() / km.min() - 1.0)
-    lines = ["t,p_mass,grad_p_mass_scaled,K_mass_scaled"]
-    for i in range(len(tab["t"])):
-        lines.append(
-            f"{_fmt(tab['t'][i])},{_fmt(tab['p_mass'][i])},"
-            f"{_fmt(tab['grad_p_mass_scaled'][i])},{_fmt(tab['K_mass_scaled'][i])}"
-        )
-    path = os.path.join(outdir, "kernel_masses.csv")
-    _atomic_write(path, "\n".join(lines) + "\n")
-    artifacts.append("kernel_masses.csv")
+    columns = ("t", "p_mass", "grad_p_mass_scaled", "K_mass_scaled")
+    artifacts.append(_write_csv(
+        os.path.join(outdir, "kernel_masses.csv"), ",".join(columns),
+        zip(*(tab[c] for c in columns)),
+    ))
     return metrics, artifacts
 
 

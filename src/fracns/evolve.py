@@ -14,8 +14,8 @@ import numpy as np
 
 from .errors import InvalidTimeStep, NumericalBlowup
 from .solver import SteadySolution
+from .spaces import lp_norm
 from .spectral import (
-    FracParams,
     Grid,
     SpectralVectorField,
     kernel_tensor,
@@ -30,7 +30,6 @@ from .spectral import (
 
 @dataclass
 class Trajectory:
-    times: list = field(default_factory=list)
     states: list = field(default_factory=list)  # SpectralVectorField snapshots
     drift_history: list = field(default_factory=list)  # rel. L2 distance to v(0)
 
@@ -64,7 +63,7 @@ def _phi2(z: np.ndarray) -> np.ndarray:
 def evolve_mild(
     v0: SpectralVectorField,
     f: SpectralVectorField,
-    params: FracParams,
+    alpha: float,
     T: float,
     dt: float,
     store_every: int | None = None,
@@ -90,7 +89,7 @@ def evolve_mild(
     if store_every is None:
         store_every = max(1, n_steps // 16)
 
-    z = -dt * g.power(params.alpha)
+    z = -dt * g.power(alpha)
     E = np.exp(z)
     p1 = dt * _phi1(z)
     p2 = dt * _phi2(z)
@@ -103,7 +102,6 @@ def evolve_mild(
         return pf - adv.data
 
     traj = Trajectory()
-    traj.times.append(0.0)
     traj.states.append(v0.copy())
     traj.drift_history.append(0.0)
 
@@ -112,7 +110,6 @@ def evolve_mild(
     guard = 1e6 * max(v0_l2, f_l2, 1e-300)
 
     v = v0.data.copy()
-    t = 0.0
     for step in range(1, n_steps + 1):
         n_v = nonlinear(v)
         a = E * v + p1 * n_v
@@ -129,7 +126,6 @@ def evolve_mild(
             l2_norm(SpectralVectorField(g, v - v0.data)) / v0_l2 if v0_l2 > 0 else norm
         )
         traj.drift_history.append(drift)
-        traj.times.append(t)
         if step % store_every == 0 or step == n_steps:
             traj.states.append(state.copy())
     return traj
@@ -138,20 +134,18 @@ def evolve_mild(
 def stationarity_check(
     solution: SteadySolution,
     f: SpectralVectorField,
-    params: FracParams,
+    alpha: float,
     T: float = 1.0,
     dt: float = 0.01,
 ) -> float:
     """Evolve the steady state under its own force; max relative L2 drift."""
-    traj = evolve_mild(solution.velocity, f, params, T, dt, store_every=10**9)
+    traj = evolve_mild(solution.velocity, f, alpha, T, dt, store_every=10**9)
     return float(np.max(traj.drift_history))
 
 
 def smoothing_check(f, p: float, alpha: float, times, grid: Grid) -> dict:
     """sup over times of t^{3/(alpha p)} ||exp(-t(-Lap)^{alpha/2}) f||_inf,
     and its ratio to the discrete L^p norm of f."""
-    from .spaces import lp_norm
-
     arr = np.asarray(f, dtype=np.float64)
     if arr.ndim == 3:
         comps = arr[None]

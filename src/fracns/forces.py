@@ -19,7 +19,6 @@ import numpy as np
 from .errors import DegenerateInput, InvalidAnnulus, ScalarMomentMatrix
 from .solver import lift_force, weak_lorentz_norm
 from .spectral import (
-    FracParams,
     Grid,
     RealVectorField,
     SpectralVectorField,
@@ -51,8 +50,9 @@ class ForceSpec:
     def __post_init__(self):
         if self.kind not in ("annulus_ring", "gaussian_bump", "plane_wave_pair"):
             raise ValueError(f"unknown force kind {self.kind!r}")
-        if self.amplitude < 0:
-            raise ValueError("amplitude must be nonnegative (0 means no forcing)")
+        if not (isinstance(self.amplitude, numbers.Real) and 0 <= self.amplitude < np.inf):
+            raise ValueError("amplitude must be finite and nonnegative (0 means no forcing), "
+                             f"got {self.amplitude!r}")
         if not (0 < self.r0 < self.r1):
             raise InvalidAnnulus(f"need 0 < r0 < r1, got ({self.r0}, {self.r1})")
         a = self.anisotropy
@@ -264,7 +264,6 @@ def make_force(spec: ForceSpec, grid: Grid, alpha: float) -> SpectralVectorField
             )
     if spec.amplitude == 0.0:
         return zero_spectral(grid)
-    params = FracParams(alpha=alpha)
     builder = _RAW_BUILDERS[spec.kind]
     anisotropic = not np.allclose(spec.anisotropy, (1.0, 1.0, 1.0))
 
@@ -286,11 +285,11 @@ def make_force(spec: ForceSpec, grid: Grid, alpha: float) -> SpectralVectorField
                 f"the {spec.kind} force from seed {spec.seed + attempt} has no "
                 "divergence-free part (its projection is round-off)"
             )
-        u0 = lift_force(f, params)
+        u0 = lift_force(f, alpha)
         norm = weak_lorentz_norm(u0, alpha)
         f = SpectralVectorField(grid, f.data * (spec.amplitude / norm))
         if anisotropic:
-            u0 = lift_force(f, params)
+            u0 = lift_force(f, alpha)
             dev = scalar_deviation(moment_matrix(to_real(u0)))
             if dev < 0.05:
                 continue

@@ -12,20 +12,19 @@ bilinear constant) and reported alongside the run.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import Diverged, InvalidGrid, NotConverged
+from .errors import Diverged, InvalidAlpha, InvalidGrid, NotConverged
 from .spaces import lorentz_quasinorm
 from .spectral import (
-    FracParams,
     Grid,
     SpectralVectorField,
     _advection_divergence,
     apply_bilinear,
     fractional_power,
+    is_integer,
     l2_norm,
     leray_project,
     projected_advection,
@@ -36,17 +35,22 @@ from .spectral import (
 # an iterate larger than this multiple of the lifted force has left the small-data regime
 DIVERGENCE_FACTOR = 1e3
 
+ALPHA_SOLVE_RANGE = (1.0, 2.5)
+
 
 @dataclass(frozen=True)
 class SolverConfig:
-    params: FracParams
+    alpha: float
     tol_rel: float = 1e-12
     max_iter: int = 200
 
     def __post_init__(self):
+        lo, hi = ALPHA_SOLVE_RANGE
+        if not (lo < self.alpha < hi):
+            raise InvalidAlpha(f"solver requires alpha in ({lo}, {hi}), got {self.alpha}")
         if not (0.0 < self.tol_rel < 1.0):
             raise ValueError("tol_rel must lie in (0, 1)")
-        if not (isinstance(self.max_iter, numbers.Integral) and self.max_iter >= 1):
+        if not (is_integer(self.max_iter) and self.max_iter >= 1):
             raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
 
 
@@ -76,9 +80,9 @@ def weak_lorentz_norm(u: SpectralVectorField, alpha: float) -> float:
     return lorentz_quasinorm(mag, p, np.inf, u.grid.cell_volume)
 
 
-def lift_force(f: SpectralVectorField, params: FracParams) -> SpectralVectorField:
+def lift_force(f: SpectralVectorField, alpha: float) -> SpectralVectorField:
     """u_0 = (-Lap)^{-alpha/2} P f; rejects forces with nonzero mean."""
-    return fractional_power(leray_project(f), -params.alpha)
+    return fractional_power(leray_project(f), -alpha)
 
 
 def solve_steady(f: SpectralVectorField, config: SolverConfig) -> SteadySolution:
@@ -89,9 +93,8 @@ def solve_steady(f: SpectralVectorField, config: SolverConfig) -> SteadySolution
     the size of the lifted force (smallness violated), and ``NotConverged``
     when the iteration budget runs out.
     """
-    params = config.params
-    alpha = params.alpha
-    u0 = lift_force(f, params)
+    alpha = config.alpha
+    u0 = lift_force(f, alpha)
     u0_l2 = l2_norm(u0)
     diag = SolverDiagnostics(iterations=0)
     diag.lifted_force_lorentz_norm = weak_lorentz_norm(u0, alpha)
@@ -103,7 +106,7 @@ def solve_steady(f: SpectralVectorField, config: SolverConfig) -> SteadySolution
     u = u0.copy()
     prev_diff = None
     for it in range(1, config.max_iter + 1):
-        new = apply_bilinear(u, params)
+        new = apply_bilinear(u, alpha)
         new.data += u0.data
         new_l2 = l2_norm(new)
         np.subtract(new.data, u.data, out=u.data)  # u is retired: it holds the step
@@ -130,7 +133,7 @@ def solve_steady(f: SpectralVectorField, config: SolverConfig) -> SteadySolution
     u_lorentz = weak_lorentz_norm(u, alpha)
     adv = projected_advection(u)
     b_lorentz = weak_lorentz_norm(fractional_power(adv, -alpha), alpha)
-    diag.residual = residual(u, f, params, adv=adv)
+    diag.residual = residual(u, f, alpha, adv=adv)
     diag.solution_lorentz_norm = u_lorentz
     if u_lorentz > 0:
         diag.empirical_bilinear_constant = b_lorentz / u_lorentz**2
@@ -141,9 +144,9 @@ def solve_steady(f: SpectralVectorField, config: SolverConfig) -> SteadySolution
     return SteadySolution(u, diag)
 
 
-def _residual_terms(u, f, params, adv=None):
+def _residual_terms(u, f, alpha, adv=None):
     """The terms (-Lap)^{alpha/2} u, P div(u (x) u) and P f of the residual."""
-    diss = fractional_power(u, params.alpha)
+    diss = fractional_power(u, alpha)
     if adv is None:
         adv = projected_advection(u)
     pf = leray_project(f)
@@ -158,10 +161,10 @@ def _residual_field(diss, adv, pf) -> np.ndarray:
     return r
 
 
-def residual(u: SpectralVectorField, f: SpectralVectorField, params: FracParams, adv=None) -> float:
+def residual(u: SpectralVectorField, f: SpectralVectorField, alpha: float, adv=None) -> float:
     """Discrete L^2 norm of (-Lap)^{alpha/2} u + P div(u (x) u) - P f; ``adv``,
     the projected advection of ``u``, is formed here unless the caller has it."""
-    r = _residual_field(*_residual_terms(u, f, params, adv))
+    r = _residual_field(*_residual_terms(u, f, alpha, adv))
     r[:, 0, 0, 0] = 0.0
     return l2_norm(SpectralVectorField(u.grid, r))
 
@@ -197,7 +200,7 @@ def rescale_pair(u: SpectralVectorField, f: SpectralVectorField, alpha: float, l
 
 
 def scaling_check(
-    u: SpectralVectorField, f: SpectralVectorField, params: FracParams, lam: int
+    u: SpectralVectorField, f: SpectralVectorField, alpha: float, lam: int
 ) -> float:
     """Max relative discrepancy between the residual field of the rescaled
     pair and lam^{2alpha-1} times the original residual field.
@@ -208,11 +211,10 @@ def scaling_check(
     """
     if lam < 2 or u.grid.n % lam != 0:
         raise InvalidGrid(f"lambda must be an integer >= 2 dividing n, got {lam}")
-    alpha = params.alpha
 
-    r1 = _residual_field(*_residual_terms(u, f, params))
+    r1 = _residual_field(*_residual_terms(u, f, alpha))
     u2, f2 = rescale_pair(u, f, alpha, lam)
-    terms = _residual_terms(u2, f2, params)
+    terms = _residual_terms(u2, f2, alpha)
     scale = max(np.max(np.abs(t.data)) for t in terms)
     r2 = _residual_field(*terms)
     if scale == 0.0:

@@ -23,22 +23,25 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.fft as sfft
 
-from .errors import InvalidAlpha, InvalidGrid, NumericalBlowup, ZeroModeUndefined
+from .errors import InvalidGrid, NumericalBlowup, ZeroModeUndefined
 
 _WORKERS = os.cpu_count() or 1
 
-ALPHA_SOLVE_RANGE = (1.0, 2.5)
+
+def is_integer(x) -> bool:
+    """True for integers other than bool (True is not a count)."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 def check_grid(n, box_length):
     """Raise InvalidGrid unless ``n`` is an even integer >= 8 and the box
-    length is positive; allocates nothing, so configs are checked cheaply."""
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+    length is finite and positive; allocates nothing, so configs are checked cheaply."""
+    if not is_integer(n):
         raise InvalidGrid(f"need an integer number of points, got {n!r}")
     if n < 8 or n % 2 != 0:
         raise InvalidGrid(f"need an even number of points >= 8, got {n}")
-    if not (box_length > 0.0):
-        raise InvalidGrid(f"box length must be positive, got {box_length}")
+    if not (isinstance(box_length, numbers.Real) and 0.0 < box_length < np.inf):
+        raise InvalidGrid(f"box length must be finite and positive, got {box_length!r}")
 
 
 @dataclass(frozen=True)
@@ -260,20 +263,6 @@ def _real_to_cube(samples: np.ndarray, cube: _Cube) -> np.ndarray:
     return np.take(a, cube.rows, axis=-2)
 
 
-@dataclass(frozen=True)
-class FracParams:
-    """Dissipation exponent for the solve pipelines."""
-
-    alpha: float
-
-    def __post_init__(self):
-        lo, hi = ALPHA_SOLVE_RANGE
-        if not (lo < self.alpha < hi):
-            raise InvalidAlpha(
-                f"solver requires alpha in ({lo}, {hi}), got {self.alpha}"
-            )
-
-
 # ---------------------------------------------------------------------------
 # multipliers
 
@@ -403,12 +392,12 @@ def projected_advection(v: SpectralVectorField) -> SpectralVectorField:
     return SpectralVectorField(v.grid, pd.grid.scatter(pd.data))
 
 
-def apply_bilinear(v: SpectralVectorField, params: FracParams) -> SpectralVectorField:
+def apply_bilinear(v: SpectralVectorField, alpha: float) -> SpectralVectorField:
     """-(-Lap)^(-alpha/2) P div(v (x) v): one application of the quadratic map,
     projected and lifted on the cube, then zero-filled to the half lattice once.
     P D has a zero mode of exactly 0, so the lift is applied in place, unchecked."""
     pd = leray_project(_advection_divergence(v))
-    pd.data *= -pd.grid.power(-params.alpha)
+    pd.data *= -pd.grid.power(-alpha)
     return SpectralVectorField(v.grid, pd.grid.scatter(pd.data))
 
 

@@ -3,7 +3,7 @@ import pytest
 
 from fracns.forces import ForceSpec, make_force
 from fracns.solver import SolverConfig, solve_steady
-from fracns.spectral import FracParams, Grid, RealVectorField, to_spectral
+from fracns.spectral import Grid, RealVectorField, to_spectral
 
 
 @pytest.fixture(scope="session")
@@ -53,6 +53,6 @@ def small_solution(grid32):
     """A converged steady solve on the 32^3 grid, shared across tests."""
     spec = ForceSpec(kind="annulus_ring", amplitude=0.05, r0=0.8, r1=3.5, seed=3)
     f = make_force(spec, grid32, alpha=2.0)
-    cfg = SolverConfig(FracParams(2.0))
+    cfg = SolverConfig(2.0)
     sol = solve_steady(f, cfg)
     return {"force": f, "solution": sol, "config": cfg, "grid": grid32, "spec": spec}

@@ -41,7 +41,7 @@ def decay_runs():
             seed=DECAY_SEED,
         )
         f = forces.make_force(spec, grid, alpha)
-        cfg = solver.SolverConfig(spectral.FracParams(alpha))
+        cfg = solver.SolverConfig(alpha)
         sol = solver.solve_steady(f, cfg)
         kernel = asymptotics.build_kernel(alpha, refinement_grid_n=128)
         runs[alpha] = {
@@ -49,7 +49,6 @@ def decay_runs():
             "force": f,
             "solution": sol,
             "kernel": kernel,
-            "params": cfg.params,
             "wall": time.perf_counter() - t0,
         }
     return runs
@@ -81,9 +80,8 @@ def test_criterion_2_asymptotic_profile(decay_runs):
     ok = True
     for alpha in ALPHAS:
         run = decay_runs[alpha]
-        params = run["params"]
         u = spectral.to_real(run["solution"].velocity)
-        u0 = spectral.to_real(solver.lift_force(run["force"], params))
+        u0 = spectral.to_real(solver.lift_force(run["force"], alpha))
         M = forces.moment_matrix(u)
         rem = asymptotics.fit_decay_exponent(
             asymptotics.profile_decomposition(u, u0, M, run["kernel"], nbins=12)
@@ -102,7 +100,7 @@ def test_criterion_2_asymptotic_profile(decay_runs):
 def test_criterion_3_nonexistence_mechanism():
     alpha = 1.5
     grid = spectral.Grid(64, 32.0)
-    cfg = solver.SolverConfig(spectral.FracParams(alpha))
+    cfg = solver.SolverConfig(alpha)
     kernel = asymptotics.build_kernel(alpha, refinement_grid_n=96)
 
     base = forces.ForceSpec(
@@ -148,13 +146,13 @@ def test_criterion_4_picard_contraction():
     grid = spectral.Grid(32, 16.0)
     spec = forces.ForceSpec(kind="annulus_ring", amplitude=0.05, r0=0.8, r1=3.5, seed=3)
     f = forces.make_force(spec, grid, alpha)
-    cfg = solver.SolverConfig(spectral.FracParams(alpha))
+    cfg = solver.SolverConfig(alpha)
     sol = solver.solve_steady(f, cfg)
     d = sol.diagnostics
 
     product_ok = d.contraction_product < 0.5
     ratio_ok = max(d.difference_ratios) <= d.contraction_product + 0.1
-    res = solver.residual(sol.velocity, f, cfg.params)
+    res = solver.residual(sol.velocity, f, cfg.alpha)
     scale = spectral.l2_norm(
         spectral.fractional_power(sol.velocity, alpha)
     ) + spectral.l2_norm(spectral.leray_project(f))
@@ -183,9 +181,7 @@ def test_criterion_4_picard_contraction():
 
 def test_criterion_5_scaling_invariance(decay_runs):
     run = decay_runs[1.5]
-    d = solver.scaling_check(
-        run["solution"].velocity, run["force"], run["params"], 2
-    )
+    d = solver.scaling_check(run["solution"].velocity, run["force"], 1.5, 2)
     ok = d < 1e-9
     assert _report(5, ok, f"scaling discrepancy {d:.2e} < 1e-9 at lambda=2")
 
@@ -257,9 +253,9 @@ def test_criterion_8_stationarity_and_kernel_masses():
     grid = spectral.Grid(32, 16.0)
     spec = forces.ForceSpec(kind="annulus_ring", amplitude=0.05, r0=0.8, r1=3.5, seed=3)
     f = forces.make_force(spec, grid, alpha)
-    cfg = solver.SolverConfig(spectral.FracParams(alpha))
+    cfg = solver.SolverConfig(alpha)
     sol = solver.solve_steady(f, cfg)
-    drift = evolve.stationarity_check(sol, f, cfg.params, T=1.0, dt=0.02)
+    drift = evolve.stationarity_check(sol, f, cfg.alpha, T=1.0, dt=0.02)
     drift_ok = drift < 1e-6
 
     tab2 = evolve.kernel_l1_check(2.0, (0.05, 0.1, 0.2, 0.4), n=128, box=8.0)

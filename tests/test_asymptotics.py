@@ -67,7 +67,7 @@ class TestKernel:
 
     def test_bound_constant_holds(self, kernel15):
         ker = kernel15
-        sphere_frob = np.sqrt(np.sum(ker.sphere_values**2, axis=(1, 2, 3)))
+        sphere_frob = np.sqrt(np.sum(ker.evaluate_directions(ker.sphere_points) ** 2, axis=(1, 2, 3)))
         assert np.max(sphere_frob) == pytest.approx(ker.bound_constant, rel=1e-12)
         rng = np.random.default_rng(1)
         x = rng.standard_normal((100, 3))
@@ -191,9 +191,9 @@ class TestBrandoleseVigneron:
 class TestCertificate:
     def test_zero_solution_no_certificate(self, grid32, kernel15):
         from fracns.solver import SolverConfig, solve_steady
-        from fracns.spectral import FracParams, zero_spectral
+        from fracns.spectral import zero_spectral
 
-        sol = solve_steady(zero_spectral(grid32), SolverConfig(FracParams(1.5)))
+        sol = solve_steady(zero_spectral(grid32), SolverConfig(1.5))
         cert = nonexistence_certificate(sol, kernel15)
         assert cert["deviation"] == 0.0
         assert cert["leading_lower_bound"] == 0.0
@@ -230,7 +230,7 @@ class TestCaccioppoli:
         g = small_solution["grid"]
         sol = small_solution["solution"]
         f = small_solution["force"]
-        alpha = small_solution["config"].params.alpha
+        alpha = small_solution["config"].alpha
         u = to_real(sol.velocity)
         R = g.box_length / 4
         p = recover_pressure(sol.velocity, f)

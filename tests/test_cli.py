@@ -242,11 +242,20 @@ class TestMainEntry:
             ("solve", {"output_dir": 5}),
             ("decay", {"window": [1.5, 1.0]}),
             ("decay", {"window": [-0.5, 1.0]}),
+            ("norms", {"box_length": float("inf")}),
+            ("kernel", {"kernel_n": 16, "kernel_box": [16, float("inf")]}),
+            ("solve", {"force": {"r1": 3.0, "amplitude": float("nan")}}),
+            ("solve", {"force": {"r1": 3.0, "amplitude": float("inf")}}),
+            ("solve", {"seed": True}),
+            ("solve", {"force": {"r1": 3.0, "seed": True}}),
+            ("solve", {"max_iter": True}),
         ],
         ids=["nbins_fractional", "nbins_small", "profile_nbins_small", "anisotropy_two",
              "anisotropy_not_number", "evolve_dt_string", "evolve_T_zero",
              "max_iter_fractional", "max_iter_zero", "output_dir_not_string",
-             "window_reversed", "window_negative_lo"],
+             "window_reversed", "window_negative_lo", "box_length_infinite",
+             "kernel_box_infinite", "amplitude_nan", "amplitude_infinite", "seed_bool",
+             "force_seed_bool", "max_iter_bool"],
     )
     def test_bad_knob_rejected(self, tmp_path, monkeypatch, experiment, cfg):
         cfg = {"n": 16, "box_length": 8.0, "force": {"r1": 3.0}, **cfg}

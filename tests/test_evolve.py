@@ -11,7 +11,6 @@ from fracns.evolve import (
     stationarity_check,
 )
 from fracns.spectral import (
-    FracParams,
     SpectralVectorField,
     l2_norm,
     to_real,
@@ -23,7 +22,7 @@ from fracns.spectral import (
 class TestEvolveMild:
     def test_zero_stays_zero(self, grid32):
         traj = evolve_mild(
-            zero_spectral(grid32), zero_spectral(grid32), FracParams(1.5), 0.2, 0.05
+            zero_spectral(grid32), zero_spectral(grid32), 1.5, 0.2, 0.05
         )
         for s in traj.states:
             assert np.all(s.data == 0)
@@ -42,7 +41,7 @@ class TestEvolveMild:
             data[(c,) + neg] = np.conj(a[c]) * g.n**3 / 2
         v0 = SpectralVectorField(g, data)
         alpha, T, dt = 1.5, 0.5, 0.01
-        traj = evolve_mild(v0, zero_spectral(g), FracParams(alpha), T, dt, store_every=10**9)
+        traj = evolve_mild(v0, zero_spectral(g), alpha, T, dt, store_every=10**9)
         end = traj.states[-1]
         expect = np.exp(-T * np.linalg.norm(k) ** alpha)
         got = l2_norm(end) / l2_norm(v0)
@@ -52,10 +51,10 @@ class TestEvolveMild:
         v0 = small_solution["solution"].velocity.copy()
         v0.data = 0.5 * v0.data
         f = small_solution["force"]
-        params = small_solution["config"].params
+        alpha = small_solution["config"].alpha
         ends = []
         for dt in (0.05, 0.025, 0.0125):
-            traj = evolve_mild(v0, f, params, 0.5, dt, store_every=10**9)
+            traj = evolve_mild(v0, f, alpha, 0.5, dt, store_every=10**9)
             ends.append(traj.states[-1].data)
         e1 = np.linalg.norm(ends[0] - ends[1])
         e2 = np.linalg.norm(ends[1] - ends[2])
@@ -64,9 +63,9 @@ class TestEvolveMild:
     def test_structure_preserved(self, small_solution):
         g = small_solution["grid"]
         f = small_solution["force"]
-        params = small_solution["config"].params
+        alpha = small_solution["config"].alpha
         v0 = small_solution["solution"].velocity
-        traj = evolve_mild(v0, f, params, 0.2, 0.02)
+        traj = evolve_mild(v0, f, alpha, 0.2, 0.02)
         end = traj.states[-1]
         assert realness_defect(end) < 1e-12
         div = sum(g.xi[i] * end.data[i] for i in range(3))
@@ -75,7 +74,7 @@ class TestEvolveMild:
     def test_unforced_energy_nonincreasing(self, grid32):
         v0 = random_divfree_spectral(grid32, seed=40)
         v0.data *= grid32.dealias_mask * 0.01
-        traj = evolve_mild(v0, zero_spectral(grid32), FracParams(2.0), 0.3, 0.01, store_every=4)
+        traj = evolve_mild(v0, zero_spectral(grid32), 2.0, 0.3, 0.01, store_every=4)
         energies = [l2_norm(s) for s in traj.states]
         assert all(a >= b - 1e-13 * energies[0] for a, b in zip(energies, energies[1:]))
 
@@ -83,7 +82,7 @@ class TestEvolveMild:
         v0 = random_divfree_spectral(grid32, seed=41)
         bound = stable_dt(v0)
         with pytest.raises(InvalidTimeStep):
-            evolve_mild(v0, zero_spectral(grid32), FracParams(2.0), 1.0, 2 * bound)
+            evolve_mild(v0, zero_spectral(grid32), 2.0, 1.0, 2 * bound)
 
     def test_blowup_detection(self, grid32):
         from fracns.forces import ForceSpec, make_force
@@ -92,7 +91,7 @@ class TestEvolveMild:
         v0 = zero_spectral(grid32)
         v0.data[:] = 0.0
         with pytest.raises(NumericalBlowup):
-            evolve_mild(v0, f, FracParams(2.0), 40.0, 0.05)
+            evolve_mild(v0, f, 2.0, 40.0, 0.05)
 
 
 class TestStationarity:
@@ -100,7 +99,7 @@ class TestStationarity:
         drift = stationarity_check(
             small_solution["solution"],
             small_solution["force"],
-            small_solution["config"].params,
+            small_solution["config"].alpha,
             T=1.0,
             dt=0.02,
         )
@@ -112,7 +111,7 @@ class TestStationarity:
         g = small_solution["grid"]
         sol = small_solution["solution"]
         f = small_solution["force"]
-        params = small_solution["config"].params
+        alpha = small_solution["config"].alpha
         rng = np.random.default_rng(42)
         noise = leray_project(
             SpectralVectorField(
@@ -127,7 +126,7 @@ class TestStationarity:
         amp = 0.01 * l2_norm(sol.velocity) / l2_norm(noise)
         v0 = SpectralVectorField(g, sol.velocity.data + amp * noise.data)
 
-        traj = evolve_mild(v0, f, params, 2.0, 0.02, store_every=10**9)
+        traj = evolve_mild(v0, f, alpha, 2.0, 0.02, store_every=10**9)
         u_l2 = l2_norm(sol.velocity)
         d0 = l2_norm(SpectralVectorField(g, v0.data - sol.velocity.data)) / u_l2
         dT = l2_norm(SpectralVectorField(g, traj.states[-1].data - sol.velocity.data)) / u_l2
@@ -137,8 +136,8 @@ class TestStationarity:
     def test_zero_on_zero(self, grid32):
         from fracns.solver import SolverConfig, solve_steady
 
-        sol = solve_steady(zero_spectral(grid32), SolverConfig(FracParams(1.5)))
-        drift = stationarity_check(sol, zero_spectral(grid32), FracParams(1.5), T=0.2, dt=0.05)
+        sol = solve_steady(zero_spectral(grid32), SolverConfig(1.5))
+        drift = stationarity_check(sol, zero_spectral(grid32), 1.5, T=0.2, dt=0.05)
         assert drift == 0.0
 
 

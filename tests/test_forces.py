@@ -13,7 +13,6 @@ from fracns.forces import (
 )
 from fracns.solver import SolverConfig, lift_force, solve_steady, weak_lorentz_norm
 from fracns.spectral import (
-    FracParams,
     Grid,
     RealVectorField,
     l2_norm,
@@ -66,7 +65,7 @@ class TestAnnulusForce:
         alpha = 1.5
         spec = ForceSpec(amplitude=0.23, r0=0.8, r1=3.5, seed=1)
         f = make_force(spec, grid32, alpha)
-        u0 = lift_force(f, FracParams(alpha))
+        u0 = lift_force(f, alpha)
         assert weak_lorentz_norm(u0, alpha) == pytest.approx(0.23, rel=1e-10)
 
     def test_support_on_annulus(self, grid32):
@@ -130,7 +129,7 @@ class TestAnnulusForce:
     def test_anisotropic_moment_ratio(self, grid32):
         spec = ForceSpec(amplitude=0.1, r1=3.5, seed=6, anisotropy=(2.0, 1.0, 1.0))
         f = make_force(spec, grid32, 1.5)
-        u0 = to_real(lift_force(f, FracParams(1.5)))
+        u0 = to_real(lift_force(f, 1.5))
         M = moment_matrix(u0)
         assert M[0, 0] / M[1, 1] > 1.2
         assert scalar_deviation(M) >= 0.05
@@ -145,7 +144,7 @@ class TestAnnulusForce:
     def test_isotropic_symmetrized_moment_scalar(self, grid32):
         spec = ForceSpec(amplitude=0.1, r1=3.5, seed=7, symmetrize=True)
         f = make_force(spec, grid32, 1.5)
-        u0 = to_real(lift_force(f, FracParams(1.5)))
+        u0 = to_real(lift_force(f, 1.5))
         M = moment_matrix(u0)
         off = np.max(np.abs(M - np.diag(np.diag(M))))
         assert off < 1e-10 * np.trace(M)
@@ -181,14 +180,14 @@ class TestPerturbationOrdering:
     def test_quadratic_and_linear_slopes(self, grid32):
         # ||u - u0||_2 = O(eta^2) while ||u0||_2 = Theta(eta)
         alpha = 1.5
-        cfg = SolverConfig(FracParams(alpha))
+        cfg = SolverConfig(alpha)
         etas, d2, d1 = [], [], []
         for divisor in (1, 2, 4):
             eta = 0.08 / divisor
             spec = ForceSpec(amplitude=eta, r1=3.5, seed=10)
             f = make_force(spec, grid32, alpha)
             sol = solve_steady(f, cfg)
-            u0 = lift_force(f, cfg.params)
+            u0 = lift_force(f, cfg.alpha)
             diff = sol.velocity.copy()
             diff.data = diff.data - u0.data
             etas.append(eta)

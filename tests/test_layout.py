@@ -12,7 +12,8 @@ stages (fft/ifft) appear in its two helpers and nowhere else.  The 2/3
 rule, the CSVs and the report are not options: no parameter or field turns
 them off.  Nor are the constants every run uses (the kernel's read-off
 shell, the certificate floors, the blow-up factor, the box-center origin):
-the parameters and fields that once held them are gone.
+the parameters and fields that once held them are gone.  The order alpha is
+passed as a float, with no wrapper class around it.
 """
 
 import ast
@@ -75,7 +76,7 @@ def test_quadratic_product_formed_once():
     assert _hits(r"_quadratic_products") == []
 
 
-# parameters and fields, by the function or class that had them, which no run set
+# retired parameters and fields, by the function or class that had them
 RETIRED = {
     "build_kernel": ("sphere_points", "shell"),
     "contract_smoothing_defect": ("terms",),
@@ -90,10 +91,22 @@ RETIRED = {
     "holder_modulus_check": ("n_pairs", "seed"),
     "stable_dt": ("safety",),
     "_bump_window": ("sharpness",),
-    "scaling_check": ("include_bilinear",),
-    "SolverConfig": ("divergence_factor",),
+    "scaling_check": ("include_bilinear", "params"),
+    "SolverConfig": ("divergence_factor", "params"),
     "RunConfig": ("divergence_factor",),
+    # alpha travels as a float, not wrapped in a one-field FracParams
+    "apply_bilinear": ("params",),
+    "lift_force": ("params",),
+    "_residual_terms": ("params",),
+    "residual": ("params",),
+    "evolve_mild": ("params",),
+    "stationarity_check": ("params",),
 }
+
+
+def test_alpha_not_wrapped():
+    assert not hasattr(fracns, "FracParams") and "FracParams" not in fracns.__all__
+    assert _hits(r"\bFracParams\b") == []
 
 
 def test_no_switch_for_the_method():

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from conftest import random_divfree_spectral
 from fracns import solver, spectral
-from fracns.errors import Diverged, InvalidGrid, NotConverged, ZeroModeUndefined
+from fracns.errors import Diverged, InvalidAlpha, InvalidGrid, NotConverged, ZeroModeUndefined
 from fracns.forces import ForceSpec, make_force
 from fracns.solver import (
     SolverConfig,
@@ -18,7 +18,6 @@ from fracns.solver import (
     solve_steady,
 )
 from fracns.spectral import (
-    FracParams,
     Grid,
     RealVectorField,
     SpectralVectorField,
@@ -66,7 +65,7 @@ class TestAdvectionDivergence:
 
 class TestLiftForce:
     def test_zero_force(self, grid32):
-        out = lift_force(zero_spectral(grid32), FracParams(1.5))
+        out = lift_force(zero_spectral(grid32), 1.5)
         assert np.all(out.data == 0)
 
     def test_plane_wave_pair_amplitude(self, grid32):
@@ -74,7 +73,7 @@ class TestLiftForce:
         spec = ForceSpec(kind="plane_wave_pair", amplitude=1.0, r0=0.7, r1=1.3, seed=2)
         f = make_force(spec, g, alpha=2.0)
         alpha = 2.0
-        u0 = lift_force(f, FracParams(alpha))
+        u0 = lift_force(f, alpha)
         nz = np.abs(f.data) > 1e-12 * np.max(np.abs(f.data))
         kmag = np.broadcast_to(g.kmag, f.data.shape)[nz]
         k0 = kmag[0]
@@ -86,19 +85,34 @@ class TestLiftForce:
         f = zero_spectral(grid32)
         f.data[0, 0, 0, 0] = 1.0
         with pytest.raises(ZeroModeUndefined):
-            lift_force(f, FracParams(2.0))
+            lift_force(f, 2.0)
 
     def test_lift_is_divergence_free(self, grid32):
         g = grid32
         f = make_force(ForceSpec(amplitude=0.1, r1=3.0), g, alpha=1.5)
-        u0 = lift_force(f, FracParams(1.5))
+        u0 = lift_force(f, 1.5)
         div = sum(g.xi[i] * u0.data[i] for i in range(3))
         assert np.max(np.abs(div)) < 1e-12
 
 
+class TestSolverConfig:
+    @pytest.mark.parametrize("alpha", [1.0, 2.5, float("nan")])
+    def test_alpha_outside_solve_range_rejected(self, alpha):
+        with pytest.raises(InvalidAlpha):
+            SolverConfig(alpha)
+
+    def test_alpha_inside_solve_range_accepted(self):
+        assert SolverConfig(1.5).alpha == 1.5
+
+    @pytest.mark.parametrize("max_iter", [True, 0, 2.5])
+    def test_max_iter_not_a_positive_integer_rejected(self, max_iter):
+        with pytest.raises(ValueError):
+            SolverConfig(1.5, max_iter=max_iter)
+
+
 class TestSolveSteady:
     def test_zero_force_zero_solution(self, grid32):
-        sol = solve_steady(zero_spectral(grid32), SolverConfig(FracParams(1.5)))
+        sol = solve_steady(zero_spectral(grid32), SolverConfig(1.5))
         assert l2_norm(sol.velocity) == 0.0
         assert sol.diagnostics.iterations <= 1
 
@@ -109,8 +123,8 @@ class TestSolveSteady:
         d = sol.diagnostics
         assert d.contraction_product < 1.0
         u = sol.velocity
-        res = residual(u, f, cfg.params)
-        scale = l2_norm(fractional_power(u, cfg.params.alpha)) + l2_norm(leray_project(f))
+        res = residual(u, f, cfg.alpha)
+        scale = l2_norm(fractional_power(u, cfg.alpha)) + l2_norm(leray_project(f))
         assert res < 1e-8 * scale
 
     def test_geometric_difference_decay(self, small_solution):
@@ -127,7 +141,7 @@ class TestSolveSteady:
         spec = ForceSpec(amplitude=0.05 * 1e4, r0=0.8, r1=3.5, seed=3)
         f = make_force(spec, grid32, alpha=2.0)
         with pytest.raises((Diverged, NotConverged)):
-            solve_steady(f, SolverConfig(FracParams(2.0)))
+            solve_steady(f, SolverConfig(2.0))
 
     def test_iterates_divergence_and_mean_free(self, small_solution):
         g = small_solution["grid"]
@@ -150,7 +164,7 @@ class TestSolveSteady:
         iterations = set()
         for tol_rel in (1e-3, 1e-12):
             calls.clear()
-            sol = solve_steady(f, SolverConfig(FracParams(2.0), tol_rel=tol_rel))
+            sol = solve_steady(f, SolverConfig(2.0, tol_rel=tol_rel))
             iterations.add(sol.diagnostics.iterations)
             assert len(calls) == 3
         assert len(iterations) == 2
@@ -165,12 +179,12 @@ class TestSolveSteady:
             return _adv(v)
 
         f = make_force(ForceSpec(amplitude=0.05, r0=0.8, r1=3.5, seed=3), grid16, alpha=2.0)
-        params = FracParams(2.0)
+        alpha = 2.0
         for namespace in (spectral, solver):
             monkeypatch.setattr(namespace, "_advection_divergence", counted)
-        sol = solve_steady(f, SolverConfig(params))
+        sol = solve_steady(f, SolverConfig(alpha))
         assert len(calls) == sol.diagnostics.iterations + 1
-        assert sol.diagnostics.residual == residual(sol.velocity, f, params)
+        assert sol.diagnostics.residual == residual(sol.velocity, f, alpha)
 
     def test_lp_persistence(self, small_solution):
         # finite-lift forces give solutions with ||u||_p <= 2 ||u0||_p
@@ -180,21 +194,21 @@ class TestSolveSteady:
         f = small_solution["force"]
         cfg = small_solution["config"]
         u = to_real(small_solution["solution"].velocity).magnitude()
-        u0 = to_real(lift_force(f, cfg.params)).magnitude()
+        u0 = to_real(lift_force(f, cfg.alpha)).magnitude()
         for p in (2.0, 3.0, 6.0):
             assert lp_norm(u, p, g.cell_volume) <= 2.0 * lp_norm(u0, p, g.cell_volume)
 
 
 class TestResidual:
     def test_zero_zero(self, grid32):
-        assert residual(zero_spectral(grid32), zero_spectral(grid32), FracParams(2.0)) == 0.0
+        assert residual(zero_spectral(grid32), zero_spectral(grid32), 2.0) == 0.0
 
     def test_lift_residual_is_pure_advection(self, grid32):
         # linear terms cancel exactly for u = u0
-        params = FracParams(1.8)
+        alpha = 1.8
         f = make_force(ForceSpec(amplitude=0.2, r1=3.0, seed=5), grid32, alpha=1.8)
-        u0 = lift_force(f, params)
-        res = residual(u0, f, params)
+        u0 = lift_force(f, alpha)
+        res = residual(u0, f, alpha)
         adv = l2_norm(projected_advection(u0))
         assert res == pytest.approx(adv, rel=1e-10)
 
@@ -261,15 +275,15 @@ class TestPressure:
         g = small_solution["grid"]
         sol = small_solution["solution"]
         f = small_solution["force"]
-        params = small_solution["config"].params
+        alpha = small_solution["config"].alpha
 
         u = sol.velocity
         div = unprojected_advection(u)
         gradp = spectral_gradient(recover_pressure(u, f), g)
-        raw = fractional_power(u, params.alpha).data + div + gradp - f.data
+        raw = fractional_power(u, alpha).data + div + gradp - f.data
         raw[:, 0, 0, 0] = 0.0
         unprojected = l2_norm(SpectralVectorField(g, raw))
-        projected = residual(u, f, params)
+        projected = residual(u, f, alpha)
         assert abs(unprojected - projected) < 1e-10
 
     @settings(max_examples=20, deadline=None)
@@ -296,7 +310,7 @@ class TestPressure:
 
 class TestScalingCheck:
     def test_zero_field(self, grid32):
-        out = scaling_check(zero_spectral(grid32), zero_spectral(grid32), FracParams(1.5), 2)
+        out = scaling_check(zero_spectral(grid32), zero_spectral(grid32), 1.5, 2)
         assert out == 0.0
 
     def test_linear_only_covariance(self, grid32):
@@ -304,25 +318,25 @@ class TestScalingCheck:
         u.data *= grid32.dealias_mask
         f = random_divfree_spectral(grid32, seed=32)
         f.data *= grid32.dealias_mask
-        d = scaling_check(u, f, FracParams(1.7), 2)  # the bilinear term included
+        d = scaling_check(u, f, 1.7, 2)  # the bilinear term included
         assert d < 1e-12
 
     def test_converged_solution_covariance(self, small_solution):
         sol = small_solution["solution"]
         f = small_solution["force"]
-        params = small_solution["config"].params
-        assert scaling_check(sol.velocity, f, params, 2) < 1e-9
+        alpha = small_solution["config"].alpha
+        assert scaling_check(sol.velocity, f, alpha, 2) < 1e-9
 
     def test_lambda_must_divide_n(self, grid32):
         u = random_divfree_spectral(grid32, seed=33)
         with pytest.raises(InvalidGrid):
-            scaling_check(u, u, FracParams(1.5), 3)
+            scaling_check(u, u, 1.5, 3)
 
     def test_rescaled_pair_fields(self, small_solution):
         # spot-check the physical meaning: u_lam samples are lam^(a-1) u samples
-        sol, params = small_solution["solution"], small_solution["config"].params
+        sol, alpha = small_solution["solution"], small_solution["config"].alpha
         f = small_solution["force"]
-        u2, f2 = rescale_pair(sol.velocity, f, params.alpha, 2)
+        u2, f2 = rescale_pair(sol.velocity, f, alpha, 2)
         s1 = to_real(sol.velocity).data
         s2 = to_real(u2).data
-        assert np.allclose(s2, 2 ** (params.alpha - 1.0) * s1)
+        assert np.allclose(s2, 2 ** (alpha - 1.0) * s1)

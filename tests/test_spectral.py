@@ -11,7 +11,6 @@ from conftest import random_divfree_spectral, random_real_field, realness_defect
 from fracns import spectral
 from fracns.errors import InvalidGrid, NumericalBlowup, ZeroModeUndefined
 from fracns.spectral import (
-    FracParams,
     Grid,
     RealVectorField,
     SpectralVectorField,
@@ -48,6 +47,11 @@ class TestGrid:
     def test_small_n_rejected(self):
         with pytest.raises(InvalidGrid):
             Grid(6, 1.0)
+
+    @pytest.mark.parametrize("box", [np.inf, np.nan])
+    def test_nonfinite_box_rejected(self, box):
+        with pytest.raises(InvalidGrid):
+            Grid(8, box)
 
     def test_negation_closure(self):
         g = Grid(8, 2 * np.pi)
@@ -332,13 +336,13 @@ class TestKernelTensor:
 class TestApplyBilinear:
     def test_zero_in_zero_out(self, grid32):
         v = SpectralVectorField(grid32, np.zeros((3, 32, 32, 17), complex))
-        out = apply_bilinear(v, FracParams(1.5))
+        out = apply_bilinear(v, 1.5)
         assert np.all(out.data == 0)
 
     def test_output_divergence_free_and_mean_free(self, grid32):
         g = grid32
         v = random_divfree_spectral(g, seed=14)
-        out = apply_bilinear(v, FracParams(1.5))
+        out = apply_bilinear(v, 1.5)
         div = g.xi[0] * out.data[0] + g.xi[1] * out.data[1] + g.xi[2] * out.data[2]
         assert np.max(np.abs(div)) < 1e-12 * max(
             np.max(np.abs(out.data)) * np.max(g.kmag), 1e-300
@@ -351,9 +355,9 @@ class TestApplyBilinear:
         # mode of exactly 0 even when v has a mean
         v = random_divfree_spectral(grid32, seed=17, mean_free=mean_free)
         assert mean_free or np.any(v.data[:, 0, 0, 0] != 0)
-        params = FracParams(1.5)
-        out = apply_bilinear(v, params)
-        want = fractional_power(projected_advection(v), -params.alpha).data
+        alpha = 1.5
+        out = apply_bilinear(v, alpha)
+        want = fractional_power(projected_advection(v), -alpha).data
         assert np.array_equal(out.data, -want)
         assert np.all(out.data[:, 0, 0, 0] == 0.0)
 
@@ -367,9 +371,9 @@ class TestApplyBilinear:
         # sizes where n/3 has fractional part 1/3, 2/3 or none: the cube path
         # of apply_bilinear and the zero-filled projected_advection agree exactly
         v = random_divfree_spectral(Grid(n, box), seed=seed)
-        params = FracParams(1.5)
-        out = apply_bilinear(v, params)
-        want = fractional_power(projected_advection(v), -params.alpha).data
+        alpha = 1.5
+        out = apply_bilinear(v, alpha)
+        want = fractional_power(projected_advection(v), -alpha).data
         assert np.array_equal(out.data, -want)
 
     def test_scaling_covariance(self, grid32):
@@ -379,14 +383,13 @@ class TestApplyBilinear:
 
         g = grid32
         alpha, lam = 1.7, 2
-        params = FracParams(alpha)
         u = random_divfree_spectral(g, seed=15)
         u.data *= g.dealias_mask
-        b1 = apply_bilinear(u, params)
+        b1 = apply_bilinear(u, alpha)
 
         g2 = Grid(g.n, g.box_length / lam)
         u2 = SpectralVectorField(g2, lam ** (alpha - 1.0) * u.data)
-        b2 = apply_bilinear(u2, params)
+        b2 = apply_bilinear(u2, alpha)
         want = lam ** (alpha - 1.0) * b1.data
         scale = np.max(np.abs(want))
         assert np.max(np.abs(b2.data - want)) < 1e-10 * scale
