@@ -402,21 +402,20 @@ def profile_decomposition(
 # moment-matrix criteria
 
 
-def bv_polynomial(A: np.ndarray, xi, i: int) -> float:
+def bv_polynomial(A: np.ndarray, xi, i: int):
     """Cubic form whose identical vanishing characterizes scalar matrices:
 
     Q_i(xi) = sum_jk (|xi|^2 (d_jk xi_i + d_ik xi_j + d_ij xi_k)
-                      - 5 xi_i xi_j xi_k) A_jk,  i 0-based.
+                      - 5 xi_i xi_j xi_k) A_jk,  i 0-based,
+
+    for symmetric A, at one frequency xi (3,) or at each row of xi (m, 3).
     """
     A = np.asarray(A, dtype=np.float64)
     xi = np.asarray(xi, dtype=np.float64)
-    r2 = float(np.dot(xi, xi))
-    trA = float(np.trace(A))
-    Axi = A @ xi
-    quad = float(xi @ Axi)
-    return float(
-        r2 * (trA * xi[i] + 2.0 * Axi[i]) - 5.0 * xi[i] * quad
-    )
+    r2 = np.sum(xi * xi, axis=-1)
+    Axi = xi @ A.T
+    quad = np.sum(xi * Axi, axis=-1)
+    return r2 * (np.trace(A) * xi[..., i] + 2.0 * Axi[..., i]) - 5.0 * xi[..., i] * quad
 
 
 def _bv_sample_directions() -> np.ndarray:
@@ -436,14 +435,8 @@ def bv_scalar_test(A: np.ndarray) -> bool:
     if normA == 0.0:
         return True
     xis = _bv_sample_directions()
-    r2 = np.sum(xis**2, axis=1)
-    trA = np.trace(A)
-    Axi = xis @ A.T
-    quad = np.sum(xis * Axi, axis=1)
-    worst = 0.0
-    for i in range(3):
-        q = r2 * (trA * xis[:, i] + 2.0 * Axi[:, i]) - 5.0 * xis[:, i] * quad
-        worst = max(worst, float(np.max(np.abs(q) / (r2**1.5 * normA))))
+    scale = np.sum(xis**2, axis=1) ** 1.5 * normA
+    worst = max(float(np.max(np.abs(bv_polynomial(A, xis, i)) / scale)) for i in range(3))
     return worst < 1e-9
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import numbers
 import os
 import sys
 import tempfile
@@ -33,7 +32,7 @@ EXIT_NOT_CONVERGED = 5
 
 
 def _finite_positive(x) -> bool:
-    return isinstance(x, numbers.Real) and bool(np.isfinite(x)) and x > 0
+    return spectral.is_real(x) and bool(np.isfinite(x)) and x > 0
 
 
 @dataclass
@@ -77,7 +76,7 @@ class RunConfig:
         if not isinstance(self.output_dir, str):
             raise ValueError(f"output_dir must be a string, got {self.output_dir!r}")
         w = self.window
-        if w is not None and not (len(w) == 2 and all(isinstance(x, numbers.Real) for x in w)
+        if w is not None and not (len(w) == 2 and all(map(spectral.is_real, w))
                                   and 0 <= w[0] < w[1] <= self.box_length / 4):
             raise ValueError("fit window must be two numbers 0 <= lo < hi <= box_length/4, "
                              f"got {w}")
@@ -208,22 +207,17 @@ def _solve_pipeline(config: RunConfig):
     return grid, cfg, f, sol
 
 
-def _solution_metrics(sol, metrics):
+def _solution_metrics(sol, f, alpha, metrics):
     d = sol.diagnostics
     metrics["iterations"] = d.iterations
-    metrics["residual"] = d.residual
-    metrics["lifted_force_lorentz_norm"] = d.lifted_force_lorentz_norm
-    metrics["empirical_bilinear_constant"] = d.empirical_bilinear_constant
-    metrics["contraction_product"] = d.contraction_product
-    metrics["solution_lorentz_norm"] = d.solution_lorentz_norm
-    metrics["two_ball_ok"] = float(d.two_ball_ok)
-    metrics["final_step_change"] = d.residual_history[-1] if d.residual_history else 0.0
+    metrics.update(solver.contraction_metrics(sol.velocity, f, alpha))
+    metrics["final_step_change"] = d.residual_history[-1]
 
 
 def _run_solve(config: RunConfig, outdir: str):
     metrics, artifacts = {}, []
     grid, cfg, f, sol = _solve_pipeline(config)
-    _solution_metrics(sol, metrics)
+    _solution_metrics(sol, f, config.alpha, metrics)
     metrics["velocity_l2"] = spectral.l2_norm(sol.velocity)
     return metrics, artifacts
 
@@ -231,7 +225,7 @@ def _run_solve(config: RunConfig, outdir: str):
 def _run_decay(config: RunConfig, outdir: str):
     metrics, artifacts = {}, []
     grid, cfg, f, sol = _solve_pipeline(config)
-    _solution_metrics(sol, metrics)
+    _solution_metrics(sol, f, config.alpha, metrics)
     u = spectral.to_real(sol.velocity)
     prof = asymptotics.radial_profile(
         u.magnitude(), grid, window=config.window, nbins=config.nbins
@@ -247,7 +241,7 @@ def _run_decay(config: RunConfig, outdir: str):
 def _run_profile(config: RunConfig, outdir: str):
     metrics, artifacts = {}, []
     grid, cfg, f, sol = _solve_pipeline(config)
-    _solution_metrics(sol, metrics)
+    _solution_metrics(sol, f, config.alpha, metrics)
     u = spectral.to_real(sol.velocity)
     u0 = spectral.to_real(solver.lift_force(f, config.alpha))
     M = forces.moment_matrix(u)
@@ -315,11 +309,9 @@ def _run_nonexist(config: RunConfig, outdir: str):
 def _run_evolve(config: RunConfig, outdir: str):
     metrics, artifacts = {}, []
     grid, cfg, f, sol = _solve_pipeline(config)
-    _solution_metrics(sol, metrics)
-    traj = evolve.evolve_mild(
-        sol.velocity, f, config.alpha, config.evolve_T, config.evolve_dt, store_every=10**9
-    )
-    drift = np.asarray(traj.drift_history)
+    _solution_metrics(sol, f, config.alpha, metrics)
+    _, drift = evolve.evolve_mild(sol.velocity, f, config.alpha, config.evolve_T,
+                                  config.evolve_dt)
     metrics["max_drift"] = float(np.max(drift))
     metrics["final_drift"] = float(drift[-1])
     artifacts.append(_write_csv(

@@ -11,7 +11,6 @@ the 24 cube rotations forces it to be scalar exactly.
 from __future__ import annotations
 
 import itertools
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +21,7 @@ from .spectral import (
     Grid,
     RealVectorField,
     SpectralVectorField,
+    is_real,
     l2_norm,
     leray_project,
     to_real,
@@ -50,13 +50,13 @@ class ForceSpec:
     def __post_init__(self):
         if self.kind not in ("annulus_ring", "gaussian_bump", "plane_wave_pair"):
             raise ValueError(f"unknown force kind {self.kind!r}")
-        if not (isinstance(self.amplitude, numbers.Real) and 0 <= self.amplitude < np.inf):
+        if not (is_real(self.amplitude) and 0 <= self.amplitude < np.inf):
             raise ValueError("amplitude must be finite and nonnegative (0 means no forcing), "
                              f"got {self.amplitude!r}")
-        if not (0 < self.r0 < self.r1):
+        if not (is_real(self.r0) and is_real(self.r1) and 0 < self.r0 < self.r1):
             raise InvalidAnnulus(f"need 0 < r0 < r1, got ({self.r0}, {self.r1})")
         a = self.anisotropy
-        if not (len(a) == 3 and all(isinstance(x, numbers.Real) and np.isfinite(x) for x in a)):
+        if not (len(a) == 3 and all(is_real(x) and np.isfinite(x) for x in a)):
             raise ValueError(f"anisotropy must be three finite numbers, got {list(a)}")
 
     def to_dict(self):

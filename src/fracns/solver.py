@@ -5,9 +5,10 @@ The steady problem is solved by iterating
     u_{n+1} = u_0 + B(u_n, u_n),   u_0 = (-Lap)^{-alpha/2} P f,
 
 with B the lifted advection map from :mod:`fracns.spectral`.  Smallness
-is never hard-coded: the contraction product 4 * delta * C_B is measured
-(delta = weak-Lorentz size of the lifted force, C_B the empirical
-bilinear constant) and reported alongside the run.
+is never hard-coded: ``contraction_metrics`` measures the contraction
+product 4 * delta * C_B of a solution (delta = weak-Lorentz size of the
+lifted force, C_B the empirical bilinear constant) for the runs that
+report it.
 """
 
 from __future__ import annotations
@@ -59,12 +60,6 @@ class SolverDiagnostics:
     iterations: int
     residual_history: list = field(default_factory=list)  # successive-change norms
     difference_ratios: list = field(default_factory=list)
-    lifted_force_lorentz_norm: float = 0.0
-    empirical_bilinear_constant: float = 0.0
-    contraction_product: float = 0.0
-    two_ball_ok: bool = True
-    solution_lorentz_norm: float = 0.0
-    residual: float = 0.0  # of the returned velocity
 
 
 @dataclass
@@ -97,7 +92,6 @@ def solve_steady(f: SpectralVectorField, config: SolverConfig) -> SteadySolution
     u0 = lift_force(f, alpha)
     u0_l2 = l2_norm(u0)
     diag = SolverDiagnostics(iterations=0)
-    diag.lifted_force_lorentz_norm = weak_lorentz_norm(u0, alpha)
 
     if u0_l2 == 0.0:
         diag.residual_history.append(0.0)
@@ -128,20 +122,29 @@ def solve_steady(f: SpectralVectorField, config: SolverConfig) -> SteadySolution
         raise NotConverged(
             f"no convergence to tol_rel={config.tol_rel} in {config.max_iter} iterations"
         )
+    return SteadySolution(u, diag)
 
-    # measured contraction data; B(u, u) = -(-Lap)^(-alpha/2) adv, whose sign the norm ignores
+
+def contraction_metrics(u: SpectralVectorField, f: SpectralVectorField, alpha: float) -> dict:
+    """The measured smallness data of a solution ``u`` for the force ``f``, under
+    its report names: the weak-Lorentz sizes delta of the lifted force and of u,
+    the empirical bilinear constant C_B = |B(u, u)| / |u|^2 in that norm, the
+    contraction product 4 delta C_B, whether u lies in the ball of radius
+    2 delta, and the residual of u."""
+    delta = weak_lorentz_norm(lift_force(f, alpha), alpha)
     u_lorentz = weak_lorentz_norm(u, alpha)
+    # B(u, u) = -(-Lap)^(-alpha/2) adv, whose sign the norm ignores
     adv = projected_advection(u)
     b_lorentz = weak_lorentz_norm(fractional_power(adv, -alpha), alpha)
-    diag.residual = residual(u, f, alpha, adv=adv)
-    diag.solution_lorentz_norm = u_lorentz
-    if u_lorentz > 0:
-        diag.empirical_bilinear_constant = b_lorentz / u_lorentz**2
-    diag.contraction_product = (
-        4.0 * diag.lifted_force_lorentz_norm * diag.empirical_bilinear_constant
-    )
-    diag.two_ball_ok = u_lorentz <= 2.0 * diag.lifted_force_lorentz_norm * (1.0 + 1e-6)
-    return SteadySolution(u, diag)
+    c_b = b_lorentz / u_lorentz**2 if u_lorentz > 0 else 0.0
+    return {
+        "lifted_force_lorentz_norm": delta,
+        "empirical_bilinear_constant": c_b,
+        "contraction_product": 4.0 * delta * c_b,
+        "solution_lorentz_norm": u_lorentz,
+        "two_ball_ok": u_lorentz <= 2.0 * delta * (1.0 + 1e-6),
+        "residual": residual(u, f, alpha, adv=adv),
+    }
 
 
 def _residual_terms(u, f, alpha, adv=None):

@@ -25,12 +25,19 @@ import scipy.fft as sfft
 
 from .errors import InvalidGrid, NumericalBlowup, ZeroModeUndefined
 
-_WORKERS = os.cpu_count() or 1
+# the CPUs this process may run on, where the platform says so
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
 
 
 def is_integer(x) -> bool:
     """True for integers other than bool (True is not a count)."""
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def is_real(x) -> bool:
+    """True for real numbers other than bool (True is not a length)."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
 def check_grid(n, box_length):
@@ -40,7 +47,7 @@ def check_grid(n, box_length):
         raise InvalidGrid(f"need an integer number of points, got {n!r}")
     if n < 8 or n % 2 != 0:
         raise InvalidGrid(f"need an even number of points >= 8, got {n}")
-    if not (isinstance(box_length, numbers.Real) and 0.0 < box_length < np.inf):
+    if not (is_real(box_length) and 0.0 < box_length < np.inf):
         raise InvalidGrid(f"box length must be finite and positive, got {box_length!r}")
 
 

@@ -249,13 +249,19 @@ class TestMainEntry:
             ("solve", {"seed": True}),
             ("solve", {"force": {"r1": 3.0, "seed": True}}),
             ("solve", {"max_iter": True}),
+            ("solve", {"box_length": True}),
+            ("solve", {"force": {"r1": 3.0, "amplitude": True}}),
+            ("solve", {"force": {"r0": True, "r1": 3.0}}),
+            ("evolve", {"evolve_T": True}),
+            ("decay", {"window": [True, 1.5]}),
         ],
         ids=["nbins_fractional", "nbins_small", "profile_nbins_small", "anisotropy_two",
              "anisotropy_not_number", "evolve_dt_string", "evolve_T_zero",
              "max_iter_fractional", "max_iter_zero", "output_dir_not_string",
              "window_reversed", "window_negative_lo", "box_length_infinite",
              "kernel_box_infinite", "amplitude_nan", "amplitude_infinite", "seed_bool",
-             "force_seed_bool", "max_iter_bool"],
+             "force_seed_bool", "max_iter_bool", "box_length_bool", "amplitude_bool",
+             "r0_bool", "evolve_T_bool", "window_bool"],
     )
     def test_bad_knob_rejected(self, tmp_path, monkeypatch, experiment, cfg):
         cfg = {"n": 16, "box_length": 8.0, "force": {"r1": 3.0}, **cfg}

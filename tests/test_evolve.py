@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_divfree_spectral, realness_defect
+from fracns import spectral
 from fracns.errors import InvalidTimeStep, NumericalBlowup
 from fracns.evolve import (
     evolve_mild,
@@ -11,8 +12,11 @@ from fracns.evolve import (
     stationarity_check,
 )
 from fracns.spectral import (
+    Grid,
     SpectralVectorField,
     l2_norm,
+    scalar_to_real,
+    spectral_gradient,
     to_real,
     to_spectral,
     zero_spectral,
@@ -21,11 +25,9 @@ from fracns.spectral import (
 
 class TestEvolveMild:
     def test_zero_stays_zero(self, grid32):
-        traj = evolve_mild(
-            zero_spectral(grid32), zero_spectral(grid32), 1.5, 0.2, 0.05
-        )
-        for s in traj.states:
-            assert np.all(s.data == 0)
+        end, drift = evolve_mild(zero_spectral(grid32), zero_spectral(grid32), 1.5, 0.2, 0.05)
+        assert np.all(end.data == 0)
+        assert drift == [0.0] * 5
 
     def test_linear_decay_rate(self, grid32):
         # single wave pair at tiny amplitude follows exp(-t |k|^alpha)
@@ -41,8 +43,7 @@ class TestEvolveMild:
             data[(c,) + neg] = np.conj(a[c]) * g.n**3 / 2
         v0 = SpectralVectorField(g, data)
         alpha, T, dt = 1.5, 0.5, 0.01
-        traj = evolve_mild(v0, zero_spectral(g), alpha, T, dt, store_every=10**9)
-        end = traj.states[-1]
+        end, _ = evolve_mild(v0, zero_spectral(g), alpha, T, dt)
         expect = np.exp(-T * np.linalg.norm(k) ** alpha)
         got = l2_norm(end) / l2_norm(v0)
         assert got == pytest.approx(expect, rel=1e-6)
@@ -54,8 +55,8 @@ class TestEvolveMild:
         alpha = small_solution["config"].alpha
         ends = []
         for dt in (0.05, 0.025, 0.0125):
-            traj = evolve_mild(v0, f, alpha, 0.5, dt, store_every=10**9)
-            ends.append(traj.states[-1].data)
+            end, _ = evolve_mild(v0, f, alpha, 0.5, dt)
+            ends.append(end.data)
         e1 = np.linalg.norm(ends[0] - ends[1])
         e2 = np.linalg.norm(ends[1] - ends[2])
         assert np.log2(e1 / e2) >= 1.8
@@ -65,17 +66,18 @@ class TestEvolveMild:
         f = small_solution["force"]
         alpha = small_solution["config"].alpha
         v0 = small_solution["solution"].velocity
-        traj = evolve_mild(v0, f, alpha, 0.2, 0.02)
-        end = traj.states[-1]
+        end, _ = evolve_mild(v0, f, alpha, 0.2, 0.02)
         assert realness_defect(end) < 1e-12
         div = sum(g.xi[i] * end.data[i] for i in range(3))
         assert np.max(np.abs(div)) < 1e-12 * np.max(np.abs(end.data)) * np.max(g.kmag)
 
     def test_unforced_energy_nonincreasing(self, grid32):
-        v0 = random_divfree_spectral(grid32, seed=40)
-        v0.data *= grid32.dealias_mask * 0.01
-        traj = evolve_mild(v0, zero_spectral(grid32), 2.0, 0.3, 0.01, store_every=4)
-        energies = [l2_norm(s) for s in traj.states]
+        v = random_divfree_spectral(grid32, seed=40)
+        v.data *= grid32.dealias_mask * 0.01
+        energies = [l2_norm(v)]
+        for _ in range(8):  # 4-step segments
+            v, _ = evolve_mild(v, zero_spectral(grid32), 2.0, 0.04, 0.01)
+            energies.append(l2_norm(v))
         assert all(a >= b - 1e-13 * energies[0] for a, b in zip(energies, energies[1:]))
 
     def test_dt_guard(self, grid32):
@@ -126,10 +128,10 @@ class TestStationarity:
         amp = 0.01 * l2_norm(sol.velocity) / l2_norm(noise)
         v0 = SpectralVectorField(g, sol.velocity.data + amp * noise.data)
 
-        traj = evolve_mild(v0, f, alpha, 2.0, 0.02, store_every=10**9)
+        end, _ = evolve_mild(v0, f, alpha, 2.0, 0.02)
         u_l2 = l2_norm(sol.velocity)
         d0 = l2_norm(SpectralVectorField(g, v0.data - sol.velocity.data)) / u_l2
-        dT = l2_norm(SpectralVectorField(g, traj.states[-1].data - sol.velocity.data)) / u_l2
+        dT = l2_norm(SpectralVectorField(g, end.data - sol.velocity.data)) / u_l2
         assert d0 >= 1e-3
         assert dT < 0.5 * d0
 
@@ -179,6 +181,31 @@ class TestKernelMasses:
     def test_heat_kernel_mass(self):
         tab = kernel_l1_check(2.0, [0.05, 0.1, 0.2, 0.4], n=96, box=8.0)
         assert np.all(np.abs(tab["p_mass"] - 1.0) < 1e-6)
+
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_gradient_mass_matches_direct_transform(self, n):
+        # the gradient column is read off the kernel tensor's trace; here it is
+        # transformed directly from 1j xi m, Nyquist rows zeroed
+        alpha, times = 1.5, (0.1, 0.3)
+        tab = kernel_l1_check(alpha, times, n=n, box=8.0)
+        g = Grid(n, 8.0)
+        for t, got in zip(times, tab["grad_p_mass_scaled"]):
+            grads = scalar_to_real(spectral_gradient(np.exp(-t * g.power(alpha)), g))
+            grads /= g.cell_volume
+            want = t ** (1.0 / alpha) * g.cell_volume * np.sum(np.sqrt(np.sum(grads**2, 0)))
+            assert abs(got - want) <= 1e-14 * want
+
+    def test_fourteen_inverse_transforms_per_time(self, monkeypatch):
+        # one for p and thirteen for the kernel tensor, whose trace gives grad p
+        calls = []
+
+        def counted(*args, _irfftn=spectral.sfft.irfftn, **kwargs):
+            calls.append(1)
+            return _irfftn(*args, **kwargs)
+
+        monkeypatch.setattr(spectral.sfft, "irfftn", counted)
+        kernel_l1_check(2.0, (0.1, 0.2, 0.4), n=16, box=4.0)
+        assert len(calls) == 3 * 14
 
     def test_columns_positive_finite(self):
         tab = kernel_l1_check(1.5, [0.1, 0.2], n=64, box=8.0)

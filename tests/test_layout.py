@@ -93,13 +93,17 @@ RETIRED = {
     "_bump_window": ("sharpness",),
     "scaling_check": ("include_bilinear", "params"),
     "SolverConfig": ("divergence_factor", "params"),
+    # the contraction data is measured by contraction_metrics, for the runs that report it
+    "SolverDiagnostics": ("lifted_force_lorentz_norm", "empirical_bilinear_constant",
+                          "contraction_product", "two_ball_ok", "solution_lorentz_norm",
+                          "residual"),
     "RunConfig": ("divergence_factor",),
     # alpha travels as a float, not wrapped in a one-field FracParams
     "apply_bilinear": ("params",),
     "lift_force": ("params",),
     "_residual_terms": ("params",),
     "residual": ("params",),
-    "evolve_mild": ("params",),
+    "evolve_mild": ("params", "store_every"),
     "stationarity_check": ("params",),
 }
 

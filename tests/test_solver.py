@@ -10,6 +10,7 @@ from fracns.errors import Diverged, InvalidAlpha, InvalidGrid, NotConverged, Zer
 from fracns.forces import ForceSpec, make_force
 from fracns.solver import (
     SolverConfig,
+    contraction_metrics,
     lift_force,
     recover_pressure,
     rescale_pair,
@@ -110,32 +111,43 @@ class TestSolverConfig:
             SolverConfig(1.5, max_iter=max_iter)
 
 
+@pytest.fixture(scope="module")
+def small_metrics(small_solution):
+    s = small_solution
+    return contraction_metrics(s["solution"].velocity, s["force"], s["config"].alpha)
+
+
 class TestSolveSteady:
     def test_zero_force_zero_solution(self, grid32):
         sol = solve_steady(zero_spectral(grid32), SolverConfig(1.5))
         assert l2_norm(sol.velocity) == 0.0
         assert sol.diagnostics.iterations <= 1
 
-    def test_small_force_converges(self, small_solution):
-        sol = small_solution["solution"]
+    def test_zero_force_metrics(self, grid32):
+        f = zero_spectral(grid32)
+        m = contraction_metrics(solve_steady(f, SolverConfig(1.5)).velocity, f, 1.5)
+        assert m == {"lifted_force_lorentz_norm": 0.0, "empirical_bilinear_constant": 0.0,
+                     "contraction_product": 0.0, "solution_lorentz_norm": 0.0,
+                     "two_ball_ok": True, "residual": 0.0}
+
+    def test_small_force_converges(self, small_solution, small_metrics):
         f = small_solution["force"]
         cfg = small_solution["config"]
-        d = sol.diagnostics
-        assert d.contraction_product < 1.0
-        u = sol.velocity
+        assert small_metrics["contraction_product"] < 1.0
+        u = small_solution["solution"].velocity
         res = residual(u, f, cfg.alpha)
         scale = l2_norm(fractional_power(u, cfg.alpha)) + l2_norm(leray_project(f))
         assert res < 1e-8 * scale
 
-    def test_geometric_difference_decay(self, small_solution):
+    def test_geometric_difference_decay(self, small_solution, small_metrics):
         d = small_solution["solution"].diagnostics
         assert len(d.difference_ratios) >= 2
-        assert max(d.difference_ratios) <= d.contraction_product + 0.1
+        assert max(d.difference_ratios) <= small_metrics["contraction_product"] + 0.1
 
-    def test_two_ball_condition(self, small_solution):
-        d = small_solution["solution"].diagnostics
-        assert d.two_ball_ok
-        assert d.solution_lorentz_norm <= 2 * d.lifted_force_lorentz_norm * (1 + 1e-6)
+    def test_two_ball_condition(self, small_metrics):
+        m = small_metrics
+        assert m["two_ball_ok"]
+        assert m["solution_lorentz_norm"] <= 2 * m["lifted_force_lorentz_norm"] * (1 + 1e-6)
 
     def test_huge_amplitude_diverges(self, grid32):
         spec = ForceSpec(amplitude=0.05 * 1e4, r0=0.8, r1=3.5, seed=3)
@@ -151,8 +163,8 @@ class TestSolveSteady:
         assert np.all(u.data[:, 0, 0, 0] == 0.0)
 
     def test_lorentz_norm_not_evaluated_per_iteration(self, grid16, monkeypatch):
-        # three weak-Lorentz evaluations (lifted force, solution, B(u, u))
-        # however many iterations the solve takes
+        # no weak-Lorentz evaluation in the solve however many iterations it
+        # takes; three (lifted force, solution, B(u, u)) in contraction_metrics
         calls = []
 
         def counted(u, alpha, _norm=solver.weak_lorentz_norm):
@@ -166,12 +178,14 @@ class TestSolveSteady:
             calls.clear()
             sol = solve_steady(f, SolverConfig(2.0, tol_rel=tol_rel))
             iterations.add(sol.diagnostics.iterations)
+            assert len(calls) == 0
+            contraction_metrics(sol.velocity, f, 2.0)
             assert len(calls) == 3
         assert len(iterations) == 2
 
     def test_residual_reuses_converged_advection(self, grid16, monkeypatch):
-        # one advection divergence per iteration, plus one for the contraction
-        # data that also gives the stored residual
+        # one advection divergence per iteration in the solve, and one in
+        # contraction_metrics for B(u, u) that also gives the residual
         calls = []
 
         def counted(v, _adv=spectral._advection_divergence):
@@ -183,8 +197,11 @@ class TestSolveSteady:
         for namespace in (spectral, solver):
             monkeypatch.setattr(namespace, "_advection_divergence", counted)
         sol = solve_steady(f, SolverConfig(alpha))
-        assert len(calls) == sol.diagnostics.iterations + 1
-        assert sol.diagnostics.residual == residual(sol.velocity, f, alpha)
+        assert len(calls) == sol.diagnostics.iterations
+        calls.clear()
+        m = contraction_metrics(sol.velocity, f, alpha)
+        assert len(calls) == 1
+        assert m["residual"] == residual(sol.velocity, f, alpha)
 
     def test_lp_persistence(self, small_solution):
         # finite-lift forces give solutions with ||u||_p <= 2 ||u0||_p
