@@ -21,6 +21,7 @@ from .errors import EmptyShell, InvalidAlpha, InvalidRadius
 from .forces import moment_matrix, scalar_deviation
 from .solver import SteadySolution
 from .spectral import (
+    CUBIC_MONOMIALS,
     Grid,
     RealVectorField,
     SpectralVectorField,
@@ -31,14 +32,10 @@ from .spectral import (
     to_real,
 )
 
-_CUBIC_MONOMIALS = [
-    (a, b, c) for a in range(3) for b in range(a, 3) for c in range(b, 3)
-]
-
 
 def _monomial_matrix(points: np.ndarray) -> np.ndarray:
     """(n, 10) matrix of cubic monomials of the (unit) direction vectors."""
-    cols = [points[:, a] * points[:, b] * points[:, c] for a, b, c in _CUBIC_MONOMIALS]
+    cols = [points[:, a] * points[:, b] * points[:, c] for a, b, c in CUBIC_MONOMIALS]
     return np.stack(cols, axis=1)
 
 
@@ -105,7 +102,7 @@ class HomogeneousKernel:
         C = np.einsum("ijkm,jk->im", self.coeffs, M)  # (3, 10)
         lin = np.zeros((3, 3))
         # laplacian of x_a x_b x_c is 2(d_ab x_c + d_ac x_b + d_bc x_a)
-        for m, (a, b, c) in enumerate(_CUBIC_MONOMIALS):
+        for m, (a, b, c) in enumerate(CUBIC_MONOMIALS):
             for i in range(3):
                 coef = C[i, m]
                 if a == b:

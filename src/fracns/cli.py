@@ -30,6 +30,10 @@ EXIT_VALIDATION = 3
 EXIT_DIVERGED = 4
 EXIT_NOT_CONVERGED = 5
 
+# exit code and stderr prefix of a run error, by class; any other error exits 3
+_RUN_ERRORS = {Diverged: (EXIT_DIVERGED, "diverged"),
+               NotConverged: (EXIT_NOT_CONVERGED, "not converged")}
+
 
 def _finite_positive(x) -> bool:
     return spectral.is_real(x) and bool(np.isfinite(x)) and x > 0
@@ -89,6 +93,9 @@ class RunConfig:
                 _finite_positive(self.evolve_T) and _finite_positive(self.evolve_dt)):
             raise ValueError("evolve_T and evolve_dt must be finite and positive, got "
                              f"{self.evolve_T!r} and {self.evolve_dt!r}")
+        if not all(isinstance(v, (list, tuple)) for v in (self.kernel_times, self.kernel_box)):
+            raise ValueError("kernel_times and kernel_box must be lists, got "
+                             f"{self.kernel_times!r} and {self.kernel_box!r}")
         if self.experiment in ("profile", "nonexist", "kernel"):
             spectral.check_grid(self.kernel_n, 1.0)
         if self.experiment == "kernel":
@@ -100,48 +107,12 @@ class RunConfig:
                     f"kernel times must be finite and positive, got {self.kernel_times}")
         return grid, cfg
 
-    def to_dict(self):
-        d = asdict(self)
-        d["force"] = self.force.to_dict()
-        d["window"] = list(self.window) if self.window else None
-        d["kernel_times"] = list(self.kernel_times)
-        d["kernel_box"] = list(self.kernel_box)
-        return d
-
     @classmethod
     def from_dict(cls, d):
         d = dict(d)
         if "force" in d:
-            d["force"] = forces.ForceSpec.from_dict(d["force"])
-        if d.get("window"):
-            d["window"] = tuple(d["window"])
-        if "kernel_times" in d:
-            d["kernel_times"] = tuple(d["kernel_times"])
-        if "kernel_box" in d:
-            d["kernel_box"] = tuple(d["kernel_box"])
+            d["force"] = forces.ForceSpec(**d["force"])
         return cls(**d)
-
-
-@dataclass
-class RunReport:
-    schema: int
-    experiment: str
-    config_echo: dict
-    metrics: dict
-    artifacts: list
-    error: str | None = None
-    wall_time: float = 0.0  # in-memory only; excluded from the serialized report
-
-    def to_json(self) -> str:
-        payload = {
-            "schema": self.schema,
-            "experiment": self.experiment,
-            "config_echo": self.config_echo,
-            "metrics": {k: self.metrics[k] for k in sorted(self.metrics)},
-            "artifacts": self.artifacts,
-            "error": self.error,
-        }
-        return json.dumps(payload, indent=2, sort_keys=False) + "\n"
 
 
 def _atomic_write(path: str, text: str):
@@ -393,25 +364,29 @@ _RUNNERS = {
 }
 
 
-def run(config: RunConfig) -> RunReport:
-    """Dispatch one experiment and write its report and artifacts."""
-    t0 = time.perf_counter()
+def _write_report(config: RunConfig, metrics: dict, artifacts: list, error=None):
+    """Write ``report.json`` (schema 1) into the run's output directory."""
+    payload = {
+        "schema": 1,
+        "experiment": config.experiment,
+        "config_echo": asdict(config),
+        "metrics": {k: metrics[k] for k in sorted(metrics)},
+        "artifacts": artifacts,
+        "error": error,
+    }
+    path = os.path.join(config.output_dir or ".", "report.json")
+    _atomic_write(path, json.dumps(payload, indent=2) + "\n")
+
+
+def run(config: RunConfig) -> dict:
+    """Dispatch one experiment, write its report and artifacts, and return its metrics."""
     outdir = config.output_dir or "."
     os.makedirs(outdir, exist_ok=True)
-    report = RunReport(
-        schema=1,
-        experiment=config.experiment,
-        config_echo=config.to_dict(),
-        metrics={},
-        artifacts=[],
-    )
     metrics, artifacts = _RUNNERS[config.experiment](config, outdir)
-    report.metrics = {k: (float(v) if isinstance(v, (int, float, np.floating)) else v)
-                      for k, v in metrics.items()}
-    report.artifacts = artifacts
-    report.wall_time = time.perf_counter() - t0
-    _atomic_write(os.path.join(outdir, "report.json"), report.to_json())
-    return report
+    metrics = {k: (float(v) if isinstance(v, (int, float, np.floating)) else v)
+               for k, v in metrics.items()}
+    _write_report(config, metrics, artifacts)
+    return metrics
 
 
 def _build_parser():
@@ -467,37 +442,20 @@ def main(argv=None) -> int:
         print(f"validation error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
 
+    t0 = time.perf_counter()
     try:
-        report = run(config)
-    except Diverged as e:
-        _emit_error_report(config, "Diverged", str(e))
-        print(f"diverged: {e}", file=sys.stderr)
-        return EXIT_DIVERGED
-    except NotConverged as e:
-        _emit_error_report(config, "NotConverged", str(e))
-        print(f"not converged: {e}", file=sys.stderr)
-        return EXIT_NOT_CONVERGED
+        metrics = run(config)
     except (FracnsError, MemoryError) as e:
-        _emit_error_report(config, type(e).__name__, str(e))
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_VALIDATION
+        code, prefix = next((v for cls, v in _RUN_ERRORS.items() if isinstance(e, cls)),
+                            (EXIT_VALIDATION, "error"))
+        _write_report(config, {}, [], error=f"{type(e).__name__}: {e}")
+        print(f"{prefix}: {e}", file=sys.stderr)
+        return code
 
-    print(f"done: {config.experiment} in {report.wall_time:.1f}s", file=sys.stderr)
-    for k in sorted(report.metrics):
-        print(f"  {k} = {report.metrics[k]}")
+    print(f"done: {config.experiment} in {time.perf_counter() - t0:.1f}s", file=sys.stderr)
+    for k in sorted(metrics):
+        print(f"  {k} = {metrics[k]}")
     return 0
-
-
-def _emit_error_report(config: RunConfig, name: str, message: str):
-    report = RunReport(
-        schema=1,
-        experiment=config.experiment,
-        config_echo=config.to_dict(),
-        metrics={},
-        artifacts=[],
-        error=f"{name}: {message}",
-    )
-    _atomic_write(os.path.join(config.output_dir or ".", "report.json"), report.to_json())
 
 
 if __name__ == "__main__":

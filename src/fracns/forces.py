@@ -18,6 +18,7 @@ import numpy as np
 from .errors import DegenerateInput, InvalidAnnulus, ScalarMomentMatrix
 from .solver import lift_force, weak_lorentz_norm
 from .spectral import (
+    CUBIC_MONOMIALS,
     Grid,
     RealVectorField,
     SpectralVectorField,
@@ -55,27 +56,13 @@ class ForceSpec:
                              f"got {self.amplitude!r}")
         if not (is_real(self.r0) and is_real(self.r1) and 0 < self.r0 < self.r1):
             raise InvalidAnnulus(f"need 0 < r0 < r1, got ({self.r0}, {self.r1})")
+        if not np.isfinite(self.r1):  # then r0 < r1 is finite too
+            raise InvalidAnnulus(f"the annulus radii must be finite, got r1={self.r1}")
         a = self.anisotropy
         if not (len(a) == 3 and all(is_real(x) and np.isfinite(x) for x in a)):
             raise ValueError(f"anisotropy must be three finite numbers, got {list(a)}")
-
-    def to_dict(self):
-        return {
-            "kind": self.kind,
-            "amplitude": self.amplitude,
-            "r0": self.r0,
-            "r1": self.r1,
-            "seed": self.seed,
-            "anisotropy": list(self.anisotropy),
-            "symmetrize": self.symmetrize,
-        }
-
-    @classmethod
-    def from_dict(cls, d):
-        d = dict(d)
-        if "anisotropy" in d:
-            d["anisotropy"] = tuple(d["anisotropy"])
-        return cls(**d)
+        if not isinstance(self.symmetrize, bool):
+            raise ValueError(f"symmetrize must be true or false, got {self.symmetrize!r}")
 
 
 def octahedral_rotations():
@@ -124,18 +111,12 @@ def rotate_real_field(data: np.ndarray, R: np.ndarray) -> np.ndarray:
 def _odd_polynomial(grid: Grid, rng, anisotropy, scale):
     """Random real polynomial, odd in xi, one array per component."""
     nu = [x / scale for x in grid.xi]
-    cubic = [
-        (a, b, c)
-        for a in range(3)
-        for b in range(a, 3)
-        for c in range(b, 3)
-    ]
     out = []
     for j in range(3):
         beta = rng.standard_normal(3)
-        gamma = rng.standard_normal(len(cubic))
+        gamma = rng.standard_normal(len(CUBIC_MONOMIALS))
         g = beta[0] * nu[0] + beta[1] * nu[1] + beta[2] * nu[2]
-        for coeff, (a, b, c) in zip(gamma, cubic):
+        for coeff, (a, b, c) in zip(gamma, CUBIC_MONOMIALS):
             g = g + coeff * (nu[a] * nu[b] * nu[c])
         out.append(anisotropy[j] * g)
     return out
@@ -190,20 +171,20 @@ def _raw_gaussian_bump(spec: ForceSpec, grid: Grid, seed: int, alpha: float) -> 
 
 
 def _raw_plane_wave_pair(spec: ForceSpec, grid: Grid, seed: int, alpha: float) -> SpectralVectorField:
-    # deterministic: the lexicographically smallest integer mode in the annulus
+    # deterministic: the lexicographically smallest integer mode in the annulus,
+    # searched plane by plane in k_x over the modes |k_c| < n/2 the grid holds
     n = grid.n
-    best = None
     dk = 2.0 * np.pi / grid.box_length
-    kmax = int(np.ceil(spec.r1 / dk))
-    for kx in range(-kmax, kmax + 1):
-        for ky in range(-kmax, kmax + 1):
-            for kz in range(-kmax, kmax + 1):
-                mag = dk * np.sqrt(kx * kx + ky * ky + kz * kz)
-                if spec.r0 <= mag <= spec.r1 and abs(kx) < n // 2 and abs(ky) < n // 2 and abs(kz) < n // 2:
-                    cand = (kx, ky, kz)
-                    if best is None or cand < best:
-                        best = cand
-    if best is None:
+    kmax = int(min(np.ceil(spec.r1 / dk), n // 2 - 1))  # r1 / dk may overflow to inf
+    ks = np.arange(-kmax, kmax + 1)
+    kyz2 = ks[:, None] ** 2 + ks[None, :] ** 2
+    for kx in ks:
+        mag = dk * np.sqrt(kx * kx + kyz2)
+        iy, iz = np.nonzero((spec.r0 <= mag) & (mag <= spec.r1))
+        if len(iy):  # row-major order: the first hit has the smallest (k_y, k_z)
+            best = (int(kx), int(ks[iy[0]]), int(ks[iz[0]]))
+            break
+    else:
         raise InvalidAnnulus("no lattice mode inside the annulus")
     rng = np.random.default_rng(seed)
     k = np.array(best, dtype=np.float64) * dk

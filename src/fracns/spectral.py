@@ -29,6 +29,9 @@ from .errors import InvalidGrid, NumericalBlowup, ZeroModeUndefined
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
 
+# the ten cubic monomials xi_a xi_b xi_c, a <= b <= c, in lexicographic order
+CUBIC_MONOMIALS = tuple(itertools.combinations_with_replacement(range(3), 3))
+
 
 def is_integer(x) -> bool:
     """True for integers other than bool (True is not a count)."""
@@ -352,7 +355,7 @@ def kernel_tensor(grid: Grid, m: np.ndarray):
     xi = grid.xi
     A = [real_space(-1j * xi[k] * m, (k,)) for k in range(3)]
     m_k2 = m * grid.power(-2.0)
-    for a, b, c in itertools.combinations_with_replacement(range(3), 3):
+    for a, b, c in CUBIC_MONOMIALS:
         C = real_space(1j * xi[a] * xi[b] * (xi[c] * m_k2), (a, b, c))
         for i, j, k in sorted(set(itertools.permutations((a, b, c)))):
             if i < j:

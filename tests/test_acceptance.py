@@ -7,6 +7,8 @@ per-criterion lines.
 """
 
 import json
+import os
+import pathlib
 import subprocess
 import sys
 import time
@@ -342,6 +344,9 @@ def test_criterion_10_determinism(tmp_path):
                   "seed": 3},
         "seed": 1,
     }
+    # the child imports this checkout's package whether or not it is installed
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     outputs = []
     for tag in ("a", "b"):
         outdir = tmp_path / tag
@@ -352,6 +357,7 @@ def test_criterion_10_determinism(tmp_path):
             [sys.executable, "-m", "fracns.cli", "decay", "--config", str(path)],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0, proc.stderr
         outputs.append(outdir)

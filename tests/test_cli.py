@@ -74,35 +74,36 @@ class TestRun:
     def test_solve_zero_force(self, tmp_path):
         cfg = small_config(tmp_path)
         cfg.force = type(cfg.force)(amplitude=0.0, r0=0.8, r1=2.8, seed=3)
-        report = run(cfg)
-        assert report.metrics["residual"] == 0.0
-        assert report.metrics["velocity_l2"] == 0.0
+        metrics = run(cfg)
+        assert metrics["residual"] == 0.0
+        assert metrics["velocity_l2"] == 0.0
 
     def test_solve_small(self, tmp_path):
-        report = run(small_config(tmp_path))
-        assert report.metrics["residual"] < 1e-10
+        metrics = run(small_config(tmp_path))
+        assert metrics["residual"] < 1e-10
         assert os.path.exists(tmp_path / "report.json")
         payload = json.loads((tmp_path / "report.json").read_text())
         assert payload["schema"] == 1
         assert "wall_time" not in payload  # reports must be bit-reproducible
         assert payload["config_echo"]["n"] == 24
+        assert payload["metrics"] == metrics
 
     def test_decay_pipeline(self, tmp_path):
         cfg = small_config(tmp_path, experiment="decay", n=32, box_length=16.0)
-        report = run(cfg)
-        assert "fitted_exponent" in report.metrics
+        metrics = run(cfg)
+        assert "fitted_exponent" in metrics
         assert (tmp_path / "decay_profile.csv").exists()
 
     def test_evolve_pipeline(self, tmp_path):
         cfg = small_config(tmp_path, experiment="evolve", evolve_T=0.1, evolve_dt=0.02)
-        report = run(cfg)
-        assert report.metrics["max_drift"] < 1e-6
+        metrics = run(cfg)
+        assert metrics["max_drift"] < 1e-6
         assert (tmp_path / "drift_history.csv").exists()
 
     def test_norms_pipeline(self, tmp_path):
-        report = run(small_config(tmp_path, experiment="norms", n=16))
-        assert report.metrics["lorentz_pp_vs_lp_max_rel_err"] < 1e-10
-        assert report.metrics["morrey_scale_ratio"] < 2.0
+        metrics = run(small_config(tmp_path, experiment="norms", n=16))
+        assert metrics["lorentz_pp_vs_lp_max_rel_err"] < 1e-10
+        assert metrics["morrey_scale_ratio"] < 2.0
 
 
 class TestDeterminism:
@@ -254,6 +255,10 @@ class TestMainEntry:
             ("solve", {"force": {"r0": True, "r1": 3.0}}),
             ("evolve", {"evolve_T": True}),
             ("decay", {"window": [True, 1.5]}),
+            ("solve", {"force": {"r1": 3.0, "symmetrize": "false"}}),
+            ("solve", {"force": {"kind": "plane_wave_pair", "r0": 0.7, "r1": float("inf")}}),
+            ("solve", {"kernel_times": 5}),
+            ("solve", {"kernel_box": 256}),
         ],
         ids=["nbins_fractional", "nbins_small", "profile_nbins_small", "anisotropy_two",
              "anisotropy_not_number", "evolve_dt_string", "evolve_T_zero",
@@ -261,7 +266,8 @@ class TestMainEntry:
              "window_reversed", "window_negative_lo", "box_length_infinite",
              "kernel_box_infinite", "amplitude_nan", "amplitude_infinite", "seed_bool",
              "force_seed_bool", "max_iter_bool", "box_length_bool", "amplitude_bool",
-             "r0_bool", "evolve_T_bool", "window_bool"],
+             "r0_bool", "evolve_T_bool", "window_bool", "symmetrize_string",
+             "plane_wave_r1_infinite", "kernel_times_not_a_list", "kernel_box_not_a_list"],
     )
     def test_bad_knob_rejected(self, tmp_path, monkeypatch, experiment, cfg):
         cfg = {"n": 16, "box_length": 8.0, "force": {"r1": 3.0}, **cfg}

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -149,6 +151,42 @@ class TestAnnulusForce:
         off = np.max(np.abs(M - np.diag(np.diag(M))))
         assert off < 1e-10 * np.trace(M)
         assert np.max(np.abs(np.diag(M) - np.trace(M) / 3)) < 1e-10 * np.trace(M)
+
+
+def _smallest_mode(n, box_length, r0, r1):
+    """Brute force: the lexicographically smallest (k_x, k_y, k_z), |k_c| < n/2,
+    with r0 <= dk |k| <= r1."""
+    dk = 2.0 * np.pi / box_length
+    ks = range(-(n // 2) + 1, n // 2)
+    return next(k for k in itertools.product(ks, repeat=3)
+                if r0 <= dk * np.sqrt(k[0] ** 2 + k[1] ** 2 + k[2] ** 2) <= r1)
+
+
+def _force_modes(f):
+    """The signed lattice modes where the half-lattice force is nonzero."""
+    n = f.grid.n
+    return {tuple(int(i) if i < n // 2 else int(i) - n for i in idx)
+            for idx in np.argwhere(np.any(f.data != 0, axis=0))}
+
+
+class TestPlaneWavePair:
+    @pytest.mark.parametrize(
+        "n, box_length, r0, r1",
+        [(16, 4.0, 0.3, 2.0), (32, 16.0, 0.3, 0.45), (32, 16.0, 0.65, 0.7),
+         (16, 8.0, 3.0, 7.5), (16, 8.0, 0.7, 2000.0)],
+        ids=["kz0", "axis", "diagonal", "outer_shell", "r1_past_lattice"],
+    )
+    def test_picks_smallest_lattice_mode(self, n, box_length, r0, r1):
+        spec = ForceSpec(kind="plane_wave_pair", amplitude=0.1, r0=r0, r1=r1, seed=4)
+        f = make_force(spec, Grid(n, box_length), 1.5)
+        k = np.array(_smallest_mode(n, box_length, r0, r1))
+        # the half lattice holds the mode with k_z >= 0 (both when k_z = 0)
+        assert _force_modes(f) == {tuple(m) for m in (k, -k) if m[2] >= 0}
+
+    def test_no_mode_rejected(self):
+        spec = ForceSpec(kind="plane_wave_pair", amplitude=0.1, r0=0.05, r1=0.12, seed=1)
+        with pytest.raises(InvalidAnnulus):
+            make_force(spec, Grid(16, 4.0), 2.0)
 
 
 class TestRotations:

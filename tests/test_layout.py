@@ -13,7 +13,9 @@ rule, the CSVs and the report are not options: no parameter or field turns
 them off.  Nor are the constants every run uses (the kernel's read-off
 shell, the certificate floors, the blow-up factor, the box-center origin):
 the parameters and fields that once held them are gone.  The order alpha is
-passed as a float, with no wrapper class around it.
+passed as a float, with no wrapper class around it.  The driver echoes its
+config through ``dataclasses.asdict``, writes ``report.json`` in one function,
+and sorts run errors into exit codes in one ``except`` branch.
 """
 
 import ast
@@ -143,3 +145,26 @@ def test_no_full_complex_transform():
     assert {name for name, _ in hits} == {"spectral.py"}, hits
     assert all(any(line in lines for lines in helpers) for _, line in hits), hits
     assert all(any(line in lines for _, line in hits) for lines in helpers), hits
+
+
+def test_one_report_writer():
+    tree = ast.parse((SRC / "cli.py").read_text())
+    functions = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
+    writers = [f.name for f in functions
+               if any(isinstance(c, ast.Constant) and c.value == "report.json"
+                      for c in ast.walk(f))]
+    assert len(writers) == 1, writers
+    main = next(f for f in functions if f.name == "main")
+    run_tries = [t for t in ast.walk(main) if isinstance(t, ast.Try)
+                 and any(isinstance(c, ast.Call) and getattr(c.func, "id", None) == "run"
+                         for stmt in t.body for c in ast.walk(stmt))]
+    assert [len(t.handlers) for t in run_tries] == [1]  # one except branch for run errors
+
+
+def test_no_hand_written_serializer():
+    # configs are echoed through dataclasses.asdict and parsed by the dataclass itself
+    defs = [(path.name, node.name) for path in sorted(SRC.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef))
+            and node.name in ("RunReport", "to_dict")]
+    assert defs == [], defs
