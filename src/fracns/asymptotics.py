@@ -4,10 +4,11 @@ The kernel tensor behind the lifted advection map is homogeneous of
 degree alpha - 4 and smooth away from the origin, so its unit-sphere
 values determine it everywhere.  We synthesize those values once on a
 refined auxiliary grid (inverse transform of the symbol under a smooth
-high-frequency splitting), read them off on mid-radius shells where the
+high-frequency splitting), read them off on a mid-radius shell where the
 discretization error is smallest, and fit the known angular structure: an
 odd cubic polynomial in the direction vector.  Extension by homogeneity
-is then exact.
+is then exact.  The samples come from the tensor's ten symmetric parts, so
+they and the fit are symmetric in (i, j) and trace-free in (j, k) to round-off.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.optimize
 
-from .errors import EmptyShell, InvalidAlpha, InvalidRadius
+from .errors import EmptyShell, InvalidAlpha, InvalidGrid, InvalidRadius
 from .forces import moment_matrix, scalar_deviation
 from .solver import SteadySolution
 from .spectral import (
@@ -31,6 +32,23 @@ from .spectral import (
     scalar_to_spectral,
     to_real,
 )
+
+
+# build_kernel fits its 23 columns (10 + 10 angular, 3 linear) to the unit-box sites in this shell
+KERNEL_SHELL = (0.085, 0.16)
+
+
+def kernel_shell_sites(n: int) -> np.ndarray:
+    """Indices (m, 3), in C order, of the sites of the unit box's n^3 lattice whose distance
+    from 0 lies in KERNEL_SHELL; InvalidGrid if they are fewer than the fit's 23 columns."""
+    x = (1.0 / n) * np.arange(n)  # Grid(n, 1.0).x_axis; d is its distance from 0, as in radius_from
+    d = np.minimum(x, 1.0 - x)
+    near = np.flatnonzero(d <= KERNEL_SHELL[1])  # a site in the shell is this near on each axis
+    r = np.sqrt(d[near, None, None] ** 2 + d[near, None] ** 2 + d[near] ** 2)
+    sites = near[np.argwhere((r >= KERNEL_SHELL[0]) & (r <= KERNEL_SHELL[1]))]
+    if len(sites) < 23:
+        raise InvalidGrid(f"kernel_n={n} leaves {len(sites)} shell sites for the fit's 23 columns")
+    return sites
 
 
 def _monomial_matrix(points: np.ndarray) -> np.ndarray:
@@ -175,27 +193,23 @@ def build_kernel(alpha: float, refinement_grid_n: int = 128) -> HomogeneousKerne
     The symbol is damped by a narrow Gaussian high-frequency splitting
     (width ~ 1.4 cells, so truncation ringing is negligible), inverse
     transformed, and sampled on all lattice sites in the mid-radius shell
-    0.085 <= |x| <= 0.16 of the unit box.
-    The samples are fitted against the exact angular basis plus two
-    nuisance blocks: a degree alpha-6 correction absorbing the smoothing
-    bias and a linear-in-x background absorbing the residual lattice
-    artifacts.  Only the homogeneous degree alpha-4 block is kept.
+    ``KERNEL_SHELL`` of the unit box as C_ijk - delta_ij sum_l C_llk, C from
+    ``kernel_tensor``.  The samples are fitted against the exact angular
+    basis plus two nuisance blocks: a degree alpha-6 correction absorbing
+    the smoothing bias and a linear-in-x background absorbing the residual
+    lattice artifacts.  Only the homogeneous degree alpha-4 block is kept.
     """
     if not (1.0 < alpha < 4.0):
         raise InvalidAlpha(f"kernel synthesis requires alpha in (1, 4), got {alpha}")
     L = 1.0
     grid = Grid(refinement_grid_n, L)
+    sites = kernel_shell_sites(refinement_grid_n)
     h = grid.spacing
     sigma = 1.4 * h
     damped_inv_pow = grid.power(-alpha)
     damped_inv_pow *= np.exp(-0.5 * sigma * sigma * grid.k2)
 
-    # lattice sites in the read-off shell
-    r = grid.radius_from(np.zeros(3))
-    lo, hi = 0.085 * L, 0.16 * L
-    sel = (r >= lo) & (r <= hi)
-    pts_idx = np.argwhere(sel)
-    coords = grid.x_axis[pts_idx]  # (m, 3) positions in [0, L)
+    coords = grid.x_axis[sites]  # (m, 3) positions in [0, L)
     coords = np.where(coords > L / 2, coords - L, coords)  # minimum-image signed
     radii = np.linalg.norm(coords, axis=1)
     dirs = coords / radii[:, None]
@@ -209,20 +223,13 @@ def build_kernel(alpha: float, refinement_grid_n: int = 128) -> HomogeneousKerne
         ]
     )
 
-    samples = np.empty((len(radii), 3, 3, 3))
-    for i, j, k, K in kernel_tensor(grid, damped_inv_pow):
-        samples[:, i, j, k] = samples[:, j, i, k] = K[sel]
+    samples = np.empty((3, 3, 3, len(radii)))
+    for entries, C in kernel_tensor(grid, damped_inv_pow):
+        samples[tuple(zip(*entries))] = C[tuple(sites.T)]
+    samples[range(3), range(3)] -= np.einsum("llkn->kn", samples)  # delta_ij grad_k p
 
-    rhs = samples.reshape(len(radii), 27)
-    sol, *_ = np.linalg.lstsq(design, rhs, rcond=None)
+    sol, *_ = np.linalg.lstsq(design, samples.reshape(27, -1).T, rcond=None)
     coeffs = sol[:10].T.reshape(3, 3, 3, 10)
-
-    # exact structure of the symbol: symmetric in (i, j), trace-free in (j, k)
-    coeffs = 0.5 * (coeffs + coeffs.transpose(1, 0, 2, 3))
-    trace = np.einsum("illm->im", coeffs)
-    for j in range(3):
-        coeffs[:, j, j, :] -= trace / 3.0
-
     cmax, argmax_dir = _sphere_max(coeffs)
     pts = np.vstack([fibonacci_sphere(2000), argmax_dir])
     return HomogeneousKernel(alpha, coeffs, pts, cmax)

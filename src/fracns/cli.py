@@ -98,6 +98,7 @@ class RunConfig:
                              f"{self.kernel_times!r} and {self.kernel_box!r}")
         if self.experiment in ("profile", "nonexist", "kernel"):
             spectral.check_grid(self.kernel_n, 1.0)
+            asymptotics.kernel_shell_sites(self.kernel_n)
         if self.experiment == "kernel":
             if len(self.kernel_box) != 2:
                 raise ValueError(f"kernel_box must be [n, box], got {list(self.kernel_box)}")
@@ -105,6 +106,7 @@ class RunConfig:
             if not (self.kernel_times and all(map(_finite_positive, self.kernel_times))):
                 raise ValueError(
                     f"kernel times must be finite and positive, got {self.kernel_times}")
+        json.dumps(asdict(self), allow_nan=False)  # the report must echo the config as JSON
         return grid, cfg
 
     @classmethod
@@ -375,7 +377,7 @@ def _write_report(config: RunConfig, metrics: dict, artifacts: list, error=None)
         "error": error,
     }
     path = os.path.join(config.output_dir or ".", "report.json")
-    _atomic_write(path, json.dumps(payload, indent=2) + "\n")
+    _atomic_write(path, json.dumps(payload, indent=2, allow_nan=False) + "\n")
 
 
 def run(config: RunConfig) -> dict:
@@ -385,6 +387,8 @@ def run(config: RunConfig) -> dict:
     metrics, artifacts = _RUNNERS[config.experiment](config, outdir)
     metrics = {k: (float(v) if isinstance(v, (int, float, np.floating)) else v)
                for k, v in metrics.items()}
+    if bad := sorted(k for k, v in metrics.items() if not np.isfinite(v)):
+        raise FracnsError(f"non-finite metrics: {', '.join(bad)}")
     _write_report(config, metrics, artifacts)
     return metrics
 

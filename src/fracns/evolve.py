@@ -156,8 +156,9 @@ def kernel_l1_check(alpha: float, times, n: int = 128, box: float = 8.0) -> dict
 
     Columns: ||p(t)||_1, t^{1/alpha} ||grad p(t)||_1, t^{1/alpha} ||K(t)||_1.
     Self-similarity makes each column time-independent in the continuum.
-    The gradient is read off the tensor: the symbol of sum_i K_iik is
-    -(3 - 1) 1j xi_k m, so sum_i K_iik = -2 d_k p.
+    Both tensor columns come from the ten symmetric parts C of
+    ``kernel_tensor``: grad_k p = sum_l C_llk, and
+    |K|_F^2 = |C|_F^2 + |grad p|^2 for K_ijk = C_ijk - delta_ij grad_k p.
     """
     grid = Grid(n, box)
     h3 = grid.cell_volume
@@ -169,15 +170,14 @@ def kernel_l1_check(alpha: float, times, n: int = 128, box: float = 8.0) -> dict
         rows["p_mass"].append(h3 * float(np.sum(np.abs(p_ker))))
 
         acc = np.zeros((grid.n, grid.n, grid.n))
-        trace = np.zeros((3, grid.n, grid.n, grid.n))
-        for i, j, k, K in kernel_tensor(grid, mult * grid.nyquist_free):
-            if i == j:
-                acc += np.square(K)
-                trace[k] += K
-            else:
-                acc += 2.0 * np.square(K)
-        gmag = 0.5 * np.sqrt(np.sum(np.square(trace, out=trace), axis=0))
-        rows["grad_p_mass_scaled"].append(t ** (1.0 / alpha) * h3 * float(np.sum(gmag)))
-        kmag_field = np.sqrt(acc)
-        rows["K_mass_scaled"].append(t ** (1.0 / alpha) * h3 * float(np.sum(kmag_field)))
+        grad = np.zeros((3, grid.n, grid.n, grid.n))
+        for entries, C in kernel_tensor(grid, mult * grid.nyquist_free):
+            for i, j, k in entries:
+                if i == j:
+                    grad[k] += C
+            acc += len(entries) * np.square(C)
+        gsq = np.sum(np.square(grad, out=grad), axis=0)
+        rows["grad_p_mass_scaled"].append(t ** (1.0 / alpha) * h3 * float(np.sum(np.sqrt(gsq))))
+        acc += gsq
+        rows["K_mass_scaled"].append(t ** (1.0 / alpha) * h3 * float(np.sum(np.sqrt(acc))))
     return {k: np.asarray(v) for k, v in rows.items()}

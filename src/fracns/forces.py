@@ -251,6 +251,8 @@ def make_force(spec: ForceSpec, grid: Grid, alpha: float) -> SpectralVectorField
     attempts = 5 if anisotropic else 1
     for attempt in range(attempts):
         raw = builder(spec, grid, spec.seed + attempt, alpha)
+        if not np.all(np.isfinite(raw.data)):
+            raise DegenerateInput(f"non-finite {spec.kind} force at radii ({spec.r0}, {spec.r1})")
         f = raw
         if spec.symmetrize:
             samples = to_real(raw).data

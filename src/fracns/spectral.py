@@ -326,42 +326,30 @@ def bilinear_symbol(xi, alpha: float, i: int, j: int, k: int) -> complex:
 
 
 def kernel_tensor(grid: Grid, m: np.ndarray):
-    """Yield ``(i, j, k, K)`` for i <= j, K the real-space samples
-    ifftn(-(delta_ij - xi_i xi_j/|xi|^2) 1j xi_k m).real / cell_volume of the
-    lifted-advection tensor for the real half-lattice multiplier ``m`` (zero
-    mode 0), which must be a function of |xi|.
+    """Yield ``(entries, C)`` for each of the ten ``CUBIC_MONOMIALS`` (a, b, c):
+    C the real-space samples ifftn(1j xi_a xi_b xi_c m/|xi|^2).real / cell_volume
+    for the real half-lattice multiplier ``m`` (zero mode 0), which must be a
+    function of |xi|, and ``entries`` the distinct index triples that C fills
+    in the fully symmetric tensor C_ijk.
 
-    The symbol is delta_ij A_k + C_ijk with A_k = -1j xi_k m and the fully
-    symmetric C_ijk = 1j xi_i xi_j xi_k m/|xi|^2: 3 + 10 inverse transforms.
-    Each goes through irfftn, so each is taken of its Hermitian part, which
-    is what the ``.real`` above keeps: a monomial of degree d_c in xi_c times
-    (1 + prod_c sigma_c^d_c)/2, sigma_c = -1 on axis c's Nyquist row (where
-    -xi_c is xi_c) and +1 elsewhere.  Entries sharing one C come together,
-    so one C is held at a time; they may share an array, which callers must
-    not modify.
+    The lifted-advection tensor -(delta_ij - xi_i xi_j/|xi|^2) 1j xi_k m is
+    C_ijk - delta_ij sum_l C_llk, as sum_l C_llk = 1j xi_k m, the symbol of
+    d_k p for p = ifftn(m): ten inverse transforms in all.  Each goes through
+    irfftn, so each is taken of its Hermitian part, which is what the
+    ``.real`` above keeps: the monomial times (1 + prod_c sigma_c^d_c)/2, d_c
+    its degree in xi_c and sigma_c = -1 on axis c's Nyquist row (where -xi_c
+    is xi_c) and +1 elsewhere.  Every C_llk is zeroed on axis k's Nyquist row
+    alone, so the identity holds on the lattice.  One C is held at a time.
     """
-
-    def real_space(sym, monomial):  # sym is a temporary, so it is transformed in place
-        flip = np.zeros((1, 1, 1), dtype=bool)  # where prod_c sigma_c^d_c = -1
-        for c in range(3):
-            if monomial.count(c) % 2:
-                flip = flip ^ grid.on_nyquist[c]
-        sym *= ~flip
-        sym[0, 0, 0] = 0.0
-        out = _irfftn(sym, overwrite_x=True)
-        out /= grid.cell_volume
-        return out
-
-    xi = grid.xi
-    A = [real_space(-1j * xi[k] * m, (k,)) for k in range(3)]
+    xi, nyq = grid.xi, grid.on_nyquist
     m_k2 = m * grid.power(-2.0)
     for a, b, c in CUBIC_MONOMIALS:
-        C = real_space(1j * xi[a] * xi[b] * (xi[c] * m_k2), (a, b, c))
-        for i, j, k in sorted(set(itertools.permutations((a, b, c)))):
-            if i < j:
-                yield i, j, k, C
-            elif i == j:
-                yield i, j, k, A[k] + C
+        sym = 1j * xi[a] * xi[b] * (xi[c] * m_k2)
+        sym *= ~(nyq[a] ^ nyq[b] ^ nyq[c])  # 0 where sigma_a sigma_b sigma_c = -1
+        sym[0, 0, 0] = 0.0
+        C = _irfftn(sym, overwrite_x=True)  # sym is a temporary
+        C /= grid.cell_volume
+        yield sorted(set(itertools.permutations((a, b, c)))), C
 
 
 def _advection_divergence(v: SpectralVectorField) -> SpectralVectorField:

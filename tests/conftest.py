@@ -3,7 +3,7 @@ import pytest
 
 from fracns.forces import ForceSpec, make_force
 from fracns.solver import SolverConfig, solve_steady
-from fracns.spectral import Grid, RealVectorField, to_spectral
+from fracns.spectral import Grid, RealVectorField, kernel_tensor, to_spectral
 
 
 @pytest.fixture(scope="session")
@@ -56,3 +56,14 @@ def small_solution(grid32):
     cfg = SolverConfig(2.0)
     sol = solve_steady(f, cfg)
     return {"force": f, "solution": sol, "config": cfg, "grid": grid32, "spec": spec}
+
+
+def symmetric_parts(grid, m):
+    """The fully symmetric tensor C_ijk, shape (3, 3, 3, n, n, n), filled from the
+    ten parts ``kernel_tensor`` yields; the kernel tensor is C_ijk - delta_ij sum_l C_llk."""
+    n = grid.n
+    C = np.empty((3, 3, 3, n, n, n))
+    for entries, part in kernel_tensor(grid, m):
+        for i, j, k in entries:
+            C[i, j, k] = part
+    return C

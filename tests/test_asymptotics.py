@@ -2,19 +2,21 @@ import numpy as np
 import pytest
 
 from fracns.asymptotics import (
+    KERNEL_SHELL,
     build_kernel,
     bv_polynomial,
     bv_scalar_test,
     caccioppoli_energy,
     fibonacci_sphere,
     fit_decay_exponent,
+    kernel_shell_sites,
     nonexistence_certificate,
     profile_decomposition,
     radial_profile,
 )
-from fracns.errors import EmptyShell, InvalidAlpha, InvalidRadius
+from fracns.errors import EmptyShell, InvalidAlpha, InvalidGrid, InvalidRadius
 from fracns.solver import recover_pressure
-from fracns.spectral import RealVectorField, to_real
+from fracns.spectral import Grid, RealVectorField, to_real
 
 
 def oseen_type_oracle(dirs):
@@ -48,6 +50,26 @@ class TestKernel:
             build_kernel(0.9)
         with pytest.raises(InvalidAlpha):
             build_kernel(4.0)
+
+    @pytest.mark.parametrize("alpha", [1.2, 1.5, 2.0, 2.4])
+    def test_fit_symmetric_and_trace_free(self, alpha):
+        # the samples are C_ijk - delta_ij sum_l C_llk and the fit is linear in them
+        c = build_kernel(alpha, refinement_grid_n=64).coeffs
+        scale = np.max(np.abs(c))
+        assert np.max(np.abs(c - c.transpose(1, 0, 2, 3))) <= 1e-13 * scale
+        assert np.max(np.abs(np.einsum("ijjm->im", c))) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("n", [16, 32, 48, 64])
+    def test_shell_sites_match_grid_radius(self, n):
+        r = Grid(n, 1.0).radius_from(np.zeros(3))
+        lo, hi = KERNEL_SHELL
+        assert np.array_equal(kernel_shell_sites(n), np.argwhere((r >= lo) & (r <= hi)))
+
+    @pytest.mark.parametrize("n", [8, 10, 12])
+    def test_underdetermined_fit_rejected(self, n):
+        # the shell holds 6, 18 and 20 sites for the fit's 23 unknowns
+        with pytest.raises(InvalidGrid):
+            build_kernel(1.5, refinement_grid_n=n)
 
     def test_homogeneity_exact(self, kernel15):
         rng = np.random.default_rng(0)

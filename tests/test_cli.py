@@ -195,6 +195,21 @@ class TestMainEntry:
         payload = json.loads((tmp_path / "report.json").read_text())
         assert payload["error"].startswith("DegenerateInput")
 
+    def test_non_finite_metric_error_report(self, tmp_path):
+        # at t = 1000 the kernel mass is 0, so K_scaled_variation is inf
+        cfg = {"kernel_n": 16, "kernel_box": [16, 4.0], "kernel_times": [0.1, 1000.0],
+               "output_dir": str(tmp_path)}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["kernel", "--config", str(path)]) == EXIT_VALIDATION
+
+        def reject(token):
+            raise ValueError(f"{token} is not JSON")
+
+        payload = json.loads((tmp_path / "report.json").read_text(), parse_constant=reject)
+        assert payload["metrics"] == {}
+        assert "K_scaled_variation" in payload["error"]
+
     def test_out_of_memory_in_validation_exit(self, tmp_path, monkeypatch):
         def exhausted(self):
             raise MemoryError("cannot allocate the grid")
@@ -259,6 +274,7 @@ class TestMainEntry:
             ("solve", {"force": {"kind": "plane_wave_pair", "r0": 0.7, "r1": float("inf")}}),
             ("solve", {"kernel_times": 5}),
             ("solve", {"kernel_box": 256}),
+            ("solve", {"evolve_T": float("inf")}),
         ],
         ids=["nbins_fractional", "nbins_small", "profile_nbins_small", "anisotropy_two",
              "anisotropy_not_number", "evolve_dt_string", "evolve_T_zero",
@@ -267,7 +283,8 @@ class TestMainEntry:
              "kernel_box_infinite", "amplitude_nan", "amplitude_infinite", "seed_bool",
              "force_seed_bool", "max_iter_bool", "box_length_bool", "amplitude_bool",
              "r0_bool", "evolve_T_bool", "window_bool", "symmetrize_string",
-             "plane_wave_r1_infinite", "kernel_times_not_a_list", "kernel_box_not_a_list"],
+             "plane_wave_r1_infinite", "kernel_times_not_a_list", "kernel_box_not_a_list",
+             "config_echo_not_json"],
     )
     def test_bad_knob_rejected(self, tmp_path, monkeypatch, experiment, cfg):
         cfg = {"n": 16, "box_length": 8.0, "force": {"r1": 3.0}, **cfg}
@@ -304,9 +321,13 @@ class TestMainEntry:
             ("kernel", {"kernel_n": 16, "kernel_box": [16, 0.0]}),
             ("profile", {"n": 16, "box_length": 8.0, "force": {"r1": 3.0}, "kernel_n": 130.5}),
             ("nonexist", {"n": 16, "box_length": 8.0, "force": {"r1": 3.0}, "kernel_n": 6}),
+            # the read-off shell holds 20 sites for the fit's 23 unknowns
+            ("kernel", {"kernel_n": 12, "kernel_box": [16, 4.0]}),
+            ("profile", {"n": 16, "box_length": 8.0, "force": {"r1": 3.0}, "kernel_n": 12}),
         ],
         ids=["box_one_entry", "n_fractional", "box_n_fractional", "box_n_odd",
-             "box_nonpositive", "profile_n_fractional", "nonexist_n_small"],
+             "box_nonpositive", "profile_n_fractional", "nonexist_n_small",
+             "kernel_fit_underdetermined", "profile_fit_underdetermined"],
     )
     def test_bad_kernel_grid_rejected(self, tmp_path, monkeypatch, experiment, cfg):
         self._rejected_before_run(tmp_path, monkeypatch, experiment, cfg)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_divfree_spectral, realness_defect
+from conftest import random_divfree_spectral, realness_defect, symmetric_parts
 from fracns import spectral
 from fracns.errors import InvalidTimeStep, NumericalBlowup
 from fracns.evolve import (
@@ -184,7 +184,7 @@ class TestKernelMasses:
 
     @pytest.mark.parametrize("n", [32, 64])
     def test_gradient_mass_matches_direct_transform(self, n):
-        # the gradient column is read off the kernel tensor's trace; here it is
+        # the gradient column is read off the kernel tensor's parts; here it is
         # transformed directly from 1j xi m, Nyquist rows zeroed
         alpha, times = 1.5, (0.1, 0.3)
         tab = kernel_l1_check(alpha, times, n=n, box=8.0)
@@ -195,8 +195,18 @@ class TestKernelMasses:
             want = t ** (1.0 / alpha) * g.cell_volume * np.sum(np.sqrt(np.sum(grads**2, 0)))
             assert abs(got - want) <= 1e-14 * want
 
-    def test_fourteen_inverse_transforms_per_time(self, monkeypatch):
-        # one for p and thirteen for the kernel tensor, whose trace gives grad p
+    def test_tensor_mass_matches_assembled_tensor(self):
+        # the K column takes |K|_F^2 = |C|_F^2 + |grad p|^2; here K is assembled entry by entry
+        alpha, t, n = 1.5, 0.2, 16
+        tab = kernel_l1_check(alpha, [t], n=n, box=8.0)
+        g = Grid(n, 8.0)
+        C = symmetric_parts(g, np.exp(-t * g.power(alpha)) * g.nyquist_free)
+        K = C - np.einsum("ij,llk...->ijk...", np.eye(3), C)
+        want = t ** (1.0 / alpha) * g.cell_volume * np.sum(np.sqrt(np.sum(K**2, axis=(0, 1, 2))))
+        assert abs(tab["K_mass_scaled"][0] - want) <= 1e-14 * want
+
+    def test_eleven_inverse_transforms_per_time(self, monkeypatch):
+        # one for p and ten for the kernel tensor's parts, which also give grad p
         calls = []
 
         def counted(*args, _irfftn=spectral.sfft.irfftn, **kwargs):
@@ -205,7 +215,7 @@ class TestKernelMasses:
 
         monkeypatch.setattr(spectral.sfft, "irfftn", counted)
         kernel_l1_check(2.0, (0.1, 0.2, 0.4), n=16, box=4.0)
-        assert len(calls) == 3 * 14
+        assert len(calls) == 3 * 11
 
     def test_columns_positive_finite(self):
         tab = kernel_l1_check(1.5, [0.1, 0.2], n=64, box=8.0)

@@ -143,6 +143,12 @@ class TestAnnulusForce:
         with pytest.raises(DegenerateInput):
             make_force(spec, Grid(16, 4.0), 1.5)
 
+    def test_non_finite_force_rejected(self):
+        # (r1 - r0)/6 squared overflows, so every window value is inf/inf = NaN
+        spec = ForceSpec(kind="gaussian_bump", amplitude=0.1, r1=1e300, seed=4)
+        with pytest.raises(DegenerateInput, match="gaussian_bump"):
+            make_force(spec, Grid(16, 8.0), 1.5)
+
     def test_isotropic_symmetrized_moment_scalar(self, grid32):
         spec = ForceSpec(amplitude=0.1, r1=3.5, seed=7, symmetrize=True)
         f = make_force(spec, grid32, 1.5)

@@ -7,7 +7,7 @@ import scipy.fft as sfft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_divfree_spectral, random_real_field, realness_defect
+from conftest import random_divfree_spectral, random_real_field, realness_defect, symmetric_parts
 from fracns import spectral
 from fracns.errors import InvalidGrid, NumericalBlowup, ZeroModeUndefined
 from fracns.spectral import (
@@ -299,20 +299,35 @@ class TestKernelTensor:
         alpha=st.floats(1.0, 4.0, exclude_min=True, exclude_max=True),
     )
     def test_matches_reference_symbol(self, n, box, alpha):
-        # every entry, the mirrored j > i ones included, is the inverse
+        # every entry K_ijk = C_ijk - delta_ij sum_l C_llk is the inverse
         # transform of bilinear_symbol sampled on the lattice
         g = Grid(n, box)
-        got = {}
-        for i, j, k, K in kernel_tensor(g, inverse_power(g, alpha)):
-            got[i, j, k] = got[j, i, k] = K
-        assert len(got) == 27
+        C = symmetric_parts(g, inverse_power(g, alpha))
+        got = C - np.einsum("ij,llk...->ijk...", np.eye(3), C)
         xis = np.stack(np.meshgrid(*(g.xi_axis,) * 3, indexing="ij"), axis=-1).reshape(-1, 3)
         for i, j, k in itertools.product(range(3), repeat=3):
             sym = np.array([bilinear_symbol(xi, alpha, i, j, k) for xi in xis])
             want = sfft.ifftn(sym.reshape(n, n, n)).real / g.cell_volume
             assert np.max(np.abs(got[i, j, k] - want)) <= 1e-12 * np.max(np.abs(want))
 
-    def test_thirteen_inverse_transforms(self, monkeypatch):
+    @settings(max_examples=15, deadline=None)
+    @given(
+        n=st.sampled_from([8, 12, 16]),
+        box=st.floats(1.0, 40.0),
+        alpha=st.floats(1.0, 4.0, exclude_min=True, exclude_max=True),
+    )
+    def test_trace_is_gradient_symbol(self, n, box, alpha):
+        # sum_l C_llk is the transform of 1j xi_k m, Nyquist row k zeroed, zero mode 0
+        g = Grid(n, box)
+        m = inverse_power(g, alpha)
+        trace = np.einsum("llk...->k...", symmetric_parts(g, m))
+        for k in range(3):
+            sym = 1j * g.xi[k] * m * ~g.on_nyquist[k]
+            sym[0, 0, 0] = 0.0
+            want = sfft.irfftn(sym, s=(n, n, n)) / g.cell_volume
+            assert np.max(np.abs(trace[k] - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_ten_inverse_transforms(self, monkeypatch):
         calls = {"irfftn": [], "ifftn": []}
 
         def counting(name):
@@ -325,11 +340,12 @@ class TestKernelTensor:
         g = Grid(8, 3.0)
         for name in calls:
             monkeypatch.setattr(sfft, name, counting(name))
-        entries = list(kernel_tensor(g, inverse_power(g, 1.5)))
-        assert sorted((i, j, k) for i, j, k, _ in entries) == [
-            (i, j, k) for i in range(3) for j in range(i, 3) for k in range(3)
-        ]
-        assert len(calls["irfftn"]) == 13
+        parts = list(kernel_tensor(g, inverse_power(g, 1.5)))
+        # the ten parts fill each of the 27 entries of C once
+        assert sorted(e for entries, _ in parts for e in entries) == list(
+            itertools.product(range(3), repeat=3)
+        )
+        assert len(calls["irfftn"]) == 10
         assert calls["ifftn"] == []
 
 
