@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import asymptotics, evolve, forces, solver, spaces, spectral
-from .errors import Diverged, FracnsError, NotConverged
+from .errors import DegenerateInput, Diverged, FracnsError, NotConverged
 
 EXPERIMENTS = ("solve", "decay", "profile", "nonexist", "evolve", "norms", "kernel")
 
@@ -346,6 +346,9 @@ def _run_kernel(config: RunConfig, outdir: str):
         metrics[f"grad_p_scaled_t{i}"] = float(tab["grad_p_mass_scaled"][i])
         metrics[f"K_scaled_t{i}"] = float(tab["K_mass_scaled"][i])
     km = tab["K_mass_scaled"]
+    if zero := [float(t) for t, k in zip(tab["t"], km) if not k > 0.0]:
+        raise DegenerateInput(f"the K mass is 0 at t = {zero}, "
+                              "so K_scaled_variation (max/min - 1) is undefined")
     metrics["K_scaled_variation"] = float(km.max() / km.min() - 1.0)
     columns = ("t", "p_mass", "grad_p_mass_scaled", "K_mass_scaled")
     artifacts.append(_write_csv(

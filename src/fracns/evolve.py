@@ -3,10 +3,13 @@
 Used as a stationarity and uniqueness oracle for the steady solver: a
 converged steady state is an exact fixed point of the exponential
 integrator below, so any drift measures discretization inconsistency.
-Also hosts the semigroup-estimate checks (smoothing rate, kernel masses).
+Also hosts the semigroup-estimate checks (smoothing rate, kernel masses);
+the kernel masses are weighted sums over the octant j = 0..n/2 of each axis.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -14,11 +17,12 @@ from .errors import InvalidTimeStep, NumericalBlowup
 from .solver import SteadySolution
 from .spaces import lp_norm
 from .spectral import (
+    CUBIC_MONOMIALS,
     Grid,
     SpectralVectorField,
-    kernel_tensor,
     l2_norm,
     leray_project,
+    octant_to_real,
     projected_advection,
     scalar_to_real,
     scalar_to_spectral,
@@ -156,28 +160,60 @@ def kernel_l1_check(alpha: float, times, n: int = 128, box: float = 8.0) -> dict
 
     Columns: ||p(t)||_1, t^{1/alpha} ||grad p(t)||_1, t^{1/alpha} ||K(t)||_1.
     Self-similarity makes each column time-independent in the continuum.
-    Both tensor columns come from the ten symmetric parts C of
-    ``kernel_tensor``: grad_k p = sum_l C_llk, and
-    |K|_F^2 = |C|_F^2 + |grad p|^2 for K_ijk = C_ijk - delta_ij grad_k p.
+    p = ifftn(m), m = exp(-t |xi|^alpha), and the ten fully symmetric parts
+    C_abc = ifftn(1j xi_a xi_b xi_c m/|xi|^2) of the kernel tensor, m's Nyquist
+    rows zeroed, are even or odd along each axis, so each is sampled on the
+    octant alone (``octant_to_real``): the parts in four parity groups, one
+    stacked transform each.  A group's transform is its C times the same sign,
+    1j**(1 + #odd axes) = +-1, which no mass reads.  Both tensor columns come
+    from C: grad_k p = sum_l C_llk, the sum of the group odd along axis k alone,
+    and |K|_F^2 = |C|_F^2 + |grad p|^2 for K_ijk = C_ijk - delta_ij grad_k p.
+    |p|, |grad p| and |K|_F are unchanged by reflections, so each lattice sum is
+    the octant sum weighted 1 on the j = 0 and j = n/2 planes of each axis and 2
+    elsewhere.
     """
     grid = Grid(n, box)
     h3 = grid.cell_volume
+    half = n // 2 + 1
+
+    def octant(a):
+        return a[:half, :half].copy()  # the Nyquist row n/2 is held as -n/2
+
+    xi = [grid.xi[0][:half], grid.xi[1][:, :half], grid.xi[2]]
+    power = octant(grid.power(alpha))
+    nyquist_free, k2_inv = octant(grid.nyquist_free), octant(grid.power(-2.0))
+    del grid  # the half-lattice arrays are not read past here
+
+    groups = {}  # parity along each axis -> the monomials of that parity
+    for abc in CUBIC_MONOMIALS:
+        groups.setdefault(tuple(abc.count(c) % 2 for c in range(3)), []).append(abc)
+    weight = np.full(half, 2.0)
+    weight[[0, -1]] = 1.0
+
+    def mass(a):
+        return h3 * float(weight @ (a @ weight) @ weight)
+
     rows = {"t": [], "p_mass": [], "grad_p_mass_scaled": [], "K_mass_scaled": []}
     for t in times:
-        mult = np.exp(-t * grid.power(alpha))
-        p_ker = scalar_to_real(mult) / h3
+        mult = np.exp(-t * power)
         rows["t"].append(t)
-        rows["p_mass"].append(h3 * float(np.sum(np.abs(p_ker))))
+        rows["p_mass"].append(mass(np.abs(octant_to_real(mult, (0, 0, 0)) / h3)))
 
-        acc = np.zeros((grid.n, grid.n, grid.n))
-        grad = np.zeros((3, grid.n, grid.n, grid.n))
-        for entries, C in kernel_tensor(grid, mult * grid.nyquist_free):
-            for i, j, k in entries:
-                if i == j:
-                    grad[k] += C
-            acc += len(entries) * np.square(C)
-        gsq = np.sum(np.square(grad, out=grad), axis=0)
-        rows["grad_p_mass_scaled"].append(t ** (1.0 / alpha) * h3 * float(np.sum(np.sqrt(gsq))))
-        acc += gsq
-        rows["K_mass_scaled"].append(t ** (1.0 / alpha) * h3 * float(np.sum(np.sqrt(acc))))
+        m_k2 = mult * nyquist_free * k2_inv
+        csq = np.zeros((half, half, half))
+        gsq = np.zeros((half, half, half))
+        for parity, members in groups.items():
+            sym = np.empty((len(members), half, half, half))
+            for out, (a, b, c) in zip(sym, members):
+                np.multiply(xi[a] * xi[b], xi[c] * m_k2, out=out)
+            C = octant_to_real(sym, parity)
+            del sym
+            C /= h3
+            for abc, part in zip(members, C):
+                csq += len(set(itertools.permutations(abc))) * np.square(part)
+            if sum(parity) == 1:  # grad p along the odd axis
+                gsq += np.square(np.sum(C, axis=0))
+        rows["grad_p_mass_scaled"].append(t ** (1.0 / alpha) * mass(np.sqrt(gsq)))
+        csq += gsq
+        rows["K_mass_scaled"].append(t ** (1.0 / alpha) * mass(np.sqrt(csq)))
     return {k: np.asarray(v) for k, v in rows.items()}

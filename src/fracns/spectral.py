@@ -10,7 +10,13 @@ exact for every pipeline that matters.  Spectral fields hold the rfftn half
 spectrum of real fields (``Grid.spectral_shape``), so every transform is
 real and the L^2 norms weigh interior k_z planes twice.  The quadratic map
 is formed on the box of modes the 2/3 rule keeps (``_Cube``), through a
-pruned transform pair that touches that box alone.
+pruned transform pair that touches that box alone.  A symbol that is even or
+odd along each axis (a radial multiplier times a monomial in xi) is also
+sampled on the octant alone (``octant_to_real``): k = 0..n/2 in, j = 0..n/2
+out, one real DCT-I or DST-I per axis.  Every other sample is a reflection of
+an octant sample up to sign, so a lattice sum of a reflection-invariant
+quantity is the octant sum weighted 1 on the j = 0 and j = n/2 planes of each
+axis and 2 elsewhere.
 """
 
 from __future__ import annotations
@@ -209,6 +215,34 @@ def scalar_to_spectral(samples: np.ndarray) -> np.ndarray:
     return sfft.rfftn(samples, workers=_WORKERS)
 
 
+def octant_to_real(m: np.ndarray, parity) -> np.ndarray:
+    """Real samples, on the octant j = 0..n/2 of each axis, of a real multiplier
+    given on the octant k = 0..n/2 of each axis and even (parity 0) or odd
+    (parity 1) along each of the last three axes:
+    sum_k m(k) prod_c cs_c(2 pi k_c j_c / n) / n^3 over the full lattice, cs_c
+    cos on even axes and sin on odd ones.  That is irfftn of the symbol
+    (-1j)**(number of odd axes) m, extended to the lattice by its parities.
+
+    An even axis is one DCT-I (FFTW's REDFT00).  An odd axis is one DST-I
+    (RODFT00) of its interior rows 1..n/2-1: an odd multiplier is 0 on the
+    rows k = 0 and n/2, where -k is k, and so are the samples on the rows
+    j = 0 and n/2.  Leading axes of ``m`` are a batch.
+    """
+    n = 2 * (m.shape[-1] - 1)
+    inner = (...,) + tuple(slice(1, -1) if p else slice(None) for p in parity)
+    out = m[inner]
+    for stage, (axis, p) in enumerate(zip((-3, -2, -1), parity)):
+        transform = sfft.dst if p else sfft.dct
+        # the first stage reads the caller's m; later ones own their input
+        out = transform(out, type=1, axis=axis, overwrite_x=stage > 0, workers=_WORKERS)
+    out /= n**3
+    if not any(parity):
+        return out
+    full = np.zeros(m.shape)
+    full[inner] = out
+    return full
+
+
 class _Cube:
     """The box of half-lattice modes the quadratic map keeps: the rows and
     planes of ``grid`` that hold a mode of the 2/3-rule mask, |k_x|, |k_y| <= m
@@ -340,6 +374,8 @@ def kernel_tensor(grid: Grid, m: np.ndarray):
     its degree in xi_c and sigma_c = -1 on axis c's Nyquist row (where -xi_c
     is xi_c) and +1 elsewhere.  Every C_llk is zeroed on axis k's Nyquist row
     alone, so the identity holds on the lattice.  One C is held at a time.
+    ``build_kernel`` reads it: its damped symbol is not 0 on the Nyquist rows,
+    where the Hermitian part keeps what an octant DST-I would drop.
     """
     xi, nyq = grid.xi, grid.on_nyquist
     m_k2 = m * grid.power(-2.0)

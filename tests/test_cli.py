@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -209,6 +210,24 @@ class TestMainEntry:
         payload = json.loads((tmp_path / "report.json").read_text(), parse_constant=reject)
         assert payload["metrics"] == {}
         assert "K_scaled_variation" in payload["error"]
+
+    def test_zero_kernel_mass_writes_no_artifact(self, tmp_path, monkeypatch):
+        # the run stops at the zero K mass: no division by it, no kernel_masses.csv
+        cfg = {"alpha": 2.0, "kernel_times": [0.1, 1000.0], "kernel_n": 16,
+               "kernel_box": [16, 4.0]}
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("FRACNS_OUTPUT_DIR", raising=False)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["kernel", "--config", str(path)])
+        assert code == EXIT_VALIDATION
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        payload = json.loads((tmp_path / "report.json").read_text())
+        assert payload["error"].startswith("DegenerateInput") and "K mass is 0" in payload["error"]
+        assert payload["artifacts"] == [] and payload["metrics"] == {}
+        assert not (tmp_path / "kernel_masses.csv").exists()
 
     def test_out_of_memory_in_validation_exit(self, tmp_path, monkeypatch):
         def exhausted(self):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_divfree_spectral, realness_defect, symmetric_parts
 from fracns import spectral
@@ -205,17 +207,48 @@ class TestKernelMasses:
         want = t ** (1.0 / alpha) * g.cell_volume * np.sum(np.sqrt(np.sum(K**2, axis=(0, 1, 2))))
         assert abs(tab["K_mass_scaled"][0] - want) <= 1e-14 * want
 
-    def test_eleven_inverse_transforms_per_time(self, monkeypatch):
-        # one for p and ten for the kernel tensor's parts, which also give grad p
-        calls = []
+    def test_octant_transforms_per_time(self, monkeypatch):
+        # no transform of the full lattice: p is three DCT-I stages, and each of
+        # the four parity groups of the tensor's parts one stacked stage per axis
+        calls = {"irfftn": 0, "dct": 0, "dst": 0}
 
-        def counted(*args, _irfftn=spectral.sfft.irfftn, **kwargs):
-            calls.append(1)
-            return _irfftn(*args, **kwargs)
+        def counting(name):
+            def counted(*args, _f=getattr(spectral.sfft, name), **kwargs):
+                calls[name] += 1
+                return _f(*args, **kwargs)
 
-        monkeypatch.setattr(spectral.sfft, "irfftn", counted)
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(spectral.sfft, name, counting(name))
         kernel_l1_check(2.0, (0.1, 0.2, 0.4), n=16, box=4.0)
-        assert len(calls) == 3 * 11
+        assert calls == {"irfftn": 0, "dct": 3 * 9, "dst": 3 * 6}
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.integers(4, 16).map(lambda m: 2 * m),
+        box=st.floats(2.0, 40.0),
+        alpha=st.floats(1.0, 4.0, exclude_min=True, exclude_max=True),
+        t=st.floats(1e-300, 1.0),  # t**(1/alpha) stays a normal float
+    )
+    def test_masses_match_full_lattice_transforms(self, n, box, alpha, t):
+        # the octant sums against the irfftn path: p from scalar_to_real, the
+        # tensor assembled from kernel_tensor's parts, both summed over the lattice
+        tab = kernel_l1_check(alpha, [t], n=n, box=box)
+        g = Grid(n, box)
+        mult = np.exp(-t * g.power(alpha))
+        p = scalar_to_real(mult) / g.cell_volume
+        C = symmetric_parts(g, mult * g.nyquist_free)
+        grad = np.einsum("llk...->k...", C)
+        K = C - np.einsum("ij,k...->ijk...", np.eye(3), grad)
+        scale = t ** (1.0 / alpha) * g.cell_volume
+        want = {
+            "p_mass": g.cell_volume * np.sum(np.abs(p)),
+            "grad_p_mass_scaled": scale * np.sum(np.sqrt(np.sum(grad**2, axis=0))),
+            "K_mass_scaled": scale * np.sum(np.sqrt(np.sum(K**2, axis=(0, 1, 2)))),
+        }
+        for key, w in want.items():
+            assert abs(tab[key][0] - w) <= 1e-13 * w, key
 
     def test_columns_positive_finite(self):
         tab = kernel_l1_check(1.5, [0.1, 0.2], n=64, box=8.0)

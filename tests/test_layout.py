@@ -8,11 +8,14 @@ v_j v_k of the advection term is formed only in
 ``spectral._advection_divergence``.  Transforms are taken in ``spectral``
 alone and are real: rfftn/irfftn between samples and the half lattice, and
 the pruned pair between samples and the dealias cube, whose one-axis complex
-stages (fft/ifft) appear in its two helpers and nowhere else.  The 2/3
-rule, the CSVs and the report are not options: no parameter or field turns
-them off.  Nor are the constants every run uses (the kernel's read-off
-shell, the certificate floors, the blow-up factor, the box-center origin):
-the parameters and fields that once held them are gone.  The order alpha is
+stages (fft/ifft) appear in its two helpers and nowhere else.  The real
+one-axis DCT-I/DST-I stages (dct/dst), from the octant of a symbol even or
+odd along each axis to the octant of its samples, appear in
+``octant_to_real`` alone.  The 2/3 rule, the CSVs and the report are not
+options: no parameter or field turns them off.  Nor are the constants every
+run uses (the kernel's read-off shell, the certificate floors, the blow-up
+factor, the box-center origin): the parameters and fields that once held
+them are gone.  The order alpha is
 passed as a float, with no wrapper class around it.  The driver echoes its
 config through ``dataclasses.asdict``, writes ``report.json`` in one function,
 and sorts run errors into exit codes in one ``except`` branch.
@@ -145,6 +148,14 @@ def test_no_full_complex_transform():
     assert {name for name, _ in hits} == {"spectral.py"}, hits
     assert all(any(line in lines for lines in helpers) for _, line in hits), hits
     assert all(any(line in lines for _, line in hits) for lines in helpers), hits
+
+
+def test_real_trigonometric_transforms_in_the_octant_helper_only():
+    # dct/dst (and their inverses and n-d forms) are the octant helper's stages
+    hits = _hits(r"\b(i?d[cs]tn?)\b")
+    lines = _spectral_def_lines("octant_to_real")
+    assert hits and {name for name, _ in hits} == {"spectral.py"}, hits
+    assert all(line in lines for _, line in hits), hits
 
 
 def test_one_report_writer():

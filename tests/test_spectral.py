@@ -349,6 +349,40 @@ class TestKernelTensor:
         assert calls["ifftn"] == []
 
 
+class TestOctantToReal:
+    @pytest.mark.parametrize("parity", list(itertools.product((0, 1), repeat=3)),
+                             ids=lambda p: "".join("eo"[c] for c in p))
+    @settings(max_examples=10, deadline=None)
+    @given(n=HALF_SIZES, seed=st.integers(0, 2**16))
+    def test_matches_irfftn_of_the_extended_symbol(self, parity, n, seed):
+        # a random real multiplier on the octant, extended to the half lattice by
+        # its parities (Nyquist rows zeroed), through irfftn and read on the octant
+        half = n // 2 + 1
+        rng = np.random.default_rng(seed)
+        m = rng.standard_normal((2, half, half, half))  # a batch of two
+        m[:, half - 1] = m[:, :, half - 1] = m[..., half - 1] = 0.0
+        k = np.fft.fftfreq(n, d=1.0 / n).astype(int)
+        rows = [np.abs(k), np.abs(k), np.abs(k[:half])]
+        sign = [np.sign(r) ** p for r, p in zip((k, k, k[:half]), parity)]
+        sym = m[:, rows[0][:, None, None], rows[1][None, :, None], rows[2][None, None, :]]
+        sym = sym * sign[0][:, None, None] * sign[1][None, :, None] * sign[2][None, None, :]
+        want = sfft.irfftn((-1j) ** sum(parity) * sym, s=(n, n, n))[:, :half, :half, :half]
+        got = spectral.octant_to_real(m, parity)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        for axis, p in zip((1, 2, 3), parity):  # the rows j = 0, n/2 of an odd axis are 0
+            if p:
+                assert np.all(np.take(got, [0, half - 1], axis=axis) == 0.0)
+
+    def test_reads_no_endpoint_row_of_an_odd_axis_and_keeps_its_input(self):
+        m = np.random.default_rng(5).standard_normal((9, 9, 9))
+        kept = m.copy()
+        cut = m.copy()
+        cut[0], cut[-1] = 0.0, 0.0
+        got = spectral.octant_to_real(m, (1, 0, 0))
+        assert np.array_equal(m, kept)
+        assert np.array_equal(got, spectral.octant_to_real(cut, (1, 0, 0)))
+
+
 class TestApplyBilinear:
     def test_zero_in_zero_out(self, grid32):
         v = SpectralVectorField(grid32, np.zeros((3, 32, 32, 17), complex))
