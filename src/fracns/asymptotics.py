@@ -20,14 +20,13 @@ import scipy.optimize
 
 from .errors import EmptyShell, InvalidAlpha, InvalidGrid, InvalidRadius
 from .forces import moment_matrix, scalar_deviation
-from .solver import SteadySolution
+from .solver import SteadySolution, lift_force
 from .spectral import (
     CUBIC_MONOMIALS,
     Grid,
     RealVectorField,
     SpectralVectorField,
     kernel_tensor,
-    leray_project,
     scalar_to_real,
     scalar_to_spectral,
     to_real,
@@ -347,13 +346,10 @@ def profile_term_on_grid(M: np.ndarray, kernel: HomogeneousKernel, grid: Grid) -
          for i in range(3)]
     ).astype(np.complex128)
     dvec *= grid.nyquist_free
-    proj = leray_project(SpectralVectorField(grid, dvec))
-    sym = -proj.data * grid.power(-alpha)
+    sym = -lift_force(SpectralVectorField(grid, dvec), alpha).data
     damp = np.exp(-0.5 * width * width * grid.k2)
     phase = grid.shift_phase(origin)
-    low = np.stack(
-        [scalar_to_real(sym[i] * damp * phase) for i in range(3)]
-    ) / grid.cell_volume
+    low = scalar_to_real(sym * damp * phase) / grid.cell_volume
 
     L = grid.box_length
     r = grid.radius_from(origin)
@@ -361,11 +357,8 @@ def profile_term_on_grid(M: np.ndarray, kernel: HomogeneousKernel, grid: Grid) -
     idx = np.argwhere(far)
     pos = grid.x_axis[idx] - origin[None, :]
     pos = (pos + L / 2) % L - L / 2
-    defect = kernel.contract_smoothing_defect(pos, M, width)
-    out = low
-    for c in range(3):
-        out[c][far] += defect[:, c]
-    return out
+    low[:, far] += kernel.contract_smoothing_defect(pos, M, width).T
+    return low
 
 
 def profile_decomposition(
@@ -385,7 +378,7 @@ def profile_decomposition(
     the leading term.
     """
     grid = u.grid
-    if not grid.same_as(u0.grid):
+    if u0.grid != grid:
         raise ValueError("u and u0 must live on the same grid")
     L = grid.box_length
     if window is None:
@@ -397,9 +390,8 @@ def profile_decomposition(
         prof = profile_term_on_grid(M, kernel, grid)
     else:
         prof = np.zeros_like(u.data)
-    rem = u.data - u0.data - prof
-    mag = np.sqrt(np.sum(rem**2, axis=0))
-    return radial_profile(mag, grid, window=window, nbins=nbins)
+    rem = RealVectorField(grid, u.data - u0.data - prof)
+    return radial_profile(rem.magnitude(), grid, window=window, nbins=nbins)
 
 
 # ---------------------------------------------------------------------------
@@ -502,9 +494,7 @@ def caccioppoli_energy(
     h3 = grid.cell_volume
 
     half = grid.power(alpha / 2.0)
-    lam_u = np.stack(
-        [scalar_to_real(half * scalar_to_spectral(u.data[c])) for c in range(3)]
-    )
+    lam_u = scalar_to_real(half * scalar_to_spectral(u.data))
     ball = r <= R / 2.0
     local = h3 * float(np.sum(lam_u[:, ball] ** 2))
 
@@ -515,9 +505,7 @@ def caccioppoli_energy(
         np.sum((usq / 2.0 + pressure) * sum(gphi[a] * u.data[a] for a in range(3)))
     )
 
-    lam_phi_u = np.stack(
-        [scalar_to_real(half * scalar_to_spectral(phi * u.data[c])) for c in range(3)]
-    )
+    lam_phi_u = scalar_to_real(half * scalar_to_spectral(phi * u.data))
     comm = h3 * float(np.sum(lam_u * (phi * lam_u - lam_phi_u)))
 
     return {

@@ -166,7 +166,9 @@ def _raw_annulus(spec: ForceSpec, grid: Grid, seed: int, alpha: float) -> Spectr
 def _raw_gaussian_bump(spec: ForceSpec, grid: Grid, seed: int, alpha: float) -> SpectralVectorField:
     rc = 0.5 * (spec.r0 + spec.r1)
     s = (spec.r1 - spec.r0) / 6.0
-    window = np.exp(-((grid.kmag - rc) ** 2) / (2.0 * s * s))
+    # radii near the float limit overflow to a NaN window, which make_force rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        window = np.exp(-((grid.kmag - rc) ** 2) / (2.0 * s * s))
     return _modulated(spec, grid, seed, window)
 
 

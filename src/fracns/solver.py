@@ -71,8 +71,7 @@ class SteadySolution:
 def weak_lorentz_norm(u: SpectralVectorField, alpha: float) -> float:
     """Discrete L^{3/(alpha-1), inf} estimator of |u| (the scale-invariant size)."""
     p = 3.0 / (alpha - 1.0)
-    mag = to_real(u).magnitude()
-    return lorentz_quasinorm(mag, p, np.inf, u.grid.cell_volume)
+    return lorentz_quasinorm(to_real(u), p, np.inf, u.grid.cell_volume)
 
 
 def lift_force(f: SpectralVectorField, alpha: float) -> SpectralVectorField:

@@ -171,14 +171,12 @@ def holder_modulus_check(f, grid: Grid, p: float) -> float:
     if p <= 3:
         raise InvalidExponents(f"Holder modulus check needs p > 3, got {p}")
     f = np.asarray(f, dtype=np.float64)
-    grad_hat = spectral_gradient(scalar_to_spectral(f), grid)
-    grad = np.stack([scalar_to_real(grad_hat[i]) for i in range(3)])
-    gmag = np.sqrt(np.sum(grad**2, axis=0))
+    grad = scalar_to_real(spectral_gradient(scalar_to_spectral(f), grid))
 
     L = grid.box_length
     radii = [L / 16, L / 8, L / 4]
     centers = [grid.center]
-    gnorm = _morrey(gmag, radii, centers, grid, exponent=1, p=p)
+    gnorm = _morrey(grad, radii, centers, grid, exponent=1, p=p)
     if gnorm <= 0.0:
         raise DegenerateInput("gradient Morrey norm vanishes")
 

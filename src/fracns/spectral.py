@@ -150,9 +150,6 @@ class Grid:
     def center(self):
         return np.full(3, 0.5 * self.box_length)
 
-    def same_as(self, other) -> bool:
-        return self.n == other.n and self.box_length == other.box_length
-
 
 @dataclass
 class RealVectorField:
@@ -191,28 +188,30 @@ def zero_spectral(grid: Grid) -> SpectralVectorField:
     return SpectralVectorField(grid, np.zeros((3,) + grid.spectral_shape, dtype=np.complex128))
 
 
-def _irfftn(coeffs: np.ndarray, axes=(-3, -2, -1), **kwargs) -> np.ndarray:
-    """Real samples of half-lattice coefficients over the three cube ``axes``."""
-    n = coeffs.shape[axes[0]]
-    return sfft.irfftn(coeffs, s=(n, n, n), axes=axes, workers=_WORKERS, **kwargs)
+def _irfftn(coeffs: np.ndarray, **kwargs) -> np.ndarray:
+    """Real samples of half-lattice coefficients over the last three axes."""
+    n = coeffs.shape[-3]
+    return sfft.irfftn(coeffs, s=(n, n, n), axes=(-3, -2, -1), workers=_WORKERS, **kwargs)
 
 
 def to_spectral(field: RealVectorField) -> SpectralVectorField:
-    return SpectralVectorField(
-        field.grid, sfft.rfftn(field.data, axes=(1, 2, 3), workers=_WORKERS)
-    )
+    return SpectralVectorField(field.grid, scalar_to_spectral(field.data))
 
 
 def to_real(field: SpectralVectorField) -> RealVectorField:
-    return RealVectorField(field.grid, _irfftn(field.data, axes=(1, 2, 3)))
+    return RealVectorField(field.grid, scalar_to_real(field.data))
 
 
 def scalar_to_real(coeffs: np.ndarray) -> np.ndarray:
+    """Real samples (..., n, n, n) of half-lattice coefficients (..., n, n, n/2+1):
+    the last three axes are transformed, any leading axes are a batch."""
     return _irfftn(coeffs)
 
 
 def scalar_to_spectral(samples: np.ndarray) -> np.ndarray:
-    return sfft.rfftn(samples, workers=_WORKERS)
+    """Half-lattice coefficients of real samples, ``scalar_to_real``'s inverse:
+    the last three axes are transformed, any leading axes are a batch."""
+    return sfft.rfftn(samples, axes=(-3, -2, -1), workers=_WORKERS)
 
 
 def octant_to_real(m: np.ndarray, parity) -> np.ndarray:

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -145,9 +146,13 @@ class TestAnnulusForce:
 
     def test_non_finite_force_rejected(self):
         # (r1 - r0)/6 squared overflows, so every window value is inf/inf = NaN
+        # and is rejected without a RuntimeWarning on the way
         spec = ForceSpec(kind="gaussian_bump", amplitude=0.1, r1=1e300, seed=4)
-        with pytest.raises(DegenerateInput, match="gaussian_bump"):
-            make_force(spec, Grid(16, 8.0), 1.5)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(DegenerateInput, match="gaussian_bump"):
+                make_force(spec, Grid(16, 8.0), 1.5)
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
     def test_isotropic_symmetrized_moment_scalar(self, grid32):
         spec = ForceSpec(amplitude=0.1, r1=3.5, seed=7, symmetrize=True)

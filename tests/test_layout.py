@@ -11,7 +11,9 @@ the pruned pair between samples and the dealias cube, whose one-axis complex
 stages (fft/ifft) appear in its two helpers and nowhere else.  The real
 one-axis DCT-I/DST-I stages (dct/dst), from the octant of a symbol even or
 odd along each axis to the octant of its samples, appear in
-``octant_to_real`` alone.  The 2/3 rule, the CSVs and the report are not
+``octant_to_real`` alone.  The half-lattice pair takes a vector field's three
+components in one call, never one at a time, and ``asymptotics`` lifts a
+field through ``solver.lift_force`` rather than projecting it by hand.  The 2/3 rule, the CSVs and the report are not
 options: no parameter or field turns them off.  Nor are the constants every
 run uses (the kernel's read-off shell, the certificate floors, the blow-up
 factor, the box-center origin): the parameters and fields that once held
@@ -156,6 +158,66 @@ def test_real_trigonometric_transforms_in_the_octant_helper_only():
     lines = _spectral_def_lines("octant_to_real")
     assert hits and {name for name, _ in hits} == {"spectral.py"}, hits
     assert all(line in lines for _, line in hits), hits
+
+
+def _names(node):
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+
+def _operands(expr):
+    """The arrays an arithmetic expression combines: its leaves under + - * / and
+    unary minus (a call's arguments are not operands of the expression)."""
+    if isinstance(expr, ast.BinOp):
+        return _operands(expr.left) + _operands(expr.right)
+    if isinstance(expr, ast.UnaryOp):
+        return _operands(expr.operand)
+    return [expr]
+
+
+def _one_component(call, loops):
+    """True when ``call`` transforms one component of a stack: an operand indexed
+    by a name or an integer (``x[i]``, ``u.data[c]``), or bound by an enclosing
+    loop (``for h in hats``)."""
+    bound = set().union(*(_names(loop.target) for loop in loops))
+    for leaf in (leaf for arg in call.args for leaf in _operands(arg)):
+        if isinstance(leaf, ast.Name) and leaf.id in bound:
+            return True
+        if isinstance(leaf, ast.Subscript) and (
+            isinstance(leaf.slice, ast.Name)
+            or isinstance(leaf.slice, ast.Constant) and isinstance(leaf.slice.value, int)
+        ):
+            return True
+    return False
+
+
+def test_vector_fields_transformed_in_one_call():
+    found, bad = [], []
+
+    def visit(node, path, loops):
+        if isinstance(node, ast.For):
+            loops = loops + [node]
+        elif isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
+            loops = loops + node.generators
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in (
+            "scalar_to_real", "scalar_to_spectral"
+        ):
+            found.append((path.name, node.lineno))
+            if _one_component(node, loops):
+                bad.append((path.name, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, path, loops)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text()), path, [])
+    assert found and bad == [], bad
+
+
+def test_asymptotics_lifts_through_lift_force():
+    tree = ast.parse((SRC / "asymptotics.py").read_text())
+    names = _names(tree) | {a.name for n in ast.walk(tree)
+                            if isinstance(n, ast.ImportFrom) for a in n.names}
+    names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    assert "lift_force" in names and "leray_project" not in names
 
 
 def test_one_report_writer():

@@ -64,6 +64,11 @@ class TestAdvectionDivergence:
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+HALF_SIZES = st.integers(4, 12).map(lambda m: 2 * m)  # even n in [8, 24]
+BOXES = st.floats(1.0, 40.0)
+LIFT_ALPHAS = st.floats(0.5, 4.0)
+
+
 class TestLiftForce:
     def test_zero_force(self, grid32):
         out = lift_force(zero_spectral(grid32), 1.5)
@@ -87,6 +92,27 @@ class TestLiftForce:
         f.data[0, 0, 0, 0] = 1.0
         with pytest.raises(ZeroModeUndefined):
             lift_force(f, 2.0)
+
+    @staticmethod
+    def _mean_free_force(n, box, seed):
+        g = Grid(n, box)
+        f = to_spectral(RealVectorField(g, np.random.default_rng(seed).standard_normal((3, n, n, n))))
+        f.data[:, 0, 0, 0] = 0.0
+        return g, f
+
+    @settings(max_examples=20, deadline=None)
+    @given(n=HALF_SIZES, box=BOXES, alpha=LIFT_ALPHAS, seed=st.integers(0, 2**16))
+    def test_lift_is_power_times_projection(self, n, box, alpha, seed):
+        g, f = self._mean_free_force(n, box, seed)
+        assert np.array_equal(lift_force(f, alpha).data, g.power(-alpha) * leray_project(f).data)
+
+    @settings(max_examples=20, deadline=None)
+    @given(n=HALF_SIZES, box=BOXES, alpha=LIFT_ALPHAS, seed=st.integers(0, 2**16))
+    def test_random_lift_is_divergence_free(self, n, box, alpha, seed):
+        g, f = self._mean_free_force(n, box, seed)
+        u = lift_force(f, alpha).data
+        div = g.xi[0] * u[0] + g.xi[1] * u[1] + g.xi[2] * u[2]
+        assert np.max(np.abs(div)) <= 1e-12 * np.max(g.kmag) * np.max(np.abs(u))
 
     def test_lift_is_divergence_free(self, grid32):
         g = grid32
