@@ -4,7 +4,12 @@ The steady problem is solved by iterating
 
     u_{n+1} = u_0 + B(u_n, u_n),   u_0 = (-Lap)^{-alpha/2} P f,
 
-with B the lifted advection map from :mod:`fracns.spectral`.  Smallness
+with B the lifted advection map from :mod:`fracns.spectral`.  B(u_n, u_n)
+is 0 outside the box of modes the 2/3 rule keeps (``spectral._Cube``), so
+every iterate equals u_0 there and the loop holds only the iterate's part on
+one cube built per solve: the map, the step and both norms run on that cube,
+the norms adding the part of ||u_0||^2 off it, summed once, and the
+half-lattice velocity is formed once, after the loop.  Smallness
 is never hard-coded: ``contraction_metrics`` measures the contraction
 product 4 * delta * C_B of a solution (delta = weak-Lorentz size of the
 lifted force, C_B the empirical bilinear constant) for the runs that
@@ -23,11 +28,15 @@ from .spectral import (
     Grid,
     SpectralVectorField,
     _advection_divergence,
+    _Cube,
+    _full_lattice_sum,
     apply_bilinear,
     fractional_power,
     is_integer,
+    is_real,
     l2_norm,
     leray_project,
+    parseval_l2,
     projected_advection,
     to_real,
 )
@@ -47,10 +56,10 @@ class SolverConfig:
 
     def __post_init__(self):
         lo, hi = ALPHA_SOLVE_RANGE
-        if not (lo < self.alpha < hi):
-            raise InvalidAlpha(f"solver requires alpha in ({lo}, {hi}), got {self.alpha}")
-        if not (0.0 < self.tol_rel < 1.0):
-            raise ValueError("tol_rel must lie in (0, 1)")
+        if not (is_real(self.alpha) and lo < self.alpha < hi):
+            raise InvalidAlpha(f"solver requires alpha in ({lo}, {hi}), got {self.alpha!r}")
+        if not (is_real(self.tol_rel) and 0.0 < self.tol_rel < 1.0):
+            raise ValueError(f"tol_rel must lie in (0, 1), got {self.tol_rel!r}")
         if not (is_integer(self.max_iter) and self.max_iter >= 1):
             raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
 
@@ -87,7 +96,7 @@ def solve_steady(f: SpectralVectorField, config: SolverConfig) -> SteadySolution
     the size of the lifted force (smallness violated), and ``NotConverged``
     when the iteration budget runs out.
     """
-    alpha = config.alpha
+    alpha, grid = config.alpha, f.grid
     u0 = lift_force(f, alpha)
     u0_l2 = l2_norm(u0)
     diag = SolverDiagnostics(iterations=0)
@@ -96,14 +105,19 @@ def solve_steady(f: SpectralVectorField, config: SolverConfig) -> SteadySolution
         diag.residual_history.append(0.0)
         return SteadySolution(u0, diag)
 
-    u = u0.copy()
+    cube = _Cube(grid)
+    u = cube.gather(u0.data)
+    u0_cube = u.copy()
+    off_cube = u0.data  # u0's own array, taken over: it becomes the solution
+    cube.put(off_cube, 0.0)
+    off_sum = _full_lattice_sum(off_cube, off_cube)
     prev_diff = None
     for it in range(1, config.max_iter + 1):
-        new = apply_bilinear(u, alpha)
-        new.data += u0.data
-        new_l2 = l2_norm(new)
-        np.subtract(new.data, u.data, out=u.data)  # u is retired: it holds the step
-        diff = l2_norm(u)
+        new = apply_bilinear(SpectralVectorField(cube, u), alpha).data
+        new += u0_cube
+        new_l2 = parseval_l2(grid, off_sum + cube.lattice_sum(new, new))
+        np.subtract(new, u, out=u)  # u is retired: it holds the step
+        diff = parseval_l2(grid, cube.lattice_sum(u, u))
         diag.iterations = it
         diag.residual_history.append(diff)
         if new_l2 > DIVERGENCE_FACTOR * u0_l2:
@@ -121,7 +135,8 @@ def solve_steady(f: SpectralVectorField, config: SolverConfig) -> SteadySolution
         raise NotConverged(
             f"no convergence to tol_rel={config.tol_rel} in {config.max_iter} iterations"
         )
-    return SteadySolution(u, diag)
+    cube.put(off_cube, u)
+    return SteadySolution(SpectralVectorField(grid, off_cube), diag)
 
 
 def contraction_metrics(u: SpectralVectorField, f: SpectralVectorField, alpha: float) -> dict:
@@ -177,12 +192,12 @@ def recover_pressure(u: SpectralVectorField, f: SpectralVectorField) -> np.ndarr
     D the divergence of the dealiased u (x) u.  xi . f is taken apart from
     xi . D: for a divergence-free f, D - f would add rounding of size |xi| |f|.
     p is formed on D's cube, outside which the dealias mask zeroes it."""
-    div = _advection_divergence(u)
-    cube, d = div.grid, div.data
+    cube = _Cube(u.grid)
+    d = _advection_divergence(cube.restrict(u)).data
     xi, fc = cube.xi, cube.gather(f.data)
     p_hat = 1j * (xi[0] * d[0] + xi[1] * d[1] + xi[2] * d[2]
                   - (xi[0] * fc[0] + xi[1] * fc[1] + xi[2] * fc[2]))
-    p_hat *= cube.power(-2.0)
+    p_hat *= cube.leray_factor
     p_hat *= cube.dealias_mask
     return cube.scatter(p_hat)
 

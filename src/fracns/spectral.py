@@ -10,7 +10,10 @@ exact for every pipeline that matters.  Spectral fields hold the rfftn half
 spectrum of real fields (``Grid.spectral_shape``), so every transform is
 real and the L^2 norms weigh interior k_z planes twice.  The quadratic map
 is formed on the box of modes the 2/3 rule keeps (``_Cube``), through a
-pruned transform pair that touches that box alone.  A symbol that is even or
+pruned transform pair that touches that box alone: ``apply_bilinear`` takes
+and returns fields held on a cube, which also holds the Leray factor and the
+lift, formed once per cube, so a Picard solve keeps its iterate, its norms and
+its multipliers on one cube (``solver.solve_steady``).  A symbol that is even or
 odd along each axis (a radial multiplier times a monomial in xi) is also
 sampled on the octant alone (``octant_to_real``): k = 0..n/2 in, j = 0..n/2
 out, one real DCT-I or DST-I per axis.  Every other sample is a reflection of
@@ -51,13 +54,19 @@ def is_real(x) -> bool:
 
 def check_grid(n, box_length):
     """Raise InvalidGrid unless ``n`` is an even integer >= 8 and the box
-    length is finite and positive; allocates nothing, so configs are checked cheaply."""
+    length is finite and positive, with a cell volume (L/n)^3 that is a normal
+    float; allocates nothing, so configs are checked cheaply."""
     if not is_integer(n):
         raise InvalidGrid(f"need an integer number of points, got {n!r}")
     if n < 8 or n % 2 != 0:
         raise InvalidGrid(f"need an even number of points >= 8, got {n}")
     if not (is_real(box_length) and 0.0 < box_length < np.inf):
-        raise InvalidGrid(f"box length must be finite and positive, got {box_length!r}")
+        raise InvalidGrid(f"box_length must be finite and positive, got {box_length!r}")
+    # outside, (L/n)^3 overflows, or underflows to 0 while |xi|^2 overflows
+    f64 = np.finfo(np.float64)
+    if not n * f64.tiny ** (1 / 3) < box_length < n * f64.max ** (1 / 3):
+        raise InvalidGrid(f"box_length {box_length!r} at n = {n} gives a cell volume "
+                          "(box_length/n)^3 outside the normal float range")
 
 
 @dataclass(frozen=True)
@@ -164,7 +173,12 @@ class RealVectorField:
             raise ValueError(f"bad field shape {self.data.shape}")
 
     def magnitude(self) -> np.ndarray:
-        return np.sqrt(np.sum(self.data**2, axis=0))
+        # ((d0^2 + d1^2) + d2^2), the order of sum(axis=0), with one n^3 array
+        d = self.data
+        m = d[0] * d[0]
+        m += d[1] * d[1]
+        m += d[2] * d[2]
+        return np.sqrt(m, out=m)
 
 
 @dataclass
@@ -249,7 +263,9 @@ class _Cube:
     the box holds no Nyquist row or plane.  The cube stands in for its Grid
     where an operator reads symbols (``leray_project``, the lift): ``xi`` and
     ``kmag`` are the Grid's own, gathered, and ``power`` is ``Grid.power``
-    itself, so the one zero-mode rule applies (the cube's first mode is k = 0)."""
+    itself, so the one zero-mode rule applies (the cube's first mode is k = 0).
+    A cube is built once per solve: it forms the Leray factor 1/|xi|^2 when
+    built and the lift of each order alpha when first asked for it."""
 
     def __init__(self, grid: Grid):
         keep = grid.dealias_mask
@@ -266,48 +282,95 @@ class _Cube:
         self.xi = [xi[0][rows], xi[1][:, rows], xi[2][..., : self.planes]]
         self.kmag = self.gather(grid.kmag)
         self.dealias_mask = self.gather(keep)
+        self.leray_factor = self.power(-2.0)
+        self._lifts = {}
 
     power = Grid.power
+
+    def lift(self, alpha: float) -> np.ndarray:
+        """The quadratic map's lift -|xi|^-alpha on the cube, formed once per alpha."""
+        if alpha not in self._lifts:
+            self._lifts[alpha] = -self.power(-alpha)
+        return self._lifts[alpha]
 
     def gather(self, a: np.ndarray) -> np.ndarray:
         """The cube's part of a half-lattice array (n, n, n/2+1) or (..., n, n, n/2+1)."""
         return a[self._modes]
 
+    def restrict(self, v: SpectralVectorField) -> SpectralVectorField:
+        """The part on the cube of a half-lattice field, as a field held on the cube."""
+        return SpectralVectorField(self, self.gather(v.data))
+
+    def put(self, a: np.ndarray, values) -> None:
+        """Write ``values`` (an array on the cube, or a scalar) into the cube's
+        modes of the half-lattice array ``a``."""
+        a[self._modes] = values
+
     def scatter(self, a: np.ndarray) -> np.ndarray:
         """``a`` on the cube, zero-filled to the Grid's half lattice."""
         out = np.zeros(a.shape[:-3] + self.grid.spectral_shape, dtype=a.dtype)
-        out[self._modes] = a
+        self.put(out, a)
         return out
+
+    def lattice_sum(self, a: np.ndarray, b: np.ndarray) -> float:
+        """Re sum over the full lattice of conj(a) b for a, b on the cube: the cube
+        holds no Nyquist plane, so every plane but k_z = 0 also stands for its
+        conjugate mirror and counts twice."""
+        return 2.0 * np.vdot(a, b).real - np.vdot(a[..., 0], b[..., 0]).real
 
 
 def _cube_to_real(coeffs: np.ndarray, cube: _Cube) -> np.ndarray:
     """Real samples (..., n, n, n) of coefficients held on ``cube`` (every other
-    mode 0): ifft along y on the cube's k_x rows, ifft along x on its planes,
-    then irfft along z, which zero-pads the missing planes itself."""
+    mode 0): ifft along y on the cube's k_x rows, ifft along x in place on the
+    cube's planes of a zeroed half-lattice array, then irfft along z, which reads
+    that array as it is."""
     n, p = cube.grid.n, cube.planes
     lead = coeffs.shape[:-3]
     a = np.zeros(lead + (cube.spectral_shape[0], n, p), dtype=np.complex128)
     a[..., cube.rows, :] = coeffs
     a = sfft.ifft(a, axis=-2, overwrite_x=True, workers=_WORKERS)
-    b = np.zeros(lead + (n, n, p), dtype=np.complex128)
-    b[..., cube.rows, :, :] = a
-    del a  # freed before irfft copies b into n/2+1 planes
-    b = sfft.ifft(b, axis=-3, overwrite_x=True, workers=_WORKERS)
+    # all n/2+1 planes, so that irfft needs no zero-padded copy
+    b = np.zeros(lead + cube.grid.spectral_shape, dtype=np.complex128)
+    b[..., cube.rows, :, :p] = a
+    del a
+    x = sfft.ifft(b[..., :p], axis=-3, overwrite_x=True, workers=_WORKERS)
+    if x.base is not b:  # overwrite_x permits a transform in place but does not promise it
+        b[..., :p] = x
+    del x
     return sfft.irfft(b, n=n, axis=-1, workers=_WORKERS)
 
 
 def _real_to_cube(samples: np.ndarray, cube: _Cube) -> np.ndarray:
-    """The coefficients on ``cube`` of real samples (..., n, n, n): rfft along z
-    keeping the cube's planes, fft along x keeping its rows, then along y."""
+    """The coefficients on ``cube`` of real samples (..., n, n, n): rfft along z,
+    fft along x in place on the cube's planes of its output, keeping the cube's
+    rows, then fft along y."""
     a = sfft.rfft(samples, axis=-1, workers=_WORKERS)[..., : cube.planes]
-    a = sfft.fft(a, axis=-3, workers=_WORKERS)
-    a = np.take(a, cube.rows, axis=-3)
+    a = sfft.fft(a, axis=-3, overwrite_x=True, workers=_WORKERS)[..., cube.rows, :, :]
     a = sfft.fft(a, axis=-2, overwrite_x=True, workers=_WORKERS)
-    return np.take(a, cube.rows, axis=-2)
+    return a[..., cube.rows, :]
 
 
 # ---------------------------------------------------------------------------
 # multipliers
+
+
+def _leray(v: np.ndarray, grid, leray_factor: np.ndarray, out: np.ndarray,
+           lift: np.ndarray | None = None) -> np.ndarray:
+    """out = (I - xi xi^T/|xi|^2) v for coefficients v (3, ...) on ``grid`` (a Grid
+    or a ``_Cube``), ``leray_factor`` its 1/|xi|^2 with 0 at the zero mode, then
+    times ``lift`` where given, one component at a time; ``out`` may be ``v``.
+    The xi rows are cast to complex once, as the products would cast them."""
+    xi = [x.astype(np.complex128) for x in grid.xi]
+    dot = xi[0] * v[0]
+    tmp = np.multiply(xi[1], v[1])
+    dot += tmp
+    dot += np.multiply(xi[2], v[2], out=tmp)
+    dot *= leray_factor
+    for i in range(3):
+        np.subtract(v[i], np.multiply(xi[i], dot, out=tmp), out=out[i])
+        if lift is not None:
+            out[i] *= lift
+    return out
 
 
 def leray_project(v: SpectralVectorField) -> SpectralVectorField:
@@ -316,12 +379,7 @@ def leray_project(v: SpectralVectorField) -> SpectralVectorField:
     The zero mode is passed through unchanged (xi = 0 there).
     """
     g = v.grid
-    dot = g.xi[0] * v.data[0] + g.xi[1] * v.data[1] + g.xi[2] * v.data[2]
-    dot *= g.power(-2.0)
-    out = np.empty_like(v.data)
-    for i in range(3):
-        out[i] = v.data[i] - g.xi[i] * dot
-    return SpectralVectorField(g, out)
+    return SpectralVectorField(g, _leray(v.data, g, g.power(-2.0), np.empty_like(v.data)))
 
 
 def fractional_power(v: SpectralVectorField, beta: float) -> SpectralVectorField:
@@ -388,27 +446,29 @@ def kernel_tensor(grid: Grid, m: np.ndarray):
 
 
 def _advection_divergence(v: SpectralVectorField) -> SpectralVectorField:
-    """D_j = sum_k 1j xi_k W_jk = div(v (x) v) on the dealias cube (``_Cube``), W_jk
-    the transform of v_j v_k formed in physical space after a 2/3-rule truncation
-    of the inputs; D is truncated likewise.  Every mode outside the cube, the
-    Nyquist rows among them, is 0 in D.  W is symmetric: each of its six products
-    is transformed once, one at a time, into both rows.
+    """D_j = sum_k 1j xi_k W_jk = div(v (x) v) for a field ``v`` held on a dealias
+    cube (``_Cube``), a field on the same cube: W_jk is the transform of v_j v_k
+    formed in physical space after a 2/3-rule truncation of v, and D is truncated
+    likewise.  Every mode outside the cube, the Nyquist rows among them, is 0 in
+    D.  W is symmetric: each of its six products is transformed once, one at a
+    time, into both rows.
 
-    Finiteness is checked on the samples and on D: a product of finite samples
-    can only overflow to +-inf, which its transform carries into D."""
-    cube = _Cube(v.grid)
-    vin = cube.gather(v.data)
-    vin *= cube.dealias_mask
+    Finiteness is checked on the truncated v and on D: samples and products of
+    finite coefficients can only overflow to +-inf, which the transforms carry
+    into D."""
+    cube = v.grid
+    vin = v.data * cube.dealias_mask
+    if not np.all(np.isfinite(vin)):
+        raise NumericalBlowup("non-finite coefficients entering the quadratic term")
     phys = _cube_to_real(vin, cube)
-    del vin  # the truncated copy is not read past the transform
-    if not np.all(np.isfinite(phys)):
-        raise NumericalBlowup("non-finite samples entering the quadratic term")
+    del vin  # not read past the transform
     ixi = [1j * x for x in cube.xi]
     div = np.zeros((3,) + cube.spectral_shape, dtype=np.complex128)
     tmp = np.empty(cube.spectral_shape, dtype=np.complex128)
+    product = np.empty(phys.shape[1:])
     for j in range(3):
         for k in range(j, 3):
-            w_hat = _real_to_cube(phys[j] * phys[k], cube)
+            w_hat = _real_to_cube(np.multiply(phys[j], phys[k], out=product), cube)
             div[j] += np.multiply(ixi[k], w_hat, out=tmp)
             if k != j:
                 div[k] += np.multiply(ixi[j], w_hat, out=tmp)
@@ -419,19 +479,24 @@ def _advection_divergence(v: SpectralVectorField) -> SpectralVectorField:
 
 
 def projected_advection(v: SpectralVectorField) -> SpectralVectorField:
-    """Leray-projected divergence of v (x) v: P D, D from ``_advection_divergence``,
-    projected on the cube and zero-filled to the half lattice."""
-    pd = leray_project(_advection_divergence(v))
-    return SpectralVectorField(v.grid, pd.grid.scatter(pd.data))
+    """Leray-projected divergence of v (x) v: P D, D from ``_advection_divergence``
+    of v's part on the dealias cube, projected in place there and zero-filled to
+    the half lattice."""
+    cube = _Cube(v.grid)
+    d = _advection_divergence(cube.restrict(v)).data
+    return SpectralVectorField(v.grid, cube.scatter(_leray(d, cube, cube.leray_factor, d)))
 
 
 def apply_bilinear(v: SpectralVectorField, alpha: float) -> SpectralVectorField:
-    """-(-Lap)^(-alpha/2) P div(v (x) v): one application of the quadratic map,
-    projected and lifted on the cube, then zero-filled to the half lattice once.
-    P D has a zero mode of exactly 0, so the lift is applied in place, unchecked."""
-    pd = leray_project(_advection_divergence(v))
-    pd.data *= -pd.grid.power(-alpha)
-    return SpectralVectorField(v.grid, pd.grid.scatter(pd.data))
+    """-(-Lap)^(-alpha/2) P div(v (x) v) for a field ``v`` held on a dealias cube
+    (``_Cube``): one application of the quadratic map, a field on the same cube,
+    outside which it is 0.  Leray and the lift run as one in-place pass over
+    D, with the cube's own symbols.  P D has a zero mode of exactly 0, so the
+    lift is applied unchecked."""
+    d = _advection_divergence(v)
+    cube = d.grid
+    _leray(d.data, cube, cube.leray_factor, d.data, lift=cube.lift(alpha))
+    return d
 
 
 def semigroup_multiply(v: SpectralVectorField, t: float, alpha: float) -> SpectralVectorField:
@@ -465,12 +530,16 @@ def _full_lattice_sum(a: np.ndarray, b: np.ndarray) -> float:
     return 2.0 * dot(a, b) - dot(a[..., 0], b[..., 0]) - dot(a[..., -1], b[..., -1])
 
 
+def parseval_l2(grid: Grid, s: float) -> float:
+    """The discrete L^2 norm sqrt(h^3 * sum |field|^2) of a field on ``grid``
+    whose coefficients' squares sum to ``s`` over the full lattice."""
+    return float(np.sqrt(grid.cell_volume * (s / grid.n**3)))
+
+
 def l2_norm(field) -> float:
     """Discrete L^2 norm sqrt(h^3 * sum |field|^2), spectral or physical."""
     if isinstance(field, SpectralVectorField):
-        g = field.grid
-        s = _full_lattice_sum(field.data, field.data) / g.n**3
-        return float(np.sqrt(g.cell_volume * s))
+        return parseval_l2(field.grid, _full_lattice_sum(field.data, field.data))
     if isinstance(field, RealVectorField):
         return float(np.sqrt(field.grid.cell_volume * np.sum(field.data**2)))
     raise TypeError("expected a vector field")

@@ -48,6 +48,16 @@ def random_divfree_spectral(grid, seed=0, smooth=True, mean_free=True):
     return v
 
 
+def bilinear_on_lattice(v, alpha):
+    """apply_bilinear of v's part on the dealias cube, read on the half lattice."""
+    from fracns.spectral import _Cube, apply_bilinear
+
+    cube = _Cube(v.grid)
+    out = apply_bilinear(cube.restrict(v), alpha)
+    assert out.grid is cube
+    return cube.scatter(out.data)
+
+
 @pytest.fixture(scope="session")
 def small_solution(grid32):
     """A converged steady solve on the 32^3 grid, shared across tests."""

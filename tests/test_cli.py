@@ -309,6 +309,23 @@ class TestMainEntry:
         cfg = {"n": 16, "box_length": 8.0, "force": {"r1": 3.0}, **cfg}
         self._rejected_before_run(tmp_path, monkeypatch, experiment, cfg)
 
+    @pytest.mark.parametrize(
+        "cfg, name",
+        [
+            ({"box_length": 1e300}, "box_length"),  # (L/n)^3 overflowed in Grid
+            ({"box_length": 1e-300}, "box_length"),  # |xi|^2 overflowed in the force
+            ({"alpha": "1.5"}, "alpha"),
+            ({"tol_rel": "x"}, "tol_rel"),
+        ],
+        ids=["box_length_huge", "box_length_tiny", "alpha_string", "tol_rel_string"],
+    )
+    def test_bad_value_named_without_warning(self, tmp_path, monkeypatch, capsys, cfg, name):
+        cfg = {"n": 16, "box_length": 8.0, "force": {"r1": 3.0}, **cfg}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            self._rejected_before_run(tmp_path, monkeypatch, "solve", cfg)
+        assert name in capsys.readouterr().err
+
     @pytest.mark.parametrize("key", ["dealias", "emit_csv", "emit_json", "divergence_factor"])
     def test_retired_switch_rejected(self, tmp_path, monkeypatch, key):
         # the 2/3 rule, the CSVs and the report are not optional, the blow-up factor is fixed

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 import scipy.fft as sfft
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_divfree_spectral
+from conftest import bilinear_on_lattice, random_divfree_spectral
 from fracns import solver, spectral
 from fracns.errors import Diverged, InvalidAlpha, InvalidGrid, NotConverged, ZeroModeUndefined
 from fracns.forces import ForceSpec, make_force
@@ -59,8 +59,10 @@ class TestAdvectionDivergence:
         g = Grid(n, box)
         u = random_divfree_spectral(g, seed=seed)
         want = unprojected_advection(u)
-        d = spectral._advection_divergence(u)
-        got = d.grid.scatter(d.data)
+        cube = spectral._Cube(g)
+        d = spectral._advection_divergence(cube.restrict(u))
+        assert d.grid is cube
+        got = cube.scatter(d.data)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -174,6 +176,38 @@ class TestSolveSteady:
         m = small_metrics
         assert m["two_ball_ok"]
         assert m["solution_lorentz_norm"] <= 2 * m["lifted_force_lorentz_norm"] * (1 + 1e-6)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        n=HALF_SIZES,
+        box=BOXES,
+        alpha=st.floats(1.0, 2.5, exclude_min=True, exclude_max=True),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_half_lattice_picard(self, n, box, alpha, seed):
+        # the loop held on the dealias cube against u <- u0 + scatter(B(u)) on the
+        # half lattice, with norms from l2_norm: the same iterates bit for bit, so
+        # the same iteration count, and step norms equal up to summation order
+        g = Grid(n, box)
+        f = random_divfree_spectral(g, seed=seed)
+        f.data *= g.dealias_mask
+        u0 = lift_force(f, alpha)
+        b_norm = l2_norm(SpectralVectorField(g, bilinear_on_lattice(u0, alpha)))
+        assume(b_norm > 0.0)
+        f.data *= 0.1 * l2_norm(u0) / b_norm  # B is quadratic: a contraction by ~1/10
+        config = SolverConfig(alpha)
+        u0 = lift_force(f, alpha)
+        u, steps = u0.copy(), []
+        for _ in range(config.max_iter):
+            new = SpectralVectorField(g, bilinear_on_lattice(u, alpha) + u0.data)
+            steps.append(l2_norm(SpectralVectorField(g, new.data - u.data)))
+            u = new
+            if steps[-1] <= config.tol_rel * l2_norm(new):
+                break
+        sol = solve_steady(f, config)
+        assert np.array_equal(sol.velocity.data, u.data)
+        assert sol.diagnostics.iterations == len(steps)
+        np.testing.assert_allclose(sol.diagnostics.residual_history, steps, rtol=1e-13, atol=0)
 
     def test_huge_amplitude_diverges(self, grid32):
         spec = ForceSpec(amplitude=0.05 * 1e4, r0=0.8, r1=3.5, seed=3)

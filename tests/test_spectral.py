@@ -7,14 +7,19 @@ import scipy.fft as sfft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_divfree_spectral, random_real_field, realness_defect, symmetric_parts
+from conftest import (
+    bilinear_on_lattice,
+    random_divfree_spectral,
+    random_real_field,
+    realness_defect,
+    symmetric_parts,
+)
 from fracns import spectral
 from fracns.errors import InvalidGrid, NumericalBlowup, ZeroModeUndefined
 from fracns.spectral import (
     Grid,
     RealVectorField,
     SpectralVectorField,
-    apply_bilinear,
     bilinear_symbol,
     fractional_power,
     kernel_tensor,
@@ -180,8 +185,26 @@ class TestTransforms:
         back = spectral.scalar_to_real(hat)
         assert np.array_equal(back, np.stack([spectral.scalar_to_real(h) for h in hat]))
 
+    @settings(max_examples=20, deadline=None)
+    @given(n=HALF_SIZES, seed=st.integers(0, 2**16))
+    def test_magnitude_is_root_of_summed_squares(self, n, seed):
+        u = random_real_field(Grid(n, 1.0), seed=seed)
+        assert np.array_equal(u.magnitude(), np.sqrt(np.sum(u.data**2, axis=0)))
+
 
 class TestLeray:
+    @settings(max_examples=20, deadline=None)
+    @given(n=HALF_SIZES, box=BOXES, seed=st.integers(0, 2**16))
+    def test_matches_the_written_out_projector(self, n, box, seed):
+        # bit for bit, on the half lattice and on the dealias cube
+        g = Grid(n, box)
+        v = to_spectral(random_real_field(g, seed=seed))
+        for field in (v, spectral._Cube(g).restrict(v)):
+            xi, d = field.grid.xi, field.data
+            dot = (xi[0] * d[0] + xi[1] * d[1] + xi[2] * d[2]) * field.grid.power(-2.0)
+            want = np.stack([d[i] - xi[i] * dot for i in range(3)])
+            assert np.array_equal(leray_project(field).data, want)
+
     def test_annihilates_gradients(self, grid32):
         g = grid32
         rng = np.random.default_rng(3)
@@ -396,18 +419,18 @@ class TestOctantToReal:
 class TestApplyBilinear:
     def test_zero_in_zero_out(self, grid32):
         v = SpectralVectorField(grid32, np.zeros((3, 32, 32, 17), complex))
-        out = apply_bilinear(v, 1.5)
-        assert np.all(out.data == 0)
+        out = bilinear_on_lattice(v, 1.5)
+        assert np.all(out == 0)
 
     def test_output_divergence_free_and_mean_free(self, grid32):
         g = grid32
         v = random_divfree_spectral(g, seed=14)
-        out = apply_bilinear(v, 1.5)
-        div = g.xi[0] * out.data[0] + g.xi[1] * out.data[1] + g.xi[2] * out.data[2]
+        out = bilinear_on_lattice(v, 1.5)
+        div = g.xi[0] * out[0] + g.xi[1] * out[1] + g.xi[2] * out[2]
         assert np.max(np.abs(div)) < 1e-12 * max(
-            np.max(np.abs(out.data)) * np.max(g.kmag), 1e-300
+            np.max(np.abs(out)) * np.max(g.kmag), 1e-300
         )
-        assert np.all(out.data[:, 0, 0, 0] == 0.0)
+        assert np.all(out[:, 0, 0, 0] == 0.0)
 
     @pytest.mark.parametrize("mean_free", [True, False])
     def test_lift_of_projected_advection(self, grid32, mean_free):
@@ -416,10 +439,10 @@ class TestApplyBilinear:
         v = random_divfree_spectral(grid32, seed=17, mean_free=mean_free)
         assert mean_free or np.any(v.data[:, 0, 0, 0] != 0)
         alpha = 1.5
-        out = apply_bilinear(v, alpha)
+        out = bilinear_on_lattice(v, alpha)
         want = fractional_power(projected_advection(v), -alpha).data
-        assert np.array_equal(out.data, -want)
-        assert np.all(out.data[:, 0, 0, 0] == 0.0)
+        assert np.array_equal(out, -want)
+        assert np.all(out[:, 0, 0, 0] == 0.0)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -432,9 +455,9 @@ class TestApplyBilinear:
         # of apply_bilinear and the zero-filled projected_advection agree exactly
         v = random_divfree_spectral(Grid(n, box), seed=seed)
         alpha = 1.5
-        out = apply_bilinear(v, alpha)
+        out = bilinear_on_lattice(v, alpha)
         want = fractional_power(projected_advection(v), -alpha).data
-        assert np.array_equal(out.data, -want)
+        assert np.array_equal(out, -want)
 
     def test_scaling_covariance(self, grid32):
         # u_lam(x) = lam^(alpha-1) u(lam x) realized with the same mode count
@@ -445,14 +468,14 @@ class TestApplyBilinear:
         alpha, lam = 1.7, 2
         u = random_divfree_spectral(g, seed=15)
         u.data *= g.dealias_mask
-        b1 = apply_bilinear(u, alpha)
+        b1 = bilinear_on_lattice(u, alpha)
 
         g2 = Grid(g.n, g.box_length / lam)
         u2 = SpectralVectorField(g2, lam ** (alpha - 1.0) * u.data)
-        b2 = apply_bilinear(u2, alpha)
-        want = lam ** (alpha - 1.0) * b1.data
+        b2 = bilinear_on_lattice(u2, alpha)
+        want = lam ** (alpha - 1.0) * b1
         scale = np.max(np.abs(want))
-        assert np.max(np.abs(b2.data - want)) < 1e-10 * scale
+        assert np.max(np.abs(b2 - want)) < 1e-10 * scale
 
     def test_energy_neutral_advection(self, grid32):
         # discrete analogue of the divergence-free cancellation
