@@ -5,11 +5,9 @@ from .spectral import (
     Grid,
     RealVectorField,
     SpectralVectorField,
-    apply_bilinear,
     bilinear_symbol,
     fractional_power,
     leray_project,
-    semigroup_multiply,
     to_real,
     to_spectral,
 )
@@ -18,11 +16,9 @@ __all__ = [
     "Grid",
     "RealVectorField",
     "SpectralVectorField",
-    "apply_bilinear",
     "bilinear_symbol",
     "fractional_power",
     "leray_project",
-    "semigroup_multiply",
     "to_real",
     "to_spectral",
 ]

@@ -257,13 +257,11 @@ def radial_profile(
     grid: Grid,
     window: tuple | None = None,
     nbins: int = 12,
-    statistic: str = "mean",
 ) -> RadialProfile:
-    """Shell statistics of |values| around the box center (periodic distance).
+    """Shell means of |values| around the box center (periodic distance).
 
-    statistic: 'mean' for upper-bound style claims, 'gmean' for exact
-    log-linearity of sampled power laws.  Bin centers are geometric means
-    of member radii.  Empty bins are dropped.
+    Bin centers are geometric means of member radii.  Empty bins are
+    dropped.
     """
     L = grid.box_length
     if window is None:
@@ -274,22 +272,14 @@ def radial_profile(
     r = grid.radius_from(grid.center).ravel()
     v = np.abs(np.asarray(values)).ravel()
     edges = np.linspace(lo, hi, nbins + 1)
-    centers, stats = [], []
+    centers, means = [], []
     for a, b in zip(edges[:-1], edges[1:]):
         sel = (r >= a) & (r < b)
         if not np.any(sel):
             continue
-        rv, vv = r[sel], v[sel]
-        centers.append(np.exp(np.mean(np.log(rv))))
-        if statistic == "mean":
-            stats.append(np.mean(vv))
-        elif statistic == "gmean":
-            if np.any(vv <= 0):
-                raise EmptyShell("nonpositive shell values in geometric mean")
-            stats.append(np.exp(np.mean(np.log(vv))))
-        else:
-            raise ValueError(f"unknown statistic {statistic!r}")
-    return RadialProfile(np.asarray(centers), np.asarray(stats), window)
+        centers.append(np.exp(np.mean(np.log(r[sel]))))
+        means.append(np.mean(v[sel]))
+    return RadialProfile(np.asarray(centers), np.asarray(means), window)
 
 
 def fit_decay_exponent(profile) -> RadialProfile:

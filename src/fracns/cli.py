@@ -87,12 +87,15 @@ class RunConfig:
         if self.experiment == "nonexist" and not self.force.amplitude > 0:
             raise ValueError("nonexist fits deviations over amplitudes: need amplitude > 0")
         if self.experiment in ("decay", "profile") and not (
-                spectral.is_integer(self.nbins) and self.nbins >= 8):
-            raise ValueError(f"the decay fit needs an integer nbins >= 8, got {self.nbins!r}")
+                spectral.is_integer(self.nbins) and 8 <= self.nbins <= self.n**3):
+            # more bins than samples leaves some bins empty by construction
+            raise ValueError("the decay fit needs an integer nbins from 8 to n^3, "
+                             f"got {self.nbins!r}")
         if self.experiment == "evolve" and not (
-                _finite_positive(self.evolve_T) and _finite_positive(self.evolve_dt)):
-            raise ValueError("evolve_T and evolve_dt must be finite and positive, got "
-                             f"{self.evolve_T!r} and {self.evolve_dt!r}")
+                _finite_positive(self.evolve_T) and _finite_positive(self.evolve_dt)
+                and np.isfinite(self.evolve_T / self.evolve_dt)):
+            raise ValueError("evolve_T, evolve_dt and their step count must be finite and "
+                             f"positive, got {self.evolve_T!r} and {self.evolve_dt!r}")
         if not all(isinstance(v, (list, tuple)) for v in (self.kernel_times, self.kernel_box)):
             raise ValueError("kernel_times and kernel_box must be lists, got "
                              f"{self.kernel_times!r} and {self.kernel_box!r}")
@@ -156,17 +159,6 @@ def emit_radial_csv(profile: asymptotics.RadialProfile, path: str) -> str:
         lo_curve = v_anchor * (rr / r_anchor) ** (-(e + s))
         hi_curve = v_anchor * (rr / r_anchor) ** (-(e - s))
     return _write_csv(path, "r,value,fit_lo,fit_hi", zip(rr, vv, lo_curve, hi_curve))
-
-
-def parse_radial_csv(path: str):
-    rows = []
-    with open(path) as fh:
-        header = fh.readline()
-        assert header.strip() == "r,value,fit_lo,fit_hi"
-        for line in fh:
-            parts = line.strip().split(",")
-            rows.append((float(parts[0]), float(parts[1])))
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +325,10 @@ def _run_norms(config: RunConfig, outdir: str):
         spaces.morrey_norm(prof, p, [R], [grid.center], grid) for R in radii
     ]
     metrics["morrey_scale_ratio"] = float(np.max(vals) / np.min(vals))
+    # |x|^(3/p) prof is 1 on every cell but the center, which the sup excludes
+    metrics["weighted_sup_power_law"] = spaces.weighted_sup_norm(prof, 3.0 / p, grid)
+    metrics["smoothing_rate_ratio"] = evolve.smoothing_check(
+        prof, p, config.alpha, (0.1, 0.3, 1.0), grid)["ratio"]
     return metrics, artifacts
 
 

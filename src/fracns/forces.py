@@ -271,14 +271,11 @@ def make_force(spec: ForceSpec, grid: Grid, alpha: float) -> SpectralVectorField
                 "divergence-free part (its projection is round-off)"
             )
         u0 = lift_force(f, alpha)
+        # the normalized deviation is scale-invariant: the unscaled lift decides
+        if anisotropic and scalar_deviation(moment_matrix(to_real(u0))) < 0.05:
+            continue
         norm = weak_lorentz_norm(u0, alpha)
-        f = SpectralVectorField(grid, f.data * (spec.amplitude / norm))
-        if anisotropic:
-            u0 = lift_force(f, alpha)
-            dev = scalar_deviation(moment_matrix(to_real(u0)))
-            if dev < 0.05:
-                continue
-        return f
+        return SpectralVectorField(grid, f.data * (spec.amplitude / norm))
     raise ScalarMomentMatrix(
         "could not realize a usably non-scalar lifted moment matrix "
         f"from seed {spec.seed} in {attempts} attempts"

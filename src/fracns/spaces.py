@@ -98,16 +98,16 @@ def lp_norm(field, p: float, cell_volume: float) -> float:
     return float((cell_volume * np.sum(vals**p)) ** (1.0 / p))
 
 
-def weighted_sup_norm(field, theta: float, grid: Grid, origin=None) -> float:
-    """sup over grid cells of |x - origin|^theta |f(x)| (periodic distance).
+def weighted_sup_norm(field, theta: float, grid: Grid) -> float:
+    """sup over grid cells of |x - c|^theta |f(x)|, c the box center (periodic
+    distance).
 
-    The origin cell itself is excluded: the weight vanishes there and the
+    The center cell itself is excluded: the weight vanishes there and the
     value carries no information about the singular comparison.
     """
     if theta < 0:
         raise ValueError("theta must be nonnegative")
-    origin = grid.center if origin is None else np.asarray(origin, dtype=np.float64)
-    r = grid.radius_from(origin).ravel()
+    r = grid.radius_from(grid.center).ravel()
     vals = _samples(field)
     keep = r > 0
     return float(np.max(r[keep] ** theta * vals[keep]))

@@ -2,13 +2,13 @@
 
 Everything downstream (steady solver, time integrator, force constructors)
 is built from the primitives here: the Leray projector, fractional
-Laplacian powers, the lifted-advection symbol and the dissipation
-semigroup.  All multipliers follow one convention, kept in one place
-(``Grid.power``): symbols that are singular or undefined at the zero mode
-return 0 there, and admissible forces are mean-free, so the convention is
-exact for every pipeline that matters.  Spectral fields hold the rfftn half
-spectrum of real fields (``Grid.spectral_shape``), so every transform is
-real and the L^2 norms weigh interior k_z planes twice.  The quadratic map
+Laplacian powers and the lifted-advection symbol.  All multipliers follow
+one convention, kept in one place (``Grid.power``): symbols that are
+singular or undefined at the zero mode return 0 there, and admissible
+forces are mean-free, so the convention is exact for every pipeline that
+matters.  Spectral fields hold the rfftn half spectrum of real fields
+(``Grid.spectral_shape``), so every transform is real and the L^2 norms
+weigh interior k_z planes twice.  The quadratic map
 is formed on the box of modes the 2/3 rule keeps (``_Cube``), through a
 pruned transform pair that touches that box alone: ``apply_bilinear`` takes
 and returns fields held on a cube, which also holds the Leray factor and the
@@ -499,14 +499,6 @@ def apply_bilinear(v: SpectralVectorField, alpha: float) -> SpectralVectorField:
     return d
 
 
-def semigroup_multiply(v: SpectralVectorField, t: float, alpha: float) -> SpectralVectorField:
-    """Apply the dissipation semigroup exp(-t |xi|^alpha)."""
-    if t < 0:
-        raise ValueError(f"semigroup time must be nonnegative, got {t}")
-    g = v.grid
-    return SpectralVectorField(g, v.data * np.exp(-t * g.power(alpha)))
-
-
 def spectral_gradient(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
     """Gradient of a scalar spectral field, Nyquist rows zeroed."""
     out = np.empty((3,) + coeffs.shape, dtype=np.complex128)
@@ -543,8 +535,3 @@ def l2_norm(field) -> float:
     if isinstance(field, RealVectorField):
         return float(np.sqrt(field.grid.cell_volume * np.sum(field.data**2)))
     raise TypeError("expected a vector field")
-
-
-def l2_inner(a: SpectralVectorField, b: SpectralVectorField) -> float:
-    g = a.grid
-    return float(g.cell_volume * _full_lattice_sum(a.data, b.data) / g.n**3)

@@ -3,7 +3,7 @@ import pytest
 
 from fracns.forces import ForceSpec, make_force
 from fracns.solver import SolverConfig, solve_steady
-from fracns.spectral import Grid, RealVectorField, kernel_tensor, to_spectral
+from fracns.spectral import Grid, RealVectorField, _full_lattice_sum, kernel_tensor, to_spectral
 
 
 @pytest.fixture(scope="session")
@@ -37,6 +37,13 @@ def realness_defect(field):
     back = sfft.rfftn(sfft.irfftn(field.data, s=(n, n, n), axes=(1, 2, 3)), axes=(1, 2, 3))
     scale = np.max(np.abs(field.data))
     return float(np.max(np.abs(back - field.data)) / scale) if scale > 0 else 0.0
+
+
+def l2_inner(a, b):
+    """The discrete L^2 inner product h^3 sum a . b of two half-lattice fields,
+    through Parseval."""
+    g = a.grid
+    return float(g.cell_volume * _full_lattice_sum(a.data, b.data) / g.n**3)
 
 
 def random_divfree_spectral(grid, seed=0, smooth=True, mean_free=True):

@@ -123,14 +123,6 @@ class TestDecayFit:
         prof = fit_decay_exponent((radii, values))
         assert prof.fitted_exponent == pytest.approx(2.5, abs=0.05)
 
-    def test_lattice_power_law_exact(self, grid32):
-        g = grid32
-        r = g.radius_from(g.center)
-        vals = np.where(r > 0, np.maximum(r, 1e-9) ** -3.0, 0.0)
-        prof = radial_profile(vals, g, statistic="gmean")
-        prof = fit_decay_exponent(prof)
-        assert prof.fitted_exponent == pytest.approx(3.0, abs=1e-3)
-
     def test_needs_eight_bins(self):
         radii = np.linspace(1.0, 2.0, 5)
         with pytest.raises(EmptyShell):

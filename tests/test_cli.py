@@ -14,9 +14,19 @@ from fracns.cli import (
     RunConfig,
     emit_radial_csv,
     main,
-    parse_radial_csv,
     run,
 )
+
+
+def parse_radial_csv(path):
+    """The (r, value) rows of a radial-profile CSV written by ``emit_radial_csv``."""
+    rows = []
+    with open(path) as fh:
+        assert fh.readline().strip() == "r,value,fit_lo,fit_hi"
+        for line in fh:
+            parts = line.strip().split(",")
+            rows.append((float(parts[0]), float(parts[1])))
+    return rows
 
 
 def small_config(tmp_path, experiment="solve", **over):
@@ -105,6 +115,8 @@ class TestRun:
         metrics = run(small_config(tmp_path, experiment="norms", n=16))
         assert metrics["lorentz_pp_vs_lp_max_rel_err"] < 1e-10
         assert metrics["morrey_scale_ratio"] < 2.0
+        assert metrics["weighted_sup_power_law"] == pytest.approx(1.0, abs=1e-12)
+        assert 0.0 < metrics["smoothing_rate_ratio"] < 5.0
 
 
 class TestDeterminism:
@@ -294,6 +306,8 @@ class TestMainEntry:
             ("solve", {"kernel_times": 5}),
             ("solve", {"kernel_box": 256}),
             ("solve", {"evolve_T": float("inf")}),
+            ("evolve", {"evolve_T": 1e300, "evolve_dt": 1e-300}),
+            ("decay", {"nbins": 2**70}),
         ],
         ids=["nbins_fractional", "nbins_small", "profile_nbins_small", "anisotropy_two",
              "anisotropy_not_number", "evolve_dt_string", "evolve_T_zero",
@@ -303,7 +317,7 @@ class TestMainEntry:
              "force_seed_bool", "max_iter_bool", "box_length_bool", "amplitude_bool",
              "r0_bool", "evolve_T_bool", "window_bool", "symmetrize_string",
              "plane_wave_r1_infinite", "kernel_times_not_a_list", "kernel_box_not_a_list",
-             "config_echo_not_json"],
+             "config_echo_not_json", "evolve_steps_overflow", "nbins_above_samples"],
     )
     def test_bad_knob_rejected(self, tmp_path, monkeypatch, experiment, cfg):
         cfg = {"n": 16, "box_length": 8.0, "force": {"r1": 3.0}, **cfg}

@@ -13,14 +13,16 @@ one-axis DCT-I/DST-I stages (dct/dst), from the octant of a symbol even or
 odd along each axis to the octant of its samples, appear in
 ``octant_to_real`` alone.  The half-lattice pair takes a vector field's three
 components in one call, never one at a time, and ``asymptotics`` lifts a
-field through ``solver.lift_force`` rather than projecting it by hand.  The 2/3 rule, the CSVs and the report are not
-options: no parameter or field turns them off.  Nor are the constants every
-run uses (the kernel's read-off shell, the certificate floors, the blow-up
-factor, the box-center origin): the parameters and fields that once held
-them are gone.  The order alpha is
+field through ``solver.lift_force`` rather than projecting it by hand.  The
+2/3 rule, the CSVs and the report are not options: no parameter or field
+turns them off.  Nor are the constants every run uses (the kernel's read-off
+shell, the certificate floors, the blow-up factor, the box-center origin):
+the parameters and fields that once held them are gone.  The order alpha is
 passed as a float, with no wrapper class around it.  The driver echoes its
 config through ``dataclasses.asdict``, writes ``report.json`` in one function,
-and sorts run errors into exit codes in one ``except`` branch.
+and sorts run errors into exit codes in one ``except`` branch.  Every public
+module-level name is read by a run or by the acceptance criteria, not by a
+unit test alone, but for three named exceptions.
 """
 
 import ast
@@ -32,6 +34,7 @@ import pytest
 import fracns
 
 SRC = pathlib.Path(fracns.__file__).parent
+TESTS = pathlib.Path(__file__).parent
 
 
 def _hits(pattern):
@@ -89,7 +92,8 @@ def test_quadratic_product_formed_once():
 RETIRED = {
     "build_kernel": ("sphere_points", "shell"),
     "contract_smoothing_defect": ("terms",),
-    "radial_profile": ("origin",),
+    "radial_profile": ("origin", "statistic"),
+    "weighted_sup_norm": ("origin",),
     "profile_term_on_grid": ("origin", "split_width"),
     "profile_decomposition": ("origin", "statistic"),
     "caccioppoli_energy": ("origin",),
@@ -136,6 +140,45 @@ def test_no_switch_for_the_method():
     switches = [x for x in names if x[3] in ("dealias", "emit_csv", "emit_json")]
     retired = [x for x in names if x[3] in RETIRED.get(x[2], ())]
     assert names and switches == [] and retired == [], switches + retired
+
+
+# read by unit tests alone, and kept: the regularity criterion (Holder modulus),
+# the Liouville energy balance and the documented pressure
+UNREAD_KEPT = {"holder_modulus_check", "caccioppoli_energy", "recover_pressure"}
+
+
+def _reads(node):
+    """The names a statement reads: loaded names and attribute names."""
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            or isinstance(n, ast.Attribute)}
+
+
+def _defines(node):
+    """The names a module-level statement defines."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [t.id for t in targets if isinstance(t, ast.Name)]
+    return []
+
+
+def test_every_public_name_has_a_reader():
+    # a public module-level name is read by src code other than its own
+    # definition (the cli.main entry point and what it calls), or by the
+    # acceptance criteria; a name only a unit test reads is not kept
+    statements = [node for path in sorted(SRC.glob("*.py"))
+                  for node in ast.parse(path.read_text()).body]
+    readers = [(node, _reads(node)) for node in statements
+               if not isinstance(node, (ast.Import, ast.ImportFrom))]
+    acceptance = _reads(ast.parse((TESTS / "test_acceptance.py").read_text()))
+    public = [(name, node) for node in statements for name in _defines(node)
+              if not name.startswith("_")]
+    unread = sorted(name for name, node in public
+                    if name not in acceptance | UNREAD_KEPT
+                    and not any(name in names for other, names in readers if other is not node))
+    assert public and unread == [], unread
 
 
 def test_transforms_taken_in_spectral_only():

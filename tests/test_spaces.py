@@ -140,9 +140,8 @@ class TestLorentz:
 class TestWeightedSup:
     def test_theta_zero_plain_sup(self, grid32):
         f = random_real_field(grid32, seed=27).data[0]
-        origin = grid32.center
-        got = weighted_sup_norm(f, 0.0, grid32, origin)
-        r = grid32.radius_from(origin).ravel()
+        got = weighted_sup_norm(f, 0.0, grid32)
+        r = grid32.radius_from(grid32.center).ravel()
         expect = np.max(np.abs(f).ravel()[r > 0])
         assert got == pytest.approx(expect)
 

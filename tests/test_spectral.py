@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     bilinear_on_lattice,
+    l2_inner,
     random_divfree_spectral,
     random_real_field,
     realness_defect,
@@ -23,11 +24,9 @@ from fracns.spectral import (
     bilinear_symbol,
     fractional_power,
     kernel_tensor,
-    l2_inner,
     l2_norm,
     leray_project,
     projected_advection,
-    semigroup_multiply,
     to_real,
     to_spectral,
 )
@@ -501,35 +500,3 @@ class TestFiniteness:
         v.data[0, 1, 0, 0] = np.nan
         with pytest.raises(NumericalBlowup):
             projected_advection(v)
-
-
-class TestSemigroup:
-    def test_t_zero_identity(self, grid32):
-        v = to_spectral(random_real_field(grid32, seed=17))
-        out = semigroup_multiply(v, 0.0, 1.5)
-        assert np.array_equal(out.data, v.data)
-
-    def test_plane_wave_factor(self, grid16):
-        g = grid16
-        dk = 2 * np.pi / g.box_length
-        k = np.array([1, 2, 2]) * dk
-        x = [g.x_axis.reshape(-1, 1, 1), g.x_axis.reshape(1, -1, 1), g.x_axis.reshape(1, 1, -1)]
-        wave = np.cos(k[0] * x[0] + k[1] * x[1] + k[2] * x[2])
-        data = np.stack([wave, 0 * wave, 0 * wave])
-        v = to_spectral(RealVectorField(g, data))
-        t, alpha = 0.3, 1.5
-        out = to_real(semigroup_multiply(v, t, alpha))
-        expect = np.exp(-t * np.linalg.norm(k) ** alpha) * wave
-        assert np.max(np.abs(out.data[0] - expect)) < 1e-12
-
-    def test_composition(self, grid32):
-        v = to_spectral(random_real_field(grid32, seed=18))
-        t1, t2, alpha = 0.2, 0.5, 1.8
-        two = semigroup_multiply(semigroup_multiply(v, t1, alpha), t2, alpha)
-        one = semigroup_multiply(v, t1 + t2, alpha)
-        assert np.max(np.abs(two.data - one.data)) < 1e-13 * np.max(np.abs(one.data))
-
-    def test_negative_time_rejected(self, grid32):
-        v = to_spectral(random_real_field(grid32, seed=19))
-        with pytest.raises(ValueError):
-            semigroup_multiply(v, -0.1, 2.0)
