@@ -82,7 +82,6 @@ class HomogeneousKernel:
 
     alpha: float
     coeffs: np.ndarray  # (3, 3, 3, 10)
-    sphere_points: np.ndarray  # (m, 3)
     bound_constant: float
 
     @property
@@ -162,7 +161,7 @@ class HomogeneousKernel:
         return out
 
 
-def _sphere_max(coeffs: np.ndarray) -> tuple[float, np.ndarray]:
+def _sphere_max(coeffs: np.ndarray) -> float:
     """Global maximum of the Frobenius norm over the unit sphere."""
 
     def frob(dirs):
@@ -171,7 +170,7 @@ def _sphere_max(coeffs: np.ndarray) -> tuple[float, np.ndarray]:
     cand = fibonacci_sphere(20000)
     fc = frob(cand)
     order = np.argsort(fc)[::-1][:8]
-    best_val, best_dir = fc[order[0]], cand[order[0]]
+    best_val = fc[order[0]]
     for i in order:
         res = scipy.optimize.minimize(
             lambda v: -float(frob((v / np.linalg.norm(v)).reshape(1, 3))[0]),
@@ -181,9 +180,8 @@ def _sphere_max(coeffs: np.ndarray) -> tuple[float, np.ndarray]:
         )
         v = res.x / np.linalg.norm(res.x)
         val = float(frob(v.reshape(1, 3))[0])
-        if val > best_val:
-            best_val, best_dir = val, v
-    return best_val, best_dir
+        best_val = max(best_val, val)
+    return best_val
 
 
 def build_kernel(alpha: float, refinement_grid_n: int = 128) -> HomogeneousKernel:
@@ -229,9 +227,7 @@ def build_kernel(alpha: float, refinement_grid_n: int = 128) -> HomogeneousKerne
 
     sol, *_ = np.linalg.lstsq(design, samples.reshape(27, -1).T, rcond=None)
     coeffs = sol[:10].T.reshape(3, 3, 3, 10)
-    cmax, argmax_dir = _sphere_max(coeffs)
-    pts = np.vstack([fibonacci_sphere(2000), argmax_dir])
-    return HomogeneousKernel(alpha, coeffs, pts, cmax)
+    return HomogeneousKernel(alpha, coeffs, _sphere_max(coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -432,8 +428,9 @@ def nonexistence_certificate(solution: SteadySolution, kernel: HomogeneousKernel
     deviation: normalized scalar deviation of the velocity moment matrix.
     raw_deviation: the unnormalized Frobenius deviation (scales like the
     square of the force amplitude).
-    leading_lower_bound: min over sphere directions of |m(x/|x|) : M|,
-    the directional coefficient of the |x|^{alpha-4} lower bound.
+    leading_lower_bound: min over 2000 Fibonacci-sphere directions of
+    |m(x/|x|) : M|, the directional coefficient of the |x|^{alpha-4} lower
+    bound.
     The certificate is affirmative when the deviation is at least 0.01 and
     the bound at least 1e-4 times its sphere maximum.
     """
@@ -441,7 +438,7 @@ def nonexistence_certificate(solution: SteadySolution, kernel: HomogeneousKernel
     M = moment_matrix(u)
     dev = scalar_deviation(M)
     raw = scalar_deviation(M, normalized=False)
-    prof = kernel.contract_directions(kernel.sphere_points, M)
+    prof = kernel.contract_directions(fibonacci_sphere(2000), M)
     mags = np.linalg.norm(prof, axis=1)
     lower = float(np.min(mags))
     upper = float(np.max(mags))

@@ -30,6 +30,9 @@ EXIT_VALIDATION = 3
 EXIT_DIVERGED = 4
 EXIT_NOT_CONVERGED = 5
 
+# 1000 times the default evolve run's 100 steps
+MAX_EVOLVE_STEPS = 10**5
+
 # exit code and stderr prefix of a run error, by class; any other error exits 3
 _RUN_ERRORS = {Diverged: (EXIT_DIVERGED, "diverged"),
                NotConverged: (EXIT_NOT_CONVERGED, "not converged")}
@@ -68,11 +71,7 @@ class RunConfig:
         grid = spectral.Grid(self.n, self.box_length)
         cfg = solver.SolverConfig(self.alpha, tol_rel=self.tol_rel, max_iter=self.max_iter)
         uses_force = self.experiment in ("solve", "decay", "profile", "nonexist", "evolve")
-        if (
-            uses_force
-            and self.force.kind == "annulus_ring"
-            and self.force.r1 >= grid.dealias_radius
-        ):
+        if uses_force and self.force.r1 >= grid.dealias_radius:
             raise ValueError(
                 f"force annulus r1={self.force.r1} outside the dealias sphere "
                 f"(radius {grid.dealias_radius:.4g})"
@@ -93,9 +92,10 @@ class RunConfig:
                              f"got {self.nbins!r}")
         if self.experiment == "evolve" and not (
                 _finite_positive(self.evolve_T) and _finite_positive(self.evolve_dt)
-                and np.isfinite(self.evolve_T / self.evolve_dt)):
-            raise ValueError("evolve_T, evolve_dt and their step count must be finite and "
-                             f"positive, got {self.evolve_T!r} and {self.evolve_dt!r}")
+                and self.evolve_T / self.evolve_dt <= MAX_EVOLVE_STEPS):
+            raise ValueError("evolve_T and evolve_dt must be finite and positive, with a step "
+                             f"count evolve_T/evolve_dt of at most {MAX_EVOLVE_STEPS}, got "
+                             f"{self.evolve_T!r} and {self.evolve_dt!r}")
         if not all(isinstance(v, (list, tuple)) for v in (self.kernel_times, self.kernel_box)):
             raise ValueError("kernel_times and kernel_box must be lists, got "
                              f"{self.kernel_times!r} and {self.kernel_box!r}")

@@ -1,6 +1,6 @@
 """Constructions of admissible external forces and the moment matrix.
 
-The flagship constructor places a smooth, compactly supported profile on a
+The one constructor places a smooth, compactly supported profile on a
 frequency annulus (so the zero mode is excluded exactly and the lifted
 field decays rapidly in physical space), modulates it with a seeded
 low-degree odd polynomial, and Leray-projects.  Component weights bias the
@@ -35,7 +35,7 @@ from .spectral import (
 class ForceSpec:
     """Recipe for a reproducible external force.
 
-    kind is one of ``annulus_ring``, ``gaussian_bump``, ``plane_wave_pair``.
+    ``kind`` names the constructor; ``annulus_ring`` is the only one.
     ``amplitude`` fixes the weak-Lorentz size of the lifted force (the
     solver's smallness parameter), not the pointwise size of f itself.
     """
@@ -49,8 +49,8 @@ class ForceSpec:
     symmetrize: bool = False
 
     def __post_init__(self):
-        if self.kind not in ("annulus_ring", "gaussian_bump", "plane_wave_pair"):
-            raise ValueError(f"unknown force kind {self.kind!r}")
+        if self.kind != "annulus_ring":
+            raise ValueError(f"unknown force kind {self.kind!r}: the only kind is 'annulus_ring'")
         if not (is_real(self.amplitude) and 0 <= self.amplitude < np.inf):
             raise ValueError("amplitude must be finite and nonnegative (0 means no forcing), "
                              f"got {self.amplitude!r}")
@@ -139,72 +139,33 @@ def _bump_window(r: np.ndarray, r0: float, r1: float) -> np.ndarray:
     return w
 
 
-def _modulated(spec: ForceSpec, grid: Grid, seed: int, window: np.ndarray) -> SpectralVectorField:
-    """A radial window times the seeded odd polynomial, centered in the box."""
-    rng = np.random.default_rng(seed)
-    poly = _odd_polynomial(grid, rng, spec.anisotropy, spec.r1)
-    phase = grid.shift_phase(grid.center)
-    window = window * grid.nyquist_free  # an odd polynomial is not Hermitian there
-    data = np.stack([1j * window * poly[j] * phase for j in range(3)])
-    data[:, 0, 0, 0] = 0.0
-    return SpectralVectorField(grid, data)
-
-
 def _raw_annulus(spec: ForceSpec, grid: Grid, seed: int, alpha: float) -> SpectralVectorField:
-    # The |xi|^alpha weight cancels the lift's |xi|^(-alpha), so the lifted
-    # field carries the clean compactly supported bump: that is what makes
-    # its physical-space tail drop below the far-field profile term.
+    """The annulus window times the seeded odd polynomial, centered in the box.
+
+    The |xi|^alpha weight cancels the lift's |xi|^(-alpha), so the lifted
+    field carries the clean compactly supported bump: that is what makes
+    its physical-space tail drop below the far-field profile term.  The
+    window is 0 outside r0 < |xi| < r1, and r1 lies inside the dealias
+    sphere, so it is exactly 0 on every Nyquist row, where the odd
+    polynomial is not Hermitian.  The anisotropy is divided by its largest
+    entry: only its ratios matter once ``make_force`` scales to the
+    amplitude, and a huge entry would overflow the lift's norms.
+    """
     window = _bump_window(grid.kmag, spec.r0, spec.r1) * grid.power(alpha)
     if not np.any(window > 0):
         raise InvalidAnnulus(
             f"no lattice modes inside the annulus ({spec.r0}, {spec.r1}) "
             f"at resolution {grid.n}, box {grid.box_length}"
         )
-    return _modulated(spec, grid, seed, window)
-
-
-def _raw_gaussian_bump(spec: ForceSpec, grid: Grid, seed: int, alpha: float) -> SpectralVectorField:
-    rc = 0.5 * (spec.r0 + spec.r1)
-    s = (spec.r1 - spec.r0) / 6.0
-    # radii near the float limit overflow to a NaN window, which make_force rejects
-    with np.errstate(over="ignore", invalid="ignore"):
-        window = np.exp(-((grid.kmag - rc) ** 2) / (2.0 * s * s))
-    return _modulated(spec, grid, seed, window)
-
-
-def _raw_plane_wave_pair(spec: ForceSpec, grid: Grid, seed: int, alpha: float) -> SpectralVectorField:
-    # deterministic: the lexicographically smallest integer mode in the annulus,
-    # searched plane by plane in k_x over the modes |k_c| < n/2 the grid holds
-    n = grid.n
-    dk = 2.0 * np.pi / grid.box_length
-    kmax = int(min(np.ceil(spec.r1 / dk), n // 2 - 1))  # r1 / dk may overflow to inf
-    ks = np.arange(-kmax, kmax + 1)
-    kyz2 = ks[:, None] ** 2 + ks[None, :] ** 2
-    for kx in ks:
-        mag = dk * np.sqrt(kx * kx + kyz2)
-        iy, iz = np.nonzero((spec.r0 <= mag) & (mag <= spec.r1))
-        if len(iy):  # row-major order: the first hit has the smallest (k_y, k_z)
-            best = (int(kx), int(ks[iy[0]]), int(ks[iz[0]]))
-            break
-    else:
-        raise InvalidAnnulus("no lattice mode inside the annulus")
-    rng = np.random.default_rng(seed)
-    k = np.array(best, dtype=np.float64) * dk
-    a = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    a -= k * (np.dot(k, a) / np.dot(k, k))  # divergence-free amplitude
-    a *= np.asarray(spec.anisotropy)
-    f = zero_spectral(grid)
-    for mode, amp in ((np.array(best), a), (-np.array(best), np.conj(a))):
-        if mode[2] >= 0:  # the half lattice holds k_z >= 0 only
-            f.data[(slice(None),) + tuple(mode % n)] = amp
-    return f
-
-
-_RAW_BUILDERS = {
-    "annulus_ring": _raw_annulus,
-    "gaussian_bump": _raw_gaussian_bump,
-    "plane_wave_pair": _raw_plane_wave_pair,
-}
+    anisotropy = np.asarray(spec.anisotropy, dtype=np.float64)
+    largest = np.max(np.abs(anisotropy))
+    if largest > 0:
+        anisotropy = anisotropy / largest
+    poly = _odd_polynomial(grid, np.random.default_rng(seed), anisotropy, spec.r1)
+    phase = grid.shift_phase(grid.center)
+    data = np.stack([1j * window * poly[j] * phase for j in range(3)])
+    data[:, 0, 0, 0] = 0.0
+    return SpectralVectorField(grid, data)
 
 
 def moment_matrix(u: RealVectorField) -> np.ndarray:
@@ -238,23 +199,21 @@ def make_force(spec: ForceSpec, grid: Grid, alpha: float) -> SpectralVectorField
     over the 24 cube rotations, which makes the lifted moment matrix
     scalar exactly.
     """
-    if spec.kind == "annulus_ring":
-        limit = grid.dealias_radius
-        if not (spec.r1 < limit):
-            raise InvalidAnnulus(
-                f"annulus outer radius {spec.r1} must stay inside the dealias "
-                f"sphere of radius {limit:.4g}"
-            )
+    limit = grid.dealias_radius
+    if not (spec.r1 < limit):
+        raise InvalidAnnulus(
+            f"annulus outer radius {spec.r1} must stay inside the dealias "
+            f"sphere of radius {limit:.4g}"
+        )
     if spec.amplitude == 0.0:
         return zero_spectral(grid)
-    builder = _RAW_BUILDERS[spec.kind]
     anisotropic = not np.allclose(spec.anisotropy, (1.0, 1.0, 1.0))
 
     attempts = 5 if anisotropic else 1
     for attempt in range(attempts):
-        raw = builder(spec, grid, spec.seed + attempt, alpha)
+        raw = _raw_annulus(spec, grid, spec.seed + attempt, alpha)
         if not np.all(np.isfinite(raw.data)):
-            raise DegenerateInput(f"non-finite {spec.kind} force at radii ({spec.r0}, {spec.r1})")
+            raise DegenerateInput(f"non-finite annulus force at radii ({spec.r0}, {spec.r1})")
         f = raw
         if spec.symmetrize:
             samples = to_real(raw).data
@@ -267,7 +226,7 @@ def make_force(spec: ForceSpec, grid: Grid, alpha: float) -> SpectralVectorField
         if l2_norm(f) <= 1e-12 * l2_norm(raw):
             # only round-off is left, which scaling to the amplitude would turn into noise
             raise DegenerateInput(
-                f"the {spec.kind} force from seed {spec.seed + attempt} has no "
+                f"the annulus force from seed {spec.seed + attempt} has no "
                 "divergence-free part (its projection is round-off)"
             )
         u0 = lift_force(f, alpha)

@@ -102,9 +102,7 @@ class Grid:
         object.__setattr__(self, "spectral_shape", (n, n, n // 2 + 1))
 
         k_int = np.fft.fftfreq(n, d=1.0 / n).astype(np.int64)  # 0,1,..,n/2-1,-n/2,..,-1
-        xi_axis = (2.0 * np.pi / L) * k_int
         object.__setattr__(self, "k_int", k_int)
-        object.__setattr__(self, "xi_axis", xi_axis)
         object.__setattr__(self, "x_axis", (L / n) * np.arange(n))
 
         half = n // 2 + 1  # the last axis ends on the Nyquist plane, kept at -n/2

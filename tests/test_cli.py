@@ -302,12 +302,15 @@ class TestMainEntry:
             ("evolve", {"evolve_T": True}),
             ("decay", {"window": [True, 1.5]}),
             ("solve", {"force": {"r1": 3.0, "symmetrize": "false"}}),
-            ("solve", {"force": {"kind": "plane_wave_pair", "r0": 0.7, "r1": float("inf")}}),
+            ("solve", {"force": {"r0": 0.7, "r1": float("inf")}}),
             ("solve", {"kernel_times": 5}),
             ("solve", {"kernel_box": 256}),
             ("solve", {"evolve_T": float("inf")}),
             ("evolve", {"evolve_T": 1e300, "evolve_dt": 1e-300}),
             ("decay", {"nbins": 2**70}),
+            ("evolve", {"evolve_T": 1e6, "evolve_dt": 1e-3}),
+            ("solve", {"force": {"kind": "gaussian_bump", "r1": 3.0}}),
+            ("solve", {"force": {"kind": "plane_wave_pair", "r1": 3.0}}),
         ],
         ids=["nbins_fractional", "nbins_small", "profile_nbins_small", "anisotropy_two",
              "anisotropy_not_number", "evolve_dt_string", "evolve_T_zero",
@@ -316,8 +319,9 @@ class TestMainEntry:
              "kernel_box_infinite", "amplitude_nan", "amplitude_infinite", "seed_bool",
              "force_seed_bool", "max_iter_bool", "box_length_bool", "amplitude_bool",
              "r0_bool", "evolve_T_bool", "window_bool", "symmetrize_string",
-             "plane_wave_r1_infinite", "kernel_times_not_a_list", "kernel_box_not_a_list",
-             "config_echo_not_json", "evolve_steps_overflow", "nbins_above_samples"],
+             "annulus_r1_infinite", "kernel_times_not_a_list", "kernel_box_not_a_list",
+             "config_echo_not_json", "evolve_steps_overflow", "nbins_above_samples",
+             "evolve_steps_above_ceiling", "kind_gaussian_bump", "kind_plane_wave_pair"],
     )
     def test_bad_knob_rejected(self, tmp_path, monkeypatch, experiment, cfg):
         cfg = {"n": 16, "box_length": 8.0, "force": {"r1": 3.0}, **cfg}

@@ -1,4 +1,3 @@
-import itertools
 import warnings
 
 import numpy as np
@@ -87,16 +86,7 @@ class TestAnnulusForce:
         assert np.max(np.abs(div)) < 1e-12 * np.max(np.abs(f.data)) * np.max(g.kmag)
 
     @pytest.mark.parametrize(
-        "spec",
-        [
-            # the bump's window reaches the Nyquist rows of this lattice
-            ForceSpec(kind="gaussian_bump", amplitude=0.1, r0=2.0, r1=9.0, seed=4),
-            ForceSpec(kind="plane_wave_pair", amplitude=0.1, r0=0.3, r1=0.45, seed=4),
-            # mode (-1, -1, -1): only its mirror (1, 1, 1) is on the half lattice
-            ForceSpec(kind="plane_wave_pair", amplitude=0.1, r0=0.65, r1=0.7, seed=4),
-            ForceSpec(amplitude=0.1, r1=3.5, seed=7, symmetrize=True),
-        ],
-        ids=["gaussian", "plane_wave_kz0", "plane_wave", "symmetrized"],
+        "spec", [ForceSpec(amplitude=0.1, r1=3.5, seed=7, symmetrize=True)], ids=["symmetrized"]
     )
     def test_other_kinds_real_mean_free_divergence_free(self, grid32, spec):
         g = grid32
@@ -137,22 +127,23 @@ class TestAnnulusForce:
         assert M[0, 0] / M[1, 1] > 1.2
         assert scalar_deviation(M) >= 0.05
 
+    def test_huge_anisotropy_keeps_its_amplitude(self):
+        # only the ratios of the weights matter; a 1e300 weight taken as it
+        # is overflows the lift's norms, and the force is scaled to 0
+        spec = ForceSpec(r1=3.0, anisotropy=(1e300, 1.0, 1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            f = make_force(spec, Grid(16, 8.0), 1.5)
+            u0 = lift_force(f, 1.5)
+            assert weak_lorentz_norm(u0, 1.5) == pytest.approx(spec.amplitude, rel=1e-12)
+            assert scalar_deviation(moment_matrix(to_real(u0))) >= 0.05
+
     def test_force_projecting_to_round_off_rejected(self):
         # the rotation average of this draw is a gradient field, which the
         # projection reduces to ~1e-19; scaling that to the amplitude gave noise
         spec = ForceSpec(amplitude=0.1, r1=3.0, seed=4, symmetrize=True)
         with pytest.raises(DegenerateInput):
             make_force(spec, Grid(16, 4.0), 1.5)
-
-    def test_non_finite_force_rejected(self):
-        # (r1 - r0)/6 squared overflows, so every window value is inf/inf = NaN
-        # and is rejected without a RuntimeWarning on the way
-        spec = ForceSpec(kind="gaussian_bump", amplitude=0.1, r1=1e300, seed=4)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            with pytest.raises(DegenerateInput, match="gaussian_bump"):
-                make_force(spec, Grid(16, 8.0), 1.5)
-        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
     def test_isotropic_symmetrized_moment_scalar(self, grid32):
         spec = ForceSpec(amplitude=0.1, r1=3.5, seed=7, symmetrize=True)
@@ -162,42 +153,6 @@ class TestAnnulusForce:
         off = np.max(np.abs(M - np.diag(np.diag(M))))
         assert off < 1e-10 * np.trace(M)
         assert np.max(np.abs(np.diag(M) - np.trace(M) / 3)) < 1e-10 * np.trace(M)
-
-
-def _smallest_mode(n, box_length, r0, r1):
-    """Brute force: the lexicographically smallest (k_x, k_y, k_z), |k_c| < n/2,
-    with r0 <= dk |k| <= r1."""
-    dk = 2.0 * np.pi / box_length
-    ks = range(-(n // 2) + 1, n // 2)
-    return next(k for k in itertools.product(ks, repeat=3)
-                if r0 <= dk * np.sqrt(k[0] ** 2 + k[1] ** 2 + k[2] ** 2) <= r1)
-
-
-def _force_modes(f):
-    """The signed lattice modes where the half-lattice force is nonzero."""
-    n = f.grid.n
-    return {tuple(int(i) if i < n // 2 else int(i) - n for i in idx)
-            for idx in np.argwhere(np.any(f.data != 0, axis=0))}
-
-
-class TestPlaneWavePair:
-    @pytest.mark.parametrize(
-        "n, box_length, r0, r1",
-        [(16, 4.0, 0.3, 2.0), (32, 16.0, 0.3, 0.45), (32, 16.0, 0.65, 0.7),
-         (16, 8.0, 3.0, 7.5), (16, 8.0, 0.7, 2000.0)],
-        ids=["kz0", "axis", "diagonal", "outer_shell", "r1_past_lattice"],
-    )
-    def test_picks_smallest_lattice_mode(self, n, box_length, r0, r1):
-        spec = ForceSpec(kind="plane_wave_pair", amplitude=0.1, r0=r0, r1=r1, seed=4)
-        f = make_force(spec, Grid(n, box_length), 1.5)
-        k = np.array(_smallest_mode(n, box_length, r0, r1))
-        # the half lattice holds the mode with k_z >= 0 (both when k_z = 0)
-        assert _force_modes(f) == {tuple(m) for m in (k, -k) if m[2] >= 0}
-
-    def test_no_mode_rejected(self):
-        spec = ForceSpec(kind="plane_wave_pair", amplitude=0.1, r0=0.05, r1=0.12, seed=1)
-        with pytest.raises(InvalidAnnulus):
-            make_force(spec, Grid(16, 4.0), 2.0)
 
 
 class TestRotations:

@@ -91,6 +91,7 @@ def test_quadratic_product_formed_once():
 # retired parameters and fields, by the function or class that had them
 RETIRED = {
     "build_kernel": ("sphere_points", "shell"),
+    "HomogeneousKernel": ("sphere_points",),
     "contract_smoothing_defect": ("terms",),
     "radial_profile": ("origin", "statistic"),
     "weighted_sup_norm": ("origin",),

@@ -76,19 +76,6 @@ class TestLiftForce:
         out = lift_force(zero_spectral(grid32), 1.5)
         assert np.all(out.data == 0)
 
-    def test_plane_wave_pair_amplitude(self, grid32):
-        g = grid32
-        spec = ForceSpec(kind="plane_wave_pair", amplitude=1.0, r0=0.7, r1=1.3, seed=2)
-        f = make_force(spec, g, alpha=2.0)
-        alpha = 2.0
-        u0 = lift_force(f, alpha)
-        nz = np.abs(f.data) > 1e-12 * np.max(np.abs(f.data))
-        kmag = np.broadcast_to(g.kmag, f.data.shape)[nz]
-        k0 = kmag[0]
-        assert np.allclose(kmag, k0)
-        ratio = u0.data[nz] / f.data[nz]
-        assert np.allclose(ratio, k0**-alpha)
-
     def test_mean_force_rejected(self, grid32):
         f = zero_spectral(grid32)
         f.data[0, 0, 0, 0] = 1.0

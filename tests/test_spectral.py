@@ -108,7 +108,7 @@ class TestHalfLattice:
     def test_symbols_are_full_symbols_sliced(self, n, box, beta):
         g = Grid(n, box)
         half = (Ellipsis, slice(0, n // 2 + 1))
-        full = np.meshgrid(*(g.xi_axis,) * 3, indexing="ij")
+        full = np.meshgrid(*((2 * np.pi / g.box_length) * g.k_int,) * 3, indexing="ij")
         kmag = np.sqrt(full[0] ** 2 + full[1] ** 2 + full[2] ** 2)
         for c in range(3):
             assert np.array_equal(np.broadcast_to(g.xi[c], g.spectral_shape), full[c][half])
@@ -336,7 +336,8 @@ class TestKernelTensor:
         g = Grid(n, box)
         C = symmetric_parts(g, inverse_power(g, alpha))
         got = C - np.einsum("ij,llk...->ijk...", np.eye(3), C)
-        xis = np.stack(np.meshgrid(*(g.xi_axis,) * 3, indexing="ij"), axis=-1).reshape(-1, 3)
+        xi_axis = (2 * np.pi / g.box_length) * g.k_int
+        xis = np.stack(np.meshgrid(*(xi_axis,) * 3, indexing="ij"), axis=-1).reshape(-1, 3)
         for i, j, k in itertools.product(range(3), repeat=3):
             sym = np.array([bilinear_symbol(xi, alpha, i, j, k) for xi in xis])
             want = sfft.ifftn(sym.reshape(n, n, n)).real / g.cell_volume
