@@ -28,7 +28,6 @@ from .spectral import (
     SpectralVectorField,
     kernel_tensor,
     scalar_to_real,
-    scalar_to_spectral,
     to_real,
 )
 
@@ -449,55 +448,4 @@ def nonexistence_certificate(solution: SteadySolution, kernel: HomogeneousKernel
         "leading_lower_bound": lower,
         "profile_sphere_max": upper,
         "affirmative": affirmative,
-    }
-
-
-# ---------------------------------------------------------------------------
-# localized energy functional
-
-
-def _cutoff(r: np.ndarray, R: float) -> np.ndarray:
-    """Smooth radial template: 1 on r < R/2, 0 on r >= R (C^2 smoothstep)."""
-    t = np.clip((r - R / 2.0) / (R / 2.0), 0.0, 1.0)
-    return 1.0 - t * t * t * (10.0 - 15.0 * t + 6.0 * t * t)
-
-
-def caccioppoli_energy(
-    u: RealVectorField, pressure_hat: np.ndarray, R: float, alpha: float
-) -> dict:
-    """Localized energy balance terms for the cutoff phi_R about the box center.
-
-    local_energy: integral over the ball B_{R/2} of |(-Lap)^{alpha/4} u|^2.
-    flux_term: integral of grad(phi_R) . (|u|^2/2 + P) u.
-    commutator_term: integral of L u . (phi_R L u - L(phi_R u)) with
-    L = (-Lap)^{alpha/4}.  slack = local_energy - flux - commutator
-    (reported, not assumed to have a sign: quadrature effects remain).
-    """
-    grid = u.grid
-    if R > grid.box_length / 4 * (1 + 1e-12):
-        raise InvalidRadius(f"cutoff radius {R} exceeds box_length/4")
-    r = grid.radius_from(grid.center)
-    phi = _cutoff(r, R)
-    h3 = grid.cell_volume
-
-    half = grid.power(alpha / 2.0)
-    lam_u = scalar_to_real(half * scalar_to_spectral(u.data))
-    ball = r <= R / 2.0
-    local = h3 * float(np.sum(lam_u[:, ball] ** 2))
-
-    pressure = scalar_to_real(pressure_hat)
-    usq = np.sum(u.data**2, axis=0)
-    gphi = np.gradient(phi, grid.spacing, edge_order=2)
-    flux = h3 * float(
-        np.sum((usq / 2.0 + pressure) * sum(gphi[a] * u.data[a] for a in range(3)))
-    )
-
-    lam_phi_u = scalar_to_real(half * scalar_to_spectral(phi * u.data))
-    comm = h3 * float(np.sum(lam_u * (phi * lam_u - lam_phi_u)))
-
-    return {
-        "local_energy": local,
-        "flux_term": flux,
-        "commutator_term": comm,
-        "slack": local - flux - comm,
     }

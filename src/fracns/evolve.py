@@ -1,8 +1,8 @@
 """Mild-solution time integrator for the fractional parabolic system.
 
-Used as a stationarity and uniqueness oracle for the steady solver: a
-converged steady state is an exact fixed point of the exponential
-integrator below, so any drift measures discretization inconsistency.
+The integrator is the steady solver's stationarity oracle: a converged
+steady state is an exact fixed point of it, so the largest entry of the
+drift history ``evolve_mild`` returns measures discretization inconsistency.
 Also hosts the semigroup-estimate checks (smoothing rate, kernel masses);
 the kernel masses are weighted sums over the octant j = 0..n/2 of each axis.
 """
@@ -14,7 +14,6 @@ import itertools
 import numpy as np
 
 from .errors import InvalidTimeStep, NumericalBlowup
-from .solver import SteadySolution
 from .spaces import lp_norm
 from .spectral import (
     CUBIC_MONOMIALS,
@@ -121,29 +120,18 @@ def evolve_mild(
     return SpectralVectorField(g, v), drift_history
 
 
-def stationarity_check(
-    solution: SteadySolution,
-    f: SpectralVectorField,
-    alpha: float,
-    T: float = 1.0,
-    dt: float = 0.01,
-) -> float:
-    """Evolve the steady state under its own force; max relative L2 drift."""
-    _, drift_history = evolve_mild(solution.velocity, f, alpha, T, dt)
-    return float(np.max(drift_history))
-
-
 def smoothing_check(f, p: float, alpha: float, times, grid: Grid) -> dict:
     """sup over times of t^{3/(alpha p)} ||exp(-t(-Lap)^{alpha/2}) f||_inf,
     and its ratio to the discrete L^p norm of f, for scalar samples f (n, n, n)
     or vector samples (3, n, n, n)."""
     arr = np.asarray(f, dtype=np.float64)
     hat = scalar_to_spectral(arr)
+    power = grid.power(alpha)
     sup = 0.0
     for t in times:
         if not (0.0 < t <= 10.0):
             raise ValueError("sample times must lie in (0, 10]")
-        smoothed = scalar_to_real(hat * np.exp(-t * grid.power(alpha)))
+        smoothed = scalar_to_real(hat * np.exp(-t * power))
         sup = max(sup, t ** (3.0 / (alpha * p)) * lp_norm(smoothed, np.inf, grid.cell_volume))
     fnorm = lp_norm(arr, p, grid.cell_volume)
     return {"sup_weighted": sup, "lp_norm": fnorm, "ratio": sup / fnorm if fnorm else np.inf}

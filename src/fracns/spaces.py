@@ -14,13 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInput, InvalidExponents
-from .spectral import (
-    Grid,
-    RealVectorField,
-    scalar_to_real,
-    scalar_to_spectral,
-    spectral_gradient,
-)
+from .spectral import Grid, RealVectorField, scalar_to_real, scalar_to_spectral
 
 
 def _samples(field) -> np.ndarray:
@@ -115,11 +109,7 @@ def weighted_sup_norm(field, theta: float, grid: Grid) -> float:
 
 def morrey_norm(field, p: float, radii, centers, grid: Grid) -> float:
     """max over (center, R) of R^{3/p} (mean of |f|^2 over the ball)^{1/2}."""
-    return _morrey(field, radii, centers, grid, exponent=2, p=p)
-
-
-def _morrey(field, radii, centers, grid: Grid, exponent: int, p: float) -> float:
-    if p <= 2 and exponent == 2:
+    if p <= 2:
         raise InvalidExponents(f"Morrey exponent must satisfy p > 2, got {p}")
     vals = _samples(field).reshape(grid.n, grid.n, grid.n)
     best = 0.0
@@ -133,8 +123,8 @@ def _morrey(field, radii, centers, grid: Grid, exponent: int, p: float) -> float
             if count == 0:
                 warnings.warn(f"ball of radius {R} contains no grid cell; skipped")
                 continue
-            mean = np.sum(vals[ball] ** exponent) / count
-            best = max(best, R ** (3.0 / p) * mean ** (1.0 / exponent))
+            mean = np.sum(vals[ball] ** 2) / count
+            best = max(best, R ** (3.0 / p) * mean ** (1.0 / 2))
     return float(best)
 
 
@@ -160,38 +150,3 @@ def young_check(f, g, grid: Grid, p, p1, p2, q, q1, q2) -> float:
     if den == 0.0:
         raise DegenerateInput("zero factor in the convolution inequality")
     return float(num / den)
-
-
-def holder_modulus_check(f, grid: Grid, p: float) -> float:
-    """sup over 2000 pairs (seed 0) of |f(x)-f(y)| / (||grad f||_{M^{1,p}} |x-y|^{1-3/p}).
-
-    The gradient is spectral; its Morrey-type norm uses exponent 1 over a
-    default radius/center sweep.  A zero gradient norm is degenerate.
-    """
-    if p <= 3:
-        raise InvalidExponents(f"Holder modulus check needs p > 3, got {p}")
-    f = np.asarray(f, dtype=np.float64)
-    grad = scalar_to_real(spectral_gradient(scalar_to_spectral(f), grid))
-
-    L = grid.box_length
-    radii = [L / 16, L / 8, L / 4]
-    centers = [grid.center]
-    gnorm = _morrey(grad, radii, centers, grid, exponent=1, p=p)
-    if gnorm <= 0.0:
-        raise DegenerateInput("gradient Morrey norm vanishes")
-
-    rng = np.random.default_rng(0)
-    n3 = grid.n**3
-    ia = rng.integers(0, n3, size=2000)
-    ib = rng.integers(0, n3, size=2000)
-    keep = ia != ib
-    ia, ib = ia[keep], ib[keep]
-    flat = f.ravel()
-    coords = np.stack(
-        np.meshgrid(grid.x_axis, grid.x_axis, grid.x_axis, indexing="ij"), axis=-1
-    ).reshape(-1, 3)
-    d = np.abs(coords[ia] - coords[ib])
-    d = np.minimum(d, L - d)
-    dist = np.sqrt(np.sum(d**2, axis=1))
-    ratios = np.abs(flat[ia] - flat[ib]) / (gnorm * dist ** (1.0 - 3.0 / p))
-    return float(np.max(ratios))

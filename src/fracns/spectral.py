@@ -497,15 +497,6 @@ def apply_bilinear(v: SpectralVectorField, alpha: float) -> SpectralVectorField:
     return d
 
 
-def spectral_gradient(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
-    """Gradient of a scalar spectral field, Nyquist rows zeroed."""
-    out = np.empty((3,) + coeffs.shape, dtype=np.complex128)
-    for i in range(3):
-        out[i] = 1j * grid.xi[i] * coeffs
-    out *= grid.nyquist_free
-    return out
-
-
 # ---------------------------------------------------------------------------
 # quadrature norms (physical-space integrals via Parseval)
 

@@ -46,6 +46,15 @@ def l2_inner(a, b):
     return float(g.cell_volume * _full_lattice_sum(a.data, b.data) / g.n**3)
 
 
+def spectral_gradient(coeffs, grid):
+    """Gradient of a scalar spectral field, Nyquist rows zeroed."""
+    out = np.empty((3,) + coeffs.shape, dtype=np.complex128)
+    for i in range(3):
+        out[i] = 1j * grid.xi[i] * coeffs
+    out *= grid.nyquist_free
+    return out
+
+
 def random_divfree_spectral(grid, seed=0, smooth=True, mean_free=True):
     from fracns.spectral import leray_project
 

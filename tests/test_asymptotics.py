@@ -6,7 +6,6 @@ from fracns.asymptotics import (
     build_kernel,
     bv_polynomial,
     bv_scalar_test,
-    caccioppoli_energy,
     fibonacci_sphere,
     fit_decay_exponent,
     kernel_shell_sites,
@@ -15,8 +14,7 @@ from fracns.asymptotics import (
     radial_profile,
 )
 from fracns.errors import EmptyShell, InvalidAlpha, InvalidGrid, InvalidRadius
-from fracns.solver import recover_pressure
-from fracns.spectral import Grid, RealVectorField, to_real
+from fracns.spectral import Grid, RealVectorField
 
 
 def oseen_type_oracle(dirs):
@@ -213,51 +211,3 @@ class TestCertificate:
         assert cert["deviation"] == 0.0
         assert cert["leading_lower_bound"] == 0.0
         assert not cert["affirmative"]
-
-
-class TestCaccioppoli:
-    def test_zero_field(self, grid32):
-        u = RealVectorField(grid32, np.zeros((3, 32, 32, 32)))
-        out = caccioppoli_energy(u, np.zeros((32, 32, 32), complex), 3.0, 1.8)
-        assert out["local_energy"] == 0.0
-        assert out["flux_term"] == 0.0
-        assert out["commutator_term"] == 0.0
-
-    def test_radius_cap(self, grid32):
-        u = RealVectorField(grid32, np.zeros((3, 32, 32, 32)))
-        with pytest.raises(InvalidRadius):
-            caccioppoli_energy(u, np.zeros((32, 32, 32), complex), 5.0, 1.8)
-
-    def test_disjoint_support_flux_vanishes(self, grid32):
-        # u supported inside B_{R/4} never touches grad(phi_R)
-        g = grid32
-        R = 4.0
-        r = g.radius_from(g.center)
-        bump = np.where(r < R / 4 - 2 * g.spacing, np.cos(np.pi * r / (R / 2)) ** 2, 0.0)
-        u = RealVectorField(g, np.stack([bump, 0.5 * bump, -bump]))
-        p = np.zeros((32, 32, 32), complex)
-        out = caccioppoli_energy(u, p, R, 1.8)
-        assert abs(out["flux_term"]) < 1e-10
-
-    def test_energy_balance_on_solution(self, small_solution):
-        # momentum identity: local energy <= flux + commutator + force work
-        # + quadrature slack, checked on a converged steady state
-        g = small_solution["grid"]
-        sol = small_solution["solution"]
-        f = small_solution["force"]
-        alpha = small_solution["config"].alpha
-        u = to_real(sol.velocity)
-        R = g.box_length / 4
-        p = recover_pressure(sol.velocity, f)
-        out = caccioppoli_energy(u, p, R, alpha)
-
-        from fracns.asymptotics import _cutoff
-
-        phi = _cutoff(g.radius_from(g.center), R)
-        fr = to_real(f)
-        force_work = g.cell_volume * float(np.sum(phi * np.sum(fr.data * u.data, axis=0)))
-        slack_budget = 1e-6 * max(out["local_energy"], 1e-300) + 1e-12
-        assert (
-            out["local_energy"]
-            <= out["flux_term"] + out["commutator_term"] + force_work + slack_budget
-        )

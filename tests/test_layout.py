@@ -22,7 +22,7 @@ passed as a float, with no wrapper class around it.  The driver echoes its
 config through ``dataclasses.asdict``, writes ``report.json`` in one function,
 and sorts run errors into exit codes in one ``except`` branch.  Every public
 module-level name is read by a run or by the acceptance criteria, not by a
-unit test alone, but for three named exceptions.
+unit test alone, but for one named exception.
 """
 
 import ast
@@ -97,12 +97,10 @@ RETIRED = {
     "weighted_sup_norm": ("origin",),
     "profile_term_on_grid": ("origin", "split_width"),
     "profile_decomposition": ("origin", "statistic"),
-    "caccioppoli_energy": ("origin",),
     "fit_decay_exponent": ("window",),
     "_bv_sample_directions": ("per_axis",),
     "bv_scalar_test": ("tol",),
     "nonexistence_certificate": ("deviation_floor", "bound_floor"),
-    "holder_modulus_check": ("n_pairs", "seed"),
     "stable_dt": ("safety",),
     "_bump_window": ("sharpness",),
     "scaling_check": ("include_bilinear", "params"),
@@ -118,7 +116,6 @@ RETIRED = {
     "_residual_terms": ("params",),
     "residual": ("params",),
     "evolve_mild": ("params", "store_every"),
-    "stationarity_check": ("params",),
 }
 
 
@@ -143,9 +140,8 @@ def test_no_switch_for_the_method():
     assert names and switches == [] and retired == [], switches + retired
 
 
-# read by unit tests alone, and kept: the regularity criterion (Holder modulus),
-# the Liouville energy balance and the documented pressure
-UNREAD_KEPT = {"holder_modulus_check", "caccioppoli_energy", "recover_pressure"}
+# read by unit tests alone, and kept: the documented pressure
+UNREAD_KEPT = {"recover_pressure"}
 
 
 def _reads(node):

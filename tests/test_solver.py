@@ -4,7 +4,7 @@ import scipy.fft as sfft
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import bilinear_on_lattice, random_divfree_spectral
+from conftest import bilinear_on_lattice, random_divfree_spectral, spectral_gradient
 from fracns import solver, spectral
 from fracns.errors import Diverged, InvalidAlpha, InvalidGrid, NotConverged, ZeroModeUndefined
 from fracns.forces import ForceSpec, make_force
@@ -27,7 +27,6 @@ from fracns.spectral import (
     leray_project,
     projected_advection,
     scalar_to_real,
-    spectral_gradient,
     to_real,
     to_spectral,
     zero_spectral,

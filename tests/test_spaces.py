@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import random_real_field
-from fracns.errors import DegenerateInput, InvalidExponents
+from fracns.errors import InvalidExponents
 from fracns.spaces import (
     distribution_function,
-    holder_modulus_check,
     lorentz_quasinorm,
     lp_norm,
     morrey_norm,
@@ -221,29 +220,6 @@ class TestYoung:
         f = self._bump(grid32, grid32.center, 1.5)
         with pytest.raises(InvalidExponents):
             young_check(f, f, grid32, 3.0, 2.0, 2.0, 3.0, 2.0, 2.0)
-
-
-class TestHolderModulus:
-    def test_windowed_linear_field(self, grid32):
-        g = grid32
-        r = g.radius_from(g.center)
-        window = np.exp(-(r**2) / (2 * 2.0**2))
-        x1 = g.x_axis.reshape(-1, 1, 1) - g.center[0]
-        f = x1 * window
-        ratio = holder_modulus_check(f, g, p=4.0)
-        assert 0 < ratio < np.inf
-
-    def test_constant_degenerate(self, grid32):
-        with pytest.raises(DegenerateInput):
-            holder_modulus_check(np.ones((32, 32, 32)), grid32, p=4.0)
-
-    def test_scale_invariance(self, grid32):
-        g = grid32
-        r = g.radius_from(g.center)
-        f = np.exp(-(r**2) / 4.0) * np.sin(2 * np.pi * g.x_axis / g.box_length).reshape(-1, 1, 1)
-        r1 = holder_modulus_check(f, g, p=4.0)
-        r2 = holder_modulus_check(2.0 * f, g, p=4.0)
-        assert r1 == pytest.approx(r2, rel=1e-10)
 
 
 class TestWeightedInterpolation:
