@@ -175,7 +175,7 @@ def _solve_pipeline(config: RunConfig):
 def _solution_metrics(sol, f, alpha, metrics):
     d = sol.diagnostics
     metrics["iterations"] = d.iterations
-    metrics.update(solver.contraction_metrics(sol.velocity, f, alpha))
+    metrics.update(solver.contraction_metrics(sol, f, alpha))
     metrics["final_step_change"] = d.residual_history[-1]
 
 
@@ -191,9 +191,8 @@ def _run_decay(config: RunConfig, outdir: str):
     metrics, artifacts = {}, []
     grid, cfg, f, sol = _solve_pipeline(config)
     _solution_metrics(sol, f, config.alpha, metrics)
-    u = spectral.to_real(sol.velocity)
     prof = asymptotics.radial_profile(
-        u.magnitude(), grid, window=config.window, nbins=config.nbins
+        sol.samples.magnitude(), grid, window=config.window, nbins=config.nbins
     )
     prof = asymptotics.fit_decay_exponent(prof)
     metrics["fitted_exponent"] = prof.fitted_exponent
@@ -207,8 +206,8 @@ def _run_profile(config: RunConfig, outdir: str):
     metrics, artifacts = {}, []
     grid, cfg, f, sol = _solve_pipeline(config)
     _solution_metrics(sol, f, config.alpha, metrics)
-    u = spectral.to_real(sol.velocity)
-    u0 = spectral.to_real(solver.lift_force(f, config.alpha))
+    u = sol.samples
+    u0 = spectral.to_real(sol.lift)
     M = forces.moment_matrix(u)
     kernel = asymptotics.build_kernel(config.alpha, refinement_grid_n=config.kernel_n)
 
@@ -243,7 +242,7 @@ def _run_nonexist(config: RunConfig, outdir: str):
     # the eta force halved and quartered, which is exact above the subnormal range
     f_eta = forces.make_force(aniso_spec, grid, config.alpha)
     for divisor in (1, 2, 4):
-        fvec = spectral.SpectralVectorField(grid, f_eta.data / divisor)
+        fvec = spectral.SpectralVectorField(f_eta.grid, f_eta.data / divisor)
         sol = solver.solve_steady(fvec, cfg)
         cert = asymptotics.nonexistence_certificate(sol, kernel)
         rows.append((aniso_spec.amplitude / divisor, cert))

@@ -3,7 +3,8 @@
 The one constructor places a smooth, compactly supported profile on a
 frequency annulus (so the zero mode is excluded exactly and the lifted
 field decays rapidly in physical space), modulates it with a seeded
-low-degree odd polynomial, and Leray-projects.  Component weights bias the
+low-degree odd polynomial, and Leray-projects, on the dealias cube that holds
+the annulus (``spectral._Cube``).  Component weights bias the
 moment matrix M_jk = integral of u_j u_k away from scalar; averaging over
 the 24 cube rotations forces it to be scalar exactly.
 """
@@ -22,6 +23,7 @@ from .spectral import (
     Grid,
     RealVectorField,
     SpectralVectorField,
+    _Cube,
     is_real,
     l2_norm,
     leray_project,
@@ -108,9 +110,9 @@ def rotate_real_field(data: np.ndarray, R: np.ndarray) -> np.ndarray:
     return out
 
 
-def _odd_polynomial(grid: Grid, rng, anisotropy, scale):
+def _odd_polynomial(lattice, rng, anisotropy, scale):
     """Random real polynomial, odd in xi, one array per component."""
-    nu = [x / scale for x in grid.xi]
+    nu = [x / scale for x in lattice.xi]
     out = []
     for j in range(3):
         beta = rng.standard_normal(3)
@@ -139,33 +141,34 @@ def _bump_window(r: np.ndarray, r0: float, r1: float) -> np.ndarray:
     return w
 
 
-def _raw_annulus(spec: ForceSpec, grid: Grid, seed: int, alpha: float) -> SpectralVectorField:
-    """The annulus window times the seeded odd polynomial, centered in the box.
+def _raw_annulus(spec: ForceSpec, lattice, seed: int, alpha: float) -> SpectralVectorField:
+    """The annulus window times the seeded odd polynomial, centered in the box,
+    on ``lattice`` (a Grid's half lattice or its dealias cube).
 
     The |xi|^alpha weight cancels the lift's |xi|^(-alpha), so the lifted
     field carries the clean compactly supported bump: that is what makes
     its physical-space tail drop below the far-field profile term.  The
     window is 0 outside r0 < |xi| < r1, and r1 lies inside the dealias
-    sphere, so it is exactly 0 on every Nyquist row, where the odd
-    polynomial is not Hermitian.  The anisotropy is divided by its largest
-    entry: only its ratios matter once ``make_force`` scales to the
-    amplitude, and a huge entry would overflow the lift's norms.
+    sphere, so it is exactly 0 off the dealias cube and on every Nyquist
+    row, where the odd polynomial is not Hermitian.  The anisotropy is
+    divided by its largest entry: only its ratios matter once ``make_force``
+    scales to the amplitude, and a huge entry would overflow the lift's norms.
     """
-    window = _bump_window(grid.kmag, spec.r0, spec.r1) * grid.power(alpha)
+    window = _bump_window(lattice.kmag, spec.r0, spec.r1) * lattice.power(alpha)
     if not np.any(window > 0):
         raise InvalidAnnulus(
             f"no lattice modes inside the annulus ({spec.r0}, {spec.r1}) "
-            f"at resolution {grid.n}, box {grid.box_length}"
+            f"at resolution {lattice.n}, box {lattice.box_length}"
         )
     anisotropy = np.asarray(spec.anisotropy, dtype=np.float64)
     largest = np.max(np.abs(anisotropy))
     if largest > 0:
         anisotropy = anisotropy / largest
-    poly = _odd_polynomial(grid, np.random.default_rng(seed), anisotropy, spec.r1)
-    phase = grid.shift_phase(grid.center)
+    poly = _odd_polynomial(lattice, np.random.default_rng(seed), anisotropy, spec.r1)
+    phase = lattice.shift_phase(lattice.center)
     data = np.stack([1j * window * poly[j] * phase for j in range(3)])
     data[:, 0, 0, 0] = 0.0
-    return SpectralVectorField(grid, data)
+    return SpectralVectorField(lattice, data)
 
 
 def moment_matrix(u: RealVectorField) -> np.ndarray:
@@ -190,8 +193,8 @@ def scalar_deviation(M: np.ndarray, normalized: bool = True) -> float:
 
 
 def make_force(spec: ForceSpec, grid: Grid, alpha: float) -> SpectralVectorField:
-    """Build, project and normalize a force so that the weak-Lorentz size of
-    its lift equals ``spec.amplitude``.
+    """Build, project and normalize a force, held on the grid's dealias cube,
+    so that the weak-Lorentz size of its lift equals ``spec.amplitude``.
 
     Anisotropic specs are checked at construction: the lifted moment matrix
     must deviate from scalar by at least 0.05, retrying a few reseeded
@@ -205,13 +208,14 @@ def make_force(spec: ForceSpec, grid: Grid, alpha: float) -> SpectralVectorField
             f"annulus outer radius {spec.r1} must stay inside the dealias "
             f"sphere of radius {limit:.4g}"
         )
+    cube = _Cube(grid)
     if spec.amplitude == 0.0:
-        return zero_spectral(grid)
+        return zero_spectral(cube)
     anisotropic = not np.allclose(spec.anisotropy, (1.0, 1.0, 1.0))
 
     attempts = 5 if anisotropic else 1
     for attempt in range(attempts):
-        raw = _raw_annulus(spec, grid, spec.seed + attempt, alpha)
+        raw = _raw_annulus(spec, cube, spec.seed + attempt, alpha)
         if not np.all(np.isfinite(raw.data)):
             raise DegenerateInput(f"non-finite annulus force at radii ({spec.r0}, {spec.r1})")
         f = raw
@@ -220,7 +224,8 @@ def make_force(spec: ForceSpec, grid: Grid, alpha: float) -> SpectralVectorField
             acc = np.zeros_like(samples)
             for R in octahedral_rotations():
                 acc += rotate_real_field(samples, R)
-            f = to_spectral(RealVectorField(grid, acc / 24.0))
+            # the rotations map the cube onto itself: off it, only FFT round-off drops
+            f = cube.restrict(to_spectral(RealVectorField(grid, acc / 24.0)))
         f = leray_project(f)
         f.data[:, 0, 0, 0] = 0.0
         if l2_norm(f) <= 1e-12 * l2_norm(raw):
@@ -229,12 +234,12 @@ def make_force(spec: ForceSpec, grid: Grid, alpha: float) -> SpectralVectorField
                 f"the annulus force from seed {spec.seed + attempt} has no "
                 "divergence-free part (its projection is round-off)"
             )
-        u0 = lift_force(f, alpha)
+        u0 = to_real(lift_force(f, alpha))
         # the normalized deviation is scale-invariant: the unscaled lift decides
-        if anisotropic and scalar_deviation(moment_matrix(to_real(u0))) < 0.05:
+        if anisotropic and scalar_deviation(moment_matrix(u0)) < 0.05:
             continue
         norm = weak_lorentz_norm(u0, alpha)
-        return SpectralVectorField(grid, f.data * (spec.amplitude / norm))
+        return SpectralVectorField(cube, f.data * (spec.amplitude / norm))
     raise ScalarMomentMatrix(
         "could not realize a usably non-scalar lifted moment matrix "
         f"from seed {spec.seed} in {attempts} attempts"

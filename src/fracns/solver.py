@@ -4,12 +4,11 @@ The steady problem is solved by iterating
 
     u_{n+1} = u_0 + B(u_n, u_n),   u_0 = (-Lap)^{-alpha/2} P f,
 
-with B the lifted advection map from :mod:`fracns.spectral`.  B(u_n, u_n)
-is 0 outside the box of modes the 2/3 rule keeps (``spectral._Cube``), so
-every iterate equals u_0 there and the loop holds only the iterate's part on
-one cube built per solve: the map, the step and both norms run on that cube,
-the norms adding the part of ||u_0||^2 off it, summed once, and the
-half-lattice velocity is formed once, after the loop.  Smallness
+with B the lifted advection map from :mod:`fracns.spectral`.  The force is
+0 outside the box of modes the 2/3 rule keeps (``spectral._Cube``), and so
+are u_0 and B(u_n, u_n): the solve holds the force, u_0, every iterate and
+the solution on the force's cube, where the map, the step and both norms
+run.  Smallness
 is never hard-coded: ``contraction_metrics`` measures the contraction
 product 4 * delta * C_B of a solution (delta = weak-Lorentz size of the
 lifted force, C_B the empirical bilinear constant) for the runs that
@@ -19,17 +18,18 @@ report it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .errors import Diverged, InvalidAlpha, InvalidGrid, NotConverged
+from .errors import Diverged, FracnsError, InvalidAlpha, InvalidGrid, NotConverged
 from .spaces import lorentz_quasinorm
 from .spectral import (
     Grid,
+    RealVectorField,
     SpectralVectorField,
     _advection_divergence,
     _Cube,
-    _full_lattice_sum,
     apply_bilinear,
     fractional_power,
     is_integer,
@@ -74,13 +74,22 @@ class SolverDiagnostics:
 @dataclass
 class SteadySolution:
     velocity: SpectralVectorField
+    lift: SpectralVectorField  # u_0, the lifted force, on the velocity's lattice
     diagnostics: SolverDiagnostics
 
+    @cached_property
+    def samples(self) -> RealVectorField:
+        """The velocity's real samples, taken on first read and kept."""
+        return to_real(self.velocity)
 
-def weak_lorentz_norm(u: SpectralVectorField, alpha: float) -> float:
-    """Discrete L^{3/(alpha-1), inf} estimator of |u| (the scale-invariant size)."""
+
+def weak_lorentz_norm(u, alpha: float) -> float:
+    """Discrete L^{3/(alpha-1), inf} estimator of |u| (the scale-invariant size),
+    for a spectral field u or its real samples."""
     p = 3.0 / (alpha - 1.0)
-    return lorentz_quasinorm(to_real(u), p, np.inf, u.grid.cell_volume)
+    if isinstance(u, SpectralVectorField):
+        u = to_real(u)
+    return lorentz_quasinorm(u, p, np.inf, u.grid.cell_volume)
 
 
 def lift_force(f: SpectralVectorField, alpha: float) -> SpectralVectorField:
@@ -89,35 +98,37 @@ def lift_force(f: SpectralVectorField, alpha: float) -> SpectralVectorField:
 
 
 def solve_steady(f: SpectralVectorField, config: SolverConfig) -> SteadySolution:
-    """Iterate the quadratic fixed-point map until the relative L^2 change
-    drops below ``tol_rel``.
+    """Iterate the quadratic fixed-point map on the dealias cube of ``f`` until the
+    relative L^2 change drops below ``tol_rel``; a half-lattice ``f`` with a
+    nonzero mode off its grid's cube raises ``FracnsError``.
 
     Raises ``Diverged`` when an iterate exceeds ``DIVERGENCE_FACTOR`` times
     the size of the lifted force (smallness violated), and ``NotConverged``
     when the iteration budget runs out.
     """
-    alpha, grid = config.alpha, f.grid
+    if not isinstance(f.grid, _Cube):
+        on_cube = _Cube(f.grid).restrict(f)
+        if np.count_nonzero(on_cube.data) != np.count_nonzero(f.data):
+            raise FracnsError("the force has nonzero modes outside its grid's "
+                              "dealias cube, which the solve would drop")
+        f = on_cube
+    alpha, cube = config.alpha, f.grid
     u0 = lift_force(f, alpha)
     u0_l2 = l2_norm(u0)
     diag = SolverDiagnostics(iterations=0)
 
     if u0_l2 == 0.0:
         diag.residual_history.append(0.0)
-        return SteadySolution(u0, diag)
+        return SteadySolution(u0, u0, diag)
 
-    cube = _Cube(grid)
-    u = cube.gather(u0.data)
-    u0_cube = u.copy()
-    off_cube = u0.data  # u0's own array, taken over: it becomes the solution
-    cube.put(off_cube, 0.0)
-    off_sum = _full_lattice_sum(off_cube, off_cube)
+    u = u0.data.copy()
     prev_diff = None
     for it in range(1, config.max_iter + 1):
         new = apply_bilinear(SpectralVectorField(cube, u), alpha).data
-        new += u0_cube
-        new_l2 = parseval_l2(grid, off_sum + cube.lattice_sum(new, new))
+        new += u0.data
+        new_l2 = parseval_l2(cube, cube.lattice_sum(new, new))
         np.subtract(new, u, out=u)  # u is retired: it holds the step
-        diff = parseval_l2(grid, cube.lattice_sum(u, u))
+        diff = parseval_l2(cube, cube.lattice_sum(u, u))
         diag.iterations = it
         diag.residual_history.append(diff)
         if new_l2 > DIVERGENCE_FACTOR * u0_l2:
@@ -135,21 +146,25 @@ def solve_steady(f: SpectralVectorField, config: SolverConfig) -> SteadySolution
         raise NotConverged(
             f"no convergence to tol_rel={config.tol_rel} in {config.max_iter} iterations"
         )
-    cube.put(off_cube, u)
-    return SteadySolution(SpectralVectorField(grid, off_cube), diag)
+    return SteadySolution(SpectralVectorField(cube, u), u0, diag)
 
 
-def contraction_metrics(u: SpectralVectorField, f: SpectralVectorField, alpha: float) -> dict:
-    """The measured smallness data of a solution ``u`` for the force ``f``, under
+def contraction_metrics(solution: SteadySolution, f: SpectralVectorField, alpha: float) -> dict:
+    """The measured smallness data of a solution u for the force ``f``, under
     its report names: the weak-Lorentz sizes delta of the lifted force and of u,
     the empirical bilinear constant C_B = |B(u, u)| / |u|^2 in that norm, the
     contraction product 4 delta C_B, whether u lies in the ball of radius
-    2 delta, and the residual of u."""
-    delta = weak_lorentz_norm(lift_force(f, alpha), alpha)
-    u_lorentz = weak_lorentz_norm(u, alpha)
-    # B(u, u) = -(-Lap)^(-alpha/2) adv, whose sign the norm ignores
+    2 delta, and the residual of u.  The lift and the samples of u are the
+    solution's own."""
+    u = solution.velocity
     adv = projected_advection(u)
-    b_lorentz = weak_lorentz_norm(fractional_power(adv, -alpha), alpha)
+    res = residual(u, f, alpha, adv=adv)
+    # B(u, u) = -(-Lap)^(-alpha/2) adv, whose sign the norm ignores
+    b = fractional_power(adv, -alpha)
+    del adv  # not held while the norms take their samples
+    b_lorentz = weak_lorentz_norm(b, alpha)
+    delta = weak_lorentz_norm(solution.lift, alpha)
+    u_lorentz = weak_lorentz_norm(solution.samples, alpha)
     c_b = b_lorentz / u_lorentz**2 if u_lorentz > 0 else 0.0
     return {
         "lifted_force_lorentz_norm": delta,
@@ -157,7 +172,7 @@ def contraction_metrics(u: SpectralVectorField, f: SpectralVectorField, alpha: f
         "contraction_product": 4.0 * delta * c_b,
         "solution_lorentz_norm": u_lorentz,
         "two_ball_ok": u_lorentz <= 2.0 * delta * (1.0 + 1e-6),
-        "residual": residual(u, f, alpha, adv=adv),
+        "residual": res,
     }
 
 
@@ -187,19 +202,22 @@ def residual(u: SpectralVectorField, f: SpectralVectorField, alpha: float, adv=N
 
 
 def recover_pressure(u: SpectralVectorField, f: SpectralVectorField) -> np.ndarray:
-    """Pressure from velocity and force, as a mean-free scalar spectral field:
-    p = 1j xi . (D - f) / |xi|^2, the longitudinal part of the momentum balance,
-    D the divergence of the dealiased u (x) u.  xi . f is taken apart from
-    xi . D: for a divergence-free f, D - f would add rounding of size |xi| |f|.
-    p is formed on D's cube, outside which the dealias mask zeroes it."""
-    cube = _Cube(u.grid)
-    d = _advection_divergence(cube.restrict(u)).data
-    xi, fc = cube.xi, cube.gather(f.data)
+    """Pressure from velocity and force, as a mean-free scalar spectral field on
+    u's lattice: p = 1j xi . (D - f) / |xi|^2, the longitudinal part of the
+    momentum balance, D the divergence of the dealiased u (x) u.  xi . f is taken
+    apart from xi . D: for a divergence-free f, D - f would add rounding of size
+    |xi| |f|.  p is formed on u's cube, outside which the dealias mask zeroes it."""
+    if not isinstance(u.grid, _Cube):
+        cube = _Cube(u.grid)
+        return cube.scatter(recover_pressure(cube.restrict(u), cube.restrict(f)))
+    cube = u.grid
+    d = _advection_divergence(u).data
+    xi, fc = cube.xi, f.data
     p_hat = 1j * (xi[0] * d[0] + xi[1] * d[1] + xi[2] * d[2]
                   - (xi[0] * fc[0] + xi[1] * fc[1] + xi[2] * fc[2]))
     p_hat *= cube.leray_factor
     p_hat *= cube.dealias_mask
-    return cube.scatter(p_hat)
+    return p_hat
 
 
 def rescale_pair(u: SpectralVectorField, f: SpectralVectorField, alpha: float, lam: int):
@@ -207,10 +225,12 @@ def rescale_pair(u: SpectralVectorField, f: SpectralVectorField, alpha: float, l
 
     u_lam(x) = lam^{alpha-1} u(lam x) and f_lam(x) = lam^{2alpha-1} f(lam x);
     with N unchanged the frequency lattices align mode for mode, so the
-    rescaling is exact at coefficient level.
+    rescaling is exact at coefficient level, on the lattice u and f are held on.
     """
     g = u.grid
     g2 = Grid(g.n, g.box_length / lam)
+    if isinstance(g, _Cube):
+        g2 = _Cube(g2)
     u2 = SpectralVectorField(g2, lam ** (alpha - 1.0) * u.data)
     f2 = SpectralVectorField(g2, lam ** (2.0 * alpha - 1.0) * f.data)
     return u2, f2

@@ -6,20 +6,20 @@ Laplacian powers and the lifted-advection symbol.  All multipliers follow
 one convention, kept in one place (``Grid.power``): symbols that are
 singular or undefined at the zero mode return 0 there, and admissible
 forces are mean-free, so the convention is exact for every pipeline that
-matters.  Spectral fields hold the rfftn half spectrum of real fields
-(``Grid.spectral_shape``), so every transform is real and the L^2 norms
-weigh interior k_z planes twice.  The quadratic map
-is formed on the box of modes the 2/3 rule keeps (``_Cube``), through a
-pruned transform pair that touches that box alone: ``apply_bilinear`` takes
-and returns fields held on a cube, which also holds the Leray factor and the
-lift, formed once per cube, so a Picard solve keeps its iterate, its norms and
-its multipliers on one cube (``solver.solve_steady``).  A symbol that is even or
-odd along each axis (a radial multiplier times a monomial in xi) is also
-sampled on the octant alone (``octant_to_real``): k = 0..n/2 in, j = 0..n/2
-out, one real DCT-I or DST-I per axis.  Every other sample is a reflection of
-an octant sample up to sign, so a lattice sum of a reflection-invariant
-quantity is the octant sum weighted 1 on the j = 0 and j = n/2 planes of each
-axis and 2 elsewhere.
+matters.  A spectral field is held on a lattice, and each operator reads the
+field's own: the rfftn half lattice (``Grid.spectral_shape``), where
+``to_spectral`` puts a field and the L^2 norms weigh interior k_z planes twice,
+or the box of half-lattice modes the 2/3 rule keeps (``_Cube``), which stands
+in for its Grid.  A run's force is 0 off the cube, and so are its lift, every
+Picard iterate and the solution: each is held on the cube alone and transformed
+through a pruned pair that touches the cube alone.  The quadratic map is formed
+there (``apply_bilinear``), with the Leray factor and the lift the cube forms
+once.  A symbol that is even or odd along each axis (a radial multiplier times
+a monomial in xi) is also sampled on the octant alone (``octant_to_real``):
+k = 0..n/2 in, j = 0..n/2 out, one real DCT-I or DST-I per axis.  Every other
+sample is a reflection of an octant sample up to sign, so a lattice sum of a
+reflection-invariant quantity is the octant sum weighted 1 on the j = 0 and
+j = n/2 planes of each axis and 2 elsewhere.
 """
 
 from __future__ import annotations
@@ -141,6 +141,13 @@ class Grid:
         xi = self.xi
         return np.exp(-1j * (xi[0] * origin[0] + xi[1] * origin[1] + xi[2] * origin[2]))
 
+    @staticmethod
+    def lattice_sum(a: np.ndarray, b: np.ndarray) -> float:
+        """Re sum over the full lattice of conj(a) b for half-lattice a, b: each
+        interior k_z plane also stands for its conjugate mirror, so it counts twice."""
+        return (2.0 * np.vdot(a, b).real - np.vdot(a[..., 0], b[..., 0]).real
+                - np.vdot(a[..., -1], b[..., -1]).real)
+
     def radius_from(self, origin):
         """Minimum-image distance of every grid point from ``origin``."""
         L = self.box_length
@@ -181,11 +188,11 @@ class RealVectorField:
 
 @dataclass
 class SpectralVectorField:
-    """Three arrays of Fourier coefficients of a real field on the half
-    lattice ``grid.spectral_shape`` (the ``rfftn`` layout)."""
+    """Three arrays of Fourier coefficients of a real field, held on the lattice
+    ``grid``: a Grid's half lattice (the ``rfftn`` layout) or a ``_Cube``."""
 
-    grid: Grid
-    data: np.ndarray  # (3, n, n, n/2+1), complex128
+    grid: Grid | _Cube
+    data: np.ndarray  # (3,) + grid.spectral_shape, complex128
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=np.complex128)
@@ -211,7 +218,10 @@ def to_spectral(field: RealVectorField) -> SpectralVectorField:
 
 
 def to_real(field: SpectralVectorField) -> RealVectorField:
-    return RealVectorField(field.grid, scalar_to_real(field.data))
+    lattice = field.grid
+    if isinstance(lattice, _Cube):
+        return RealVectorField(lattice.grid, _cube_to_real(field.data, lattice))
+    return RealVectorField(lattice, scalar_to_real(field.data))
 
 
 def scalar_to_real(coeffs: np.ndarray) -> np.ndarray:
@@ -258,18 +268,21 @@ class _Cube:
     """The box of half-lattice modes the quadratic map keeps: the rows and
     planes of ``grid`` that hold a mode of the 2/3-rule mask, |k_x|, |k_y| <= m
     and 0 <= k_z <= m, m the largest kept |k| on an axis.  As m <= n/3 < n/2,
-    the box holds no Nyquist row or plane.  The cube stands in for its Grid
-    where an operator reads symbols (``leray_project``, the lift): ``xi`` and
-    ``kmag`` are the Grid's own, gathered, and ``power`` is ``Grid.power``
-    itself, so the one zero-mode rule applies (the cube's first mode is k = 0).
-    A cube is built once per solve: it forms the Leray factor 1/|xi|^2 when
-    built and the lift of each order alpha when first asked for it."""
+    the box holds no Nyquist row or plane.  The cube stands in for its Grid as
+    the lattice of the fields held on it: ``xi`` and ``kmag`` are the Grid's,
+    gathered, ``n``, ``box_length``, ``spacing`` and ``cell_volume`` are the
+    Grid's, and ``power``, ``shift_phase`` and ``center`` are Grid methods, so
+    the one zero-mode rule applies (the cube's first mode is k = 0).  A cube is
+    built once per force: it forms the Leray factor 1/|xi|^2 when built and the
+    lift of each order alpha when first asked for it."""
 
     def __init__(self, grid: Grid):
         keep = grid.dealias_mask
         n, k = grid.n, grid.k_int[keep.any(axis=(1, 2))]  # the mask is symmetric in x, y
         lo, hi = int(np.sum(k >= 0)), int(np.sum(k < 0))
         self.grid = grid
+        self.n, self.box_length = n, grid.box_length
+        self.spacing, self.cell_volume = grid.spacing, grid.cell_volume
         # the grid rows of the kept k = 0, 1, .. and .., -1, in the cube's order
         self.rows = rows = np.r_[0:lo, n - hi : n]
         self.planes = int(np.flatnonzero(keep.any(axis=(0, 1)))[-1]) + 1
@@ -284,6 +297,8 @@ class _Cube:
         self._lifts = {}
 
     power = Grid.power
+    shift_phase = Grid.shift_phase
+    center = Grid.center
 
     def lift(self, alpha: float) -> np.ndarray:
         """The quadratic map's lift -|xi|^-alpha on the cube, formed once per alpha."""
@@ -299,15 +314,10 @@ class _Cube:
         """The part on the cube of a half-lattice field, as a field held on the cube."""
         return SpectralVectorField(self, self.gather(v.data))
 
-    def put(self, a: np.ndarray, values) -> None:
-        """Write ``values`` (an array on the cube, or a scalar) into the cube's
-        modes of the half-lattice array ``a``."""
-        a[self._modes] = values
-
     def scatter(self, a: np.ndarray) -> np.ndarray:
         """``a`` on the cube, zero-filled to the Grid's half lattice."""
         out = np.zeros(a.shape[:-3] + self.grid.spectral_shape, dtype=a.dtype)
-        self.put(out, a)
+        out[self._modes] = a
         return out
 
     def lattice_sum(self, a: np.ndarray, b: np.ndarray) -> float:
@@ -477,12 +487,14 @@ def _advection_divergence(v: SpectralVectorField) -> SpectralVectorField:
 
 
 def projected_advection(v: SpectralVectorField) -> SpectralVectorField:
-    """Leray-projected divergence of v (x) v: P D, D from ``_advection_divergence``
-    of v's part on the dealias cube, projected in place there and zero-filled to
-    the half lattice."""
-    cube = _Cube(v.grid)
-    d = _advection_divergence(cube.restrict(v)).data
-    return SpectralVectorField(v.grid, cube.scatter(_leray(d, cube, cube.leray_factor, d)))
+    """Leray-projected divergence of v (x) v on v's lattice: P D, D from
+    ``_advection_divergence`` of v's part on the dealias cube, projected there."""
+    if not isinstance(v.grid, _Cube):
+        cube = _Cube(v.grid)
+        return SpectralVectorField(v.grid, cube.scatter(projected_advection(cube.restrict(v)).data))
+    d = _advection_divergence(v)
+    _leray(d.data, d.grid, d.grid.leray_factor, d.data)
+    return d
 
 
 def apply_bilinear(v: SpectralVectorField, alpha: float) -> SpectralVectorField:
@@ -501,26 +513,16 @@ def apply_bilinear(v: SpectralVectorField, alpha: float) -> SpectralVectorField:
 # quadrature norms (physical-space integrals via Parseval)
 
 
-def _full_lattice_sum(a: np.ndarray, b: np.ndarray) -> float:
-    """Re sum over the full lattice of conj(a) b for half-lattice a, b: each
-    interior k_z plane also stands for its conjugate mirror, so it counts twice."""
-
-    def dot(x, y):
-        return np.vdot(x, y).real
-
-    return 2.0 * dot(a, b) - dot(a[..., 0], b[..., 0]) - dot(a[..., -1], b[..., -1])
-
-
-def parseval_l2(grid: Grid, s: float) -> float:
-    """The discrete L^2 norm sqrt(h^3 * sum |field|^2) of a field on ``grid``
-    whose coefficients' squares sum to ``s`` over the full lattice."""
-    return float(np.sqrt(grid.cell_volume * (s / grid.n**3)))
+def parseval_l2(lattice, s: float) -> float:
+    """The discrete L^2 norm sqrt(h^3 * sum |field|^2) of a field held on
+    ``lattice`` whose coefficients' squares sum to ``s`` over the full lattice."""
+    return float(np.sqrt(lattice.cell_volume * (s / lattice.n**3)))
 
 
 def l2_norm(field) -> float:
     """Discrete L^2 norm sqrt(h^3 * sum |field|^2), spectral or physical."""
     if isinstance(field, SpectralVectorField):
-        return parseval_l2(field.grid, _full_lattice_sum(field.data, field.data))
+        return parseval_l2(field.grid, field.grid.lattice_sum(field.data, field.data))
     if isinstance(field, RealVectorField):
         return float(np.sqrt(field.grid.cell_volume * np.sum(field.data**2)))
     raise TypeError("expected a vector field")

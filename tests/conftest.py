@@ -3,7 +3,7 @@ import pytest
 
 from fracns.forces import ForceSpec, make_force
 from fracns.solver import SolverConfig, solve_steady
-from fracns.spectral import Grid, RealVectorField, _full_lattice_sum, kernel_tensor, to_spectral
+from fracns.spectral import Grid, RealVectorField, SpectralVectorField, _Cube, kernel_tensor, to_spectral
 
 
 @pytest.fixture(scope="session")
@@ -28,11 +28,20 @@ def random_real_field(grid, seed=0, smooth=False):
     return RealVectorField(grid, data)
 
 
+def on_half_lattice(v):
+    """v read on its grid's half lattice: a field held on a dealias cube
+    zero-filled there, a half-lattice field as it is."""
+    if isinstance(v.grid, _Cube):
+        return SpectralVectorField(v.grid.grid, v.grid.scatter(v.data))
+    return v
+
+
 def realness_defect(field):
     """Max |rfftn(irfftn(v)) - v| relative to the largest coefficient: 0 when
-    the half-lattice coefficients are those of a real field."""
+    the coefficients, read on the half lattice, are those of a real field."""
     import scipy.fft as sfft
 
+    field = on_half_lattice(field)
     n = field.grid.n
     back = sfft.rfftn(sfft.irfftn(field.data, s=(n, n, n), axes=(1, 2, 3)), axes=(1, 2, 3))
     scale = np.max(np.abs(field.data))
@@ -40,10 +49,10 @@ def realness_defect(field):
 
 
 def l2_inner(a, b):
-    """The discrete L^2 inner product h^3 sum a . b of two half-lattice fields,
+    """The discrete L^2 inner product h^3 sum a . b of two fields on one lattice,
     through Parseval."""
     g = a.grid
-    return float(g.cell_volume * _full_lattice_sum(a.data, b.data) / g.n**3)
+    return float(g.cell_volume * g.lattice_sum(a.data, b.data) / g.n**3)
 
 
 def spectral_gradient(coeffs, grid):

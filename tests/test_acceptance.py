@@ -151,7 +151,7 @@ def test_criterion_4_picard_contraction():
     cfg = solver.SolverConfig(alpha)
     sol = solver.solve_steady(f, cfg)
     d = sol.diagnostics
-    m = solver.contraction_metrics(sol.velocity, f, alpha)
+    m = solver.contraction_metrics(sol, f, alpha)
     product, res = m["contraction_product"], m["residual"]
 
     product_ok = product < 0.5

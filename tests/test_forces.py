@@ -3,10 +3,11 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import random_real_field, realness_defect
+from conftest import on_half_lattice, random_real_field, realness_defect
 from fracns.errors import DegenerateInput, InvalidAnnulus
 from fracns.forces import (
     ForceSpec,
+    _raw_annulus,
     make_force,
     moment_matrix,
     octahedral_rotations,
@@ -17,7 +18,9 @@ from fracns.solver import SolverConfig, lift_force, solve_steady, weak_lorentz_n
 from fracns.spectral import (
     Grid,
     RealVectorField,
+    _Cube,
     l2_norm,
+    leray_project,
     to_real,
 )
 
@@ -71,15 +74,15 @@ class TestAnnulusForce:
         assert weak_lorentz_norm(u0, alpha) == pytest.approx(0.23, rel=1e-10)
 
     def test_support_on_annulus(self, grid32):
-        g = grid32
         spec = ForceSpec(amplitude=0.1, r0=1.0, r1=3.0, seed=2)
-        f = make_force(spec, g, 2.0)
+        f = on_half_lattice(make_force(spec, grid32, 2.0))
+        g = f.grid
         outside = (g.kmag < spec.r0) | (g.kmag > spec.r1)
         assert np.max(np.abs(f.data[:, outside])) == 0.0
 
     def test_real_mean_free_divergence_free(self, grid32):
-        g = grid32
-        f = make_force(ForceSpec(amplitude=0.1, r1=3.0, seed=4), g, 1.5)
+        f = make_force(ForceSpec(amplitude=0.1, r1=3.0, seed=4), grid32, 1.5)
+        g = f.grid  # the dealias cube
         assert realness_defect(f) < 1e-13
         assert np.all(f.data[:, 0, 0, 0] == 0.0)
         div = sum(g.xi[i] * f.data[i] for i in range(3))
@@ -89,12 +92,25 @@ class TestAnnulusForce:
         "spec", [ForceSpec(amplitude=0.1, r1=3.5, seed=7, symmetrize=True)], ids=["symmetrized"]
     )
     def test_other_kinds_real_mean_free_divergence_free(self, grid32, spec):
-        g = grid32
-        f = make_force(spec, g, 1.5)
+        f = make_force(spec, grid32, 1.5)
+        g = f.grid  # the dealias cube
         assert realness_defect(f) < 1e-13
         assert np.all(f.data[:, 0, 0, 0] == 0.0)
         div = sum(g.xi[i] * f.data[i] for i in range(3))
         assert np.max(np.abs(div)) < 1e-12 * np.max(np.abs(f.data)) * np.max(g.kmag)
+
+    @pytest.mark.parametrize("alpha", [1.2, 1.5, 2.4])
+    def test_held_on_the_cube_with_no_mode_off_it(self, grid32, alpha):
+        # the construction on the half lattice, scaled by the same factor, is the
+        # cube force zero-filled bit for bit: it has no mode off the cube
+        spec = ForceSpec(amplitude=0.1, r1=3.0, seed=4)
+        f = make_force(spec, grid32, alpha)
+        cube = f.grid
+        assert isinstance(cube, _Cube) and cube.grid == grid32
+        p = leray_project(_raw_annulus(spec, grid32, spec.seed, alpha))
+        p.data[:, 0, 0, 0] = 0.0
+        norm = weak_lorentz_norm(lift_force(cube.restrict(p), alpha), alpha)
+        assert np.array_equal(cube.scatter(f.data), p.data * (spec.amplitude / norm))
 
     def test_odd_symmetry_about_center(self, grid32):
         # f(center + z) = -f(center - z) kills the dipole of u (x) u

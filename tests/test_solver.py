@@ -1,12 +1,26 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.fft as sfft
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import bilinear_on_lattice, random_divfree_spectral, spectral_gradient
+from conftest import (
+    bilinear_on_lattice,
+    on_half_lattice,
+    random_divfree_spectral,
+    spectral_gradient,
+)
 from fracns import solver, spectral
-from fracns.errors import Diverged, InvalidAlpha, InvalidGrid, NotConverged, ZeroModeUndefined
+from fracns.errors import (
+    Diverged,
+    FracnsError,
+    InvalidAlpha,
+    InvalidGrid,
+    NotConverged,
+    ZeroModeUndefined,
+)
 from fracns.forces import ForceSpec, make_force
 from fracns.solver import (
     SolverConfig,
@@ -103,9 +117,9 @@ class TestLiftForce:
         assert np.max(np.abs(div)) <= 1e-12 * np.max(g.kmag) * np.max(np.abs(u))
 
     def test_lift_is_divergence_free(self, grid32):
-        g = grid32
-        f = make_force(ForceSpec(amplitude=0.1, r1=3.0), g, alpha=1.5)
+        f = make_force(ForceSpec(amplitude=0.1, r1=3.0), grid32, alpha=1.5)
         u0 = lift_force(f, 1.5)
+        g = u0.grid  # the dealias cube
         div = sum(g.xi[i] * u0.data[i] for i in range(3))
         assert np.max(np.abs(div)) < 1e-12
 
@@ -128,7 +142,7 @@ class TestSolverConfig:
 @pytest.fixture(scope="module")
 def small_metrics(small_solution):
     s = small_solution
-    return contraction_metrics(s["solution"].velocity, s["force"], s["config"].alpha)
+    return contraction_metrics(s["solution"], s["force"], s["config"].alpha)
 
 
 class TestSolveSteady:
@@ -138,8 +152,8 @@ class TestSolveSteady:
         assert sol.diagnostics.iterations <= 1
 
     def test_zero_force_metrics(self, grid32):
-        f = zero_spectral(grid32)
-        m = contraction_metrics(solve_steady(f, SolverConfig(1.5)).velocity, f, 1.5)
+        f = zero_spectral(spectral._Cube(grid32))
+        m = contraction_metrics(solve_steady(f, SolverConfig(1.5)), f, 1.5)
         assert m == {"lifted_force_lorentz_norm": 0.0, "empirical_bilinear_constant": 0.0,
                      "contraction_product": 0.0, "solution_lorentz_norm": 0.0,
                      "two_ball_ok": True, "residual": 0.0}
@@ -191,9 +205,16 @@ class TestSolveSteady:
             if steps[-1] <= config.tol_rel * l2_norm(new):
                 break
         sol = solve_steady(f, config)
-        assert np.array_equal(sol.velocity.data, u.data)
+        assert np.array_equal(on_half_lattice(sol.velocity).data, u.data)
         assert sol.diagnostics.iterations == len(steps)
         np.testing.assert_allclose(sol.diagnostics.residual_history, steps, rtol=1e-13, atol=0)
+
+    def test_force_off_the_cube_rejected(self, grid16):
+        # the solve holds its force on the dealias cube; a mode off it would be dropped
+        f = zero_spectral(grid16)
+        f.data[0, 1, 0, spectral._Cube(grid16).planes] = 1.0
+        with pytest.raises(FracnsError, match="outside its grid's dealias cube"):
+            solve_steady(f, SolverConfig(1.5))
 
     def test_huge_amplitude_diverges(self, grid32):
         spec = ForceSpec(amplitude=0.05 * 1e4, r0=0.8, r1=3.5, seed=3)
@@ -202,8 +223,8 @@ class TestSolveSteady:
             solve_steady(f, SolverConfig(2.0))
 
     def test_iterates_divergence_and_mean_free(self, small_solution):
-        g = small_solution["grid"]
         u = small_solution["solution"].velocity
+        g = u.grid  # the dealias cube
         div = sum(g.xi[i] * u.data[i] for i in range(3))
         assert np.max(np.abs(div)) < 1e-12
         assert np.all(u.data[:, 0, 0, 0] == 0.0)
@@ -225,7 +246,7 @@ class TestSolveSteady:
             sol = solve_steady(f, SolverConfig(2.0, tol_rel=tol_rel))
             iterations.add(sol.diagnostics.iterations)
             assert len(calls) == 0
-            contraction_metrics(sol.velocity, f, 2.0)
+            contraction_metrics(sol, f, 2.0)
             assert len(calls) == 3
         assert len(iterations) == 2
 
@@ -245,7 +266,7 @@ class TestSolveSteady:
         sol = solve_steady(f, SolverConfig(alpha))
         assert len(calls) == sol.diagnostics.iterations
         calls.clear()
-        m = contraction_metrics(sol.velocity, f, alpha)
+        m = contraction_metrics(sol, f, alpha)
         assert len(calls) == 1
         assert m["residual"] == residual(sol.velocity, f, alpha)
 
@@ -260,6 +281,26 @@ class TestSolveSteady:
         u0 = to_real(lift_force(f, cfg.alpha)).magnitude()
         for p in (2.0, 3.0, 6.0):
             assert lp_norm(u, p, g.cell_volume) <= 2.0 * lp_norm(u0, p, g.cell_volume)
+
+
+class TestAllocation:
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_decay_pipeline_peak_below_110_bytes_per_site(self, n):
+        # the force, its lift, the iterates and the solution are held on the
+        # dealias cube; a half-lattice copy of each took the traced peak of
+        # this pipeline to ~150 bytes per grid site.  tracemalloc counts
+        # numpy's allocations exactly, so the peak repeats run to run.
+        grid = Grid(n, n / 4)  # h = 1/4, as in the decay run, so its annulus fits
+        tracemalloc.start()
+        try:
+            f = make_force(ForceSpec(), grid, 1.5)
+            sol = solve_steady(f, SolverConfig(1.5))
+            contraction_metrics(sol, f, 1.5)
+            assert sol.samples.grid is grid
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 110 * n**3, peak / n**3
 
 
 class TestResidual:
@@ -337,10 +378,10 @@ class TestPressure:
         # || (-Lap)^{a/2} u + div(u x u) + grad P - f || equals the projected residual
         g = small_solution["grid"]
         sol = small_solution["solution"]
-        f = small_solution["force"]
+        f = on_half_lattice(small_solution["force"])
         alpha = small_solution["config"].alpha
 
-        u = sol.velocity
+        u = on_half_lattice(sol.velocity)
         div = unprojected_advection(u)
         gradp = spectral_gradient(recover_pressure(u, f), g)
         raw = fractional_power(u, alpha).data + div + gradp - f.data

@@ -164,6 +164,31 @@ class TestHalfLattice:
         assert np.array_equal(cube.power(beta), cube.gather(g.power(beta)))
 
 
+class TestCubeLattice:
+    """Each operator on a field held on the dealias cube against the same operator
+    on the half lattice, gathered to the cube."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(n=HALF_SIZES, box=BOXES, alpha=st.floats(0.5, 4.0), seed=st.integers(0, 2**16))
+    def test_operators_match_the_half_lattice(self, n, box, alpha, seed):
+        g = Grid(n, box)
+        cube = spectral._Cube(g)
+        v = to_spectral(random_real_field(g, seed=seed))
+        v.data[:, 0, 0, 0] = 0.0
+        held = cube.restrict(v)
+        assert np.array_equal(leray_project(held).data, cube.gather(leray_project(v).data))
+        for beta in (-alpha, alpha):
+            want = cube.gather(fractional_power(v, beta).data)
+            assert np.array_equal(fractional_power(held, beta).data, want)
+        # the norm and the samples against those of the field zero-filled to the half lattice
+        filled = SpectralVectorField(g, cube.scatter(held.data))
+        assert abs(l2_norm(held) - l2_norm(filled)) <= 1e-14 * l2_norm(filled)
+        samples = to_real(held)
+        want = sfft.irfftn(filled.data, s=(n, n, n), axes=(1, 2, 3))
+        assert samples.grid is g
+        assert np.max(np.abs(samples.data - want)) <= 1e-14 * np.max(np.abs(want))
+
+
 class TestTransforms:
     def test_round_trip(self, grid32):
         u = random_real_field(grid32, seed=1)
