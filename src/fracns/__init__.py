@@ -9,7 +9,6 @@ from .spectral import (
     fractional_power,
     leray_project,
     to_real,
-    to_spectral,
 )
 
 __all__ = [
@@ -20,7 +19,6 @@ __all__ = [
     "fractional_power",
     "leray_project",
     "to_real",
-    "to_spectral",
 ]
 
 __version__ = "0.1.0"

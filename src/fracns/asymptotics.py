@@ -277,21 +277,13 @@ def radial_profile(
     return RadialProfile(np.asarray(centers), np.asarray(means), window)
 
 
-def fit_decay_exponent(profile) -> RadialProfile:
+def fit_decay_exponent(profile: RadialProfile) -> RadialProfile:
     """Least-squares slope of log(value) against log(r) over the profile's window.
 
-    Accepts a RadialProfile or a (radii, values) pair, whose window is the
-    whole radius range.  Returns the profile with ``fitted_exponent`` (the
-    negated slope) and its standard error.
+    Returns the profile with ``fitted_exponent`` (the negated slope) and its
+    standard error.
     """
-    if isinstance(profile, RadialProfile):
-        prof = profile
-    else:
-        radii, values = profile
-        radii = np.asarray(radii, dtype=np.float64)
-        values = np.asarray(values, dtype=np.float64)
-        prof = RadialProfile(radii, values, (float(radii.min()), float(radii.max())))
-    rr, vv = prof.in_window()
+    rr, vv = profile.in_window()
     if len(rr) < 8:
         raise EmptyShell(f"need at least 8 bins in the fit window, have {len(rr)}")
     if np.any(vv <= 0):
@@ -305,9 +297,9 @@ def fit_decay_exponent(profile) -> RadialProfile:
     dof = max(len(x) - 2, 1)
     s2 = float(np.sum(resid**2)) / dof
     stderr = np.sqrt(s2 / float(np.sum((x - x.mean()) ** 2)))
-    prof.fitted_exponent = float(-slope)
-    prof.fit_stderr = float(stderr)
-    return prof
+    profile.fitted_exponent = float(-slope)
+    profile.fit_stderr = float(stderr)
+    return profile
 
 
 def profile_term_on_grid(M: np.ndarray, kernel: HomogeneousKernel, grid: Grid) -> np.ndarray:

@@ -24,11 +24,11 @@ from .spectral import (
     RealVectorField,
     SpectralVectorField,
     _Cube,
+    _real_to_cube,
     is_real,
     l2_norm,
     leray_project,
     to_real,
-    to_spectral,
     zero_spectral,
 )
 
@@ -216,8 +216,11 @@ def make_force(spec: ForceSpec, grid: Grid, alpha: float) -> SpectralVectorField
     attempts = 5 if anisotropic else 1
     for attempt in range(attempts):
         raw = _raw_annulus(spec, cube, spec.seed + attempt, alpha)
-        if not np.all(np.isfinite(raw.data)):
-            raise DegenerateInput(f"non-finite annulus force at radii ({spec.r0}, {spec.r1})")
+        # the L^2 norms sum |f|^2 over the cube, twice off the k_z = 0 plane
+        scale = float(np.max(np.abs(raw.data)))
+        if not scale < np.sqrt(np.finfo(np.float64).max / (2 * raw.data.size)):
+            raise DegenerateInput(f"the annulus force's scale {scale:.3g} (its largest "
+                                  "coefficient) is too large for its L^2 norm to be a float")
         f = raw
         if spec.symmetrize:
             samples = to_real(raw).data
@@ -225,7 +228,7 @@ def make_force(spec: ForceSpec, grid: Grid, alpha: float) -> SpectralVectorField
             for R in octahedral_rotations():
                 acc += rotate_real_field(samples, R)
             # the rotations map the cube onto itself: off it, only FFT round-off drops
-            f = cube.restrict(to_spectral(RealVectorField(grid, acc / 24.0)))
+            f = SpectralVectorField(cube, _real_to_cube(acc / 24.0, cube))
         f = leray_project(f)
         f.data[:, 0, 0, 0] = 0.0
         if l2_norm(f) <= 1e-12 * l2_norm(raw):

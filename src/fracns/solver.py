@@ -5,14 +5,14 @@ The steady problem is solved by iterating
     u_{n+1} = u_0 + B(u_n, u_n),   u_0 = (-Lap)^{-alpha/2} P f,
 
 with B the lifted advection map from :mod:`fracns.spectral`.  The force is
-0 outside the box of modes the 2/3 rule keeps (``spectral._Cube``), and so
-are u_0 and B(u_n, u_n): the solve holds the force, u_0, every iterate and
-the solution on the force's cube, where the map, the step and both norms
-run.  Smallness
-is never hard-coded: ``contraction_metrics`` measures the contraction
-product 4 * delta * C_B of a solution (delta = weak-Lorentz size of the
-lifted force, C_B the empirical bilinear constant) for the runs that
-report it.
+held on the box of modes the 2/3 rule keeps (``spectral._Cube``), and so are
+u_0, every iterate and the solution: the map, the step and both norms run on
+the force's cube, and the residual, the pressure and the rescaled pair of
+the scaling check are formed there too.  Each function here takes fields
+held on a cube and nothing else.  Smallness is never hard-coded:
+``contraction_metrics`` measures the contraction product 4 * delta * C_B of a
+solution (delta = weak-Lorentz size of the lifted force, C_B the empirical
+bilinear constant) for the runs that report it.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import Diverged, FracnsError, InvalidAlpha, InvalidGrid, NotConverged
+from .errors import Diverged, InvalidAlpha, InvalidGrid, NotConverged
 from .spaces import lorentz_quasinorm
 from .spectral import (
     Grid,
@@ -98,20 +98,13 @@ def lift_force(f: SpectralVectorField, alpha: float) -> SpectralVectorField:
 
 
 def solve_steady(f: SpectralVectorField, config: SolverConfig) -> SteadySolution:
-    """Iterate the quadratic fixed-point map on the dealias cube of ``f`` until the
-    relative L^2 change drops below ``tol_rel``; a half-lattice ``f`` with a
-    nonzero mode off its grid's cube raises ``FracnsError``.
+    """Iterate the quadratic fixed-point map on the dealias cube ``f`` is held on
+    until the relative L^2 change drops below ``tol_rel``.
 
     Raises ``Diverged`` when an iterate exceeds ``DIVERGENCE_FACTOR`` times
     the size of the lifted force (smallness violated), and ``NotConverged``
     when the iteration budget runs out.
     """
-    if not isinstance(f.grid, _Cube):
-        on_cube = _Cube(f.grid).restrict(f)
-        if np.count_nonzero(on_cube.data) != np.count_nonzero(f.data):
-            raise FracnsError("the force has nonzero modes outside its grid's "
-                              "dealias cube, which the solve would drop")
-        f = on_cube
     alpha, cube = config.alpha, f.grid
     u0 = lift_force(f, alpha)
     u0_l2 = l2_norm(u0)
@@ -202,14 +195,11 @@ def residual(u: SpectralVectorField, f: SpectralVectorField, alpha: float, adv=N
 
 
 def recover_pressure(u: SpectralVectorField, f: SpectralVectorField) -> np.ndarray:
-    """Pressure from velocity and force, as a mean-free scalar spectral field on
-    u's lattice: p = 1j xi . (D - f) / |xi|^2, the longitudinal part of the
-    momentum balance, D the divergence of the dealiased u (x) u.  xi . f is taken
-    apart from xi . D: for a divergence-free f, D - f would add rounding of size
-    |xi| |f|.  p is formed on u's cube, outside which the dealias mask zeroes it."""
-    if not isinstance(u.grid, _Cube):
-        cube = _Cube(u.grid)
-        return cube.scatter(recover_pressure(cube.restrict(u), cube.restrict(f)))
+    """Pressure from velocity and force held on one dealias cube, as a mean-free
+    scalar spectral field on that cube: p = 1j xi . (D - f) / |xi|^2, the
+    longitudinal part of the momentum balance, D the divergence of the dealiased
+    u (x) u.  xi . f is taken apart from xi . D: for a divergence-free f, D - f
+    would add rounding of size |xi| |f|.  The dealias mask zeroes p outside it."""
     cube = u.grid
     d = _advection_divergence(u).data
     xi, fc = cube.xi, f.data
@@ -225,12 +215,11 @@ def rescale_pair(u: SpectralVectorField, f: SpectralVectorField, alpha: float, l
 
     u_lam(x) = lam^{alpha-1} u(lam x) and f_lam(x) = lam^{2alpha-1} f(lam x);
     with N unchanged the frequency lattices align mode for mode, so the
-    rescaling is exact at coefficient level, on the lattice u and f are held on.
+    rescaling is exact at coefficient level, on the dealias cube of the rescaled
+    grid.
     """
     g = u.grid
-    g2 = Grid(g.n, g.box_length / lam)
-    if isinstance(g, _Cube):
-        g2 = _Cube(g2)
+    g2 = _Cube(Grid(g.n, g.box_length / lam))
     u2 = SpectralVectorField(g2, lam ** (alpha - 1.0) * u.data)
     f2 = SpectralVectorField(g2, lam ** (2.0 * alpha - 1.0) * f.data)
     return u2, f2

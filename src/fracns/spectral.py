@@ -6,18 +6,18 @@ Laplacian powers and the lifted-advection symbol.  All multipliers follow
 one convention, kept in one place (``Grid.power``): symbols that are
 singular or undefined at the zero mode return 0 there, and admissible
 forces are mean-free, so the convention is exact for every pipeline that
-matters.  A spectral field is held on a lattice, and each operator reads the
-field's own: the rfftn half lattice (``Grid.spectral_shape``), where
-``to_spectral`` puts a field and the L^2 norms weigh interior k_z planes twice,
-or the box of half-lattice modes the 2/3 rule keeps (``_Cube``), which stands
-in for its Grid.  A run's force is 0 off the cube, and so are its lift, every
-Picard iterate and the solution: each is held on the cube alone and transformed
-through a pruned pair that touches the cube alone.  The quadratic map is formed
-there (``apply_bilinear``), with the Leray factor and the lift the cube forms
-once.  A symbol that is even or odd along each axis (a radial multiplier times
-a monomial in xi) is also sampled on the octant alone (``octant_to_real``):
-k = 0..n/2 in, j = 0..n/2 out, one real DCT-I or DST-I per axis.  Every other
-sample is a reflection of an octant sample up to sign, so a lattice sum of a
+matters.  A run's spectral fields are held on one lattice, the box of rfftn
+half-lattice modes the 2/3 rule keeps (``_Cube``), which stands in for its
+Grid: the force, its lift, every Picard iterate and the solution are 0 off it.
+They are transformed through a pruned pair that touches the cube alone, and
+the quadratic map (``apply_bilinear``), ``projected_advection``, ``to_real``
+and ``l2_norm`` take a field held on a cube and nothing else.  The multipliers
+(``leray_project``, ``fractional_power``) read whichever lattice a field is on
+with one code path, a Grid's half lattice (n, n, n/2+1) included.  A symbol
+that is even or odd along each axis (a radial multiplier times a monomial in
+xi) is also sampled on the octant alone (``octant_to_real``): k = 0..n/2 in,
+j = 0..n/2 out, one real DCT-I or DST-I per axis.  Every other sample is a
+reflection of an octant sample up to sign, so a lattice sum of a
 reflection-invariant quantity is the octant sum weighted 1 on the j = 0 and
 j = n/2 planes of each axis and 2 elsewhere.
 """
@@ -141,13 +141,6 @@ class Grid:
         xi = self.xi
         return np.exp(-1j * (xi[0] * origin[0] + xi[1] * origin[1] + xi[2] * origin[2]))
 
-    @staticmethod
-    def lattice_sum(a: np.ndarray, b: np.ndarray) -> float:
-        """Re sum over the full lattice of conj(a) b for half-lattice a, b: each
-        interior k_z plane also stands for its conjugate mirror, so it counts twice."""
-        return (2.0 * np.vdot(a, b).real - np.vdot(a[..., 0], b[..., 0]).real
-                - np.vdot(a[..., -1], b[..., -1]).real)
-
     def radius_from(self, origin):
         """Minimum-image distance of every grid point from ``origin``."""
         L = self.box_length
@@ -189,7 +182,9 @@ class RealVectorField:
 @dataclass
 class SpectralVectorField:
     """Three arrays of Fourier coefficients of a real field, held on the lattice
-    ``grid``: a Grid's half lattice (the ``rfftn`` layout) or a ``_Cube``."""
+    ``grid``: a dealias cube (``_Cube``), where a run holds every field it makes,
+    or a Grid's half lattice (the ``rfftn`` layout), which the multipliers alone
+    read."""
 
     grid: Grid | _Cube
     data: np.ndarray  # (3,) + grid.spectral_shape, complex128
@@ -198,9 +193,6 @@ class SpectralVectorField:
         self.data = np.asarray(self.data, dtype=np.complex128)
         if self.data.shape != (3,) + self.grid.spectral_shape:
             raise ValueError(f"bad field shape {self.data.shape}")
-
-    def copy(self) -> "SpectralVectorField":
-        return SpectralVectorField(self.grid, self.data.copy())
 
 
 def zero_spectral(grid: Grid) -> SpectralVectorField:
@@ -213,15 +205,10 @@ def _irfftn(coeffs: np.ndarray, **kwargs) -> np.ndarray:
     return sfft.irfftn(coeffs, s=(n, n, n), axes=(-3, -2, -1), workers=_WORKERS, **kwargs)
 
 
-def to_spectral(field: RealVectorField) -> SpectralVectorField:
-    return SpectralVectorField(field.grid, scalar_to_spectral(field.data))
-
-
 def to_real(field: SpectralVectorField) -> RealVectorField:
-    lattice = field.grid
-    if isinstance(lattice, _Cube):
-        return RealVectorField(lattice.grid, _cube_to_real(field.data, lattice))
-    return RealVectorField(lattice, scalar_to_real(field.data))
+    """The real samples of a field held on a dealias cube."""
+    cube = field.grid
+    return RealVectorField(cube.grid, _cube_to_real(field.data, cube))
 
 
 def scalar_to_real(coeffs: np.ndarray) -> np.ndarray:
@@ -310,16 +297,6 @@ class _Cube:
         """The cube's part of a half-lattice array (n, n, n/2+1) or (..., n, n, n/2+1)."""
         return a[self._modes]
 
-    def restrict(self, v: SpectralVectorField) -> SpectralVectorField:
-        """The part on the cube of a half-lattice field, as a field held on the cube."""
-        return SpectralVectorField(self, self.gather(v.data))
-
-    def scatter(self, a: np.ndarray) -> np.ndarray:
-        """``a`` on the cube, zero-filled to the Grid's half lattice."""
-        out = np.zeros(a.shape[:-3] + self.grid.spectral_shape, dtype=a.dtype)
-        out[self._modes] = a
-        return out
-
     def lattice_sum(self, a: np.ndarray, b: np.ndarray) -> float:
         """Re sum over the full lattice of conj(a) b for a, b on the cube: the cube
         holds no Nyquist plane, so every plane but k_z = 0 also stands for its
@@ -404,8 +381,6 @@ def fractional_power(v: SpectralVectorField, beta: float) -> SpectralVectorField
             raise ZeroModeUndefined(
                 "negative fractional power applied to a field with nonzero mean"
             )
-    if beta == 0.0:
-        return v.copy()
     return SpectralVectorField(g, v.data * g.power(beta))
 
 
@@ -487,11 +462,8 @@ def _advection_divergence(v: SpectralVectorField) -> SpectralVectorField:
 
 
 def projected_advection(v: SpectralVectorField) -> SpectralVectorField:
-    """Leray-projected divergence of v (x) v on v's lattice: P D, D from
-    ``_advection_divergence`` of v's part on the dealias cube, projected there."""
-    if not isinstance(v.grid, _Cube):
-        cube = _Cube(v.grid)
-        return SpectralVectorField(v.grid, cube.scatter(projected_advection(cube.restrict(v)).data))
+    """Leray-projected divergence of v (x) v for a field ``v`` held on a dealias
+    cube: P D, D from ``_advection_divergence``, projected in place there."""
     d = _advection_divergence(v)
     _leray(d.data, d.grid, d.grid.leray_factor, d.data)
     return d
@@ -519,10 +491,6 @@ def parseval_l2(lattice, s: float) -> float:
     return float(np.sqrt(lattice.cell_volume * (s / lattice.n**3)))
 
 
-def l2_norm(field) -> float:
-    """Discrete L^2 norm sqrt(h^3 * sum |field|^2), spectral or physical."""
-    if isinstance(field, SpectralVectorField):
-        return parseval_l2(field.grid, field.grid.lattice_sum(field.data, field.data))
-    if isinstance(field, RealVectorField):
-        return float(np.sqrt(field.grid.cell_volume * np.sum(field.data**2)))
-    raise TypeError("expected a vector field")
+def l2_norm(field: SpectralVectorField) -> float:
+    """Discrete L^2 norm sqrt(h^3 * sum |field|^2) of a field held on a dealias cube."""
+    return parseval_l2(field.grid, field.grid.lattice_sum(field.data, field.data))

@@ -1,9 +1,18 @@
 import numpy as np
 import pytest
+import scipy.fft as sfft
 
+from fracns.asymptotics import RadialProfile
 from fracns.forces import ForceSpec, make_force
 from fracns.solver import SolverConfig, solve_steady
-from fracns.spectral import Grid, RealVectorField, SpectralVectorField, _Cube, kernel_tensor, to_spectral
+from fracns.spectral import (
+    Grid,
+    RealVectorField,
+    SpectralVectorField,
+    _Cube,
+    kernel_tensor,
+    parseval_l2,
+)
 
 
 @pytest.fixture(scope="session")
@@ -20,27 +29,40 @@ def random_real_field(grid, seed=0, smooth=False):
     rng = np.random.default_rng(seed)
     data = rng.standard_normal((3, grid.n, grid.n, grid.n))
     if smooth:
-        import scipy.fft as sfft
-
         hat = sfft.rfftn(data, axes=(1, 2, 3))
         hat *= np.exp(-grid.k2 / (2.0 * (4.0 * 2 * np.pi / grid.box_length) ** 2))
         data = sfft.irfftn(hat, s=data.shape[1:], axes=(1, 2, 3))
     return RealVectorField(grid, data)
 
 
+def to_spectral(u):
+    """The half-lattice coefficients of real samples ``u``, as ``rfftn`` takes them."""
+    return SpectralVectorField(u.grid, sfft.rfftn(u.data, axes=(1, 2, 3)))
+
+
+def on_cube(v):
+    """The part of a half-lattice field on its grid's dealias cube, held there."""
+    cube = _Cube(v.grid)
+    return SpectralVectorField(cube, cube.gather(v.data))
+
+
+def zero_filled(a, cube):
+    """Coefficients (..., cube.spectral_shape) held on ``cube``, zero-filled to
+    its grid's half lattice (..., n, n, n/2+1)."""
+    out = np.zeros(a.shape[:-3] + cube.grid.spectral_shape, dtype=a.dtype)
+    out[..., cube.rows[:, None], cube.rows, : cube.planes] = a
+    return out
+
+
 def on_half_lattice(v):
-    """v read on its grid's half lattice: a field held on a dealias cube
-    zero-filled there, a half-lattice field as it is."""
-    if isinstance(v.grid, _Cube):
-        return SpectralVectorField(v.grid.grid, v.grid.scatter(v.data))
-    return v
+    """A field held on a dealias cube, zero-filled to its grid's half lattice."""
+    return SpectralVectorField(v.grid.grid, zero_filled(v.data, v.grid))
 
 
 def realness_defect(field):
-    """Max |rfftn(irfftn(v)) - v| relative to the largest coefficient: 0 when
-    the coefficients, read on the half lattice, are those of a real field."""
-    import scipy.fft as sfft
-
+    """Max |rfftn(irfftn(v)) - v| relative to the largest coefficient of a field
+    held on a dealias cube: 0 when its coefficients, zero-filled to the half
+    lattice, are those of a real field."""
     field = on_half_lattice(field)
     n = field.grid.n
     back = sfft.rfftn(sfft.irfftn(field.data, s=(n, n, n), axes=(1, 2, 3)), axes=(1, 2, 3))
@@ -48,9 +70,21 @@ def realness_defect(field):
     return float(np.max(np.abs(back - field.data)) / scale) if scale > 0 else 0.0
 
 
+def half_lattice_sum(a, b):
+    """Re sum over the full lattice of conj(a) b for half-lattice a, b: each
+    interior k_z plane also stands for its conjugate mirror, so it counts twice."""
+    return (2.0 * np.vdot(a, b).real - np.vdot(a[..., 0], b[..., 0]).real
+            - np.vdot(a[..., -1], b[..., -1]).real)
+
+
+def half_lattice_l2(v):
+    """The discrete L^2 norm of a half-lattice field, through Parseval."""
+    return parseval_l2(v.grid, half_lattice_sum(v.data, v.data))
+
+
 def l2_inner(a, b):
-    """The discrete L^2 inner product h^3 sum a . b of two fields on one lattice,
-    through Parseval."""
+    """The discrete L^2 inner product h^3 sum a . b of two fields held on one
+    dealias cube, through Parseval."""
     g = a.grid
     return float(g.cell_volume * g.lattice_sum(a.data, b.data) / g.n**3)
 
@@ -74,13 +108,18 @@ def random_divfree_spectral(grid, seed=0, smooth=True, mean_free=True):
 
 
 def bilinear_on_lattice(v, alpha):
-    """apply_bilinear of v's part on the dealias cube, read on the half lattice."""
-    from fracns.spectral import _Cube, apply_bilinear
+    """apply_bilinear of a half-lattice v's part on the dealias cube, read on the
+    half lattice."""
+    from fracns.spectral import apply_bilinear
 
-    cube = _Cube(v.grid)
-    out = apply_bilinear(cube.restrict(v), alpha)
-    assert out.grid is cube
-    return cube.scatter(out.data)
+    return on_half_lattice(apply_bilinear(on_cube(v), alpha)).data
+
+
+def whole_range_profile(radii, values):
+    """A radial profile whose fit window is its whole radius range."""
+    radii = np.asarray(radii, dtype=np.float64)
+    values = np.asarray(values, dtype=np.float64)
+    return RadialProfile(radii, values, (float(radii.min()), float(radii.max())))
 
 
 @pytest.fixture(scope="session")

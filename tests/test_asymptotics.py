@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import whole_range_profile
 from fracns.asymptotics import (
     KERNEL_SHELL,
     build_kernel,
@@ -119,20 +120,20 @@ class TestDecayFit:
     def test_synthetic_smooth_profile(self):
         radii = np.linspace(40.0, 120.0, 24)
         values = 1.0 / (1.0 + radii) ** 2.5
-        prof = fit_decay_exponent((radii, values))
+        prof = fit_decay_exponent(whole_range_profile(radii, values))
         assert prof.fitted_exponent == pytest.approx(2.5, abs=0.05)
 
     def test_needs_eight_bins(self):
         radii = np.linspace(1.0, 2.0, 5)
         with pytest.raises(EmptyShell):
-            fit_decay_exponent((radii, radii**-2))
+            fit_decay_exponent(whole_range_profile(radii, radii**-2))
 
     def test_nonpositive_values_rejected(self):
         radii = np.linspace(1.0, 2.0, 10)
         vals = radii**-2
         vals[3] = 0.0
         with pytest.raises(EmptyShell):
-            fit_decay_exponent((radii, vals))
+            fit_decay_exponent(whole_range_profile(radii, vals))
 
     def test_window_inside_quarter_box(self, grid32):
         with pytest.raises(InvalidRadius):
@@ -204,9 +205,9 @@ class TestBrandoleseVigneron:
 class TestCertificate:
     def test_zero_solution_no_certificate(self, grid32, kernel15):
         from fracns.solver import SolverConfig, solve_steady
-        from fracns.spectral import zero_spectral
+        from fracns.spectral import _Cube, zero_spectral
 
-        sol = solve_steady(zero_spectral(grid32), SolverConfig(1.5))
+        sol = solve_steady(zero_spectral(_Cube(grid32)), SolverConfig(1.5))
         cert = nonexistence_certificate(sol, kernel15)
         assert cert["deviation"] == 0.0
         assert cert["leading_lower_bound"] == 0.0

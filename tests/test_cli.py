@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import whole_range_profile
 from fracns import cli
 from fracns.asymptotics import RadialProfile, fit_decay_exponent
 from fracns.cli import (
@@ -54,7 +55,7 @@ class TestRadialCsv:
 
     def test_bin_count_lines(self, tmp_path):
         radii = np.linspace(1, 2, 8)
-        prof = fit_decay_exponent((radii, radii**-2.0))
+        prof = fit_decay_exponent(whole_range_profile(radii, radii**-2.0))
         path = str(tmp_path / "p.csv")
         emit_radial_csv(prof, path)
         with open(path) as fh:
@@ -65,7 +66,7 @@ class TestRadialCsv:
         rng = np.random.default_rng(0)
         radii = np.sort(rng.uniform(1, 3, 10))
         values = rng.uniform(0.1, 2.0, 10)
-        prof = fit_decay_exponent((radii, values))
+        prof = fit_decay_exponent(whole_range_profile(radii, values))
         path = str(tmp_path / "rt.csv")
         emit_radial_csv(prof, path)
         rows = parse_radial_csv(path)
@@ -74,7 +75,7 @@ class TestRadialCsv:
 
     def test_lf_endings(self, tmp_path):
         radii = np.linspace(1, 2, 8)
-        prof = fit_decay_exponent((radii, radii**-1.0))
+        prof = fit_decay_exponent(whole_range_profile(radii, radii**-1.0))
         path = str(tmp_path / "lf.csv")
         emit_radial_csv(prof, path)
         raw = open(path, "rb").read()
@@ -207,6 +208,21 @@ class TestMainEntry:
         assert main(["solve", "--config", str(path)]) == EXIT_VALIDATION
         payload = json.loads((tmp_path / "report.json").read_text())
         assert payload["error"].startswith("DegenerateInput")
+
+    def test_force_too_large_for_its_norm_rejected_without_warning(self, tmp_path):
+        # the smallest box check_grid takes, with the annulus at 0.6 to 3.0 lattice
+        # steps: the raw force's squares overflowed its L^2 norm and the Leray pass
+        force = {"r0": 8.377149812156101e101, "r1": 4.188574906078051e102}
+        cfg = {"n": 16, "box_length": 4.500231306401164e-102, "force": force,
+               "output_dir": str(tmp_path)}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["solve", "--config", str(path)]) == EXIT_VALIDATION
+        payload = json.loads((tmp_path / "report.json").read_text())
+        assert payload["error"].startswith("DegenerateInput") and "scale" in payload["error"]
+        assert payload["metrics"] == {}
 
     def test_non_finite_metric_error_report(self, tmp_path):
         # at t = 1000 the kernel mass is 0, so K_scaled_variation is inf

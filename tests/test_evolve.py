@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    on_cube,
     random_divfree_spectral,
     realness_defect,
     spectral_gradient,
@@ -18,14 +19,14 @@ from fracns.spectral import (
     l2_norm,
     scalar_to_real,
     to_real,
-    to_spectral,
     zero_spectral,
 )
 
 
 class TestEvolveMild:
     def test_zero_stays_zero(self, grid32):
-        end, drift = evolve_mild(zero_spectral(grid32), zero_spectral(grid32), 1.5, 0.2, 0.05)
+        cube = spectral._Cube(grid32)
+        end, drift = evolve_mild(zero_spectral(cube), zero_spectral(cube), 1.5, 0.2, 0.05)
         assert np.all(end.data == 0)
         assert drift == [0.0] * 5
 
@@ -41,16 +42,16 @@ class TestEvolveMild:
         for c in range(3):
             data[(c,) + pos] = a[c] * g.n**3 / 2
             data[(c,) + neg] = np.conj(a[c]) * g.n**3 / 2
-        v0 = SpectralVectorField(g, data)
+        v0 = on_cube(SpectralVectorField(g, data))
         alpha, T, dt = 1.5, 0.5, 0.01
-        end, _ = evolve_mild(v0, zero_spectral(g), alpha, T, dt)
+        end, _ = evolve_mild(v0, zero_spectral(v0.grid), alpha, T, dt)
         expect = np.exp(-T * np.linalg.norm(k) ** alpha)
         got = l2_norm(end) / l2_norm(v0)
         assert got == pytest.approx(expect, rel=1e-6)
 
     def test_second_order_in_dt(self, small_solution):
-        v0 = small_solution["solution"].velocity.copy()
-        v0.data = 0.5 * v0.data
+        u = small_solution["solution"].velocity
+        v0 = SpectralVectorField(u.grid, 0.5 * u.data)
         f = small_solution["force"]
         alpha = small_solution["config"].alpha
         ends = []
@@ -72,19 +73,19 @@ class TestEvolveMild:
         assert np.max(np.abs(div)) < 1e-12 * np.max(np.abs(end.data)) * np.max(g.kmag)
 
     def test_unforced_energy_nonincreasing(self, grid32):
-        v = random_divfree_spectral(grid32, seed=40)
-        v.data *= grid32.dealias_mask * 0.01
+        v = on_cube(random_divfree_spectral(grid32, seed=40))
+        v.data *= v.grid.dealias_mask * 0.01
         energies = [l2_norm(v)]
         for _ in range(8):  # 4-step segments
-            v, _ = evolve_mild(v, zero_spectral(grid32), 2.0, 0.04, 0.01)
+            v, _ = evolve_mild(v, zero_spectral(v.grid), 2.0, 0.04, 0.01)
             energies.append(l2_norm(v))
         assert all(a >= b - 1e-13 * energies[0] for a, b in zip(energies, energies[1:]))
 
     def test_dt_guard(self, grid32):
-        v0 = random_divfree_spectral(grid32, seed=41)
+        v0 = on_cube(random_divfree_spectral(grid32, seed=41))
         bound = stable_dt(v0)
         with pytest.raises(InvalidTimeStep):
-            evolve_mild(v0, zero_spectral(grid32), 2.0, 1.0, 2 * bound)
+            evolve_mild(v0, zero_spectral(v0.grid), 2.0, 1.0, 2 * bound)
 
     def test_blowup_detection(self, grid32):
         from fracns.forces import ForceSpec, make_force
@@ -110,23 +111,22 @@ class TestStationarity:
     def test_perturbed_state_relaxes_back(self, small_solution):
         from fracns.spectral import leray_project
 
-        g = small_solution["grid"]
         sol = small_solution["solution"]
         f = small_solution["force"]
         alpha = small_solution["config"].alpha
+        cube = sol.velocity.grid  # the noise is drawn on the solution's cube
         rng = np.random.default_rng(42)
         noise = leray_project(
             SpectralVectorField(
-                g,
-                (rng.standard_normal((3,) + g.spectral_shape)
-                 + 1j * rng.standard_normal((3,) + g.spectral_shape)) * g.dealias_mask,
+                cube,
+                (rng.standard_normal((3,) + cube.spectral_shape)
+                 + 1j * rng.standard_normal((3,) + cube.spectral_shape)) * cube.dealias_mask,
             )
         )
-        noise = to_spectral(to_real(noise))  # the coefficients of the real part
+        # the coefficients of the real part
+        noise = SpectralVectorField(cube, spectral._real_to_cube(to_real(noise).data, cube))
         assert realness_defect(noise) < 1e-13
         noise.data[:, 0, 0, 0] = 0.0
-        cube = sol.velocity.grid  # holds the masked noise's modes
-        noise = cube.restrict(noise)
         amp = 0.01 * l2_norm(sol.velocity) / l2_norm(noise)
         v0 = SpectralVectorField(cube, sol.velocity.data + amp * noise.data)
 
@@ -140,7 +140,7 @@ class TestStationarity:
     def test_zero_on_zero(self, grid32):
         from fracns.solver import SolverConfig, solve_steady
 
-        sol = solve_steady(zero_spectral(grid32), SolverConfig(1.5))
+        sol = solve_steady(zero_spectral(spectral._Cube(grid32)), SolverConfig(1.5))
         _, drift = evolve_mild(sol.velocity, zero_spectral(sol.velocity.grid), 1.5, 0.2, 0.05)
         assert max(drift) == 0.0
 

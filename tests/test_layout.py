@@ -22,7 +22,8 @@ passed as a float, with no wrapper class around it.  The driver echoes its
 config through ``dataclasses.asdict``, writes ``report.json`` in one function,
 and sorts run errors into exit codes in one ``except`` branch.  Every public
 module-level name is read by a run or by the acceptance criteria, not by a
-unit test alone, but for one named exception.
+unit test alone, but for one named exception.  No function branches on the
+lattice a field is held on, a Grid's half lattice or a dealias cube.
 """
 
 import ast
@@ -32,6 +33,7 @@ import re
 import pytest
 
 import fracns
+from fracns import spectral
 
 SRC = pathlib.Path(fracns.__file__).parent
 TESTS = pathlib.Path(__file__).parent
@@ -176,6 +178,24 @@ def test_every_public_name_has_a_reader():
                     if name not in acceptance | UNREAD_KEPT
                     and not any(name in names for other, names in readers if other is not node))
     assert public and unread == [], unread
+
+
+def test_one_lattice_for_the_solver_stack():
+    # the operators take a field held on a dealias cube, or read whichever lattice
+    # it is on with one code path: no src function branches on the lattice type,
+    # and the half-lattice entry points and the moves off the cube are gone
+    branches = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+                kinds = {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node.args[1])
+                         if isinstance(n, (ast.Name, ast.Attribute))}
+                if kinds & {"_Cube", "Grid"}:
+                    branches.append((path.name, node.lineno))
+    assert branches == [], branches
+    assert not hasattr(spectral, "to_spectral") and "to_spectral" not in fracns.__all__
+    assert [name for name in ("restrict", "scatter") if hasattr(spectral._Cube, name)] == []
+    assert not hasattr(spectral.Grid, "lattice_sum")
 
 
 def test_transforms_taken_in_spectral_only():

@@ -9,11 +9,17 @@ from hypothesis import strategies as st
 
 from conftest import (
     bilinear_on_lattice,
+    half_lattice_l2,
+    half_lattice_sum,
     l2_inner,
+    on_cube,
+    on_half_lattice,
     random_divfree_spectral,
     random_real_field,
     realness_defect,
     symmetric_parts,
+    to_spectral,
+    zero_filled,
 )
 from fracns import spectral
 from fracns.errors import InvalidGrid, NumericalBlowup, ZeroModeUndefined
@@ -28,7 +34,6 @@ from fracns.spectral import (
     leray_project,
     projected_advection,
     to_real,
-    to_spectral,
 )
 
 
@@ -125,12 +130,15 @@ class TestHalfLattice:
     @given(n=HALF_SIZES, box=BOXES, seed=st.integers(0, 2**16))
     def test_parseval_on_half_lattice(self, n, box, seed):
         # interior k_z planes weigh 2, the k_z = 0 and Nyquist planes 1
+        # (the reference sum of conftest, which the half-lattice checks read)
         g = Grid(n, box)
         u, w = random_real_field(g, seed=seed), random_real_field(g, seed=seed + 1)
-        assert abs(l2_norm(to_spectral(u)) - l2_norm(u)) <= 1e-13 * l2_norm(u)
+        u_l2 = np.sqrt(g.cell_volume * np.sum(u.data**2))
+        w_l2 = np.sqrt(g.cell_volume * np.sum(w.data**2))
+        assert abs(half_lattice_l2(to_spectral(u)) - u_l2) <= 1e-13 * u_l2
         inner = g.cell_volume * np.sum(u.data * w.data)
-        got = l2_inner(to_spectral(u), to_spectral(w))
-        assert abs(got - inner) <= 1e-13 * l2_norm(u) * l2_norm(w)
+        got = g.cell_volume * half_lattice_sum(to_spectral(u).data, to_spectral(w).data) / n**3
+        assert abs(got - inner) <= 1e-13 * u_l2 * w_l2
 
     @settings(max_examples=20, deadline=None)
     @given(n=HALF_SIZES, box=BOXES)
@@ -139,7 +147,7 @@ class TestHalfLattice:
         # (k_x, k_y = +-m, k_z = 0 and m) holds a kept mode
         g = Grid(n, box)
         cube = spectral._Cube(g)
-        inside = cube.scatter(np.ones(cube.spectral_shape, dtype=bool))
+        inside = zero_filled(np.ones(cube.spectral_shape, dtype=bool), cube)
         assert not np.any(g.dealias_mask & ~inside)
         kept = cube.gather(g.dealias_mask)
         k_rows = cube.gather(np.broadcast_to(g.k_int[:, None, None], g.spectral_shape))[:, 0, 0]
@@ -172,17 +180,17 @@ class TestCubeLattice:
     @given(n=HALF_SIZES, box=BOXES, alpha=st.floats(0.5, 4.0), seed=st.integers(0, 2**16))
     def test_operators_match_the_half_lattice(self, n, box, alpha, seed):
         g = Grid(n, box)
-        cube = spectral._Cube(g)
         v = to_spectral(random_real_field(g, seed=seed))
         v.data[:, 0, 0, 0] = 0.0
-        held = cube.restrict(v)
+        held = on_cube(v)
+        cube = held.grid
         assert np.array_equal(leray_project(held).data, cube.gather(leray_project(v).data))
         for beta in (-alpha, alpha):
             want = cube.gather(fractional_power(v, beta).data)
             assert np.array_equal(fractional_power(held, beta).data, want)
         # the norm and the samples against those of the field zero-filled to the half lattice
-        filled = SpectralVectorField(g, cube.scatter(held.data))
-        assert abs(l2_norm(held) - l2_norm(filled)) <= 1e-14 * l2_norm(filled)
+        filled = on_half_lattice(held)
+        assert abs(l2_norm(held) - half_lattice_l2(filled)) <= 1e-14 * half_lattice_l2(filled)
         samples = to_real(held)
         want = sfft.irfftn(filled.data, s=(n, n, n), axes=(1, 2, 3))
         assert samples.grid is g
@@ -191,13 +199,26 @@ class TestCubeLattice:
 
 class TestTransforms:
     def test_round_trip(self, grid32):
-        u = random_real_field(grid32, seed=1)
-        back = to_real(to_spectral(u))
-        assert np.max(np.abs(back.data - u.data)) < 1e-12 * np.max(np.abs(u.data))
+        # a real field with modes on the cube alone, through the pruned pair
+        v = on_cube(to_spectral(random_real_field(grid32, seed=1)))
+        back = spectral._real_to_cube(to_real(v).data, v.grid)
+        assert np.max(np.abs(back - v.data)) < 1e-12 * np.max(np.abs(v.data))
 
     def test_real_field_is_hermitian(self, grid32):
-        v = to_spectral(random_real_field(grid32, seed=2))
+        cube = spectral._Cube(grid32)
+        samples = random_real_field(grid32, seed=2).data
+        v = SpectralVectorField(cube, spectral._real_to_cube(samples, cube))
         assert realness_defect(v) < 1e-13
+
+    @settings(max_examples=20, deadline=None)
+    @given(n=HALF_SIZES, seed=st.integers(0, 2**16))
+    def test_forward_pruned_transform_is_rfftn_gathered(self, n, seed):
+        # the cube's part of rfftn of the samples, bit for bit
+        g = Grid(n, 1.0)
+        cube = spectral._Cube(g)
+        x = np.random.default_rng(seed).standard_normal((3, n, n, n))
+        want = cube.gather(sfft.rfftn(x, axes=(1, 2, 3)))
+        assert np.array_equal(spectral._real_to_cube(x, cube), want)
 
     @settings(max_examples=20, deadline=None)
     @given(n=HALF_SIZES, batch=st.sampled_from([1, 3]), seed=st.integers(0, 2**16))
@@ -223,7 +244,7 @@ class TestLeray:
         # bit for bit, on the half lattice and on the dealias cube
         g = Grid(n, box)
         v = to_spectral(random_real_field(g, seed=seed))
-        for field in (v, spectral._Cube(g).restrict(v)):
+        for field in (v, on_cube(v)):
             xi, d = field.grid.xi, field.data
             dot = (xi[0] * d[0] + xi[1] * d[1] + xi[2] * d[2]) * field.grid.power(-2.0)
             want = np.stack([d[i] - xi[i] * dot for i in range(3)])
@@ -258,8 +279,8 @@ class TestLeray:
 
     def test_self_adjoint(self, grid32):
         u = random_divfree_spectral(grid32, seed=7, smooth=False)
-        v = to_spectral(random_real_field(grid32, seed=8))
-        u_full = to_spectral(random_real_field(grid32, seed=9))
+        v = on_cube(to_spectral(random_real_field(grid32, seed=8)))
+        u_full = on_cube(to_spectral(random_real_field(grid32, seed=9)))
         lhs = l2_inner(leray_project(u_full), v)
         rhs = l2_inner(u_full, leray_project(v))
         scale = l2_norm(u_full) * l2_norm(v)
@@ -290,15 +311,10 @@ class TestFractionalPower:
         x = [g.x_axis.reshape(-1, 1, 1), g.x_axis.reshape(1, -1, 1), g.x_axis.reshape(1, 1, -1)]
         wave = np.cos(k[0] * x[0] + k[1] * x[1] + k[2] * x[2])
         data = np.stack([wave, 0 * wave, 0 * wave])
-        v = to_spectral(RealVectorField(g, data))
+        v = on_cube(to_spectral(RealVectorField(g, data)))
         out = to_real(fractional_power(v, 2.0))
         expect = float(np.dot(k, k)) * wave
         assert np.max(np.abs(out.data[0] - expect)) < 1e-10 * np.max(np.abs(expect))
-
-    def test_beta_zero_identity(self, grid32):
-        v = to_spectral(random_real_field(grid32, seed=10))
-        out = fractional_power(v, 0.0)
-        assert np.array_equal(out.data, v.data)
 
     def test_semigroup_in_beta(self, grid32):
         v = random_divfree_spectral(grid32, seed=11)
@@ -465,7 +481,7 @@ class TestApplyBilinear:
         assert mean_free or np.any(v.data[:, 0, 0, 0] != 0)
         alpha = 1.5
         out = bilinear_on_lattice(v, alpha)
-        want = fractional_power(projected_advection(v), -alpha).data
+        want = on_half_lattice(fractional_power(projected_advection(on_cube(v)), -alpha)).data
         assert np.array_equal(out, -want)
         assert np.all(out[:, 0, 0, 0] == 0.0)
 
@@ -481,7 +497,7 @@ class TestApplyBilinear:
         v = random_divfree_spectral(Grid(n, box), seed=seed)
         alpha = 1.5
         out = bilinear_on_lattice(v, alpha)
-        want = fractional_power(projected_advection(v), -alpha).data
+        want = on_half_lattice(fractional_power(projected_advection(on_cube(v)), -alpha)).data
         assert np.array_equal(out, -want)
 
     def test_scaling_covariance(self, grid32):
@@ -504,8 +520,8 @@ class TestApplyBilinear:
 
     def test_energy_neutral_advection(self, grid32):
         # discrete analogue of the divergence-free cancellation
-        u = random_divfree_spectral(grid32, seed=16)
-        u.data *= grid32.dealias_mask
+        u = on_cube(random_divfree_spectral(grid32, seed=16))
+        u.data *= u.grid.dealias_mask
         adv = projected_advection(u)
         s = l2_inner(adv, u)
         assert abs(s) < 1e-8 * l2_norm(u) ** 3
@@ -515,14 +531,14 @@ class TestFiniteness:
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
     def test_overflowing_products_raise(self, grid16):
         # finite samples whose squares exceed the float64 range
-        v = random_divfree_spectral(grid16, seed=20)
+        v = on_cube(random_divfree_spectral(grid16, seed=20))
         v.data *= 1e160 / np.max(np.abs(to_real(v).data))
         assert np.all(np.isfinite(to_real(v).data))
         with pytest.raises(NumericalBlowup):
             projected_advection(v)
 
     def test_nonfinite_velocity_raises(self, grid16):
-        v = random_divfree_spectral(grid16, seed=21)
+        v = on_cube(random_divfree_spectral(grid16, seed=21))
         v.data[0, 1, 0, 0] = np.nan
         with pytest.raises(NumericalBlowup):
             projected_advection(v)
