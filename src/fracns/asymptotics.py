@@ -27,6 +27,7 @@ from .spectral import (
     RealVectorField,
     SpectralVectorField,
     kernel_tensor,
+    min_image,
     scalar_to_real,
     to_real,
 )
@@ -39,8 +40,7 @@ KERNEL_SHELL = (0.085, 0.16)
 def kernel_shell_sites(n: int) -> np.ndarray:
     """Indices (m, 3), in C order, of the sites of the unit box's n^3 lattice whose distance
     from 0 lies in KERNEL_SHELL; InvalidGrid if they are fewer than the fit's 23 columns."""
-    x = (1.0 / n) * np.arange(n)  # Grid(n, 1.0).x_axis; d is its distance from 0, as in radius_from
-    d = np.minimum(x, 1.0 - x)
+    d = np.abs(min_image((1.0 / n) * np.arange(n), 1.0))  # |x| of Grid(n, 1.0), no Grid built
     near = np.flatnonzero(d <= KERNEL_SHELL[1])  # a site in the shell is this near on each axis
     r = np.sqrt(d[near, None, None] ** 2 + d[near, None] ** 2 + d[near] ** 2)
     sites = near[np.argwhere((r >= KERNEL_SHELL[0]) & (r <= KERNEL_SHELL[1]))]
@@ -205,8 +205,7 @@ def build_kernel(alpha: float, refinement_grid_n: int = 128) -> HomogeneousKerne
     damped_inv_pow = grid.power(-alpha)
     damped_inv_pow *= np.exp(-0.5 * sigma * sigma * grid.k2)
 
-    coords = grid.x_axis[sites]  # (m, 3) positions in [0, L)
-    coords = np.where(coords > L / 2, coords - L, coords)  # minimum-image signed
+    coords = min_image(grid.x_axis[sites], L)  # (m, 3) signed offsets from 0
     radii = np.linalg.norm(coords, axis=1)
     dirs = coords / radii[:, None]
 
@@ -328,12 +327,8 @@ def profile_term_on_grid(M: np.ndarray, kernel: HomogeneousKernel, grid: Grid) -
     phase = grid.shift_phase(origin)
     low = scalar_to_real(sym * damp * phase) / grid.cell_volume
 
-    L = grid.box_length
-    r = grid.radius_from(origin)
-    far = r >= 4.0 * width  # series valid once sigma << |x|
-    idx = np.argwhere(far)
-    pos = grid.x_axis[idx] - origin[None, :]
-    pos = (pos + L / 2) % L - L / 2
+    far = grid.radius_from(origin) >= 4.0 * width  # series valid once sigma << |x|
+    pos = np.stack([d[i] for d, i in zip(grid.offsets(origin), np.nonzero(far))], axis=1)
     low[:, far] += kernel.contract_smoothing_defect(pos, M, width).T
     return low
 

@@ -320,9 +320,7 @@ def _run_norms(config: RunConfig, outdir: str):
     p = 4.0
     prof = np.maximum(x, grid.spacing) ** (-3.0 / p)
     radii = [grid.box_length / 16, grid.box_length / 8, grid.box_length / 4]
-    vals = [
-        spaces.morrey_norm(prof, p, [R], [grid.center], grid) for R in radii
-    ]
+    vals = [spaces.morrey_norm(prof, p, R, grid) for R in radii]
     metrics["morrey_scale_ratio"] = float(np.max(vals) / np.min(vals))
     # |x|^(3/p) prof is 1 on every cell but the center, which the sup excludes
     metrics["weighted_sup_power_law"] = spaces.weighted_sup_norm(prof, 3.0 / p, grid)

@@ -192,6 +192,15 @@ def scalar_deviation(M: np.ndarray, normalized: bool = True) -> float:
     return dev / tr if tr > 0 else 0.0
 
 
+def _check_scale(coeffs: np.ndarray, factor: float, what: str):
+    """DegenerateInput unless ``factor`` times the largest of ``coeffs`` leaves their
+    L^2 sum over the cube (twice off k_z = 0) a float; an overflow here reads inf."""
+    scale = float(np.max(np.abs(coeffs))) * factor
+    if not scale < np.sqrt(np.finfo(np.float64).max / (2 * coeffs.size)):
+        raise DegenerateInput(f"{what} has scale {scale:.3g} (its largest coefficient), "
+                              "too large for its L^2 norm to be a float")
+
+
 def make_force(spec: ForceSpec, grid: Grid, alpha: float) -> SpectralVectorField:
     """Build, project and normalize a force, held on the grid's dealias cube,
     so that the weak-Lorentz size of its lift equals ``spec.amplitude``.
@@ -216,11 +225,7 @@ def make_force(spec: ForceSpec, grid: Grid, alpha: float) -> SpectralVectorField
     attempts = 5 if anisotropic else 1
     for attempt in range(attempts):
         raw = _raw_annulus(spec, cube, spec.seed + attempt, alpha)
-        # the L^2 norms sum |f|^2 over the cube, twice off the k_z = 0 plane
-        scale = float(np.max(np.abs(raw.data)))
-        if not scale < np.sqrt(np.finfo(np.float64).max / (2 * raw.data.size)):
-            raise DegenerateInput(f"the annulus force's scale {scale:.3g} (its largest "
-                                  "coefficient) is too large for its L^2 norm to be a float")
+        _check_scale(raw.data, 1.0, "the annulus force")
         f = raw
         if spec.symmetrize:
             samples = to_real(raw).data
@@ -241,8 +246,9 @@ def make_force(spec: ForceSpec, grid: Grid, alpha: float) -> SpectralVectorField
         # the normalized deviation is scale-invariant: the unscaled lift decides
         if anisotropic and scalar_deviation(moment_matrix(u0)) < 0.05:
             continue
-        norm = weak_lorentz_norm(u0, alpha)
-        return SpectralVectorField(cube, f.data * (spec.amplitude / norm))
+        factor = spec.amplitude / weak_lorentz_norm(u0, alpha)
+        _check_scale(f.data, factor, f"the annulus force scaled to amplitude {spec.amplitude}")
+        return SpectralVectorField(cube, f.data * factor)
     raise ScalarMomentMatrix(
         "could not realize a usably non-scalar lifted moment matrix "
         f"from seed {spec.seed} in {attempts} attempts"

@@ -8,11 +8,11 @@ with B the lifted advection map from :mod:`fracns.spectral`.  The force is
 held on the box of modes the 2/3 rule keeps (``spectral._Cube``), and so are
 u_0, every iterate and the solution: the map, the step and both norms run on
 the force's cube, and the residual, the pressure and the rescaled pair of
-the scaling check are formed there too.  Each function here takes fields
-held on a cube and nothing else.  Smallness is never hard-coded:
-``contraction_metrics`` measures the contraction product 4 * delta * C_B of a
-solution (delta = weak-Lorentz size of the lifted force, C_B the empirical
-bilinear constant) for the runs that report it.
+the scaling check are formed there too.  Each function here takes spectral
+fields held on a cube, and ``weak_lorentz_norm`` real samples.  Smallness is
+never hard-coded: ``contraction_metrics`` measures the contraction product
+4 * delta * C_B of a solution (delta = weak-Lorentz size of the lifted force,
+C_B the empirical bilinear constant) for the runs that report it.
 """
 
 from __future__ import annotations
@@ -83,13 +83,10 @@ class SteadySolution:
         return to_real(self.velocity)
 
 
-def weak_lorentz_norm(u, alpha: float) -> float:
-    """Discrete L^{3/(alpha-1), inf} estimator of |u| (the scale-invariant size),
-    for a spectral field u or its real samples."""
-    p = 3.0 / (alpha - 1.0)
-    if isinstance(u, SpectralVectorField):
-        u = to_real(u)
-    return lorentz_quasinorm(u, p, np.inf, u.grid.cell_volume)
+def weak_lorentz_norm(u: RealVectorField, alpha: float) -> float:
+    """Discrete L^{3/(alpha-1), inf} estimator of |u| (the scale-invariant size)
+    from the real samples ``u``."""
+    return lorentz_quasinorm(u, 3.0 / (alpha - 1.0), np.inf, u.grid.cell_volume)
 
 
 def lift_force(f: SpectralVectorField, alpha: float) -> SpectralVectorField:
@@ -155,8 +152,8 @@ def contraction_metrics(solution: SteadySolution, f: SpectralVectorField, alpha:
     # B(u, u) = -(-Lap)^(-alpha/2) adv, whose sign the norm ignores
     b = fractional_power(adv, -alpha)
     del adv  # not held while the norms take their samples
-    b_lorentz = weak_lorentz_norm(b, alpha)
-    delta = weak_lorentz_norm(solution.lift, alpha)
+    b_lorentz = weak_lorentz_norm(to_real(b), alpha)
+    delta = weak_lorentz_norm(to_real(solution.lift), alpha)
     u_lorentz = weak_lorentz_norm(solution.samples, alpha)
     c_b = b_lorentz / u_lorentz**2 if u_lorentz > 0 else 0.0
     return {

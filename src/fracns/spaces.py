@@ -8,7 +8,6 @@ table, and weighted/local norms use the minimum-image distance.  They are
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,13 +17,10 @@ from .spectral import Grid, RealVectorField, scalar_to_real, scalar_to_spectral
 
 
 def _samples(field) -> np.ndarray:
-    """Flatten a field (vector, scalar array) to pointwise magnitudes."""
+    """Flatten a field (a RealVectorField or a scalar array) to pointwise magnitudes."""
     if isinstance(field, RealVectorField):
         return field.magnitude().ravel()
-    arr = np.asarray(field)
-    if arr.ndim == 4 and arr.shape[0] == 3:
-        return np.sqrt(np.sum(arr**2, axis=0)).ravel()
-    return np.abs(arr).ravel()
+    return np.abs(np.asarray(field)).ravel()
 
 
 def distribution_function(field, lam: float, cell_volume: float) -> float:
@@ -72,7 +68,7 @@ def lorentz_quasinorm(field, p: float, q: float, cell_volume: float) -> float:
         raise InvalidExponents(f"need p >= 1, got {p}")
     if q < 1:
         raise InvalidExponents(f"need q >= 1 (or inf), got {q}")
-    vals = np.sort(_samples(field))[::-1]
+    vals = rearrangement(field, cell_volume).values
     nz = np.count_nonzero(vals)
     if nz == 0:
         return 0.0
@@ -107,25 +103,18 @@ def weighted_sup_norm(field, theta: float, grid: Grid) -> float:
     return float(np.max(r[keep] ** theta * vals[keep]))
 
 
-def morrey_norm(field, p: float, radii, centers, grid: Grid) -> float:
-    """max over (center, R) of R^{3/p} (mean of |f|^2 over the ball)^{1/2}."""
+def morrey_norm(field, p: float, R: float, grid: Grid) -> float:
+    """R^{3/p} (mean of |f|^2 over the ball of radius R about the box center)^{1/2}."""
     if p <= 2:
         raise InvalidExponents(f"Morrey exponent must satisfy p > 2, got {p}")
-    vals = _samples(field).reshape(grid.n, grid.n, grid.n)
-    best = 0.0
-    for c in centers:
-        r = grid.radius_from(np.asarray(c, dtype=np.float64))
-        for R in radii:
-            if R > grid.box_length / 4 * (1 + 1e-12):
-                raise ValueError(f"radius {R} exceeds box_length/4")
-            ball = r <= R
-            count = int(np.count_nonzero(ball))
-            if count == 0:
-                warnings.warn(f"ball of radius {R} contains no grid cell; skipped")
-                continue
-            mean = np.sum(vals[ball] ** 2) / count
-            best = max(best, R ** (3.0 / p) * mean ** (1.0 / 2))
-    return float(best)
+    if R > grid.box_length / 4 * (1 + 1e-12):
+        raise ValueError(f"radius {R} exceeds box_length/4")
+    ball = grid.radius_from(grid.center) <= R
+    count = int(np.count_nonzero(ball))
+    if count == 0:
+        raise ValueError(f"the ball of radius {R} contains no grid cell")
+    mean = np.sum(_samples(field).reshape(ball.shape)[ball] ** 2) / count
+    return float(R ** (3.0 / p) * mean ** (1.0 / 2))
 
 
 def young_check(f, g, grid: Grid, p, p1, p2, q, q1, q2) -> float:

@@ -9,6 +9,8 @@ forces are mean-free, so the convention is exact for every pipeline that
 matters.  A run's spectral fields are held on one lattice, the box of rfftn
 half-lattice modes the 2/3 rule keeps (``_Cube``), which stands in for its
 Grid: the force, its lift, every Picard iterate and the solution are 0 off it.
+The cube, built from the Grid's axes, is where the 2/3-rule mask is defined,
+and ``min_image`` is the one minimum-image rule (``Grid.offsets``).
 They are transformed through a pruned pair that touches the cube alone, and
 the quadratic map (``apply_bilinear``), ``projected_advection``, ``to_real``
 and ``l2_norm`` take a field held on a cube and nothing else.  The multipliers
@@ -69,6 +71,12 @@ def check_grid(n, box_length):
                           "(box_length/n)^3 outside the normal float range")
 
 
+def min_image(d, L: float) -> np.ndarray:
+    """The signed minimum image of offsets ``d`` in [-L, L] on a period ``L``: d
+    moved by one period where |d| > L/2, into [-L/2, L/2]."""
+    return np.where(d > L / 2, d - L, np.where(d < -L / 2, d + L, d))
+
+
 @dataclass(frozen=True)
 class Grid:
     """
@@ -113,16 +121,11 @@ class Grid:
         object.__setattr__(self, "k2", k2)
         object.__setattr__(self, "kmag", np.sqrt(k2))
 
-        # 2/3-rule spherical truncation radius and mask.
-        xi_max = np.pi * n / L
-        object.__setattr__(self, "dealias_radius", (2.0 / 3.0) * xi_max)
-        object.__setattr__(
-            self, "dealias_mask", self.kmag <= self.dealias_radius * (1.0 + 1e-12)
-        )
+        # the 2/3-rule truncation radius; the dealias cube (``_Cube``) keeps the modes inside
+        object.__setattr__(self, "dealias_radius", (2.0 / 3.0) * (np.pi * n / L))
 
-        # on_nyquist[c] is True on axis c's Nyquist row; nyquist_free where no axis is.
+        # True where no axis is on its Nyquist row k = -n/2
         nyq = [k == -(n // 2) for k in rows]
-        object.__setattr__(self, "on_nyquist", nyq)
         object.__setattr__(self, "nyquist_free", ~nyq[0] & ~nyq[1] & ~nyq[2])
 
     def power(self, beta: float) -> np.ndarray:
@@ -141,17 +144,14 @@ class Grid:
         xi = self.xi
         return np.exp(-1j * (xi[0] * origin[0] + xi[1] * origin[1] + xi[2] * origin[2]))
 
+    def offsets(self, origin):
+        """The signed minimum-image offsets x - origin, one (n,) array per axis."""
+        return [min_image(self.x_axis - o, self.box_length) for o in origin]
+
     def radius_from(self, origin):
         """Minimum-image distance of every grid point from ``origin``."""
-        L = self.box_length
-        d = []
-        for axis, o in enumerate(origin):
-            dx = np.abs(self.x_axis - o)
-            dx = np.minimum(dx, L - dx)
-            shape = [1, 1, 1]
-            shape[axis] = self.n
-            d.append(dx.reshape(shape))
-        return np.sqrt(d[0] ** 2 + d[1] ** 2 + d[2] ** 2)
+        d0, d1, d2 = self.offsets(origin)
+        return np.sqrt(d0[:, None, None] ** 2 + d1[:, None] ** 2 + d2**2)
 
     @property
     def center(self):
@@ -195,8 +195,8 @@ class SpectralVectorField:
             raise ValueError(f"bad field shape {self.data.shape}")
 
 
-def zero_spectral(grid: Grid) -> SpectralVectorField:
-    return SpectralVectorField(grid, np.zeros((3,) + grid.spectral_shape, dtype=np.complex128))
+def zero_spectral(lattice: Grid | _Cube) -> SpectralVectorField:
+    return SpectralVectorField(lattice, np.zeros((3,) + lattice.spectral_shape, dtype=complex))
 
 
 def _irfftn(coeffs: np.ndarray, **kwargs) -> np.ndarray:
@@ -253,33 +253,33 @@ def octant_to_real(m: np.ndarray, parity) -> np.ndarray:
 
 class _Cube:
     """The box of half-lattice modes the quadratic map keeps: the rows and
-    planes of ``grid`` that hold a mode of the 2/3-rule mask, |k_x|, |k_y| <= m
-    and 0 <= k_z <= m, m the largest kept |k| on an axis.  As m <= n/3 < n/2,
-    the box holds no Nyquist row or plane.  The cube stands in for its Grid as
-    the lattice of the fields held on it: ``xi`` and ``kmag`` are the Grid's,
-    gathered, ``n``, ``box_length``, ``spacing`` and ``cell_volume`` are the
-    Grid's, and ``power``, ``shift_phase`` and ``center`` are Grid methods, so
-    the one zero-mode rule applies (the cube's first mode is k = 0).  A cube is
-    built once per force: it forms the Leray factor 1/|xi|^2 when built and the
-    lift of each order alpha when first asked for it."""
+    planes of ``grid`` whose axis frequency lies in the 2/3-rule sphere, |k_x|,
+    |k_y| <= m and 0 <= k_z <= m, m the largest kept |k| on an axis (m <= n/3, so
+    no Nyquist row or plane).  Dealiasing is defined here: ``dealias_mask`` is
+    |xi| <= ``dealias_radius`` on the box.  The cube stands in for its Grid as the
+    lattice of the fields held on it: ``xi`` is the Grid's, gathered, ``kmag`` is
+    |xi| on the box, ``n``, ``box_length``, ``spacing`` and ``cell_volume`` are the
+    Grid's, and ``power``, ``shift_phase`` and ``center`` are Grid methods, so the
+    one zero-mode rule applies (the cube's first mode is k = 0).  A cube is built
+    once per force: it forms the Leray factor 1/|xi|^2 when built and the lift of
+    each order alpha when first asked for it."""
 
     def __init__(self, grid: Grid):
-        keep = grid.dealias_mask
-        n, k = grid.n, grid.k_int[keep.any(axis=(1, 2))]  # the mask is symmetric in x, y
+        n, r = grid.n, grid.dealias_radius * (1.0 + 1e-12)
+        # the kept axis frequencies: |xi| <= r at k_y = k_z = 0, as the mask below reads it
+        k = grid.k_int[np.sqrt(grid.xi[0].ravel() ** 2) <= r]
         lo, hi = int(np.sum(k >= 0)), int(np.sum(k < 0))
         self.grid = grid
         self.n, self.box_length = n, grid.box_length
         self.spacing, self.cell_volume = grid.spacing, grid.cell_volume
         # the grid rows of the kept k = 0, 1, .. and .., -1, in the cube's order
         self.rows = rows = np.r_[0:lo, n - hi : n]
-        self.planes = int(np.flatnonzero(keep.any(axis=(0, 1)))[-1]) + 1
-        self.spectral_shape = (lo + hi, lo + hi, self.planes)
-        # the cube's modes in a half-lattice array (..., n, n, n/2+1)
-        self._modes = (..., rows[:, None], rows, slice(0, self.planes))
+        self.planes, self.spectral_shape = lo, (lo + hi, lo + hi, lo)
         xi = grid.xi
-        self.xi = [xi[0][rows], xi[1][:, rows], xi[2][..., : self.planes]]
-        self.kmag = self.gather(grid.kmag)
-        self.dealias_mask = self.gather(keep)
+        self.xi = xi = [xi[0][rows], xi[1][:, rows], xi[2][..., :lo]]
+        self.kmag = kmag = xi[0] ** 2 + xi[1] ** 2 + xi[2] ** 2
+        np.sqrt(kmag, out=kmag)  # in place: a freed cube-sized temporary raised decay's peak RSS
+        self.dealias_mask = kmag <= r
         self.leray_factor = self.power(-2.0)
         self._lifts = {}
 
@@ -292,10 +292,6 @@ class _Cube:
         if alpha not in self._lifts:
             self._lifts[alpha] = -self.power(-alpha)
         return self._lifts[alpha]
-
-    def gather(self, a: np.ndarray) -> np.ndarray:
-        """The cube's part of a half-lattice array (n, n, n/2+1) or (..., n, n, n/2+1)."""
-        return a[self._modes]
 
     def lattice_sum(self, a: np.ndarray, b: np.ndarray) -> float:
         """Re sum over the full lattice of conj(a) b for a, b on the cube: the cube
@@ -417,7 +413,7 @@ def kernel_tensor(grid: Grid, m: np.ndarray):
     ``build_kernel`` reads it: its damped symbol is not 0 on the Nyquist rows,
     where the Hermitian part keeps what an octant DST-I would drop.
     """
-    xi, nyq = grid.xi, grid.on_nyquist
+    xi, nyq = grid.xi, [x == x.min() for x in grid.xi]  # nyq[c]: axis c's Nyquist row
     m_k2 = m * grid.power(-2.0)
     for a, b, c in CUBIC_MONOMIALS:
         sym = 1j * xi[a] * xi[b] * (xi[c] * m_k2)

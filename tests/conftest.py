@@ -35,15 +35,34 @@ def random_real_field(grid, seed=0, smooth=False):
     return RealVectorField(grid, data)
 
 
+def dealias_mask(grid):
+    """The 2/3-rule mask on a Grid's half lattice (n, n, n/2+1): |xi| within the
+    dealias radius, up to a relative 1e-12."""
+    return grid.kmag <= grid.dealias_radius * (1.0 + 1e-12)
+
+
+def on_nyquist(grid):
+    """One boolean array per axis, broadcast over a Grid's half lattice: True on
+    that axis's Nyquist row k = -n/2."""
+    n, k = grid.n, grid.k_int
+    rows = [k.reshape(n, 1, 1), k.reshape(1, n, 1), k[: n // 2 + 1].reshape(1, 1, n // 2 + 1)]
+    return [r == -(n // 2) for r in rows]
+
+
 def to_spectral(u):
     """The half-lattice coefficients of real samples ``u``, as ``rfftn`` takes them."""
     return SpectralVectorField(u.grid, sfft.rfftn(u.data, axes=(1, 2, 3)))
 
 
+def gather(a, cube):
+    """The part on ``cube`` of a half-lattice array (..., n, n, n/2+1)."""
+    return a[..., cube.rows[:, None], cube.rows, : cube.planes]
+
+
 def on_cube(v):
     """The part of a half-lattice field on its grid's dealias cube, held there."""
     cube = _Cube(v.grid)
-    return SpectralVectorField(cube, cube.gather(v.data))
+    return SpectralVectorField(cube, gather(v.data, cube))
 
 
 def zero_filled(a, cube):

@@ -319,7 +319,7 @@ def test_criterion_9_norm_machinery():
     r = grid.radius_from(grid.center)
     prof = np.maximum(r, grid.spacing) ** (-3.0 / p)
     vals = [
-        spaces.morrey_norm(prof, p, [R], [grid.center], grid)
+        spaces.morrey_norm(prof, p, R, grid)
         for R in (grid.box_length / 16, grid.box_length / 8, grid.box_length / 4)
     ]
     morrey_ok = max(vals) / min(vals) < 2.0

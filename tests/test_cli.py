@@ -224,6 +224,21 @@ class TestMainEntry:
         assert payload["error"].startswith("DegenerateInput") and "scale" in payload["error"]
         assert payload["metrics"] == {}
 
+    @pytest.mark.parametrize("box", [1e-100, 1e-90])
+    def test_force_scaled_too_large_for_its_norm_rejected_without_warning(self, tmp_path, box):
+        # the raw force passes its scale check, but scaling it to the amplitude
+        # multiplies it by ~1e53; unchecked, the solve ends on a non-finite residual
+        force = {"r0": 0.6 * 2 * np.pi / box, "r1": 3.0 * 2 * np.pi / box}
+        cfg = {"n": 16, "box_length": box, "force": force, "output_dir": str(tmp_path)}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["solve", "--config", str(path)]) == EXIT_VALIDATION
+        payload = json.loads((tmp_path / "report.json").read_text())
+        assert payload["error"].startswith("DegenerateInput") and "amplitude" in payload["error"]
+        assert payload["metrics"] == {}
+
     def test_non_finite_metric_error_report(self, tmp_path):
         # at t = 1000 the kernel mass is 0, so K_scaled_variation is inf
         cfg = {"kernel_n": 16, "kernel_box": [16, 4.0], "kernel_times": [0.1, 1000.0],

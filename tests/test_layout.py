@@ -24,6 +24,9 @@ and sorts run errors into exit codes in one ``except`` branch.  Every public
 module-level name is read by a run or by the acceptance criteria, not by a
 unit test alone, but for one named exception.  No function branches on the
 lattice a field is held on, a Grid's half lattice or a dealias cube.
+Dealiasing is defined in ``spectral._Cube`` and the minimum image in
+``spectral.min_image``: a Grid holds no dealias mask or Nyquist rows, and no
+other line writes the minimum image out.
 """
 
 import ast
@@ -118,6 +121,8 @@ RETIRED = {
     "_residual_terms": ("params",),
     "residual": ("params",),
     "evolve_mild": ("params", "store_every"),
+    # the Morrey norm is measured about the box center, one radius per call
+    "morrey_norm": ("centers", "radii"),
 }
 
 
@@ -196,6 +201,28 @@ def test_one_lattice_for_the_solver_stack():
     assert not hasattr(spectral, "to_spectral") and "to_spectral" not in fracns.__all__
     assert [name for name in ("restrict", "scatter") if hasattr(spectral._Cube, name)] == []
     assert not hasattr(spectral.Grid, "lattice_sum")
+
+
+def test_dealias_mask_lives_in_the_cube():
+    g = spectral.Grid(8, 1.0)
+    assert [name for name in ("dealias_mask", "on_nyquist") if hasattr(g, name)] == []
+    assert spectral._Cube(g).dealias_mask.any()
+
+
+@pytest.mark.parametrize(
+    "pattern",
+    [
+        r"np\.minimum\(\s*(\w+)\s*,\s*[\w.]+\s*-\s*\1\b",  # np.minimum(dx, L - dx)
+        r"%\s*[\w.]*\b(L|box_length)\b",  # (x + L/2) % L - L/2
+        r"[<>]=?\s*-?\s*[\w.]*\b(L|box_length)\s*/\s*2\b",  # np.where(x > L / 2, x - L, x)
+    ],
+    ids=["minimum", "modulo", "where"],
+)
+def test_minimum_image_written_once(pattern):
+    lines = _spectral_def_lines("min_image")
+    outside = [(name, lineno) for name, lineno in _hits(pattern)
+               if not (name == "spectral.py" and lineno in lines)]
+    assert outside == [], outside
 
 
 def test_transforms_taken_in_spectral_only():

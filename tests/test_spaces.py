@@ -165,7 +165,7 @@ class TestWeightedSup:
 class TestMorrey:
     def test_zero_field(self, grid32):
         f = np.zeros((32, 32, 32))
-        assert morrey_norm(f, 4.0, [1.0, 2.0], [grid32.center], grid32) == 0.0
+        assert [morrey_norm(f, 4.0, R, grid32) for R in (1.0, 2.0)] == [0.0, 0.0]
 
     def test_scale_invariant_profile(self, grid32):
         g = grid32
@@ -173,7 +173,7 @@ class TestMorrey:
         r = g.radius_from(g.center)
         f = np.maximum(r, g.spacing) ** (-3.0 / p)
         vals = [
-            morrey_norm(f, p, [R], [g.center], g)
+            morrey_norm(f, p, R, g)
             for R in (g.box_length / 16, g.box_length / 8, g.box_length / 4)
         ]
         assert max(vals) / min(vals) < 2.0
@@ -183,8 +183,17 @@ class TestMorrey:
         c = 1.7
         f = np.full((32, 32, 32), c)
         radii = [1.0, 2.0, g.box_length / 4]
-        got = morrey_norm(f, 3.0, radii, [g.center], g)
+        got = max(morrey_norm(f, 3.0, R, g) for R in radii)
         assert got == pytest.approx(c * (g.box_length / 4) ** (3.0 / 3.0), rel=1e-12)
+
+    def test_empty_ball_rejected(self, grid32):
+        # the center cell lies in every ball of radius >= 0
+        with pytest.raises(ValueError, match="no grid cell"):
+            morrey_norm(np.ones((32, 32, 32)), 4.0, -1.0, grid32)
+
+    def test_radius_above_a_quarter_box_rejected(self, grid32):
+        with pytest.raises(ValueError, match="box_length/4"):
+            morrey_norm(np.ones((32, 32, 32)), 4.0, 4.5, grid32)
 
 
 class TestYoung:

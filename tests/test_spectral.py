@@ -9,11 +9,14 @@ from hypothesis import strategies as st
 
 from conftest import (
     bilinear_on_lattice,
+    dealias_mask,
+    gather,
     half_lattice_l2,
     half_lattice_sum,
     l2_inner,
     on_cube,
     on_half_lattice,
+    on_nyquist,
     random_divfree_spectral,
     random_real_field,
     realness_defect,
@@ -121,7 +124,8 @@ class TestHalfLattice:
         power[0, 0, 0] = 0.0
         assert np.array_equal(g.power(beta), power[half])
         dealias = kmag <= (2.0 / 3.0) * (np.pi * n / g.box_length) * (1.0 + 1e-12)
-        assert np.array_equal(g.dealias_mask, dealias[half])
+        cube = spectral._Cube(g)  # the mask lives on the cube, 0 off it
+        assert np.array_equal(zero_filled(cube.dealias_mask, cube), dealias[half])
         k_int = np.stack(np.meshgrid(*(g.k_int,) * 3, indexing="ij"))
         nyquist = np.any(k_int == -n // 2, axis=0)
         assert np.array_equal(np.broadcast_to(g.nyquist_free, g.spectral_shape), ~nyquist[half])
@@ -148,9 +152,9 @@ class TestHalfLattice:
         g = Grid(n, box)
         cube = spectral._Cube(g)
         inside = zero_filled(np.ones(cube.spectral_shape, dtype=bool), cube)
-        assert not np.any(g.dealias_mask & ~inside)
-        kept = cube.gather(g.dealias_mask)
-        k_rows = cube.gather(np.broadcast_to(g.k_int[:, None, None], g.spectral_shape))[:, 0, 0]
+        assert not np.any(dealias_mask(g) & ~inside)
+        kept = gather(dealias_mask(g), cube)
+        k_rows = gather(np.broadcast_to(g.k_int[:, None, None], g.spectral_shape), cube)[:, 0, 0]
         ks = [k_rows, k_rows, g.k_int[: cube.planes]]
         for axis, k in enumerate(ks):
             for face in (np.argmin(k), np.argmax(k)):
@@ -162,14 +166,40 @@ class TestHalfLattice:
         # the kept |k| stay below n/3 < n/2, so the quadratic map on the cube
         # needs no Nyquist zeroing
         g = Grid(n, box)
-        assert spectral._Cube(g).gather(g.nyquist_free).all()
+        assert gather(g.nyquist_free, spectral._Cube(g)).all()
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(4, 32).map(lambda m: 2 * m),
+           box=st.one_of(BOXES, st.floats(1e-80, 1e80)),
+           where=st.tuples(*(st.floats(0.0, 1.0, exclude_max=True),) * 3))
+    def test_axis_built_cube_and_radius_match_their_mask_and_minimum_forms(self, n, box, where):
+        # the cube built from the axes against the cube gathered from the half-lattice
+        # mask, and radius_from against np.minimum(dx, L - dx): equal bit for bit
+        g = Grid(n, box)
+        keep = dealias_mask(g)
+        k = g.k_int[keep.any(axis=(1, 2))]
+        lo, hi = int(np.sum(k >= 0)), int(np.sum(k < 0))
+        rows = np.r_[0:lo, n - hi : n]
+        planes = int(np.flatnonzero(keep.any(axis=(0, 1)))[-1]) + 1
+        modes = (..., rows[:, None], rows, slice(0, planes))
+        cube = spectral._Cube(g)
+        assert np.array_equal(cube.rows, rows) and cube.planes == planes
+        assert np.array_equal(cube.kmag, g.kmag[modes])
+        assert np.array_equal(cube.dealias_mask, keep[modes])
+        L = g.box_length
+        for origin in (g.center, L * np.asarray(where)):
+            d = []
+            for axis, o in enumerate(origin):
+                dx = np.abs(g.x_axis - o)
+                d.append(np.minimum(dx, L - dx).reshape([n if c == axis else 1 for c in range(3)]))
+            assert np.array_equal(g.radius_from(origin), np.sqrt(d[0] ** 2 + d[1] ** 2 + d[2] ** 2))
 
     @settings(max_examples=20, deadline=None)
     @given(n=st.one_of(HALF_SIZES, st.just(128)), box=BOXES, beta=EXPONENTS)
     def test_cube_power_is_the_grid_power_gathered(self, n, box, beta):
         g = Grid(n, box)
         cube = spectral._Cube(g)
-        assert np.array_equal(cube.power(beta), cube.gather(g.power(beta)))
+        assert np.array_equal(cube.power(beta), gather(g.power(beta), cube))
 
 
 class TestCubeLattice:
@@ -184,9 +214,9 @@ class TestCubeLattice:
         v.data[:, 0, 0, 0] = 0.0
         held = on_cube(v)
         cube = held.grid
-        assert np.array_equal(leray_project(held).data, cube.gather(leray_project(v).data))
+        assert np.array_equal(leray_project(held).data, gather(leray_project(v).data, cube))
         for beta in (-alpha, alpha):
-            want = cube.gather(fractional_power(v, beta).data)
+            want = gather(fractional_power(v, beta).data, cube)
             assert np.array_equal(fractional_power(held, beta).data, want)
         # the norm and the samples against those of the field zero-filled to the half lattice
         filled = on_half_lattice(held)
@@ -217,7 +247,7 @@ class TestTransforms:
         g = Grid(n, 1.0)
         cube = spectral._Cube(g)
         x = np.random.default_rng(seed).standard_normal((3, n, n, n))
-        want = cube.gather(sfft.rfftn(x, axes=(1, 2, 3)))
+        want = gather(sfft.rfftn(x, axes=(1, 2, 3)), cube)
         assert np.array_equal(spectral._real_to_cube(x, cube), want)
 
     @settings(max_examples=20, deadline=None)
@@ -396,7 +426,7 @@ class TestKernelTensor:
         m = inverse_power(g, alpha)
         trace = np.einsum("llk...->k...", symmetric_parts(g, m))
         for k in range(3):
-            sym = 1j * g.xi[k] * m * ~g.on_nyquist[k]
+            sym = 1j * g.xi[k] * m * ~on_nyquist(g)[k]
             sym[0, 0, 0] = 0.0
             want = sfft.irfftn(sym, s=(n, n, n)) / g.cell_volume
             assert np.max(np.abs(trace[k] - want)) <= 1e-12 * np.max(np.abs(want))
@@ -508,7 +538,7 @@ class TestApplyBilinear:
         g = grid32
         alpha, lam = 1.7, 2
         u = random_divfree_spectral(g, seed=15)
-        u.data *= g.dealias_mask
+        u.data *= dealias_mask(g)
         b1 = bilinear_on_lattice(u, alpha)
 
         g2 = Grid(g.n, g.box_length / lam)
