@@ -14,6 +14,7 @@ they and the fit are symmetric in (i, j) and trace-free in (j, k) to round-off.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.optimize
@@ -76,16 +77,36 @@ class HomogeneousKernel:
     ``coeffs`` holds the fitted cubic-polynomial angular structure, so
     evaluation is m(x) = |x|^(alpha-4) * poly(x/|x|); homogeneity is exact
     by construction.  ``bound_constant`` is the sphere maximum of the
-    Frobenius norm, so |m(x)| <= c |x|^(alpha-4) everywhere.
+    Frobenius norm, so |m(x)| <= c |x|^(alpha-4) everywhere; its search is
+    run on first read, which only the ``kernel`` and ``profile`` reports make.
     """
 
     alpha: float
     coeffs: np.ndarray  # (3, 3, 3, 10)
-    bound_constant: float
 
     @property
     def degree(self) -> float:
         return self.alpha - 4.0
+
+    @cached_property
+    def bound_constant(self) -> float:
+        """Global maximum of the Frobenius norm over the unit sphere: the largest
+        of 20000 Fibonacci points, refined by Nelder-Mead from the best 8."""
+
+        def frob(dirs):
+            return np.sqrt(np.sum(self.evaluate_directions(dirs) ** 2, axis=(1, 2, 3)))
+
+        def frob_at(v):  # at the direction of v
+            return float(frob((v / np.linalg.norm(v)).reshape(1, 3))[0])
+
+        cand = fibonacci_sphere(20000)
+        fc = frob(cand)
+        best_val = fc.max()
+        for i in np.argsort(fc)[::-1][:8]:
+            res = scipy.optimize.minimize(lambda v: -frob_at(v), cand[i], method="Nelder-Mead",
+                                          options={"xatol": 1e-14, "fatol": 1e-15, "maxiter": 2000})
+            best_val = max(best_val, frob_at(res.x))
+        return best_val
 
     def evaluate_directions(self, dirs: np.ndarray) -> np.ndarray:
         """Tensor values at unit vectors; shape (n, 3, 3, 3)."""
@@ -160,29 +181,6 @@ class HomogeneousKernel:
         return out
 
 
-def _sphere_max(coeffs: np.ndarray) -> float:
-    """Global maximum of the Frobenius norm over the unit sphere."""
-
-    def frob(dirs):
-        return np.sqrt(np.sum(_angular_values(coeffs, dirs) ** 2, axis=(1, 2, 3)))
-
-    cand = fibonacci_sphere(20000)
-    fc = frob(cand)
-    order = np.argsort(fc)[::-1][:8]
-    best_val = fc[order[0]]
-    for i in order:
-        res = scipy.optimize.minimize(
-            lambda v: -float(frob((v / np.linalg.norm(v)).reshape(1, 3))[0]),
-            cand[i],
-            method="Nelder-Mead",
-            options={"xatol": 1e-14, "fatol": 1e-15, "maxiter": 2000},
-        )
-        v = res.x / np.linalg.norm(res.x)
-        val = float(frob(v.reshape(1, 3))[0])
-        best_val = max(best_val, val)
-    return best_val
-
-
 def build_kernel(alpha: float, refinement_grid_n: int = 128) -> HomogeneousKernel:
     """Synthesize the real-space kernel from its symbol on a refined grid.
 
@@ -225,7 +223,7 @@ def build_kernel(alpha: float, refinement_grid_n: int = 128) -> HomogeneousKerne
 
     sol, *_ = np.linalg.lstsq(design, samples.reshape(27, -1).T, rcond=None)
     coeffs = sol[:10].T.reshape(3, 3, 3, 10)
-    return HomogeneousKernel(alpha, coeffs, _sphere_max(coeffs))
+    return HomogeneousKernel(alpha, coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -86,28 +86,15 @@ def rotate_real_field(data: np.ndarray, R: np.ndarray) -> np.ndarray:
     the lattice origin.
 
     R must be a signed permutation matrix; the lattice is then mapped onto
-    itself and the rotation is exact.
+    itself and the rotation is exact.  Source axis j is read backwards
+    (index k -> -k mod n) where column j's entry is -1, result axis i reads
+    the source axis of row i's entry, and R mixes the components.
     """
-    n = data.shape[-1]
-    rotated = np.empty_like(data)
-    # source index along array axis j is a signed-permutation image of the
-    # target index along axis i_j, where R[i_j, j] = s_j
-    idx = []
     for j in range(3):
-        i_j = int(np.nonzero(R[:, j])[0][0])
-        s_j = int(R[i_j, j])
-        m = (s_j * np.arange(n)) % n
-        shape = [1, 1, 1]
-        shape[i_j] = n
-        idx.append(m.reshape(shape))
-    for comp in range(3):
-        rotated[comp] = data[comp][idx[0], idx[1], idx[2]]
-    out = np.zeros_like(data)
-    for i in range(3):
-        for l in range(3):
-            if R[i, l] != 0:
-                out[i] += R[i, l] * rotated[l]
-    return out
+        if R[:, j].sum() < 0:
+            data = np.roll(np.flip(data, j + 1), 1, j + 1)
+    cols = np.nonzero(R)[1]  # row i's entry is in column cols[i]
+    return np.tensordot(R, np.transpose(data, (0, *(cols + 1))), axes=1)
 
 
 def _odd_polynomial(lattice, rng, anisotropy, scale):
@@ -143,7 +130,8 @@ def _bump_window(r: np.ndarray, r0: float, r1: float) -> np.ndarray:
 
 def _raw_annulus(spec: ForceSpec, lattice, seed: int, alpha: float) -> SpectralVectorField:
     """The annulus window times the seeded odd polynomial, centered in the box,
-    on ``lattice`` (a Grid's half lattice or its dealias cube).
+    on ``lattice``: ``make_force`` passes the dealias cube, so no half-lattice
+    array of the Grid is formed.
 
     The |xi|^alpha weight cancels the lift's |xi|^(-alpha), so the lifted
     field carries the clean compactly supported bump: that is what makes

@@ -185,10 +185,14 @@ def _residual_field(diss, adv, pf) -> np.ndarray:
 
 def residual(u: SpectralVectorField, f: SpectralVectorField, alpha: float, adv=None) -> float:
     """Discrete L^2 norm of (-Lap)^{alpha/2} u + P div(u (x) u) - P f; ``adv``,
-    the projected advection of ``u``, is formed here unless the caller has it."""
+    the projected advection of ``u``, is formed here unless the caller has it.
+    Scaled exactly by a power of two, the field's squares cannot underflow."""
     r = _residual_field(*_residual_terms(u, f, alpha, adv))
     r[:, 0, 0, 0] = 0.0
-    return l2_norm(SpectralVectorField(u.grid, r))
+    parts = r.view(np.float64)  # real and imaginary parts
+    scale = 2.0 ** (int(np.frexp(max(parts.max(), -parts.min()))[1]) - 1)
+    r /= scale
+    return l2_norm(SpectralVectorField(u.grid, r)) * scale
 
 
 def recover_pressure(u: SpectralVectorField, f: SpectralVectorField) -> np.ndarray:

@@ -30,6 +30,7 @@ import itertools
 import numbers
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.fft as sfft
@@ -80,7 +81,7 @@ def min_image(d, L: float) -> np.ndarray:
 @dataclass(frozen=True)
 class Grid:
     """
-    Pre-computed spectral quantities for a periodic cubic box [0, L)^3.
+    Spectral quantities for a periodic cubic box [0, L)^3, the n^3 ones on first read.
 
     Parameters
     ----------
@@ -115,18 +116,26 @@ class Grid:
 
         half = n // 2 + 1  # the last axis ends on the Nyquist plane, kept at -n/2
         rows = [k_int.reshape(n, 1, 1), k_int.reshape(1, n, 1), k_int[:half].reshape(1, 1, half)]
-        xi = [(2.0 * np.pi / L) * k for k in rows]
-        k2 = xi[0] ** 2 + xi[1] ** 2 + xi[2] ** 2
-        object.__setattr__(self, "xi", xi)
-        object.__setattr__(self, "k2", k2)
-        object.__setattr__(self, "kmag", np.sqrt(k2))
+        object.__setattr__(self, "xi", [(2.0 * np.pi / L) * k for k in rows])
+        # one boolean row per axis, broadcast over the half lattice: True on k = -n/2
+        object.__setattr__(self, "nyquist_rows", [k == -(n // 2) for k in rows])
 
         # the 2/3-rule truncation radius; the dealias cube (``_Cube``) keeps the modes inside
         object.__setattr__(self, "dealias_radius", (2.0 / 3.0) * (np.pi * n / L))
 
-        # True where no axis is on its Nyquist row k = -n/2
-        nyq = [k == -(n // 2) for k in rows]
-        object.__setattr__(self, "nyquist_free", ~nyq[0] & ~nyq[1] & ~nyq[2])
+    # the half-lattice arrays, formed on first read: a run's fields live on its cube
+    @cached_property
+    def k2(self) -> np.ndarray:
+        return self.xi[0] ** 2 + self.xi[1] ** 2 + self.xi[2] ** 2
+
+    @cached_property
+    def kmag(self) -> np.ndarray:
+        return np.sqrt(self.k2)
+
+    @cached_property
+    def nyquist_free(self) -> np.ndarray:  # True where no axis is on its Nyquist row
+        nyq = self.nyquist_rows
+        return ~(nyq[0] | nyq[1] | nyq[2])
 
     def power(self, beta: float) -> np.ndarray:
         """The symbol |xi|^beta, 0 at the zero mode for every beta.
@@ -407,13 +416,13 @@ def kernel_tensor(grid: Grid, m: np.ndarray):
     d_k p for p = ifftn(m): ten inverse transforms in all.  Each goes through
     irfftn, so each is taken of its Hermitian part, which is what the
     ``.real`` above keeps: the monomial times (1 + prod_c sigma_c^d_c)/2, d_c
-    its degree in xi_c and sigma_c = -1 on axis c's Nyquist row (where -xi_c
-    is xi_c) and +1 elsewhere.  Every C_llk is zeroed on axis k's Nyquist row
+    its degree in xi_c and sigma_c = -1 on axis c's Nyquist row
+    (``grid.nyquist_rows``, where -xi_c is xi_c) and +1 elsewhere.  Every C_llk is zeroed on axis k's Nyquist row
     alone, so the identity holds on the lattice.  One C is held at a time.
     ``build_kernel`` reads it: its damped symbol is not 0 on the Nyquist rows,
     where the Hermitian part keeps what an octant DST-I would drop.
     """
-    xi, nyq = grid.xi, [x == x.min() for x in grid.xi]  # nyq[c]: axis c's Nyquist row
+    xi, nyq = grid.xi, grid.nyquist_rows
     m_k2 = m * grid.power(-2.0)
     for a, b, c in CUBIC_MONOMIALS:
         sym = 1j * xi[a] * xi[b] * (xi[c] * m_k2)

@@ -160,3 +160,33 @@ def symmetric_parts(grid, m):
         for i, j, k in entries:
             C[i, j, k] = part
     return C
+
+
+def rotate_by_indices(data: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """Samples of the rotated vector field x -> R v(R^{-1} x), rotated about
+    the lattice origin, by modular index arithmetic: the reference for
+    ``forces.rotate_real_field``.
+
+    R must be a signed permutation matrix; the lattice is then mapped onto
+    itself and the rotation is exact.
+    """
+    n = data.shape[-1]
+    rotated = np.empty_like(data)
+    # source index along array axis j is a signed-permutation image of the
+    # target index along axis i_j, where R[i_j, j] = s_j
+    idx = []
+    for j in range(3):
+        i_j = int(np.nonzero(R[:, j])[0][0])
+        s_j = int(R[i_j, j])
+        m = (s_j * np.arange(n)) % n
+        shape = [1, 1, 1]
+        shape[i_j] = n
+        idx.append(m.reshape(shape))
+    for comp in range(3):
+        rotated[comp] = data[comp][idx[0], idx[1], idx[2]]
+    out = np.zeros_like(data)
+    for i in range(3):
+        for l in range(3):
+            if R[i, l] != 0:
+                out[i] += R[i, l] * rotated[l]
+    return out

@@ -98,6 +98,14 @@ class TestKernel:
         frob = np.sqrt(np.sum(vals**2, axis=(1, 2, 3)))
         assert np.all(frob <= ker.bound_constant * r ** (1.5 - 4.0) * (1 + 1e-12))
 
+    def test_bound_constant_formed_on_first_read(self, small_solution):
+        # the sphere search runs only for the reports that print the bound
+        kernel = build_kernel(2.0, refinement_grid_n=64)
+        nonexistence_certificate(small_solution["solution"], kernel)
+        assert "bound_constant" not in vars(kernel)
+        c = kernel.bound_constant
+        assert "bound_constant" in vars(kernel) and kernel.bound_constant == c > 0
+
     def test_bound_constant_refinement_stable(self):
         c1 = build_kernel(1.5, refinement_grid_n=64).bound_constant
         c2 = build_kernel(1.5, refinement_grid_n=128).bound_constant

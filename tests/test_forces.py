@@ -3,7 +3,14 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import on_cube, on_half_lattice, random_real_field, realness_defect, zero_filled
+from conftest import (
+    on_cube,
+    on_half_lattice,
+    random_real_field,
+    realness_defect,
+    rotate_by_indices,
+    zero_filled,
+)
 from fracns.errors import DegenerateInput, InvalidAnnulus
 from fracns.forces import (
     ForceSpec,
@@ -188,6 +195,12 @@ class TestRotations:
         # rotating back with the inverse recovers the field exactly
         back = rotate_real_field(rot, R.T)
         assert np.array_equal(back, v.data)
+
+    @pytest.mark.parametrize("n", [8, 12, 16])
+    def test_matches_the_index_arithmetic(self, n):
+        data = np.random.default_rng(n).standard_normal((3, n, n, n))
+        for R in octahedral_rotations():
+            assert np.array_equal(rotate_real_field(data, R), rotate_by_indices(data, R))
 
     def test_rotation_preserves_l2(self, grid16):
         g = grid16

@@ -25,8 +25,8 @@ module-level name is read by a run or by the acceptance criteria, not by a
 unit test alone, but for one named exception.  No function branches on the
 lattice a field is held on, a Grid's half lattice or a dealias cube.
 Dealiasing is defined in ``spectral._Cube`` and the minimum image in
-``spectral.min_image``: a Grid holds no dealias mask or Nyquist rows, and no
-other line writes the minimum image out.
+``spectral.min_image``: a Grid holds no dealias mask, and no other line
+writes the minimum image out.
 """
 
 import ast

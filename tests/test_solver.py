@@ -18,6 +18,7 @@ from conftest import (
     zero_filled,
 )
 from fracns import solver, spectral
+from fracns.asymptotics import radial_profile
 from fracns.errors import (
     Diverged,
     InvalidAlpha,
@@ -298,6 +299,26 @@ class TestAllocation:
             tracemalloc.stop()
         assert peak < 110 * n**3, peak / n**3
 
+    def test_decay_pipeline_forms_no_half_lattice_array(self):
+        # k2, kmag and nyquist_free are n x n x (n/2+1) each, formed on first read
+        grid = Grid(32, 8.0)
+        f = make_force(ForceSpec(), grid, 1.5)
+        sol = solve_steady(f, SolverConfig(1.5))
+        contraction_metrics(sol, f, 1.5)
+        radial_profile(sol.samples.magnitude(), grid)
+        assert {"k2", "kmag", "nyquist_free"}.isdisjoint(vars(grid))
+        grid.power(1.0)
+        assert "kmag" in vars(grid)
+
+    def test_grid_allocates_no_half_lattice_array(self):
+        tracemalloc.start()
+        try:
+            Grid(128, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024, peak
+
 
 class TestResidual:
     def test_zero_zero(self, grid32):
@@ -312,6 +333,29 @@ class TestResidual:
         res = residual(u0, f, alpha)
         adv = l2_norm(projected_advection(u0))
         assert res == pytest.approx(adv, rel=1e-10)
+
+    def test_scaling_keeps_the_bits(self, small_solution):
+        # the residual field is divided by a power of two before its sum of
+        # squares and the norm multiplied back: both are exact
+        f, alpha = small_solution["force"], small_solution["config"].alpha
+        u = small_solution["solution"].velocity
+        r = solver._residual_field(*solver._residual_terms(u, f, alpha))
+        r[:, 0, 0, 0] = 0.0
+        assert residual(u, f, alpha) == l2_norm(SpectralVectorField(u.grid, r))
+
+    @pytest.mark.parametrize("box", [1e90, 1e100])
+    def test_no_underflow_at_large_boxes(self, box):
+        # unscaled, the squares of the residual's coefficients (~1e-188 at
+        # L = 1e90) underflow and the norm reads exactly 0.0.  With the annulus
+        # at 0.6 to 3.0 lattice steps and the force at a fixed scale-invariant
+        # size, the problem is the one at L = 32 rescaled: f scales as
+        # L^(1 - 2 alpha), so its L^2 norm and the residual's as L^(-1/2)
+        res = {}
+        for L in (32.0, box):
+            spec = ForceSpec(r0=0.6 * 2 * np.pi / L, r1=3.0 * 2 * np.pi / L)
+            f = make_force(spec, Grid(16, L), 1.5)
+            res[L] = residual(solve_steady(f, SolverConfig(1.5)).velocity, f, 1.5)
+        assert res[box] == pytest.approx(res[32.0] * (box / 32.0) ** -0.5, rel=1e-4, abs=0)
 
 
 class TestPressure:
