@@ -13,7 +13,11 @@ The cube, built from the Grid's axes, is where the 2/3-rule mask is defined,
 and ``min_image`` is the one minimum-image rule (``Grid.offsets``).
 They are transformed through a pruned pair that touches the cube alone, and
 the quadratic map (``apply_bilinear``), ``projected_advection``, ``to_real``
-and ``l2_norm`` take a field held on a cube and nothing else.  The multipliers
+and ``l2_norm`` take a field held on a cube and nothing else.  The solver stack
+calls no BLAS: the transforms run on ``_WORKERS`` pocketfft threads and the
+Parseval sums (``_Cube.lattice_sum``) in numpy's own single-threaded loops, so
+no idle OpenBLAS thread spins against the FFT workers and no bit of a solve
+depends on how many threads OpenBLAS would start.  The multipliers
 (``leray_project``, ``fractional_power``) read whichever lattice a field is on
 with one code path, a Grid's half lattice (n, n, n/2+1) included.  A symbol
 that is even or odd along each axis (a radial multiplier times a monomial in
@@ -303,10 +307,19 @@ class _Cube:
         return self._lifts[alpha]
 
     def lattice_sum(self, a: np.ndarray, b: np.ndarray) -> float:
-        """Re sum over the full lattice of conj(a) b for a, b on the cube: the cube
-        holds no Nyquist plane, so every plane but k_z = 0 also stands for its
-        conjugate mirror and counts twice."""
-        return 2.0 * np.vdot(a, b).real - np.vdot(a[..., 0], b[..., 0]).real
+        """Re sum over the full lattice of conj(a) b for vector fields a, b (3,) +
+        the cube's shape, contiguous along k_z: the cube holds no Nyquist plane,
+        so every plane but k_z = 0 also stands for its conjugate mirror and counts
+        twice.  Re conj(a) b is the dot product of the float64 views, whose first
+        two entries along z are the k_z = 0 plane.  That plane and the mirrored
+        ones are summed apart, so neither cancels the other, by einsum along each
+        z row and a pairwise sum of the rows: numpy's own loops, in one thread.  A
+        BLAS dot's idle threads would spin against the FFT workers, and its sum
+        would split by the host's thread count."""
+        x, y = a.view(np.float64), b.view(np.float64)
+        mirrored = np.einsum("cxyz,cxyz->cxy", x[..., 2:], y[..., 2:]).sum()
+        plane = np.einsum("cxyz,cxyz->cxy", x[..., :2], y[..., :2]).sum()
+        return 2.0 * mirrored + plane
 
 
 def _cube_to_real(coeffs: np.ndarray, cube: _Cube) -> np.ndarray:

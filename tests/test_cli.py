@@ -1,10 +1,14 @@
 import json
 import os
+import pathlib
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import fracns
 from conftest import whole_range_profile
 from fracns import cli
 from fracns.asymptotics import RadialProfile, fit_decay_exponent
@@ -133,6 +137,27 @@ class TestDeterminism:
         r2 = json.loads((d2 / "report.json").read_text())
         r1["config_echo"]["output_dir"] = r2["config_echo"]["output_dir"] = ""
         assert r1 == r2
+
+    def test_reports_independent_of_blas_threads(self, tmp_path):
+        # OpenBLAS splits a threaded reduction by its thread count, which follows
+        # the host's cores; the solver stack calls no BLAS, so the bits do not.
+        # Each child gets its own thread count in its own environment.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 32, "box_length": 8.0, "force": {"seed": 7, "r1": 2.0}}))
+        src = str(pathlib.Path(fracns.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        metrics = {}
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+            for experiment in ("decay", "solve"):
+                out = tmp_path / f"{experiment}-{threads}"
+                subprocess.run([sys.executable, "-m", "fracns.cli", experiment, "--config",
+                                str(cfg), "--output-dir", str(out)],
+                               env=env, check=True, capture_output=True, timeout=120)
+                report = json.loads((out / "report.json").read_text())
+                metrics[experiment, threads] = report["metrics"]
+        for experiment in ("decay", "solve"):
+            assert metrics[experiment, "1"] == metrics[experiment, "2"], experiment
 
 
 class TestMainEntry:

@@ -24,6 +24,7 @@ and sorts run errors into exit codes in one ``except`` branch.  Every public
 module-level name is read by a run or by the acceptance criteria, not by a
 unit test alone, but for one named exception.  No function branches on the
 lattice a field is held on, a Grid's half lattice or a dealias cube.
+The Picard map, its Parseval sums and the residual call no BLAS routine.
 Dealiasing is defined in ``spectral._Cube`` and the minimum image in
 ``spectral.min_image``: a Grid holds no dealias mask, and no other line
 writes the minimum image out.
@@ -52,9 +53,10 @@ def _hits(pattern):
     ]
 
 
-def _spectral_def_lines(*path):
-    """Lines of the definition reached through ``path`` (class, then method) in spectral.py."""
-    body = ast.parse((SRC / "spectral.py").read_text()).body
+def _spectral_def_lines(*path, module="spectral.py"):
+    """Lines of the definition reached through ``path`` (class, then method) in
+    ``module``, spectral.py unless named."""
+    body = ast.parse((SRC / module).read_text()).body
     for name in path:
         defs = (n for n in body if isinstance(n, (ast.ClassDef, ast.FunctionDef)))
         node = next(n for n in defs if n.name == name)
@@ -223,6 +225,32 @@ def test_minimum_image_written_once(pattern):
     outside = [(name, lineno) for name, lineno in _hits(pattern)
                if not (name == "spectral.py" and lineno in lines)]
     assert outside == [], outside
+
+
+# the Picard map, its norms and the residual: each runs between FFT stages
+BLAS_FREE = [
+    ("spectral.py", ("_Cube", "lattice_sum")),
+    ("spectral.py", ("l2_norm",)),
+    ("spectral.py", ("_leray",)),
+    ("spectral.py", ("_advection_divergence",)),
+    ("spectral.py", ("_cube_to_real",)),
+    ("spectral.py", ("_real_to_cube",)),
+    ("spectral.py", ("apply_bilinear",)),
+    ("spectral.py", ("projected_advection",)),
+    ("solver.py", ("solve_steady",)),
+    ("solver.py", ("residual",)),
+]
+
+
+@pytest.mark.parametrize("module, path", BLAS_FREE, ids=[p[-1] for _, p in BLAS_FREE])
+def test_solver_stack_calls_no_blas(module, path):
+    # an OpenBLAS call leaves its threads spinning against the FFT workers, and a
+    # threaded reduction's bits follow the host's thread count
+    lines = _spectral_def_lines(*path, module=module)
+    hits = [(name, lineno) for name, lineno in
+            _hits(r"\b(np|numpy)\.(vdot|dot|inner|matmul|tensordot|linalg)\b|\.dot\(|[\w)\]]\s*@")
+            if name == module and lineno in lines]
+    assert hits == [], hits
 
 
 def test_transforms_taken_in_spectral_only():

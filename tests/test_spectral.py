@@ -1,4 +1,5 @@
 import itertools
+import math
 import warnings
 
 import numpy as np
@@ -225,6 +226,45 @@ class TestCubeLattice:
         want = sfft.irfftn(filled.data, s=(n, n, n), axes=(1, 2, 3))
         assert samples.grid is g
         assert np.max(np.abs(samples.data - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def full_lattice(a, cube):
+    """Coefficients held on ``cube`` on the whole lattice (..., n, n, n): the
+    half lattice, then each mode with k_z > n/2 the conjugate of its mirror -k."""
+    n = cube.n
+    half = zero_filled(a, cube)
+    neg = -np.arange(n) % n
+    full = np.zeros(a.shape[:-3] + (n, n, n), dtype=np.complex128)
+    full[..., : n // 2 + 1] = half
+    full[..., n // 2 + 1 :] = np.conj(half[..., neg[:, None], neg, n // 2 - 1 : 0 : -1])
+    return full
+
+
+# |lattice_sum - exact sum| / sum |products| over 4000 draws of the test below:
+# worst 5.4e-16 (2.5 eps); the BLAS dot it replaced reached 2.4e-14 on them
+LATTICE_SUM_RTOL = 2e-15
+
+
+class TestLatticeSum:
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(4, 24).map(lambda m: 2 * m), box=st.floats(0.1, 100.0),
+           seed=st.integers(0, 2**16), decay=st.one_of(st.just(0.0), st.floats(0.0, 8.0)),
+           same=st.booleans())
+    def test_matches_an_exact_sum_over_the_full_lattice(self, n, box, seed, decay, same):
+        # random cube data, or data falling off as (1 + |k|)^-decay, whose sum the
+        # planes near the zero mode hold; a = b is a squared norm
+        cube = spectral._Cube(Grid(n, box))
+        rng = np.random.default_rng(seed)
+        shape = (3,) + cube.spectral_shape
+        weight = (1.0 + cube.kmag * box / (2 * np.pi)) ** -decay
+        a, b = ((rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * weight
+                for _ in range(2))
+        if same:
+            b = a
+        products = (full_lattice(a, cube).view(np.float64)
+                    * full_lattice(b, cube).view(np.float64)).ravel()
+        exact = math.fsum(products)
+        assert abs(cube.lattice_sum(a, b) - exact) <= LATTICE_SUM_RTOL * math.fsum(np.abs(products))
 
 
 class TestTransforms:
