@@ -79,9 +79,10 @@ class RunConfig:
         if not isinstance(self.output_dir, str):
             raise ValueError(f"output_dir must be a string, got {self.output_dir!r}")
         w = self.window
+        # lo > 0: a log-log fit cannot read the center sample r = 0
         if w is not None and not (len(w) == 2 and all(map(spectral.is_real, w))
-                                  and 0 <= w[0] < w[1] <= self.box_length / 4):
-            raise ValueError("fit window must be two numbers 0 <= lo < hi <= box_length/4, "
+                                  and 0 < w[0] < w[1] <= self.box_length / 4):
+            raise ValueError("fit window must be two numbers 0 < lo < hi <= box_length/4, "
                              f"got {w}")
         if self.experiment == "nonexist" and not self.force.amplitude > 0:
             raise ValueError("nonexist fits deviations over amplitudes: need amplitude > 0")

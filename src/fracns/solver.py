@@ -29,6 +29,7 @@ from .spectral import (
     RealVectorField,
     SpectralVectorField,
     _advection_divergence,
+    _by_slabs,
     _Cube,
     apply_bilinear,
     fractional_power,
@@ -113,11 +114,16 @@ def solve_steady(f: SpectralVectorField, config: SolverConfig) -> SteadySolution
 
     u = u0.data.copy()
     prev_diff = None
+
+    def step(s):  # new = u0 + B(u, u); u is retired: it holds the step
+        n = new[:, s]
+        n += u0.data[:, s]
+        np.subtract(n, u[:, s], out=u[:, s])
+
     for it in range(1, config.max_iter + 1):
         new = apply_bilinear(SpectralVectorField(cube, u), alpha).data
-        new += u0.data
+        _by_slabs(step, cube.spectral_shape[0])
         new_l2 = parseval_l2(cube, cube.lattice_sum(new, new))
-        np.subtract(new, u, out=u)  # u is retired: it holds the step
         diff = parseval_l2(cube, cube.lattice_sum(u, u))
         diag.iterations = it
         diag.residual_history.append(diff)

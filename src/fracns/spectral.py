@@ -14,10 +14,17 @@ and ``min_image`` is the one minimum-image rule (``Grid.offsets``).
 They are transformed through a pruned pair that touches the cube alone, and
 the quadratic map (``apply_bilinear``), ``projected_advection``, ``to_real``
 and ``l2_norm`` take a field held on a cube and nothing else.  The solver stack
-calls no BLAS: the transforms run on ``_WORKERS`` pocketfft threads and the
-Parseval sums (``_Cube.lattice_sum``) in numpy's own single-threaded loops, so
-no idle OpenBLAS thread spins against the FFT workers and no bit of a solve
-depends on how many threads OpenBLAS would start.  The multipliers
+calls no BLAS: the transforms run on the calling thread, where pocketfft takes
+``_WORKERS`` threads, and the Parseval sums (``_Cube.lattice_sum``) in numpy's
+own loops, whole, so no idle OpenBLAS thread spins against the FFT workers and
+no bit of a solve depends on how many threads OpenBLAS would start.  Between
+the transforms, the map's elementwise passes (the 2/3-rule mask and the
+finiteness checks, the six products, the cube's row fills and gathers, the
+sum into D, Leray with the lift) and the Picard step run by slabs of leading
+rows (``_by_slabs``), one slab on the calling thread and the others on one
+pool of ``_WORKERS`` - 1 threads, where there are rows enough.  Each element
+gets the same float operations in whichever slab it falls, so no bit depends
+on the split.  The multipliers
 (``leray_project``, ``fractional_power``) read whichever lattice a field is on
 with one code path, a Grid's half lattice (n, n, n/2+1) included.  A symbol
 that is even or odd along each axis (a radial multiplier times a monomial in
@@ -30,9 +37,11 @@ j = n/2 planes of each axis and 2 elsewhere.
 
 from __future__ import annotations
 
+import contextvars
 import itertools
 import numbers
 import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -44,6 +53,47 @@ from .errors import InvalidGrid, NumericalBlowup, ZeroModeUndefined
 # the CPUs this process may run on, where the platform says so
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
+
+
+def _new_pool():
+    """The process's one pool for ``_by_slabs``, made without starting a thread:
+    its _WORKERS - 1 threads (at least one) start when first given a slab."""
+    global _POOL
+    _POOL = ThreadPoolExecutor(max_workers=max(_WORKERS - 1, 1))
+
+
+_new_pool()
+if hasattr(os, "register_at_fork"):  # a forked child has none of its parent's threads
+    os.register_at_fork(after_in_child=_new_pool)
+
+# the fewest rows worth a slab (2 CPUs): handing one to the pool costs about
+# 40 us, so a map on two slabs took 1.5x as long as on one at 32^3, and a
+# fresh-process nonexist run at 64^3 took 10-20 ms longer split than whole
+_SLAB_ROWS = 40
+
+
+def _by_slabs(pass_, rows: int) -> list:
+    """Run the elementwise ``pass_(s)`` over up to ``_WORKERS`` contiguous slabs
+    s of range(rows), the leading rows of the arrays it reads and writes, each
+    of at least ``_SLAB_ROWS`` rows where there are two or more: the first slab
+    on the calling thread, the others on the pool.  Returns the slabs'
+    results in order once every slab is done, or re-raises once every slab is
+    done, so no pool thread still writes the caller's arrays when it moves on.
+    A pass takes no transform and calls no public function, and it allocates no
+    array: it writes rows of arrays and scratch that the caller owns, so each
+    element gets the same float operations however the rows are split.  Each
+    slab runs in a copy of the caller's context, which holds numpy's error
+    state (``np.errstate``)."""
+    k = max(1, min(_WORKERS, rows // _SLAB_ROWS))
+    cuts = [rows * i // k for i in range(k + 1)]
+    slabs = [slice(a, b) for a, b in zip(cuts, cuts[1:])]
+    futures = [_POOL.submit(contextvars.copy_context().run, pass_, s) for s in slabs[1:]]
+    try:
+        first = pass_(slabs[0])
+    finally:
+        wait(futures)
+    return [first] + [f.result() for f in futures]
+
 
 # the ten cubic monomials xi_a xi_b xi_c, a <= b <= c, in lexicographic order
 CUBIC_MONOMIALS = tuple(itertools.combinations_with_replacement(range(3), 3))
@@ -286,7 +336,7 @@ class _Cube:
         self.n, self.box_length = n, grid.box_length
         self.spacing, self.cell_volume = grid.spacing, grid.cell_volume
         # the grid rows of the kept k = 0, 1, .. and .., -1, in the cube's order
-        self.rows = rows = np.r_[0:lo, n - hi : n]
+        rows = np.r_[0:lo, n - hi : n]
         self.planes, self.spectral_shape = lo, (lo + hi, lo + hi, lo)
         xi = grid.xi
         self.xi = xi = [xi[0][rows], xi[1][:, rows], xi[2][..., :lo]]
@@ -299,6 +349,15 @@ class _Cube:
     power = Grid.power
     shift_phase = Grid.shift_phase
     center = Grid.center
+
+    def row_runs(self, s: slice) -> list:
+        """(cube rows, grid rows) slice pairs that cover the cube rows ``s`` of an
+        axis: the kept k >= 0 are the grid's first rows, the kept k < 0 its last."""
+        lo, nc = self.planes, self.spectral_shape[0]
+        return [(slice(a, b), slice(a + shift, b + shift))
+                for a, b, shift in ((s.start, min(s.stop, lo), 0),
+                                    (max(s.start, lo), s.stop, self.n - nc))
+                if a < b]
 
     def lift(self, alpha: float) -> np.ndarray:
         """The quadratic map's lift -|xi|^-alpha on the cube, formed once per alpha."""
@@ -326,15 +385,26 @@ def _cube_to_real(coeffs: np.ndarray, cube: _Cube) -> np.ndarray:
     """Real samples (..., n, n, n) of coefficients held on ``cube`` (every other
     mode 0): ifft along y on the cube's k_x rows, ifft along x in place on the
     cube's planes of a zeroed half-lattice array, then irfft along z, which reads
-    that array as it is."""
-    n, p = cube.grid.n, cube.planes
+    that array as it is.  The rows are filled by slabs of k_x rows."""
+    n, p, nc = cube.n, cube.planes, cube.spectral_shape[0]
     lead = coeffs.shape[:-3]
-    a = np.zeros(lead + (cube.spectral_shape[0], n, p), dtype=np.complex128)
-    a[..., cube.rows, :] = coeffs
+    a = np.zeros(lead + (nc, n, p), dtype=np.complex128)
+    y_runs = cube.row_runs(slice(0, nc))
+
+    def fill_y(s):
+        for c, g in y_runs:
+            a[..., s, g, :] = coeffs[..., s, c, :]
+
+    _by_slabs(fill_y, nc)
     a = sfft.ifft(a, axis=-2, overwrite_x=True, workers=_WORKERS)
     # all n/2+1 planes, so that irfft needs no zero-padded copy
     b = np.zeros(lead + cube.grid.spectral_shape, dtype=np.complex128)
-    b[..., cube.rows, :, :p] = a
+
+    def fill_x(s):
+        for c, g in cube.row_runs(s):
+            b[..., g, :, :p] = a[..., c, :, :]
+
+    _by_slabs(fill_x, nc)
     del a
     x = sfft.ifft(b[..., :p], axis=-3, overwrite_x=True, workers=_WORKERS)
     if x.base is not b:  # overwrite_x permits a transform in place but does not promise it
@@ -346,11 +416,29 @@ def _cube_to_real(coeffs: np.ndarray, cube: _Cube) -> np.ndarray:
 def _real_to_cube(samples: np.ndarray, cube: _Cube) -> np.ndarray:
     """The coefficients on ``cube`` of real samples (..., n, n, n): rfft along z,
     fft along x in place on the cube's planes of its output, keeping the cube's
-    rows, then fft along y."""
+    rows, then fft along y, keeping the cube's columns.  The kept rows and
+    columns are gathered by slabs of k_x rows."""
+    nc = cube.spectral_shape[0]
     a = sfft.rfft(samples, axis=-1, workers=_WORKERS)[..., : cube.planes]
-    a = sfft.fft(a, axis=-3, overwrite_x=True, workers=_WORKERS)[..., cube.rows, :, :]
-    a = sfft.fft(a, axis=-2, overwrite_x=True, workers=_WORKERS)
-    return a[..., cube.rows, :]
+    a = sfft.fft(a, axis=-3, overwrite_x=True, workers=_WORKERS)
+    rows = np.empty(a.shape[:-3] + (nc,) + a.shape[-2:], dtype=np.complex128)
+
+    def gather_x(s):
+        for c, g in cube.row_runs(s):
+            rows[..., c, :, :] = a[..., g, :, :]
+
+    _by_slabs(gather_x, nc)
+    del a
+    rows = sfft.fft(rows, axis=-2, overwrite_x=True, workers=_WORKERS)
+    out = np.empty(rows.shape[:-3] + cube.spectral_shape, dtype=np.complex128)
+    y_runs = cube.row_runs(slice(0, nc))
+
+    def gather_y(s):
+        for c, g in y_runs:
+            out[..., s, c, :] = rows[..., s, g, :]
+
+    _by_slabs(gather_y, nc)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -361,18 +449,26 @@ def _leray(v: np.ndarray, grid, leray_factor: np.ndarray, out: np.ndarray,
            lift: np.ndarray | None = None) -> np.ndarray:
     """out = (I - xi xi^T/|xi|^2) v for coefficients v (3, ...) on ``grid`` (a Grid
     or a ``_Cube``), ``leray_factor`` its 1/|xi|^2 with 0 at the zero mode, then
-    times ``lift`` where given, one component at a time; ``out`` may be ``v``.
-    The xi rows are cast to complex once, as the products would cast them."""
+    times ``lift`` where given, one component at a time, by slabs of k_x rows;
+    ``out`` may be ``v``.  The xi rows are cast to complex once, as the products
+    would cast them."""
     xi = [x.astype(np.complex128) for x in grid.xi]
-    dot = xi[0] * v[0]
-    tmp = np.multiply(xi[1], v[1])
-    dot += tmp
-    dot += np.multiply(xi[2], v[2], out=tmp)
-    dot *= leray_factor
-    for i in range(3):
-        np.subtract(v[i], np.multiply(xi[i], dot, out=tmp), out=out[i])
-        if lift is not None:
-            out[i] *= lift
+    dot = np.empty(v.shape[1:], dtype=np.complex128)
+    tmp = np.empty_like(dot)
+
+    def project(s):  # only the k_x row of xi varies along the slab's rows
+        x, d, t = (xi[0][s], xi[1], xi[2]), dot[s], tmp[s]
+        np.multiply(x[0], v[0, s], out=d)
+        d += np.multiply(x[1], v[1, s], out=t)
+        d += np.multiply(x[2], v[2, s], out=t)
+        d *= leray_factor[s]
+        for i in range(3):
+            o = out[i, s]
+            np.subtract(v[i, s], np.multiply(x[i], d, out=t), out=o)
+            if lift is not None:
+                o *= lift[s]
+
+    _by_slabs(project, v.shape[1])
     return out
 
 
@@ -458,8 +554,15 @@ def _advection_divergence(v: SpectralVectorField) -> SpectralVectorField:
     finite coefficients can only overflow to +-inf, which the transforms carry
     into D."""
     cube = v.grid
-    vin = v.data * cube.dealias_mask
-    if not np.all(np.isfinite(vin)):
+    mask, nc = cube.dealias_mask, cube.spectral_shape[0]
+    vin = np.empty_like(v.data)
+    finite = np.empty(v.data.shape, dtype=bool)
+
+    def truncate(s):
+        np.multiply(v.data[:, s], mask[s], out=vin[:, s])
+        return np.isfinite(vin[:, s], out=finite[:, s]).all()
+
+    if not all(_by_slabs(truncate, nc)):
         raise NumericalBlowup("non-finite coefficients entering the quadratic term")
     phys = _cube_to_real(vin, cube)
     del vin  # not read past the transform
@@ -467,15 +570,34 @@ def _advection_divergence(v: SpectralVectorField) -> SpectralVectorField:
     div = np.zeros((3,) + cube.spectral_shape, dtype=np.complex128)
     tmp = np.empty(cube.spectral_shape, dtype=np.complex128)
     product = np.empty(phys.shape[1:])
+
+    # the passes over the pair (j, k) of the loop below
+    def multiply(s):
+        np.multiply(a[s], b[s], out=product[s])
+
+    def accumulate(s):
+        x, w, t = (ixi[0][s], ixi[1], ixi[2]), w_hat[s], tmp[s]
+        d = div[j, s]
+        d += np.multiply(x[k], w, out=t)
+        if k != j:
+            d = div[k, s]
+            d += np.multiply(x[j], w, out=t)
+
     for j in range(3):
         for k in range(j, 3):
-            w_hat = _real_to_cube(np.multiply(phys[j], phys[k], out=product), cube)
-            div[j] += np.multiply(ixi[k], w_hat, out=tmp)
-            if k != j:
-                div[k] += np.multiply(ixi[j], w_hat, out=tmp)
-    if not np.all(np.isfinite(div)):
+            a, b = phys[j], phys[k]
+            _by_slabs(multiply, cube.n)
+            w_hat = _real_to_cube(product, cube)
+            _by_slabs(accumulate, nc)
+
+    def truncate_div(s):
+        ok = np.isfinite(div[:, s], out=finite[:, s]).all()
+        d = div[:, s]
+        d *= mask[s]
+        return ok
+
+    if not all(_by_slabs(truncate_div, nc)):
         raise NumericalBlowup("overflow while forming the quadratic term")
-    div *= cube.dealias_mask
     return SpectralVectorField(cube, div)
 
 

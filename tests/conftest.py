@@ -54,9 +54,15 @@ def to_spectral(u):
     return SpectralVectorField(u.grid, sfft.rfftn(u.data, axes=(1, 2, 3)))
 
 
+def cube_rows(cube):
+    """The grid rows of the cube's kept k = 0, 1, .. and .., -1, in the cube's order."""
+    return np.r_[tuple(g for _, g in cube.row_runs(slice(0, cube.spectral_shape[0])))]
+
+
 def gather(a, cube):
     """The part on ``cube`` of a half-lattice array (..., n, n, n/2+1)."""
-    return a[..., cube.rows[:, None], cube.rows, : cube.planes]
+    rows = cube_rows(cube)
+    return a[..., rows[:, None], rows, : cube.planes]
 
 
 def on_cube(v):
@@ -69,7 +75,8 @@ def zero_filled(a, cube):
     """Coefficients (..., cube.spectral_shape) held on ``cube``, zero-filled to
     its grid's half lattice (..., n, n, n/2+1)."""
     out = np.zeros(a.shape[:-3] + cube.grid.spectral_shape, dtype=a.dtype)
-    out[..., cube.rows[:, None], cube.rows, : cube.planes] = a
+    rows = cube_rows(cube)
+    out[..., rows[:, None], rows, : cube.planes] = a
     return out
 
 

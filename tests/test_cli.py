@@ -138,6 +138,21 @@ class TestDeterminism:
         r1["config_echo"]["output_dir"] = r2["config_echo"]["output_dir"] = ""
         assert r1 == r2
 
+    def test_reports_independent_of_the_slab_split(self, tmp_path, monkeypatch):
+        # the map's elementwise passes run by slabs of rows, on the calling thread
+        # and the pool (spectral._by_slabs); each element gets the same float
+        # operations however the rows are split, so no byte of the outputs moves
+        monkeypatch.setattr(fracns.spectral, "_SLAB_ROWS", 1)  # split a 32^3 cube too
+        outputs = []
+        for slabs in (1, 2, 3):
+            monkeypatch.setattr(fracns.spectral, "_WORKERS", slabs)
+            out = tmp_path / str(slabs)
+            run(RunConfig.from_dict({"experiment": "decay", "n": 32, "box_length": 8.0,
+                                     "force": {"seed": 7, "r1": 2.0}, "output_dir": str(out)}))
+            report = (out / "report.json").read_text().replace(json.dumps(str(out)), '""')
+            outputs.append((report, (out / "decay_profile.csv").read_bytes()))
+        assert outputs[0] == outputs[1] == outputs[2]
+
     def test_reports_independent_of_blas_threads(self, tmp_path):
         # OpenBLAS splits a threaded reduction by its thread count, which follows
         # the host's cores; the solver stack calls no BLAS, so the bits do not.
@@ -345,6 +360,8 @@ class TestMainEntry:
             ("solve", {"output_dir": 5}),
             ("decay", {"window": [1.5, 1.0]}),
             ("decay", {"window": [-0.5, 1.0]}),
+            ("decay", {"window": [0, 1.0]}),
+            ("profile", {"window": [0.0, 1.0]}),
             ("norms", {"box_length": float("inf")}),
             ("kernel", {"kernel_n": 16, "kernel_box": [16, float("inf")]}),
             ("solve", {"force": {"r1": 3.0, "amplitude": float("nan")}}),
@@ -371,7 +388,8 @@ class TestMainEntry:
         ids=["nbins_fractional", "nbins_small", "profile_nbins_small", "anisotropy_two",
              "anisotropy_not_number", "evolve_dt_string", "evolve_T_zero",
              "max_iter_fractional", "max_iter_zero", "output_dir_not_string",
-             "window_reversed", "window_negative_lo", "box_length_infinite",
+             "window_reversed", "window_negative_lo", "window_lo_zero",
+             "profile_window_lo_zero", "box_length_infinite",
              "kernel_box_infinite", "amplitude_nan", "amplitude_infinite", "seed_bool",
              "force_seed_bool", "max_iter_bool", "box_length_bool", "amplitude_bool",
              "r0_bool", "evolve_T_bool", "window_bool", "symmetrize_string",

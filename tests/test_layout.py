@@ -25,14 +25,20 @@ module-level name is read by a run or by the acceptance criteria, not by a
 unit test alone, but for one named exception.  No function branches on the
 lattice a field is held on, a Grid's half lattice or a dealias cube.
 The Picard map, its Parseval sums and the residual call no BLAS routine.
+The passes that ``spectral._by_slabs`` runs on the pool take no transform,
+call no public function (the tracer's spans wrap those, on one stack) and
+make no array, and ``import fracns`` starts no thread.
 Dealiasing is defined in ``spectral._Cube`` and the minimum image in
 ``spectral.min_image``: a Grid holds no dealias mask, and no other line
 writes the minimum image out.
 """
 
 import ast
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -358,3 +364,65 @@ def test_no_hand_written_serializer():
             if isinstance(node, (ast.ClassDef, ast.FunctionDef))
             and node.name in ("RunReport", "to_dict")]
     assert defs == [], defs
+
+
+def _slab_passes():
+    """(file, line, pass) for each ``_by_slabs(pass_, rows)`` call in src: the
+    pass a lambda or a function defined in the caller's body."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for scope in ast.parse(path.read_text()).body:
+            local = {n.name: n for n in ast.walk(scope) if isinstance(n, ast.FunctionDef)}
+            for call in ast.walk(scope):
+                if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "_by_slabs":
+                    arg = call.args[0]
+                    found.append((path.name, call.lineno, arg if isinstance(arg, ast.Lambda)
+                                  else local.get(getattr(arg, "id", None))))
+    return found
+
+
+def test_slab_passes_take_no_transform_call_no_public_function_and_make_no_array():
+    # a pass runs on a pool thread: a transform there would compete with the FFT
+    # workers, a public function's span would land on the tracer's one stack, and
+    # an array made there would grow the pool thread's own malloc arena
+    public = {node.name for path in SRC.glob("*.py") for node in ast.parse(path.read_text()).body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_")}
+    passes = _slab_passes()
+    unread = [(name, line) for name, line, body in passes if body is None]
+    assert len(passes) >= 10 and unread == [], unread
+    bad = []
+    for name, line, body in passes:
+        for node in ast.walk(body):
+            if isinstance(node, ast.Name) and node.id in ("sfft", "scipy") or (
+                    isinstance(node, ast.Attribute) and node.attr == "fft"):
+                bad.append((name, line, "transform"))
+            if isinstance(node, ast.Call):
+                callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if callee in public:
+                    bad.append((name, line, callee))
+                # a numpy function writes into the caller's array
+                if (isinstance(node.func, ast.Attribute) and getattr(node.func.value, "id", None)
+                        == "np" and "out" not in {k.arg for k in node.keywords}):
+                    bad.append((name, line, f"np.{callee} without out="))
+            if isinstance(node, ast.BinOp):  # an array operator makes a new array
+                bad.append((name, line, "binary operator"))
+    assert bad == [], bad
+
+
+def test_import_starts_no_thread():
+    # the slab pool starts its threads on first use: importing fracns starts none,
+    # in Python or (where /proc says) in the process, beyond numpy's and scipy's
+    script = (
+        "import os, threading, numpy, scipy.fft\n"
+        "task = '/proc/self/task'\n"
+        "tasks = lambda: len(os.listdir(task)) if os.path.isdir(task) else 0\n"
+        "before = tasks()\n"
+        "import fracns, fracns.cli\n"
+        "from fracns import spectral\n"
+        "print(threading.active_count(), len(spectral._POOL._threads), tasks() - before)\n"
+    )
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=path),
+                         check=True, capture_output=True, text=True, timeout=60).stdout
+    assert out.split() == ["1", "0", "0"], out

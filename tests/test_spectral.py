@@ -1,5 +1,12 @@
 import itertools
 import math
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -184,7 +191,12 @@ class TestHalfLattice:
         planes = int(np.flatnonzero(keep.any(axis=(0, 1)))[-1]) + 1
         modes = (..., rows[:, None], rows, slice(0, planes))
         cube = spectral._Cube(g)
-        assert np.array_equal(cube.rows, rows) and cube.planes == planes
+        assert cube.planes == planes
+        # the slices of cube rows and grid rows that cover a slab of cube rows
+        for a, b in ((0, lo + hi), (1, lo + hi - 1), (lo - 1, lo + 1), (lo, lo + hi)):
+            runs = cube.row_runs(slice(a, b))
+            assert np.array_equal(np.r_[tuple(c for c, _ in runs)], np.arange(a, b))
+            assert np.array_equal(np.r_[tuple(g for _, g in runs)], rows[a:b])
         assert np.array_equal(cube.kmag, g.kmag[modes])
         assert np.array_equal(cube.dealias_mask, keep[modes])
         L = g.box_length
@@ -612,3 +624,126 @@ class TestFiniteness:
         v.data[0, 1, 0, 0] = np.nan
         with pytest.raises(NumericalBlowup):
             projected_advection(v)
+
+
+class TestSlabs:
+    """The map's elementwise passes run by slabs of leading rows
+    (``spectral._by_slabs``), one slab per worker, the first on the calling
+    thread; ``_WORKERS`` sets the slab count, and a slab of a single row is
+    allowed here so that small cubes split too."""
+
+    @pytest.fixture(autouse=True)
+    def _single_row_slabs(self, monkeypatch):
+        monkeypatch.setattr(spectral, "_SLAB_ROWS", 1)
+
+    @pytest.mark.parametrize("n, box", [(16, 4.0), (32, 16.0)])
+    def test_split_keeps_the_bits(self, monkeypatch, n, box):
+        v = on_cube(random_divfree_spectral(Grid(n, box), seed=n))
+        # 2 slabs do not divide the cube's rows, 3 do not divide the samples' rows
+        assert v.grid.spectral_shape[0] % 2 and n % 3
+        got = {}
+        for slabs in (1, 2, 3):
+            monkeypatch.setattr(spectral, "_WORKERS", slabs)
+            got[slabs] = (spectral.apply_bilinear(v, 1.5).data, projected_advection(v).data,
+                          to_real(v).data)
+        for slabs in (2, 3):
+            assert all(np.array_equal(a, b) for a, b in zip(got[1], got[slabs])), slabs
+
+    @pytest.mark.parametrize("slabs", [1, 2, 3])
+    @pytest.mark.parametrize("row", [0, -1], ids=["first_row", "last_row"])
+    @pytest.mark.parametrize("value", [np.inf, np.nan], ids=["inf", "nan"])
+    def test_blowup_raises_from_any_slab(self, monkeypatch, grid16, slabs, row, value):
+        monkeypatch.setattr(spectral, "_WORKERS", slabs)
+        v = on_cube(random_divfree_spectral(grid16, seed=21))
+        v.data[0, row, 1, 1] = value  # k_x = 0 or -1, inside the 2/3 rule
+        # the mask's complex product makes inf * 0 in the imaginary part
+        with np.errstate(invalid="ignore"), pytest.raises(
+                NumericalBlowup, match="^non-finite coefficients entering the quadratic term$"):
+            projected_advection(v)
+
+    @pytest.mark.parametrize("slabs", [1, 2, 3])
+    def test_overflow_raises_under_the_callers_error_state(self, monkeypatch, grid16, slabs):
+        # the products overflow in every slab; np.errstate, set by the caller, holds
+        # on the pool's slabs too, so none of them warns
+        monkeypatch.setattr(spectral, "_WORKERS", slabs)
+        v = on_cube(random_divfree_spectral(grid16, seed=20))
+        v.data *= 1e160 / np.max(np.abs(to_real(v).data))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                NumericalBlowup, match="^overflow while forming the quadratic term$"):
+            projected_advection(v)
+
+    def test_slabs_cover_the_rows_in_order(self, monkeypatch):
+        monkeypatch.setattr(spectral, "_WORKERS", 3)
+        assert spectral._by_slabs(lambda s: (s.start, s.stop), 10) == [(0, 3), (3, 6), (6, 10)]
+        assert spectral._by_slabs(lambda s: (s.start, s.stop), 2) == [(0, 1), (1, 2)]
+
+    def test_few_rows_are_one_slab(self, monkeypatch):
+        # below two slabs' worth of rows a pass stays whole, on the calling thread
+        monkeypatch.setattr(spectral, "_WORKERS", 2)
+        monkeypatch.setattr(spectral, "_SLAB_ROWS", 20)
+        assert spectral._by_slabs(lambda s: s, 39) == [slice(0, 39)]
+        assert spectral._by_slabs(lambda s: s, 40) == [slice(0, 20), slice(20, 40)]
+
+    def test_one_worker_is_one_call_on_the_calling_thread(self, monkeypatch):
+        monkeypatch.setattr(spectral, "_WORKERS", 1)
+        calls = spectral._by_slabs(lambda s: (s, threading.get_ident()), 7)
+        assert calls == [(slice(0, 7), threading.get_ident())]
+
+    @pytest.mark.parametrize("failing", [0, 6], ids=["calling_thread", "pool"])
+    def test_waits_for_every_slab_before_it_raises(self, monkeypatch, failing):
+        monkeypatch.setattr(spectral, "_WORKERS", 3)
+        done = []
+
+        def pass_(s):
+            if s.start == failing:
+                raise ValueError(f"slab {s.start}")
+            time.sleep(0.05)
+            done.append(s.start)
+
+        with pytest.raises(ValueError, match=f"^slab {failing}$"):
+            spectral._by_slabs(pass_, 9)
+        assert sorted(done) == sorted({0, 3, 6} - {failing})
+
+    def test_concurrent_callers_share_the_pool(self, monkeypatch, grid16):
+        # callers on several threads give the one pool their slabs at once, with
+        # the interpreter switching threads often; each gets its own bits back
+        v = on_cube(random_divfree_spectral(grid16, seed=22))
+        want = spectral.apply_bilinear(v, 1.5).data
+        monkeypatch.setattr(spectral, "_WORKERS", 3)
+        got = [None] * 4
+
+        def call(i):
+            got[i] = spectral.apply_bilinear(v, 1.5).data
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=call, args=(i,)) for i in range(len(got))]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        assert all(g is not None and np.array_equal(g, want) for g in got)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
+    def test_a_forked_child_gets_its_own_pool(self):
+        # the parent's pool thread does not exist in a forked child, whose
+        # slabs must not wait on it
+        script = textwrap.dedent("""
+            import os, signal, sys
+            from fracns import spectral
+            spectral._WORKERS, spectral._SLAB_ROWS = 2, 1
+            assert spectral._by_slabs(lambda s: s.stop, 4) == [2, 4]  # starts a pool thread
+            pid = os.fork()
+            if pid == 0:
+                signal.alarm(30)  # a child that waits on no thread ends here
+                os._exit(0 if spectral._by_slabs(lambda s: s.stop, 4) == [2, 4] else 1)
+            sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+        """)
+        src = str(pathlib.Path(spectral.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        subprocess.run([sys.executable, "-c", script], env=env, check=True, timeout=60)
