@@ -259,8 +259,9 @@ def radial_profile(
     if window is None:
         window = (0.1 * L, 0.22 * L)
     lo, hi = window
-    if hi > L / 4 * (1 + 1e-12):
-        raise InvalidRadius(f"window must stay within box_length/4, got {hi}")
+    # lo > 0, as RunConfig.validate asks: the center sample r = 0 has no log
+    if not 0 < lo < hi <= L / 4 * (1 + 1e-12):
+        raise InvalidRadius(f"window must be 0 < lo < hi <= box_length/4, got {window}")
     r = grid.radius_from(grid.center).ravel()
     v = np.abs(np.asarray(values)).ravel()
     edges = np.linspace(lo, hi, nbins + 1)

@@ -31,6 +31,7 @@ from .spectral import (
     _advection_divergence,
     _by_slabs,
     _Cube,
+    _MapScratch,
     apply_bilinear,
     fractional_power,
     is_integer,
@@ -114,6 +115,7 @@ def solve_steady(f: SpectralVectorField, config: SolverConfig) -> SteadySolution
 
     u = u0.data.copy()
     prev_diff = None
+    scratch = _MapScratch(cube)  # every map of the solve works in it
 
     def step(s):  # new = u0 + B(u, u); u is retired: it holds the step
         n = new[:, s]
@@ -121,7 +123,7 @@ def solve_steady(f: SpectralVectorField, config: SolverConfig) -> SteadySolution
         np.subtract(n, u[:, s], out=u[:, s])
 
     for it in range(1, config.max_iter + 1):
-        new = apply_bilinear(SpectralVectorField(cube, u), alpha).data
+        new = apply_bilinear(SpectralVectorField(cube, u), alpha, _scratch=scratch).data
         _by_slabs(step, cube.spectral_shape[0])
         new_l2 = parseval_l2(cube, cube.lattice_sum(new, new))
         diff = parseval_l2(cube, cube.lattice_sum(u, u))
@@ -157,8 +159,9 @@ def contraction_metrics(solution: SteadySolution, f: SpectralVectorField, alpha:
     res = residual(u, f, alpha, adv=adv)
     # B(u, u) = -(-Lap)^(-alpha/2) adv, whose sign the norm ignores
     b = fractional_power(adv, -alpha)
-    del adv  # not held while the norms take their samples
+    del adv  # neither is held while the norms take their samples
     b_lorentz = weak_lorentz_norm(to_real(b), alpha)
+    del b
     delta = weak_lorentz_norm(to_real(solution.lift), alpha)
     u_lorentz = weak_lorentz_norm(solution.samples, alpha)
     c_b = b_lorentz / u_lorentz**2 if u_lorentz > 0 else 0.0

@@ -75,7 +75,10 @@ def lorentz_quasinorm(field, p: float, q: float, cell_volume: float) -> float:
     vals = vals[:nz]
     t_right = cell_volume * np.arange(1, nz + 1, dtype=np.float64)
     if np.isinf(q):
-        return float(np.max(vals * t_right ** (1.0 / p)))
+        # in place: three n^3 temporaries raised a 128^3 decay's peak RSS
+        t_right **= 1.0 / p
+        t_right *= vals
+        return float(np.max(t_right))
     t_left = t_right - cell_volume
     increments = t_right ** (q / p) - t_left ** (q / p)
     return float(np.sum(vals**q * increments) ** (1.0 / q))

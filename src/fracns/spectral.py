@@ -11,20 +11,23 @@ half-lattice modes the 2/3 rule keeps (``_Cube``), which stands in for its
 Grid: the force, its lift, every Picard iterate and the solution are 0 off it.
 The cube, built from the Grid's axes, is where the 2/3-rule mask is defined,
 and ``min_image`` is the one minimum-image rule (``Grid.offsets``).
-They are transformed through a pruned pair that touches the cube alone, and
-the quadratic map (``apply_bilinear``), ``projected_advection``, ``to_real``
-and ``l2_norm`` take a field held on a cube and nothing else.  The solver stack
+They are transformed through a pruned pair that touches the cube alone: its
+one-axis complex stages run in place on one half-lattice array, the y stage
+on the cube's two runs of k_x rows, so no staging copy is made.  The
+quadratic map (``apply_bilinear``), ``projected_advection``, ``to_real`` and
+``l2_norm`` take a field held on a cube and nothing else.  The map works in a
+``_MapScratch``, which a solve holds for all its maps.  The solver stack
 calls no BLAS: the transforms run on the calling thread, where pocketfft takes
 ``_WORKERS`` threads, and the Parseval sums (``_Cube.lattice_sum``) in numpy's
 own loops, whole, so no idle OpenBLAS thread spins against the FFT workers and
 no bit of a solve depends on how many threads OpenBLAS would start.  Between
-the transforms, the map's elementwise passes (the 2/3-rule mask and the
-finiteness checks, the six products, the cube's row fills and gathers, the
-sum into D, Leray with the lift) and the Picard step run by slabs of leading
-rows (``_by_slabs``), one slab on the calling thread and the others on one
-pool of ``_WORKERS`` - 1 threads, where there are rows enough.  Each element
-gets the same float operations in whichever slab it falls, so no bit depends
-on the split.  The multipliers
+the transforms, the map's elementwise passes (the pair's scatter, which
+applies the 2/3-rule mask and the first finiteness check in the map, and its
+gather; the six products, the sum into D, D's check, Leray with the lift)
+and the Picard step run by slabs of leading rows (``_by_slabs``), one slab on
+the calling thread and the others on one pool of ``_WORKERS`` - 1 threads,
+where there are rows enough.  Each element gets the same float operations in
+whichever slab it falls, so no bit depends on the split.  The multipliers
 (``leray_project``, ``fractional_power``) read whichever lattice a field is on
 with one code path, a Grid's half lattice (n, n, n/2+1) included.  A symbol
 that is even or odd along each axis (a radial multiplier times a monomial in
@@ -67,8 +70,8 @@ if hasattr(os, "register_at_fork"):  # a forked child has none of its parent's t
     os.register_at_fork(after_in_child=_new_pool)
 
 # the fewest rows worth a slab (2 CPUs): handing one to the pool costs about
-# 40 us, so a map on two slabs took 1.5x as long as on one at 32^3, and a
-# fresh-process nonexist run at 64^3 took 10-20 ms longer split than whole
+# 40 us, so a map on two slabs took 1.5x as long as on one at 32^3; a
+# fresh-process nonexist run at 64^3, whole here, gained nothing split
 _SLAB_ROWS = 40
 
 
@@ -381,63 +384,105 @@ class _Cube:
         return 2.0 * mirrored + plane
 
 
-def _cube_to_real(coeffs: np.ndarray, cube: _Cube) -> np.ndarray:
+def _into(view: np.ndarray, x: np.ndarray) -> None:
+    """Keep in ``view`` the one-axis transform ``x`` taken of it with overwrite_x,
+    which permits a transform in place but does not promise it: ``x`` is either
+    written over ``view`` or a new array."""
+    if not np.may_share_memory(x, view):
+        view[...] = x
+
+
+class _MapScratch:
+    """The quadratic map's numpy scratch on one cube, for three components: the
+    inverse stage's half-lattice array ``padded`` and the marks ``finite`` of
+    the finiteness checks, and, cut from the memory of ``padded`` once the
+    inverse stage has read it, the forward loop's ``product``, ``w_hat`` and
+    ``tmp`` (Leray's ``dot`` and ``tmp`` after it).  ``solve_steady`` holds one
+    for all the maps of a solve; a map given none makes its own.  Nothing the
+    map returns is cut from it."""
+
+    def __init__(self, cube: _Cube):
+        n, shape = cube.n, cube.spectral_shape
+        self.padded = np.empty((3,) + cube.grid.spectral_shape, dtype=np.complex128)
+        self.finite = np.empty((3,) + shape, dtype=bool)
+        # n^3/2 + 2 size of its 3 n^2 (n/2+1) slots: the cube holds under n^3/2 modes
+        flat, k, size = self.padded.reshape(-1), n**3 // 2, int(np.prod(shape))
+        self.product = flat[:k].view(np.float64).reshape(n, n, n)
+        self.w_hat = flat[k : k + size].reshape(shape)
+        self.tmp = flat[k + size : k + 2 * size].reshape(shape)
+
+
+def _cube_to_real(coeffs: np.ndarray, cube: _Cube, padded: np.ndarray | None = None,
+                  mask: np.ndarray | None = None,
+                  finite: np.ndarray | None = None) -> np.ndarray:
     """Real samples (..., n, n, n) of coefficients held on ``cube`` (every other
-    mode 0): ifft along y on the cube's k_x rows, ifft along x in place on the
-    cube's planes of a zeroed half-lattice array, then irfft along z, which reads
-    that array as it is.  The rows are filled by slabs of k_x rows."""
+    mode 0).  The cube is scattered into a half-lattice array (``padded``, which
+    may hold anything, or a new one), zero off the cube, by slabs of k_x rows;
+    then ifft along y in place on the cube's two runs of k_x rows, ifft along x
+    in place on the cube's planes, and irfft along z, which reads that array as
+    it is.  With ``mask`` (the 2/3-rule mask, as the quadratic map reads it)
+    the scatter writes the coefficients times the mask and marks in ``finite``
+    where that is finite, and a non-finite one raises NumericalBlowup."""
     n, p, nc = cube.n, cube.planes, cube.spectral_shape[0]
-    lead = coeffs.shape[:-3]
-    a = np.zeros(lead + (nc, n, p), dtype=np.complex128)
-    y_runs = cube.row_runs(slice(0, nc))
-
-    def fill_y(s):
-        for c, g in y_runs:
-            a[..., s, g, :] = coeffs[..., s, c, :]
-
-    _by_slabs(fill_y, nc)
-    a = sfft.ifft(a, axis=-2, overwrite_x=True, workers=_WORKERS)
     # all n/2+1 planes, so that irfft needs no zero-padded copy
-    b = np.zeros(lead + cube.grid.spectral_shape, dtype=np.complex128)
+    b = (np.empty(coeffs.shape[:-3] + cube.grid.spectral_shape, dtype=np.complex128)
+         if padded is None else padded)
+    runs = cube.row_runs(slice(0, nc))
+    off = slice(p, p + n - nc)  # the grid rows between the cube's two runs
+    b_off = b[..., off, :, :]
 
-    def fill_x(s):
+    def clear(s):
+        b_off[..., s, :, :] = 0
+
+    def scatter(s):
+        ok = True
         for c, g in cube.row_runs(s):
-            b[..., g, :, :p] = a[..., c, :, :]
+            rows = b[..., g, :, :]
+            rows[..., off, :p] = 0
+            rows[..., p:] = 0
+            for cy, gy in runs:
+                to = rows[..., gy, :p]
+                if mask is None:
+                    to[...] = coeffs[..., c, cy, :]
+                else:
+                    np.multiply(coeffs[..., c, cy, :], mask[c, cy, :], out=to)
+                    ok &= np.isfinite(to, out=finite[..., c, cy, :]).all()
+        return ok
 
-    _by_slabs(fill_x, nc)
-    del a
-    x = sfft.ifft(b[..., :p], axis=-3, overwrite_x=True, workers=_WORKERS)
-    if x.base is not b:  # overwrite_x permits a transform in place but does not promise it
-        b[..., :p] = x
-    del x
+    _by_slabs(clear, n - nc)
+    if not all(_by_slabs(scatter, nc)):
+        raise NumericalBlowup("non-finite coefficients entering the quadratic term")
+    for _, g in runs:
+        y = b[..., g, :, :p]
+        _into(y, sfft.ifft(y, axis=-2, overwrite_x=True, workers=_WORKERS))
+    x = b[..., :p]
+    _into(x, sfft.ifft(x, axis=-3, overwrite_x=True, workers=_WORKERS))
     return sfft.irfft(b, n=n, axis=-1, workers=_WORKERS)
 
 
-def _real_to_cube(samples: np.ndarray, cube: _Cube) -> np.ndarray:
+def _real_to_cube(samples: np.ndarray, cube: _Cube,
+                  out: np.ndarray | None = None) -> np.ndarray:
     """The coefficients on ``cube`` of real samples (..., n, n, n): rfft along z,
-    fft along x in place on the cube's planes of its output, keeping the cube's
-    rows, then fft along y, keeping the cube's columns.  The kept rows and
-    columns are gathered by slabs of k_x rows."""
-    nc = cube.spectral_shape[0]
-    a = sfft.rfft(samples, axis=-1, workers=_WORKERS)[..., : cube.planes]
-    a = sfft.fft(a, axis=-3, overwrite_x=True, workers=_WORKERS)
-    rows = np.empty(a.shape[:-3] + (nc,) + a.shape[-2:], dtype=np.complex128)
+    fft along x in place on the cube's planes of its output, then fft along y
+    in place on the cube's two runs of k_x rows there.  The cube is gathered
+    from that array by slabs of k_x rows, into ``out`` where given."""
+    p, nc = cube.planes, cube.spectral_shape[0]
+    a = sfft.rfft(samples, axis=-1, workers=_WORKERS)
+    x = a[..., :p]
+    _into(x, sfft.fft(x, axis=-3, overwrite_x=True, workers=_WORKERS))
+    runs = cube.row_runs(slice(0, nc))
+    for _, g in runs:
+        y = a[..., g, :, :p]
+        _into(y, sfft.fft(y, axis=-2, overwrite_x=True, workers=_WORKERS))
+    if out is None:
+        out = np.empty(a.shape[:-3] + cube.spectral_shape, dtype=np.complex128)
 
-    def gather_x(s):
+    def gather(s):
         for c, g in cube.row_runs(s):
-            rows[..., c, :, :] = a[..., g, :, :]
+            for cy, gy in runs:
+                out[..., c, cy, :] = a[..., g, gy, :p]
 
-    _by_slabs(gather_x, nc)
-    del a
-    rows = sfft.fft(rows, axis=-2, overwrite_x=True, workers=_WORKERS)
-    out = np.empty(rows.shape[:-3] + cube.spectral_shape, dtype=np.complex128)
-    y_runs = cube.row_runs(slice(0, nc))
-
-    def gather_y(s):
-        for c, g in y_runs:
-            out[..., s, c, :] = rows[..., s, g, :]
-
-    _by_slabs(gather_y, nc)
+    _by_slabs(gather, nc)
     return out
 
 
@@ -446,15 +491,15 @@ def _real_to_cube(samples: np.ndarray, cube: _Cube) -> np.ndarray:
 
 
 def _leray(v: np.ndarray, grid, leray_factor: np.ndarray, out: np.ndarray,
-           lift: np.ndarray | None = None) -> np.ndarray:
+           lift: np.ndarray | None = None, work=None) -> np.ndarray:
     """out = (I - xi xi^T/|xi|^2) v for coefficients v (3, ...) on ``grid`` (a Grid
     or a ``_Cube``), ``leray_factor`` its 1/|xi|^2 with 0 at the zero mode, then
     times ``lift`` where given, one component at a time, by slabs of k_x rows;
     ``out`` may be ``v``.  The xi rows are cast to complex once, as the products
-    would cast them."""
+    would cast them.  The pass works in ``work``, two arrays of a component's
+    shape, or in two new ones."""
     xi = [x.astype(np.complex128) for x in grid.xi]
-    dot = np.empty(v.shape[1:], dtype=np.complex128)
-    tmp = np.empty_like(dot)
+    dot, tmp = np.empty((2,) + v.shape[1:], dtype=np.complex128) if work is None else work
 
     def project(s):  # only the k_x row of xi varies along the slab's rows
         x, d, t = (xi[0][s], xi[1], xi[2]), dot[s], tmp[s]
@@ -542,58 +587,50 @@ def kernel_tensor(grid: Grid, m: np.ndarray):
         yield sorted(set(itertools.permutations((a, b, c)))), C
 
 
-def _advection_divergence(v: SpectralVectorField) -> SpectralVectorField:
+def _advection_divergence(v: SpectralVectorField,
+                          scratch: _MapScratch | None = None) -> SpectralVectorField:
     """D_j = sum_k 1j xi_k W_jk = div(v (x) v) for a field ``v`` held on a dealias
-    cube (``_Cube``), a field on the same cube: W_jk is the transform of v_j v_k
-    formed in physical space after a 2/3-rule truncation of v, and D is truncated
-    likewise.  Every mode outside the cube, the Nyquist rows among them, is 0 in
-    D.  W is symmetric: each of its six products is transformed once, one at a
-    time, into both rows.
+    cube (``_Cube``), a new field on the same cube: W_jk is the transform of v_j
+    v_k formed in physical space after a 2/3-rule truncation of v, and D is
+    truncated likewise.  Every mode outside the cube, the Nyquist rows among
+    them, is 0 in D.  W is symmetric: each of its six products is transformed
+    once, one at a time, into both rows.  The passes work in ``scratch``, or in
+    a new ``_MapScratch``.
 
-    Finiteness is checked on the truncated v and on D: samples and products of
-    finite coefficients can only overflow to +-inf, which the transforms carry
-    into D."""
+    Finiteness is checked on the truncated v, as the inverse stage scatters it,
+    and on D: samples and products of finite coefficients can only overflow to
+    +-inf, which the transforms carry into D."""
     cube = v.grid
     mask, nc = cube.dealias_mask, cube.spectral_shape[0]
-    vin = np.empty_like(v.data)
-    finite = np.empty(v.data.shape, dtype=bool)
-
-    def truncate(s):
-        np.multiply(v.data[:, s], mask[s], out=vin[:, s])
-        return np.isfinite(vin[:, s], out=finite[:, s]).all()
-
-    if not all(_by_slabs(truncate, nc)):
-        raise NumericalBlowup("non-finite coefficients entering the quadratic term")
-    phys = _cube_to_real(vin, cube)
-    del vin  # not read past the transform
+    s = _MapScratch(cube) if scratch is None else scratch
+    phys = _cube_to_real(v.data, cube, s.padded, mask, s.finite)
     ixi = [1j * x for x in cube.xi]
     div = np.zeros((3,) + cube.spectral_shape, dtype=np.complex128)
-    tmp = np.empty(cube.spectral_shape, dtype=np.complex128)
-    product = np.empty(phys.shape[1:])
+    product, w_hat, tmp, finite = s.product, s.w_hat, s.tmp, s.finite
 
     # the passes over the pair (j, k) of the loop below
-    def multiply(s):
-        np.multiply(a[s], b[s], out=product[s])
+    def multiply(r):
+        np.multiply(a[r], b[r], out=product[r])
 
-    def accumulate(s):
-        x, w, t = (ixi[0][s], ixi[1], ixi[2]), w_hat[s], tmp[s]
-        d = div[j, s]
+    def accumulate(r):
+        x, w, t = (ixi[0][r], ixi[1], ixi[2]), w_hat[r], tmp[r]
+        d = div[j, r]
         d += np.multiply(x[k], w, out=t)
         if k != j:
-            d = div[k, s]
+            d = div[k, r]
             d += np.multiply(x[j], w, out=t)
 
     for j in range(3):
         for k in range(j, 3):
             a, b = phys[j], phys[k]
             _by_slabs(multiply, cube.n)
-            w_hat = _real_to_cube(product, cube)
+            _real_to_cube(product, cube, out=w_hat)
             _by_slabs(accumulate, nc)
 
-    def truncate_div(s):
-        ok = np.isfinite(div[:, s], out=finite[:, s]).all()
-        d = div[:, s]
-        d *= mask[s]
+    def truncate_div(r):
+        ok = np.isfinite(div[:, r], out=finite[:, r]).all()
+        d = div[:, r]
+        d *= mask[r]
         return ok
 
     if not all(_by_slabs(truncate_div, nc)):
@@ -604,20 +641,25 @@ def _advection_divergence(v: SpectralVectorField) -> SpectralVectorField:
 def projected_advection(v: SpectralVectorField) -> SpectralVectorField:
     """Leray-projected divergence of v (x) v for a field ``v`` held on a dealias
     cube: P D, D from ``_advection_divergence``, projected in place there."""
-    d = _advection_divergence(v)
-    _leray(d.data, d.grid, d.grid.leray_factor, d.data)
+    s = _MapScratch(v.grid)
+    d = _advection_divergence(v, s)
+    _leray(d.data, d.grid, d.grid.leray_factor, d.data, work=(s.w_hat, s.tmp))
     return d
 
 
-def apply_bilinear(v: SpectralVectorField, alpha: float) -> SpectralVectorField:
+def apply_bilinear(v: SpectralVectorField, alpha: float,
+                   _scratch: _MapScratch | None = None) -> SpectralVectorField:
     """-(-Lap)^(-alpha/2) P div(v (x) v) for a field ``v`` held on a dealias cube
-    (``_Cube``): one application of the quadratic map, a field on the same cube,
-    outside which it is 0.  Leray and the lift run as one in-place pass over
-    D, with the cube's own symbols.  P D has a zero mode of exactly 0, so the
-    lift is applied unchecked."""
-    d = _advection_divergence(v)
+    (``_Cube``): one application of the quadratic map, a new field on the same
+    cube, outside which it is 0.  Leray and the lift run as one in-place pass
+    over D, with the cube's own symbols.  P D has a zero mode of exactly 0, so
+    the lift is applied unchecked.  A caller that maps many times on one cube
+    (``solve_steady``) passes one ``_MapScratch`` for all of them."""
+    s = _MapScratch(v.grid) if _scratch is None else _scratch
+    d = _advection_divergence(v, s)
     cube = d.grid
-    _leray(d.data, cube, cube.leray_factor, d.data, lift=cube.lift(alpha))
+    _leray(d.data, cube, cube.leray_factor, d.data, lift=cube.lift(alpha),
+           work=(s.w_hat, s.tmp))
     return d
 
 

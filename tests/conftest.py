@@ -80,6 +80,16 @@ def zero_filled(a, cube):
     return out
 
 
+def staged_cube_to_real(coeffs, cube):
+    """Real samples (..., n, n, n) of coefficients (..., cube.spectral_shape) held
+    on ``cube``, by whole one-axis stages on the zero-filled half lattice in the
+    pruned inverse's order: ifft along y, ifft along x, irfft along z.  (irfftn
+    takes its stages in another order, which moves the last bits.)"""
+    b = sfft.ifft(zero_filled(coeffs, cube), axis=-2)
+    b = sfft.ifft(b, axis=-3)
+    return sfft.irfft(b, n=cube.n, axis=-1)
+
+
 def on_half_lattice(v):
     """A field held on a dealias cube, zero-filled to its grid's half lattice."""
     return SpectralVectorField(v.grid.grid, zero_filled(v.data, v.grid))

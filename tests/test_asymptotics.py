@@ -147,6 +147,12 @@ class TestDecayFit:
         with pytest.raises(InvalidRadius):
             radial_profile(np.ones((32, 32, 32)), grid32, window=(1.0, 10.0))
 
+    @pytest.mark.parametrize("window", [(0.0, 2.0), (-1.0, 2.0), (2.0, 2.0), (3.0, 2.0)])
+    def test_window_starts_past_the_center_and_is_ordered(self, window):
+        # the center sample r = 0 would enter a bin center's log as log(0)
+        with pytest.raises(InvalidRadius, match="^window must be 0 < lo < hi"):
+            radial_profile(np.ones((16, 16, 16)), Grid(16, 8.0), window=window, nbins=8)
+
 
 class TestProfileDecomposition:
     def test_trivial_remainder(self, grid32):

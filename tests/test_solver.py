@@ -252,9 +252,9 @@ class TestSolveSteady:
         # contraction_metrics for B(u, u) that also gives the residual
         calls = []
 
-        def counted(v, _adv=spectral._advection_divergence):
+        def counted(v, *args, _adv=spectral._advection_divergence):
             calls.append(v)
-            return _adv(v)
+            return _adv(v, *args)
 
         f = make_force(ForceSpec(amplitude=0.05, r0=0.8, r1=3.5, seed=3), grid16, alpha=2.0)
         alpha = 2.0

@@ -7,6 +7,7 @@ import sys
 import textwrap
 import threading
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -28,6 +29,7 @@ from conftest import (
     random_divfree_spectral,
     random_real_field,
     realness_defect,
+    staged_cube_to_real,
     symmetric_parts,
     to_spectral,
     zero_filled,
@@ -301,6 +303,37 @@ class TestTransforms:
         x = np.random.default_rng(seed).standard_normal((3, n, n, n))
         want = gather(sfft.rfftn(x, axes=(1, 2, 3)), cube)
         assert np.array_equal(spectral._real_to_cube(x, cube), want)
+
+    @settings(max_examples=20, deadline=None)
+    @given(n=HALF_SIZES, batch=st.sampled_from([1, 3]), seed=st.integers(0, 2**16))
+    def test_inverse_pruned_transform_is_the_staged_inverse(self, n, batch, seed):
+        # the staged inverse of the zero-filled half lattice, bit for bit, whatever
+        # the half-lattice array it is given held before
+        g = Grid(n, 1.0)
+        cube = spectral._Cube(g)
+        rng = np.random.default_rng(seed)
+        shape = (batch,) + cube.spectral_shape
+        c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        want = staged_cube_to_real(c, cube)
+        assert np.array_equal(spectral._cube_to_real(c, cube), want)
+        padded = np.full((batch,) + g.spectral_shape, complex(np.nan, np.inf))
+        assert np.array_equal(spectral._cube_to_real(c, cube, padded), want)
+
+    def test_forward_pruned_transform_stages_nothing(self):
+        # the rfft output and the cube it gathers are the arrays it makes: an
+        # array of the cube's k_x rows between the x and y stages overran this
+        n = 32
+        cube = spectral._Cube(Grid(n, 1.0))
+        x = np.random.default_rng(3).standard_normal((3, n, n, n))
+        spectral._real_to_cube(x, cube)  # plans the transforms
+        tracemalloc.start()
+        try:
+            spectral._real_to_cube(x, cube)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rfft_out, result = 48 * n * n * (n // 2 + 1), 48 * math.prod(cube.spectral_shape)
+        assert peak <= rfft_out + result + 64 * 1024, peak
 
     @settings(max_examples=20, deadline=None)
     @given(n=HALF_SIZES, batch=st.sampled_from([1, 3]), seed=st.integers(0, 2**16))
@@ -648,6 +681,24 @@ class TestSlabs:
                           to_real(v).data)
         for slabs in (2, 3):
             assert all(np.array_equal(a, b) for a, b in zip(got[1], got[slabs])), slabs
+
+    @pytest.mark.parametrize("n, box", [(16, 4.0), (32, 16.0)])
+    @pytest.mark.parametrize("slabs", [1, 2, 3])
+    def test_maps_sharing_a_scratch_keep_the_bits(self, monkeypatch, n, box, slabs):
+        # successive iterates mapped in one scratch, as a solve maps them, against
+        # maps that make their own: the same bits, and no returned array lies in
+        # the scratch or in an earlier result
+        monkeypatch.setattr(spectral, "_WORKERS", slabs)
+        v = on_cube(random_divfree_spectral(Grid(n, box), seed=n))
+        scratch = spectral._MapScratch(v.grid)
+        held = list(vars(scratch).values())
+        earlier = []
+        for _ in range(3):
+            got = spectral.apply_bilinear(v, 1.5, _scratch=scratch).data
+            assert np.array_equal(got, spectral.apply_bilinear(v, 1.5).data)
+            assert not any(np.shares_memory(got, a) for a in held + earlier)
+            earlier.append(got)
+            v = SpectralVectorField(v.grid, v.data + got)
 
     @pytest.mark.parametrize("slabs", [1, 2, 3])
     @pytest.mark.parametrize("row", [0, -1], ids=["first_row", "last_row"])
