@@ -255,6 +255,9 @@ def _run_nonexist(config: RunConfig, outdir: str):
     del f_eta  # not held while the isotropic force is built
     etas = np.array([r[0] for r in rows])
     raws = np.array([r[1]["raw_deviation"] for r in rows])
+    if zero := [float(eta) for eta, raw in zip(etas, raws) if not raw > 0.0]:
+        raise DegenerateInput(f"the raw deviation is 0 at amplitude {zero}, "
+                              "so deviation_slope (a fit to its log) is undefined")
     slope = np.polyfit(np.log(etas), np.log(raws), 1)[0]
     metrics["deviation_slope"] = float(slope)
 

@@ -195,12 +195,15 @@ def _residual_field(diss, adv, pf) -> np.ndarray:
 def residual(u: SpectralVectorField, f: SpectralVectorField, alpha: float, adv=None) -> float:
     """Discrete L^2 norm of (-Lap)^{alpha/2} u + P div(u (x) u) - P f; ``adv``,
     the projected advection of ``u``, is formed here unless the caller has it.
-    Scaled exactly by a power of two, the field's squares cannot underflow."""
+    Scaled exactly by a power of two, the field's squares cannot underflow.  The
+    real and imaginary parts are divided, not the complex field: numpy divides
+    by a complex number through its reciprocal, which overflows at a subnormal
+    scale."""
     r = _residual_field(*_residual_terms(u, f, alpha, adv))
     r[:, 0, 0, 0] = 0.0
     parts = r.view(np.float64)  # real and imaginary parts
     scale = 2.0 ** (int(np.frexp(max(parts.max(), -parts.min()))[1]) - 1)
-    r /= scale
+    parts /= scale
     return l2_norm(SpectralVectorField(u.grid, r)) * scale
 
 

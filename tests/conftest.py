@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.fft as sfft
 
-from fracns.asymptotics import RadialProfile
+from fracns.asymptotics import RadialProfile, fibonacci_sphere
 from fracns.forces import ForceSpec, make_force
 from fracns.solver import SolverConfig, solve_steady
 from fracns.spectral import (
@@ -156,6 +156,30 @@ def whole_range_profile(radii, values):
     radii = np.asarray(radii, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
     return RadialProfile(radii, values, (float(radii.min()), float(radii.max())))
+
+
+def sphere_frobenius(kernel, dirs):
+    """|m|_F of a HomogeneousKernel at unit vectors (p, 3)."""
+    return np.sqrt(np.sum(kernel.evaluate_directions(dirs) ** 2, axis=(1, 2, 3)))
+
+
+def nelder_mead_bound(kernel):
+    """The oracle for ``HomogeneousKernel.bound_constant``: the largest |m|_F over
+    20000 Fibonacci points and 8 Nelder-Mead runs from the best of them, each
+    maximizing |m|_F at the direction of v over v in R^3."""
+    import scipy.optimize
+
+    def at(v):
+        return float(sphere_frobenius(kernel, (v / np.sqrt(np.sum(v * v))).reshape(1, 3))[0])
+
+    cand = fibonacci_sphere(20000)
+    fc = sphere_frobenius(kernel, cand)
+    best = float(fc.max())
+    for i in np.argsort(fc)[::-1][:8]:
+        res = scipy.optimize.minimize(lambda v: -at(v), cand[i], method="Nelder-Mead",
+                                      options={"xatol": 1e-14, "fatol": 1e-15, "maxiter": 2000})
+        best = max(best, at(res.x))
+    return best
 
 
 @pytest.fixture(scope="session")

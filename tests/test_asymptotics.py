@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import whole_range_profile
+from conftest import nelder_mead_bound, sphere_frobenius, whole_range_profile
 from fracns.asymptotics import (
     KERNEL_SHELL,
     build_kernel,
@@ -97,6 +97,15 @@ class TestKernel:
         vals = ker.evaluate(x)
         frob = np.sqrt(np.sum(vals**2, axis=(1, 2, 3)))
         assert np.all(frob <= ker.bound_constant * r ** (1.5 - 4.0) * (1 + 1e-12))
+
+    @pytest.mark.parametrize("alpha", [1.2, 1.5, 2.0, 2.4])
+    def test_bound_constant_matches_nelder_mead(self, alpha):
+        # Newton's method finds the maxima Nelder-Mead finds, and the bound is
+        # never below a scanned point
+        kernel = build_kernel(alpha, refinement_grid_n=64)
+        scan = sphere_frobenius(kernel, fibonacci_sphere(20000))
+        assert np.all(scan <= kernel.bound_constant)
+        assert kernel.bound_constant == pytest.approx(nelder_mead_bound(kernel), rel=1e-13, abs=0)
 
     def test_bound_constant_formed_on_first_read(self, small_solution):
         # the sphere search runs only for the reports that print the bound

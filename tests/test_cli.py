@@ -312,6 +312,20 @@ class TestMainEntry:
         assert payload["artifacts"] == [] and payload["metrics"] == {}
         assert not (tmp_path / "kernel_masses.csv").exists()
 
+    def test_nonexist_zero_raw_deviation_rejected_without_warning(self, tmp_path):
+        # at amplitude 1e-300 every raw deviation underflows to 0, whose log the
+        # deviation slope's fit would take
+        cfg = {"n": 16, "box_length": 8.0, "kernel_n": 16, "output_dir": str(tmp_path),
+               "force": {"r0": 0.6, "r1": 2.0, "amplitude": 1e-300}}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["nonexist", "--config", str(path)]) == EXIT_VALIDATION
+        payload = json.loads((tmp_path / "report.json").read_text())
+        assert payload["error"].startswith("DegenerateInput") and "1e-300" in payload["error"]
+        assert payload["artifacts"] == [] and payload["metrics"] == {}
+
     def test_out_of_memory_in_validation_exit(self, tmp_path, monkeypatch):
         def exhausted(self):
             raise MemoryError("cannot allocate the grid")

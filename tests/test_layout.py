@@ -24,10 +24,12 @@ and sorts run errors into exit codes in one ``except`` branch.  Every public
 module-level name is read by a run or by the acceptance criteria, not by a
 unit test alone, but for one named exception.  No function branches on the
 lattice a field is held on, a Grid's half lattice or a dealias cube.
-The Picard map, its Parseval sums and the residual call no BLAS routine.
+The Picard map, its Parseval sums, the residual and the kernel's sphere bound
+call no BLAS routine.
 The passes that ``spectral._by_slabs`` runs on the pool take no transform,
 call no public function (the tracer's spans wrap those, on one stack) and
-make no array, and ``import fracns`` starts no thread.
+make no array, and ``import fracns`` starts no thread and imports neither
+scipy.optimize, scipy.linalg nor scipy.sparse.
 Dealiasing is defined in ``spectral._Cube`` and the minimum image in
 ``spectral.min_image``: a Grid holds no dealias mask, and no other line
 writes the minimum image out.
@@ -245,6 +247,11 @@ BLAS_FREE = [
     ("spectral.py", ("projected_advection",)),
     ("solver.py", ("solve_steady",)),
     ("solver.py", ("residual",)),
+    # the kernel's sphere bound: its scan and Newton steps are einsum loops
+    ("asymptotics.py", ("HomogeneousKernel", "bound_constant")),
+    ("asymptotics.py", ("_sphere_maxima",)),
+    ("asymptotics.py", ("_monomial_jets",)),
+    ("asymptotics.py", ("_angular_values",)),
 ]
 
 
@@ -412,10 +419,28 @@ def test_slab_passes_take_no_transform_call_no_public_function_and_make_no_array
     assert bad == [], bad
 
 
+def _child_output(script):
+    """Standard output of ``script`` run by a fresh interpreter that finds fracns."""
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=path),
+                          check=True, capture_output=True, text=True, timeout=60).stdout
+
+
+def test_import_leaves_out_unused_scipy():
+    # a run transforms with scipy.fft alone; scipy.optimize (with scipy.linalg and
+    # scipy.sparse under it) costs every process about 0.2 s and 21 MiB to import
+    out = _child_output(
+        "import sys\n"
+        "import fracns, fracns.cli\n"
+        "print(*sorted({'scipy.optimize', 'scipy.linalg', 'scipy.sparse'} & set(sys.modules)))\n"
+    )
+    assert out.split() == [], out
+
+
 def test_import_starts_no_thread():
     # the slab pool starts its threads on first use: importing fracns starts none,
     # in Python or (where /proc says) in the process, beyond numpy's and scipy's
-    script = (
+    out = _child_output(
         "import os, threading, numpy, scipy.fft\n"
         "task = '/proc/self/task'\n"
         "tasks = lambda: len(os.listdir(task)) if os.path.isdir(task) else 0\n"
@@ -424,7 +449,4 @@ def test_import_starts_no_thread():
         "from fracns import spectral\n"
         "print(threading.active_count(), len(spectral._POOL._threads), tasks() - before)\n"
     )
-    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=path),
-                         check=True, capture_output=True, text=True, timeout=60).stdout
     assert out.split() == ["1", "0", "0"], out

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -356,6 +357,22 @@ class TestResidual:
             f = make_force(spec, Grid(16, L), 1.5)
             res[L] = residual(solve_steady(f, SolverConfig(1.5)).velocity, f, 1.5)
         assert res[box] == pytest.approx(res[32.0] * (box / 32.0) ** -0.5, rel=1e-4, abs=0)
+
+    def test_subnormal_field_scaled_without_overflow(self):
+        # at amplitude 1e-300 the residual field's largest part is subnormal, and
+        # so is its scale; a complex division by it overflows through 1/scale.
+        # Multiplying the parts by 2^600 is exact, and so is the norm's scaling
+        spec = ForceSpec(amplitude=1e-300, r0=0.6, r1=2.0)
+        f = make_force(spec, Grid(16, 8.0), 1.5)
+        u = solve_steady(f, SolverConfig(1.5)).velocity
+        r = solver._residual_field(*solver._residual_terms(u, f, 1.5))
+        r[:, 0, 0, 0] = 0.0
+        assert 0 < np.max(np.abs(r.view(np.float64))) < np.finfo(np.float64).tiny
+        r.view(np.float64)[...] *= 2.0**600
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = residual(u, f, 1.5)
+        assert res == l2_norm(SpectralVectorField(u.grid, r)) / 2.0**600 > 0
 
 
 class TestPressure:
