@@ -228,10 +228,10 @@ def build_kernel(alpha: float, refinement_grid_n: int = 128) -> HomogeneousKerne
 
     The symbol is damped by a narrow Gaussian high-frequency splitting
     (width ~ 1.4 cells, so truncation ringing is negligible), inverse
-    transformed, and sampled on all lattice sites in the mid-radius shell
-    ``KERNEL_SHELL`` of the unit box as C_ijk - delta_ij sum_l C_llk, C from
-    ``kernel_tensor``.  The samples are fitted against the exact angular
-    basis plus two nuisance blocks: a degree alpha-6 correction absorbing
+    transformed on the rows the mid-radius shell ``KERNEL_SHELL`` of the unit
+    box meets, and sampled on all its lattice sites as C_ijk - delta_ij sum_l
+    C_llk, C from ``kernel_tensor``.  The samples are fitted against the exact
+    angular basis plus two nuisance blocks: a degree alpha-6 correction absorbing
     the smoothing bias and a linear-in-x background absorbing the residual
     lattice artifacts.  Only the homogeneous degree alpha-4 block is kept.
     """
@@ -250,17 +250,14 @@ def build_kernel(alpha: float, refinement_grid_n: int = 128) -> HomogeneousKerne
     dirs = coords / radii[:, None]
 
     phi = _monomial_matrix(dirs)
-    design = np.hstack(
-        [
-            phi * (radii ** (alpha - 4.0))[:, None],
-            phi * (radii ** (alpha - 6.0))[:, None],
-            coords,
-        ]
-    )
+    design = np.hstack([phi * (radii ** (alpha - 4.0))[:, None],
+                        phi * (radii ** (alpha - 6.0))[:, None], coords])
 
+    rows = np.unique(sites)  # C is synthesized on rows^3 and read at ``at``
+    at = tuple(np.searchsorted(rows, sites).T)
     samples = np.empty((3, 3, 3, len(radii)))
-    for entries, C in kernel_tensor(grid, damped_inv_pow):
-        samples[tuple(zip(*entries))] = C[tuple(sites.T)]
+    for entries, C in kernel_tensor(grid, damped_inv_pow, rows):
+        samples[tuple(zip(*entries))] = C[at]
     samples[range(3), range(3)] -= np.einsum("llkn->kn", samples)  # delta_ij grad_k p
 
     sol, *_ = np.linalg.lstsq(design, samples.reshape(27, -1).T, rcond=None)

@@ -88,13 +88,16 @@ def rotate_real_field(data: np.ndarray, R: np.ndarray) -> np.ndarray:
     R must be a signed permutation matrix; the lattice is then mapped onto
     itself and the rotation is exact.  Source axis j is read backwards
     (index k -> -k mod n) where column j's entry is -1, result axis i reads
-    the source axis of row i's entry, and R mixes the components.
+    the source axis of row i's entry, and component i is component cols[i]
+    times that entry (no BLAS call).
     """
     for j in range(3):
         if R[:, j].sum() < 0:
             data = np.roll(np.flip(data, j + 1), 1, j + 1)
     cols = np.nonzero(R)[1]  # row i's entry is in column cols[i]
-    return np.tensordot(R, np.transpose(data, (0, *(cols + 1))), axes=1)
+    out = np.transpose(data, (0, *(cols + 1)))[cols]
+    out *= R[range(3), cols].reshape(3, 1, 1, 1)
+    return out
 
 
 def _odd_polynomial(lattice, rng, anisotropy, scale):
@@ -180,13 +183,20 @@ def scalar_deviation(M: np.ndarray, normalized: bool = True) -> float:
     return dev / tr if tr > 0 else 0.0
 
 
-def _check_scale(coeffs: np.ndarray, factor: float, what: str):
+def _check_scale(coeffs: np.ndarray, factor: float, what: str, lift: np.ndarray | None = None):
     """DegenerateInput unless ``factor`` times the largest of ``coeffs`` leaves their
-    L^2 sum over the cube (twice off k_z = 0) a float; an overflow here reads inf."""
+    L^2 sum over the cube (twice off k_z = 0) a float (an overflow reads inf), and,
+    given their ``lift``'s samples, factor times the largest sample has a normal
+    square: the lift's and the solution's norms square their samples."""
+    f64 = np.finfo(np.float64)
     scale = float(np.max(np.abs(coeffs))) * factor
-    if not scale < np.sqrt(np.finfo(np.float64).max / (2 * coeffs.size)):
+    if not scale < np.sqrt(f64.max / (2 * coeffs.size)):
         raise DegenerateInput(f"{what} has scale {scale:.3g} (its largest coefficient), "
                               "too large for its L^2 norm to be a float")
+    low = np.inf if lift is None else float(np.max(np.abs(lift))) * factor
+    if not low >= np.sqrt(f64.tiny):
+        raise DegenerateInput(f"{what} has a lift of scale {low:.3g} (its largest sample), "
+                              "too small for its square to be a normal float")
 
 
 def make_force(spec: ForceSpec, grid: Grid, alpha: float) -> SpectralVectorField:
@@ -201,10 +211,8 @@ def make_force(spec: ForceSpec, grid: Grid, alpha: float) -> SpectralVectorField
     """
     limit = grid.dealias_radius
     if not (spec.r1 < limit):
-        raise InvalidAnnulus(
-            f"annulus outer radius {spec.r1} must stay inside the dealias "
-            f"sphere of radius {limit:.4g}"
-        )
+        raise InvalidAnnulus(f"annulus outer radius {spec.r1} must stay inside the dealias "
+                             f"sphere of radius {limit:.4g}")
     cube = _Cube(grid)
     if spec.amplitude == 0.0:
         return zero_spectral(cube)
@@ -226,18 +234,15 @@ def make_force(spec: ForceSpec, grid: Grid, alpha: float) -> SpectralVectorField
         f.data[:, 0, 0, 0] = 0.0
         if l2_norm(f) <= 1e-12 * l2_norm(raw):
             # only round-off is left, which scaling to the amplitude would turn into noise
-            raise DegenerateInput(
-                f"the annulus force from seed {spec.seed + attempt} has no "
-                "divergence-free part (its projection is round-off)"
-            )
+            raise DegenerateInput(f"the annulus force from seed {spec.seed + attempt} has no "
+                                  "divergence-free part (its projection is round-off)")
         u0 = to_real(lift_force(f, alpha))
         # the normalized deviation is scale-invariant: the unscaled lift decides
         if anisotropic and scalar_deviation(moment_matrix(u0)) < 0.05:
             continue
         factor = spec.amplitude / weak_lorentz_norm(u0, alpha)
-        _check_scale(f.data, factor, f"the annulus force scaled to amplitude {spec.amplitude}")
+        _check_scale(f.data, factor, f"the annulus force scaled to amplitude {spec.amplitude}",
+                     u0.data)
         return SpectralVectorField(cube, f.data * factor)
-    raise ScalarMomentMatrix(
-        "could not realize a usably non-scalar lifted moment matrix "
-        f"from seed {spec.seed} in {attempts} attempts"
-    )
+    raise ScalarMomentMatrix("could not realize a usably non-scalar lifted moment matrix "
+                             f"from seed {spec.seed} in {attempts} attempts")

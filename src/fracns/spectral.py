@@ -1,41 +1,32 @@
 """Periodic grids, spectral transforms and the Fourier-multiplier operators.
 
-Everything downstream (steady solver, time integrator, force constructors)
-is built from the primitives here: the Leray projector, fractional
-Laplacian powers and the lifted-advection symbol.  All multipliers follow
-one convention, kept in one place (``Grid.power``): symbols that are
-singular or undefined at the zero mode return 0 there, and admissible
-forces are mean-free, so the convention is exact for every pipeline that
-matters.  A run's spectral fields are held on one lattice, the box of rfftn
-half-lattice modes the 2/3 rule keeps (``_Cube``), which stands in for its
-Grid: the force, its lift, every Picard iterate and the solution are 0 off it.
-The cube, built from the Grid's axes, is where the 2/3-rule mask is defined,
-and ``min_image`` is the one minimum-image rule (``Grid.offsets``).
-They are transformed through a pruned pair that touches the cube alone: its
-one-axis complex stages run in place on one half-lattice array, the y stage
-on the cube's two runs of k_x rows, so no staging copy is made.  The
-quadratic map (``apply_bilinear``), ``projected_advection``, ``to_real`` and
-``l2_norm`` take a field held on a cube and nothing else.  The map works in a
-``_MapScratch``, which a solve holds for all its maps.  The solver stack
-calls no BLAS: the transforms run on the calling thread, where pocketfft takes
-``_WORKERS`` threads, and the Parseval sums (``_Cube.lattice_sum``) in numpy's
-own loops, whole, so no idle OpenBLAS thread spins against the FFT workers and
-no bit of a solve depends on how many threads OpenBLAS would start.  Between
-the transforms, the map's elementwise passes (the pair's scatter, which
-applies the 2/3-rule mask and the first finiteness check in the map, and its
-gather; the six products, the sum into D, D's check, Leray with the lift)
-and the Picard step run by slabs of leading rows (``_by_slabs``), one slab on
-the calling thread and the others on one pool of ``_WORKERS`` - 1 threads,
-where there are rows enough.  Each element gets the same float operations in
-whichever slab it falls, so no bit depends on the split.  The multipliers
-(``leray_project``, ``fractional_power``) read whichever lattice a field is on
-with one code path, a Grid's half lattice (n, n, n/2+1) included.  A symbol
-that is even or odd along each axis (a radial multiplier times a monomial in
-xi) is also sampled on the octant alone (``octant_to_real``): k = 0..n/2 in,
-j = 0..n/2 out, one real DCT-I or DST-I per axis.  Every other sample is a
-reflection of an octant sample up to sign, so a lattice sum of a
-reflection-invariant quantity is the octant sum weighted 1 on the j = 0 and
-j = n/2 planes of each axis and 2 elsewhere.
+Everything downstream is built from the primitives here: the Leray projector,
+fractional Laplacian powers and the lifted-advection symbol.  Every multiplier
+takes its zero-mode rule from ``Grid.power``: a symbol singular or undefined
+there returns 0, which is exact for the mean-free admissible forces.  A run's
+spectral fields are held on one lattice, the box of rfftn half-lattice modes
+the 2/3 rule keeps (``_Cube``, where the 2/3-rule mask is defined), which
+stands in for its Grid: the force, its lift, every Picard iterate and the
+solution are 0 off it.  ``min_image`` is the one minimum-image rule.  A cube
+is transformed through a pruned pair whose one-axis complex stages run in
+place on one half-lattice array, the y stage on the cube's two runs of k_x
+rows.  The quadratic map (``apply_bilinear``), ``projected_advection``,
+``to_real`` and ``l2_norm`` take a field held on a cube; the map works in a
+``_MapScratch``, which a solve holds for all its maps.  The solver stack calls
+no BLAS: the transforms take ``_WORKERS`` pocketfft threads and the Parseval
+sums (``_Cube.lattice_sum``) run in numpy's own loops, so no idle OpenBLAS
+thread spins against the FFT workers and no bit depends on its thread count.
+Between the transforms, the map's elementwise passes and the Picard step run
+by slabs of leading rows (``_by_slabs``) on the calling thread and a pool of
+``_WORKERS`` - 1 threads, each element with the same float operations in
+whichever slab it falls.  The multipliers (``leray_project``,
+``fractional_power``) read a field on either lattice with one code path.  The
+kernel tensor's ten parts (``kernel_tensor``) are synthesized on a sub-box of
+rows alone, by irfftn's own stages (``_irfftn_at``), equal to irfftn there bit
+for bit.  A symbol even or odd along each axis is also sampled on the octant
+alone (``octant_to_real``), by one real DCT-I or DST-I per axis; a lattice sum
+of a reflection-invariant quantity is the octant sum weighted 1 on the j = 0
+and j = n/2 planes of each axis and 2 elsewhere.
 """
 
 from __future__ import annotations
@@ -137,15 +128,8 @@ def min_image(d, L: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Grid:
-    """
-    Spectral quantities for a periodic cubic box [0, L)^3, the n^3 ones on first read.
-
-    Parameters
-    ----------
-    n : int
-        Points per axis (even, >= 8).
-    box_length : float
-        Physical side length L.
+    """Spectral quantities for a periodic cubic box [0, L)^3, L = ``box_length``,
+    of ``n`` points per axis (even, >= 8); the n^3 ones are formed on first read.
 
     The frequency lattice per axis is {2*pi*k/L : k in [-n/2, n/2)} in
     standard DFT ordering.  Real fields are stored on the half lattice
@@ -265,12 +249,6 @@ def zero_spectral(lattice: Grid | _Cube) -> SpectralVectorField:
     return SpectralVectorField(lattice, np.zeros((3,) + lattice.spectral_shape, dtype=complex))
 
 
-def _irfftn(coeffs: np.ndarray, **kwargs) -> np.ndarray:
-    """Real samples of half-lattice coefficients over the last three axes."""
-    n = coeffs.shape[-3]
-    return sfft.irfftn(coeffs, s=(n, n, n), axes=(-3, -2, -1), workers=_WORKERS, **kwargs)
-
-
 def to_real(field: SpectralVectorField) -> RealVectorField:
     """The real samples of a field held on a dealias cube."""
     cube = field.grid
@@ -280,7 +258,19 @@ def to_real(field: SpectralVectorField) -> RealVectorField:
 def scalar_to_real(coeffs: np.ndarray) -> np.ndarray:
     """Real samples (..., n, n, n) of half-lattice coefficients (..., n, n, n/2+1):
     the last three axes are transformed, any leading axes are a batch."""
-    return _irfftn(coeffs)
+    n = coeffs.shape[-3]
+    return sfft.irfftn(coeffs, s=(n, n, n), axes=(-3, -2, -1), workers=_WORKERS)
+
+
+def _irfftn_at(coeffs: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``scalar_to_real(coeffs)`` on the sites ``rows`` x ``rows`` x ``rows``, bit for
+    bit, for half-lattice coefficients (..., n, n, n/2+1), which it overwrites:
+    irfftn's stages unscaled, ifft along x in place, ifft along y and irfft along
+    z, each keeping ``rows`` of its axis, then one product by irfftn's 1/n^3."""
+    n, kw = coeffs.shape[-3], dict(norm="forward", workers=_WORKERS)
+    x = sfft.ifft(coeffs, axis=-3, overwrite_x=True, **kw)[..., rows, :, :]
+    y = sfft.ifft(x, axis=-2, overwrite_x=True, **kw)[..., rows, :]
+    return sfft.irfft(y, n=n, axis=-1, **kw)[..., rows] * (1 / n**3)
 
 
 def scalar_to_spectral(samples: np.ndarray) -> np.ndarray:
@@ -558,31 +548,36 @@ def bilinear_symbol(xi, alpha: float, i: int, j: int, k: int) -> complex:
     return complex(-proj * 1j * xi[k] / r2 ** (alpha / 2.0))
 
 
-def kernel_tensor(grid: Grid, m: np.ndarray):
+def kernel_tensor(grid: Grid, m: np.ndarray, rows: np.ndarray):
     """Yield ``(entries, C)`` for each of the ten ``CUBIC_MONOMIALS`` (a, b, c):
-    C the real-space samples ifftn(1j xi_a xi_b xi_c m/|xi|^2).real / cell_volume
-    for the real half-lattice multiplier ``m`` (zero mode 0), which must be a
-    function of |xi|, and ``entries`` the distinct index triples that C fills
-    in the fully symmetric tensor C_ijk.
+    C the samples ifftn(1j xi_a xi_b xi_c m/|xi|^2).real / cell_volume on the
+    sites ``rows`` x ``rows`` x ``rows`` for the real half-lattice multiplier
+    ``m`` (a function of |xi|, zero mode 0), and ``entries`` the distinct index
+    triples that C fills in the fully symmetric tensor C_ijk.
 
     The lifted-advection tensor -(delta_ij - xi_i xi_j/|xi|^2) 1j xi_k m is
     C_ijk - delta_ij sum_l C_llk, as sum_l C_llk = 1j xi_k m, the symbol of
-    d_k p for p = ifftn(m): ten inverse transforms in all.  Each goes through
-    irfftn, so each is taken of its Hermitian part, which is what the
-    ``.real`` above keeps: the monomial times (1 + prod_c sigma_c^d_c)/2, d_c
-    its degree in xi_c and sigma_c = -1 on axis c's Nyquist row
-    (``grid.nyquist_rows``, where -xi_c is xi_c) and +1 elsewhere.  Every C_llk is zeroed on axis k's Nyquist row
-    alone, so the identity holds on the lattice.  One C is held at a time.
-    ``build_kernel`` reads it: its damped symbol is not 0 on the Nyquist rows,
-    where the Hermitian part keeps what an octant DST-I would drop.
+    d_k p for p = ifftn(m).  Each part is irfftn's (``_irfftn_at``), the
+    transform of the symbol's Hermitian part, which the ``.real`` keeps: the
+    monomial times (1 + prod_c sigma_c^d_c)/2, d_c its degree in xi_c and
+    sigma_c = -1 on axis c's Nyquist row (``grid.nyquist_rows``, where -xi_c is
+    xi_c), +1 elsewhere.  Every C_llk is zeroed on axis k's Nyquist row alone,
+    so the identity holds on the lattice.  Each symbol is formed in one real
+    and one complex array held for all ten.  ``build_kernel``'s damped symbol
+    is not 0 on the Nyquist rows, where the Hermitian part keeps what an octant
+    DST-I would drop.
     """
     xi, nyq = grid.xi, grid.nyquist_rows
-    m_k2 = m * grid.power(-2.0)
+    m_k2 = grid.power(-2.0)
+    m_k2 *= m
+    real = np.empty(m_k2.shape)
+    sym = np.empty(m_k2.shape, dtype=np.complex128)
     for a, b, c in CUBIC_MONOMIALS:
-        sym = 1j * xi[a] * xi[b] * (xi[c] * m_k2)
+        np.multiply(xi[c], m_k2, out=real)
+        np.multiply(1j * xi[a] * xi[b], real, out=sym)
         sym *= ~(nyq[a] ^ nyq[b] ^ nyq[c])  # 0 where sigma_a sigma_b sigma_c = -1
         sym[0, 0, 0] = 0.0
-        C = _irfftn(sym, overwrite_x=True)  # sym is a temporary
+        C = _irfftn_at(sym, rows)
         C /= grid.cell_volume
         yield sorted(set(itertools.permutations((a, b, c)))), C
 

@@ -197,7 +197,7 @@ def symmetric_parts(grid, m):
     ten parts ``kernel_tensor`` yields; the kernel tensor is C_ijk - delta_ij sum_l C_llk."""
     n = grid.n
     C = np.empty((3, 3, 3, n, n, n))
-    for entries, part in kernel_tensor(grid, m):
+    for entries, part in kernel_tensor(grid, m, np.arange(n)):
         for i, j, k in entries:
             C[i, j, k] = part
     return C

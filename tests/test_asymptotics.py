@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -69,6 +71,21 @@ class TestKernel:
         # the shell holds 6, 18 and 20 sites for the fit's 23 unknowns
         with pytest.raises(InvalidGrid):
             build_kernel(1.5, refinement_grid_n=n)
+
+    def test_parts_synthesized_on_the_shell_rows_alone(self):
+        # through the ten parts build_kernel holds the grid's k2 and |xi|, the
+        # multiplier, m/|xi|^2 and a real and a complex symbol buffer: seven
+        # half-lattice float arrays, besides the fit's columns and samples.  Each
+        # part synthesized on the whole lattice held 13 of them at the peak
+        n = 64
+        build_kernel(2.0, refinement_grid_n=n)  # plans the transforms
+        tracemalloc.start()
+        try:
+            build_kernel(2.0, refinement_grid_n=n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 11 * 8 * n * n * (n // 2 + 1), peak
 
     def test_homogeneity_exact(self, kernel15):
         rng = np.random.default_rng(0)

@@ -313,8 +313,8 @@ class TestMainEntry:
         assert not (tmp_path / "kernel_masses.csv").exists()
 
     def test_nonexist_zero_raw_deviation_rejected_without_warning(self, tmp_path):
-        # at amplitude 1e-300 every raw deviation underflows to 0, whose log the
-        # deviation slope's fit would take
+        # at amplitude 1e-300 every raw deviation would underflow to 0, whose log
+        # the deviation slope's fit would take; the force's check rejects it first
         cfg = {"n": 16, "box_length": 8.0, "kernel_n": 16, "output_dir": str(tmp_path),
                "force": {"r0": 0.6, "r1": 2.0, "amplitude": 1e-300}}
         path = tmp_path / "cfg.json"
@@ -325,6 +325,38 @@ class TestMainEntry:
         payload = json.loads((tmp_path / "report.json").read_text())
         assert payload["error"].startswith("DegenerateInput") and "1e-300" in payload["error"]
         assert payload["artifacts"] == [] and payload["metrics"] == {}
+
+    @pytest.mark.parametrize("amplitude", [1e-160, 1e-200])
+    def test_force_too_small_for_its_norms_rejected(self, tmp_path, amplitude):
+        # the lift's largest sample squares below the normal floats: unchecked, the
+        # norms read 1.0001e-160 at 1e-160, and every norm and the iterations 0.0
+        # at 1e-200
+        cfg = {"n": 16, "box_length": 8.0, "output_dir": str(tmp_path),
+               "force": {"r0": 0.6, "r1": 2.0, "amplitude": amplitude}}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["solve", "--config", str(path)]) == EXIT_VALIDATION
+        payload = json.loads((tmp_path / "report.json").read_text())
+        assert payload["error"].startswith("DegenerateInput") and "too small" in payload["error"]
+        assert payload["metrics"] == {}
+
+    def test_small_force_keeps_exact_norms(self, tmp_path):
+        # at 1e-150 the lift's squares are normal floats: the norms are those at
+        # 1e-50, where the quadratic term is as negligible, scaled by 1e-100
+        norms = {}
+        for amplitude in (1e-50, 1e-150):
+            cfg = {"n": 16, "box_length": 8.0, "output_dir": str(tmp_path / str(amplitude)),
+                   "force": {"r0": 0.6, "r1": 2.0, "amplitude": amplitude}}
+            path = tmp_path / f"{amplitude}.json"
+            path.write_text(json.dumps(cfg))
+            assert main(["solve", "--config", str(path)]) == 0
+            norms[amplitude] = json.loads((tmp_path / str(amplitude) / "report.json")
+                                          .read_text())["metrics"]
+        for key in ("lifted_force_lorentz_norm", "solution_lorentz_norm", "velocity_l2"):
+            assert norms[1e-150][key] == pytest.approx(1e-100 * norms[1e-50][key], rel=1e-14)
+        assert norms[1e-150]["lifted_force_lorentz_norm"] == pytest.approx(1e-150, rel=1e-15)
 
     def test_out_of_memory_in_validation_exit(self, tmp_path, monkeypatch):
         def exhausted(self):

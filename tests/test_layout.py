@@ -6,9 +6,10 @@ translation phase exp(-i xi . x0) in ``Grid.shift_phase``; every other
 module calls them instead of writing the symbol out again.  The product
 v_j v_k of the advection term is formed only in
 ``spectral._advection_divergence``.  Transforms are taken in ``spectral``
-alone and are real: rfftn/irfftn between samples and the half lattice, and
-the pruned pair between samples and the dealias cube, whose one-axis complex
-stages (fft/ifft) appear in its two helpers and nowhere else.  The real
+alone and are real: rfftn/irfftn between samples and the half lattice, the
+pruned pair between samples and the dealias cube, and ``_irfftn_at``, irfftn's
+stages pruned to a sub-box of rows, which ``kernel_tensor`` takes.  Their one-axis
+complex stages (fft/ifft) appear in those three helpers and nowhere else.  The real
 one-axis DCT-I/DST-I stages (dct/dst), from the octant of a symbol even or
 odd along each axis to the octant of its samples, appear in
 ``octant_to_real`` alone.  The half-lattice pair takes a vector field's three
@@ -24,8 +25,8 @@ and sorts run errors into exit codes in one ``except`` branch.  Every public
 module-level name is read by a run or by the acceptance criteria, not by a
 unit test alone, but for one named exception.  No function branches on the
 lattice a field is held on, a Grid's half lattice or a dealias cube.
-The Picard map, its Parseval sums, the residual and the kernel's sphere bound
-call no BLAS routine.
+The Picard map, its Parseval sums, the residual, the kernel's parts and its
+sphere bound, and the cube rotations of a symmetrized force call no BLAS routine.
 The passes that ``spectral._by_slabs`` runs on the pool take no transform,
 call no public function (the tracer's spans wrap those, on one stack) and
 make no array, and ``import fracns`` starts no thread and imports neither
@@ -252,6 +253,10 @@ BLAS_FREE = [
     ("asymptotics.py", ("_sphere_maxima",)),
     ("asymptotics.py", ("_monomial_jets",)),
     ("asymptotics.py", ("_angular_values",)),
+    # the kernel's parts between their transform stages, and the force's rotations
+    ("spectral.py", ("kernel_tensor",)),
+    ("spectral.py", ("_irfftn_at",)),
+    ("forces.py", ("rotate_real_field",)),
 ]
 
 
@@ -273,9 +278,11 @@ def test_transforms_taken_in_spectral_only():
 
 def test_no_full_complex_transform():
     # fftn/ifftn/fft2/ifft2 would carry both halves of a Hermitian spectrum; the
-    # one-axis fft/ifft stages belong to the pruned pair's two helpers alone
+    # one-axis fft/ifft stages belong to three helpers alone, the pruned pair's two
+    # and the kernel parts' row-pruned inverse, and each of them takes some
     assert _hits(r"\.i?fft[n2]\(") == []
-    helpers = [_spectral_def_lines(name) for name in ("_cube_to_real", "_real_to_cube")]
+    helpers = [_spectral_def_lines(name)
+               for name in ("_cube_to_real", "_real_to_cube", "_irfftn_at")]
     hits = _hits(r"\.i?fft\(")
     assert {name for name, _ in hits} == {"spectral.py"}, hits
     assert all(any(line in lines for lines in helpers) for _, line in hits), hits

@@ -361,9 +361,10 @@ class TestResidual:
     def test_subnormal_field_scaled_without_overflow(self):
         # at amplitude 1e-300 the residual field's largest part is subnormal, and
         # so is its scale; a complex division by it overflows through 1/scale.
-        # Multiplying the parts by 2^600 is exact, and so is the norm's scaling
-        spec = ForceSpec(amplitude=1e-300, r0=0.6, r1=2.0)
-        f = make_force(spec, Grid(16, 8.0), 1.5)
+        # Multiplying the parts by 2^600 is exact, and so is the norm's scaling.
+        # make_force rejects a force this small, so it is scaled down here
+        f = make_force(ForceSpec(amplitude=1.0, r0=0.6, r1=2.0), Grid(16, 8.0), 1.5)
+        f = SpectralVectorField(f.grid, f.data * 1e-300)
         u = solve_steady(f, SolverConfig(1.5)).velocity
         r = solver._residual_field(*solver._residual_terms(u, f, 1.5))
         r[:, 0, 0, 0] = 0.0

@@ -517,25 +517,61 @@ class TestKernelTensor:
             assert np.max(np.abs(trace[k] - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_ten_inverse_transforms(self, monkeypatch):
-        calls = {"irfftn": [], "ifftn": []}
+        calls = {"_irfftn_at": [], "irfftn": [], "ifftn": []}
 
-        def counting(name):
-            def counted(x, *args, _f=getattr(sfft, name), **kwargs):
+        def counting(module, name):
+            def counted(x, *args, _f=getattr(module, name), **kwargs):
                 calls[name].append(np.shape(x))
                 return _f(x, *args, **kwargs)
 
-            return counted
+            monkeypatch.setattr(module, name, counted)
 
         g = Grid(8, 3.0)
-        for name in calls:
-            monkeypatch.setattr(sfft, name, counting(name))
-        parts = list(kernel_tensor(g, inverse_power(g, 1.5)))
+        counting(spectral, "_irfftn_at")
+        for name in ("irfftn", "ifftn"):
+            counting(sfft, name)
+        parts = list(kernel_tensor(g, inverse_power(g, 1.5), np.arange(8)))
         # the ten parts fill each of the 27 entries of C once
         assert sorted(e for entries, _ in parts for e in entries) == list(
             itertools.product(range(3), repeat=3)
         )
-        assert len(calls["irfftn"]) == 10
-        assert calls["ifftn"] == []
+        assert len(calls["_irfftn_at"]) == 10
+        assert calls["irfftn"] == calls["ifftn"] == []
+
+    @settings(max_examples=10, deadline=None)
+    @given(n=st.sampled_from([8, 16, 32]), seed=st.integers(0, 2**16))
+    def test_parts_on_rows_are_the_whole_parts_there(self, n, seed):
+        # a part on a sub-box of rows is the whole part read there, bit for bit
+        g = Grid(n, 1.0)
+        rng = np.random.default_rng(seed)
+        rows = np.sort(rng.choice(n, size=rng.integers(1, n + 1), replace=False))
+        m = inverse_power(g, 1.5)
+        whole = kernel_tensor(g, m, np.arange(n))
+        for (entries, part), (_, at) in zip(whole, kernel_tensor(g, m, rows)):
+            want = part[np.ix_(rows, rows, rows)]
+            assert np.array_equal(at.view(np.int64), want.view(np.int64)), entries
+
+
+class TestIrfftnAt:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.sampled_from([8, 12, 16, 48, 96]),
+        batch=st.sampled_from([1, 3]),
+        seed=st.integers(0, 2**16),
+        every_row=st.booleans(),
+    )
+    def test_is_irfftn_read_on_the_rows(self, n, batch, seed, every_row):
+        # irfftn of random half-lattice coefficients on rows x rows x rows, bit for
+        # bit (signed zeros included), whether the rows are all n or a subset
+        rng = np.random.default_rng(seed)
+        shape = (batch, n, n, n // 2 + 1)
+        c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        rows = (np.arange(n) if every_row
+                else np.sort(rng.choice(n, size=rng.integers(1, n + 1), replace=False)))
+        want = spectral.scalar_to_real(c)[:, rows][:, :, rows][..., rows]
+        got = spectral._irfftn_at(c.copy(), rows)
+        assert got.shape == (batch,) + (len(rows),) * 3
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestOctantToReal:
