@@ -256,7 +256,9 @@ def build_kernel(alpha: float, refinement_grid_n: int = 128) -> HomogeneousKerne
     rows = np.unique(sites)  # C is synthesized on rows^3 and read at ``at``
     at = tuple(np.searchsorted(rows, sites).T)
     samples = np.empty((3, 3, 3, len(radii)))
-    for entries, C in kernel_tensor(grid, damped_inv_pow, rows):
+    parts = kernel_tensor(grid, damped_inv_pow, rows)
+    del grid, damped_inv_pow  # nor are the Grid's k2 and kmag held through the parts
+    for entries, C in parts:
         samples[tuple(zip(*entries))] = C[at]
     samples[range(3), range(3)] -= np.einsum("llkn->kn", samples)  # delta_ij grad_k p
 

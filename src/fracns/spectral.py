@@ -7,26 +7,30 @@ there returns 0, which is exact for the mean-free admissible forces.  A run's
 spectral fields are held on one lattice, the box of rfftn half-lattice modes
 the 2/3 rule keeps (``_Cube``, where the 2/3-rule mask is defined), which
 stands in for its Grid: the force, its lift, every Picard iterate and the
-solution are 0 off it.  ``min_image`` is the one minimum-image rule.  A cube
-is transformed through a pruned pair whose one-axis complex stages run in
-place on one half-lattice array, the y stage on the cube's two runs of k_x
-rows.  The quadratic map (``apply_bilinear``), ``projected_advection``,
-``to_real`` and ``l2_norm`` take a field held on a cube; the map works in a
-``_MapScratch``, which a solve holds for all its maps.  The solver stack calls
-no BLAS: the transforms take ``_WORKERS`` pocketfft threads and the Parseval
-sums (``_Cube.lattice_sum``) run in numpy's own loops, so no idle OpenBLAS
-thread spins against the FFT workers and no bit depends on its thread count.
-Between the transforms, the map's elementwise passes and the Picard step run
-by slabs of leading rows (``_by_slabs``) on the calling thread and a pool of
-``_WORKERS`` - 1 threads, each element with the same float operations in
-whichever slab it falls.  The multipliers (``leray_project``,
-``fractional_power``) read a field on either lattice with one code path.  The
-kernel tensor's ten parts (``kernel_tensor``) are synthesized on a sub-box of
-rows alone, by irfftn's own stages (``_irfftn_at``), equal to irfftn there bit
-for bit.  A symbol even or odd along each axis is also sampled on the octant
-alone (``octant_to_real``), by one real DCT-I or DST-I per axis; a lattice sum
-of a reflection-invariant quantity is the octant sum weighted 1 on the j = 0
-and j = n/2 planes of each axis and 2 elsewhere.
+solution are 0 off it.  ``min_image`` is the one minimum-image rule.
+
+Every transform is ``numpy.fft``'s, taken one axis at a time with ``out=``
+(``_stage``): rfftn and irfftn as pocketfft's own n-d transforms order their
+stages (``scalar_to_spectral``, ``scalar_to_real``), equal to those bit for bit,
+and a cube through a pruned pair whose complex stages run in place on one
+half-lattice array, the y stage on the cube's two runs of k_x rows.  The
+quadratic map (``apply_bilinear``), ``projected_advection``, ``to_real`` and
+``l2_norm`` take a field held on a cube; the map works in a ``_MapScratch``,
+which a solve holds for all its maps, its samples among them.  Each stage, and
+each of the map's elementwise passes and the Picard step between them, runs by
+slabs of rows of an axis it does not transform (``_by_slabs``) on the calling
+thread and a pool of ``_WORKERS`` - 1 threads, each element with the same float
+operations in whichever slab it falls.  The solver stack calls no BLAS: the
+Parseval sums (``_Cube.lattice_sum``) run in numpy's own loops, so no idle
+OpenBLAS thread spins against the slabs and no bit depends on its thread
+count.  The multipliers (``leray_project``, ``fractional_power``) read a field
+on either lattice with one code path.  The kernel tensor's ten parts
+(``kernel_tensor``) are synthesized on a sub-box of rows alone, by irfftn's own
+stages (``_irfftn_at``), equal to irfftn there bit for bit.  A symbol even or
+odd along each axis is also sampled on the octant alone (``octant_to_real``), by
+one real DCT-I or DST-I per axis, each the rfft of an extension, as pocketfft
+takes it; a lattice sum of a reflection-invariant quantity is the octant sum
+weighted 1 on the j = 0 and j = n/2 planes of each axis and 2 elsewhere.
 """
 
 from __future__ import annotations
@@ -40,7 +44,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.fft as sfft
 
 from .errors import InvalidGrid, NumericalBlowup, ZeroModeUndefined
 
@@ -64,29 +67,56 @@ if hasattr(os, "register_at_fork"):  # a forked child has none of its parent's t
 # 40 us, so a map on two slabs took 1.5x as long as on one at 32^3; a
 # fresh-process nonexist run at 64^3, whole here, gained nothing split
 _SLAB_ROWS = 40
+# the fewest rows worth a slab of a transform stage, whose rows are planes of
+# lines: in-process nonexist runs at 64^3 took 0.889 s with stages split in
+# 20-row slabs, 0.948 s with them whole (medians of 12, alternating).  Under
+# 40 rows (32^3 and smaller grids) a stage stays whole, so a traced run there
+# counts its transforms alike each time (perfbench's tracer keeps one span
+# stack, which stages on two threads share)
+_STAGE_ROWS = 20
 
 
-def _by_slabs(pass_, rows: int) -> list:
-    """Run the elementwise ``pass_(s)`` over up to ``_WORKERS`` contiguous slabs
-    s of range(rows), the leading rows of the arrays it reads and writes, each
-    of at least ``_SLAB_ROWS`` rows where there are two or more: the first slab
-    on the calling thread, the others on the pool.  Returns the slabs'
-    results in order once every slab is done, or re-raises once every slab is
-    done, so no pool thread still writes the caller's arrays when it moves on.
-    A pass takes no transform and calls no public function, and it allocates no
-    array: it writes rows of arrays and scratch that the caller owns, so each
-    element gets the same float operations however the rows are split.  Each
-    slab runs in a copy of the caller's context, which holds numpy's error
-    state (``np.errstate``)."""
-    k = max(1, min(_WORKERS, rows // _SLAB_ROWS))
+def _by_slabs(pass_, rows: int, least: int | None = None, scratch=None) -> list:
+    """Run ``pass_(s)`` over up to ``_WORKERS`` contiguous slabs s of range(rows),
+    rows along one axis of the arrays it reads and writes, each of at least
+    ``least`` rows (``_SLAB_ROWS`` unless given) where there are two or more:
+    the first slab on the calling thread, the others on the pool.  Returns the
+    slabs' results in order once every slab is done, or re-raises once every
+    slab is done, so no pool thread still writes the caller's arrays when it
+    moves on.  With ``scratch``, a function that makes one slab's work arrays,
+    each slab gets its own, made on the calling thread: ``pass_(s, work)``.
+    A pass calls no public function and allocates no array: it writes rows of
+    arrays and scratch that the caller owns, by numpy functions with ``out=``,
+    among them the one-axis ``numpy.fft`` stages, each line transformed whole,
+    so each element gets the same float operations however the rows are
+    split.  Each slab runs in a copy of the caller's context, which holds
+    numpy's error state (``np.errstate``)."""
+    k = max(1, min(_WORKERS, rows // (_SLAB_ROWS if least is None else least)))
     cuts = [rows * i // k for i in range(k + 1)]
     slabs = [slice(a, b) for a, b in zip(cuts, cuts[1:])]
-    futures = [_POOL.submit(contextvars.copy_context().run, pass_, s) for s in slabs[1:]]
+    args = [(s,) if scratch is None else (s, scratch()) for s in slabs]
+    futures = [_POOL.submit(contextvars.copy_context().run, pass_, *a) for a in args[1:]]
     try:
-        first = pass_(slabs[0])
+        first = pass_(*args[0])
     finally:
         wait(futures)
     return [first] + [f.result() for f in futures]
+
+
+def _at(axis: int, s) -> tuple:
+    """The index that takes ``s`` along ``axis``, one of the last three."""
+    return (..., s) + (slice(None),) * (-1 - axis)
+
+
+def _stage(transform, x: np.ndarray, axis: int, out: np.ndarray, split: int, **kw) -> np.ndarray:
+    """``transform``, a one-axis ``numpy.fft`` stage, of ``x`` along ``axis`` into
+    ``out`` (which may be ``x``), by slabs of the rows of the axis ``split``."""
+    def stage(s):
+        i = _at(split, s)
+        transform(x[i], axis=axis, out=out[i], **kw)
+
+    _by_slabs(stage, x.shape[split], _STAGE_ROWS)
+    return out
 
 
 # the ten cubic monomials xi_a xi_b xi_c, a <= b <= c, in lexicographic order
@@ -257,9 +287,16 @@ def to_real(field: SpectralVectorField) -> RealVectorField:
 
 def scalar_to_real(coeffs: np.ndarray) -> np.ndarray:
     """Real samples (..., n, n, n) of half-lattice coefficients (..., n, n, n/2+1):
-    the last three axes are transformed, any leading axes are a batch."""
+    the last three axes are transformed, any leading axes are a batch.  These
+    are irfftn's stages, as pocketfft takes them: ifft along x, then along y,
+    both unscaled, irfft along z, then one product by 1/n^3."""
     n = coeffs.shape[-3]
-    return sfft.irfftn(coeffs, s=(n, n, n), axes=(-3, -2, -1), workers=_WORKERS)
+    b = _stage(np.fft.ifft, coeffs, -3, np.empty(coeffs.shape, dtype=np.complex128), -2,
+               norm="forward")
+    _stage(np.fft.ifft, b, -2, b, -3, norm="forward")
+    out = _stage(np.fft.irfft, b, -1, np.empty(b.shape[:-1] + (n,)), -3, n=n, norm="forward")
+    out *= 1 / n**3
+    return out
 
 
 def _irfftn_at(coeffs: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -267,16 +304,23 @@ def _irfftn_at(coeffs: np.ndarray, rows: np.ndarray) -> np.ndarray:
     bit, for half-lattice coefficients (..., n, n, n/2+1), which it overwrites:
     irfftn's stages unscaled, ifft along x in place, ifft along y and irfft along
     z, each keeping ``rows`` of its axis, then one product by irfftn's 1/n^3."""
-    n, kw = coeffs.shape[-3], dict(norm="forward", workers=_WORKERS)
-    x = sfft.ifft(coeffs, axis=-3, overwrite_x=True, **kw)[..., rows, :, :]
-    y = sfft.ifft(x, axis=-2, overwrite_x=True, **kw)[..., rows, :]
-    return sfft.irfft(y, n=n, axis=-1, **kw)[..., rows] * (1 / n**3)
+    n = coeffs.shape[-3]
+    x = _stage(np.fft.ifft, coeffs, -3, coeffs, -2, norm="forward")[..., rows, :, :]
+    y = _stage(np.fft.ifft, x, -2, x, -3, norm="forward")[..., rows, :]
+    z = _stage(np.fft.irfft, y, -1, np.empty(y.shape[:-1] + (n,)), -3, n=n, norm="forward")
+    return z[..., rows] * (1 / n**3)
 
 
 def scalar_to_spectral(samples: np.ndarray) -> np.ndarray:
     """Half-lattice coefficients of real samples, ``scalar_to_real``'s inverse:
-    the last three axes are transformed, any leading axes are a batch."""
-    return sfft.rfftn(samples, axes=(-3, -2, -1), workers=_WORKERS)
+    the last three axes are transformed, any leading axes are a batch.  These
+    are rfftn's stages, as pocketfft takes them: rfft along z, then fft along
+    x, then along y."""
+    n = samples.shape[-1]
+    a = _stage(np.fft.rfft, samples, -1,
+               np.empty(samples.shape[:-1] + (n // 2 + 1,), dtype=np.complex128), -3)
+    _stage(np.fft.fft, a, -3, a, -2)
+    return _stage(np.fft.fft, a, -2, a, -3)
 
 
 def octant_to_real(m: np.ndarray, parity) -> np.ndarray:
@@ -287,24 +331,75 @@ def octant_to_real(m: np.ndarray, parity) -> np.ndarray:
     cos on even axes and sin on odd ones.  That is irfftn of the symbol
     (-1j)**(number of odd axes) m, extended to the lattice by its parities.
 
-    An even axis is one DCT-I (FFTW's REDFT00).  An odd axis is one DST-I
-    (RODFT00) of its interior rows 1..n/2-1: an odd multiplier is 0 on the
-    rows k = 0 and n/2, where -k is k, and so are the samples on the rows
-    j = 0 and n/2.  Leading axes of ``m`` are a batch.
+    An even axis is one DCT-I (FFTW's REDFT00): the real part of the rfft of
+    the even extension of its rows, of length n.  An odd axis is one DST-I
+    (RODFT00) of its interior rows 1..n/2-1: minus the imaginary part, on those
+    rows, of the rfft of the odd extension.  An odd multiplier is 0 on the rows
+    k = 0 and n/2, where -k is k, and so are the samples on the rows j = 0 and
+    n/2.  Each axis is transformed in place, by chunks of rows of another axis,
+    each slab of them extended into small arrays of its own.
+    Leading axes of ``m`` are a batch.
     """
     n = 2 * (m.shape[-1] - 1)
     inner = (...,) + tuple(slice(1, -1) if p else slice(None) for p in parity)
-    out = m[inner]
-    for stage, (axis, p) in enumerate(zip((-3, -2, -1), parity)):
-        transform = sfft.dst if p else sfft.dct
-        # the first stage reads the caller's m; later ones own their input
-        out = transform(out, type=1, axis=axis, overwrite_x=stage > 0, workers=_WORKERS)
-    out /= n**3
-    if not any(parity):
-        return out
     full = np.zeros(m.shape)
-    full[inner] = out
+    out = full[inner]
+    src = m[inner]  # the first stage reads the caller's m, the others out, in place
+    for axis, odd in zip((-3, -2, -1), parity):
+        _dct1_or_dst1(src, axis, odd, out, n**3 if axis == -1 else 1)
+        src = out
     return full
+
+
+# samples per chunk of an octant stage's extension: few enough that it and its
+# rfft stay in a core's L2 cache, in as few numpy calls as that allows
+_OCTANT_CHUNK = 2**16
+
+
+def _chunks(s: slice, size: int):
+    """(rows, head) for each run of at most ``size`` consecutive rows of ``s``:
+    the run, and the first as many rows of a chunk-sized array."""
+    for a in range(s.start, s.stop, size):
+        b = min(a + size, s.stop)
+        yield slice(a, b), slice(0, b - a)
+
+
+def _dct1_or_dst1(x: np.ndarray, axis: int, odd: int, out: np.ndarray, scale) -> None:
+    """Write into ``out`` (which may be ``x``) the unnormalized DCT-I of ``x`` along
+    ``axis``, its rows 0..n/2, or, if ``odd``, its DST-I, its rows 1..n/2-1,
+    divided by ``scale`` (by 1, no bit moves), by chunks of rows of another
+    axis: the chunk's even or odd extension, of length n, then its rfft, both
+    into a slab's own arrays of up to ``_OCTANT_CHUNK`` samples."""
+    h = x.shape[axis] + 2 * odd
+    n, split = 2 * (h - 1), -2 if axis == -3 else -3
+    shape = list(x.shape)
+    shape[split], shape[axis] = 1, n
+    rows = max(1, _OCTANT_CHUNK // int(np.prod(shape)))
+    head = _at(axis, slice(odd, h - odd))
+    tail = _at(axis, slice(h, n))
+    rev = _at(axis, slice(None, None, -1) if odd else slice(h - 2, 0, -1))
+    by = -scale if odd else scale  # a DST-I is minus the imaginary part; -a/s is a/-s
+
+    def work():  # the odd extension's rows 0 and n/2 stay 0
+        chunk = list(shape)
+        chunk[split] = rows
+        ext = np.zeros(chunk)
+        chunk[axis] = h
+        return ext, np.empty(chunk, dtype=np.complex128)
+
+    def stage(s, work):
+        ext, spec = work
+        for c, k in _chunks(s, rows):
+            xc, e, f = x[_at(split, c)], ext[_at(split, k)], spec[_at(split, k)]
+            e[head] = xc
+            if odd:
+                np.negative(xc[rev], out=e[tail])
+            else:
+                e[tail] = xc[rev]
+            np.fft.rfft(e, axis=axis, out=f)
+            np.divide(f.imag[head] if odd else f.real, by, out=out[_at(split, c)])
+
+    _by_slabs(stage, x.shape[split], _STAGE_ROWS, work)
 
 
 class _Cube:
@@ -366,7 +461,7 @@ class _Cube:
         two entries along z are the k_z = 0 plane.  That plane and the mirrored
         ones are summed apart, so neither cancels the other, by einsum along each
         z row and a pairwise sum of the rows: numpy's own loops, in one thread.  A
-        BLAS dot's idle threads would spin against the FFT workers, and its sum
+        BLAS dot's idle threads would spin against the slab workers, and its sum
         would split by the host's thread count."""
         x, y = a.view(np.float64), b.view(np.float64)
         mirrored = np.einsum("cxyz,cxyz->cxy", x[..., 2:], y[..., 2:]).sum()
@@ -374,45 +469,40 @@ class _Cube:
         return 2.0 * mirrored + plane
 
 
-def _into(view: np.ndarray, x: np.ndarray) -> None:
-    """Keep in ``view`` the one-axis transform ``x`` taken of it with overwrite_x,
-    which permits a transform in place but does not promise it: ``x`` is either
-    written over ``view`` or a new array."""
-    if not np.may_share_memory(x, view):
-        view[...] = x
-
-
 class _MapScratch:
     """The quadratic map's numpy scratch on one cube, for three components: the
-    inverse stage's half-lattice array ``padded`` and the marks ``finite`` of
-    the finiteness checks, and, cut from the memory of ``padded`` once the
-    inverse stage has read it, the forward loop's ``product``, ``w_hat`` and
-    ``tmp`` (Leray's ``dot`` and ``tmp`` after it).  ``solve_steady`` holds one
-    for all the maps of a solve; a map given none makes its own.  Nothing the
-    map returns is cut from it."""
+    inverse stage's half-lattice array ``padded``, its ``samples`` and the marks
+    ``finite`` of the finiteness checks, and, cut from the memory of ``padded``
+    once the inverse stage has read it, the forward loop's ``product``, its
+    half-lattice ``spectrum``, ``w_hat`` and ``tmp`` (Leray's ``dot`` and ``tmp``
+    after it).  ``solve_steady`` holds one for all the maps of a solve; a map
+    given none makes its own.  Nothing the map returns is cut from it."""
 
     def __init__(self, cube: _Cube):
-        n, shape = cube.n, cube.spectral_shape
-        self.padded = np.empty((3,) + cube.grid.spectral_shape, dtype=np.complex128)
+        n, shape, half = cube.n, cube.spectral_shape, cube.grid.spectral_shape
+        self.padded = np.empty((3,) + half, dtype=np.complex128)
+        self.samples = np.empty((3, n, n, n))
         self.finite = np.empty((3,) + shape, dtype=bool)
-        # n^3/2 + 2 size of its 3 n^2 (n/2+1) slots: the cube holds under n^3/2 modes
+        # n^3 + n^2 + 2 size of its 3 n^2 (n/2+1) slots: the cube holds under n^3/4 modes
         flat, k, size = self.padded.reshape(-1), n**3 // 2, int(np.prod(shape))
         self.product = flat[:k].view(np.float64).reshape(n, n, n)
         self.w_hat = flat[k : k + size].reshape(shape)
         self.tmp = flat[k + size : k + 2 * size].reshape(shape)
+        self.spectrum = flat[k + 2 * size : k + 2 * size + int(np.prod(half))].reshape(half)
 
 
 def _cube_to_real(coeffs: np.ndarray, cube: _Cube, padded: np.ndarray | None = None,
-                  mask: np.ndarray | None = None,
-                  finite: np.ndarray | None = None) -> np.ndarray:
+                  mask: np.ndarray | None = None, finite: np.ndarray | None = None,
+                  out: np.ndarray | None = None) -> np.ndarray:
     """Real samples (..., n, n, n) of coefficients held on ``cube`` (every other
-    mode 0).  The cube is scattered into a half-lattice array (``padded``, which
-    may hold anything, or a new one), zero off the cube, by slabs of k_x rows;
-    then ifft along y in place on the cube's two runs of k_x rows, ifft along x
-    in place on the cube's planes, and irfft along z, which reads that array as
-    it is.  With ``mask`` (the 2/3-rule mask, as the quadratic map reads it)
-    the scatter writes the coefficients times the mask and marks in ``finite``
-    where that is finite, and a non-finite one raises NumericalBlowup."""
+    mode 0), into ``out`` where given.  The cube is scattered into a half-lattice
+    array (``padded``, which may hold anything, or a new one), zero off the
+    cube, by slabs of k_x rows, each slab's rows then transformed by ifft along
+    y in place; then ifft along x in place on the cube's planes, and irfft
+    along z, which reads that array as it is.  With ``mask`` (the 2/3-rule mask,
+    as the quadratic map reads it) the scatter writes the coefficients times the
+    mask and marks in ``finite`` where that is finite, and a non-finite one
+    raises NumericalBlowup before any transform reads it."""
     n, p, nc = cube.n, cube.planes, cube.spectral_shape[0]
     # all n/2+1 planes, so that irfft needs no zero-padded copy
     b = (np.empty(coeffs.shape[:-3] + cube.grid.spectral_shape, dtype=np.complex128)
@@ -437,42 +527,44 @@ def _cube_to_real(coeffs: np.ndarray, cube: _Cube, padded: np.ndarray | None = N
                 else:
                     np.multiply(coeffs[..., c, cy, :], mask[c, cy, :], out=to)
                     ok &= np.isfinite(to, out=finite[..., c, cy, :]).all()
+            if ok:
+                y = rows[..., :p]
+                np.fft.ifft(y, axis=-2, out=y)
         return ok
 
     _by_slabs(clear, n - nc)
-    if not all(_by_slabs(scatter, nc)):
+    if not all(_by_slabs(scatter, nc, _STAGE_ROWS)):
         raise NumericalBlowup("non-finite coefficients entering the quadratic term")
-    for _, g in runs:
-        y = b[..., g, :, :p]
-        _into(y, sfft.ifft(y, axis=-2, overwrite_x=True, workers=_WORKERS))
-    x = b[..., :p]
-    _into(x, sfft.ifft(x, axis=-3, overwrite_x=True, workers=_WORKERS))
-    return sfft.irfft(b, n=n, axis=-1, workers=_WORKERS)
+    _stage(np.fft.ifft, b[..., :p], -3, b[..., :p], -2)
+    if out is None:
+        out = np.empty(b.shape[:-1] + (n,))
+    return _stage(np.fft.irfft, b, -1, out, -3, n=n)
 
 
-def _real_to_cube(samples: np.ndarray, cube: _Cube,
-                  out: np.ndarray | None = None) -> np.ndarray:
+def _real_to_cube(samples: np.ndarray, cube: _Cube, out: np.ndarray | None = None,
+                  spectrum: np.ndarray | None = None) -> np.ndarray:
     """The coefficients on ``cube`` of real samples (..., n, n, n): rfft along z,
-    fft along x in place on the cube's planes of its output, then fft along y
-    in place on the cube's two runs of k_x rows there.  The cube is gathered
-    from that array by slabs of k_x rows, into ``out`` where given."""
+    into ``spectrum`` where given, fft along x in place on the cube's planes of
+    it, then fft along y in place on the cube's two runs of k_x rows there, by
+    slabs of k_x rows, each slab's rows then gathered into ``out`` where
+    given."""
     p, nc = cube.planes, cube.spectral_shape[0]
-    a = sfft.rfft(samples, axis=-1, workers=_WORKERS)
-    x = a[..., :p]
-    _into(x, sfft.fft(x, axis=-3, overwrite_x=True, workers=_WORKERS))
+    if spectrum is None:
+        spectrum = np.empty(samples.shape[:-3] + cube.grid.spectral_shape, dtype=np.complex128)
+    a = _stage(np.fft.rfft, samples, -1, spectrum, -3)
+    _stage(np.fft.fft, a[..., :p], -3, a[..., :p], -2)
     runs = cube.row_runs(slice(0, nc))
-    for _, g in runs:
-        y = a[..., g, :, :p]
-        _into(y, sfft.fft(y, axis=-2, overwrite_x=True, workers=_WORKERS))
     if out is None:
         out = np.empty(a.shape[:-3] + cube.spectral_shape, dtype=np.complex128)
 
     def gather(s):
         for c, g in cube.row_runs(s):
+            y = a[..., g, :, :p]
+            np.fft.fft(y, axis=-2, out=y)
             for cy, gy in runs:
-                out[..., c, cy, :] = a[..., g, gy, :p]
+                out[..., c, cy, :] = y[..., gy, :]
 
-    _by_slabs(gather, nc)
+    _by_slabs(gather, nc, _STAGE_ROWS)
     return out
 
 
@@ -567,9 +659,10 @@ def kernel_tensor(grid: Grid, m: np.ndarray, rows: np.ndarray):
     is not 0 on the Nyquist rows, where the Hermitian part keeps what an octant
     DST-I would drop.
     """
-    xi, nyq = grid.xi, grid.nyquist_rows
+    xi, nyq, h3 = grid.xi, grid.nyquist_rows, grid.cell_volume
     m_k2 = grid.power(-2.0)
     m_k2 *= m
+    del grid, m  # the caller's half-lattice arrays are not read past here
     real = np.empty(m_k2.shape)
     sym = np.empty(m_k2.shape, dtype=np.complex128)
     for a, b, c in CUBIC_MONOMIALS:
@@ -578,7 +671,7 @@ def kernel_tensor(grid: Grid, m: np.ndarray, rows: np.ndarray):
         sym *= ~(nyq[a] ^ nyq[b] ^ nyq[c])  # 0 where sigma_a sigma_b sigma_c = -1
         sym[0, 0, 0] = 0.0
         C = _irfftn_at(sym, rows)
-        C /= grid.cell_volume
+        C /= h3
         yield sorted(set(itertools.permutations((a, b, c)))), C
 
 
@@ -598,7 +691,7 @@ def _advection_divergence(v: SpectralVectorField,
     cube = v.grid
     mask, nc = cube.dealias_mask, cube.spectral_shape[0]
     s = _MapScratch(cube) if scratch is None else scratch
-    phys = _cube_to_real(v.data, cube, s.padded, mask, s.finite)
+    phys = _cube_to_real(v.data, cube, s.padded, mask, s.finite, s.samples)
     ixi = [1j * x for x in cube.xi]
     div = np.zeros((3,) + cube.spectral_shape, dtype=np.complex128)
     product, w_hat, tmp, finite = s.product, s.w_hat, s.tmp, s.finite
@@ -619,7 +712,7 @@ def _advection_divergence(v: SpectralVectorField,
         for k in range(j, 3):
             a, b = phys[j], phys[k]
             _by_slabs(multiply, cube.n)
-            _real_to_cube(product, cube, out=w_hat)
+            _real_to_cube(product, cube, w_hat, s.spectrum)
             _by_slabs(accumulate, nc)
 
     def truncate_div(r):

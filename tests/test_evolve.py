@@ -209,20 +209,34 @@ class TestKernelMasses:
 
     def test_octant_transforms_per_time(self, monkeypatch):
         # no transform of the full lattice: p is three DCT-I stages, and each of
-        # the four parity groups of the tensor's parts one stacked stage per axis
-        calls = {"irfftn": 0, "dct": 0, "dst": 0}
+        # the four parity groups of the tensor's parts one stacked stage per axis,
+        # each stage rffts of extensions of length n
+        n = 16
+        calls = {"other": 0, "dct": 0, "dst": 0}  # other: every transform but rfft
+        lengths = set()
 
-        def counting(name):
-            def counted(*args, _f=getattr(spectral.sfft, name), **kwargs):
-                calls[name] += 1
-                return _f(*args, **kwargs)
+        def counting(f):
+            def counted(*args, **kwargs):
+                calls["other"] += 1
+                return f(*args, **kwargs)
 
             return counted
 
-        for name in calls:
-            monkeypatch.setattr(spectral.sfft, name, counting(name))
-        kernel_l1_check(2.0, (0.1, 0.2, 0.4), n=16, box=4.0)
-        assert calls == {"irfftn": 0, "dct": 3 * 9, "dst": 3 * 6}
+        def stage(x, axis, odd, *args, _f=spectral._dct1_or_dst1):
+            calls["dst" if odd else "dct"] += 1
+            return _f(x, axis, odd, *args)
+
+        def rfft(a, *args, _f=np.fft.rfft, **kwargs):
+            lengths.add(np.shape(a)[kwargs["axis"]])
+            return _f(a, *args, **kwargs)
+
+        for name in ("irfftn", "ifftn", "fftn", "rfftn", "irfft", "ifft", "fft"):
+            monkeypatch.setattr(np.fft, name, counting(getattr(np.fft, name)))
+        monkeypatch.setattr(np.fft, "rfft", rfft)
+        monkeypatch.setattr(spectral, "_dct1_or_dst1", stage)
+        kernel_l1_check(2.0, (0.1, 0.2, 0.4), n=n, box=4.0)
+        assert calls == {"other": 0, "dct": 3 * 9, "dst": 3 * 6}
+        assert lengths == {n}
 
     @settings(max_examples=25, deadline=None)
     @given(

@@ -6,13 +6,15 @@ translation phase exp(-i xi . x0) in ``Grid.shift_phase``; every other
 module calls them instead of writing the symbol out again.  The product
 v_j v_k of the advection term is formed only in
 ``spectral._advection_divergence``.  Transforms are taken in ``spectral``
-alone and are real: rfftn/irfftn between samples and the half lattice, the
-pruned pair between samples and the dealias cube, and ``_irfftn_at``, irfftn's
-stages pruned to a sub-box of rows, which ``kernel_tensor`` takes.  Their one-axis
-complex stages (fft/ifft) appear in those three helpers and nowhere else.  The real
-one-axis DCT-I/DST-I stages (dct/dst), from the octant of a symbol even or
-odd along each axis to the octant of its samples, appear in
-``octant_to_real`` alone.  The half-lattice pair takes a vector field's three
+alone, through ``numpy.fft`` one axis at a time, and are real: rfftn/irfftn's
+stages between samples and the half lattice, the pruned pair between samples
+and the dealias cube, and ``_irfftn_at``, irfftn's stages pruned to a sub-box
+of rows, which ``kernel_tensor`` takes.  No n-d transform is taken, and the
+one-axis complex stages (fft/ifft) appear in those five helpers and nowhere
+else.  The real one-axis DCT-I/DST-I stages, from the octant of a symbol even
+or odd along each axis to the octant of its samples, are rffts of an
+extension in ``_dct1_or_dst1`` alone, which ``octant_to_real`` alone calls.
+The half-lattice pair takes a vector field's three
 components in one call, never one at a time, and ``asymptotics`` lifts a
 field through ``solver.lift_force`` rather than projecting it by hand.  The
 2/3 rule, the CSVs and the report are not options: no parameter or field
@@ -27,16 +29,18 @@ unit test alone, but for one named exception.  No function branches on the
 lattice a field is held on, a Grid's half lattice or a dealias cube.
 The Picard map, its Parseval sums, the residual, the kernel's parts and its
 sphere bound, and the cube rotations of a symmetrized force call no BLAS routine.
-The passes that ``spectral._by_slabs`` runs on the pool take no transform,
-call no public function (the tracer's spans wrap those, on one stack) and
-make no array, and ``import fracns`` starts no thread and imports neither
-scipy.optimize, scipy.linalg nor scipy.sparse.
+The passes that ``spectral._by_slabs`` runs on the pool take no transform but
+one-axis ``numpy.fft`` stages with ``out=``, call no public function (the
+tracer's spans wrap those, on one stack) and make no array, and neither
+``import fracns`` nor a run of any experiment imports scipy; the import
+starts no thread.
 Dealiasing is defined in ``spectral._Cube`` and the minimum image in
 ``spectral.min_image``: a Grid holds no dealias mask, and no other line
 writes the minimum image out.
 """
 
 import ast
+import builtins
 import os
 import pathlib
 import re
@@ -46,7 +50,7 @@ import sys
 import pytest
 
 import fracns
-from fracns import spectral
+from fracns import cli, spectral
 
 SRC = pathlib.Path(fracns.__file__).parent
 TESTS = pathlib.Path(__file__).parent
@@ -272,29 +276,43 @@ def test_solver_stack_calls_no_blas(module, path):
 
 
 def test_transforms_taken_in_spectral_only():
-    hits = _hits(r"\b(sfft|scipy\.fft|np\.fft|numpy\.fft)\b")
+    hits = _hits(r"\b(np|numpy)\.fft\b")
     assert hits and {name for name, _ in hits} == {"spectral.py"}, hits
+    assert _hits(r"\b(scipy|sfft)\b") == []
+
+
+# the one-axis stages, by the helpers that take them
+STAGE_HOMES = {
+    "fft": ("scalar_to_spectral", "_real_to_cube"),
+    "ifft": ("scalar_to_real", "_irfftn_at", "_cube_to_real"),
+    "rfft": ("scalar_to_spectral", "_real_to_cube", "_dct1_or_dst1"),
+    "irfft": ("scalar_to_real", "_irfftn_at", "_cube_to_real"),
+}
 
 
 def test_no_full_complex_transform():
-    # fftn/ifftn/fft2/ifft2 would carry both halves of a Hermitian spectrum; the
-    # one-axis fft/ifft stages belong to three helpers alone, the pruned pair's two
-    # and the kernel parts' row-pruned inverse, and each of them takes some
-    assert _hits(r"\.i?fft[n2]\(") == []
-    helpers = [_spectral_def_lines(name)
-               for name in ("_cube_to_real", "_real_to_cube", "_irfftn_at")]
-    hits = _hits(r"\.i?fft\(")
-    assert {name for name, _ in hits} == {"spectral.py"}, hits
-    assert all(any(line in lines for lines in helpers) for _, line in hits), hits
-    assert all(any(line in lines for _, line in hits) for lines in helpers), hits
+    # fftn/ifftn/fft2/ifft2 would carry both halves of a Hermitian spectrum, and
+    # numpy's rfftn/irfftn take their stages in another order than pocketfft's;
+    # each one-axis stage belongs to the helpers named for it, and each takes it
+    assert _hits(r"\.i?r?fft[n2]\b") == []
+    for stage, homes in STAGE_HOMES.items():
+        hits = _hits(rf"\bnp\.fft\.{stage}\b")
+        helpers = [_spectral_def_lines(name) for name in homes]
+        assert {name for name, _ in hits} == {"spectral.py"}, (stage, hits)
+        assert all(any(line in lines for lines in helpers) for _, line in hits), (stage, hits)
+        assert all(any(line in lines for _, line in hits) for lines in helpers), (stage, hits)
+    other = _hits(r"\bnp\.fft\.(?!(i?r?fft|fftfreq)\b)")
+    assert other == [], other
 
 
 def test_real_trigonometric_transforms_in_the_octant_helper_only():
-    # dct/dst (and their inverses and n-d forms) are the octant helper's stages
-    hits = _hits(r"\b(i?d[cs]tn?)\b")
+    # DCT-I/DST-I are rffts of an extension, taken in _dct1_or_dst1, which the
+    # octant helper alone calls; no dct/dst routine (or inverse, or n-d form) is called
+    assert _hits(r"\bi?d[cs]tn?\(") == []
+    stage = _spectral_def_lines("_dct1_or_dst1")
+    calls = [hit for hit in _hits(r"\b_dct1_or_dst1\(") if hit[1] not in stage]
     lines = _spectral_def_lines("octant_to_real")
-    assert hits and {name for name, _ in hits} == {"spectral.py"}, hits
-    assert all(line in lines for _, line in hits), hits
+    assert calls and all(name == "spectral.py" and line in lines for name, line in calls), calls
 
 
 def _names(node):
@@ -395,35 +413,54 @@ def _slab_passes():
     return found
 
 
-def test_slab_passes_take_no_transform_call_no_public_function_and_make_no_array():
-    # a pass runs on a pool thread: a transform there would compete with the FFT
-    # workers, a public function's span would land on the tracer's one stack, and
-    # an array made there would grow the pool thread's own malloc arena
+def test_slab_passes_take_only_stages_call_no_public_function_and_make_no_array():
+    # a pass runs on a pool thread: a public function's span would land on the
+    # tracer's one stack, and an array made there would grow the pool thread's own
+    # malloc arena; the one transforms it takes are numpy.fft's one-axis stages,
+    # written with out= into arrays the caller owns
     public = {node.name for path in SRC.glob("*.py") for node in ast.parse(path.read_text()).body
               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
               and not node.name.startswith("_")}
     passes = _slab_passes()
     unread = [(name, line) for name, line, body in passes if body is None]
     # the Picard step; the pruned pair's clear, scatter and gather; Leray; the
-    # map's products, sum into D and check of D
-    assert len(passes) == 8 and unread == [], (passes, unread)
+    # map's products, sum into D and check of D; a transform stage (_stage); an
+    # octant stage
+    assert len(passes) == 10 and unread == [], (passes, unread)
+    helpers = {node.name for path in SRC.glob("*.py") for node in ast.parse(path.read_text()).body
+               if isinstance(node, ast.FunctionDef) and node.name.startswith("_")}
     bad = []
     for name, line, body in passes:
         for node in ast.walk(body):
-            if isinstance(node, ast.Name) and node.id in ("sfft", "scipy") or (
-                    isinstance(node, ast.Attribute) and node.attr == "fft"):
-                bad.append((name, line, "transform"))
+            if isinstance(node, ast.Name) and node.id in ("sfft", "scipy"):
+                bad.append((name, line, "scipy"))
             if isinstance(node, ast.Call):
-                callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+                func, keywords = node.func, {k.arg for k in node.keywords}
+                callee = getattr(func, "id", getattr(func, "attr", None))
                 if callee in public:
                     bad.append((name, line, callee))
                 # a numpy function writes into the caller's array
-                if (isinstance(node.func, ast.Attribute) and getattr(node.func.value, "id", None)
-                        == "np" and "out" not in {k.arg for k in node.keywords}):
+                if (isinstance(func, ast.Attribute) and getattr(func.value, "id", None)
+                        == "np" and "out" not in keywords):
                     bad.append((name, line, f"np.{callee} without out="))
+                # so does a numpy.fft one-axis stage, or one handed to the pass's maker
+                fft = (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Attribute)
+                       and func.value.attr == "fft")
+                if fft and callee not in STAGE_HOMES:
+                    bad.append((name, line, f"np.fft.{callee}"))
+                handed = (isinstance(func, ast.Name) and callee not in helpers
+                          and not hasattr(builtins, callee))
+                if (fft or handed) and "out" not in keywords:
+                    bad.append((name, line, f"{callee} without out="))
             if isinstance(node, ast.BinOp):  # an array operator makes a new array
                 bad.append((name, line, "binary operator"))
     assert bad == [], bad
+    # the stage a pass is handed is a numpy.fft one-axis stage
+    handed = [call.args[0] for path in sorted(SRC.glob("*.py"))
+              for call in ast.walk(ast.parse(path.read_text()))
+              if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "_stage"]
+    assert handed and all(ast.unparse(arg) in {f"np.fft.{s}" for s in STAGE_HOMES}
+                          for arg in handed), [ast.unparse(arg) for arg in handed]
 
 
 def _child_output(script):
@@ -434,21 +471,30 @@ def _child_output(script):
 
 
 def test_import_leaves_out_unused_scipy():
-    # a run transforms with scipy.fft alone; scipy.optimize (with scipy.linalg and
-    # scipy.sparse under it) costs every process about 0.2 s and 21 MiB to import
+    # every transform is numpy.fft's: importing scipy.fft (scipy.special under it)
+    # cost every process about 0.2 s, so neither the import nor a run of any
+    # experiment loads a scipy module
     out = _child_output(
-        "import sys\n"
-        "import fracns, fracns.cli\n"
-        "print(*sorted({'scipy.optimize', 'scipy.linalg', 'scipy.sparse'} & set(sys.modules)))\n"
+        "import sys, tempfile\n"
+        "import fracns, fracns.cli as cli\n"
+        "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "print('import', *loaded())\n"
+        "base = dict(n=16, box_length=8.0, force=dict(amplitude=0.05, r0=0.8, r1=2.8, seed=3),\n"
+        "            window=[0.5, 2.0], nbins=8, kernel_n=16, kernel_box=[16, 4.0],\n"
+        "            kernel_times=[0.1], evolve_T=0.02)\n"
+        "for e in cli.EXPERIMENTS:\n"
+        "    with tempfile.TemporaryDirectory() as d:\n"
+        "        cli.run(cli.RunConfig.from_dict(dict(base, experiment=e, output_dir=d)))\n"
+        "    print(e, *loaded())\n"
     )
-    assert out.split() == [], out
+    assert out.split() == ["import", *cli.EXPERIMENTS], out
 
 
 def test_import_starts_no_thread():
     # the slab pool starts its threads on first use: importing fracns starts none,
-    # in Python or (where /proc says) in the process, beyond numpy's and scipy's
+    # in Python or (where /proc says) in the process, beyond numpy's
     out = _child_output(
-        "import os, threading, numpy, scipy.fft\n"
+        "import os, threading, numpy\n"
         "task = '/proc/self/task'\n"
         "tasks = lambda: len(os.listdir(task)) if os.path.isdir(task) else 0\n"
         "before = tasks()\n"

@@ -529,7 +529,7 @@ class TestKernelTensor:
         g = Grid(8, 3.0)
         counting(spectral, "_irfftn_at")
         for name in ("irfftn", "ifftn"):
-            counting(sfft, name)
+            counting(np.fft, name)
         parts = list(kernel_tensor(g, inverse_power(g, 1.5), np.arange(8)))
         # the ten parts fill each of the 27 entries of C once
         assert sorted(e for entries, _ in parts for e in entries) == list(
@@ -606,6 +606,73 @@ class TestOctantToReal:
         got = spectral.octant_to_real(m, (1, 0, 0))
         assert np.array_equal(m, kept)
         assert np.array_equal(got, spectral.octant_to_real(cut, (1, 0, 0)))
+
+
+def scipy_octant_to_real(m, parity):
+    """``octant_to_real`` as scipy.fft spells it: one DCT-I or DST-I per axis."""
+    n = 2 * (m.shape[-1] - 1)
+    inner = (...,) + tuple(slice(1, -1) if p else slice(None) for p in parity)
+    out = m[inner]
+    for axis, p in zip((-3, -2, -1), parity):
+        out = (sfft.dst if p else sfft.dct)(out, type=1, axis=axis)
+    full = np.zeros(m.shape)
+    full[inner] = out / n**3
+    return full
+
+
+# (n, _WORKERS, _SLAB_ROWS): every size split as a run splits it, on one to three
+# slabs, and a 16^3 grid in slabs of as little as one row
+STAGE_CASES = [(n, w, 40) for n in (16, 48, 96, 128) for w in (1, 2, 3)] + [(16, 3, 1)]
+
+
+class TestStagesMatchScipy:
+    """Each transform, taken as numpy.fft one-axis stages by slabs of rows, is
+    scipy.fft's, bit for bit, however its rows are split."""
+
+    @pytest.fixture(params=STAGE_CASES, ids=lambda c: "n%d-w%d-r%d" % c)
+    def case(self, request, monkeypatch):
+        n, workers, rows = request.param
+        monkeypatch.setattr(spectral, "_WORKERS", workers)
+        monkeypatch.setattr(spectral, "_SLAB_ROWS", rows)
+        return n, np.random.default_rng(n + workers + rows)
+
+    @staticmethod
+    def coefficients(rng, shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    def test_pruned_pair(self, case):
+        n, rng = case
+        cube = spectral._Cube(Grid(n, 1.0))
+        c = self.coefficients(rng, (3,) + cube.spectral_shape)
+        assert np.array_equal(spectral._cube_to_real(c, cube), staged_cube_to_real(c, cube))
+        x = rng.standard_normal((3, n, n, n))
+        want = gather(sfft.rfftn(x, axes=(1, 2, 3)), cube)
+        assert np.array_equal(spectral._real_to_cube(x, cube), want)
+
+    def test_half_lattice_pair(self, case):
+        n, rng = case
+        c = self.coefficients(rng, (3, n, n, n // 2 + 1))
+        want = sfft.irfftn(c, s=(n, n, n), axes=(1, 2, 3))
+        assert np.array_equal(spectral.scalar_to_real(c), want)
+        x = rng.standard_normal((3, n, n, n))
+        assert np.array_equal(spectral.scalar_to_spectral(x), sfft.rfftn(x, axes=(1, 2, 3)))
+
+    def test_irfftn_at(self, case):
+        # three rows: the pruned stages' slabs are single rows at _SLAB_ROWS = 1
+        n, rng = case
+        c = self.coefficients(rng, (n, n, n // 2 + 1))
+        rows = np.sort(rng.choice(n, size=3, replace=False))
+        want = sfft.irfftn(c, s=(n, n, n))[np.ix_(rows, rows, rows)]
+        assert np.array_equal(spectral._irfftn_at(c.copy(), rows), want)
+
+    @pytest.mark.parametrize("parity", list(itertools.product((0, 1), repeat=3)),
+                             ids=lambda p: "".join("eo"[c] for c in p))
+    def test_octant_to_real(self, case, parity):
+        n, rng = case
+        half = n // 2 + 1
+        m = rng.standard_normal((2, half, half, half))  # a batch of two
+        m[:, :, 2] = 0.0  # rows of zeros, as an underflowed multiplier holds
+        assert np.array_equal(spectral.octant_to_real(m, parity), scipy_octant_to_real(m, parity))
 
 
 class TestApplyBilinear:
