@@ -177,32 +177,26 @@ def kernel_l1_check(alpha: float, times, n: int = 128, box: float = 8.0) -> dict
         return h3 * float(weight @ (a @ weight) @ weight)
 
     rows = {"t": [], "p_mass": [], "grad_p_mass_scaled": [], "K_mass_scaled": []}
-    sq = np.empty((half, half, half))  # each square, formed in place
     for t in times:
         mult = np.exp(-t * power)
         rows["t"].append(t)
-        p = octant_to_real(mult, (0, 0, 0))
-        p /= h3
-        rows["p_mass"].append(mass(np.abs(p, out=p)))
+        rows["p_mass"].append(mass(np.abs(octant_to_real(mult, (0, 0, 0)) / h3)))
 
         m_k2 = mult * nyquist_free * k2_inv
-        xi_m = [x * m_k2 for x in xi]
         csq = np.zeros((half, half, half))
         gsq = np.zeros((half, half, half))
         for parity, members in groups.items():
             sym = np.empty((len(members), half, half, half))
             for out, (a, b, c) in zip(sym, members):
-                np.multiply(xi[a] * xi[b], xi_m[c], out=out)
+                np.multiply(xi[a] * xi[b], xi[c] * m_k2, out=out)
             C = octant_to_real(sym, parity)
             del sym
             C /= h3
             for abc, part in zip(members, C):
-                np.square(part, out=sq)
-                sq *= len(set(itertools.permutations(abc)))
-                csq += sq
+                csq += len(set(itertools.permutations(abc))) * np.square(part)
             if sum(parity) == 1:  # grad p along the odd axis
-                gsq += np.square(np.sum(C, axis=0, out=sq), out=sq)
-        rows["grad_p_mass_scaled"].append(t ** (1.0 / alpha) * mass(np.sqrt(gsq, out=sq)))
+                gsq += np.square(np.sum(C, axis=0))
+        rows["grad_p_mass_scaled"].append(t ** (1.0 / alpha) * mass(np.sqrt(gsq)))
         csq += gsq
-        rows["K_mass_scaled"].append(t ** (1.0 / alpha) * mass(np.sqrt(csq, out=csq)))
+        rows["K_mass_scaled"].append(t ** (1.0 / alpha) * mass(np.sqrt(csq)))
     return {k: np.asarray(v) for k, v in rows.items()}

@@ -67,13 +67,17 @@ if hasattr(os, "register_at_fork"):  # a forked child has none of its parent's t
 # 40 us, so a map on two slabs took 1.5x as long as on one at 32^3; a
 # fresh-process nonexist run at 64^3, whole here, gained nothing split
 _SLAB_ROWS = 40
-# the fewest rows worth a slab of a transform stage, whose rows are planes of
-# lines: in-process nonexist runs at 64^3 took 0.889 s with stages split in
-# 20-row slabs, 0.948 s with them whole (medians of 12, alternating).  Under
-# 40 rows (32^3 and smaller grids) a stage stays whole, so a traced run there
-# counts its transforms alike each time (perfbench's tracer keeps one span
-# stack, which stages on two threads share)
-_STAGE_ROWS = 20
+
+
+def _stage_rows() -> int:
+    """The fewest rows worth a slab of a transform stage, whose rows are planes
+    of lines: half ``_SLAB_ROWS``, so lowering that splits the stages too.  In-
+    process nonexist runs at 64^3 took 0.889 s with stages split in 20-row
+    slabs, 0.948 s with them whole (medians of 12, alternating).  Under 40 rows
+    (32^3 and smaller grids) a stage stays whole, so a traced run there counts
+    its transforms alike each time (perfbench's tracer keeps one span stack,
+    which stages on two threads share)."""
+    return max(_SLAB_ROWS // 2, 1)
 
 
 def _by_slabs(pass_, rows: int, least: int | None = None, scratch=None) -> list:
@@ -115,7 +119,7 @@ def _stage(transform, x: np.ndarray, axis: int, out: np.ndarray, split: int, **k
         i = _at(split, s)
         transform(x[i], axis=axis, out=out[i], **kw)
 
-    _by_slabs(stage, x.shape[split], _STAGE_ROWS)
+    _by_slabs(stage, x.shape[split], _stage_rows())
     return out
 
 
@@ -399,7 +403,7 @@ def _dct1_or_dst1(x: np.ndarray, axis: int, odd: int, out: np.ndarray, scale) ->
             np.fft.rfft(e, axis=axis, out=f)
             np.divide(f.imag[head] if odd else f.real, by, out=out[_at(split, c)])
 
-    _by_slabs(stage, x.shape[split], _STAGE_ROWS, work)
+    _by_slabs(stage, x.shape[split], _stage_rows(), work)
 
 
 class _Cube:
@@ -533,7 +537,7 @@ def _cube_to_real(coeffs: np.ndarray, cube: _Cube, padded: np.ndarray | None = N
         return ok
 
     _by_slabs(clear, n - nc)
-    if not all(_by_slabs(scatter, nc, _STAGE_ROWS)):
+    if not all(_by_slabs(scatter, nc, _stage_rows())):
         raise NumericalBlowup("non-finite coefficients entering the quadratic term")
     _stage(np.fft.ifft, b[..., :p], -3, b[..., :p], -2)
     if out is None:
@@ -564,7 +568,7 @@ def _real_to_cube(samples: np.ndarray, cube: _Cube, out: np.ndarray | None = Non
             for cy, gy in runs:
                 out[..., c, cy, :] = y[..., gy, :]
 
-    _by_slabs(gather, nc, _STAGE_ROWS)
+    _by_slabs(gather, nc, _stage_rows())
     return out
 
 

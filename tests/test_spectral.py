@@ -620,8 +620,10 @@ def scipy_octant_to_real(m, parity):
     return full
 
 
-# (n, _WORKERS, _SLAB_ROWS): every size split as a run splits it, on one to three
-# slabs, and a 16^3 grid in slabs of as little as one row
+# (n, _WORKERS, _SLAB_ROWS): every size split as a run splits it (at 16^3 nothing
+# splits; at 48^3 the full-size stages do; from 96^3 the pruned pair's scatter and
+# gather and the octant stages do too), and a 16^3 grid with _SLAB_ROWS = 1, whose
+# stages run on three slabs, _irfftn_at's y and z stages on slabs of one row
 STAGE_CASES = [(n, w, 40) for n in (16, 48, 96, 128) for w in (1, 2, 3)] + [(16, 3, 1)]
 
 
@@ -658,7 +660,8 @@ class TestStagesMatchScipy:
         assert np.array_equal(spectral.scalar_to_spectral(x), sfft.rfftn(x, axes=(1, 2, 3)))
 
     def test_irfftn_at(self, case):
-        # three rows: the pruned stages' slabs are single rows at _SLAB_ROWS = 1
+        # three rows: at _SLAB_ROWS = 1 on three workers, the y and z stages,
+        # which keep only these rows, run on three slabs of one row each
         n, rng = case
         c = self.coefficients(rng, (n, n, n // 2 + 1))
         rows = np.sort(rng.choice(n, size=3, replace=False))
@@ -837,6 +840,11 @@ class TestSlabs:
         monkeypatch.setattr(spectral, "_SLAB_ROWS", 20)
         assert spectral._by_slabs(lambda s: s, 39) == [slice(0, 39)]
         assert spectral._by_slabs(lambda s: s, 40) == [slice(0, 20), slice(20, 40)]
+        # a transform stage's slab needs half as many rows, so lowering _SLAB_ROWS
+        # splits the stages, the scatter and the gather too, to one row at 1
+        assert spectral._stage_rows() == 10
+        monkeypatch.setattr(spectral, "_SLAB_ROWS", 1)
+        assert spectral._stage_rows() == 1
 
     def test_one_worker_is_one_call_on_the_calling_thread(self, monkeypatch):
         monkeypatch.setattr(spectral, "_WORKERS", 1)
