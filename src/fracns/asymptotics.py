@@ -24,6 +24,7 @@ from .solver import SteadySolution, lift_force
 from .spectral import (
     CUBIC_MONOMIALS,
     Grid,
+    Lattice,
     RealVectorField,
     SpectralVectorField,
     kernel_tensor,
@@ -239,11 +240,12 @@ def build_kernel(alpha: float, refinement_grid_n: int = 128) -> HomogeneousKerne
         raise InvalidAlpha(f"kernel synthesis requires alpha in (1, 4), got {alpha}")
     L = 1.0
     grid = Grid(refinement_grid_n, L)
+    half = Lattice.half(grid)
     sites = kernel_shell_sites(refinement_grid_n)
     h = grid.spacing
     sigma = 1.4 * h
-    damped_inv_pow = grid.power(-alpha)
-    damped_inv_pow *= np.exp(-0.5 * sigma * sigma * grid.k2)
+    damped_inv_pow = half.power(-alpha)
+    damped_inv_pow *= np.exp(-0.5 * sigma * sigma * half.k2())
 
     coords = min_image(grid.x_axis[sites], L)  # (m, 3) signed offsets from 0
     radii = np.linalg.norm(coords, axis=1)
@@ -256,8 +258,8 @@ def build_kernel(alpha: float, refinement_grid_n: int = 128) -> HomogeneousKerne
     rows = np.unique(sites)  # C is synthesized on rows^3 and read at ``at``
     at = tuple(np.searchsorted(rows, sites).T)
     samples = np.empty((3, 3, 3, len(radii)))
-    parts = kernel_tensor(grid, damped_inv_pow, rows)
-    del grid, damped_inv_pow  # nor are the Grid's k2 and kmag held through the parts
+    parts = kernel_tensor(half, damped_inv_pow, rows)
+    del half, damped_inv_pow  # nor is the half lattice's |xi| held through the parts
     for entries, C in parts:
         samples[tuple(zip(*entries))] = C[at]
     samples[range(3), range(3)] -= np.einsum("llkn->kn", samples)  # delta_ij grad_k p
@@ -357,14 +359,15 @@ def profile_term_on_grid(M: np.ndarray, kernel: HomogeneousKernel, grid: Grid) -
     alpha = kernel.alpha
     M = np.asarray(M, dtype=np.float64)
 
+    half = Lattice.half(grid)  # the experiment's own lattice, dropped on return
+    xi = half.xi
     dvec = np.stack(
-        [1j * (grid.xi[0] * M[i, 0] + grid.xi[1] * M[i, 1] + grid.xi[2] * M[i, 2])
-         for i in range(3)]
+        [1j * (xi[0] * M[i, 0] + xi[1] * M[i, 1] + xi[2] * M[i, 2]) for i in range(3)]
     ).astype(np.complex128)
-    dvec *= grid.nyquist_free
-    sym = -lift_force(SpectralVectorField(grid, dvec), alpha).data
-    damp = np.exp(-0.5 * width * width * grid.k2)
-    phase = grid.shift_phase(origin)
+    dvec *= half.nyquist_free
+    sym = -lift_force(SpectralVectorField(half, dvec), alpha).data
+    damp = np.exp(-0.5 * width * width * half.k2())
+    phase = half.shift_phase(origin)
     low = scalar_to_real(sym * damp * phase) / grid.cell_volume
 
     far = grid.radius_from(origin) >= 4.0 * width  # series valid once sigma << |x|

@@ -3,8 +3,8 @@
 The integrator is the steady solver's stationarity oracle: a converged
 steady state is an exact fixed point of it, so the largest entry of the
 drift history ``evolve_mild`` returns measures discretization inconsistency.
-Also hosts the semigroup-estimate checks (smoothing rate, kernel masses);
-the kernel masses are weighted sums over the octant j = 0..n/2 of each axis.
+Also hosts the semigroup-estimate checks (smoothing rate, kernel masses), the
+masses weighted sums over the octant j = 0..n/2 of each axis (``Lattice.octant``).
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from .spaces import lp_norm
 from .spectral import (
     CUBIC_MONOMIALS,
     Grid,
+    Lattice,
     SpectralVectorField,
     l2_norm,
     leray_project,
@@ -34,7 +35,7 @@ def stable_dt(v0: SpectralVectorField) -> float:
     vmax = float(np.max(to_real(v0).magnitude()))
     if vmax == 0.0:
         return np.inf
-    return 0.5 * v0.grid.spacing / vmax
+    return 0.5 * v0.grid.grid.spacing / vmax
 
 
 def _phi1(z: np.ndarray) -> np.ndarray:
@@ -126,7 +127,7 @@ def smoothing_check(f, p: float, alpha: float, times, grid: Grid) -> dict:
     or vector samples (3, n, n, n)."""
     arr = np.asarray(f, dtype=np.float64)
     hat = scalar_to_spectral(arr)
-    power = grid.power(alpha)
+    power = Lattice.half(grid).power(alpha)
     sup = 0.0
     for t in times:
         if not (0.0 < t <= 10.0):
@@ -145,27 +146,20 @@ def kernel_l1_check(alpha: float, times, n: int = 128, box: float = 8.0) -> dict
     Self-similarity makes each column time-independent in the continuum.
     p = ifftn(m), m = exp(-t |xi|^alpha), and the ten fully symmetric parts
     C_abc = ifftn(1j xi_a xi_b xi_c m/|xi|^2) of the kernel tensor, m's Nyquist
-    rows zeroed, are even or odd along each axis, so each is sampled on the
-    octant alone (``octant_to_real``): the parts in four parity groups, one
-    stacked transform each.  A group's transform is its C times the same sign,
-    1j**(1 + #odd axes) = +-1, which no mass reads.  Both tensor columns come
-    from C: grad_k p = sum_l C_llk, the sum of the group odd along axis k alone,
-    and |K|_F^2 = |C|_F^2 + |grad p|^2 for K_ijk = C_ijk - delta_ij grad_k p.
-    |p|, |grad p| and |K|_F are unchanged by reflections, so each lattice sum is
-    the octant sum weighted 1 on the j = 0 and j = n/2 planes of each axis and 2
-    elsewhere.
+    rows zeroed, are even or odd along each axis, so each is formed and sampled
+    on the octant alone (``Lattice.octant``, ``octant_to_real``), in four parity
+    groups of one stacked transform each.  A group's transform is its C times
+    the sign 1j**(1 + #odd axes) = +-1, which no mass reads.  Both tensor
+    columns come from C: grad_k p = sum_l C_llk, the sum of the group odd along
+    axis k alone, and |K|_F^2 = |C|_F^2 + |grad p|^2 for K_ijk = C_ijk -
+    delta_ij grad_k p.  |p|, |grad p| and |K|_F are unchanged by reflections, so
+    each lattice sum is the octant sum weighted 1 on the j = 0 and j = n/2
+    planes of each axis and 2 elsewhere.
     """
-    grid = Grid(n, box)
-    h3 = grid.cell_volume
-    half = n // 2 + 1
-
-    def octant(a):
-        return a[:half, :half].copy()  # the Nyquist row n/2 is held as -n/2
-
-    xi = [grid.xi[0][:half], grid.xi[1][:, :half], grid.xi[2]]
-    power = octant(grid.power(alpha))
-    nyquist_free, k2_inv = octant(grid.nyquist_free), octant(grid.power(-2.0))
-    del grid  # the half-lattice arrays are not read past here
+    octant = Lattice.octant(Grid(n, box))
+    h3, half, xi = octant.grid.cell_volume, n // 2 + 1, octant.xi
+    power, nyquist_free, k2_inv = octant.power(alpha), octant.nyquist_free, octant.power(-2.0)
+    del octant  # its |xi| is not read past here
 
     groups = {}  # parity along each axis -> the monomials of that parity
     for abc in CUBIC_MONOMIALS:

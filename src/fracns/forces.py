@@ -4,7 +4,7 @@ The one constructor places a smooth, compactly supported profile on a
 frequency annulus (so the zero mode is excluded exactly and the lifted
 field decays rapidly in physical space), modulates it with a seeded
 low-degree odd polynomial, and Leray-projects, on the dealias cube that holds
-the annulus (``spectral._Cube``).  Component weights bias the
+the annulus (``spectral.Lattice.dealias_cube``).  Component weights bias the
 moment matrix M_jk = integral of u_j u_k away from scalar; averaging over
 the 24 cube rotations forces it to be scalar exactly.
 """
@@ -21,9 +21,9 @@ from .solver import lift_force, weak_lorentz_norm
 from .spectral import (
     CUBIC_MONOMIALS,
     Grid,
+    Lattice,
     RealVectorField,
     SpectralVectorField,
-    _Cube,
     _real_to_cube,
     is_real,
     l2_norm,
@@ -131,10 +131,9 @@ def _bump_window(r: np.ndarray, r0: float, r1: float) -> np.ndarray:
     return w
 
 
-def _raw_annulus(spec: ForceSpec, lattice, seed: int, alpha: float) -> SpectralVectorField:
+def _raw_annulus(spec: ForceSpec, lattice: Lattice, seed: int, alpha: float) -> SpectralVectorField:
     """The annulus window times the seeded odd polynomial, centered in the box,
-    on ``lattice``: ``make_force`` passes the dealias cube, so no half-lattice
-    array of the Grid is formed.
+    on ``lattice``, the dealias cube ``make_force`` passes.
 
     The |xi|^alpha weight cancels the lift's |xi|^(-alpha), so the lifted
     field carries the clean compactly supported bump: that is what makes
@@ -149,14 +148,14 @@ def _raw_annulus(spec: ForceSpec, lattice, seed: int, alpha: float) -> SpectralV
     if not np.any(window > 0):
         raise InvalidAnnulus(
             f"no lattice modes inside the annulus ({spec.r0}, {spec.r1}) "
-            f"at resolution {lattice.n}, box {lattice.box_length}"
+            f"at resolution {lattice.grid.n}, box {lattice.grid.box_length}"
         )
     anisotropy = np.asarray(spec.anisotropy, dtype=np.float64)
     largest = np.max(np.abs(anisotropy))
     if largest > 0:
         anisotropy = anisotropy / largest
     poly = _odd_polynomial(lattice, np.random.default_rng(seed), anisotropy, spec.r1)
-    phase = lattice.shift_phase(lattice.center)
+    phase = lattice.shift_phase(lattice.grid.center)
     data = np.stack([1j * window * poly[j] * phase for j in range(3)])
     data[:, 0, 0, 0] = 0.0
     return SpectralVectorField(lattice, data)
@@ -213,7 +212,7 @@ def make_force(spec: ForceSpec, grid: Grid, alpha: float) -> SpectralVectorField
     if not (spec.r1 < limit):
         raise InvalidAnnulus(f"annulus outer radius {spec.r1} must stay inside the dealias "
                              f"sphere of radius {limit:.4g}")
-    cube = _Cube(grid)
+    cube = Lattice.dealias_cube(grid)
     if spec.amplitude == 0.0:
         return zero_spectral(cube)
     anisotropic = not np.allclose(spec.anisotropy, (1.0, 1.0, 1.0))

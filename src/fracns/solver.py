@@ -5,10 +5,10 @@ The steady problem is solved by iterating
     u_{n+1} = u_0 + B(u_n, u_n),   u_0 = (-Lap)^{-alpha/2} P f,
 
 with B the lifted advection map from :mod:`fracns.spectral`.  The force is
-held on the box of modes the 2/3 rule keeps (``spectral._Cube``), and so are
-u_0, every iterate and the solution: the map, the step and both norms run on
-the force's cube, and the residual, the pressure and the rescaled pair of
-the scaling check are formed there too.  Each function here takes spectral
+held on the box of modes the 2/3 rule keeps (``Lattice.dealias_cube``), and
+so are u_0, every iterate and the solution: the map, the step and both norms
+run on the force's cube, and the residual, the pressure and the rescaled pair
+of the scaling check are formed there too.  Each function here takes spectral
 fields held on a cube, and ``weak_lorentz_norm`` real samples.  Smallness is
 never hard-coded: ``contraction_metrics`` measures the contraction product
 4 * delta * C_B of a solution (delta = weak-Lorentz size of the lifted force,
@@ -26,11 +26,11 @@ from .errors import Diverged, InvalidAlpha, InvalidGrid, NotConverged
 from .spaces import lorentz_quasinorm
 from .spectral import (
     Grid,
+    Lattice,
     RealVectorField,
     SpectralVectorField,
     _advection_divergence,
     _by_slabs,
-    _Cube,
     _MapScratch,
     apply_bilinear,
     fractional_power,
@@ -153,14 +153,16 @@ def contraction_metrics(solution: SteadySolution, f: SpectralVectorField, alpha:
     the empirical bilinear constant C_B = |B(u, u)| / |u|^2 in that norm, the
     contraction product 4 delta C_B, whether u lies in the ball of radius
     2 delta, and the residual of u.  The lift and the samples of u are the
-    solution's own."""
+    solution's own.  B(u, u), quadratic in u, is scaled by a power of two for its
+    norm (``_scale_to_unit``), so at tiny forces its squares cannot underflow."""
     u = solution.velocity
     adv = projected_advection(u)
     res = residual(u, f, alpha, adv=adv)
     # B(u, u) = -(-Lap)^(-alpha/2) adv, whose sign the norm ignores
     b = fractional_power(adv, -alpha)
     del adv  # neither is held while the norms take their samples
-    b_lorentz = weak_lorentz_norm(to_real(b), alpha)
+    scale = _scale_to_unit(b.data)
+    b_lorentz = weak_lorentz_norm(to_real(b), alpha) * scale
     del b
     delta = weak_lorentz_norm(to_real(solution.lift), alpha)
     u_lorentz = weak_lorentz_norm(solution.samples, alpha)
@@ -192,18 +194,25 @@ def _residual_field(diss, adv, pf) -> np.ndarray:
     return r
 
 
+def _scale_to_unit(coeffs: np.ndarray) -> float:
+    """Divide complex ``coeffs`` in place by the power of two that brings their
+    largest real or imaginary part into [1, 2), and return it: their squares
+    cannot underflow, and transforms, squares and roots scale back exactly.
+    The parts are divided, not the complex field: numpy divides by a complex
+    number through its reciprocal, which overflows at a subnormal scale."""
+    parts = coeffs.view(np.float64)
+    scale = 2.0 ** (int(np.frexp(max(parts.max(), -parts.min()))[1]) - 1)
+    parts /= scale
+    return scale
+
+
 def residual(u: SpectralVectorField, f: SpectralVectorField, alpha: float, adv=None) -> float:
     """Discrete L^2 norm of (-Lap)^{alpha/2} u + P div(u (x) u) - P f; ``adv``,
     the projected advection of ``u``, is formed here unless the caller has it.
-    Scaled exactly by a power of two, the field's squares cannot underflow.  The
-    real and imaginary parts are divided, not the complex field: numpy divides
-    by a complex number through its reciprocal, which overflows at a subnormal
-    scale."""
+    The norm is taken scaled by a power of two (``_scale_to_unit``)."""
     r = _residual_field(*_residual_terms(u, f, alpha, adv))
     r[:, 0, 0, 0] = 0.0
-    parts = r.view(np.float64)  # real and imaginary parts
-    scale = 2.0 ** (int(np.frexp(max(parts.max(), -parts.min()))[1]) - 1)
-    parts /= scale
+    scale = _scale_to_unit(r)
     return l2_norm(SpectralVectorField(u.grid, r)) * scale
 
 
@@ -231,8 +240,8 @@ def rescale_pair(u: SpectralVectorField, f: SpectralVectorField, alpha: float, l
     rescaling is exact at coefficient level, on the dealias cube of the rescaled
     grid.
     """
-    g = u.grid
-    g2 = _Cube(Grid(g.n, g.box_length / lam))
+    g = u.grid.grid
+    g2 = Lattice.dealias_cube(Grid(g.n, g.box_length / lam))
     u2 = SpectralVectorField(g2, lam ** (alpha - 1.0) * u.data)
     f2 = SpectralVectorField(g2, lam ** (2.0 * alpha - 1.0) * f.data)
     return u2, f2
@@ -248,7 +257,7 @@ def scaling_check(
     rescaled residual's constituent terms, so it measures covariance of
     the discrete operators rather than the (possibly tiny) residual itself.
     """
-    if lam < 2 or u.grid.n % lam != 0:
+    if lam < 2 or u.grid.grid.n % lam != 0:
         raise InvalidGrid(f"lambda must be an integer >= 2 dividing n, got {lam}")
 
     r1 = _residual_field(*_residual_terms(u, f, alpha))

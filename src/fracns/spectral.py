@@ -1,36 +1,36 @@
 """Periodic grids, spectral transforms and the Fourier-multiplier operators.
 
 Everything downstream is built from the primitives here: the Leray projector,
-fractional Laplacian powers and the lifted-advection symbol.  Every multiplier
-takes its zero-mode rule from ``Grid.power``: a symbol singular or undefined
-there returns 0, which is exact for the mean-free admissible forces.  A run's
-spectral fields are held on one lattice, the box of rfftn half-lattice modes
-the 2/3 rule keeps (``_Cube``, where the 2/3-rule mask is defined), which
-stands in for its Grid: the force, its lift, every Picard iterate and the
-solution are 0 off it.  ``min_image`` is the one minimum-image rule.
+fractional Laplacian powers and the lifted-advection symbol.  A ``Grid`` is a
+box's real space; the wavenumbers xi of a set of its modes, and every symbol
+of them, are a ``Lattice``'s, whose ``power`` holds the one zero-mode rule: a
+symbol singular or undefined there returns 0, exact for the mean-free forces.
+A run holds its spectral fields on the dealias cube, the half-lattice modes
+the 2/3 rule keeps: the force, its lift, every Picard iterate and the solution
+are 0 off it.  ``min_image`` is the one minimum-image rule.
 
-Every transform is ``numpy.fft``'s, taken one axis at a time with ``out=``
-(``_stage``): rfftn and irfftn as pocketfft's own n-d transforms order their
-stages (``scalar_to_spectral``, ``scalar_to_real``), equal to those bit for bit,
-and a cube through a pruned pair whose complex stages run in place on one
-half-lattice array, the y stage on the cube's two runs of k_x rows.  The
-quadratic map (``apply_bilinear``), ``projected_advection``, ``to_real`` and
-``l2_norm`` take a field held on a cube; the map works in a ``_MapScratch``,
-which a solve holds for all its maps, its samples among them.  Each stage, and
-each of the map's elementwise passes and the Picard step between them, runs by
-slabs of rows of an axis it does not transform (``_by_slabs``) on the calling
-thread and a pool of ``_WORKERS`` - 1 threads, each element with the same float
-operations in whichever slab it falls.  The solver stack calls no BLAS: the
-Parseval sums (``_Cube.lattice_sum``) run in numpy's own loops, so no idle
-OpenBLAS thread spins against the slabs and no bit depends on its thread
-count.  The multipliers (``leray_project``, ``fractional_power``) read a field
-on either lattice with one code path.  The kernel tensor's ten parts
-(``kernel_tensor``) are synthesized on a sub-box of rows alone, by irfftn's own
-stages (``_irfftn_at``), equal to irfftn there bit for bit.  A symbol even or
-odd along each axis is also sampled on the octant alone (``octant_to_real``), by
-one real DCT-I or DST-I per axis, each the rfft of an extension, as pocketfft
-takes it; a lattice sum of a reflection-invariant quantity is the octant sum
-weighted 1 on the j = 0 and j = n/2 planes of each axis and 2 elsewhere.
+Every transform is ``numpy.fft``'s, one axis at a time with ``out=``
+(``_stage``): rfftn and irfftn in pocketfft's stage order
+(``scalar_to_spectral``, ``scalar_to_real``), bit for bit, and a cube through
+a pruned pair whose complex stages run in place on one half-lattice array, the
+y stage on the cube's two runs of k_x rows.  The quadratic map
+(``apply_bilinear``), ``projected_advection``, ``to_real`` and ``l2_norm`` take
+a field held on a cube; the map works in a ``_MapScratch``, which a solve holds
+for all its maps.  Each stage, and each of the map's elementwise passes and
+the Picard step between them, runs by slabs of rows of an axis it does not
+transform (``_by_slabs``) on the calling thread and a pool of ``_WORKERS`` - 1
+threads, each element with the same float operations in whichever slab it
+falls.  The solver stack calls no BLAS: the Parseval sums
+(``Lattice.lattice_sum``) run in numpy's own loops, so no idle OpenBLAS thread
+spins against the slabs and no bit depends on its thread count.  The
+multipliers (``leray_project``, ``fractional_power``) read a field on any
+lattice with one code path.  The kernel tensor's ten parts (``kernel_tensor``)
+are synthesized on a sub-box of rows alone by irfftn's own stages
+(``_irfftn_at``), bit for bit.  A symbol even or odd along each axis is sampled
+on the octant alone (``octant_to_real``) by one real DCT-I or DST-I per axis,
+each the rfft of an extension; a lattice sum of a reflection-invariant
+quantity is the octant sum weighted 1 on the j = 0 and j = n/2 planes of each
+axis and 2 elsewhere.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ import itertools
 import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -162,17 +162,8 @@ def min_image(d, L: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Grid:
-    """Spectral quantities for a periodic cubic box [0, L)^3, L = ``box_length``,
-    of ``n`` points per axis (even, >= 8); the n^3 ones are formed on first read.
-
-    The frequency lattice per axis is {2*pi*k/L : k in [-n/2, n/2)} in
-    standard DFT ordering.  Real fields are stored on the half lattice
-    (n, n, n/2+1) of ``rfftn``: the last axis keeps k = 0..n/2-1 and the
-    Nyquist plane k = -n/2, so every symbol here is the full-lattice symbol
-    sliced to its first n/2+1 planes.  The Nyquist row is treated as
-    self-conjugate and is zeroed inside every odd (differentiation-like)
-    multiplier so that real fields stay real.
-    """
+    """The real space of a periodic cubic box [0, L)^3, L = ``box_length``, of
+    ``n`` points per axis (even, >= 8); its wavenumbers are a ``Lattice``'s."""
 
     n: int
     box_length: float
@@ -183,50 +174,9 @@ class Grid:
         object.__setattr__(self, "box_length", L)
         object.__setattr__(self, "spacing", L / n)
         object.__setattr__(self, "cell_volume", (L / n) ** 3)
-        object.__setattr__(self, "spectral_shape", (n, n, n // 2 + 1))
-
-        k_int = np.fft.fftfreq(n, d=1.0 / n).astype(np.int64)  # 0,1,..,n/2-1,-n/2,..,-1
-        object.__setattr__(self, "k_int", k_int)
         object.__setattr__(self, "x_axis", (L / n) * np.arange(n))
-
-        half = n // 2 + 1  # the last axis ends on the Nyquist plane, kept at -n/2
-        rows = [k_int.reshape(n, 1, 1), k_int.reshape(1, n, 1), k_int[:half].reshape(1, 1, half)]
-        object.__setattr__(self, "xi", [(2.0 * np.pi / L) * k for k in rows])
-        # one boolean row per axis, broadcast over the half lattice: True on k = -n/2
-        object.__setattr__(self, "nyquist_rows", [k == -(n // 2) for k in rows])
-
-        # the 2/3-rule truncation radius; the dealias cube (``_Cube``) keeps the modes inside
+        # the 2/3-rule truncation radius: the dealias cube keeps the modes inside
         object.__setattr__(self, "dealias_radius", (2.0 / 3.0) * (np.pi * n / L))
-
-    # the half-lattice arrays, formed on first read: a run's fields live on its cube
-    @cached_property
-    def k2(self) -> np.ndarray:
-        return self.xi[0] ** 2 + self.xi[1] ** 2 + self.xi[2] ** 2
-
-    @cached_property
-    def kmag(self) -> np.ndarray:
-        return np.sqrt(self.k2)
-
-    @cached_property
-    def nyquist_free(self) -> np.ndarray:  # True where no axis is on its Nyquist row
-        nyq = self.nyquist_rows
-        return ~(nyq[0] | nyq[1] | nyq[2])
-
-    def power(self, beta: float) -> np.ndarray:
-        """The symbol |xi|^beta, 0 at the zero mode for every beta.
-
-        This is the package's single zero-mode rule: the lift |xi|^-alpha and
-        the Leray factor 1/|xi|^2 = power(-2.0) are singular there.
-        """
-        out = np.where(self.kmag == 0.0, 1.0, self.kmag)
-        np.power(out, beta, out=out)  # in place: one n^3 array per call
-        out[0, 0, 0] = 0.0
-        return out
-
-    def shift_phase(self, origin) -> np.ndarray:
-        """The translation phase exp(-i xi . origin)."""
-        xi = self.xi
-        return np.exp(-1j * (xi[0] * origin[0] + xi[1] * origin[1] + xi[2] * origin[2]))
 
     def offsets(self, origin):
         """The signed minimum-image offsets x - origin, one (n,) array per axis."""
@@ -240,6 +190,121 @@ class Grid:
     @property
     def center(self):
         return np.full(3, 0.5 * self.box_length)
+
+
+def _wavenumbers(n: int) -> np.ndarray:
+    """An axis's integer wavenumbers in DFT order: 0, 1, .., n/2-1, -n/2, .., -1."""
+    return np.fft.fftfreq(n, d=1.0 / n).astype(np.int64)
+
+
+def _half_shape(n: int) -> tuple:
+    """The shape (n, n, n/2+1) of rfftn's half lattice."""
+    return (n, n, n // 2 + 1)
+
+
+class Lattice:
+    """The modes of ``grid`` with integer wavenumbers ``k`` on each axis, in DFT
+    order (k >= 0 first, from k = 0), and their symbols: ``xi`` = 2 pi k/L, one
+    row per axis, ``kmag`` = |xi|, ``power``, ``shift_phase`` and the Nyquist
+    flags (True on k = -n/2), each array of ``spectral_shape`` formed on first
+    read.  There are three: rfftn's ``half`` lattice, whose last axis ends on
+    the Nyquist plane, self-conjugate and zeroed inside every odd multiplier so
+    that real fields stay real; the ``dealias_cube``, where a run holds every
+    field it makes; and the ``octant``, k = 0..n/2-1 and -n/2 on each axis."""
+
+    def __init__(self, grid: Grid, k):
+        self.grid = grid
+        self.spectral_shape = tuple(len(a) for a in k)
+        self.k = rows = [k[0].reshape(-1, 1, 1), k[1].reshape(1, -1, 1), k[2].reshape(1, 1, -1)]
+        self.xi = [(2.0 * np.pi / grid.box_length) * a for a in rows]
+        self.nyquist_rows = [a == -(grid.n // 2) for a in rows]
+        self._lifts = {}
+
+    @classmethod
+    def half(cls, grid: Grid) -> Lattice:
+        k = _wavenumbers(grid.n)
+        return cls(grid, (k, k, k[: grid.n // 2 + 1]))
+
+    @classmethod
+    def octant(cls, grid: Grid) -> Lattice:
+        k = _wavenumbers(grid.n)[: grid.n // 2 + 1]
+        return cls(grid, (k, k, k))
+
+    @classmethod
+    def dealias_cube(cls, grid: Grid) -> Lattice:
+        """The half-lattice modes |k_x|, |k_y| <= m, 0 <= k_z <= m, m the largest
+        |k| in the 2/3-rule sphere on an axis (m <= n/3: no Nyquist row), where
+        dealiasing is defined: ``dealias_mask`` is |xi| <= ``dealias_radius``.
+        Built once per force, with its Leray factor 1/|xi|^2 and, on first
+        asking, the lift of each order alpha."""
+        r, k = grid.dealias_radius * (1.0 + 1e-12), _wavenumbers(grid.n)
+        # the kept axis frequencies: |xi| <= r at k_y = k_z = 0, as the mask below reads it
+        k = k[cls(grid, (k, k[:1], k[:1])).kmag.ravel() <= r]
+        cube = cls(grid, (k, k, k[k >= 0]))
+        cube.dealias_mask = cube.kmag <= r
+        cube.leray_factor = cube.power(-2.0)
+        return cube
+
+    def k2(self) -> np.ndarray:
+        """|xi|^2, a new array on each call."""
+        xi = self.xi
+        return xi[0] ** 2 + xi[1] ** 2 + xi[2] ** 2
+
+    @cached_property
+    def kmag(self) -> np.ndarray:
+        k2 = self.k2()
+        return np.sqrt(k2, out=k2)  # in place: a freed temporary raised decay's peak RSS
+
+    @cached_property
+    def nyquist_free(self) -> np.ndarray:  # True where no axis is on its Nyquist row
+        nyq = self.nyquist_rows
+        return ~(nyq[0] | nyq[1] | nyq[2])
+
+    def power(self, beta: float) -> np.ndarray:
+        """The symbol |xi|^beta, 0 at the zero mode for every beta.
+
+        This is the package's single zero-mode rule: the lift |xi|^-alpha and
+        the Leray factor 1/|xi|^2 = power(-2.0) are singular there.
+        """
+        out = np.where(self.kmag == 0.0, 1.0, self.kmag)
+        np.power(out, beta, out=out)  # in place: one lattice-sized array per call
+        out[0, 0, 0] = 0.0
+        return out
+
+    def shift_phase(self, origin) -> np.ndarray:
+        """The translation phase exp(-i xi . origin)."""
+        xi = self.xi
+        return np.exp(-1j * (xi[0] * origin[0] + xi[1] * origin[1] + xi[2] * origin[2]))
+
+    def row_runs(self, s: slice) -> list:
+        """(lattice rows, grid rows) slice pairs that cover the lattice rows ``s``
+        of the first axis: its kept k >= 0 are the grid's first rows, and its kept
+        k < 0 consecutive grid rows too, up to the row of its last k."""
+        k, nc = self.k[0].ravel(), self.spectral_shape[0]
+        lo, shift = int(np.count_nonzero(k >= 0)), int(k[-1]) % self.grid.n - (nc - 1)
+        return [(slice(a, b), slice(a + d, b + d))
+                for a, b, d in ((s.start, min(s.stop, lo), 0), (max(s.start, lo), s.stop, shift))
+                if a < b]
+
+    def lift(self, alpha: float) -> np.ndarray:
+        """The quadratic map's lift -|xi|^-alpha, formed once per alpha."""
+        if alpha not in self._lifts:
+            self._lifts[alpha] = -self.power(-alpha)
+        return self._lifts[alpha]
+
+    def lattice_sum(self, a: np.ndarray, b: np.ndarray) -> float:
+        """Re sum over the full lattice of conj(a) b for vector fields a, b held
+        on the dealias cube, contiguous along k_z: with no Nyquist plane, every
+        plane but k_z = 0 stands for its conjugate mirror too and counts twice.
+        The float64 views' dot products (the first two entries along z are the
+        k_z = 0 plane) are summed apart for that plane and the others, so neither
+        cancels the other, by einsum along z rows and a pairwise sum: numpy's own
+        loops, in one thread, where a BLAS dot's idle threads would spin against
+        the slab workers and its sum split by the host's thread count."""
+        x, y = a.view(np.float64), b.view(np.float64)
+        mirrored = np.einsum("cxyz,cxyz->cxy", x[..., 2:], y[..., 2:]).sum()
+        plane = np.einsum("cxyz,cxyz->cxy", x[..., :2], y[..., :2]).sum()
+        return 2.0 * mirrored + plane
 
 
 @dataclass
@@ -265,12 +330,10 @@ class RealVectorField:
 
 @dataclass
 class SpectralVectorField:
-    """Three arrays of Fourier coefficients of a real field, held on the lattice
-    ``grid``: a dealias cube (``_Cube``), where a run holds every field it makes,
-    or a Grid's half lattice (the ``rfftn`` layout), which the multipliers alone
-    read."""
+    """Three arrays of Fourier coefficients of a real field held on the lattice
+    ``grid``: a run's dealias cube, or a half lattice, which the multipliers read."""
 
-    grid: Grid | _Cube
+    grid: Lattice
     data: np.ndarray  # (3,) + grid.spectral_shape, complex128
 
     def __post_init__(self):
@@ -279,7 +342,7 @@ class SpectralVectorField:
             raise ValueError(f"bad field shape {self.data.shape}")
 
 
-def zero_spectral(lattice: Grid | _Cube) -> SpectralVectorField:
+def zero_spectral(lattice: Lattice) -> SpectralVectorField:
     return SpectralVectorField(lattice, np.zeros((3,) + lattice.spectral_shape, dtype=complex))
 
 
@@ -406,73 +469,6 @@ def _dct1_or_dst1(x: np.ndarray, axis: int, odd: int, out: np.ndarray, scale) ->
     _by_slabs(stage, x.shape[split], _stage_rows(), work)
 
 
-class _Cube:
-    """The box of half-lattice modes the quadratic map keeps: the rows and
-    planes of ``grid`` whose axis frequency lies in the 2/3-rule sphere, |k_x|,
-    |k_y| <= m and 0 <= k_z <= m, m the largest kept |k| on an axis (m <= n/3, so
-    no Nyquist row or plane).  Dealiasing is defined here: ``dealias_mask`` is
-    |xi| <= ``dealias_radius`` on the box.  The cube stands in for its Grid as the
-    lattice of the fields held on it: ``xi`` is the Grid's, gathered, ``kmag`` is
-    |xi| on the box, ``n``, ``box_length``, ``spacing`` and ``cell_volume`` are the
-    Grid's, and ``power``, ``shift_phase`` and ``center`` are Grid methods, so the
-    one zero-mode rule applies (the cube's first mode is k = 0).  A cube is built
-    once per force: it forms the Leray factor 1/|xi|^2 when built and the lift of
-    each order alpha when first asked for it."""
-
-    def __init__(self, grid: Grid):
-        n, r = grid.n, grid.dealias_radius * (1.0 + 1e-12)
-        # the kept axis frequencies: |xi| <= r at k_y = k_z = 0, as the mask below reads it
-        k = grid.k_int[np.sqrt(grid.xi[0].ravel() ** 2) <= r]
-        lo, hi = int(np.sum(k >= 0)), int(np.sum(k < 0))
-        self.grid = grid
-        self.n, self.box_length = n, grid.box_length
-        self.spacing, self.cell_volume = grid.spacing, grid.cell_volume
-        # the grid rows of the kept k = 0, 1, .. and .., -1, in the cube's order
-        rows = np.r_[0:lo, n - hi : n]
-        self.planes, self.spectral_shape = lo, (lo + hi, lo + hi, lo)
-        xi = grid.xi
-        self.xi = xi = [xi[0][rows], xi[1][:, rows], xi[2][..., :lo]]
-        self.kmag = kmag = xi[0] ** 2 + xi[1] ** 2 + xi[2] ** 2
-        np.sqrt(kmag, out=kmag)  # in place: a freed cube-sized temporary raised decay's peak RSS
-        self.dealias_mask = kmag <= r
-        self.leray_factor = self.power(-2.0)
-        self._lifts = {}
-
-    power = Grid.power
-    shift_phase = Grid.shift_phase
-    center = Grid.center
-
-    def row_runs(self, s: slice) -> list:
-        """(cube rows, grid rows) slice pairs that cover the cube rows ``s`` of an
-        axis: the kept k >= 0 are the grid's first rows, the kept k < 0 its last."""
-        lo, nc = self.planes, self.spectral_shape[0]
-        return [(slice(a, b), slice(a + shift, b + shift))
-                for a, b, shift in ((s.start, min(s.stop, lo), 0),
-                                    (max(s.start, lo), s.stop, self.n - nc))
-                if a < b]
-
-    def lift(self, alpha: float) -> np.ndarray:
-        """The quadratic map's lift -|xi|^-alpha on the cube, formed once per alpha."""
-        if alpha not in self._lifts:
-            self._lifts[alpha] = -self.power(-alpha)
-        return self._lifts[alpha]
-
-    def lattice_sum(self, a: np.ndarray, b: np.ndarray) -> float:
-        """Re sum over the full lattice of conj(a) b for vector fields a, b (3,) +
-        the cube's shape, contiguous along k_z: the cube holds no Nyquist plane,
-        so every plane but k_z = 0 also stands for its conjugate mirror and counts
-        twice.  Re conj(a) b is the dot product of the float64 views, whose first
-        two entries along z are the k_z = 0 plane.  That plane and the mirrored
-        ones are summed apart, so neither cancels the other, by einsum along each
-        z row and a pairwise sum of the rows: numpy's own loops, in one thread.  A
-        BLAS dot's idle threads would spin against the slab workers, and its sum
-        would split by the host's thread count."""
-        x, y = a.view(np.float64), b.view(np.float64)
-        mirrored = np.einsum("cxyz,cxyz->cxy", x[..., 2:], y[..., 2:]).sum()
-        plane = np.einsum("cxyz,cxyz->cxy", x[..., :2], y[..., :2]).sum()
-        return 2.0 * mirrored + plane
-
-
 class _MapScratch:
     """The quadratic map's numpy scratch on one cube, for three components: the
     inverse stage's half-lattice array ``padded``, its ``samples`` and the marks
@@ -482,8 +478,8 @@ class _MapScratch:
     after it).  ``solve_steady`` holds one for all the maps of a solve; a map
     given none makes its own.  Nothing the map returns is cut from it."""
 
-    def __init__(self, cube: _Cube):
-        n, shape, half = cube.n, cube.spectral_shape, cube.grid.spectral_shape
+    def __init__(self, cube: Lattice):
+        n, shape, half = cube.grid.n, cube.spectral_shape, _half_shape(cube.grid.n)
         self.padded = np.empty((3,) + half, dtype=np.complex128)
         self.samples = np.empty((3, n, n, n))
         self.finite = np.empty((3,) + shape, dtype=bool)
@@ -495,7 +491,7 @@ class _MapScratch:
         self.spectrum = flat[k + 2 * size : k + 2 * size + int(np.prod(half))].reshape(half)
 
 
-def _cube_to_real(coeffs: np.ndarray, cube: _Cube, padded: np.ndarray | None = None,
+def _cube_to_real(coeffs: np.ndarray, cube: Lattice, padded: np.ndarray | None = None,
                   mask: np.ndarray | None = None, finite: np.ndarray | None = None,
                   out: np.ndarray | None = None) -> np.ndarray:
     """Real samples (..., n, n, n) of coefficients held on ``cube`` (every other
@@ -507,9 +503,9 @@ def _cube_to_real(coeffs: np.ndarray, cube: _Cube, padded: np.ndarray | None = N
     as the quadratic map reads it) the scatter writes the coefficients times the
     mask and marks in ``finite`` where that is finite, and a non-finite one
     raises NumericalBlowup before any transform reads it."""
-    n, p, nc = cube.n, cube.planes, cube.spectral_shape[0]
+    n, (nc, _, p) = cube.grid.n, cube.spectral_shape
     # all n/2+1 planes, so that irfft needs no zero-padded copy
-    b = (np.empty(coeffs.shape[:-3] + cube.grid.spectral_shape, dtype=np.complex128)
+    b = (np.empty(coeffs.shape[:-3] + _half_shape(n), dtype=np.complex128)
          if padded is None else padded)
     runs = cube.row_runs(slice(0, nc))
     off = slice(p, p + n - nc)  # the grid rows between the cube's two runs
@@ -545,16 +541,16 @@ def _cube_to_real(coeffs: np.ndarray, cube: _Cube, padded: np.ndarray | None = N
     return _stage(np.fft.irfft, b, -1, out, -3, n=n)
 
 
-def _real_to_cube(samples: np.ndarray, cube: _Cube, out: np.ndarray | None = None,
+def _real_to_cube(samples: np.ndarray, cube: Lattice, out: np.ndarray | None = None,
                   spectrum: np.ndarray | None = None) -> np.ndarray:
     """The coefficients on ``cube`` of real samples (..., n, n, n): rfft along z,
     into ``spectrum`` where given, fft along x in place on the cube's planes of
     it, then fft along y in place on the cube's two runs of k_x rows there, by
     slabs of k_x rows, each slab's rows then gathered into ``out`` where
     given."""
-    p, nc = cube.planes, cube.spectral_shape[0]
+    nc, _, p = cube.spectral_shape
     if spectrum is None:
-        spectrum = np.empty(samples.shape[:-3] + cube.grid.spectral_shape, dtype=np.complex128)
+        spectrum = np.empty(samples.shape[:-3] + _half_shape(cube.grid.n), dtype=np.complex128)
     a = _stage(np.fft.rfft, samples, -1, spectrum, -3)
     _stage(np.fft.fft, a[..., :p], -3, a[..., :p], -2)
     runs = cube.row_runs(slice(0, nc))
@@ -576,15 +572,15 @@ def _real_to_cube(samples: np.ndarray, cube: _Cube, out: np.ndarray | None = Non
 # multipliers
 
 
-def _leray(v: np.ndarray, grid, leray_factor: np.ndarray, out: np.ndarray,
+def _leray(v: np.ndarray, lattice: Lattice, leray_factor: np.ndarray, out: np.ndarray,
            lift: np.ndarray | None = None, work=None) -> np.ndarray:
-    """out = (I - xi xi^T/|xi|^2) v for coefficients v (3, ...) on ``grid`` (a Grid
-    or a ``_Cube``), ``leray_factor`` its 1/|xi|^2 with 0 at the zero mode, then
-    times ``lift`` where given, one component at a time, by slabs of k_x rows;
-    ``out`` may be ``v``.  The xi rows are cast to complex once, as the products
-    would cast them.  The pass works in ``work``, two arrays of a component's
-    shape, or in two new ones."""
-    xi = [x.astype(np.complex128) for x in grid.xi]
+    """out = (I - xi xi^T/|xi|^2) v for coefficients v (3, ...) on ``lattice``,
+    ``leray_factor`` its 1/|xi|^2 with 0 at the zero mode, then times ``lift``
+    where given, one component at a time, by slabs of k_x rows; ``out`` may be
+    ``v``.  The xi rows are cast to complex once, as the products would cast
+    them.  The pass works in ``work``, two arrays of a component's shape, or in
+    two new ones."""
+    xi = [x.astype(np.complex128) for x in lattice.xi]
     dot, tmp = np.empty((2,) + v.shape[1:], dtype=np.complex128) if work is None else work
 
     def project(s):  # only the k_x row of xi varies along the slab's rows
@@ -644,29 +640,29 @@ def bilinear_symbol(xi, alpha: float, i: int, j: int, k: int) -> complex:
     return complex(-proj * 1j * xi[k] / r2 ** (alpha / 2.0))
 
 
-def kernel_tensor(grid: Grid, m: np.ndarray, rows: np.ndarray):
+def kernel_tensor(half: Lattice, m: np.ndarray, rows: np.ndarray):
     """Yield ``(entries, C)`` for each of the ten ``CUBIC_MONOMIALS`` (a, b, c):
     C the samples ifftn(1j xi_a xi_b xi_c m/|xi|^2).real / cell_volume on the
-    sites ``rows`` x ``rows`` x ``rows`` for the real half-lattice multiplier
-    ``m`` (a function of |xi|, zero mode 0), and ``entries`` the distinct index
-    triples that C fills in the fully symmetric tensor C_ijk.
+    sites ``rows`` x ``rows`` x ``rows`` for the real multiplier ``m`` on the
+    half lattice ``half`` (a function of |xi|, zero mode 0), and ``entries``
+    the distinct index triples that C fills in the fully symmetric tensor C_ijk.
 
     The lifted-advection tensor -(delta_ij - xi_i xi_j/|xi|^2) 1j xi_k m is
     C_ijk - delta_ij sum_l C_llk, as sum_l C_llk = 1j xi_k m, the symbol of
     d_k p for p = ifftn(m).  Each part is irfftn's (``_irfftn_at``), the
     transform of the symbol's Hermitian part, which the ``.real`` keeps: the
     monomial times (1 + prod_c sigma_c^d_c)/2, d_c its degree in xi_c and
-    sigma_c = -1 on axis c's Nyquist row (``grid.nyquist_rows``, where -xi_c is
+    sigma_c = -1 on axis c's Nyquist row (``half.nyquist_rows``, where -xi_c is
     xi_c), +1 elsewhere.  Every C_llk is zeroed on axis k's Nyquist row alone,
     so the identity holds on the lattice.  Each symbol is formed in one real
     and one complex array held for all ten.  ``build_kernel``'s damped symbol
     is not 0 on the Nyquist rows, where the Hermitian part keeps what an octant
     DST-I would drop.
     """
-    xi, nyq, h3 = grid.xi, grid.nyquist_rows, grid.cell_volume
-    m_k2 = grid.power(-2.0)
+    xi, nyq, h3 = half.xi, half.nyquist_rows, half.grid.cell_volume
+    m_k2 = half.power(-2.0)
     m_k2 *= m
-    del grid, m  # the caller's half-lattice arrays are not read past here
+    del half, m  # the caller's half-lattice arrays are not read past here
     real = np.empty(m_k2.shape)
     sym = np.empty(m_k2.shape, dtype=np.complex128)
     for a, b, c in CUBIC_MONOMIALS:
@@ -682,7 +678,7 @@ def kernel_tensor(grid: Grid, m: np.ndarray, rows: np.ndarray):
 def _advection_divergence(v: SpectralVectorField,
                           scratch: _MapScratch | None = None) -> SpectralVectorField:
     """D_j = sum_k 1j xi_k W_jk = div(v (x) v) for a field ``v`` held on a dealias
-    cube (``_Cube``), a new field on the same cube: W_jk is the transform of v_j
+    cube, a new field on the same cube: W_jk is the transform of v_j
     v_k formed in physical space after a 2/3-rule truncation of v, and D is
     truncated likewise.  Every mode outside the cube, the Nyquist rows among
     them, is 0 in D.  W is symmetric: each of its six products is transformed
@@ -715,7 +711,7 @@ def _advection_divergence(v: SpectralVectorField,
     for j in range(3):
         for k in range(j, 3):
             a, b = phys[j], phys[k]
-            _by_slabs(multiply, cube.n)
+            _by_slabs(multiply, cube.grid.n)
             _real_to_cube(product, cube, w_hat, s.spectrum)
             _by_slabs(accumulate, nc)
 
@@ -742,7 +738,7 @@ def projected_advection(v: SpectralVectorField) -> SpectralVectorField:
 def apply_bilinear(v: SpectralVectorField, alpha: float,
                    _scratch: _MapScratch | None = None) -> SpectralVectorField:
     """-(-Lap)^(-alpha/2) P div(v (x) v) for a field ``v`` held on a dealias cube
-    (``_Cube``): one application of the quadratic map, a new field on the same
+    (``Lattice.dealias_cube``): one application of the quadratic map, a new field on the same
     cube, outside which it is 0.  Leray and the lift run as one in-place pass
     over D, with the cube's own symbols.  P D has a zero mode of exactly 0, so
     the lift is applied unchecked.  A caller that maps many times on one cube
@@ -762,7 +758,7 @@ def apply_bilinear(v: SpectralVectorField, alpha: float,
 def parseval_l2(lattice, s: float) -> float:
     """The discrete L^2 norm sqrt(h^3 * sum |field|^2) of a field held on
     ``lattice`` whose coefficients' squares sum to ``s`` over the full lattice."""
-    return float(np.sqrt(lattice.cell_volume * (s / lattice.n**3)))
+    return float(np.sqrt(lattice.grid.cell_volume * (s / lattice.grid.n**3)))
 
 
 def l2_norm(field: SpectralVectorField) -> float:

@@ -7,9 +7,9 @@ from fracns.forces import ForceSpec, make_force
 from fracns.solver import SolverConfig, solve_steady
 from fracns.spectral import (
     Grid,
+    Lattice,
     RealVectorField,
     SpectralVectorField,
-    _Cube,
     kernel_tensor,
     parseval_l2,
 )
@@ -30,28 +30,33 @@ def random_real_field(grid, seed=0, smooth=False):
     data = rng.standard_normal((3, grid.n, grid.n, grid.n))
     if smooth:
         hat = sfft.rfftn(data, axes=(1, 2, 3))
-        hat *= np.exp(-grid.k2 / (2.0 * (4.0 * 2 * np.pi / grid.box_length) ** 2))
+        hat *= np.exp(-Lattice.half(grid).k2() / (2.0 * (4.0 * 2 * np.pi / grid.box_length) ** 2))
         data = sfft.irfftn(hat, s=data.shape[1:], axes=(1, 2, 3))
     return RealVectorField(grid, data)
+
+
+def k_int(n):
+    """The integer wavenumbers of an axis of n points, in DFT order."""
+    return np.fft.fftfreq(n, d=1.0 / n).astype(np.int64)
 
 
 def dealias_mask(grid):
     """The 2/3-rule mask on a Grid's half lattice (n, n, n/2+1): |xi| within the
     dealias radius, up to a relative 1e-12."""
-    return grid.kmag <= grid.dealias_radius * (1.0 + 1e-12)
+    return Lattice.half(grid).kmag <= grid.dealias_radius * (1.0 + 1e-12)
 
 
 def on_nyquist(grid):
     """One boolean array per axis, broadcast over a Grid's half lattice: True on
     that axis's Nyquist row k = -n/2."""
-    n, k = grid.n, grid.k_int
+    n, k = grid.n, k_int(grid.n)
     rows = [k.reshape(n, 1, 1), k.reshape(1, n, 1), k[: n // 2 + 1].reshape(1, 1, n // 2 + 1)]
     return [r == -(n // 2) for r in rows]
 
 
 def to_spectral(u):
     """The half-lattice coefficients of real samples ``u``, as ``rfftn`` takes them."""
-    return SpectralVectorField(u.grid, sfft.rfftn(u.data, axes=(1, 2, 3)))
+    return SpectralVectorField(Lattice.half(u.grid), sfft.rfftn(u.data, axes=(1, 2, 3)))
 
 
 def cube_rows(cube):
@@ -62,21 +67,22 @@ def cube_rows(cube):
 def gather(a, cube):
     """The part on ``cube`` of a half-lattice array (..., n, n, n/2+1)."""
     rows = cube_rows(cube)
-    return a[..., rows[:, None], rows, : cube.planes]
+    return a[..., rows[:, None], rows, : cube.spectral_shape[2]]
 
 
 def on_cube(v):
     """The part of a half-lattice field on its grid's dealias cube, held there."""
-    cube = _Cube(v.grid)
+    cube = Lattice.dealias_cube(v.grid.grid)
     return SpectralVectorField(cube, gather(v.data, cube))
 
 
 def zero_filled(a, cube):
     """Coefficients (..., cube.spectral_shape) held on ``cube``, zero-filled to
     its grid's half lattice (..., n, n, n/2+1)."""
-    out = np.zeros(a.shape[:-3] + cube.grid.spectral_shape, dtype=a.dtype)
+    n = cube.grid.n
+    out = np.zeros(a.shape[:-3] + (n, n, n // 2 + 1), dtype=a.dtype)
     rows = cube_rows(cube)
-    out[..., rows[:, None], rows, : cube.planes] = a
+    out[..., rows[:, None], rows, : cube.spectral_shape[2]] = a
     return out
 
 
@@ -87,12 +93,12 @@ def staged_cube_to_real(coeffs, cube):
     takes its stages in another order, which moves the last bits.)"""
     b = sfft.ifft(zero_filled(coeffs, cube), axis=-2)
     b = sfft.ifft(b, axis=-3)
-    return sfft.irfft(b, n=cube.n, axis=-1)
+    return sfft.irfft(b, n=cube.grid.n, axis=-1)
 
 
 def on_half_lattice(v):
     """A field held on a dealias cube, zero-filled to its grid's half lattice."""
-    return SpectralVectorField(v.grid.grid, zero_filled(v.data, v.grid))
+    return SpectralVectorField(Lattice.half(v.grid.grid), zero_filled(v.data, v.grid))
 
 
 def realness_defect(field):
@@ -100,7 +106,7 @@ def realness_defect(field):
     held on a dealias cube: 0 when its coefficients, zero-filled to the half
     lattice, are those of a real field."""
     field = on_half_lattice(field)
-    n = field.grid.n
+    n = field.grid.grid.n
     back = sfft.rfftn(sfft.irfftn(field.data, s=(n, n, n), axes=(1, 2, 3)), axes=(1, 2, 3))
     scale = np.max(np.abs(field.data))
     return float(np.max(np.abs(back - field.data)) / scale) if scale > 0 else 0.0
@@ -122,15 +128,15 @@ def l2_inner(a, b):
     """The discrete L^2 inner product h^3 sum a . b of two fields held on one
     dealias cube, through Parseval."""
     g = a.grid
-    return float(g.cell_volume * g.lattice_sum(a.data, b.data) / g.n**3)
+    return float(g.grid.cell_volume * g.lattice_sum(a.data, b.data) / g.grid.n**3)
 
 
-def spectral_gradient(coeffs, grid):
-    """Gradient of a scalar spectral field, Nyquist rows zeroed."""
+def spectral_gradient(coeffs, lattice):
+    """Gradient of a scalar spectral field on ``lattice``, Nyquist rows zeroed."""
     out = np.empty((3,) + coeffs.shape, dtype=np.complex128)
     for i in range(3):
-        out[i] = 1j * grid.xi[i] * coeffs
-    out *= grid.nyquist_free
+        out[i] = 1j * lattice.xi[i] * coeffs
+    out *= lattice.nyquist_free
     return out
 
 
@@ -197,7 +203,7 @@ def symmetric_parts(grid, m):
     ten parts ``kernel_tensor`` yields; the kernel tensor is C_ijk - delta_ij sum_l C_llk."""
     n = grid.n
     C = np.empty((3, 3, 3, n, n, n))
-    for entries, part in kernel_tensor(grid, m, np.arange(n)):
+    for entries, part in kernel_tensor(Lattice.half(grid), m, np.arange(n)):
         for i, j, k in entries:
             C[i, j, k] = part
     return C

@@ -245,9 +245,9 @@ class TestBrandoleseVigneron:
 class TestCertificate:
     def test_zero_solution_no_certificate(self, grid32, kernel15):
         from fracns.solver import SolverConfig, solve_steady
-        from fracns.spectral import _Cube, zero_spectral
+        from fracns.spectral import Lattice, zero_spectral
 
-        sol = solve_steady(zero_spectral(_Cube(grid32)), SolverConfig(1.5))
+        sol = solve_steady(zero_spectral(Lattice.dealias_cube(grid32)), SolverConfig(1.5))
         cert = nonexistence_certificate(sol, kernel15)
         assert cert["deviation"] == 0.0
         assert cert["leading_lower_bound"] == 0.0

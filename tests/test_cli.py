@@ -344,7 +344,9 @@ class TestMainEntry:
 
     def test_small_force_keeps_exact_norms(self, tmp_path):
         # at 1e-150 the lift's squares are normal floats: the norms are those at
-        # 1e-50, where the quadratic term is as negligible, scaled by 1e-100
+        # 1e-50, where the quadratic term is as negligible, scaled by 1e-100, and
+        # B(u, u), of order 1e-300, keeps its bits too: the bilinear constant does
+        # not depend on the amplitude
         norms = {}
         for amplitude in (1e-50, 1e-150):
             cfg = {"n": 16, "box_length": 8.0, "output_dir": str(tmp_path / str(amplitude)),
@@ -357,6 +359,12 @@ class TestMainEntry:
         for key in ("lifted_force_lorentz_norm", "solution_lorentz_norm", "velocity_l2"):
             assert norms[1e-150][key] == pytest.approx(1e-100 * norms[1e-50][key], rel=1e-14)
         assert norms[1e-150]["lifted_force_lorentz_norm"] == pytest.approx(1e-150, rel=1e-15)
+        constant = norms[1e-50]["empirical_bilinear_constant"]
+        assert constant > 0 and norms[1e-150]["empirical_bilinear_constant"] == pytest.approx(
+            constant, rel=1e-14)
+        product = norms[1e-50]["contraction_product"]
+        assert product > 0 and norms[1e-150]["contraction_product"] == pytest.approx(
+            1e-100 * product, rel=1e-14)
 
     def test_out_of_memory_in_validation_exit(self, tmp_path, monkeypatch):
         def exhausted(self):

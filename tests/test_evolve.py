@@ -15,6 +15,7 @@ from fracns.errors import InvalidTimeStep, NumericalBlowup
 from fracns.evolve import evolve_mild, kernel_l1_check, smoothing_check, stable_dt
 from fracns.spectral import (
     Grid,
+    Lattice,
     SpectralVectorField,
     l2_norm,
     scalar_to_real,
@@ -25,7 +26,7 @@ from fracns.spectral import (
 
 class TestEvolveMild:
     def test_zero_stays_zero(self, grid32):
-        cube = spectral._Cube(grid32)
+        cube = Lattice.dealias_cube(grid32)
         end, drift = evolve_mild(zero_spectral(cube), zero_spectral(cube), 1.5, 0.2, 0.05)
         assert np.all(end.data == 0)
         assert drift == [0.0] * 5
@@ -37,12 +38,12 @@ class TestEvolveMild:
         kidx = np.array([2, 1, 0])
         k = kidx * dk
         a = np.array([0.0, 0.0, 1e-6 + 0j])  # orthogonal to k
-        data = np.zeros((3,) + g.spectral_shape, complex)
+        data = np.zeros((3, g.n, g.n, g.n // 2 + 1), complex)
         pos, neg = tuple(kidx % g.n), tuple((-kidx) % g.n)  # both in the k_z = 0 plane
         for c in range(3):
             data[(c,) + pos] = a[c] * g.n**3 / 2
             data[(c,) + neg] = np.conj(a[c]) * g.n**3 / 2
-        v0 = on_cube(SpectralVectorField(g, data))
+        v0 = on_cube(SpectralVectorField(Lattice.half(g), data))
         alpha, T, dt = 1.5, 0.5, 0.01
         end, _ = evolve_mild(v0, zero_spectral(v0.grid), alpha, T, dt)
         expect = np.exp(-T * np.linalg.norm(k) ** alpha)
@@ -140,7 +141,7 @@ class TestStationarity:
     def test_zero_on_zero(self, grid32):
         from fracns.solver import SolverConfig, solve_steady
 
-        sol = solve_steady(zero_spectral(spectral._Cube(grid32)), SolverConfig(1.5))
+        sol = solve_steady(zero_spectral(Lattice.dealias_cube(grid32)), SolverConfig(1.5))
         _, drift = evolve_mild(sol.velocity, zero_spectral(sol.velocity.grid), 1.5, 0.2, 0.05)
         assert max(drift) == 0.0
 
@@ -191,8 +192,9 @@ class TestKernelMasses:
         alpha, times = 1.5, (0.1, 0.3)
         tab = kernel_l1_check(alpha, times, n=n, box=8.0)
         g = Grid(n, 8.0)
+        half = Lattice.half(g)
         for t, got in zip(times, tab["grad_p_mass_scaled"]):
-            grads = scalar_to_real(spectral_gradient(np.exp(-t * g.power(alpha)), g))
+            grads = scalar_to_real(spectral_gradient(np.exp(-t * half.power(alpha)), half))
             grads /= g.cell_volume
             want = t ** (1.0 / alpha) * g.cell_volume * np.sum(np.sqrt(np.sum(grads**2, 0)))
             assert abs(got - want) <= 1e-14 * want
@@ -202,7 +204,8 @@ class TestKernelMasses:
         alpha, t, n = 1.5, 0.2, 16
         tab = kernel_l1_check(alpha, [t], n=n, box=8.0)
         g = Grid(n, 8.0)
-        C = symmetric_parts(g, np.exp(-t * g.power(alpha)) * g.nyquist_free)
+        half = Lattice.half(g)
+        C = symmetric_parts(g, np.exp(-t * half.power(alpha)) * half.nyquist_free)
         K = C - np.einsum("ij,llk...->ijk...", np.eye(3), C)
         want = t ** (1.0 / alpha) * g.cell_volume * np.sum(np.sqrt(np.sum(K**2, axis=(0, 1, 2))))
         assert abs(tab["K_mass_scaled"][0] - want) <= 1e-14 * want
@@ -250,9 +253,10 @@ class TestKernelMasses:
         # tensor assembled from kernel_tensor's parts, both summed over the lattice
         tab = kernel_l1_check(alpha, [t], n=n, box=box)
         g = Grid(n, box)
-        mult = np.exp(-t * g.power(alpha))
+        half = Lattice.half(g)
+        mult = np.exp(-t * half.power(alpha))
         p = scalar_to_real(mult) / g.cell_volume
-        C = symmetric_parts(g, mult * g.nyquist_free)
+        C = symmetric_parts(g, mult * half.nyquist_free)
         grad = np.einsum("llk...->k...", C)
         K = C - np.einsum("ij,k...->ijk...", np.eye(3), grad)
         scale = t ** (1.0 / alpha) * g.cell_volume

@@ -24,9 +24,9 @@ from fracns.forces import (
 from fracns.solver import SolverConfig, lift_force, solve_steady, weak_lorentz_norm
 from fracns.spectral import (
     Grid,
+    Lattice,
     RealVectorField,
     SpectralVectorField,
-    _Cube,
     l2_norm,
     leray_project,
     to_real,
@@ -114,8 +114,9 @@ class TestAnnulusForce:
         spec = ForceSpec(amplitude=0.1, r1=3.0, seed=4)
         f = make_force(spec, grid32, alpha)
         cube = f.grid
-        assert isinstance(cube, _Cube) and cube.grid == grid32
-        p = leray_project(_raw_annulus(spec, grid32, spec.seed, alpha))
+        assert cube.grid == grid32
+        assert cube.spectral_shape == Lattice.dealias_cube(grid32).spectral_shape
+        p = leray_project(_raw_annulus(spec, Lattice.half(grid32), spec.seed, alpha))
         p.data[:, 0, 0, 0] = 0.0
         norm = weak_lorentz_norm(to_real(lift_force(on_cube(p), alpha)), alpha)
         assert np.array_equal(zero_filled(f.data, cube), p.data * (spec.amplitude / norm))

@@ -1,9 +1,12 @@
 """The Fourier symbols with a zero-mode rule, and the quadratic product,
 are formed in one place.
 
-|xi|^beta with its zero-mode value lives in ``Grid.power`` and the
-translation phase exp(-i xi . x0) in ``Grid.shift_phase``; every other
-module calls them instead of writing the symbol out again.  The product
+The wavenumbers xi are held by one class, ``spectral.Lattice``, whose three
+instances are the half lattice, the dealias cube and the octant; a Grid holds
+real space alone.  |xi|^beta with its zero-mode value lives in
+``Lattice.power`` and the translation phase exp(-i xi . x0) in
+``Lattice.shift_phase``; every other module calls them instead of writing the
+symbol out again.  The product
 v_j v_k of the advection term is formed only in
 ``spectral._advection_divergence``.  Transforms are taken in ``spectral``
 alone, through ``numpy.fft`` one axis at a time, and are real: rfftn/irfftn's
@@ -26,7 +29,7 @@ config through ``dataclasses.asdict``, writes ``report.json`` in one function,
 and sorts run errors into exit codes in one ``except`` branch.  Every public
 module-level name is read by a run or by the acceptance criteria, not by a
 unit test alone, but for one named exception.  No function branches on the
-lattice a field is held on, a Grid's half lattice or a dealias cube.
+lattice a field is held on, a half lattice or a dealias cube.
 The Picard map, its Parseval sums, the residual, the kernel's parts and its
 sphere bound, and the cube rotations of a symmetrized force call no BLAS routine.
 The passes that ``spectral._by_slabs`` runs on the pool take no transform but
@@ -34,9 +37,9 @@ one-axis ``numpy.fft`` stages with ``out=``, call no public function (the
 tracer's spans wrap those, on one stack) and make no array, and neither
 ``import fracns`` nor a run of any experiment imports scipy; the import
 starts no thread.
-Dealiasing is defined in ``spectral._Cube`` and the minimum image in
-``spectral.min_image``: a Grid holds no dealias mask, and no other line
-writes the minimum image out.
+Dealiasing is defined on the dealias cube (``Lattice.dealias_cube``) and the
+minimum image in ``spectral.min_image``: neither a Grid nor another lattice
+holds a dealias mask, and no other line writes the minimum image out.
 """
 
 import ast
@@ -89,7 +92,36 @@ def test_symbol_formed_once_inside_grid(pattern, home):
     hits = _hits(pattern)
     assert len(hits) == 1, hits
     name, lineno = hits[0]
-    assert name == "spectral.py" and lineno in _spectral_def_lines("Grid", home), hits
+    assert name == "spectral.py" and lineno in _spectral_def_lines("Lattice", home), hits
+
+
+def _holds_xi(cls):
+    """True when class ``cls`` defines ``xi`` in its body, or sets an attribute
+    ``xi``, by assignment or ``object.__setattr__``."""
+    for node in ast.walk(cls):
+        stored = isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+        if stored and node.attr == "xi":
+            return True
+        if (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "__setattr__"
+                and any(isinstance(a, ast.Constant) and a.value == "xi" for a in node.args)):
+            return True
+    return any(name == "xi" for stmt in cls.body for name in _defines(stmt))
+
+
+def test_only_the_lattice_holds_xi():
+    # the wavenumbers are held by one class; no other sets an xi of its own, and
+    # no function sets one on an object
+    holders, stores = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        holders += [(path.name, c.name) for c in ast.walk(tree)
+                    if isinstance(c, ast.ClassDef) and _holds_xi(c)]
+        stores += [(path.name, n.lineno) for n in ast.walk(tree) if isinstance(n, ast.Attribute)
+                   and n.attr == "xi" and isinstance(n.ctx, ast.Store)]
+    assert holders == [("spectral.py", "Lattice")], holders
+    lines = _spectral_def_lines("Lattice")
+    assert stores and all(name == "spectral.py" and line in lines for name, line in stores), stores
+    assert not hasattr(spectral.Grid(8, 1.0), "xi")
 
 
 @pytest.mark.parametrize(
@@ -210,18 +242,21 @@ def test_one_lattice_for_the_solver_stack():
             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
                 kinds = {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node.args[1])
                          if isinstance(n, (ast.Name, ast.Attribute))}
-                if kinds & {"_Cube", "Grid"}:
+                if kinds & {"Lattice", "Grid"}:
                     branches.append((path.name, node.lineno))
     assert branches == [], branches
     assert not hasattr(spectral, "to_spectral") and "to_spectral" not in fracns.__all__
-    assert [name for name in ("restrict", "scatter") if hasattr(spectral._Cube, name)] == []
+    assert [name for name in ("restrict", "scatter") if hasattr(spectral.Lattice, name)] == []
     assert not hasattr(spectral.Grid, "lattice_sum")
+    assert not hasattr(spectral, "_Cube")
 
 
 def test_dealias_mask_lives_in_the_cube():
     g = spectral.Grid(8, 1.0)
     assert [name for name in ("dealias_mask", "on_nyquist") if hasattr(g, name)] == []
-    assert spectral._Cube(g).dealias_mask.any()
+    assert spectral.Lattice.dealias_cube(g).dealias_mask.any()
+    others = (spectral.Lattice.half(g), spectral.Lattice.octant(g))
+    assert [lattice for lattice in others if hasattr(lattice, "dealias_mask")] == []
 
 
 @pytest.mark.parametrize(
@@ -242,7 +277,7 @@ def test_minimum_image_written_once(pattern):
 
 # the Picard map, its norms and the residual: each runs between FFT stages
 BLAS_FREE = [
-    ("spectral.py", ("_Cube", "lattice_sum")),
+    ("spectral.py", ("Lattice", "lattice_sum")),
     ("spectral.py", ("l2_norm",)),
     ("spectral.py", ("_leray",)),
     ("spectral.py", ("_advection_divergence",)),

@@ -40,6 +40,7 @@ from fracns.solver import (
 )
 from fracns.spectral import (
     Grid,
+    Lattice,
     RealVectorField,
     SpectralVectorField,
     fractional_power,
@@ -54,14 +55,14 @@ from fracns.spectral import (
 def unprojected_advection(u):
     """div(u (x) u) from all nine products, masked like projected_advection."""
     g = u.grid
-    phys = sfft.irfftn(u.data * dealias_mask(g), s=(g.n,) * 3, axes=(1, 2, 3))
+    phys = sfft.irfftn(u.data * dealias_mask(g.grid), s=(g.grid.n,) * 3, axes=(1, 2, 3))
     div = np.zeros((3,) + g.spectral_shape, complex)
     for j in range(3):
         for k in range(3):
             w = sfft.rfftn(phys[j] * phys[k])
             div[j] += 1j * g.xi[k] * w
     div *= g.nyquist_free
-    div *= dealias_mask(g)
+    div *= dealias_mask(g.grid)
     return div
 
 
@@ -90,11 +91,11 @@ LIFT_ALPHAS = st.floats(0.5, 4.0)
 
 class TestLiftForce:
     def test_zero_force(self, grid32):
-        out = lift_force(zero_spectral(grid32), 1.5)
+        out = lift_force(zero_spectral(Lattice.half(grid32)), 1.5)
         assert np.all(out.data == 0)
 
     def test_mean_force_rejected(self, grid32):
-        f = zero_spectral(grid32)
+        f = zero_spectral(Lattice.half(grid32))
         f.data[0, 0, 0, 0] = 1.0
         with pytest.raises(ZeroModeUndefined):
             lift_force(f, 2.0)
@@ -104,7 +105,7 @@ class TestLiftForce:
         g = Grid(n, box)
         f = to_spectral(RealVectorField(g, np.random.default_rng(seed).standard_normal((3, n, n, n))))
         f.data[:, 0, 0, 0] = 0.0
-        return g, f
+        return f.grid, f
 
     @settings(max_examples=20, deadline=None)
     @given(n=HALF_SIZES, box=BOXES, alpha=LIFT_ALPHAS, seed=st.integers(0, 2**16))
@@ -151,12 +152,12 @@ def small_metrics(small_solution):
 
 class TestSolveSteady:
     def test_zero_force_zero_solution(self, grid32):
-        sol = solve_steady(zero_spectral(spectral._Cube(grid32)), SolverConfig(1.5))
+        sol = solve_steady(zero_spectral(Lattice.dealias_cube(grid32)), SolverConfig(1.5))
         assert l2_norm(sol.velocity) == 0.0
         assert sol.diagnostics.iterations <= 1
 
     def test_zero_force_metrics(self, grid32):
-        f = zero_spectral(spectral._Cube(grid32))
+        f = zero_spectral(Lattice.dealias_cube(grid32))
         m = contraction_metrics(solve_steady(f, SolverConfig(1.5)), f, 1.5)
         assert m == {"lifted_force_lorentz_norm": 0.0, "empirical_bilinear_constant": 0.0,
                      "contraction_product": 0.0, "solution_lorentz_norm": 0.0,
@@ -197,15 +198,16 @@ class TestSolveSteady:
         f = random_divfree_spectral(g, seed=seed)
         f.data *= dealias_mask(g)
         u0 = lift_force(f, alpha)
-        b_norm = half_lattice_l2(SpectralVectorField(g, bilinear_on_lattice(u0, alpha)))
+        h = f.grid
+        b_norm = half_lattice_l2(SpectralVectorField(h, bilinear_on_lattice(u0, alpha)))
         assume(b_norm > 0.0)
         f.data *= 0.1 * half_lattice_l2(u0) / b_norm  # B is quadratic: a contraction by ~1/10
         config = SolverConfig(alpha)
         u = u0 = lift_force(f, alpha)
         steps = []
         for _ in range(config.max_iter):
-            new = SpectralVectorField(g, bilinear_on_lattice(u, alpha) + u0.data)
-            steps.append(half_lattice_l2(SpectralVectorField(g, new.data - u.data)))
+            new = SpectralVectorField(h, bilinear_on_lattice(u, alpha) + u0.data)
+            steps.append(half_lattice_l2(SpectralVectorField(h, new.data - u.data)))
             u = new
             if steps[-1] <= config.tol_rel * half_lattice_l2(new):
                 break
@@ -300,16 +302,22 @@ class TestAllocation:
             tracemalloc.stop()
         assert peak < 110 * n**3, peak / n**3
 
-    def test_decay_pipeline_forms_no_half_lattice_array(self):
-        # k2, kmag and nyquist_free are n x n x (n/2+1) each, formed on first read
+    def test_decay_pipeline_forms_no_half_lattice_array(self, monkeypatch):
+        # a half lattice's kmag and nyquist_free are n x n x (n/2+1) each, formed
+        # on first read; the pipeline forms no half lattice, and its Grid holds no array of one
+        half, made = Lattice.half, []
+        monkeypatch.setattr(Lattice, "half", classmethod(lambda cls, g: made.append(g) or half(g)))
         grid = Grid(32, 8.0)
         f = make_force(ForceSpec(), grid, 1.5)
         sol = solve_steady(f, SolverConfig(1.5))
         contraction_metrics(sol, f, 1.5)
         radial_profile(sol.samples.magnitude(), grid)
-        assert {"k2", "kmag", "nyquist_free"}.isdisjoint(vars(grid))
-        grid.power(1.0)
-        assert "kmag" in vars(grid)
+        assert made == []
+        assert [k for k, v in vars(grid).items() if np.size(v) > grid.n] == []
+        lattice = half(grid)
+        assert {"kmag", "nyquist_free"}.isdisjoint(vars(lattice))
+        lattice.power(1.0)
+        assert "kmag" in vars(lattice)
 
     def test_grid_allocates_no_half_lattice_array(self):
         tracemalloc.start()
@@ -323,7 +331,7 @@ class TestAllocation:
 
 class TestResidual:
     def test_zero_zero(self, grid32):
-        cube = spectral._Cube(grid32)
+        cube = Lattice.dealias_cube(grid32)
         assert residual(zero_spectral(cube), zero_spectral(cube), 2.0) == 0.0
 
     def test_lift_residual_is_pure_advection(self, grid32):
@@ -378,7 +386,7 @@ class TestResidual:
 
 class TestPressure:
     def test_zero_fields(self, grid32):
-        cube = spectral._Cube(grid32)
+        cube = Lattice.dealias_cube(grid32)
         p = recover_pressure(zero_spectral(cube), zero_spectral(cube))
         assert np.all(p == 0)
 
@@ -390,12 +398,12 @@ class TestPressure:
         a = np.array([2.0 - 1j, 1.0 + 0.5j, 0.0])
         k = kidx * dk
         a -= k * np.dot(k, a) / np.dot(k, k)
-        data = np.zeros((3,) + g.spectral_shape, complex)
+        data = np.zeros((3, g.n, g.n, g.n // 2 + 1), complex)
         pos, neg = tuple(kidx % g.n), tuple((-kidx) % g.n)  # both in the k_z = 0 plane
         for c in range(3):
             data[(c,) + pos] = a[c]
             data[(c,) + neg] = np.conj(a[c])
-        u = on_cube(SpectralVectorField(g, data))
+        u = on_cube(SpectralVectorField(Lattice.half(g), data))
         p = recover_pressure(u, zero_spectral(u.grid))
         assert np.max(np.abs(p)) < 1e-12 * np.max(np.abs(u.data))
 
@@ -444,10 +452,10 @@ class TestPressure:
         u = on_half_lattice(sol.velocity)
         div = unprojected_advection(u)
         p = zero_filled(recover_pressure(sol.velocity, f), f.grid)
-        gradp = spectral_gradient(p, g)
+        gradp = spectral_gradient(p, u.grid)
         raw = fractional_power(u, alpha).data + div + gradp - on_half_lattice(f).data
         raw[:, 0, 0, 0] = 0.0
-        unprojected = half_lattice_l2(SpectralVectorField(g, raw))
+        unprojected = half_lattice_l2(SpectralVectorField(u.grid, raw))
         projected = residual(sol.velocity, f, alpha)
         assert abs(unprojected - projected) < 1e-10
 
@@ -465,7 +473,7 @@ class TestPressure:
         held = on_cube(u)
         p = zero_filled(recover_pressure(held, zero_spectral(held.grid)), held.grid)
         got = on_half_lattice(projected_advection(held)).data
-        err = np.max(np.abs(got - (div + spectral_gradient(p, g))))
+        err = np.max(np.abs(got - (div + spectral_gradient(p, u.grid))))
         assert err <= 1e-12 * np.max(np.abs(div))
 
     def test_pressure_mean_free(self, small_solution):
@@ -476,7 +484,7 @@ class TestPressure:
 
 class TestScalingCheck:
     def test_zero_field(self, grid32):
-        cube = spectral._Cube(grid32)
+        cube = Lattice.dealias_cube(grid32)
         out = scaling_check(zero_spectral(cube), zero_spectral(cube), 1.5, 2)
         assert out == 0.0
 

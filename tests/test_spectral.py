@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 import os
@@ -9,6 +10,7 @@ import threading
 import time
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from conftest import (
     gather,
     half_lattice_l2,
     half_lattice_sum,
+    k_int,
     l2_inner,
     on_cube,
     on_half_lattice,
@@ -38,6 +41,7 @@ from fracns import spectral
 from fracns.errors import InvalidGrid, NumericalBlowup, ZeroModeUndefined
 from fracns.spectral import (
     Grid,
+    Lattice,
     RealVectorField,
     SpectralVectorField,
     bilinear_symbol,
@@ -57,10 +61,10 @@ class TestGrid:
         assert g.spacing * g.n == pytest.approx(g.box_length)
 
     def test_axis_frequencies(self):
-        g = Grid(8, 2 * np.pi)
-        assert sorted(g.k_int.tolist()) == list(range(-4, 4))
+        k = Lattice.half(Grid(8, 2 * np.pi)).k[0].ravel()
+        assert sorted(k.tolist()) == list(range(-4, 4))
         # standard DFT ordering: 0..3 then -4..-1
-        assert g.k_int.tolist() == [0, 1, 2, 3, -4, -3, -2, -1]
+        assert k.tolist() == [0, 1, 2, 3, -4, -3, -2, -1]
 
     def test_odd_n_rejected(self):
         with pytest.raises(InvalidGrid):
@@ -76,8 +80,7 @@ class TestGrid:
             Grid(8, box)
 
     def test_negation_closure(self):
-        g = Grid(8, 2 * np.pi)
-        ks = set(g.k_int.tolist())
+        ks = set(Lattice.half(Grid(8, 2 * np.pi)).k[0].ravel().tolist())
         for k in ks:
             if k != -4:  # Nyquist row is self-conjugate
                 assert -k in ks
@@ -92,7 +95,7 @@ class TestPower:
     @settings(max_examples=20, deadline=None)
     @given(n=GRID_SIZES, box=BOXES, beta=EXPONENTS)
     def test_zero_at_zero_mode(self, n, box, beta):
-        g = Grid(n, box)
+        g = Lattice.half(Grid(n, box))
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no division by zero on the way
             p = g.power(beta)
@@ -102,17 +105,17 @@ class TestPower:
     @settings(max_examples=20, deadline=None)
     @given(n=GRID_SIZES, box=BOXES, a=EXPONENTS, b=EXPONENTS)
     def test_product_adds_exponents(self, n, box, a, b):
-        g = Grid(n, box)
-        off = g.k2 > 0
+        g = Lattice.half(Grid(n, box))
+        off = g.k2() > 0
         prod, want = (g.power(a) * g.power(b))[off], g.power(a + b)[off]
         assert np.max(np.abs(prod - want) / want) <= 1e-12
 
     @settings(max_examples=20, deadline=None)
     @given(n=GRID_SIZES, box=BOXES)
     def test_minus_two_inverts_k2(self, n, box):
-        g = Grid(n, box)
-        off = g.k2 > 0
-        assert np.max(np.abs((g.power(-2.0) * g.k2)[off] - 1.0)) <= 1e-12
+        g = Lattice.half(Grid(n, box))
+        off = g.k2() > 0
+        assert np.max(np.abs((g.power(-2.0) * g.k2())[off] - 1.0)) <= 1e-12
 
 
 HALF_SIZES = st.integers(4, 12).map(lambda m: 2 * m)  # even n in [8, 24]
@@ -124,20 +127,21 @@ class TestHalfLattice:
     @settings(max_examples=20, deadline=None)
     @given(n=HALF_SIZES, box=BOXES, beta=EXPONENTS)
     def test_symbols_are_full_symbols_sliced(self, n, box, beta):
-        g = Grid(n, box)
+        grid = Grid(n, box)
+        g = Lattice.half(grid)
         half = (Ellipsis, slice(0, n // 2 + 1))
-        full = np.meshgrid(*((2 * np.pi / g.box_length) * g.k_int,) * 3, indexing="ij")
+        full = np.meshgrid(*((2 * np.pi / grid.box_length) * k_int(n),) * 3, indexing="ij")
         kmag = np.sqrt(full[0] ** 2 + full[1] ** 2 + full[2] ** 2)
         for c in range(3):
             assert np.array_equal(np.broadcast_to(g.xi[c], g.spectral_shape), full[c][half])
         power = np.where(kmag == 0.0, 1.0, kmag) ** beta
         power[0, 0, 0] = 0.0
         assert np.array_equal(g.power(beta), power[half])
-        dealias = kmag <= (2.0 / 3.0) * (np.pi * n / g.box_length) * (1.0 + 1e-12)
-        cube = spectral._Cube(g)  # the mask lives on the cube, 0 off it
+        dealias = kmag <= (2.0 / 3.0) * (np.pi * n / grid.box_length) * (1.0 + 1e-12)
+        cube = Lattice.dealias_cube(grid)  # the mask lives on the cube, 0 off it
         assert np.array_equal(zero_filled(cube.dealias_mask, cube), dealias[half])
-        k_int = np.stack(np.meshgrid(*(g.k_int,) * 3, indexing="ij"))
-        nyquist = np.any(k_int == -n // 2, axis=0)
+        ks = np.stack(np.meshgrid(*(k_int(n),) * 3, indexing="ij"))
+        nyquist = np.any(ks == -n // 2, axis=0)
         assert np.array_equal(np.broadcast_to(g.nyquist_free, g.spectral_shape), ~nyquist[half])
 
     @settings(max_examples=20, deadline=None)
@@ -160,12 +164,13 @@ class TestHalfLattice:
         # every mode the 2/3 rule keeps lies in the cube, and each of its faces
         # (k_x, k_y = +-m, k_z = 0 and m) holds a kept mode
         g = Grid(n, box)
-        cube = spectral._Cube(g)
+        cube = Lattice.dealias_cube(g)
         inside = zero_filled(np.ones(cube.spectral_shape, dtype=bool), cube)
         assert not np.any(dealias_mask(g) & ~inside)
         kept = gather(dealias_mask(g), cube)
-        k_rows = gather(np.broadcast_to(g.k_int[:, None, None], g.spectral_shape), cube)[:, 0, 0]
-        ks = [k_rows, k_rows, g.k_int[: cube.planes]]
+        shape = (n, n, n // 2 + 1)
+        k_rows = gather(np.broadcast_to(k_int(n)[:, None, None], shape), cube)[:, 0, 0]
+        ks = [k_rows, k_rows, k_int(n)[: cube.spectral_shape[2]]]
         for axis, k in enumerate(ks):
             for face in (np.argmin(k), np.argmax(k)):
                 assert np.any(np.take(kept, face, axis=axis)), (axis, k[face])
@@ -176,7 +181,7 @@ class TestHalfLattice:
         # the kept |k| stay below n/3 < n/2, so the quadratic map on the cube
         # needs no Nyquist zeroing
         g = Grid(n, box)
-        assert gather(g.nyquist_free, spectral._Cube(g)).all()
+        assert gather(Lattice.half(g).nyquist_free, Lattice.dealias_cube(g)).all()
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(4, 32).map(lambda m: 2 * m),
@@ -187,19 +192,19 @@ class TestHalfLattice:
         # mask, and radius_from against np.minimum(dx, L - dx): equal bit for bit
         g = Grid(n, box)
         keep = dealias_mask(g)
-        k = g.k_int[keep.any(axis=(1, 2))]
+        k = k_int(n)[keep.any(axis=(1, 2))]
         lo, hi = int(np.sum(k >= 0)), int(np.sum(k < 0))
         rows = np.r_[0:lo, n - hi : n]
         planes = int(np.flatnonzero(keep.any(axis=(0, 1)))[-1]) + 1
         modes = (..., rows[:, None], rows, slice(0, planes))
-        cube = spectral._Cube(g)
-        assert cube.planes == planes
+        cube = Lattice.dealias_cube(g)
+        assert cube.spectral_shape[2] == planes
         # the slices of cube rows and grid rows that cover a slab of cube rows
         for a, b in ((0, lo + hi), (1, lo + hi - 1), (lo - 1, lo + 1), (lo, lo + hi)):
             runs = cube.row_runs(slice(a, b))
             assert np.array_equal(np.r_[tuple(c for c, _ in runs)], np.arange(a, b))
             assert np.array_equal(np.r_[tuple(g for _, g in runs)], rows[a:b])
-        assert np.array_equal(cube.kmag, g.kmag[modes])
+        assert np.array_equal(cube.kmag, Lattice.half(g).kmag[modes])
         assert np.array_equal(cube.dealias_mask, keep[modes])
         L = g.box_length
         for origin in (g.center, L * np.asarray(where)):
@@ -213,8 +218,51 @@ class TestHalfLattice:
     @given(n=st.one_of(HALF_SIZES, st.just(128)), box=BOXES, beta=EXPONENTS)
     def test_cube_power_is_the_grid_power_gathered(self, n, box, beta):
         g = Grid(n, box)
-        cube = spectral._Cube(g)
-        assert np.array_equal(cube.power(beta), gather(g.power(beta), cube))
+        cube, power = Lattice.dealias_cube(g), Lattice.half(g).power(beta)
+        assert np.array_equal(cube.power(beta), gather(power, cube))
+        h = n // 2 + 1  # the octant: the first n/2+1 rows of each half-lattice axis
+        assert np.array_equal(Lattice.octant(g).power(beta), power[:h, :h])
+
+
+class TestLattice:
+    """The half lattice, the dealias cube and the octant, each formed from its own
+    integer axes."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.one_of(HALF_SIZES, st.just(128)), box=BOXES, beta=EXPONENTS)
+    def test_symbols_at_their_own_integer_axes(self, n, box, beta):
+        g = Grid(n, box)
+        half = Lattice.half(g)
+        power = half.power(beta)
+        for lattice in (half, Lattice.dealias_cube(g), Lattice.octant(g)):
+            k = [a.ravel() for a in lattice.k]
+            assert lattice.spectral_shape == tuple(map(len, k))
+            assert [a[0] for a in k] == [0, 0, 0]
+            for c in range(3):
+                assert np.array_equal(lattice.xi[c].ravel(), (2 * np.pi / g.box_length) * k[c])
+                assert np.array_equal(lattice.nyquist_rows[c].ravel(), k[c] == -(n // 2))
+            # the half lattice holds wavenumber k at index k mod n of each axis
+            at = np.ix_(*(a % n for a in k))
+            got = lattice.power(beta)
+            assert got[0, 0, 0] == 0.0 and np.array_equal(got, power[at])
+            nyquist = np.any(np.stack(np.meshgrid(*k, indexing="ij")) == -(n // 2), axis=0)
+            assert np.array_equal(np.broadcast_to(lattice.nyquist_free, got.shape), ~nyquist)
+            runs = lattice.row_runs(slice(0, len(k[0])))
+            assert np.array_equal(np.r_[tuple(np.arange(n)[r] for _, r in runs)], k[0] % n)
+
+    @pytest.mark.parametrize("make", [Lattice.half, Lattice.dealias_cube, Lattice.octant],
+                             ids=["half", "dealias_cube", "octant"])
+    def test_freed_when_dropped_without_the_collector(self, make):
+        # no lattice is cached on its Grid or refers back to itself, so its arrays
+        # go with its last reference, as build_kernel's and kernel_tensor's del rely on
+        lattice = make(Grid(16, 4.0))
+        held = [weakref.ref(a) for a in (lattice.kmag, lattice.nyquist_free)]
+        gc.disable()
+        try:
+            del lattice
+            assert [ref() for ref in held] == [None, None]
+        finally:
+            gc.enable()
 
 
 class TestCubeLattice:
@@ -245,7 +293,7 @@ class TestCubeLattice:
 def full_lattice(a, cube):
     """Coefficients held on ``cube`` on the whole lattice (..., n, n, n): the
     half lattice, then each mode with k_z > n/2 the conjugate of its mirror -k."""
-    n = cube.n
+    n = cube.grid.n
     half = zero_filled(a, cube)
     neg = -np.arange(n) % n
     full = np.zeros(a.shape[:-3] + (n, n, n), dtype=np.complex128)
@@ -267,7 +315,7 @@ class TestLatticeSum:
     def test_matches_an_exact_sum_over_the_full_lattice(self, n, box, seed, decay, same):
         # random cube data, or data falling off as (1 + |k|)^-decay, whose sum the
         # planes near the zero mode hold; a = b is a squared norm
-        cube = spectral._Cube(Grid(n, box))
+        cube = Lattice.dealias_cube(Grid(n, box))
         rng = np.random.default_rng(seed)
         shape = (3,) + cube.spectral_shape
         weight = (1.0 + cube.kmag * box / (2 * np.pi)) ** -decay
@@ -289,7 +337,7 @@ class TestTransforms:
         assert np.max(np.abs(back - v.data)) < 1e-12 * np.max(np.abs(v.data))
 
     def test_real_field_is_hermitian(self, grid32):
-        cube = spectral._Cube(grid32)
+        cube = Lattice.dealias_cube(grid32)
         samples = random_real_field(grid32, seed=2).data
         v = SpectralVectorField(cube, spectral._real_to_cube(samples, cube))
         assert realness_defect(v) < 1e-13
@@ -299,7 +347,7 @@ class TestTransforms:
     def test_forward_pruned_transform_is_rfftn_gathered(self, n, seed):
         # the cube's part of rfftn of the samples, bit for bit
         g = Grid(n, 1.0)
-        cube = spectral._Cube(g)
+        cube = Lattice.dealias_cube(g)
         x = np.random.default_rng(seed).standard_normal((3, n, n, n))
         want = gather(sfft.rfftn(x, axes=(1, 2, 3)), cube)
         assert np.array_equal(spectral._real_to_cube(x, cube), want)
@@ -310,20 +358,20 @@ class TestTransforms:
         # the staged inverse of the zero-filled half lattice, bit for bit, whatever
         # the half-lattice array it is given held before
         g = Grid(n, 1.0)
-        cube = spectral._Cube(g)
+        cube = Lattice.dealias_cube(g)
         rng = np.random.default_rng(seed)
         shape = (batch,) + cube.spectral_shape
         c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         want = staged_cube_to_real(c, cube)
         assert np.array_equal(spectral._cube_to_real(c, cube), want)
-        padded = np.full((batch,) + g.spectral_shape, complex(np.nan, np.inf))
+        padded = np.full((batch, n, n, n // 2 + 1), complex(np.nan, np.inf))
         assert np.array_equal(spectral._cube_to_real(c, cube, padded), want)
 
     def test_forward_pruned_transform_stages_nothing(self):
         # the rfft output and the cube it gathers are the arrays it makes: an
         # array of the cube's k_x rows between the x and y stages overran this
         n = 32
-        cube = spectral._Cube(Grid(n, 1.0))
+        cube = Lattice.dealias_cube(Grid(n, 1.0))
         x = np.random.default_rng(3).standard_normal((3, n, n, n))
         spectral._real_to_cube(x, cube)  # plans the transforms
         tracemalloc.start()
@@ -366,12 +414,12 @@ class TestLeray:
             assert np.array_equal(leray_project(field).data, want)
 
     def test_annihilates_gradients(self, grid32):
-        g = grid32
+        g = Lattice.half(grid32)
         rng = np.random.default_rng(3)
-        ghat = to_spectral(random_real_field(g, seed=3)).data[0]
+        ghat = to_spectral(random_real_field(grid32, seed=3)).data[0]
         grad = np.stack([1j * g.xi[i] * ghat for i in range(3)])
         out = leray_project(SpectralVectorField(g, grad))
-        mask = g.k2 > 0
+        mask = g.k2() > 0
         worst = max(np.max(np.abs(out.data[i][mask])) for i in range(3))
         assert worst < 1e-10 * np.max(np.abs(ghat))
 
@@ -387,8 +435,8 @@ class TestLeray:
         assert np.max(np.abs(twice.data - once.data)) < 1e-12
 
     def test_output_divergence_free(self, grid32):
-        g = grid32
-        v = leray_project(to_spectral(random_real_field(g, seed=6)))
+        v = leray_project(to_spectral(random_real_field(grid32, seed=6)))
+        g = v.grid
         div = g.xi[0] * v.data[0] + g.xi[1] * v.data[1] + g.xi[2] * v.data[2]
         assert np.max(np.abs(div)) < 1e-10 * np.max(np.abs(v.data))
 
@@ -404,8 +452,8 @@ class TestLeray:
     @settings(max_examples=20, deadline=None)
     @given(n=HALF_SIZES, box=BOXES, seed=st.integers(0, 2**16))
     def test_projector_properties(self, n, box, seed):
-        g = Grid(n, box)
-        v = to_spectral(random_real_field(g, seed=seed))
+        v = to_spectral(random_real_field(Grid(n, box), seed=seed))
+        g = v.grid
         v.data[:, 0, 0, 0] = (3.0, -1.5, 0.25)
         scale = np.max(np.abs(v.data))
         p = leray_project(v)
@@ -476,7 +524,8 @@ class TestBilinearSymbol:
 
 
 def inverse_power(g, alpha):
-    return np.where(g.kmag == 0.0, 1.0, g.kmag) ** (-alpha)
+    kmag = Lattice.half(g).kmag
+    return np.where(kmag == 0.0, 1.0, kmag) ** (-alpha)
 
 
 class TestKernelTensor:
@@ -492,7 +541,7 @@ class TestKernelTensor:
         g = Grid(n, box)
         C = symmetric_parts(g, inverse_power(g, alpha))
         got = C - np.einsum("ij,llk...->ijk...", np.eye(3), C)
-        xi_axis = (2 * np.pi / g.box_length) * g.k_int
+        xi_axis = (2 * np.pi / g.box_length) * k_int(n)
         xis = np.stack(np.meshgrid(*(xi_axis,) * 3, indexing="ij"), axis=-1).reshape(-1, 3)
         for i, j, k in itertools.product(range(3), repeat=3):
             sym = np.array([bilinear_symbol(xi, alpha, i, j, k) for xi in xis])
@@ -511,7 +560,7 @@ class TestKernelTensor:
         m = inverse_power(g, alpha)
         trace = np.einsum("llk...->k...", symmetric_parts(g, m))
         for k in range(3):
-            sym = 1j * g.xi[k] * m * ~on_nyquist(g)[k]
+            sym = 1j * Lattice.half(g).xi[k] * m * ~on_nyquist(g)[k]
             sym[0, 0, 0] = 0.0
             want = sfft.irfftn(sym, s=(n, n, n)) / g.cell_volume
             assert np.max(np.abs(trace[k] - want)) <= 1e-12 * np.max(np.abs(want))
@@ -530,7 +579,7 @@ class TestKernelTensor:
         counting(spectral, "_irfftn_at")
         for name in ("irfftn", "ifftn"):
             counting(np.fft, name)
-        parts = list(kernel_tensor(g, inverse_power(g, 1.5), np.arange(8)))
+        parts = list(kernel_tensor(Lattice.half(g), inverse_power(g, 1.5), np.arange(8)))
         # the ten parts fill each of the 27 entries of C once
         assert sorted(e for entries, _ in parts for e in entries) == list(
             itertools.product(range(3), repeat=3)
@@ -545,9 +594,9 @@ class TestKernelTensor:
         g = Grid(n, 1.0)
         rng = np.random.default_rng(seed)
         rows = np.sort(rng.choice(n, size=rng.integers(1, n + 1), replace=False))
-        m = inverse_power(g, 1.5)
-        whole = kernel_tensor(g, m, np.arange(n))
-        for (entries, part), (_, at) in zip(whole, kernel_tensor(g, m, rows)):
+        m, half = inverse_power(g, 1.5), Lattice.half(g)
+        whole = kernel_tensor(half, m, np.arange(n))
+        for (entries, part), (_, at) in zip(whole, kernel_tensor(half, m, rows)):
             want = part[np.ix_(rows, rows, rows)]
             assert np.array_equal(at.view(np.int64), want.view(np.int64)), entries
 
@@ -644,7 +693,7 @@ class TestStagesMatchScipy:
 
     def test_pruned_pair(self, case):
         n, rng = case
-        cube = spectral._Cube(Grid(n, 1.0))
+        cube = Lattice.dealias_cube(Grid(n, 1.0))
         c = self.coefficients(rng, (3,) + cube.spectral_shape)
         assert np.array_equal(spectral._cube_to_real(c, cube), staged_cube_to_real(c, cube))
         x = rng.standard_normal((3, n, n, n))
@@ -680,13 +729,13 @@ class TestStagesMatchScipy:
 
 class TestApplyBilinear:
     def test_zero_in_zero_out(self, grid32):
-        v = SpectralVectorField(grid32, np.zeros((3, 32, 32, 17), complex))
+        v = SpectralVectorField(Lattice.half(grid32), np.zeros((3, 32, 32, 17), complex))
         out = bilinear_on_lattice(v, 1.5)
         assert np.all(out == 0)
 
     def test_output_divergence_free_and_mean_free(self, grid32):
-        g = grid32
-        v = random_divfree_spectral(g, seed=14)
+        v = random_divfree_spectral(grid32, seed=14)
+        g = v.grid
         out = bilinear_on_lattice(v, 1.5)
         div = g.xi[0] * out[0] + g.xi[1] * out[1] + g.xi[2] * out[2]
         assert np.max(np.abs(div)) < 1e-12 * max(
@@ -733,7 +782,7 @@ class TestApplyBilinear:
         b1 = bilinear_on_lattice(u, alpha)
 
         g2 = Grid(g.n, g.box_length / lam)
-        u2 = SpectralVectorField(g2, lam ** (alpha - 1.0) * u.data)
+        u2 = SpectralVectorField(Lattice.half(g2), lam ** (alpha - 1.0) * u.data)
         b2 = bilinear_on_lattice(u2, alpha)
         want = lam ** (alpha - 1.0) * b1
         scale = np.max(np.abs(want))
