@@ -212,7 +212,7 @@ class Lattice:
     that real fields stay real; the ``dealias_cube``, where a run holds every
     field it makes; and the ``octant``, k = 0..n/2-1 and -n/2 on each axis."""
 
-    def __init__(self, grid: Grid, k):
+    def __init__(self, grid: Grid, k: tuple):
         self.grid = grid
         self.spectral_shape = tuple(len(a) for a in k)
         self.k = rows = [k[0].reshape(-1, 1, 1), k[1].reshape(1, -1, 1), k[2].reshape(1, 1, -1)]
