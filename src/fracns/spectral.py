@@ -20,17 +20,17 @@ for all its maps.  Each stage, and each of the map's elementwise passes and
 the Picard step between them, runs by slabs of rows of an axis it does not
 transform (``_by_slabs``) on the calling thread and a pool of ``_WORKERS`` - 1
 threads, each element with the same float operations in whichever slab it
-falls.  The solver stack calls no BLAS: the Parseval sums
-(``Lattice.lattice_sum``) run in numpy's own loops, so no idle OpenBLAS thread
-spins against the slabs and no bit depends on its thread count.  The
-multipliers (``leray_project``, ``fractional_power``) read a field on any
-lattice with one code path.  The kernel tensor's ten parts (``kernel_tensor``)
-are synthesized on a sub-box of rows alone by irfftn's own stages
-(``_irfftn_at``), bit for bit.  A symbol even or odd along each axis is sampled
-on the octant alone (``octant_to_real``) by one real DCT-I or DST-I per axis,
-each the rfft of an extension; a lattice sum of a reflection-invariant
-quantity is the octant sum weighted 1 on the j = 0 and j = n/2 planes of each
-axis and 2 elsewhere.
+falls.  The solver stack calls no BLAS: the Parseval sums, which only a field
+held on a cube has (``_DealiasCube.lattice_sum``), run in numpy's own loops,
+so no idle OpenBLAS thread spins against the slabs and no bit depends on its
+thread count.  The multipliers (``leray_project``, ``fractional_power``) read
+a field on any lattice with one code path.  The kernel tensor's ten parts
+(``kernel_tensor``) are synthesized on a sub-box of rows alone by irfftn's own
+stages (``_irfftn_at``), bit for bit.  A symbol even or odd along each axis is
+sampled on the octant alone (``octant_to_real``) by one real DCT-I or DST-I
+per axis, each the rfft of an extension; a lattice sum of a reflection-
+invariant quantity is the octant sum weighted 1 on the j = 0 and j = n/2
+planes of each axis and 2 elsewhere.
 """
 
 from __future__ import annotations
@@ -209,8 +209,9 @@ class Lattice:
     flags (True on k = -n/2), each array of ``spectral_shape`` formed on first
     read.  There are three: rfftn's ``half`` lattice, whose last axis ends on
     the Nyquist plane, self-conjugate and zeroed inside every odd multiplier so
-    that real fields stay real; the ``dealias_cube``, where a run holds every
-    field it makes; and the ``octant``, k = 0..n/2-1 and -n/2 on each axis."""
+    that real fields stay real; the ``dealias_cube`` (``_DealiasCube``), where a
+    run holds every field it makes; and the ``octant``, k = 0..n/2-1 and -n/2 on
+    each axis."""
 
     def __init__(self, grid: Grid, k: tuple):
         self.grid = grid
@@ -218,7 +219,6 @@ class Lattice:
         self.k = rows = [k[0].reshape(-1, 1, 1), k[1].reshape(1, -1, 1), k[2].reshape(1, 1, -1)]
         self.xi = [(2.0 * np.pi / grid.box_length) * a for a in rows]
         self.nyquist_rows = [a == -(grid.n // 2) for a in rows]
-        self._lifts = {}
 
     @classmethod
     def half(cls, grid: Grid) -> Lattice:
@@ -230,20 +230,10 @@ class Lattice:
         k = _wavenumbers(grid.n)[: grid.n // 2 + 1]
         return cls(grid, (k, k, k))
 
-    @classmethod
-    def dealias_cube(cls, grid: Grid) -> Lattice:
-        """The half-lattice modes |k_x|, |k_y| <= m, 0 <= k_z <= m, m the largest
-        |k| in the 2/3-rule sphere on an axis (m <= n/3: no Nyquist row), where
-        dealiasing is defined: ``dealias_mask`` is |xi| <= ``dealias_radius``.
-        Built once per force, with its Leray factor 1/|xi|^2 and, on first
-        asking, the lift of each order alpha."""
-        r, k = grid.dealias_radius * (1.0 + 1e-12), _wavenumbers(grid.n)
-        # the kept axis frequencies: |xi| <= r at k_y = k_z = 0, as the mask below reads it
-        k = k[cls(grid, (k, k[:1], k[:1])).kmag.ravel() <= r]
-        cube = cls(grid, (k, k, k[k >= 0]))
-        cube.dealias_mask = cube.kmag <= r
-        cube.leray_factor = cube.power(-2.0)
-        return cube
+    @staticmethod
+    def dealias_cube(grid: Grid) -> _DealiasCube:
+        """The dealias cube of ``grid``, which alone adds the cube's operations."""
+        return _DealiasCube(grid)
 
     def k2(self) -> np.ndarray:
         """|xi|^2, a new array on each call."""
@@ -276,18 +266,35 @@ class Lattice:
         xi = self.xi
         return np.exp(-1j * (xi[0] * origin[0] + xi[1] * origin[1] + xi[2] * origin[2]))
 
+
+class _DealiasCube(Lattice):
+    """The half-lattice modes |k_x|, |k_y| <= m, 0 <= k_z <= m, m the largest |k|
+    in the 2/3-rule sphere on an axis (m <= n/3: no Nyquist row), where
+    dealiasing is defined: ``dealias_mask`` is |xi| <= ``dealias_radius``.  Built
+    once per force, with its Leray factor 1/|xi|^2 and, on first asking, the lift
+    of each order alpha; only a field held here has a Parseval sum, for with no
+    Nyquist plane every k_z > 0 plane stands for its conjugate mirror."""
+
+    def __init__(self, grid: Grid):
+        r, k = grid.dealias_radius * (1.0 + 1e-12), _wavenumbers(grid.n)
+        # the kept axis frequencies: |xi| <= r at k_y = k_z = 0, as the mask below reads it
+        k = k[Lattice(grid, (k, k[:1], k[:1])).kmag.ravel() <= r]
+        super().__init__(grid, (k, k, k[k >= 0]))
+        self.dealias_mask = self.kmag <= r
+        self.leray_factor = self.power(-2.0)
+        self._lifts = {}
+
     def row_runs(self, s: slice) -> list:
-        """(lattice rows, grid rows) slice pairs that cover the lattice rows ``s``
-        of the first axis: its kept k >= 0 are the grid's first rows, and its kept
-        k < 0 consecutive grid rows too, up to the row of its last k."""
-        k, nc = self.k[0].ravel(), self.spectral_shape[0]
-        lo, shift = int(np.count_nonzero(k >= 0)), int(k[-1]) % self.grid.n - (nc - 1)
-        return [(slice(a, b), slice(a + d, b + d))
-                for a, b, d in ((s.start, min(s.stop, lo), 0), (max(s.start, lo), s.stop, shift))
+        """(cube rows, grid rows) slice pairs that cover the cube rows ``s`` of an
+        axis: the kept k >= 0 are the grid's first rows, the kept k < 0 its last."""
+        (nc, _, lo), n = self.spectral_shape, self.grid.n
+        return [(slice(a, b), slice(a + shift, b + shift))
+                for a, b, shift in ((s.start, min(s.stop, lo), 0),
+                                    (max(s.start, lo), s.stop, n - nc))
                 if a < b]
 
     def lift(self, alpha: float) -> np.ndarray:
-        """The quadratic map's lift -|xi|^-alpha, formed once per alpha."""
+        """The quadratic map's lift -|xi|^-alpha on the cube, formed once per alpha."""
         if alpha not in self._lifts:
             self._lifts[alpha] = -self.power(-alpha)
         return self._lifts[alpha]
@@ -478,7 +485,7 @@ class _MapScratch:
     after it).  ``solve_steady`` holds one for all the maps of a solve; a map
     given none makes its own.  Nothing the map returns is cut from it."""
 
-    def __init__(self, cube: Lattice):
+    def __init__(self, cube: _DealiasCube):
         n, shape, half = cube.grid.n, cube.spectral_shape, _half_shape(cube.grid.n)
         self.padded = np.empty((3,) + half, dtype=np.complex128)
         self.samples = np.empty((3, n, n, n))
@@ -491,7 +498,7 @@ class _MapScratch:
         self.spectrum = flat[k + 2 * size : k + 2 * size + int(np.prod(half))].reshape(half)
 
 
-def _cube_to_real(coeffs: np.ndarray, cube: Lattice, padded: np.ndarray | None = None,
+def _cube_to_real(coeffs: np.ndarray, cube: _DealiasCube, padded: np.ndarray | None = None,
                   mask: np.ndarray | None = None, finite: np.ndarray | None = None,
                   out: np.ndarray | None = None) -> np.ndarray:
     """Real samples (..., n, n, n) of coefficients held on ``cube`` (every other
@@ -541,7 +548,7 @@ def _cube_to_real(coeffs: np.ndarray, cube: Lattice, padded: np.ndarray | None =
     return _stage(np.fft.irfft, b, -1, out, -3, n=n)
 
 
-def _real_to_cube(samples: np.ndarray, cube: Lattice, out: np.ndarray | None = None,
+def _real_to_cube(samples: np.ndarray, cube: _DealiasCube, out: np.ndarray | None = None,
                   spectrum: np.ndarray | None = None) -> np.ndarray:
     """The coefficients on ``cube`` of real samples (..., n, n, n): rfft along z,
     into ``spectrum`` where given, fft along x in place on the cube's planes of

@@ -2,7 +2,8 @@
 are formed in one place.
 
 The wavenumbers xi are held by one class, ``spectral.Lattice``, whose three
-instances are the half lattice, the dealias cube and the octant; a Grid holds
+instances are the half lattice, the dealias cube and the octant; only the
+cube adds a Parseval sum, its lifts and its runs of rows, and a Grid holds
 real space alone.  |xi|^beta with its zero-mode value lives in
 ``Lattice.power`` and the translation phase exp(-i xi . x0) in
 ``Lattice.shift_phase``; every other module calls them instead of writing the
@@ -247,8 +248,13 @@ def test_one_lattice_for_the_solver_stack():
     assert branches == [], branches
     assert not hasattr(spectral, "to_spectral") and "to_spectral" not in fracns.__all__
     assert [name for name in ("restrict", "scatter") if hasattr(spectral.Lattice, name)] == []
-    assert not hasattr(spectral.Grid, "lattice_sum")
     assert not hasattr(spectral, "_Cube")
+    # only the cube, with no Nyquist plane, has a Parseval sum and the cube's moves
+    g = spectral.Grid(8, 1.0)
+    cube_only = ("lattice_sum", "row_runs", "lift")
+    assert all(hasattr(spectral.Lattice.dealias_cube(g), name) for name in cube_only)
+    for lattice in (g, spectral.Lattice.half(g), spectral.Lattice.octant(g)):
+        assert [name for name in cube_only if hasattr(lattice, name)] == [], lattice
 
 
 def test_dealias_mask_lives_in_the_cube():
@@ -277,7 +283,7 @@ def test_minimum_image_written_once(pattern):
 
 # the Picard map, its norms and the residual: each runs between FFT stages
 BLAS_FREE = [
-    ("spectral.py", ("Lattice", "lattice_sum")),
+    ("spectral.py", ("_DealiasCube", "lattice_sum")),
     ("spectral.py", ("l2_norm",)),
     ("spectral.py", ("_leray",)),
     ("spectral.py", ("_advection_divergence",)),

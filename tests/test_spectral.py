@@ -247,8 +247,6 @@ class TestLattice:
             assert got[0, 0, 0] == 0.0 and np.array_equal(got, power[at])
             nyquist = np.any(np.stack(np.meshgrid(*k, indexing="ij")) == -(n // 2), axis=0)
             assert np.array_equal(np.broadcast_to(lattice.nyquist_free, got.shape), ~nyquist)
-            runs = lattice.row_runs(slice(0, len(k[0])))
-            assert np.array_equal(np.r_[tuple(np.arange(n)[r] for _, r in runs)], k[0] % n)
 
     @pytest.mark.parametrize("make", [Lattice.half, Lattice.dealias_cube, Lattice.octant],
                              ids=["half", "dealias_cube", "octant"])
