@@ -232,7 +232,6 @@ class Lattice:
 
     @staticmethod
     def dealias_cube(grid: Grid) -> _DealiasCube:
-        """The dealias cube of ``grid``, which alone adds the cube's operations."""
         return _DealiasCube(grid)
 
     def k2(self) -> np.ndarray:
@@ -268,12 +267,10 @@ class Lattice:
 
 
 class _DealiasCube(Lattice):
-    """The half-lattice modes |k_x|, |k_y| <= m, 0 <= k_z <= m, m the largest |k|
-    in the 2/3-rule sphere on an axis (m <= n/3: no Nyquist row), where
-    dealiasing is defined: ``dealias_mask`` is |xi| <= ``dealias_radius``.  Built
-    once per force, with its Leray factor 1/|xi|^2 and, on first asking, the lift
-    of each order alpha; only a field held here has a Parseval sum, for with no
-    Nyquist plane every k_z > 0 plane stands for its conjugate mirror."""
+    """The half-lattice modes |k_x|, |k_y| <= m, 0 <= k_z <= m, m the largest |k| in
+    the 2/3-rule sphere on an axis (m <= n/3: no Nyquist row), where dealiasing is
+    defined: ``dealias_mask`` is |xi| <= ``dealias_radius``.  Built once per force,
+    with its Leray factor and, on first asking, each lift; it alone has a Parseval sum."""
 
     def __init__(self, grid: Grid):
         r, k = grid.dealias_radius * (1.0 + 1e-12), _wavenumbers(grid.n)
@@ -287,10 +284,9 @@ class _DealiasCube(Lattice):
     def row_runs(self, s: slice) -> list:
         """(cube rows, grid rows) slice pairs that cover the cube rows ``s`` of an
         axis: the kept k >= 0 are the grid's first rows, the kept k < 0 its last."""
-        (nc, _, lo), n = self.spectral_shape, self.grid.n
-        return [(slice(a, b), slice(a + shift, b + shift))
-                for a, b, shift in ((s.start, min(s.stop, lo), 0),
-                                    (max(s.start, lo), s.stop, n - nc))
+        nc, _, lo = self.spectral_shape
+        return [(slice(a, b), slice(a + d, b + d)) for a, b, d in
+                ((s.start, min(s.stop, lo), 0), (max(s.start, lo), s.stop, self.grid.n - nc))
                 if a < b]
 
     def lift(self, alpha: float) -> np.ndarray:
