@@ -1,9 +1,12 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
-The flagship decay/profile runs (criteria 1-2) use the pinned 128^3 grid
-with box length 32 and are shared through a module-scoped fixture; the
-remaining criteria run at desk scale.  Run with `pytest -v -s` to see the
-per-criterion lines.
+Criteria 1, 2, 3, 8 and 9 read the metrics of the experiments themselves:
+each builds a ``cli.RunConfig``, calls ``cli.run`` in a temp directory and
+applies its bounds to the metrics the run reports.  The flagship profile
+runs (criteria 1-2) use the pinned 128^3 grid with box length 32 and the
+default force, and are shared through a module-scoped fixture; the other
+runs are at desk scale.  Criteria 5, 6 and 7 check the operators directly.
+Run with `pytest -v -s` to see the per-criterion lines.
 """
 
 import json
@@ -16,14 +19,10 @@ import time
 import numpy as np
 import pytest
 
-from fracns import asymptotics, evolve, forces, solver, spaces, spectral
+from fracns import asymptotics, cli, forces, solver, spaces, spectral
 from fracns.errors import Diverged, NotConverged
 
 ALPHAS = (1.2, 1.5, 2.0, 2.4)
-DECAY_GRID_N = 128
-DECAY_BOX = 32.0
-DECAY_AMPLITUDE = 1.25
-DECAY_SEED = 7
 
 
 def _report(num, ok, text):
@@ -31,106 +30,65 @@ def _report(num, ok, text):
     return ok
 
 
+def _run(outdir, **fields):
+    """The metrics of one ``cli.run`` of the config ``fields`` (a ``force`` dict
+    holds the ForceSpec fields that differ from the defaults), which writes its
+    report into ``outdir``."""
+    return cli.run(cli.RunConfig.from_dict(dict(fields, output_dir=str(outdir))))
+
+
 @pytest.fixture(scope="module")
-def decay_runs():
-    """Converged solves plus kernels for the four pinned alpha values."""
+def profile_runs(tmp_path_factory):
+    """The flagship profile run at each pinned alpha, with its wall time."""
     runs = {}
-    grid = spectral.Grid(DECAY_GRID_N, DECAY_BOX)
     for alpha in ALPHAS:
         t0 = time.perf_counter()
-        spec = forces.ForceSpec(
-            kind="annulus_ring", amplitude=DECAY_AMPLITUDE, r0=0.6, r1=8.2,
-            seed=DECAY_SEED,
-        )
-        f = forces.make_force(spec, grid, alpha)
-        cfg = solver.SolverConfig(alpha)
-        sol = solver.solve_steady(f, cfg)
-        kernel = asymptotics.build_kernel(alpha, refinement_grid_n=128)
-        runs[alpha] = {
-            "grid": grid,
-            "force": f,
-            "solution": sol,
-            "kernel": kernel,
-            "wall": time.perf_counter() - t0,
-        }
+        metrics = _run(tmp_path_factory.mktemp(f"profile_{alpha}"), experiment="profile",
+                       n=128, box_length=32.0, alpha=alpha)
+        runs[alpha] = (metrics, time.perf_counter() - t0)
     return runs
 
 
-def test_criterion_1_decay_law(decay_runs):
+def test_criterion_1_decay_law(profile_runs):
     lines = []
     ok = True
     for alpha in ALPHAS:
-        run = decay_runs[alpha]
-        u = spectral.to_real(run["solution"].velocity)
-        prof = asymptotics.fit_decay_exponent(
-            asymptotics.radial_profile(u.magnitude(), run["grid"], nbins=12)
-        )
+        metrics, wall = profile_runs[alpha]
+        got = metrics["fitted_exponent"]
         want = 4.0 - alpha
-        good = abs(prof.fitted_exponent - want) <= 0.15
-        fast = run["wall"] <= 300.0
+        good = abs(got - want) <= 0.15
+        fast = wall <= 300.0
         ok &= good and fast
         lines.append(
-            f"alpha={alpha}: exponent {prof.fitted_exponent:.3f} vs {want:.1f} "
-            f"(|diff| {abs(prof.fitted_exponent-want):.3f} <= 0.15: {good}; "
-            f"runtime {run['wall']:.0f}s <= 300s: {fast})"
+            f"alpha={alpha}: exponent {got:.3f} vs {want:.1f} "
+            f"(|diff| {abs(got-want):.3f} <= 0.15: {good}; "
+            f"runtime {wall:.0f}s <= 300s: {fast})"
         )
     assert _report(1, ok, "far-field decay law 4-alpha; " + " | ".join(lines))
 
 
-def test_criterion_2_asymptotic_profile(decay_runs):
+def test_criterion_2_asymptotic_profile(profile_runs):
     lines = []
     ok = True
     for alpha in ALPHAS:
-        run = decay_runs[alpha]
-        u = spectral.to_real(run["solution"].velocity)
-        u0 = spectral.to_real(solver.lift_force(run["force"], alpha))
-        M = forces.moment_matrix(u)
-        rem = asymptotics.fit_decay_exponent(
-            asymptotics.profile_decomposition(u, u0, M, run["kernel"], nbins=12)
-        )
+        rem = profile_runs[alpha][0]["remainder_exponent"]
         floor = (4.0 - alpha) + 0.5
         if alpha in (1.2, 1.5):
             floor = max(floor, min(9.0 - 3.0 * alpha, 4.0) - 0.5)
-        good = rem.fitted_exponent >= floor
+        good = rem >= floor
         ok &= good
-        lines.append(
-            f"alpha={alpha}: remainder exponent {rem.fitted_exponent:.3f} >= {floor:.2f}: {good}"
-        )
+        lines.append(f"alpha={alpha}: remainder exponent {rem:.3f} >= {floor:.2f}: {good}")
     assert _report(2, ok, "asymptotic-profile remainder; " + " | ".join(lines))
 
 
-def test_criterion_3_nonexistence_mechanism():
-    alpha = 1.5
-    grid = spectral.Grid(64, 32.0)
-    cfg = solver.SolverConfig(alpha)
-    kernel = asymptotics.build_kernel(alpha, refinement_grid_n=96)
-
-    base = forces.ForceSpec(
-        kind="annulus_ring", amplitude=0.2, r0=0.6, r1=4.0, seed=11,
-        anisotropy=(2.0, 1.0, 1.0),
-    )
-    etas, raws, affirmatives = [], [], []
-    for divisor in (1, 2, 4):
-        from dataclasses import replace
-
-        spec = replace(base, amplitude=base.amplitude / divisor)
-        f = forces.make_force(spec, grid, alpha)
-        sol = solver.solve_steady(f, cfg)
-        cert = asymptotics.nonexistence_certificate(sol, kernel)
-        etas.append(spec.amplitude)
-        raws.append(cert["raw_deviation"])
-        affirmatives.append(cert["affirmative"])
-    slope = float(np.polyfit(np.log(etas), np.log(raws), 1)[0])
+def test_criterion_3_nonexistence_mechanism(tmp_path):
+    m = _run(tmp_path, experiment="nonexist", n=64, box_length=32.0, alpha=1.5, kernel_n=96,
+             force={"amplitude": 0.2, "r0": 0.6, "r1": 4.0, "seed": 11,
+                    "anisotropy": (2.0, 1.0, 1.0)})
+    slope = m["deviation_slope"]
     slope_ok = 1.7 <= slope <= 2.3
-    affirm_ok = all(affirmatives)
-
-    from dataclasses import replace
-
-    iso = replace(base, anisotropy=(1.0, 1.0, 1.0), symmetrize=True)
-    f_iso = forces.make_force(iso, grid, alpha)
-    sol_iso = solver.solve_steady(f_iso, cfg)
-    cert_iso = asymptotics.nonexistence_certificate(sol_iso, kernel)
-    iso_ok = (cert_iso["deviation"] < 1e-6) and not cert_iso["affirmative"]
+    affirm_ok = all(m[f"affirmative_eta_over_{d}"] == 1.0 for d in (1, 2, 4))
+    iso_ok = m["deviation_isotropic"] < 1e-6 and m["affirmative_isotropic"] == 0.0
 
     ok = slope_ok and affirm_ok and iso_ok
     assert _report(
@@ -138,7 +96,7 @@ def test_criterion_3_nonexistence_mechanism():
         ok,
         f"deviation slope {slope:.3f} in [1.7, 2.3]: {slope_ok}; "
         f"certificates affirmative at eta, eta/2, eta/4: {affirm_ok}; "
-        f"symmetrized force deviation {cert_iso['deviation']:.2e} < 1e-6 "
+        f"symmetrized force deviation {m['deviation_isotropic']:.2e} < 1e-6 "
         f"and certificate withheld: {iso_ok}",
     )
 
@@ -182,14 +140,19 @@ def test_criterion_4_picard_contraction():
     )
 
 
-def test_criterion_5_scaling_invariance(decay_runs):
-    run = decay_runs[1.5]
-    d = solver.scaling_check(run["solution"].velocity, run["force"], 1.5, 2)
+def test_criterion_5_scaling_invariance():
+    # at alpha = 1.5 the powers lambda^(alpha-1) and lambda^(2 alpha-1) of lambda = 2
+    # are not powers of two, so the rescaled residual rounds and the check has a subject
+    alpha = 1.5
+    spec = forces.ForceSpec(kind="annulus_ring", amplitude=0.05, r0=0.8, r1=3.5, seed=3)
+    f = forces.make_force(spec, spectral.Grid(32, 16.0), alpha)
+    sol = solver.solve_steady(f, solver.SolverConfig(alpha))
+    d = solver.scaling_check(sol.velocity, f, alpha, 2)
     ok = d < 1e-9
     assert _report(5, ok, f"scaling discrepancy {d:.2e} < 1e-9 at lambda=2")
 
 
-def test_criterion_6_kernel_correctness(decay_runs):
+def test_criterion_6_kernel_correctness():
     rng = np.random.default_rng(0)
     worst = 0.0
     for _ in range(1000):
@@ -202,7 +165,7 @@ def test_criterion_6_kernel_correctness(decay_runs):
         worst = max(worst, abs(lhs - rhs) / max(abs(rhs), 1e-300))
     symbol_ok = worst < 1e-12
 
-    kernel = decay_runs[1.5]["kernel"]
+    kernel = asymptotics.build_kernel(1.5, refinement_grid_n=128)
     x = rng.standard_normal((50, 3))
     m0 = kernel.evaluate(x)
     m1 = kernel.evaluate(2.0 * x)
@@ -211,7 +174,7 @@ def test_criterion_6_kernel_correctness(decay_runs):
 
     from test_asymptotics import oseen_type_oracle
 
-    ker2 = decay_runs[2.0]["kernel"]
+    ker2 = asymptotics.build_kernel(2.0, refinement_grid_n=128)
     dirs = asymptotics.fibonacci_sphere(500)
     got = ker2.evaluate_directions(dirs)
     want = oseen_type_oracle(dirs)
@@ -251,23 +214,20 @@ def test_criterion_7_moment_matrix_equivalence():
     assert _report(7, ok, f"polynomial vs direct scalar test agreement {agree}/{trials}")
 
 
-def test_criterion_8_stationarity_and_kernel_masses():
-    alpha = 2.0
-    grid = spectral.Grid(32, 16.0)
-    spec = forces.ForceSpec(kind="annulus_ring", amplitude=0.05, r0=0.8, r1=3.5, seed=3)
-    f = forces.make_force(spec, grid, alpha)
-    cfg = solver.SolverConfig(alpha)
-    sol = solver.solve_steady(f, cfg)
-    _, drift_history = evolve.evolve_mild(sol.velocity, f, cfg.alpha, 1.0, 0.02)
-    drift = max(drift_history)
+def test_criterion_8_stationarity_and_kernel_masses(tmp_path):
+    drift = _run(tmp_path / "evolve", experiment="evolve", n=32, box_length=16.0, alpha=2.0,
+                 evolve_T=1.0, evolve_dt=0.02,
+                 force={"amplitude": 0.05, "r0": 0.8, "r1": 3.5, "seed": 3})["max_drift"]
     drift_ok = drift < 1e-6
 
-    tab2 = evolve.kernel_l1_check(2.0, (0.05, 0.1, 0.2, 0.4), n=128, box=8.0)
-    mass_ok = bool(np.all(np.abs(tab2["p_mass"] - 1.0) < 1e-6))
+    # kernel_n 16 keeps the kernel fit, which this criterion does not read, cheap
+    times = (0.05, 0.1, 0.2, 0.4)
+    tab2 = _run(tmp_path / "kernel_2", experiment="kernel", alpha=2.0, kernel_n=16,
+                kernel_times=times, kernel_box=(128, 8.0))
+    mass_ok = all(abs(tab2[f"p_mass_t{i}"] - 1.0) < 1e-6 for i in range(len(times)))
 
-    tab15 = evolve.kernel_l1_check(1.5, (0.05, 0.1, 0.2, 0.4), n=256, box=16.0)
-    km = tab15["K_mass_scaled"]
-    variation = float(km.max() / km.min() - 1.0)
+    variation = _run(tmp_path / "kernel_15", experiment="kernel", alpha=1.5, kernel_n=16,
+                     kernel_times=times, kernel_box=(256, 16.0))["K_scaled_variation"]
     sweep_ok = variation < 0.15
 
     ok = drift_ok and mass_ok and sweep_ok
@@ -280,18 +240,9 @@ def test_criterion_8_stationarity_and_kernel_masses():
     )
 
 
-def test_criterion_9_norm_machinery():
-    grid = spectral.Grid(32, 16.0)
-    h3 = grid.cell_volume
-    rng = np.random.default_rng(9)
-
-    worst = 0.0
-    for _ in range(100):
-        fld = rng.standard_normal((32, 32, 32))
-        p = float(rng.uniform(1.0, 6.0))
-        lq = spaces.lorentz_quasinorm(fld, p, p, h3)
-        lp = spaces.lp_norm(fld, p, h3)
-        worst = max(worst, abs(lq - lp) / lp)
+def test_criterion_9_norm_machinery(tmp_path):
+    m = _run(tmp_path, experiment="norms", n=32, box_length=16.0, seed=9)
+    worst = m["lorentz_pp_vs_lp_max_rel_err"]
     lorentz_ok = worst < 1e-10
 
     gind = spectral.Grid(16, 4.0)
@@ -306,23 +257,8 @@ def test_criterion_9_norm_machinery():
     table = spaces.rearrangement(field, gind.cell_volume)
     exact_ok &= table(1.0) == 3.0 and table(2.0) == 0.0
 
-    ratios = []
-    for _ in range(100):
-        c1 = grid.box_length * rng.uniform(0.25, 0.75, 3)
-        c2 = grid.box_length * rng.uniform(0.25, 0.75, 3)
-        f1 = np.exp(-(grid.radius_from(c1) ** 2) / (2 * rng.uniform(0.8, 3.0) ** 2))
-        f2 = np.exp(-(grid.radius_from(c2) ** 2) / (2 * rng.uniform(0.8, 3.0) ** 2))
-        ratios.append(spaces.young_check(f1, f2, grid, 3.0, 1.5, 1.5, 3.0, 1.5, 1.5))
-    young_ok = np.max(ratios) < 10.0
-
-    p = 4.0
-    r = grid.radius_from(grid.center)
-    prof = np.maximum(r, grid.spacing) ** (-3.0 / p)
-    vals = [
-        spaces.morrey_norm(prof, p, R, grid)
-        for R in (grid.box_length / 16, grid.box_length / 8, grid.box_length / 4)
-    ]
-    morrey_ok = max(vals) / min(vals) < 2.0
+    young_ok = m["young_ratio_max"] < 10.0
+    morrey_ok = m["morrey_scale_ratio"] < 2.0
 
     ok = lorentz_ok and exact_ok and young_ok and morrey_ok
     assert _report(
@@ -330,8 +266,8 @@ def test_criterion_9_norm_machinery():
         ok,
         f"Lorentz (p,p) vs L^p worst rel err {worst:.2e} < 1e-10: {lorentz_ok}; "
         f"indicator closed forms exact: {exact_ok}; "
-        f"Young ratios bounded (max {np.max(ratios):.2f}): {young_ok}; "
-        f"Morrey scale ratio {max(vals)/min(vals):.2f} < 2: {morrey_ok}",
+        f"Young ratios bounded (max {m['young_ratio_max']:.2f}): {young_ok}; "
+        f"Morrey scale ratio {m['morrey_scale_ratio']:.2f} < 2: {morrey_ok}",
     )
 
 

@@ -29,8 +29,10 @@ passed as a float, with no wrapper class around it.  The driver echoes its
 config through ``dataclasses.asdict``, writes ``report.json`` in one function,
 and sorts run errors into exit codes in one ``except`` branch.  Every public
 module-level name is read by a run or by the acceptance criteria, not by a
-unit test alone, but for one named exception.  No function branches on the
-lattice a field is held on, a half lattice or a dealias cube.
+unit test alone, but for one named exception.  The criteria of the decay
+law, the profile, nonexistence, stationarity and the norms read the metrics
+of ``cli.run`` and make none of a run's calls themselves.  No function
+branches on the lattice a field is held on, a half lattice or a dealias cube.
 The Picard map, its Parseval sums, the residual, the kernel's parts and its
 sphere bound, and the cube rotations of a symmetrized force call no BLAS routine.
 The passes that ``spectral._by_slabs`` runs on the pool take no transform but
@@ -231,6 +233,41 @@ def test_every_public_name_has_a_reader():
                     if name not in acceptance | UNREAD_KEPT
                     and not any(name in names for other, names in readers if other is not node))
     assert public and unread == [], unread
+
+
+# the calls a run makes, which the criteria that read a run's report leave to the run
+RUNNER_CALLS = ("solve_steady", "make_force", "build_kernel", "nonexistence_certificate",
+                "radial_profile", "profile_decomposition", "evolve_mild", "kernel_l1_check")
+
+
+def _criterion_reads(number):
+    """The names read by acceptance criterion ``number``, by the fixtures it
+    takes and by the test-module functions these reach."""
+    defs = {node.name: node for path in (TESTS / "test_acceptance.py", TESTS / "conftest.py")
+            for node in ast.parse(path.read_text()).body if isinstance(node, ast.FunctionDef)}
+    test = next(node for name, node in defs.items()
+                if name.startswith(f"test_criterion_{number}_"))
+    todo = [test] + [defs[a.arg] for a in test.args.args if a.arg in defs]
+    seen, names = set(), set()
+    while todo:
+        node = todo.pop()
+        if node.name not in seen:
+            seen.add(node.name)
+            reads = _reads(node)
+            names |= reads
+            todo += [defs[name] for name in reads if name in defs]
+    return names
+
+
+@pytest.mark.parametrize("number, left_to_the_run", [
+    (1, RUNNER_CALLS), (2, RUNNER_CALLS), (3, RUNNER_CALLS), (8, RUNNER_CALLS),
+    (9, ("young_check", "morrey_norm")),
+], ids=["criterion_1", "criterion_2", "criterion_3", "criterion_8", "criterion_9"])
+def test_acceptance_reads_the_runs_reports(number, left_to_the_run):
+    # criteria 1, 2, 3, 8 and 9 read the metrics cli.run returns; a copy of a
+    # runner in test code would check the copy, not the program
+    called = sorted(_criterion_reads(number) & set(left_to_the_run))
+    assert called == [], called
 
 
 def test_one_lattice_for_the_solver_stack():
