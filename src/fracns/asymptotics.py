@@ -296,7 +296,9 @@ def radial_profile(
     """Shell means of |values| around the box center (periodic distance).
 
     Bin centers are geometric means of member radii.  Empty bins are
-    dropped.
+    dropped.  Only the sub-box within ``hi`` (and a grid step) of the center
+    along every axis is read, which holds every sample of the window, in the
+    grid's C order: each bin's members, and so its sums, are the whole grid's.
     """
     L = grid.box_length
     if window is None:
@@ -305,8 +307,10 @@ def radial_profile(
     # lo > 0, as RunConfig.validate asks: the center sample r = 0 has no log
     if not 0 < lo < hi <= L / 4 * (1 + 1e-12):
         raise InvalidRadius(f"window must be 0 < lo < hi <= box_length/4, got {window}")
-    r = grid.radius_from(grid.center).ravel()
-    v = np.abs(np.asarray(values)).ravel()
+    near = np.flatnonzero(np.abs(grid.offsets(grid.center)[0]) <= hi + grid.spacing)
+    box = slice(near[0], near[-1] + 1)
+    r = grid.radius_from(grid.center, box).ravel()
+    v = np.abs(np.asarray(values)[box, box, box]).ravel()
     edges = np.linspace(lo, hi, nbins + 1)
     centers, means = [], []
     for a, b in zip(edges[:-1], edges[1:]):

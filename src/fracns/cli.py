@@ -192,9 +192,8 @@ def _run_decay(config: RunConfig, outdir: str):
     metrics, artifacts = {}, []
     grid, cfg, f, sol = _solve_pipeline(config)
     _solution_metrics(sol, f, config.alpha, metrics)
-    prof = asymptotics.radial_profile(
-        sol.samples.magnitude(), grid, window=config.window, nbins=config.nbins
-    )
+    prof = asymptotics.radial_profile(spectral.real_magnitude(sol.velocity), grid,
+                                      window=config.window, nbins=config.nbins)
     prof = asymptotics.fit_decay_exponent(prof)
     metrics["fitted_exponent"] = prof.fitted_exponent
     metrics["fit_stderr"] = prof.fit_stderr

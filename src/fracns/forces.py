@@ -192,7 +192,8 @@ def _check_scale(coeffs: np.ndarray, factor: float, what: str, lift: np.ndarray 
     if not scale < np.sqrt(f64.max / (2 * coeffs.size)):
         raise DegenerateInput(f"{what} has scale {scale:.3g} (its largest coefficient), "
                               "too large for its L^2 norm to be a float")
-    low = np.inf if lift is None else float(np.max(np.abs(lift))) * factor
+    # max |sample| as the larger of max and -min: no array of the samples' |.|
+    low = np.inf if lift is None else max(float(lift.max()), -float(lift.min())) * factor
     if not low >= np.sqrt(f64.tiny):
         raise DegenerateInput(f"{what} has a lift of scale {low:.3g} (its largest sample), "
                               "too small for its square to be a normal float")

@@ -9,7 +9,7 @@ held on the box of modes the 2/3 rule keeps (``Lattice.dealias_cube``), and
 so are u_0, every iterate and the solution: the map, the step and both norms
 run on the force's cube, and the residual, the pressure and the rescaled pair
 of the scaling check are formed there too.  Each function here takes spectral
-fields held on a cube, and ``weak_lorentz_norm`` real samples.  Smallness is
+fields held on a cube, and ``weak_lorentz_norm`` real samples too.  Smallness is
 never hard-coded: ``contraction_metrics`` measures the contraction product
 4 * delta * C_B of a solution (delta = weak-Lorentz size of the lifted force,
 C_B the empirical bilinear constant) for the runs that report it.
@@ -40,6 +40,7 @@ from .spectral import (
     leray_project,
     parseval_l2,
     projected_advection,
+    real_magnitude,
     to_real,
 )
 
@@ -85,10 +86,15 @@ class SteadySolution:
         return to_real(self.velocity)
 
 
-def weak_lorentz_norm(u: RealVectorField, alpha: float) -> float:
+def weak_lorentz_norm(u: RealVectorField | SpectralVectorField, alpha: float) -> float:
     """Discrete L^{3/(alpha-1), inf} estimator of |u| (the scale-invariant size)
-    from the real samples ``u``."""
-    return lorentz_quasinorm(u, 3.0 / (alpha - 1.0), np.inf, u.grid.cell_volume)
+    from the real samples ``u``, or, for a field ``u`` held on a dealias cube,
+    from |u| at its samples alone (``real_magnitude``)."""
+    if isinstance(u, SpectralVectorField):
+        u, h3 = real_magnitude(u), u.grid.grid.cell_volume
+    else:
+        h3 = u.grid.cell_volume
+    return lorentz_quasinorm(u, 3.0 / (alpha - 1.0), np.inf, h3)
 
 
 def lift_force(f: SpectralVectorField, alpha: float) -> SpectralVectorField:
@@ -126,7 +132,8 @@ def solve_steady(f: SpectralVectorField, config: SolverConfig) -> SteadySolution
         new = apply_bilinear(SpectralVectorField(cube, u), alpha, _scratch=scratch).data
         _by_slabs(step, cube.spectral_shape[0])
         new_l2 = parseval_l2(cube, cube.lattice_sum(new, new))
-        diff = parseval_l2(cube, cube.lattice_sum(u, u))
+        scale = _scale_to_unit(u)  # as the residual's: the step is quadratic in the force
+        diff = parseval_l2(cube, cube.lattice_sum(u, u)) * scale
         diag.iterations = it
         diag.residual_history.append(diff)
         if new_l2 > DIVERGENCE_FACTOR * u0_l2:
@@ -152,9 +159,9 @@ def contraction_metrics(solution: SteadySolution, f: SpectralVectorField, alpha:
     its report names: the weak-Lorentz sizes delta of the lifted force and of u,
     the empirical bilinear constant C_B = |B(u, u)| / |u|^2 in that norm, the
     contraction product 4 delta C_B, whether u lies in the ball of radius
-    2 delta, and the residual of u.  The lift and the samples of u are the
-    solution's own.  B(u, u), quadratic in u, is scaled by a power of two for its
-    norm (``_scale_to_unit``), so at tiny forces its squares cannot underflow."""
+    2 delta, and the residual of u.  Each norm reads the field's magnitude alone.
+    B(u, u), quadratic in u, is scaled by a power of two for its norm
+    (``_scale_to_unit``), so at tiny forces its squares cannot underflow."""
     u = solution.velocity
     adv = projected_advection(u)
     res = residual(u, f, alpha, adv=adv)
@@ -162,10 +169,10 @@ def contraction_metrics(solution: SteadySolution, f: SpectralVectorField, alpha:
     b = fractional_power(adv, -alpha)
     del adv  # neither is held while the norms take their samples
     scale = _scale_to_unit(b.data)
-    b_lorentz = weak_lorentz_norm(to_real(b), alpha) * scale
+    b_lorentz = weak_lorentz_norm(b, alpha) * scale
     del b
-    delta = weak_lorentz_norm(to_real(solution.lift), alpha)
-    u_lorentz = weak_lorentz_norm(solution.samples, alpha)
+    delta = weak_lorentz_norm(solution.lift, alpha)
+    u_lorentz = weak_lorentz_norm(u, alpha)
     c_b = b_lorentz / u_lorentz**2 if u_lorentz > 0 else 0.0
     return {
         "lifted_force_lorentz_norm": delta,

@@ -13,11 +13,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInput, InvalidExponents
-from .spectral import Grid, RealVectorField, scalar_to_real, scalar_to_spectral
+from .spectral import _CHUNK, Grid, RealVectorField, scalar_to_real, scalar_to_spectral
 
 
 def _samples(field) -> np.ndarray:
-    """Flatten a field (a RealVectorField or a scalar array) to pointwise magnitudes."""
+    """Flatten a field (a RealVectorField or a scalar array) to pointwise
+    magnitudes, in a new array."""
     if isinstance(field, RealVectorField):
         return field.magnitude().ravel()
     return np.abs(np.asarray(field)).ravel()
@@ -51,8 +52,9 @@ class RearrangementTable:
 
 
 def rearrangement(field, cell_volume: float) -> RearrangementTable:
-    vals = np.sort(_samples(field))[::-1]
-    return RearrangementTable(vals, cell_volume)
+    vals = _samples(field)
+    vals.sort()  # in place: the magnitudes are a new array
+    return RearrangementTable(vals[::-1], cell_volume)
 
 
 def lorentz_quasinorm(field, p: float, q: float, cell_volume: float) -> float:
@@ -73,12 +75,16 @@ def lorentz_quasinorm(field, p: float, q: float, cell_volume: float) -> float:
     if nz == 0:
         return 0.0
     vals = vals[:nz]
-    t_right = cell_volume * np.arange(1, nz + 1, dtype=np.float64)
     if np.isinf(q):
-        # in place: three n^3 temporaries raised a 128^3 decay's peak RSS
-        t_right **= 1.0 / p
-        t_right *= vals
-        return float(np.max(t_right))
+        # by chunks of ranks: an n^3 array of weights raised a 128^3 decay's peak RSS
+        sups = []
+        for a in range(0, nz, _CHUNK):
+            t_right = cell_volume * np.arange(a + 1, min(a + _CHUNK, nz) + 1, dtype=np.float64)
+            t_right **= 1.0 / p
+            t_right *= vals[a : a + _CHUNK]
+            sups.append(np.max(t_right))
+        return float(np.max(sups))
+    t_right = cell_volume * np.arange(1, nz + 1, dtype=np.float64)
     t_left = t_right - cell_volume
     increments = t_right ** (q / p) - t_left ** (q / p)
     return float(np.sum(vals**q * increments) ** (1.0 / q))

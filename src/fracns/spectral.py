@@ -12,11 +12,14 @@ are 0 off it.  ``min_image`` is the one minimum-image rule.
 Every transform is ``numpy.fft``'s, one axis at a time with ``out=``
 (``_stage``): rfftn and irfftn in pocketfft's stage order
 (``scalar_to_spectral``, ``scalar_to_real``), bit for bit, and a cube through
-a pruned pair whose complex stages run in place on one half-lattice array, the
-y stage on the cube's two runs of k_x rows.  The quadratic map
-(``apply_bilinear``), ``projected_advection``, ``to_real`` and ``l2_norm`` take
-a field held on a cube; the map works in a ``_MapScratch``, which a solve holds
-for all its maps.  Each stage, and each of the map's elementwise passes and
+a pruned pair whose complex stages run in place on one component's half-lattice
+array, a field's components in turn, the y stage on the cube's two runs of k_x
+rows; the forward one forms a product of samples by chunks of rows, each just
+before its rfft, so no array of the product exists.  The quadratic map
+(``apply_bilinear``), ``projected_advection``, ``to_real``, ``real_magnitude``
+(|v| at the samples, from one component's samples at a time) and ``l2_norm``
+take a field held on a cube; the map works in a ``_MapScratch``, which a solve
+holds for all its maps.  Each stage, and each of the map's elementwise passes and
 the Picard step between them, runs by slabs of rows of an axis it does not
 transform (``_by_slabs``) on the calling thread and a pool of ``_WORKERS`` - 1
 threads, each element with the same float operations in whichever slab it
@@ -182,9 +185,10 @@ class Grid:
         """The signed minimum-image offsets x - origin, one (n,) array per axis."""
         return [min_image(self.x_axis - o, self.box_length) for o in origin]
 
-    def radius_from(self, origin):
-        """Minimum-image distance of every grid point from ``origin``."""
-        d0, d1, d2 = self.offsets(origin)
+    def radius_from(self, origin, rows=slice(None)):
+        """Minimum-image distance from ``origin`` of every grid point, or of those
+        of the sub-box ``rows`` x ``rows`` x ``rows`` alone."""
+        d0, d1, d2 = (d[rows] for d in self.offsets(origin))
         return np.sqrt(d0[:, None, None] ** 2 + d1[:, None] ** 2 + d2**2)
 
     @property
@@ -421,9 +425,10 @@ def octant_to_real(m: np.ndarray, parity) -> np.ndarray:
     return full
 
 
-# samples per chunk of an octant stage's extension: few enough that it and its
+# samples (512 KiB of float64) per chunk of a stage's own work array, an octant
+# stage's extension or a product before its rfft: few enough that it and its
 # rfft stay in a core's L2 cache, in as few numpy calls as that allows
-_OCTANT_CHUNK = 2**16
+_CHUNK = 2**16
 
 
 def _chunks(s: slice, size: int):
@@ -439,12 +444,12 @@ def _dct1_or_dst1(x: np.ndarray, axis: int, odd: int, out: np.ndarray, scale) ->
     ``axis``, its rows 0..n/2, or, if ``odd``, its DST-I, its rows 1..n/2-1,
     divided by ``scale`` (by 1, no bit moves), by chunks of rows of another
     axis: the chunk's even or odd extension, of length n, then its rfft, both
-    into a slab's own arrays of up to ``_OCTANT_CHUNK`` samples."""
+    into a slab's own arrays of up to ``_CHUNK`` samples."""
     h = x.shape[axis] + 2 * odd
     n, split = 2 * (h - 1), -2 if axis == -3 else -3
     shape = list(x.shape)
     shape[split], shape[axis] = 1, n
-    rows = max(1, _OCTANT_CHUNK // int(np.prod(shape)))
+    rows = max(1, _CHUNK // int(np.prod(shape)))
     head = _at(axis, slice(odd, h - odd))
     tail = _at(axis, slice(h, n))
     rev = _at(axis, slice(None, None, -1) if odd else slice(h - 2, 0, -1))
@@ -473,96 +478,129 @@ def _dct1_or_dst1(x: np.ndarray, axis: int, odd: int, out: np.ndarray, scale) ->
 
 
 class _MapScratch:
-    """The quadratic map's numpy scratch on one cube, for three components: the
-    inverse stage's half-lattice array ``padded``, its ``samples`` and the marks
-    ``finite`` of the finiteness checks, and, cut from the memory of ``padded``
-    once the inverse stage has read it, the forward loop's ``product``, its
-    half-lattice ``spectrum``, ``w_hat`` and ``tmp`` (Leray's ``dot`` and ``tmp``
-    after it).  ``solve_steady`` holds one for all the maps of a solve; a map
-    given none makes its own.  Nothing the map returns is cut from it."""
+    """The quadratic map's numpy scratch on one cube: the three components'
+    ``samples``, one component's half-lattice array ``padded``, which the inverse
+    stage transforms each component in and the forward stage takes each
+    product's spectrum in, the marks ``finite`` of the finiteness checks, and
+    the gathered product ``w_hat`` and ``tmp`` (Leray's ``dot`` and ``tmp``
+    after it), each of a component's cube shape.  ``solve_steady`` holds one
+    for all the maps of a solve; a map given none makes its own.  Nothing the
+    map returns is cut from it."""
 
     def __init__(self, cube: _DealiasCube):
-        n, shape, half = cube.grid.n, cube.spectral_shape, _half_shape(cube.grid.n)
-        self.padded = np.empty((3,) + half, dtype=np.complex128)
+        n, shape = cube.grid.n, cube.spectral_shape
+        self.padded = np.empty(_half_shape(n), dtype=np.complex128)
         self.samples = np.empty((3, n, n, n))
         self.finite = np.empty((3,) + shape, dtype=bool)
-        # n^3 + n^2 + 2 size of its 3 n^2 (n/2+1) slots: the cube holds under n^3/4 modes
-        flat, k, size = self.padded.reshape(-1), n**3 // 2, int(np.prod(shape))
-        self.product = flat[:k].view(np.float64).reshape(n, n, n)
-        self.w_hat = flat[k : k + size].reshape(shape)
-        self.tmp = flat[k + size : k + 2 * size].reshape(shape)
-        self.spectrum = flat[k + 2 * size : k + 2 * size + int(np.prod(half))].reshape(half)
+        self.w_hat = np.empty(shape, dtype=np.complex128)
+        self.tmp = np.empty(shape, dtype=np.complex128)
 
 
 def _cube_to_real(coeffs: np.ndarray, cube: _DealiasCube, padded: np.ndarray | None = None,
                   mask: np.ndarray | None = None, finite: np.ndarray | None = None,
                   out: np.ndarray | None = None) -> np.ndarray:
     """Real samples (..., n, n, n) of coefficients held on ``cube`` (every other
-    mode 0), into ``out`` where given.  The cube is scattered into a half-lattice
-    array (``padded``, which may hold anything, or a new one), zero off the
+    mode 0), into ``out`` where given, one component (index of the leading
+    axes) at a time through one half-lattice array (``padded``, which may hold
+    anything, or a new one).  The component is scattered into it, zero off the
     cube, by slabs of k_x rows, each slab's rows then transformed by ifft along
     y in place; then ifft along x in place on the cube's planes, and irfft
-    along z, which reads that array as it is.  With ``mask`` (the 2/3-rule mask,
-    as the quadratic map reads it) the scatter writes the coefficients times the
-    mask and marks in ``finite`` where that is finite, and a non-finite one
-    raises NumericalBlowup before any transform reads it."""
+    along z, which reads that array as it is, into the component's samples.
+    With ``mask`` (the 2/3-rule mask, as the quadratic map reads it) the
+    scatter writes the coefficients times the mask and marks in ``finite``
+    where that is finite, and a non-finite one raises NumericalBlowup before
+    any transform reads its component."""
     n, (nc, _, p) = cube.grid.n, cube.spectral_shape
     # all n/2+1 planes, so that irfft needs no zero-padded copy
-    b = (np.empty(coeffs.shape[:-3] + _half_shape(n), dtype=np.complex128)
-         if padded is None else padded)
+    b = np.empty(_half_shape(n), dtype=np.complex128) if padded is None else padded
+    if out is None:
+        out = np.empty(coeffs.shape[:-3] + (n, n, n))
     runs = cube.row_runs(slice(0, nc))
     off = slice(p, p + n - nc)  # the grid rows between the cube's two runs
-    b_off = b[..., off, :, :]
+    b_off = b[off]
 
+    # the passes over the component i of the loop below
     def clear(s):
-        b_off[..., s, :, :] = 0
+        b_off[s] = 0
 
     def scatter(s):
         ok = True
         for c, g in cube.row_runs(s):
-            rows = b[..., g, :, :]
-            rows[..., off, :p] = 0
+            rows = b[g]
+            rows[:, off, :p] = 0
             rows[..., p:] = 0
             for cy, gy in runs:
-                to = rows[..., gy, :p]
+                to = rows[:, gy, :p]
                 if mask is None:
-                    to[...] = coeffs[..., c, cy, :]
+                    to[...] = coeffs[i][c, cy, :]
                 else:
-                    np.multiply(coeffs[..., c, cy, :], mask[c, cy, :], out=to)
-                    ok &= np.isfinite(to, out=finite[..., c, cy, :]).all()
+                    np.multiply(coeffs[i][c, cy, :], mask[c, cy, :], out=to)
+                    ok &= np.isfinite(to, out=finite[i][c, cy, :]).all()
             if ok:
                 y = rows[..., :p]
                 np.fft.ifft(y, axis=-2, out=y)
         return ok
 
-    _by_slabs(clear, n - nc)
-    if not all(_by_slabs(scatter, nc, _stage_rows())):
-        raise NumericalBlowup("non-finite coefficients entering the quadratic term")
-    _stage(np.fft.ifft, b[..., :p], -3, b[..., :p], -2)
-    if out is None:
-        out = np.empty(b.shape[:-1] + (n,))
-    return _stage(np.fft.irfft, b, -1, out, -3, n=n)
+    for i in np.ndindex(coeffs.shape[:-3]):
+        _by_slabs(clear, n - nc)
+        if not all(_by_slabs(scatter, nc, _stage_rows())):
+            raise NumericalBlowup("non-finite coefficients entering the quadratic term")
+        _stage(np.fft.ifft, b[..., :p], -3, b[..., :p], -2)
+        _stage(np.fft.irfft, b, -1, out[i], -3, n=n)
+    return out
+
+
+def real_magnitude(field: SpectralVectorField) -> np.ndarray:
+    """|v| at the real samples of a field held on a dealias cube:
+    ``to_real(field).magnitude()`` bit for bit, each component's samples taken
+    in turn (``_cube_to_real``) through one half-lattice array, squared in
+    place and summed, so no array of three components' samples is formed."""
+    cube, n = field.grid, field.grid.grid.n
+    padded = np.empty(_half_shape(n), dtype=np.complex128)
+    m, square = np.empty((n, n, n)), np.empty((n, n, n))
+    for i, coeffs in enumerate(field.data):
+        x = _cube_to_real(coeffs, cube, padded, out=square if i else m)
+        np.multiply(x, x, out=x)
+        if i:
+            m += x
+    return np.sqrt(m, out=m)
 
 
 def _real_to_cube(samples: np.ndarray, cube: _DealiasCube, out: np.ndarray | None = None,
-                  spectrum: np.ndarray | None = None) -> np.ndarray:
-    """The coefficients on ``cube`` of real samples (..., n, n, n): rfft along z,
-    into ``spectrum`` where given, fft along x in place on the cube's planes of
-    it, then fft along y in place on the cube's two runs of k_x rows there, by
+                  spectrum: np.ndarray | None = None,
+                  times: np.ndarray | None = None) -> np.ndarray:
+    """The coefficients on ``cube`` of real samples (..., n, n, n), or of their
+    product with the samples ``times`` where given: rfft along z, into
+    ``spectrum`` where given, fft along x in place on the cube's planes of it,
+    then fft along y in place on the cube's two runs of k_x rows there, by
     slabs of k_x rows, each slab's rows then gathered into ``out`` where
-    given."""
-    nc, _, p = cube.spectral_shape
+    given.  A product is formed by chunks of x rows of up to ``_CHUNK``
+    samples, each just before its rfft, in a slab's own array."""
+    n, (nc, _, p) = cube.grid.n, cube.spectral_shape
     if spectrum is None:
-        spectrum = np.empty(samples.shape[:-3] + _half_shape(cube.grid.n), dtype=np.complex128)
-    a = _stage(np.fft.rfft, samples, -1, spectrum, -3)
-    _stage(np.fft.fft, a[..., :p], -3, a[..., :p], -2)
+        spectrum = np.empty(samples.shape[:-3] + _half_shape(n), dtype=np.complex128)
+    if times is None:
+        _stage(np.fft.rfft, samples, -1, spectrum, -3)
+    else:
+        rows = min(n, max(1, _CHUNK // samples[..., 0, :, :].size))
+
+        def product_rfft(s, work):
+            for c, k in _chunks(s, rows):
+                x = np.multiply(samples[..., c, :, :], times[..., c, :, :],
+                                out=work[..., k, :, :])
+                np.fft.rfft(x, axis=-1, out=spectrum[..., c, :, :])
+
+        _by_slabs(product_rfft, n, _stage_rows(),
+                  lambda: np.empty(samples.shape[:-3] + (rows, n, n)))
+    a = spectrum[..., :p]
+    _stage(np.fft.fft, a, -3, a, -2)
     runs = cube.row_runs(slice(0, nc))
     if out is None:
-        out = np.empty(a.shape[:-3] + cube.spectral_shape, dtype=np.complex128)
+        out = np.empty(samples.shape[:-3] + cube.spectral_shape, dtype=np.complex128)
 
     def gather(s):
         for c, g in cube.row_runs(s):
-            y = a[..., g, :, :p]
+            y = a[..., g, :, :]
             np.fft.fft(y, axis=-2, out=y)
             for cy, gy in runs:
                 out[..., c, cy, :] = y[..., gy, :]
@@ -685,8 +723,8 @@ def _advection_divergence(v: SpectralVectorField,
     v_k formed in physical space after a 2/3-rule truncation of v, and D is
     truncated likewise.  Every mode outside the cube, the Nyquist rows among
     them, is 0 in D.  W is symmetric: each of its six products is transformed
-    once, one at a time, into both rows.  The passes work in ``scratch``, or in
-    a new ``_MapScratch``.
+    once, one at a time, into both rows, formed by chunks as its transform
+    reads it.  The passes work in ``scratch``, or in a new ``_MapScratch``.
 
     Finiteness is checked on the truncated v, as the inverse stage scatters it,
     and on D: samples and products of finite coefficients can only overflow to
@@ -697,12 +735,9 @@ def _advection_divergence(v: SpectralVectorField,
     phys = _cube_to_real(v.data, cube, s.padded, mask, s.finite, s.samples)
     ixi = [1j * x for x in cube.xi]
     div = np.zeros((3,) + cube.spectral_shape, dtype=np.complex128)
-    product, w_hat, tmp, finite = s.product, s.w_hat, s.tmp, s.finite
+    w_hat, tmp, finite = s.w_hat, s.tmp, s.finite
 
-    # the passes over the pair (j, k) of the loop below
-    def multiply(r):
-        np.multiply(a[r], b[r], out=product[r])
-
+    # the pass over the pair (j, k) of the loop below
     def accumulate(r):
         x, w, t = (ixi[0][r], ixi[1], ixi[2]), w_hat[r], tmp[r]
         d = div[j, r]
@@ -713,9 +748,7 @@ def _advection_divergence(v: SpectralVectorField,
 
     for j in range(3):
         for k in range(j, 3):
-            a, b = phys[j], phys[k]
-            _by_slabs(multiply, cube.grid.n)
-            _real_to_cube(product, cube, w_hat, s.spectrum)
+            _real_to_cube(phys[j], cube, w_hat, s.padded, times=phys[k])
             _by_slabs(accumulate, nc)
 
     def truncate_div(r):

@@ -169,6 +169,23 @@ class TestDecayFit:
         with pytest.raises(EmptyShell):
             fit_decay_exponent(whole_range_profile(radii, vals))
 
+    @pytest.mark.parametrize("n, box, window", [
+        (32, 8.0, None), (32, 8.0, (0.4, 2.0)), (48, 12.0, (0.3, 3.0)), (48, 12.0, (1.1, 1.7)),
+    ], ids=["default", "quarter_box", "quarter_box_48", "narrow"])
+    def test_sub_box_profile_is_the_whole_grid_one(self, n, box, window):
+        # the bins read from the sub-box within hi of the center hold the whole
+        # grid's members in its C order, so every mean is the same sum
+        g = Grid(n, box)
+        values = np.random.default_rng(n).standard_normal((n, n, n))
+        lo, hi = window or (0.1 * box, 0.22 * box)
+        r, v = g.radius_from(g.center).ravel(), np.abs(values).ravel()
+        edges = np.linspace(lo, hi, 13)
+        members = [(r >= a) & (r < b) for a, b in zip(edges[:-1], edges[1:])]
+        got = radial_profile(values, g, window=window)
+        want = [(np.exp(np.mean(np.log(r[m]))), np.mean(v[m])) for m in members if m.any()]
+        assert np.array_equal(got.bin_centers, [c for c, _ in want])
+        assert np.array_equal(got.bin_values, [m for _, m in want])
+
     def test_window_inside_quarter_box(self, grid32):
         with pytest.raises(InvalidRadius):
             radial_profile(np.ones((32, 32, 32)), grid32, window=(1.0, 10.0))

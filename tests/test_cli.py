@@ -346,7 +346,8 @@ class TestMainEntry:
         # at 1e-150 the lift's squares are normal floats: the norms are those at
         # 1e-50, where the quadratic term is as negligible, scaled by 1e-100, and
         # B(u, u), of order 1e-300, keeps its bits too: the bilinear constant does
-        # not depend on the amplitude
+        # not depend on the amplitude (abs=0: approx's default 1e-12 would pass any
+        # of these tiny values, 0.0 among them)
         norms = {}
         for amplitude in (1e-50, 1e-150):
             cfg = {"n": 16, "box_length": 8.0, "output_dir": str(tmp_path / str(amplitude)),
@@ -357,14 +358,21 @@ class TestMainEntry:
             norms[amplitude] = json.loads((tmp_path / str(amplitude) / "report.json")
                                           .read_text())["metrics"]
         for key in ("lifted_force_lorentz_norm", "solution_lorentz_norm", "velocity_l2"):
-            assert norms[1e-150][key] == pytest.approx(1e-100 * norms[1e-50][key], rel=1e-14)
-        assert norms[1e-150]["lifted_force_lorentz_norm"] == pytest.approx(1e-150, rel=1e-15)
+            assert norms[1e-150][key] == pytest.approx(1e-100 * norms[1e-50][key],
+                                                       rel=1e-14, abs=0)
+        assert norms[1e-150]["lifted_force_lorentz_norm"] == pytest.approx(
+            1e-150, rel=1e-15, abs=0)
         constant = norms[1e-50]["empirical_bilinear_constant"]
         assert constant > 0 and norms[1e-150]["empirical_bilinear_constant"] == pytest.approx(
-            constant, rel=1e-14)
+            constant, rel=1e-14, abs=0)
         product = norms[1e-50]["contraction_product"]
         assert product > 0 and norms[1e-150]["contraction_product"] == pytest.approx(
-            1e-100 * product, rel=1e-14)
+            1e-100 * product, rel=1e-14, abs=0)
+        # the one Picard step, B(u0, u0) of order 1e-300, is quadratic in the amplitude;
+        # its squares underflowed to a norm of 0.0 before it was scaled
+        step = norms[1e-50]["final_step_change"]
+        assert step > 0 and norms[1e-150]["final_step_change"] == pytest.approx(
+            1e-200 * step, rel=1e-14, abs=0)
 
     def test_out_of_memory_in_validation_exit(self, tmp_path, monkeypatch):
         def exhausted(self):

@@ -136,8 +136,9 @@ def test_no_hand_built_power(pattern):
 
 def test_quadratic_product_formed_once():
     # div(v (x) v) is assembled in spectral._advection_divergence alone, its
-    # products written as phys[j] * phys[k] or np.multiply(phys[j], phys[k], ...)
-    hits = _hits(r"phys\[j\]\s*[*,]\s*phys\[k\]")
+    # products written as phys[j] * phys[k], np.multiply(phys[j], phys[k], ...) or
+    # handed to the forward transform as _real_to_cube(phys[j], ..., times=phys[k])
+    hits = _hits(r"phys\[j\]\s*[*,]\s*phys\[k\]|_real_to_cube\(phys\[j\],.*\btimes=phys\[k\]")
     assert [name for name, _ in hits] == ["spectral.py"], hits
     assert hits[0][1] in _spectral_def_lines("_advection_divergence"), hits
     assert _hits(r"_quadratic_products") == []

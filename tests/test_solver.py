@@ -285,11 +285,13 @@ class TestSolveSteady:
 
 class TestAllocation:
     @pytest.mark.parametrize("n", [32, 64])
-    def test_decay_pipeline_peak_below_110_bytes_per_site(self, n):
+    def test_decay_pipeline_peak_below_80_bytes_per_site(self, n):
         # the force, its lift, the iterates and the solution are held on the
         # dealias cube; a half-lattice copy of each took the traced peak of
-        # this pipeline to ~150 bytes per grid site.  tracemalloc counts
-        # numpy's allocations exactly, so the peak repeats run to run.
+        # this pipeline to ~150 bytes per grid site, and the pruned inverse of
+        # three components at once and an n^3 product array to ~85; it reads
+        # 75-79 on one to eight slabs.  tracemalloc counts numpy's allocations
+        # exactly, so the peak repeats run to run.
         grid = Grid(n, n / 4)  # h = 1/4, as in the decay run, so its annulus fits
         tracemalloc.start()
         try:
@@ -300,7 +302,18 @@ class TestAllocation:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 110 * n**3, peak / n**3
+        assert peak < 80 * n**3, peak / n**3
+
+    def test_map_scratch_holds_one_component_half_lattice(self):
+        # the three components' samples, one component's half lattice, which the
+        # pruned pair takes each component and each product through in turn, and
+        # work of a cube component's size: a three-component half lattice took
+        # the solve's map to the run's peak
+        n = 64
+        cube = Lattice.dealias_cube(Grid(n, n / 4))
+        held = [a.nbytes for a in vars(spectral._MapScratch(cube)).values()]
+        component = np.empty(cube.spectral_shape, dtype=complex).nbytes
+        assert sum(held) <= 3 * n**3 * 8 + n * n * (n // 2 + 1) * 16 + 3 * component
 
     def test_decay_pipeline_forms_no_half_lattice_array(self, monkeypatch):
         # a half lattice's kmag and nyquist_free are n x n x (n/2+1) each, formed

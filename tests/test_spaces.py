@@ -12,7 +12,7 @@ from fracns.spaces import (
     weighted_sup_norm,
     young_check,
 )
-from fracns.spectral import Grid
+from fracns.spectral import _CHUNK, Grid
 
 
 @pytest.fixture(scope="module")
@@ -129,6 +129,21 @@ class TestLorentz:
             assert lorentz_quasinorm(7.0 * f, p, q, h3) == pytest.approx(
                 7.0 * base, rel=1e-12
             )
+
+    @pytest.mark.parametrize("nonzero", [_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1])
+    @pytest.mark.parametrize("p", [1.0, 3.0])
+    def test_weak_norm_by_chunks_is_the_whole_array_formula(self, nonzero, p):
+        # the weights (i h^3)^(1/p) of the nonzero samples' ranks i, formed by
+        # chunks of ranks, give the sup of the whole array of them bit for bit;
+        # at p = 1 the sup of uniform samples lies near rank N/2, a chunk edge
+        rng = np.random.default_rng(nonzero)
+        f = np.concatenate([rng.random(nonzero) + 1e-3, np.zeros(nonzero // 3)])
+        rng.shuffle(f)
+        f *= np.where(rng.random(f.size) < 0.5, -1.0, 1.0)
+        h3 = 0.37
+        vals = np.sort(np.abs(f))[::-1][:nonzero]
+        t_right = h3 * np.arange(1, nonzero + 1, dtype=np.float64)
+        assert lorentz_quasinorm(f, p, np.inf, h3) == float(np.max(t_right ** (1.0 / p) * vals))
 
     def test_bad_exponents(self, grid16):
         f = np.ones((16, 16, 16))

@@ -354,7 +354,8 @@ class TestTransforms:
     @given(n=HALF_SIZES, batch=st.sampled_from([1, 3]), seed=st.integers(0, 2**16))
     def test_inverse_pruned_transform_is_the_staged_inverse(self, n, batch, seed):
         # the staged inverse of the zero-filled half lattice, bit for bit, whatever
-        # the half-lattice array it is given held before
+        # the one component's half-lattice array it is given held before: every
+        # component is transformed in turn through it
         g = Grid(n, 1.0)
         cube = Lattice.dealias_cube(g)
         rng = np.random.default_rng(seed)
@@ -362,7 +363,7 @@ class TestTransforms:
         c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         want = staged_cube_to_real(c, cube)
         assert np.array_equal(spectral._cube_to_real(c, cube), want)
-        padded = np.full((batch, n, n, n // 2 + 1), complex(np.nan, np.inf))
+        padded = np.full((n, n, n // 2 + 1), complex(np.nan, np.inf))
         assert np.array_equal(spectral._cube_to_real(c, cube, padded), want)
 
     def test_forward_pruned_transform_stages_nothing(self):
@@ -834,6 +835,15 @@ class TestSlabs:
                           to_real(v).data)
         for slabs in (2, 3):
             assert all(np.array_equal(a, b) for a, b in zip(got[1], got[slabs])), slabs
+
+    @pytest.mark.parametrize("n, box", [(16, 4.0), (32, 16.0)])
+    @pytest.mark.parametrize("slabs", [1, 2, 3])
+    def test_magnitude_is_the_samples_magnitude(self, monkeypatch, n, box, slabs):
+        # |v| from each component's samples in turn is that of the three
+        # components' samples, bit for bit, however the stages are split
+        monkeypatch.setattr(spectral, "_WORKERS", slabs)
+        v = on_cube(random_divfree_spectral(Grid(n, box), seed=n + 1))
+        assert np.array_equal(spectral.real_magnitude(v), to_real(v).magnitude())
 
     @pytest.mark.parametrize("n, box", [(16, 4.0), (32, 16.0)])
     @pytest.mark.parametrize("slabs", [1, 2, 3])
