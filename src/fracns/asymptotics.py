@@ -13,6 +13,7 @@ they and the fit are symmetric in (i, j) and trace-free in (j, k) to round-off.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -27,8 +28,9 @@ from .spectral import (
     Lattice,
     RealVectorField,
     SpectralVectorField,
-    kernel_tensor,
     min_image,
+    nyquist_lines,
+    octant_parts,
     scalar_to_real,
     to_real,
 )
@@ -229,23 +231,36 @@ def build_kernel(alpha: float, refinement_grid_n: int = 128) -> HomogeneousKerne
 
     The symbol is damped by a narrow Gaussian high-frequency splitting
     (width ~ 1.4 cells, so truncation ringing is negligible), inverse
-    transformed on the rows the mid-radius shell ``KERNEL_SHELL`` of the unit
-    box meets, and sampled on all its lattice sites as C_ijk - delta_ij sum_l
-    C_llk, C from ``kernel_tensor``.  The samples are fitted against the exact
-    angular basis plus two nuisance blocks: a degree alpha-6 correction absorbing
-    the smoothing bias and a linear-in-x background absorbing the residual
-    lattice artifacts.  Only the homogeneous degree alpha-4 block is kept.
+    transformed on the octant rows the mid-radius shell ``KERNEL_SHELL`` of
+    the unit box meets (``octant_parts``, ``nyquist_lines``), and sampled on
+    all its lattice sites as C_ijk - delta_ij sum_l C_llk, a part at site j
+    read at row |j| times its sign along the part's odd axes.  The samples
+    are fitted against the exact angular basis plus two nuisance blocks: a
+    degree alpha-6 correction absorbing the smoothing bias and a linear-in-x
+    background absorbing the residual lattice artifacts.  Only the
+    homogeneous degree alpha-4 block is kept.
     """
     if not (1.0 < alpha < 4.0):
         raise InvalidAlpha(f"kernel synthesis requires alpha in (1, 4), got {alpha}")
-    L = 1.0
-    grid = Grid(refinement_grid_n, L)
-    half = Lattice.half(grid)
-    sites = kernel_shell_sites(refinement_grid_n)
-    h = grid.spacing
-    sigma = 1.4 * h
-    damped_inv_pow = half.power(-alpha)
-    damped_inv_pow *= np.exp(-0.5 * sigma * sigma * half.k2())
+    L, n = 1.0, refinement_grid_n
+    grid = Grid(n, L)
+    octant = Lattice.octant(grid)
+    sites = kernel_shell_sites(n)
+    sigma = 1.4 * grid.spacing
+    damped_inv_pow = octant.power(-alpha)
+    damped_inv_pow *= np.exp(-0.5 * sigma * sigma * octant.k2())
+    m_k2 = octant.power(-2.0)
+    m_k2 *= damped_inv_pow
+
+    j = np.where(sites > n // 2, sites - n, sites)  # the signed offsets in cells
+    at, sign = tuple(np.abs(j).T), np.sign(j)
+    samples = np.empty((3, 3, 3, len(sites)))
+    for abc, C in octant_parts(m_k2, octant, int(np.abs(j).max()) + 1):
+        odd = np.prod(sign ** (np.bincount(abc, minlength=3) % 2), axis=1)
+        samples[tuple(zip(*set(itertools.permutations(abc))))] = C[at] * odd
+    samples[tuple(zip(*itertools.permutations(range(3))))] += nyquist_lines(m_k2, octant, j)
+    samples[range(3), range(3)] -= np.einsum("llkn->kn", samples)  # delta_ij grad_k p
+    del octant, damped_inv_pow, m_k2, C  # not held through the fit, where RSS peaks
 
     coords = min_image(grid.x_axis[sites], L)  # (m, 3) signed offsets from 0
     radii = np.linalg.norm(coords, axis=1)
@@ -254,15 +269,6 @@ def build_kernel(alpha: float, refinement_grid_n: int = 128) -> HomogeneousKerne
     phi = _monomial_matrix(dirs)
     design = np.hstack([phi * (radii ** (alpha - 4.0))[:, None],
                         phi * (radii ** (alpha - 6.0))[:, None], coords])
-
-    rows = np.unique(sites)  # C is synthesized on rows^3 and read at ``at``
-    at = tuple(np.searchsorted(rows, sites).T)
-    samples = np.empty((3, 3, 3, len(radii)))
-    parts = kernel_tensor(half, damped_inv_pow, rows)
-    del half, damped_inv_pow  # nor is the half lattice's |xi| held through the parts
-    for entries, C in parts:
-        samples[tuple(zip(*entries))] = C[at]
-    samples[range(3), range(3)] -= np.einsum("llkn->kn", samples)  # delta_ij grad_k p
 
     sol, *_ = np.linalg.lstsq(design, samples.reshape(27, -1).T, rcond=None)
     coeffs = sol[:10].T.reshape(3, 3, 3, 10)

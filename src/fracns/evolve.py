@@ -16,12 +16,12 @@ import numpy as np
 from .errors import InvalidTimeStep, NumericalBlowup
 from .spaces import lp_norm
 from .spectral import (
-    CUBIC_MONOMIALS,
     Grid,
     Lattice,
     SpectralVectorField,
     l2_norm,
     leray_project,
+    octant_parts,
     octant_to_real,
     projected_advection,
     scalar_to_real,
@@ -147,23 +147,16 @@ def kernel_l1_check(alpha: float, times, n: int = 128, box: float = 8.0) -> dict
     p = ifftn(m), m = exp(-t |xi|^alpha), and the ten fully symmetric parts
     C_abc = ifftn(1j xi_a xi_b xi_c m/|xi|^2) of the kernel tensor, m's Nyquist
     rows zeroed, are even or odd along each axis, so each is formed and sampled
-    on the octant alone (``Lattice.octant``, ``octant_to_real``), in four parity
-    groups of one stacked transform each.  A group's transform is its C times
-    the sign 1j**(1 + #odd axes) = +-1, which no mass reads.  Both tensor
-    columns come from C: grad_k p = sum_l C_llk, the sum of the group odd along
-    axis k alone, and |K|_F^2 = |C|_F^2 + |grad p|^2 for K_ijk = C_ijk -
-    delta_ij grad_k p.  |p|, |grad p| and |K|_F are unchanged by reflections, so
-    each lattice sum is the octant sum weighted 1 on the j = 0 and j = n/2
-    planes of each axis and 2 elsewhere.
+    on the octant alone (``Lattice.octant``, p by ``octant_to_real``, the parts
+    by ``octant_parts``).  Both tensor columns come from C: grad_k p = sum_l
+    C_llk, the sum of the parts odd along axis k alone, and |K|_F^2 = |C|_F^2 +
+    |grad p|^2 for K_ijk = C_ijk - delta_ij grad_k p.  |p|, |grad p| and |K|_F
+    are unchanged by reflections, so each lattice sum is the octant sum
+    weighted 1 on the j = 0 and j = n/2 planes of each axis and 2 elsewhere.
     """
     octant = Lattice.octant(Grid(n, box))
-    h3, half, xi = octant.grid.cell_volume, n // 2 + 1, octant.xi
+    h3, half = octant.grid.cell_volume, n // 2 + 1
     power, nyquist_free, k2_inv = octant.power(alpha), octant.nyquist_free, octant.power(-2.0)
-    del octant  # its |xi| is not read past here
-
-    groups = {}  # parity along each axis -> the monomials of that parity
-    for abc in CUBIC_MONOMIALS:
-        groups.setdefault(tuple(abc.count(c) % 2 for c in range(3)), []).append(abc)
     weight = np.full(half, 2.0)
     weight[[0, -1]] = 1.0
 
@@ -176,20 +169,15 @@ def kernel_l1_check(alpha: float, times, n: int = 128, box: float = 8.0) -> dict
         rows["t"].append(t)
         rows["p_mass"].append(mass(np.abs(octant_to_real(mult, (0, 0, 0)) / h3)))
 
-        m_k2 = mult * nyquist_free * k2_inv
-        csq = np.zeros((half, half, half))
-        gsq = np.zeros((half, half, half))
-        for parity, members in groups.items():
-            sym = np.empty((len(members), half, half, half))
-            for out, (a, b, c) in zip(sym, members):
-                np.multiply(xi[a] * xi[b], xi[c] * m_k2, out=out)
-            C = octant_to_real(sym, parity)
-            del sym
-            C /= h3
-            for abc, part in zip(members, C):
-                csq += len(set(itertools.permutations(abc))) * np.square(part)
-            if sum(parity) == 1:  # grad p along the odd axis
-                gsq += np.square(np.sum(C, axis=0))
+        csq, grad = np.zeros((half,) * 3), np.zeros((3,) + (half,) * 3)
+        for abc, C in octant_parts(mult * nyquist_free * k2_inv, octant):
+            odd = [c for c in range(3) if abc.count(c) % 2]
+            if len(odd) == 1:  # C_llk, l = k or not: a term of grad_k p
+                grad[odd[0]] += C
+            np.square(C, out=C)
+            C *= len(set(itertools.permutations(abc)))
+            csq += C
+        gsq = np.square(grad, out=grad).sum(axis=0)
         rows["grad_p_mass_scaled"].append(t ** (1.0 / alpha) * mass(np.sqrt(gsq)))
         csq += gsq
         rows["K_mass_scaled"].append(t ** (1.0 / alpha) * mass(np.sqrt(csq)))

@@ -27,13 +27,13 @@ falls.  The solver stack calls no BLAS: the Parseval sums, which only a field
 held on a cube has (``_DealiasCube.lattice_sum``), run in numpy's own loops,
 so no idle OpenBLAS thread spins against the slabs and no bit depends on its
 thread count.  The multipliers (``leray_project``, ``fractional_power``) read
-a field on any lattice with one code path.  The kernel tensor's ten parts
-(``kernel_tensor``) are synthesized on a sub-box of rows alone by irfftn's own
-stages (``_irfftn_at``), bit for bit.  A symbol even or odd along each axis is
-sampled on the octant alone (``octant_to_real``) by one real DCT-I or DST-I
-per axis, each the rfft of an extension; a lattice sum of a reflection-
-invariant quantity is the octant sum weighted 1 on the j = 0 and j = n/2
-planes of each axis and 2 elsewhere.
+a field on any lattice with one code path.  A symbol even or odd along each
+axis is sampled on the octant alone (``octant_to_real``) by one real DCT-I or
+DST-I per axis, each the rfft of an extension, and so are the kernel tensor's
+ten parts (``octant_parts``), by stages shared among the parts and kept to
+the rows a caller reads; a lattice sum of a reflection-invariant quantity is
+the octant sum weighted 1 on the j = 0 and j = n/2 planes of each axis and 2
+elsewhere.
 """
 
 from __future__ import annotations
@@ -209,20 +209,19 @@ def _half_shape(n: int) -> tuple:
 class Lattice:
     """The modes of ``grid`` with integer wavenumbers ``k`` on each axis, in DFT
     order (k >= 0 first, from k = 0), and their symbols: ``xi`` = 2 pi k/L, one
-    row per axis, ``kmag`` = |xi|, ``power``, ``shift_phase`` and the Nyquist
-    flags (True on k = -n/2), each array of ``spectral_shape`` formed on first
-    read.  There are three: rfftn's ``half`` lattice, whose last axis ends on
-    the Nyquist plane, self-conjugate and zeroed inside every odd multiplier so
-    that real fields stay real; the ``dealias_cube`` (``_DealiasCube``), where a
-    run holds every field it makes; and the ``octant``, k = 0..n/2-1 and -n/2 on
-    each axis."""
+    row per axis, ``kmag`` = |xi|, ``power``, ``shift_phase`` and
+    ``nyquist_free`` (False where an axis has k = -n/2), each array of
+    ``spectral_shape`` formed on first read.  There are three: rfftn's
+    ``half`` lattice, whose last axis ends on the Nyquist plane, self-conjugate
+    and zeroed inside every odd multiplier so that real fields stay real; the
+    ``dealias_cube`` (``_DealiasCube``), where a run holds every field it
+    makes; and the ``octant``, k = 0..n/2-1 and -n/2 on each axis."""
 
     def __init__(self, grid: Grid, k: tuple):
         self.grid = grid
         self.spectral_shape = tuple(len(a) for a in k)
         self.k = rows = [k[0].reshape(-1, 1, 1), k[1].reshape(1, -1, 1), k[2].reshape(1, 1, -1)]
         self.xi = [(2.0 * np.pi / grid.box_length) * a for a in rows]
-        self.nyquist_rows = [a == -(grid.n // 2) for a in rows]
 
     @classmethod
     def half(cls, grid: Grid) -> Lattice:
@@ -250,8 +249,8 @@ class Lattice:
 
     @cached_property
     def nyquist_free(self) -> np.ndarray:  # True where no axis is on its Nyquist row
-        nyq = self.nyquist_rows
-        return ~(nyq[0] | nyq[1] | nyq[2])
+        k, nyq = self.k, -(self.grid.n // 2)
+        return (k[0] != nyq) & (k[1] != nyq) & (k[2] != nyq)
 
     def power(self, beta: float) -> np.ndarray:
         """The symbol |xi|^beta, 0 at the zero mode for every beta.
@@ -373,18 +372,6 @@ def scalar_to_real(coeffs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _irfftn_at(coeffs: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``scalar_to_real(coeffs)`` on the sites ``rows`` x ``rows`` x ``rows``, bit for
-    bit, for half-lattice coefficients (..., n, n, n/2+1), which it overwrites:
-    irfftn's stages unscaled, ifft along x in place, ifft along y and irfft along
-    z, each keeping ``rows`` of its axis, then one product by irfftn's 1/n^3."""
-    n = coeffs.shape[-3]
-    x = _stage(np.fft.ifft, coeffs, -3, coeffs, -2, norm="forward")[..., rows, :, :]
-    y = _stage(np.fft.ifft, x, -2, x, -3, norm="forward")[..., rows, :]
-    z = _stage(np.fft.irfft, y, -1, np.empty(y.shape[:-1] + (n,)), -3, n=n, norm="forward")
-    return z[..., rows] * (1 / n**3)
-
-
 def scalar_to_spectral(samples: np.ndarray) -> np.ndarray:
     """Half-lattice coefficients of real samples, ``scalar_to_real``'s inverse:
     the last three axes are transformed, any leading axes are a batch.  These
@@ -425,6 +412,58 @@ def octant_to_real(m: np.ndarray, parity) -> np.ndarray:
     return full
 
 
+def octant_parts(g: np.ndarray, octant: Lattice, keep: int | None = None):
+    """Yield ``(abc, C)`` for each of the ten ``CUBIC_MONOMIALS`` (a, b, c): C the
+    samples irfftn(1j xi_a xi_b xi_c g) / cell_volume on the octant j = 0..n/2
+    of each axis, or its first ``keep`` rows, for ``g`` real and even on
+    ``octant``.  Of degree (p, q, r) along (x, y, z), C is even or odd along
+    each axis as its degree is, and is taken by DCT-I or DST-I stages, each
+    kept to ``keep`` rows: the z stage Z_r of xi_z^r g, shared by the parts of
+    that r, the y stage of xi_y^q Z_r, and the x stage of xi_x^p times that,
+    divided by -n^3 h^3 (1j against the sines' -1j) or, on xyz, n^3 h^3.  A
+    DST-I reads no Nyquist row: where ``g`` is not 0 on the lines with two
+    axes on theirs, irfftn's xyz part adds ``nyquist_lines``."""
+    h = g.shape[-1]
+    n, keep = 2 * (h - 1), h if keep is None else keep
+    scale = n**3 * octant.grid.cell_volume
+
+    def stage(x, axis, p, by=1):
+        odd = p % 2
+        rows = _at(axis, slice(odd, h - odd))
+        x = x[rows] * octant.xi[axis][rows] ** p if p else x
+        shape = list(x.shape)
+        shape[axis] = keep
+        out = np.zeros(shape)
+        _dct1_or_dst1(x, axis, odd, out[_at(axis, slice(odd, min(keep, h - odd)))], by)
+        return out
+
+    for r in range(4):
+        Z = stage(g, -1, r)
+        for q in range(4 - r):
+            p = 3 - q - r
+            C = stage(stage(Z, -2, q), -3, p, scale if p == q == r == 1 else -scale)
+            yield (0,) * p + (1,) * q + (2,) * r, C
+
+
+def nyquist_lines(g: np.ndarray, octant: Lattice, j: np.ndarray) -> np.ndarray:
+    """What irfftn's xyz part adds to ``octant_parts``'s at the sites of signed
+    offsets ``j`` (m, 3) in cells.  irfftn keeps the symbol's Hermitian part,
+    which on axis c's Nyquist row (-xi_c is xi_c there) is 0 where one or three
+    axes sit on theirs, whole elsewhere; a DST-I drops every such row.  The
+    modes with two axes a, b on theirs sum to -xi_N^2 (-1)^(j_a + j_b) D_c(j_c)
+    / n^3 h^3, D_c the DST-I along c of xi_c g on that line, formed alone."""
+    h = g.shape[-1]
+    n, xi = 2 * (h - 1), [x.ravel() for x in octant.xi]
+    lines = np.stack([g[1:-1, -1, -1] * xi[0][1:-1], g[-1, 1:-1, -1] * xi[1][1:-1],
+                      g[-1, -1, 1:-1] * xi[2][1:-1]])[:, None]
+    D = np.zeros((3, 1, h))
+    _dct1_or_dst1(lines, -1, 1, D[..., 1:-1], 1)
+    even = (-1.0) ** np.abs(j)
+    odd = even * np.sign(j) * D[range(3), 0, np.abs(j)]
+    scale = -xi[0][-1] ** 2 / (n**3 * octant.grid.cell_volume)
+    return np.prod(even, axis=1) * odd.sum(axis=1) * scale
+
+
 # samples (512 KiB of float64) per chunk of a stage's own work array, an octant
 # stage's extension or a product before its rfft: few enough that it and its
 # rfft stay in a core's L2 cache, in as few numpy calls as that allows
@@ -441,16 +480,18 @@ def _chunks(s: slice, size: int):
 
 def _dct1_or_dst1(x: np.ndarray, axis: int, odd: int, out: np.ndarray, scale) -> None:
     """Write into ``out`` (which may be ``x``) the unnormalized DCT-I of ``x`` along
-    ``axis``, its rows 0..n/2, or, if ``odd``, its DST-I, its rows 1..n/2-1,
-    divided by ``scale`` (by 1, no bit moves), by chunks of rows of another
-    axis: the chunk's even or odd extension, of length n, then its rfft, both
-    into a slab's own arrays of up to ``_CHUNK`` samples."""
+    ``axis``, its rows 0..n/2, or, if ``odd``, its DST-I, its rows 1..n/2-1, as
+    many of them as ``out`` holds along ``axis``, divided by ``scale`` (by 1, no
+    bit moves), by chunks of rows of another axis: the chunk's even or odd
+    extension, of length n, then its rfft, both into a slab's own arrays of up
+    to ``_CHUNK`` samples."""
     h = x.shape[axis] + 2 * odd
     n, split = 2 * (h - 1), -2 if axis == -3 else -3
     shape = list(x.shape)
     shape[split], shape[axis] = 1, n
     rows = max(1, _CHUNK // int(np.prod(shape)))
     head = _at(axis, slice(odd, h - odd))
+    kept = _at(axis, slice(odd, odd + out.shape[axis]))
     tail = _at(axis, slice(h, n))
     rev = _at(axis, slice(None, None, -1) if odd else slice(h - 2, 0, -1))
     by = -scale if odd else scale  # a DST-I is minus the imaginary part; -a/s is a/-s
@@ -472,7 +513,7 @@ def _dct1_or_dst1(x: np.ndarray, axis: int, odd: int, out: np.ndarray, scale) ->
             else:
                 e[tail] = xc[rev]
             np.fft.rfft(e, axis=axis, out=f)
-            np.divide(f.imag[head] if odd else f.real, by, out=out[_at(split, c)])
+            np.divide((f.imag if odd else f.real)[kept], by, out=out[_at(split, c)])
 
     _by_slabs(stage, x.shape[split], _stage_rows(), work)
 
@@ -679,41 +720,6 @@ def bilinear_symbol(xi, alpha: float, i: int, j: int, k: int) -> complex:
         return 0.0 + 0.0j
     proj = (1.0 if i == j else 0.0) - xi[i] * xi[j] / r2
     return complex(-proj * 1j * xi[k] / r2 ** (alpha / 2.0))
-
-
-def kernel_tensor(half: Lattice, m: np.ndarray, rows: np.ndarray):
-    """Yield ``(entries, C)`` for each of the ten ``CUBIC_MONOMIALS`` (a, b, c):
-    C the samples ifftn(1j xi_a xi_b xi_c m/|xi|^2).real / cell_volume on the
-    sites ``rows`` x ``rows`` x ``rows`` for the real multiplier ``m`` on the
-    half lattice ``half`` (a function of |xi|, zero mode 0), and ``entries``
-    the distinct index triples that C fills in the fully symmetric tensor C_ijk.
-
-    The lifted-advection tensor -(delta_ij - xi_i xi_j/|xi|^2) 1j xi_k m is
-    C_ijk - delta_ij sum_l C_llk, as sum_l C_llk = 1j xi_k m, the symbol of
-    d_k p for p = ifftn(m).  Each part is irfftn's (``_irfftn_at``), the
-    transform of the symbol's Hermitian part, which the ``.real`` keeps: the
-    monomial times (1 + prod_c sigma_c^d_c)/2, d_c its degree in xi_c and
-    sigma_c = -1 on axis c's Nyquist row (``half.nyquist_rows``, where -xi_c is
-    xi_c), +1 elsewhere.  Every C_llk is zeroed on axis k's Nyquist row alone,
-    so the identity holds on the lattice.  Each symbol is formed in one real
-    and one complex array held for all ten.  ``build_kernel``'s damped symbol
-    is not 0 on the Nyquist rows, where the Hermitian part keeps what an octant
-    DST-I would drop.
-    """
-    xi, nyq, h3 = half.xi, half.nyquist_rows, half.grid.cell_volume
-    m_k2 = half.power(-2.0)
-    m_k2 *= m
-    del half, m  # the caller's half-lattice arrays are not read past here
-    real = np.empty(m_k2.shape)
-    sym = np.empty(m_k2.shape, dtype=np.complex128)
-    for a, b, c in CUBIC_MONOMIALS:
-        np.multiply(xi[c], m_k2, out=real)
-        np.multiply(1j * xi[a] * xi[b], real, out=sym)
-        sym *= ~(nyq[a] ^ nyq[b] ^ nyq[c])  # 0 where sigma_a sigma_b sigma_c = -1
-        sym[0, 0, 0] = 0.0
-        C = _irfftn_at(sym, rows)
-        C /= h3
-        yield sorted(set(itertools.permutations((a, b, c)))), C
 
 
 def _advection_divergence(v: SpectralVectorField,

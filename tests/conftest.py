@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 import scipy.fft as sfft
@@ -6,11 +8,11 @@ from fracns.asymptotics import RadialProfile, fibonacci_sphere
 from fracns.forces import ForceSpec, make_force
 from fracns.solver import SolverConfig, solve_steady
 from fracns.spectral import (
+    CUBIC_MONOMIALS,
     Grid,
     Lattice,
     RealVectorField,
     SpectralVectorField,
-    kernel_tensor,
     parseval_l2,
 )
 
@@ -199,12 +201,19 @@ def small_solution(grid32):
 
 
 def symmetric_parts(grid, m):
-    """The fully symmetric tensor C_ijk, shape (3, 3, 3, n, n, n), filled from the
-    ten parts ``kernel_tensor`` yields; the kernel tensor is C_ijk - delta_ij sum_l C_llk."""
-    n = grid.n
+    """The fully symmetric tensor C_ijk, shape (3, 3, 3, n, n, n), of the ten parts
+    irfftn(1j xi_a xi_b xi_c m/|xi|^2) / cell_volume for ``m`` on a Grid's half
+    lattice, each ``np.fft.irfftn`` of its symbol's Hermitian part: the symbol
+    zeroed where an odd number of the monomial's factors sit on their Nyquist
+    rows (where -xi_c is xi_c).  The kernel tensor is C_ijk - delta_ij sum_l C_llk."""
+    n, half, nyq = grid.n, Lattice.half(grid), on_nyquist(grid)
+    m_k2 = m * half.power(-2.0)
     C = np.empty((3, 3, 3, n, n, n))
-    for entries, part in kernel_tensor(Lattice.half(grid), m, np.arange(n)):
-        for i, j, k in entries:
+    for a, b, c in CUBIC_MONOMIALS:
+        sym = 1j * half.xi[a] * half.xi[b] * half.xi[c] * m_k2 * ~(nyq[a] ^ nyq[b] ^ nyq[c])
+        sym[0, 0, 0] = 0.0
+        part = np.fft.irfftn(sym, s=(n, n, n), axes=(0, 1, 2)) / grid.cell_volume
+        for i, j, k in set(itertools.permutations((a, b, c))):
             C[i, j, k] = part
     return C
 

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import nelder_mead_bound, sphere_frobenius, whole_range_profile
+from conftest import nelder_mead_bound, sphere_frobenius, symmetric_parts, whole_range_profile
 from fracns.asymptotics import (
     KERNEL_SHELL,
     build_kernel,
@@ -17,7 +17,7 @@ from fracns.asymptotics import (
     radial_profile,
 )
 from fracns.errors import EmptyShell, InvalidAlpha, InvalidGrid, InvalidRadius
-from fracns.spectral import Grid, RealVectorField
+from fracns.spectral import Grid, Lattice, RealVectorField
 
 
 def oseen_type_oracle(dirs):
@@ -72,11 +72,32 @@ class TestKernel:
         with pytest.raises(InvalidGrid):
             build_kernel(1.5, refinement_grid_n=n)
 
+    @pytest.mark.parametrize("n", [16, 32])
+    @pytest.mark.parametrize("alpha", [1.2, 2.0, 3.5])
+    def test_samples_are_irfftn_parts(self, n, alpha, monkeypatch):
+        # the fitted samples against irfftn of each part's Hermitian-part symbol
+        # on the whole lattice, read at the shell sites: the damped symbol is not
+        # 0 on the Nyquist rows, where the xyz part keeps lines with two axes there
+        fitted = []
+
+        def lstsq(design, samples, *args, _f=np.linalg.lstsq, **kwargs):
+            fitted.append(samples)
+            return _f(design, samples, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", lstsq)
+        build_kernel(alpha, refinement_grid_n=n)
+        grid = Grid(n, 1.0)
+        half = Lattice.half(grid)
+        m = half.power(-alpha) * np.exp(-0.5 * (1.4 * grid.spacing) ** 2 * half.k2())
+        C = symmetric_parts(grid, m)
+        K = C - np.einsum("ij,llk...->ijk...", np.eye(3), C)
+        want = K[(...,) + tuple(kernel_shell_sites(n).T)].reshape(27, -1).T
+        assert np.max(np.abs(fitted[0] - want)) <= 1e-14 * np.max(np.abs(want))
+
     def test_parts_synthesized_on_the_shell_rows_alone(self):
-        # through the ten parts build_kernel holds the grid's k2 and |xi|, the
-        # multiplier, m/|xi|^2 and a real and a complex symbol buffer: seven
-        # half-lattice float arrays, besides the fit's columns and samples.  Each
-        # part synthesized on the whole lattice held 13 of them at the peak
+        # build_kernel forms its symbol on the octant and each part's stages
+        # there, kept to the shell's rows: its traced peak is 4.6 half-lattice
+        # float arrays at 64^3, and 5.2 with the parts on the whole octant
         n = 64
         build_kernel(2.0, refinement_grid_n=n)  # plans the transforms
         tracemalloc.start()
@@ -85,7 +106,7 @@ class TestKernel:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 11 * 8 * n * n * (n // 2 + 1), peak
+        assert peak <= 5 * 8 * n * n * (n // 2 + 1), peak
 
     def test_homogeneity_exact(self, kernel15):
         rng = np.random.default_rng(0)

@@ -211,9 +211,10 @@ class TestKernelMasses:
         assert abs(tab["K_mass_scaled"][0] - want) <= 1e-14 * want
 
     def test_octant_transforms_per_time(self, monkeypatch):
-        # no transform of the full lattice: p is three DCT-I stages, and each of
-        # the four parity groups of the tensor's parts one stacked stage per axis,
-        # each stage rffts of extensions of length n
+        # no transform of the full lattice: p is three DCT-I stages, and the
+        # tensor's ten parts 24 (octant_parts): four z stages, one per power of
+        # xi_z, ten y stages and ten x stages, each stage rffts of extensions of
+        # length n
         n = 16
         calls = {"other": 0, "dct": 0, "dst": 0}  # other: every transform but rfft
         lengths = set()
@@ -238,7 +239,7 @@ class TestKernelMasses:
         monkeypatch.setattr(np.fft, "rfft", rfft)
         monkeypatch.setattr(spectral, "_dct1_or_dst1", stage)
         kernel_l1_check(2.0, (0.1, 0.2, 0.4), n=n, box=4.0)
-        assert calls == {"other": 0, "dct": 3 * 9, "dst": 3 * 6}
+        assert calls == {"other": 0, "dct": 3 * 17, "dst": 3 * 10}
         assert lengths == {n}
 
     @settings(max_examples=25, deadline=None)
@@ -250,7 +251,7 @@ class TestKernelMasses:
     )
     def test_masses_match_full_lattice_transforms(self, n, box, alpha, t):
         # the octant sums against the irfftn path: p from scalar_to_real, the
-        # tensor assembled from kernel_tensor's parts, both summed over the lattice
+        # tensor assembled from irfftn's parts, both summed over the lattice
         tab = kernel_l1_check(alpha, [t], n=n, box=box)
         g = Grid(n, box)
         half = Lattice.half(g)

@@ -11,13 +11,13 @@ symbol out again.  The product
 v_j v_k of the advection term is formed only in
 ``spectral._advection_divergence``.  Transforms are taken in ``spectral``
 alone, through ``numpy.fft`` one axis at a time, and are real: rfftn/irfftn's
-stages between samples and the half lattice, the pruned pair between samples
-and the dealias cube, and ``_irfftn_at``, irfftn's stages pruned to a sub-box
-of rows, which ``kernel_tensor`` takes.  No n-d transform is taken, and the
-one-axis complex stages (fft/ifft) appear in those five helpers and nowhere
-else.  The real one-axis DCT-I/DST-I stages, from the octant of a symbol even
-or odd along each axis to the octant of its samples, are rffts of an
-extension in ``_dct1_or_dst1`` alone, which ``octant_to_real`` alone calls.
+stages between samples and the half lattice, and the pruned pair between
+samples and the dealias cube.  No n-d transform is taken, and the one-axis
+complex stages (fft/ifft) appear in those four helpers and nowhere else.  The
+real one-axis DCT-I/DST-I stages, from the octant of a symbol even or odd
+along each axis to the octant of its samples, are rffts of an extension in
+``_dct1_or_dst1`` alone, which the octant helpers alone call: ``octant_to_real``,
+``octant_parts`` (the kernel tensor's ten parts) and ``nyquist_lines``.
 The half-lattice pair takes a vector field's three
 components in one call, never one at a time, and ``asymptotics`` lifts a
 field through ``solver.lift_force`` rather than projecting it by hand.  The
@@ -337,8 +337,8 @@ BLAS_FREE = [
     ("asymptotics.py", ("_monomial_jets",)),
     ("asymptotics.py", ("_angular_values",)),
     # the kernel's parts between their transform stages, and the force's rotations
-    ("spectral.py", ("kernel_tensor",)),
-    ("spectral.py", ("_irfftn_at",)),
+    ("spectral.py", ("octant_parts",)),
+    ("spectral.py", ("nyquist_lines",)),
     ("forces.py", ("rotate_real_field",)),
 ]
 
@@ -363,9 +363,9 @@ def test_transforms_taken_in_spectral_only():
 # the one-axis stages, by the helpers that take them
 STAGE_HOMES = {
     "fft": ("scalar_to_spectral", "_real_to_cube"),
-    "ifft": ("scalar_to_real", "_irfftn_at", "_cube_to_real"),
+    "ifft": ("scalar_to_real", "_cube_to_real"),
     "rfft": ("scalar_to_spectral", "_real_to_cube", "_dct1_or_dst1"),
-    "irfft": ("scalar_to_real", "_irfftn_at", "_cube_to_real"),
+    "irfft": ("scalar_to_real", "_cube_to_real"),
 }
 
 
@@ -386,12 +386,15 @@ def test_no_full_complex_transform():
 
 def test_real_trigonometric_transforms_in_the_octant_helper_only():
     # DCT-I/DST-I are rffts of an extension, taken in _dct1_or_dst1, which the
-    # octant helper alone calls; no dct/dst routine (or inverse, or n-d form) is called
+    # octant helpers alone call; no dct/dst routine (or inverse, or n-d form) is called
     assert _hits(r"\bi?d[cs]tn?\(") == []
     stage = _spectral_def_lines("_dct1_or_dst1")
     calls = [hit for hit in _hits(r"\b_dct1_or_dst1\(") if hit[1] not in stage]
-    lines = _spectral_def_lines("octant_to_real")
-    assert calls and all(name == "spectral.py" and line in lines for name, line in calls), calls
+    helpers = [_spectral_def_lines(name)
+               for name in ("octant_to_real", "octant_parts", "nyquist_lines")]
+    assert all(name == "spectral.py" and any(line in lines for lines in helpers)
+               for name, line in calls), calls
+    assert all(any(line in lines for _, line in calls) for lines in helpers), calls
 
 
 def _names(node):

@@ -33,7 +33,6 @@ from conftest import (
     random_real_field,
     realness_defect,
     staged_cube_to_real,
-    symmetric_parts,
     to_spectral,
     zero_filled,
 )
@@ -46,9 +45,11 @@ from fracns.spectral import (
     SpectralVectorField,
     bilinear_symbol,
     fractional_power,
-    kernel_tensor,
     l2_norm,
     leray_project,
+    nyquist_lines,
+    octant_parts,
+    octant_to_real,
     projected_advection,
     to_real,
 )
@@ -240,7 +241,6 @@ class TestLattice:
             assert [a[0] for a in k] == [0, 0, 0]
             for c in range(3):
                 assert np.array_equal(lattice.xi[c].ravel(), (2 * np.pi / g.box_length) * k[c])
-                assert np.array_equal(lattice.nyquist_rows[c].ravel(), k[c] == -(n // 2))
             # the half lattice holds wavenumber k at index k mod n of each axis
             at = np.ix_(*(a % n for a in k))
             got = lattice.power(beta)
@@ -252,7 +252,7 @@ class TestLattice:
                              ids=["half", "dealias_cube", "octant"])
     def test_freed_when_dropped_without_the_collector(self, make):
         # no lattice is cached on its Grid or refers back to itself, so its arrays
-        # go with its last reference, as build_kernel's and kernel_tensor's del rely on
+        # go with its last reference, as a function that makes one and drops it relies on
         lattice = make(Grid(16, 4.0))
         held = [weakref.ref(a) for a in (lattice.kmag, lattice.nyquist_free)]
         gc.disable()
@@ -527,7 +527,42 @@ def inverse_power(g, alpha):
     return np.where(kmag == 0.0, 1.0, kmag) ** (-alpha)
 
 
+def signed_offsets(n):
+    """The signed offsets j in cells, (n^3, 3), of every site of an n^3 lattice
+    from 0, in C order: index i is i, or i - n past n/2."""
+    k = k_int(n)
+    return np.stack(np.meshgrid(k, k, k, indexing="ij"), axis=-1).reshape(-1, 3)
+
+
+def unfolded_parts(grid, g):
+    """The fully symmetric tensor C_ijk, (3, 3, 3, n, n, n), of ``octant_parts``
+    for ``g`` on the octant, read at each site j from row |j| with the part's
+    sign along its odd axes, the xyz part plus ``nyquist_lines``."""
+    n, octant = grid.n, Lattice.octant(grid)
+    j = signed_offsets(n)
+    C = np.empty((3, 3, 3, n, n, n))
+    for abc, part in octant_parts(g, octant):
+        odd = np.bincount(abc, minlength=3) % 2
+        at = part[tuple(np.abs(j).T)] * np.prod(np.sign(j) ** odd, axis=1)
+        if abc == (0, 1, 2):
+            at += nyquist_lines(g, octant, j)
+        for e in set(itertools.permutations(abc)):
+            C[e] = at.reshape(n, n, n)
+    return C
+
+
+def damped_symbol(octant, alpha):
+    """build_kernel's multiplier m/|xi|^2 on ``octant``: |xi|^-alpha damped by a
+    Gaussian of 1.4 cells, not 0 on the Nyquist rows."""
+    sigma = 1.4 * octant.grid.spacing
+    m = octant.power(-alpha)
+    m *= np.exp(-0.5 * sigma * sigma * octant.k2())
+    return m * octant.power(-2.0)
+
+
 class TestKernelTensor:
+    """The kernel tensor's ten parts, on the octant (``octant_parts``)."""
+
     @settings(max_examples=15, deadline=None)
     @given(
         n=st.sampled_from([8, 12]),
@@ -536,9 +571,11 @@ class TestKernelTensor:
     )
     def test_matches_reference_symbol(self, n, box, alpha):
         # every entry K_ijk = C_ijk - delta_ij sum_l C_llk is the inverse
-        # transform of bilinear_symbol sampled on the lattice
+        # transform of bilinear_symbol sampled on the lattice, whose Nyquist
+        # rows are not 0: the xyz part takes its lines with two axes there
         g = Grid(n, box)
-        C = symmetric_parts(g, inverse_power(g, alpha))
+        octant = Lattice.octant(g)
+        C = unfolded_parts(g, octant.power(-alpha) * octant.power(-2.0))
         got = C - np.einsum("ij,llk...->ijk...", np.eye(3), C)
         xi_axis = (2 * np.pi / g.box_length) * k_int(n)
         xis = np.stack(np.meshgrid(*(xi_axis,) * 3, indexing="ij"), axis=-1).reshape(-1, 3)
@@ -556,70 +593,70 @@ class TestKernelTensor:
     def test_trace_is_gradient_symbol(self, n, box, alpha):
         # sum_l C_llk is the transform of 1j xi_k m, Nyquist row k zeroed, zero mode 0
         g = Grid(n, box)
+        octant = Lattice.octant(g)
+        C = unfolded_parts(g, octant.power(-alpha) * octant.power(-2.0))
+        trace = np.einsum("llk...->k...", C)
         m = inverse_power(g, alpha)
-        trace = np.einsum("llk...->k...", symmetric_parts(g, m))
         for k in range(3):
             sym = 1j * Lattice.half(g).xi[k] * m * ~on_nyquist(g)[k]
             sym[0, 0, 0] = 0.0
             want = sfft.irfftn(sym, s=(n, n, n)) / g.cell_volume
             assert np.max(np.abs(trace[k] - want)) <= 1e-12 * np.max(np.abs(want))
 
-    def test_ten_inverse_transforms(self, monkeypatch):
-        calls = {"_irfftn_at": [], "irfftn": [], "ifftn": []}
+    @pytest.mark.parametrize("n", [16, 24, 32])
+    def test_each_part_is_its_monomial_through_octant_to_real(self, n):
+        # the shared stages give each part as octant_to_real gives its symbol
+        # xi_a xi_b xi_c g, negated where one axis is odd; g is 0 on the Nyquist
+        # lines (as kernel_l1_check's is), where octant_to_real reads no odd row
+        octant = Lattice.octant(Grid(n, 1.0))
+        g = damped_symbol(octant, 1.5) * octant.nyquist_free
+        xi = octant.xi
+        for abc, part in octant_parts(g, octant):
+            odd = tuple(abc.count(c) % 2 for c in range(3))
+            want = octant_to_real(xi[abc[0]] * xi[abc[1]] * xi[abc[2]] * g, odd)
+            want *= (1 if sum(odd) == 3 else -1) / octant.grid.cell_volume
+            assert np.max(np.abs(part - want)) <= 1e-15 * np.max(np.abs(want)), abc
 
-        def counting(module, name):
-            def counted(x, *args, _f=getattr(module, name), **kwargs):
+    def test_ten_inverse_transforms(self, monkeypatch):
+        # the ten parts, each x stage of a y stage, share the four z stages of
+        # the powers of xi_z: 24 one-axis stages, and no n-d transform
+        calls = {"irfftn": [], "ifftn": [], -1: [], -2: [], -3: []}
+
+        def counting(name):
+            def counted(x, *args, _f=getattr(np.fft, name), **kwargs):
                 calls[name].append(np.shape(x))
                 return _f(x, *args, **kwargs)
 
-            monkeypatch.setattr(module, name, counted)
+            monkeypatch.setattr(np.fft, name, counted)
 
-        g = Grid(8, 3.0)
-        counting(spectral, "_irfftn_at")
+        def stage(x, axis, *args, _f=spectral._dct1_or_dst1):
+            calls[axis].append(x.shape)
+            return _f(x, axis, *args)
+
         for name in ("irfftn", "ifftn"):
-            counting(np.fft, name)
-        parts = list(kernel_tensor(Lattice.half(g), inverse_power(g, 1.5), np.arange(8)))
+            counting(name)
+        monkeypatch.setattr(spectral, "_dct1_or_dst1", stage)
+        octant = Lattice.octant(Grid(8, 3.0))
+        parts = list(octant_parts(damped_symbol(octant, 1.5), octant))
         # the ten parts fill each of the 27 entries of C once
-        assert sorted(e for entries, _ in parts for e in entries) == list(
+        assert sorted(e for abc, _ in parts for e in set(itertools.permutations(abc))) == list(
             itertools.product(range(3), repeat=3)
         )
-        assert len(calls["_irfftn_at"]) == 10
+        assert [len(calls[axis]) for axis in (-1, -2, -3)] == [4, 10, 10]
         assert calls["irfftn"] == calls["ifftn"] == []
 
     @settings(max_examples=10, deadline=None)
-    @given(n=st.sampled_from([8, 16, 32]), seed=st.integers(0, 2**16))
-    def test_parts_on_rows_are_the_whole_parts_there(self, n, seed):
-        # a part on a sub-box of rows is the whole part read there, bit for bit
-        g = Grid(n, 1.0)
-        rng = np.random.default_rng(seed)
-        rows = np.sort(rng.choice(n, size=rng.integers(1, n + 1), replace=False))
-        m, half = inverse_power(g, 1.5), Lattice.half(g)
-        whole = kernel_tensor(half, m, np.arange(n))
-        for (entries, part), (_, at) in zip(whole, kernel_tensor(half, m, rows)):
-            want = part[np.ix_(rows, rows, rows)]
-            assert np.array_equal(at.view(np.int64), want.view(np.int64)), entries
-
-
-class TestIrfftnAt:
-    @settings(max_examples=25, deadline=None)
-    @given(
-        n=st.sampled_from([8, 12, 16, 48, 96]),
-        batch=st.sampled_from([1, 3]),
-        seed=st.integers(0, 2**16),
-        every_row=st.booleans(),
-    )
-    def test_is_irfftn_read_on_the_rows(self, n, batch, seed, every_row):
-        # irfftn of random half-lattice coefficients on rows x rows x rows, bit for
-        # bit (signed zeros included), whether the rows are all n or a subset
-        rng = np.random.default_rng(seed)
-        shape = (batch, n, n, n // 2 + 1)
-        c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        rows = (np.arange(n) if every_row
-                else np.sort(rng.choice(n, size=rng.integers(1, n + 1), replace=False)))
-        want = spectral.scalar_to_real(c)[:, rows][:, :, rows][..., rows]
-        got = spectral._irfftn_at(c.copy(), rows)
-        assert got.shape == (batch,) + (len(rows),) * 3
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    @given(n=st.sampled_from([8, 16, 32]), seed=st.integers(0, 2**16), data=st.data())
+    def test_parts_on_rows_are_the_whole_parts_there(self, n, seed, data):
+        # a part on the first keep rows of each axis is the whole part read there,
+        # bit for bit
+        octant = Lattice.octant(Grid(n, 1.0))
+        keep = data.draw(st.integers(1, n // 2 + 1))
+        g = np.random.default_rng(seed).standard_normal(octant.spectral_shape)
+        whole = octant_parts(g, octant)
+        for (abc, part), (_, at) in zip(whole, octant_parts(g, octant, keep)):
+            want = part[:keep, :keep, :keep]
+            assert np.array_equal(at.view(np.int64), want.view(np.int64)), abc
 
 
 class TestOctantToReal:
@@ -668,10 +705,30 @@ def scipy_octant_to_real(m, parity):
     return full
 
 
+def scipy_octant_parts(g, octant, keep):
+    """``octant_parts`` as scipy.fft spells it, part by part: one DCT-I or DST-I
+    along z, y and x in turn of the symbol times that axis's power of xi, each
+    kept to its first ``keep`` rows."""
+    h = g.shape[-1]
+    scale = (2 * (h - 1)) ** 3 * octant.grid.cell_volume
+    for abc in spectral.CUBIC_MONOMIALS:
+        x, powers = g, [abc.count(c) for c in range(3)]
+        for axis in (-1, -2, -3):
+            p, odd = powers[axis], powers[axis] % 2
+            inner = spectral._at(axis, slice(odd, h - odd))
+            x = x[inner] * octant.xi[axis][inner] ** p if p else x
+            y = (sfft.dst if odd else sfft.dct)(x, type=1, axis=axis)
+            shape = list(x.shape)
+            shape[axis] = keep
+            x, rows = np.zeros(shape), min(keep, h - odd) - odd
+            x[spectral._at(axis, slice(odd, odd + rows))] = y[spectral._at(axis, slice(0, rows))]
+        yield abc, x / (scale if powers == [1, 1, 1] else -scale)
+
+
 # (n, _WORKERS, _SLAB_ROWS): every size split as a run splits it (at 16^3 nothing
 # splits; at 48^3 the full-size stages do; from 96^3 the pruned pair's scatter and
 # gather and the octant stages do too), and a 16^3 grid with _SLAB_ROWS = 1, whose
-# stages run on three slabs, _irfftn_at's y and z stages on slabs of one row
+# stages run on three slabs, octant_parts' stages kept to three rows on slabs of one row
 STAGE_CASES = [(n, w, 40) for n in (16, 48, 96, 128) for w in (1, 2, 3)] + [(16, 3, 1)]
 
 
@@ -707,14 +764,16 @@ class TestStagesMatchScipy:
         x = rng.standard_normal((3, n, n, n))
         assert np.array_equal(spectral.scalar_to_spectral(x), sfft.rfftn(x, axes=(1, 2, 3)))
 
-    def test_irfftn_at(self, case):
-        # three rows: at _SLAB_ROWS = 1 on three workers, the y and z stages,
-        # which keep only these rows, run on three slabs of one row each
+    def test_octant_parts(self, case):
+        # whole, and kept to three rows: at _SLAB_ROWS = 1 on three workers, the
+        # y and x stages, which keep only those rows, run on three slabs of one row
         n, rng = case
-        c = self.coefficients(rng, (n, n, n // 2 + 1))
-        rows = np.sort(rng.choice(n, size=3, replace=False))
-        want = sfft.irfftn(c, s=(n, n, n))[np.ix_(rows, rows, rows)]
-        assert np.array_equal(spectral._irfftn_at(c.copy(), rows), want)
+        octant = Lattice.octant(Grid(n, 1.0))
+        g = rng.standard_normal(octant.spectral_shape)
+        for keep in (None, 3):
+            want = dict(scipy_octant_parts(g, octant, n // 2 + 1 if keep is None else keep))
+            for abc, part in octant_parts(g, octant, keep):
+                assert np.array_equal(part, want[abc]), (keep, abc)
 
     @pytest.mark.parametrize("parity", list(itertools.product((0, 1), repeat=3)),
                              ids=lambda p: "".join("eo"[c] for c in p))
