@@ -6,7 +6,8 @@ field decays rapidly in physical space), modulates it with a seeded
 low-degree odd polynomial, and Leray-projects, on the dealias cube that holds
 the annulus (``spectral.Lattice.dealias_cube``).  Component weights bias the
 moment matrix M_jk = integral of u_j u_k away from scalar; averaging over
-the 24 cube rotations forces it to be scalar exactly.
+the 24 cube rotations, on the cube's full box of modes with no transform,
+forces it to be scalar exactly.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .spectral import (
     Lattice,
     RealVectorField,
     SpectralVectorField,
-    _real_to_cube,
     is_real,
     l2_norm,
     leray_project,
@@ -82,8 +82,9 @@ def octahedral_rotations():
 
 
 def rotate_real_field(data: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """Samples of the rotated vector field x -> R v(R^{-1} x), rotated about
-    the lattice origin.
+    """The rotated vector field x -> R v(R^{-1} x) about the lattice origin, from
+    its samples or from its modes on a dealias cube's full box in DFT order (modes
+    go k -> R k as samples go x -> R x): both move alike, about index 0.
 
     R must be a signed permutation matrix; the lattice is then mapped onto
     itself and the rotation is exact.  Source axis j is read backwards
@@ -224,12 +225,11 @@ def make_force(spec: ForceSpec, grid: Grid, alpha: float) -> SpectralVectorField
         _check_scale(raw.data, 1.0, "the annulus force")
         f = raw
         if spec.symmetrize:
-            samples = to_real(raw).data
-            acc = np.zeros_like(samples)
+            box, acc = cube.full_box(raw.data), np.zeros_like(raw.data)
             for R in octahedral_rotations():
-                acc += rotate_real_field(samples, R)
-            # the rotations map the cube onto itself: off it, only FFT round-off drops
-            f = SpectralVectorField(cube, _real_to_cube(acc / 24.0, cube))
+                acc += rotate_real_field(box, R)[..., : cube.spectral_shape[2]]
+            f = SpectralVectorField(cube, acc / 24.0)
+            del box, acc  # held, they raised the peak RSS at the lift's samples below
         f = leray_project(f)
         f.data[:, 0, 0, 0] = 0.0
         if l2_norm(f) <= 1e-12 * l2_norm(raw):

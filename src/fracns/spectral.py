@@ -292,6 +292,12 @@ class _DealiasCube(Lattice):
                 ((s.start, min(s.stop, lo), 0), (max(s.start, lo), s.stop, self.grid.n - nc))
                 if a < b]
 
+    def full_box(self, v: np.ndarray) -> np.ndarray:
+        """Coefficients v (..., nc, nc, m+1) held on the cube, then on its rows k_z < 0
+        (k_z in DFT order too) their Hermitian mirror conj v(-k): shape (..., nc, nc, nc)."""
+        mirror = np.roll(np.flip(v, (-3, -2)), 1, (-3, -2))[..., self.spectral_shape[2] - 1:0:-1]
+        return np.concatenate((v, np.conj(mirror)), axis=-1)
+
     def lift(self, alpha: float) -> np.ndarray:
         """The quadratic map's lift -|xi|^-alpha on the cube, formed once per alpha."""
         if alpha not in self._lifts:
@@ -693,18 +699,13 @@ def leray_project(v: SpectralVectorField) -> SpectralVectorField:
 def fractional_power(v: SpectralVectorField, beta: float) -> SpectralVectorField:
     """Multiply coefficients by |xi|^beta; the zero mode maps to 0.
 
-    For beta < 0 the symbol is singular at xi = 0, so a nonzero zero mode
-    is rejected.
+    For beta < 0 the symbol is singular at xi = 0, so a zero mode above 1e-12
+    of the largest coefficient is rejected, whatever the field's scale.
     """
-    g = v.grid
-    if beta < 0:
-        z = np.max(np.abs(v.data[:, 0, 0, 0]))
-        scale = max(1.0, float(np.max(np.abs(v.data))))
-        if z > 1e-12 * scale:
-            raise ZeroModeUndefined(
-                "negative fractional power applied to a field with nonzero mean"
-            )
-    return SpectralVectorField(g, v.data * g.power(beta))
+    z = np.max(np.abs(v.data[:, 0, 0, 0]))
+    if beta < 0 and z > 0 and z > 1e-12 * np.max(np.abs(v.data)):
+        raise ZeroModeUndefined("negative fractional power applied to a field with nonzero mean")
+    return SpectralVectorField(v.grid, v.data * v.grid.power(beta))
 
 
 def bilinear_symbol(xi, alpha: float, i: int, j: int, k: int) -> complex:

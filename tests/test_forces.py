@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,9 +12,11 @@ from conftest import (
     rotate_by_indices,
     zero_filled,
 )
+from fracns import forces, spectral
 from fracns.errors import DegenerateInput, InvalidAnnulus
 from fracns.forces import (
     ForceSpec,
+    _bump_window,
     _raw_annulus,
     make_force,
     moment_matrix,
@@ -178,6 +181,45 @@ class TestAnnulusForce:
         off = np.max(np.abs(M - np.diag(np.diag(M))))
         assert off < 1e-10 * np.trace(M)
         assert np.max(np.abs(np.diag(M) - np.trace(M) / 3)) < 1e-10 * np.trace(M)
+
+
+class TestSymmetrizedForce:
+    SPEC = ForceSpec(amplitude=0.1, r1=3.5, seed=7, symmetrize=True)
+
+    # the rotations permute the cube's own modes, so no transform's round-off
+    # lands off the annulus or breaks the k_z = 0 plane's Hermitian symmetry
+    def test_exactly_zero_off_the_annulus(self, grid32):
+        f = make_force(self.SPEC, grid32, 1.5)
+        off = _bump_window(f.grid.kmag, self.SPEC.r0, self.SPEC.r1) == 0.0
+        assert off.any() and np.all(f.data[:, off] == 0.0)
+
+    def test_exactly_hermitian_on_the_kz0_plane(self, grid32):
+        plane = make_force(self.SPEC, grid32, 1.5).data[..., 0]
+        assert np.array_equal(plane, np.conj(np.roll(np.flip(plane, (1, 2)), 1, (1, 2))))
+
+    def test_samples_invariant_under_every_rotation(self, grid32):
+        u = to_real(make_force(self.SPEC, grid32, 1.5)).data
+        scale = np.max(np.abs(u))
+        for R in octahedral_rotations():
+            assert np.max(np.abs(rotate_by_indices(u, R) - u)) <= 1e-14 * scale
+
+    def test_average_takes_no_transform(self, grid32, monkeypatch):
+        calls = {"to_real": 0, "_real_to_cube": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(forces, "to_real", counted("to_real", forces.to_real))
+        for module in (spectral, forces):
+            monkeypatch.setattr(module, "_real_to_cube",
+                                counted("_real_to_cube", spectral._real_to_cube), raising=False)
+        make_force(replace(self.SPEC, symmetrize=False), grid32, 1.5)
+        plain = calls["to_real"]
+        make_force(self.SPEC, grid32, 1.5)
+        assert calls == {"to_real": 2 * plain, "_real_to_cube": 0}
 
 
 class TestRotations:

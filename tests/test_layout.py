@@ -29,10 +29,11 @@ passed as a float, with no wrapper class around it.  The driver echoes its
 config through ``dataclasses.asdict``, writes ``report.json`` in one function,
 and sorts run errors into exit codes in one ``except`` branch.  Every public
 module-level name is read by a run or by the acceptance criteria, not by a
-unit test alone, but for one named exception.  The criteria of the decay
-law, the profile, nonexistence, stationarity and the norms read the metrics
-of ``cli.run`` and make none of a run's calls themselves.  No function
-branches on the lattice a field is held on, a half lattice or a dealias cube.
+unit test alone, but for one named exception, and every name a module imports
+is read in it.  The criteria of the decay law, the profile, nonexistence,
+stationarity and the norms read the metrics of ``cli.run`` and make none of
+a run's calls themselves.  No function branches on the lattice a field is
+held on, a half lattice or a dealias cube.
 The Picard map, its Parseval sums, the residual, the kernel's parts and its
 sphere bound, and the cube rotations of a symmetrized force call no BLAS routine.
 The passes that ``spectral._by_slabs`` runs on the pool take no transform but
@@ -234,6 +235,23 @@ def test_every_public_name_has_a_reader():
                     if name not in acceptance | UNREAD_KEPT
                     and not any(name in names for other, names in readers if other is not node))
     assert public and unread == [], unread
+
+
+def test_every_import_is_read():
+    # a name a module imports is read in that module (the package re-exports
+    # what its __all__ lists); an import left behind by a refactor is not kept
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        bound = {(a.asname or a.name).split(".")[0] for node in ast.walk(tree)
+                 if isinstance(node, (ast.Import, ast.ImportFrom))
+                 and getattr(node, "module", None) != "__future__" for a in node.names}
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)
+                and isinstance(n.ctx, ast.Load)}
+        if path.name == "__init__.py":
+            read |= set(fracns.__all__)
+        unused += [(path.name, name) for name in sorted(bound - read)]
+    assert unused == [], unused
 
 
 # the calls a run makes, which the criteria that read a run's report leave to the run

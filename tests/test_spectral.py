@@ -492,6 +492,14 @@ class TestFractionalPower:
         with pytest.raises(ZeroModeUndefined):
             fractional_power(v, -1.5)
 
+    @pytest.mark.parametrize("scale", [1.0, 2.0**-70])
+    def test_zero_mode_guard_is_scale_free(self, grid16, scale):
+        # a mean half the largest coefficient is no round-off, whatever the field's scale
+        v = on_cube(to_spectral(random_real_field(grid16, seed=14)))
+        v.data[:, 0, 0, 0] = 0.5 * np.max(np.abs(v.data))
+        with pytest.raises(ZeroModeUndefined):
+            fractional_power(SpectralVectorField(v.grid, v.data * scale), -1.5)
+
     def test_zero_mode_output_is_zero(self, grid32):
         v = to_spectral(random_real_field(grid32, seed=13))
         out = fractional_power(v, 2.0)
