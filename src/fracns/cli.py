@@ -208,7 +208,7 @@ def _run_profile(config: RunConfig, outdir: str):
     _solution_metrics(sol, f, config.alpha, metrics)
     u = sol.samples
     u0 = spectral.to_real(sol.lift)
-    M = forces.moment_matrix(u)
+    M = forces.moment_matrix(sol.velocity)
     kernel = asymptotics.build_kernel(config.alpha, refinement_grid_n=config.kernel_n)
 
     prof_u = asymptotics.fit_decay_exponent(

@@ -1,12 +1,12 @@
 """Constructions of admissible external forces and the moment matrix.
 
 The one constructor places a smooth, compactly supported profile on a
-frequency annulus (so the zero mode is excluded exactly and the lifted
-field decays rapidly in physical space), modulates it with a seeded
-low-degree odd polynomial, and Leray-projects, on the dealias cube that holds
-the annulus (``spectral.Lattice.dealias_cube``).  Component weights bias the
-moment matrix M_jk = integral of u_j u_k away from scalar; averaging over
-the 24 cube rotations, on the cube's full box of modes with no transform,
+frequency annulus (so the zero mode is excluded exactly and the lifted field
+decays rapidly in physical space), modulates it with a seeded low-degree odd
+polynomial, and Leray-projects, on the dealias cube that holds the annulus
+(``spectral.Lattice.dealias_cube``).  Component weights bias the moment matrix
+M_jk = h^3 sum u_j u_k, a Parseval sum on the cube, away from scalar; averaging
+over the 24 cube rotations, on the cube's full box of modes with no transform,
 forces it to be scalar exactly.
 """
 
@@ -23,7 +23,6 @@ from .spectral import (
     CUBIC_MONOMIALS,
     Grid,
     Lattice,
-    RealVectorField,
     SpectralVectorField,
     is_real,
     l2_norm,
@@ -162,12 +161,15 @@ def _raw_annulus(spec: ForceSpec, lattice: Lattice, seed: int, alpha: float) -> 
     return SpectralVectorField(lattice, data)
 
 
-def moment_matrix(u: RealVectorField) -> np.ndarray:
-    """M_jk = h^3 sum over cells of u_j u_k (symmetric PSD by construction)."""
+def moment_matrix(u: SpectralVectorField) -> np.ndarray:
+    """M_jk = h^3 sum of u_j u_k over the samples of a field held on a dealias cube:
+    by Parseval, h^3/n^3 times the cube's ``lattice_sum`` of u_j and u_k, whose
+    products commute, so M is exactly symmetric (and PSD)."""
     if not np.all(np.isfinite(u.data)):
-        raise ValueError("non-finite samples in moment matrix input")
-    flat = u.data.reshape(3, -1)
-    return u.grid.cell_volume * (flat @ flat.T)
+        raise ValueError("non-finite coefficients in moment matrix input")
+    g, c = u.grid, u.data
+    return np.array([[g.lattice_sum(c[j:j + 1], c[k:k + 1]) for k in range(3)]
+                     for j in range(3)]) * (g.grid.cell_volume / g.grid.n**3)
 
 
 def scalar_deviation(M: np.ndarray, normalized: bool = True) -> float:
@@ -236,10 +238,11 @@ def make_force(spec: ForceSpec, grid: Grid, alpha: float) -> SpectralVectorField
             # only round-off is left, which scaling to the amplitude would turn into noise
             raise DegenerateInput(f"the annulus force from seed {spec.seed + attempt} has no "
                                   "divergence-free part (its projection is round-off)")
-        u0 = to_real(lift_force(f, alpha))
+        lift = lift_force(f, alpha)
         # the normalized deviation is scale-invariant: the unscaled lift decides
-        if anisotropic and scalar_deviation(moment_matrix(u0)) < 0.05:
+        if anisotropic and scalar_deviation(moment_matrix(lift)) < 0.05:
             continue
+        u0 = to_real(lift)
         factor = spec.amplitude / weak_lorentz_norm(u0, alpha)
         _check_scale(f.data, factor, f"the annulus force scaled to amplitude {spec.amplitude}",
                      u0.data)

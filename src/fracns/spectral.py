@@ -614,31 +614,25 @@ def real_magnitude(field: SpectralVectorField) -> np.ndarray:
 
 
 def _real_to_cube(samples: np.ndarray, cube: _DealiasCube, out: np.ndarray | None = None,
-                  spectrum: np.ndarray | None = None,
-                  times: np.ndarray | None = None) -> np.ndarray:
-    """The coefficients on ``cube`` of real samples (..., n, n, n), or of their
-    product with the samples ``times`` where given: rfft along z, into
-    ``spectrum`` where given, fft along x in place on the cube's planes of it,
-    then fft along y in place on the cube's two runs of k_x rows there, by
-    slabs of k_x rows, each slab's rows then gathered into ``out`` where
-    given.  A product is formed by chunks of x rows of up to ``_CHUNK``
-    samples, each just before its rfft, in a slab's own array."""
+                  spectrum: np.ndarray | None = None, *, times: np.ndarray) -> np.ndarray:
+    """The coefficients on ``cube`` of the product of real samples (..., n, n, n)
+    with the samples ``times``: the product formed by chunks of x rows of up to
+    ``_CHUNK`` samples in a slab's own array, each chunk's rfft along z taken
+    just after, into ``spectrum`` where given; fft along x in place on the
+    cube's planes of it, then fft along y in place on the cube's two runs of
+    k_x rows there, by slabs of k_x rows, each slab's rows then gathered into
+    ``out`` where given."""
     n, (nc, _, p) = cube.grid.n, cube.spectral_shape
     if spectrum is None:
         spectrum = np.empty(samples.shape[:-3] + _half_shape(n), dtype=np.complex128)
-    if times is None:
-        _stage(np.fft.rfft, samples, -1, spectrum, -3)
-    else:
-        rows = min(n, max(1, _CHUNK // samples[..., 0, :, :].size))
+    rows = min(n, max(1, _CHUNK // samples[..., 0, :, :].size))
 
-        def product_rfft(s, work):
-            for c, k in _chunks(s, rows):
-                x = np.multiply(samples[..., c, :, :], times[..., c, :, :],
-                                out=work[..., k, :, :])
-                np.fft.rfft(x, axis=-1, out=spectrum[..., c, :, :])
+    def product_rfft(s, work):
+        for c, k in _chunks(s, rows):
+            x = np.multiply(samples[..., c, :, :], times[..., c, :, :], out=work[..., k, :, :])
+            np.fft.rfft(x, axis=-1, out=spectrum[..., c, :, :])
 
-        _by_slabs(product_rfft, n, _stage_rows(),
-                  lambda: np.empty(samples.shape[:-3] + (rows, n, n)))
+    _by_slabs(product_rfft, n, _stage_rows(), lambda: np.empty(samples.shape[:-3] + (rows, n, n)))
     a = spectrum[..., :p]
     _stage(np.fft.fft, a, -3, a, -2)
     runs = cube.row_runs(slice(0, nc))

@@ -133,6 +133,15 @@ def l2_inner(a, b):
     return float(g.grid.cell_volume * g.lattice_sum(a.data, b.data) / g.grid.n**3)
 
 
+def sample_moment(u):
+    """M_jk = h^3 sum over cells of u_j u_k for real samples ``u``, a GEMM over
+    them: the reference for ``forces.moment_matrix``'s Parseval sum."""
+    if not np.all(np.isfinite(u.data)):
+        raise ValueError("non-finite samples in moment matrix input")
+    flat = u.data.reshape(3, -1)
+    return u.grid.cell_volume * (flat @ flat.T)
+
+
 def spectral_gradient(coeffs, lattice):
     """Gradient of a scalar spectral field on ``lattice``, Nyquist rows zeroed."""
     out = np.empty((3,) + coeffs.shape, dtype=np.complex128)

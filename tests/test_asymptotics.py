@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import nelder_mead_bound, sphere_frobenius, symmetric_parts, whole_range_profile
+from fracns import asymptotics, forces, solver, spectral
 from fracns.asymptotics import (
     KERNEL_SHELL,
     build_kernel,
@@ -281,6 +282,25 @@ class TestBrandoleseVigneron:
 
 
 class TestCertificate:
+    def test_takes_no_transform(self, small_solution, kernel15, monkeypatch):
+        # the moment matrix is the cube's Parseval sum of the velocity: no samples
+        # (any kernel serves to count the certificate's transforms)
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(spectral, "_cube_to_real",
+                            counted("_cube_to_real", spectral._cube_to_real))
+        for module in (spectral, solver, forces, asymptotics):
+            monkeypatch.setattr(module, "to_real", counted("to_real", spectral.to_real),
+                                raising=False)
+        cert = nonexistence_certificate(small_solution["solution"], kernel15)
+        assert calls == [] and cert["deviation"] > 0
+
     def test_zero_solution_no_certificate(self, grid32, kernel15):
         from fracns.solver import SolverConfig, solve_steady
         from fracns.spectral import Lattice, zero_spectral

@@ -9,6 +9,7 @@ from conftest import (
     realness_defect,
     spectral_gradient,
     symmetric_parts,
+    to_spectral,
 )
 from fracns import spectral
 from fracns.errors import InvalidTimeStep, NumericalBlowup
@@ -125,7 +126,7 @@ class TestStationarity:
             )
         )
         # the coefficients of the real part
-        noise = SpectralVectorField(cube, spectral._real_to_cube(to_real(noise).data, cube))
+        noise = on_cube(to_spectral(to_real(noise)))
         assert realness_defect(noise) < 1e-13
         noise.data[:, 0, 0, 0] = 0.0
         amp = 0.01 * l2_norm(sol.velocity) / l2_norm(noise)

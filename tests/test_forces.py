@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     on_cube,
@@ -10,6 +12,8 @@ from conftest import (
     random_real_field,
     realness_defect,
     rotate_by_indices,
+    sample_moment,
+    to_spectral,
     zero_filled,
 )
 from fracns import forces, spectral
@@ -33,12 +37,18 @@ from fracns.spectral import (
     l2_norm,
     leray_project,
     to_real,
+    zero_spectral,
 )
+
+
+def cube_field(u):
+    """The part on its grid's dealias cube of the real samples ``u``, held there."""
+    return on_cube(to_spectral(u))
 
 
 class TestMomentMatrix:
     def test_zero_field(self, grid16):
-        M = moment_matrix(RealVectorField(grid16, np.zeros((3, 16, 16, 16))))
+        M = moment_matrix(zero_spectral(Lattice.dealias_cube(grid16)))
         assert np.all(M == 0)
 
     def test_single_component_support(self, grid16):
@@ -46,18 +56,48 @@ class TestMomentMatrix:
         w = np.exp(-g.radius_from(g.center) ** 2)
         x1 = g.x_axis.reshape(-1, 1, 1)
         data = np.stack([np.sin(2 * np.pi * x1 / g.box_length) * w, 0 * w, 0 * w])
-        M = moment_matrix(RealVectorField(g, data))
+        M = moment_matrix(cube_field(RealVectorField(g, data)))
         assert M[0, 0] > 0
         off = np.abs(M).sum() - np.abs(M[0, 0])
         assert off < 1e-12 * M[0, 0]
 
     def test_symmetric_psd(self, grid16):
         for seed in range(100):
-            u = random_real_field(grid16, seed=seed)
-            M = moment_matrix(u)
+            M = moment_matrix(cube_field(random_real_field(grid16, seed=seed)))
             assert np.allclose(M, M.T)
             eig = np.linalg.eigvalsh(M)
             assert np.min(eig) >= -1e-12 * np.trace(M)
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(4, 32).map(lambda m: 2 * m), box=st.floats(0.5, 40.0),
+           seed=st.integers(0, 2**16))
+    def test_parseval_sum_is_the_sample_moment(self, n, box, seed):
+        # the cube's sum of a real field's coefficients against h^3 sum u_j u_k
+        # over its samples, and exactly symmetric
+        v = cube_field(random_real_field(Grid(n, box), seed=seed))
+        M, want = moment_matrix(v), sample_moment(to_real(v))
+        assert np.array_equal(M, M.T)
+        assert np.max(np.abs(M - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_mode_off_the_kz0_plane_counts_its_mirror(self, grid16):
+        # one mode k with k_z > 0 holds the samples' cosine with its mirror -k,
+        # which the half lattice leaves out: 2 h^3/n^3 Re conj(c_j) c_k
+        cube = Lattice.dealias_cube(grid16)
+        v = zero_spectral(cube)
+        c = np.array([1.0 + 2.0j, -0.5j, 3.0])
+        v.data[:, 1, 2, 3] = c
+        M = moment_matrix(v)
+        want = sample_moment(to_real(v))
+        assert np.max(np.abs(M - want)) <= 1e-14 * np.max(np.abs(want))
+        h3, n3 = grid16.cell_volume, grid16.n**3
+        closed = 2 * h3 / n3 * np.real(np.conj(c)[:, None] * c[None, :])
+        assert np.max(np.abs(M - closed)) <= 1e-14 * np.max(np.abs(closed))
+
+    def test_non_finite_coefficients_rejected(self, grid16):
+        v = zero_spectral(Lattice.dealias_cube(grid16))
+        v.data[1, 1, 0, 0] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            moment_matrix(v)
 
 
 class TestScalarDeviation:
@@ -150,8 +190,7 @@ class TestAnnulusForce:
     def test_anisotropic_moment_ratio(self, grid32):
         spec = ForceSpec(amplitude=0.1, r1=3.5, seed=6, anisotropy=(2.0, 1.0, 1.0))
         f = make_force(spec, grid32, 1.5)
-        u0 = to_real(lift_force(f, 1.5))
-        M = moment_matrix(u0)
+        M = moment_matrix(lift_force(f, 1.5))
         assert M[0, 0] / M[1, 1] > 1.2
         assert scalar_deviation(M) >= 0.05
 
@@ -162,8 +201,8 @@ class TestAnnulusForce:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             f = make_force(spec, Grid(16, 8.0), 1.5)
-            u0 = to_real(lift_force(f, 1.5))
-            assert weak_lorentz_norm(u0, 1.5) == pytest.approx(spec.amplitude, rel=1e-12)
+            u0 = lift_force(f, 1.5)
+            assert weak_lorentz_norm(to_real(u0), 1.5) == pytest.approx(spec.amplitude, rel=1e-12)
             assert scalar_deviation(moment_matrix(u0)) >= 0.05
 
     def test_force_projecting_to_round_off_rejected(self):
@@ -176,8 +215,7 @@ class TestAnnulusForce:
     def test_isotropic_symmetrized_moment_scalar(self, grid32):
         spec = ForceSpec(amplitude=0.1, r1=3.5, seed=7, symmetrize=True)
         f = make_force(spec, grid32, 1.5)
-        u0 = to_real(lift_force(f, 1.5))
-        M = moment_matrix(u0)
+        M = moment_matrix(lift_force(f, 1.5))
         off = np.max(np.abs(M - np.diag(np.diag(M))))
         assert off < 1e-10 * np.trace(M)
         assert np.max(np.abs(np.diag(M) - np.trace(M) / 3)) < 1e-10 * np.trace(M)

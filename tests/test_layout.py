@@ -358,6 +358,8 @@ BLAS_FREE = [
     ("spectral.py", ("octant_parts",)),
     ("spectral.py", ("nyquist_lines",)),
     ("forces.py", ("rotate_real_field",)),
+    # the moment matrix: the cube's Parseval sums
+    ("forces.py", ("moment_matrix",)),
 ]
 
 

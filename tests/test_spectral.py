@@ -329,26 +329,28 @@ class TestLatticeSum:
 
 class TestTransforms:
     def test_round_trip(self, grid32):
-        # a real field with modes on the cube alone, through the pruned pair
+        # a real field with modes on the cube alone, through the pruned inverse
+        # and back through rfftn
         v = on_cube(to_spectral(random_real_field(grid32, seed=1)))
-        back = spectral._real_to_cube(to_real(v).data, v.grid)
+        back = gather(sfft.rfftn(to_real(v).data, axes=(1, 2, 3)), v.grid)
         assert np.max(np.abs(back - v.data)) < 1e-12 * np.max(np.abs(v.data))
 
     def test_real_field_is_hermitian(self, grid32):
+        # the coefficients of a product of real samples, itself a real field
         cube = Lattice.dealias_cube(grid32)
-        samples = random_real_field(grid32, seed=2).data
-        v = SpectralVectorField(cube, spectral._real_to_cube(samples, cube))
+        x, y = (random_real_field(grid32, seed=s).data for s in (2, 3))
+        v = SpectralVectorField(cube, spectral._real_to_cube(x, cube, times=y))
         assert realness_defect(v) < 1e-13
 
     @settings(max_examples=20, deadline=None)
     @given(n=HALF_SIZES, seed=st.integers(0, 2**16))
     def test_forward_pruned_transform_is_rfftn_gathered(self, n, seed):
-        # the cube's part of rfftn of the samples, bit for bit
+        # the cube's part of rfftn of the product of the samples, bit for bit
         g = Grid(n, 1.0)
         cube = Lattice.dealias_cube(g)
-        x = np.random.default_rng(seed).standard_normal((3, n, n, n))
-        want = gather(sfft.rfftn(x, axes=(1, 2, 3)), cube)
-        assert np.array_equal(spectral._real_to_cube(x, cube), want)
+        x, y = np.random.default_rng(seed).standard_normal((2, 3, n, n, n))
+        want = gather(sfft.rfftn(x * y, axes=(1, 2, 3)), cube)
+        assert np.array_equal(spectral._real_to_cube(x, cube, times=y), want)
 
     @settings(max_examples=20, deadline=None)
     @given(n=HALF_SIZES, batch=st.sampled_from([1, 3]), seed=st.integers(0, 2**16))
@@ -367,20 +369,22 @@ class TestTransforms:
         assert np.array_equal(spectral._cube_to_real(c, cube, padded), want)
 
     def test_forward_pruned_transform_stages_nothing(self):
-        # the rfft output and the cube it gathers are the arrays it makes: an
-        # array of the cube's k_x rows between the x and y stages overran this
+        # the rfft output, the cube it gathers and one chunk of the product (one
+        # slab at 32^3) are the arrays it makes: an array of the cube's k_x rows
+        # between the x and y stages, or of the whole product, overran this
         n = 32
         cube = Lattice.dealias_cube(Grid(n, 1.0))
-        x = np.random.default_rng(3).standard_normal((3, n, n, n))
-        spectral._real_to_cube(x, cube)  # plans the transforms
+        x, y = np.random.default_rng(3).standard_normal((2, 3, n, n, n))
+        spectral._real_to_cube(x, cube, times=y)  # plans the transforms
         tracemalloc.start()
         try:
-            spectral._real_to_cube(x, cube)
+            spectral._real_to_cube(x, cube, times=y)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         rfft_out, result = 48 * n * n * (n // 2 + 1), 48 * math.prod(cube.spectral_shape)
-        assert peak <= rfft_out + result + 64 * 1024, peak
+        chunk = 8 * 3 * n * n * (spectral._CHUNK // (3 * n * n))
+        assert chunk < x.nbytes and peak <= rfft_out + result + chunk + 64 * 1024, peak
 
     @settings(max_examples=20, deadline=None)
     @given(n=HALF_SIZES, batch=st.sampled_from([1, 3]), seed=st.integers(0, 2**16))
@@ -760,9 +764,9 @@ class TestStagesMatchScipy:
         cube = Lattice.dealias_cube(Grid(n, 1.0))
         c = self.coefficients(rng, (3,) + cube.spectral_shape)
         assert np.array_equal(spectral._cube_to_real(c, cube), staged_cube_to_real(c, cube))
-        x = rng.standard_normal((3, n, n, n))
-        want = gather(sfft.rfftn(x, axes=(1, 2, 3)), cube)
-        assert np.array_equal(spectral._real_to_cube(x, cube), want)
+        x, y = rng.standard_normal((2, 3, n, n, n))
+        want = gather(sfft.rfftn(x * y, axes=(1, 2, 3)), cube)
+        assert np.array_equal(spectral._real_to_cube(x, cube, times=y), want)
 
     def test_half_lattice_pair(self, case):
         n, rng = case
